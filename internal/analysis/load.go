@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -174,6 +175,11 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 	for _, e := range ents {
 		n := e.Name()
 		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") || strings.HasPrefix(n, ".") {
+			continue
+		}
+		// Only the files the compiler would build here: a package may keep
+		// per-platform variants of one function (internal/wal's fdatasync).
+		if match, err := build.Default.MatchFile(dir, n); err != nil || !match {
 			continue
 		}
 		names = append(names, n)

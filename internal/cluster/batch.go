@@ -95,14 +95,10 @@ func (s *Snode) handleBatch(m batchReq, tr transport.TraceContext) {
 		durWrites  []int  // indices whose ack awaits WAL durability
 		walScratch []byte // reused record-encoding slab (durability on)
 	)
-	if s.cfg.Replicas > 1 {
-		// replDests doubles as a per-batch cache of replica placements for
-		// the served-route entries.
+	if replicate {
+		replWrites = make(map[hashspace.Partition][]batchItem)
 		replDests = make(map[hashspace.Partition][]transport.NodeID)
-		if replicate {
-			replWrites = make(map[hashspace.Partition][]batchItem)
-			replMeta = make(map[hashspace.Partition]replFanMeta)
-		}
+		replMeta = make(map[hashspace.Partition]replFanMeta)
 	}
 
 	// Hash every key before taking any lock.
@@ -149,14 +145,9 @@ func (s *Snode) handleBatch(m batchReq, tr transport.TraceContext) {
 				}
 				w := work[bk]
 				if w == nil {
-					var reps []transport.NodeID
-					if s.cfg.Replicas > 1 {
-						if d, ok := replDests[p]; ok {
-							reps = d
-						} else {
-							reps = s.replicaHostsLocked(p)
-							replDests[p] = reps
-						}
+					reps := s.bucketReplicasLocked(p, bk)
+					if replicate {
+						replDests[p] = reps
 					}
 					w = &bucketWork{owner: ownerRef{Vnode: ref.vs.name, Host: s.id}, p: p, group: ref.vs.group, reps: reps}
 					work[bk] = w
@@ -195,7 +186,7 @@ func (s *Snode) handleBatch(m batchReq, tr transport.TraceContext) {
 				}
 				var readBytes int64
 				for _, i := range w.idxs {
-					v, found := bk.m[m.Items[i].Key]
+					v, found := bk.kv.m[m.Items[i].Key]
 					readBytes += int64(len(v))
 					results[i] = batchItemResp{Value: append([]byte(nil), v...), Found: found}
 				}
@@ -230,13 +221,11 @@ func (s *Snode) handleBatch(m batchReq, tr transport.TraceContext) {
 						if !m.private {
 							v = append([]byte(nil), v...)
 						}
-						bk.m[it.Key] = v
+						bk.kv.put(it.Key, v)
 						wroteBytes += int64(len(v))
 						results[i] = batchItemResp{Found: true}
 					case opDel:
-						_, found := bk.m[it.Key]
-						delete(bk.m, it.Key)
-						results[i] = batchItemResp{Found: found}
+						results[i] = batchItemResp{Found: bk.kv.del(it.Key)}
 					}
 					if s.dur != nil {
 						walScratch = transport.AppendString(walScratch, it.Key)
@@ -497,7 +486,7 @@ func (c *Cluster) learnRoutes(entries []routeEntry) {
 	defer c.routeMu.Unlock()
 	for _, e := range entries {
 		if _, ok := c.routes[e.Partition]; !ok {
-			c.routeLvls.add(e.Partition.Level)
+			c.routeLvls.Add(e.Partition.Level)
 		}
 		c.routes[e.Partition] = route{ref: e.Ref, replicas: e.Replicas}
 	}
@@ -541,7 +530,7 @@ func (c *Cluster) purgeRoutesTo(host transport.NodeID, crashed bool) {
 			continue
 		}
 		delete(c.routes, p)
-		c.routeLvls.remove(p.Level)
+		c.routeLvls.Remove(p.Level)
 	}
 }
 
@@ -596,7 +585,7 @@ func (c *Cluster) invalidateStaleRoutes(host transport.NodeID) {
 			continue
 		}
 		delete(c.routes, p)
-		c.routeLvls.remove(p.Level)
+		c.routeLvls.Remove(p.Level)
 	}
 }
 

@@ -62,7 +62,7 @@ type Cluster struct {
 	// at believed owners instead of random entry snodes.
 	routeMu   sync.Mutex
 	routes    map[hashspace.Partition]route // guarded by routeMu
-	routeLvls levelSet                      // guarded by routeMu
+	routeLvls hashspace.LevelSet            // guarded by routeMu
 
 	retiredMu  sync.Mutex
 	retired    StatsSnapshot     // guarded by retiredMu; counters of snodes that left the cluster
@@ -99,6 +99,8 @@ func (a *StatsSnapshot) fold(b StatsSnapshot) {
 	a.ReplWrites += b.ReplWrites
 	a.ReplRepairs += b.ReplRepairs
 	a.ReplLagged += b.ReplLagged
+	a.AEProbeMsgs += b.AEProbeMsgs
+	a.AEKeysHashed += b.AEKeysHashed
 	a.FailoverReads += b.FailoverReads
 	a.ChunksSent += b.ChunksSent
 	a.MigAborts += b.MigAborts

@@ -35,8 +35,8 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 			Sets: []replWriteSet{{Partition: p, Items: items, Ver: 4}},
 		}},
 		"seed-repl-write-resp": {From: 2, To: 1, Msg: replWriteResp{Op: 9}},
-		"seed-repl-probe-req":  {From: 1, To: 2, Msg: replProbeReq{Op: 10, Partition: p, ReplyTo: 1}},
-		"seed-repl-probe-resp": {From: 2, To: 1, Msg: replProbeResp{Op: 10, InSync: true}},
+		"seed-repl-probe-req":  {From: 1, To: 2, Msg: replProbeReq{Op: 10, Digests: []partDigest{{Partition: p, Count: 3, Sum: 0xfeed}}, ReplyTo: 1}},
+		"seed-repl-probe-resp": {From: 2, To: 1, Msg: replProbeResp{Op: 10, OutOfSync: []hashspace.Partition{p}}},
 		"seed-ping-req":        {From: -1, To: 1, Msg: pingReq{Op: 11, ReplyTo: -1}},
 		"seed-ping-resp":       {From: 1, To: -1, Msg: pingResp{Op: 11}},
 		"seed-mig-begin-req":   {From: 1, To: 2, Msg: migBeginReq{Op: 12, Partition: p, ReplyTo: 1}},

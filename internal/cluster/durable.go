@@ -177,6 +177,7 @@ func (s *Snode) openDurability() error {
 		return err
 	}
 	s.dur = &durable{log: log, snapRoot: snapRoot, interval: dc.SnapshotInterval, lastCut: cut}
+	s.lat.walFsync = log.FsyncLatency()
 	// Freeze every in-doubt partition before the snode starts serving:
 	// whether the crashed handover's receiver committed is unknown, so
 	// reads may serve (both copies agree — the bucket froze before the
@@ -297,11 +298,11 @@ func (s *Snode) loadSnapshot(dir string) error {
 		}
 		if isOwn {
 			if ref, ok := s.owned[b.Partition]; ok {
-				ref.bk.m = b.Data
+				ref.bk.kv.replaceAll(b.Data)
 			}
 			continue
 		}
-		s.setReplicaBucketLocked(b.Partition, b.Data)
+		s.setReplicaBucketLocked(b.Partition, newStore(b.Data))
 	}
 	return nil
 }
@@ -327,7 +328,7 @@ func (s *Snode) applyWalRecord(seq uint64, payload []byte) error {
 		// against a later state (bucket dropped, split deeper) is already
 		// reflected there.
 		if ref, ok := s.owned[rec.Partition]; ok {
-			applyItems(ref.bk.m, rec.Kind, rec.Items)
+			ref.bk.kv.apply(rec.Kind, rec.Items, true)
 		}
 		return nil
 	case walTagReplWrite:
@@ -384,7 +385,7 @@ func (s *Snode) applyWalRecord(seq uint64, payload []byte) error {
 			return fmt.Errorf("cluster: wal record %d: %w", seq, err)
 		}
 		if vs, ok := s.vnodes[rec.To]; ok {
-			s.installBucketLocked(vs, rec.Group, rec.Level, rec.Partition, rec.Data)
+			s.installBucketLocked(vs, rec.Group, rec.Level, rec.Partition, newStore(rec.Data))
 		}
 		return nil
 	case walTagBucketDrop:
@@ -395,7 +396,7 @@ func (s *Snode) applyWalRecord(seq uint64, payload []byte) error {
 		if vs, ok := s.vnodes[rec.Vnode]; ok {
 			if bk, ok := vs.parts[rec.Partition]; ok {
 				bk.state = bucketDead
-				bk.m = nil
+				bk.kv = nil
 				delete(vs.parts, rec.Partition)
 				s.delOwnedLocked(rec.Partition, bk)
 			}
@@ -426,7 +427,7 @@ func (s *Snode) applyWalRecord(seq uint64, payload []byte) error {
 		// strictly deeper ones (they can only exist if the sync's sender
 		// was stale geometry).
 		s.delReplicaBucketLocked(rec.Partition)
-		s.setReplicaBucketLocked(rec.Partition, rec.Data)
+		s.setReplicaBucketLocked(rec.Partition, newStore(rec.Data))
 		delete(s.rprov, rec.Partition)
 		return nil
 	case walTagReplDrop:
@@ -465,19 +466,6 @@ func (s *Snode) applyWalRecord(seq uint64, payload []byte) error {
 		return nil
 	}
 	return fmt.Errorf("cluster: wal record %d: unknown tag %d — downgraded binary over a newer log?", seq, tag)
-}
-
-// applyItems folds batch items into a bucket map (replay side of the
-// batch apply loop).
-func applyItems(m map[string][]byte, kind dataOp, items []batchItem) {
-	for _, it := range items {
-		switch kind {
-		case opPut:
-			m[it.Key] = it.Value
-		case opDel:
-			delete(m, it.Key)
-		}
-	}
 }
 
 // --- snapshots ---
@@ -600,7 +588,7 @@ func (s *Snode) trySnapshot(lastCut uint64) (newCut uint64, ok bool, err error) 
 			abort()
 			return lastCut, false, nil // moved or split away; retry with a fresh cut
 		}
-		payload := encodeSnapBucket(nil, o.p, o.bk.m)
+		payload := encodeSnapBucket(nil, o.p, o.bk.kv.m)
 		o.bk.mu.RUnlock()
 		name := fmt.Sprintf("own-%d-%d.snap", o.p.Level, o.p.Prefix)
 		if err := stats.WriteSnapshot(filepath.Join(dir, name), payload); err != nil {
@@ -616,7 +604,7 @@ func (s *Snode) trySnapshot(lastCut uint64) (newCut uint64, ok bool, err error) 
 		b, ok := s.rparts[p]
 		var payload []byte
 		if ok {
-			payload = encodeSnapBucket(nil, p, b)
+			payload = encodeSnapBucket(nil, p, b.m)
 		}
 		s.mu.Unlock()
 		if !ok {

@@ -398,7 +398,7 @@ func (s *Snode) promotePartition(p hashspace.Partition, dead transport.NodeID) e
 	// replays to the same outcome.
 	seq := s.durAppendWith(func(b []byte) []byte {
 		return encodeWalMigInstall(b, walMigInstallRec{
-			To: vs.name, Group: meta.group, Level: p.Level, Partition: p, Data: data,
+			To: vs.name, Group: meta.group, Level: p.Level, Partition: p, Data: data.m,
 		})
 	})
 	name := vs.name

@@ -126,7 +126,7 @@ func (s *Snode) handleLoadReport(m loadReportReq) {
 		for p, bk := range vs.parts {
 			resp.Quota += p.Quota()
 			bk.mu.RLock()
-			resp.Keys += len(bk.m)
+			resp.Keys += bk.kv.len()
 			resp.Reads += bk.rates.reads
 			resp.Writes += bk.rates.writes
 			resp.Bytes += bk.rates.bytes

@@ -88,7 +88,7 @@ type migInbound struct {
 	to    VnodeName
 	group core.GroupID
 	level uint8
-	data  map[string][]byte
+	data  *kvStore
 }
 
 // migItem is one key of a migration chunk.  Del marks a deletion observed
@@ -178,7 +178,7 @@ func collectDeltaLocked(bk *bucket, dirty map[string]struct{}) []migItem {
 	}
 	items := make([]migItem, 0, len(dirty))
 	for k := range dirty {
-		if v, ok := bk.m[k]; ok {
+		if v, ok := bk.kv.m[k]; ok {
 			items = append(items, migItem{Key: k, Value: v})
 		} else {
 			items = append(items, migItem{Key: k, Del: true})
@@ -255,8 +255,8 @@ func (s *Snode) migratePartition(g core.GroupID, to VnodeName, toHost transport.
 		return 0, err
 	}
 	bk.mig = &migSender{dirty: make(map[string]struct{})}
-	keys := make([]string, 0, len(bk.m))
-	for k := range bk.m {
+	keys := make([]string, 0, len(bk.kv.m))
+	for k := range bk.kv.m {
 		keys = append(keys, k)
 	}
 	bk.mu.Unlock()
@@ -287,7 +287,7 @@ func (s *Snode) migratePartition(g core.GroupID, to VnodeName, toHost transport.
 		items := make([]migItem, 0, end-start)
 		bk.mu.RLock()
 		for _, k := range keys[start:end] {
-			if v, ok := bk.m[k]; ok {
+			if v, ok := bk.kv.m[k]; ok {
 				items = append(items, migItem{Key: k, Value: v})
 			}
 		}
@@ -425,7 +425,7 @@ func (s *Snode) migratePartition(g core.GroupID, to VnodeName, toHost transport.
 	s.mu.Lock()
 	bk.mu.Lock()
 	bk.state = bucketDead
-	bk.m = nil
+	bk.kv = nil
 	bk.mig = nil
 	bk.mu.Unlock()
 	delete(vs.parts, p)
@@ -451,11 +451,11 @@ func (s *Snode) migratePartition(g core.GroupID, to VnodeName, toHost transport.
 
 // --- receiver side ---
 
-// applyMigItems folds chunk items into a staging map.
-func applyMigItems(data map[string][]byte, items []migItem, private bool) {
+// applyMigItems folds chunk items into a staging store.
+func applyMigItems(data *kvStore, items []migItem, private bool) {
 	for _, it := range items {
 		if it.Del {
-			delete(data, it.Key)
+			data.del(it.Key)
 			continue
 		}
 		v := it.Value
@@ -466,7 +466,7 @@ func applyMigItems(data map[string][]byte, items []migItem, private bool) {
 			// copied.  Decoded frames pass private and skip even that.
 			v = append([]byte(nil), v...)
 		}
-		data[it.Key] = v
+		data.put(it.Key, v)
 	}
 }
 
@@ -481,7 +481,7 @@ func (s *Snode) handleMigBegin(m migBeginReq) {
 	}
 	s.migIn[m.Partition] = &migInbound{
 		to: m.To, group: m.Group, level: m.Level,
-		data: make(map[string][]byte),
+		data: newStore(nil),
 	}
 	s.mu.Unlock()
 	s.send(m.ReplyTo, migBeginResp{Op: m.Op})
@@ -536,7 +536,7 @@ func (s *Snode) handleMigCommit(m migCommitReq, tr transport.TraceContext) {
 	seq := s.durAppendWith(func(b []byte) []byte {
 		return encodeWalMigInstall(b, walMigInstallRec{
 			To: m.To, Group: st.group, Level: st.level,
-			Partition: m.Partition, Data: st.data,
+			Partition: m.Partition, Data: st.data.m,
 		})
 	})
 	if s.dur != nil && !s.durFastAck() {
@@ -577,9 +577,10 @@ func (s *Snode) handleMigCommit(m migCommitReq, tr transport.TraceContext) {
 
 // installBucketLocked makes data the live owned bucket of a partition at
 // the receiving vnode — ownership index, level/group adoption, custody
-// cleanup, replica-store cleanup.  Shared by the live commit handler and
-// recovery replay.  Caller holds s.mu (or owns the snode exclusively).
-func (s *Snode) installBucketLocked(vs *vnodeState, g core.GroupID, level uint8, p hashspace.Partition, data map[string][]byte) {
+// cleanup, replica-store cleanup.  Shared by the live commit handler,
+// failover promotion and recovery replay.  Caller holds s.mu (or owns the
+// snode exclusively).
+func (s *Snode) installBucketLocked(vs *vnodeState, g core.GroupID, level uint8, p hashspace.Partition, data *kvStore) {
 	if vs.parts == nil {
 		vs.parts = make(map[hashspace.Partition]*bucket)
 	}
@@ -699,7 +700,7 @@ func (s *Snode) finalizeIntent(p hashspace.Partition, in *migIntent) {
 		bk := vs.parts[p]
 		bk.mu.Lock()
 		bk.state = bucketDead
-		bk.m = nil
+		bk.kv = nil
 		bk.mig = nil
 		bk.mu.Unlock()
 		delete(vs.parts, p)

@@ -3,7 +3,6 @@ package cluster
 import (
 	"encoding/gob"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"sync"
 	"time"
@@ -31,10 +30,11 @@ import (
 //   - Partition transfers re-home replica sets with the primary: the new
 //     owner pushes fresh replica buckets before acknowledging the install,
 //     and the old owner drops the buckets that became orphans.
-//   - A background anti-entropy pass (per-partition key count + checksum
-//     exchange) repairs replicas that diverge after a crash or a missed
-//     write, and bootstraps replication for partitions that predate their
-//     replica hosts.
+//   - A background anti-entropy pass (one probe per replica host carrying
+//     the maintained key count + checksum of every partition placed
+//     there; see store.go) repairs replicas that diverge after a crash or
+//     a missed write, and bootstraps replication for partitions that
+//     predate their replica hosts.
 //
 // Replica placement is a pure function of (partition, primary, view):
 // every snode with the same membership view picks the same replica hosts,
@@ -106,20 +106,27 @@ type replWriteResp struct {
 	Err string
 }
 
-// replProbeReq is one anti-entropy exchange: the primary's key count and
-// order-independent checksum for a partition.  The replica answers whether
-// its bucket matches.
-type replProbeReq struct {
-	Op        uint64
+// partDigest is one partition's (key count, order-independent checksum)
+// as its primary holds it — see kvStore.
+type partDigest struct {
 	Partition hashspace.Partition
 	Count     int
 	Sum       uint64
-	ReplyTo   transport.NodeID
+}
+
+// replProbeReq is one anti-entropy exchange with one replica host: the
+// digests of every partition the primary places there, in one message per
+// host per pass.  The replica answers with the partitions whose buckets do
+// not match (missing ones included).
+type replProbeReq struct {
+	Op      uint64
+	Digests []partDigest
+	ReplyTo transport.NodeID
 }
 
 type replProbeResp struct {
-	Op     uint64
-	InSync bool
+	Op        uint64
+	OutOfSync []hashspace.Partition
 }
 
 // replSyncReq overwrites a replica bucket with the primary's full copy —
@@ -157,20 +164,6 @@ func init() {
 	}
 }
 
-// bucketDigest summarizes a bucket as (count, order-independent checksum):
-// two buckets with equal digests are treated as in sync.
-func bucketDigest(b map[string][]byte) (int, uint64) {
-	var sum uint64
-	for k, v := range b {
-		h := fnv.New64a()
-		_, _ = h.Write([]byte(k))
-		_, _ = h.Write([]byte{0})
-		_, _ = h.Write(v)
-		sum ^= h.Sum64()
-	}
-	return len(b), sum
-}
-
 // overlapping reports whether two binary-trie partitions intersect, i.e.
 // one is an ancestor of (or equal to) the other.
 func overlapping(a, b hashspace.Partition) bool {
@@ -181,9 +174,29 @@ func overlapping(a, b hashspace.Partition) bool {
 }
 
 // replicaHostsLocked picks the R−1 replica hosts for a partition owned at
-// this snode.  Caller holds s.mu.
+// this snode.  The result is shared with the placement cache: callers
+// must not modify it.  Caller holds s.mu.
 func (s *Snode) replicaHostsLocked(p hashspace.Partition) []transport.NodeID {
+	if ref, ok := s.owned[p]; ok {
+		return s.bucketReplicasLocked(p, ref.bk)
+	}
 	return replicaHostsFor(p, s.id, s.view, s.cfg.Replicas)
+}
+
+// bucketReplicasLocked is replicaHostsLocked for a caller that already
+// holds p's bucket — the batch path, once per bucket per batch.  Placement
+// is a pure function of (partition, primary, view), so it is computed once
+// per view epoch and cached on the bucket; a split or an install makes
+// new buckets, which start with an empty cache.  Caller holds s.mu.
+func (s *Snode) bucketReplicasLocked(p hashspace.Partition, bk *bucket) []transport.NodeID {
+	if s.cfg.Replicas <= 1 {
+		return nil
+	}
+	if bk.repsAt != s.viewEpoch+1 {
+		bk.reps = replicaHostsFor(p, s.id, s.view, s.cfg.Replicas)
+		bk.repsAt = s.viewEpoch + 1
+	}
+	return bk.reps
 }
 
 // replicaHostsFor is the pure placement rule: rendezvous (HRW) hashing.
@@ -195,35 +208,35 @@ func (s *Snode) replicaHostsLocked(p hashspace.Partition) []transport.NodeID {
 // instead of reshuffling most of them (as the old modular-offset rule
 // did).
 func replicaHostsFor(p hashspace.Partition, primary transport.NodeID, view []transport.NodeID, r int) []transport.NodeID {
-	if r <= 1 || len(view) == 0 {
+	if r <= 1 {
 		return nil
 	}
-	type scored struct {
-		id transport.NodeID
-		w  uint64
-	}
-	cands := make([]scored, 0, len(view))
-	for _, id := range view {
-		if id != primary {
-			cands = append(cands, scored{id: id, w: hrwScore(p, id)})
-		}
-	}
-	if len(cands) == 0 {
-		return nil
-	}
+	// One pass keeping the best R−1 seen so far in rank order: R is a
+	// handful, so the insertion is a few compares — no candidate slice to
+	// build and sort per call.
 	n := r - 1
-	if n > len(cands) {
-		n = len(cands)
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].w != cands[j].w {
-			return cands[i].w > cands[j].w
+	var out []transport.NodeID
+	var wbuf [8]uint64
+	ws := wbuf[:0] // ws[i] is out[i]'s score
+	for _, id := range view {
+		if id == primary {
+			continue
 		}
-		return cands[i].id < cands[j].id
-	})
-	out := make([]transport.NodeID, n)
-	for k := 0; k < n; k++ {
-		out[k] = cands[k].id
+		w := hrwScore(p, id)
+		i := len(out)
+		for i > 0 && (w > ws[i-1] || (w == ws[i-1] && id < out[i-1])) {
+			i--
+		}
+		if i == n {
+			continue
+		}
+		if len(out) < n {
+			out = append(out, 0)
+			ws = append(ws, 0)
+		}
+		copy(out[i+1:], out[i:])
+		copy(ws[i+1:], ws[i:])
+		out[i], ws[i] = id, w
 	}
 	return out
 }
@@ -271,9 +284,9 @@ func (s *Snode) noteReplMetaLocked(p hashspace.Partition, ver uint64, g core.Gro
 	m.prim = prim
 }
 
-func (s *Snode) setReplicaBucketLocked(p hashspace.Partition, b map[string][]byte) {
+func (s *Snode) setReplicaBucketLocked(p hashspace.Partition, b *kvStore) {
 	if _, ok := s.rparts[p]; !ok {
-		s.rpartLvls.add(p.Level)
+		s.rpartLvls.Add(p.Level)
 	}
 	s.rparts[p] = b
 }
@@ -283,7 +296,7 @@ func (s *Snode) delReplicaBucketLocked(p hashspace.Partition) {
 		delete(s.rparts, p)
 		delete(s.rprov, p)
 		delete(s.rmeta, p)
-		s.rpartLvls.remove(p.Level)
+		s.rpartLvls.Remove(p.Level)
 	}
 }
 
@@ -374,12 +387,12 @@ func (s *Snode) applyReplWriteLocked(kind dataOp, sets []replWriteSet, private b
 			// present keys are real, absent keys are unknown
 			// (serveReplicaRead refuses to vouch for them).
 			s.rprov[set.Partition] = true
-			b = make(map[string][]byte)
+			b = newStore(nil)
 			for q, ob := range s.rparts {
 				if q.Level < set.Partition.Level && overlapping(q, set.Partition) {
-					for k, v := range ob {
+					for k, v := range ob.m {
 						if set.Partition.Contains(hashspace.HashString(k)) {
-							b[k] = v
+							b.put(k, v)
 						}
 					}
 				}
@@ -387,46 +400,39 @@ func (s *Snode) applyReplWriteLocked(kind dataOp, sets []replWriteSet, private b
 			s.dropReplicaWithinLocked(set.Partition)
 			s.setReplicaBucketLocked(set.Partition, b)
 		}
-		for _, it := range set.Items {
-			switch kind {
-			case opPut:
-				v := it.Value
-				if !private {
-					v = append([]byte(nil), v...)
-				}
-				b[it.Key] = v
-			case opDel:
-				delete(b, it.Key)
-			}
-		}
+		b.apply(kind, set.Items, private)
 		applied += int64(len(set.Items))
 	}
 	return applied
 }
 
+// handleReplProbe compares the stored digests of the probed partitions
+// with the primary's — a few memory reads per partition under s.mu, no
+// data touched.
 func (s *Snode) handleReplProbe(m replProbeReq) {
+	resp := replProbeResp{Op: m.Op}
 	s.mu.Lock()
-	b, ok := s.rparts[m.Partition]
-	var n int
-	var sum uint64
-	if ok {
-		n, sum = bucketDigest(b)
-	}
-	inSync := ok && n == m.Count && sum == m.Sum
-	if inSync {
-		// Digest equality with the primary proves the bucket complete: a
-		// write-created (provisional) bucket becomes authoritative here.
-		delete(s.rprov, m.Partition)
+	for _, d := range m.Digests {
+		if b, ok := s.rparts[d.Partition]; ok {
+			if n, sum := b.digest(); n == d.Count && sum == d.Sum {
+				// Digest equality with the primary proves the bucket
+				// complete: a write-created (provisional) bucket becomes
+				// authoritative here.
+				delete(s.rprov, d.Partition)
+				continue
+			}
+		}
+		resp.OutOfSync = append(resp.OutOfSync, d.Partition)
 	}
 	s.mu.Unlock()
-	s.send(m.ReplyTo, replProbeResp{Op: m.Op, InSync: inSync})
+	s.send(m.ReplyTo, resp)
 }
 
 func (s *Snode) handleReplSync(m replSyncReq) {
-	data := m.Data
-	if data == nil {
-		data = make(map[string][]byte)
-	}
+	// The one place anti-entropy hashes data: a repaired bucket arrives
+	// whole and its digest is rebuilt from its contents.
+	data := newStore(m.Data)
+	s.stats.AEKeysHashed.Add(int64(data.len()))
 	s.mu.Lock()
 	// Replace only this exact bucket.  Strictly deeper buckets are spared:
 	// geometry only ever deepens, so a deeper overlapping bucket here can
@@ -440,7 +446,7 @@ func (s *Snode) handleReplSync(m replSyncReq) {
 	// Lazy encode: the whole-bucket serialization must cost nothing when
 	// durability is off.
 	seq := s.durAppendWith(func(b []byte) []byte {
-		return encodeWalReplSync(b, m.Partition, data)
+		return encodeWalReplSync(b, m.Partition, data.m)
 	})
 	s.mu.Unlock()
 	if s.durFastAck() {
@@ -494,7 +500,7 @@ func (s *Snode) serveReplicaRead(m batchReq, tr transport.TraceContext) {
 			bk := ref.bk
 			bk.mu.RLock()
 			if bk.state != bucketDead {
-				v, found := bk.m[it.Key]
+				v, found := bk.kv.m[it.Key]
 				results[i] = batchItemResp{Value: append([]byte(nil), v...), Found: found}
 				bk.mu.RUnlock()
 				served++
@@ -506,7 +512,7 @@ func (s *Snode) serveReplicaRead(m batchReq, tr transport.TraceContext) {
 			results[i] = batchItemResp{Err: fmt.Sprintf("snode %d holds no replica for key %q", s.id, it.Key)}
 			continue
 		}
-		v, found := b[it.Key]
+		v, found := b.m[it.Key]
 		if !found && s.rprov[p] {
 			// The bucket was write-created and never full-synced: a
 			// missing key is unknown, not authoritatively absent.
@@ -524,8 +530,8 @@ func (s *Snode) serveReplicaRead(m batchReq, tr transport.TraceContext) {
 
 // replicaBucketLocked finds the deepest replica bucket covering h.
 // Caller holds s.mu.
-func (s *Snode) replicaBucketLocked(h hashspace.Index) (hashspace.Partition, map[string][]byte, bool) {
-	for _, l := range s.rpartLvls.desc {
+func (s *Snode) replicaBucketLocked(h hashspace.Index) (hashspace.Partition, *kvStore, bool) {
+	for _, l := range s.rpartLvls.Desc {
 		p := hashspace.Containing(h, l)
 		if b, ok := s.rparts[p]; ok {
 			return p, b, true
@@ -640,7 +646,11 @@ func (s *Snode) rpcOrderedSend(to transport.NodeID, tr transport.TraceContext, b
 // replicated write at the replica.  s.mu itself is released before the
 // send — a slow destination stalls only its own replica traffic, never
 // the data plane.  ok is false when the partition is no longer owned
-// here.
+// here — or is frozen mid-handover: the commit may already be on the
+// wire, and a bucket shipped behind it strands a replica copy where no
+// placement pass will look for it (at the receiver itself, when the
+// receiver was this partition's replica host).  The new owner re-homes
+// the replicas; an aborted handover thaws and the next pass retries.
 func (s *Snode) syncReplica(p hashspace.Partition, host transport.NodeID) (ok bool, err error) {
 	op := s.opSeq.Add(1)
 	ch := make(chan any, 1)
@@ -668,12 +678,12 @@ func (s *Snode) syncReplica(p hashspace.Partition, host transport.NodeID) (ok bo
 		return false, nil
 	}
 	bk.mu.RLock()
-	if bk.state == bucketDead {
+	if bk.state != bucketLive {
 		bk.mu.RUnlock()
 		ord.Unlock()
 		return false, nil
 	}
-	data := copyBucket(bk.m)
+	data := copyBucket(bk.kv.m)
 	ver := bk.ver
 	bk.mu.RUnlock()
 	err = s.net.Send(transport.Envelope{From: s.id, To: host,
@@ -814,20 +824,24 @@ func (s *Snode) sweepStaleReplicas() {
 	}
 }
 
-// antiEntropyPass probes each replica of each owned partition with the
-// primary's digest and ships a full bucket on mismatch.  Divergence shows
-// up after crashes (a replica host died and placement moved), membership
-// changes (a new view re-homes replica sets) and partition splits (the
-// children need buckets at the new level).  The pass also reconciles
-// *placement*: hosts that dropped out of a partition's replica set since
-// the last pass are told to discard their now-orphaned buckets.
+// antiEntropyPass sends each replica host the digests of the owned
+// partitions placed there and ships a full bucket for every one the host
+// reports out of sync.  Digests are maintained by the stores, so a quiet
+// pass reads O(partitions) words, sends one probe per replica host and
+// hashes nothing, whatever the store size; only a repair costs O(bucket).
+// Divergence shows up after crashes (a replica host died and placement
+// moved), membership changes (a new view re-homes replica sets) and
+// partition splits (the children need buckets at the new level).  The
+// pass also reconciles *placement*: hosts that dropped out of a
+// partition's replica set since the last pass are told to discard their
+// now-orphaned buckets.
 func (s *Snode) antiEntropyPass() {
-	// Snapshot the current placement under one cheap lock pass (no
-	// hashing here, and no bookkeeping mutation yet — placement advances
-	// only for partitions whose replica set is confirmed below).
+	// Snapshot the current placement and the live buckets under one s.mu
+	// pass (no bookkeeping mutation yet — placement advances only for
+	// partitions whose replica set is confirmed below).
 	s.mu.Lock()
 	cur := make(map[hashspace.Partition][]transport.NodeID)
-	frozen := make(map[hashspace.Partition]bool)
+	live := make(map[hashspace.Partition]*bucket)
 	for _, vs := range s.vnodes {
 		for p, bk := range vs.parts {
 			// Frozen (mid-transfer) partitions and partitions of a vnode
@@ -836,72 +850,71 @@ func (s *Snode) antiEntropyPass() {
 			// would delete it and orphan the old replica's bucket
 			// forever), but they are neither probed nor advanced this
 			// pass.
-			cur[p] = s.replicaHostsLocked(p)
-			if !vs.joined || bk.state != bucketLive { //lint:dbdht lockguard state transitions under BOTH s.mu and bk.mu, so this read under s.mu is race-free
-				frozen[p] = true
+			cur[p] = s.bucketReplicasLocked(p, bk)
+			if vs.joined && bk.state == bucketLive && len(cur[p]) > 0 { //lint:dbdht lockguard state transitions under BOTH s.mu and bk.mu, so this read under s.mu is race-free
+				live[p] = bk
 			}
 		}
 	}
 	s.mu.Unlock()
 
-	// Probe/repair every current replica.  synced[p] records that every
-	// host of p's placement holds a confirmed up-to-date bucket.
-	synced := make(map[hashspace.Partition]bool, len(cur))
-	for p, hosts := range cur {
-		if len(hosts) == 0 || frozen[p] {
-			continue
+	// One probe per replica host.  The digests are read right before each
+	// send, under the buckets' own locks, so a slow repair at one host does
+	// not age what the next host is compared against.  synced[p] ends up
+	// recording that every host of p's placement holds a confirmed
+	// up-to-date bucket.
+	byHost := make(map[transport.NodeID][]hashspace.Partition)
+	synced := make(map[hashspace.Partition]bool, len(live))
+	for p := range live {
+		synced[p] = true
+		for _, host := range cur[p] {
+			byHost[host] = append(byHost[host], p)
 		}
-		// Digest under the bucket's own lock: a large store stalls only
-		// writers of that one partition, never the rest of the data
-		// plane; one digest serves every replica host of the partition.
-		s.mu.Lock()
-		vs, p2, owned := s.ownsLocked(p.Start())
-		var bk *bucket
-		if owned && p2 == p {
-			bk = vs.parts[p]
+	}
+	for host, parts := range byHost {
+		select {
+		case <-s.stopCh:
+			return
+		default:
 		}
-		s.mu.Unlock()
-		if bk == nil {
-			continue // moved or split since the snapshot; its new owner reconciles it
-		}
-		bk.mu.RLock()
-		if bk.state != bucketLive {
+		digests := make([]partDigest, 0, len(parts))
+		for _, p := range parts {
+			bk := live[p]
+			bk.mu.RLock()
+			if bk.state != bucketLive {
+				bk.mu.RUnlock()
+				synced[p] = false // moved, split or frozen since the snapshot; reconciled next pass
+				continue
+			}
+			n, sum := bk.kv.digest()
 			bk.mu.RUnlock()
+			digests = append(digests, partDigest{Partition: p, Count: n, Sum: sum})
+		}
+		if len(digests) == 0 {
 			continue
 		}
-		n, sum := bucketDigest(bk.m)
-		bk.mu.RUnlock()
-		ok := true
-		for _, host := range hosts {
-			select {
-			case <-s.stopCh:
-				return
-			default:
+		s.stats.AEProbeMsgs.Add(1)
+		v, err := s.rpc(host, func(op uint64) any {
+			return replProbeReq{Op: op, Digests: digests, ReplyTo: s.id}
+		})
+		if err != nil {
+			s.stats.ReplLagged.Add(1)
+			for _, p := range parts {
+				synced[p] = false
 			}
-			v, err := s.rpc(host, func(op uint64) any {
-				return replProbeReq{Op: op, Partition: p, Count: n, Sum: sum, ReplyTo: s.id}
-			})
-			if err != nil {
-				s.stats.ReplLagged.Add(1)
-				ok = false
-				continue
-			}
-			if v.(replProbeResp).InSync {
-				continue
-			}
-			stillOwned, serr := s.syncReplica(p, host)
-			if !stillOwned {
-				ok = false
-				break
-			}
-			if serr != nil {
-				s.stats.ReplLagged.Add(1)
-				ok = false
-				continue
-			}
-			s.stats.ReplRepairs.Add(1)
+			continue
 		}
-		synced[p] = ok
+		for _, p := range v.(replProbeResp).OutOfSync {
+			switch stillOwned, serr := s.syncReplica(p, host); {
+			case !stillOwned:
+				synced[p] = false
+			case serr != nil:
+				synced[p] = false
+				s.stats.ReplLagged.Add(1)
+			default:
+				s.stats.ReplRepairs.Add(1)
+			}
+		}
 	}
 
 	// Retire stale buckets only now, and only where the replacement set

@@ -172,7 +172,7 @@ func replicasConverged(c *Cluster) bool {
 					continue
 				}
 				b.mu.RLock()
-				n, sum := bucketDigest(b.m)
+				n, sum := bucketDigest(b.kv.m)
 				b.mu.RUnlock()
 				for _, host := range s.replicaHostsLocked(p) {
 					wants = append(wants, want{p, host, n, sum})
@@ -191,7 +191,7 @@ func replicasConverged(c *Cluster) bool {
 		var n int
 		var sum uint64
 		if ok {
-			n, sum = bucketDigest(b)
+			n, sum = bucketDigest(b.m)
 		}
 		r.mu.Unlock()
 		if !ok || n != w.count || sum != w.sum {

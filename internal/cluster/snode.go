@@ -173,6 +173,8 @@ type Stats struct {
 	ReplWrites     atomic.Int64 // write operations applied to replica buckets
 	ReplRepairs    atomic.Int64 // buckets shipped by anti-entropy repair
 	ReplLagged     atomic.Int64 // replica exchanges that failed (lagging replica)
+	AEProbeMsgs    atomic.Int64 // anti-entropy probe messages sent (one per replica host per pass)
+	AEKeysHashed   atomic.Int64 // keys re-hashed because a whole replica bucket arrived (repair or re-homing)
 	FailoverReads  atomic.Int64 // reads served from the replica store
 	ChunksSent     atomic.Int64 // live-migration chunks streamed
 	MigAborts      atomic.Int64 // live migrations aborted (bucket back to live)
@@ -187,6 +189,7 @@ type StatsSnapshot struct {
 	SplitAlls, GroupSplits, JoinsLed, LeavesLed int64
 	DataOps, Requeues, Batches                  int64
 	ReplWrites, ReplRepairs, ReplLagged         int64
+	AEProbeMsgs, AEKeysHashed                   int64
 	FailoverReads                               int64
 	ChunksSent, MigAborts, FreezeTimeouts       int64
 	Elections, Promotions                       int64
@@ -206,6 +209,7 @@ func (s *Stats) snapshot() StatsSnapshot {
 		Batches:    s.Batches.Load(),
 		ReplWrites: s.ReplWrites.Load(), ReplRepairs: s.ReplRepairs.Load(),
 		ReplLagged: s.ReplLagged.Load(), FailoverReads: s.FailoverReads.Load(),
+		AEProbeMsgs: s.AEProbeMsgs.Load(), AEKeysHashed: s.AEKeysHashed.Load(),
 		ChunksSent: s.ChunksSent.Load(), MigAborts: s.MigAborts.Load(),
 		FreezeTimeouts: s.FreezeTimeouts.Load(),
 		Elections:      s.Elections.Load(), Promotions: s.Promotions.Load(),
@@ -241,7 +245,7 @@ type bucket struct {
 	// analyzer can see — single-lock readers under s.mu carry a
 	// per-site suppression.
 	state bucketState
-	m     map[string][]byte // guarded by mu
+	kv    *kvStore // guarded by mu; nil once the bucket is dead
 	// ver counts write batches applied to this bucket (guarded by mu).
 	// It piggybacks on the replica fan-out so replicas can rank
 	// themselves by recency in a failover election; a promoted bucket
@@ -253,18 +257,25 @@ type bucket struct {
 	// the dirty set inside is guarded by mu alone.
 	mig *migSender
 
+	// reps caches the partition's replica hosts as computed for view epoch
+	// repsAt−1 (0: never computed).  Unlike the rest of the bucket it
+	// belongs to the snode-wide lock: placement is read and refreshed
+	// while classifying a batch under s.mu (see bucketReplicasLocked).
+	reps   []transport.NodeID
+	repsAt uint64
+
 	// Load window counters, bumped atomically on the data path and folded
 	// into the EWMA rates by the snode's load ticker (load.go).
 	nReads, nWrites, nBytes atomic.Int64
 	rates                   loadRates // guarded by mu
 }
 
-// newBucket wraps a key/value map as a live bucket.
-func newBucket(m map[string][]byte) *bucket {
-	if m == nil {
-		m = make(map[string][]byte)
+// newBucket wraps a store (nil: a fresh empty one) as a live bucket.
+func newBucket(kv *kvStore) *bucket {
+	if kv == nil {
+		kv = newStore(nil)
 	}
-	return &bucket{m: m}
+	return &bucket{kv: kv}
 }
 
 // setStateLocked transitions the bucket's lifecycle state.  Caller holds
@@ -274,7 +285,7 @@ func (b *bucket) setStateLocked(st bucketState) {
 	b.mu.Lock()
 	b.state = st
 	if st == bucketDead {
-		b.m = nil
+		b.kv = nil
 	}
 	b.mu.Unlock()
 }
@@ -283,7 +294,7 @@ func (b *bucket) setStateLocked(st bucketState) {
 func (b *bucket) keys() int {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	return len(b.m)
+	return b.kv.len()
 }
 
 // vnodeState is one hosted vnode: its group binding, its partitions at the
@@ -314,20 +325,20 @@ type Snode struct {
 	mu        sync.Mutex
 	vnodes    map[VnodeName]*vnodeState                  // guarded by mu
 	owned     map[hashspace.Partition]ownedRef           // guarded by mu; ownership index over every hosted vnode's partitions
-	ownedLvls levelSet                                   // guarded by mu
+	ownedLvls hashspace.LevelSet                         // guarded by mu
 	nextLocal int                                        // guarded by mu
 	tombs     map[hashspace.Partition]ownerRef           // guarded by mu; custody forwarding pointers
-	tombLvls  levelSet                                   // guarded by mu
+	tombLvls  hashspace.LevelSet                         // guarded by mu
 	cache     map[hashspace.Partition]ownerRef           // guarded by mu; requester-side accelerator
-	cacheLvls levelSet                                   // guarded by mu
+	cacheLvls hashspace.LevelSet                         // guarded by mu
 	boot      ownerRef                                   // guarded by mu
 	hasBoot   bool                                       // guarded by mu
 	replicas  map[core.GroupID]*lpdrState                // guarded by mu
 	led       map[core.GroupID]*ledGroup                 // guarded by mu
 	view      []transport.NodeID                         // guarded by mu; sorted DHT membership (replica placement)
 	viewEpoch uint64                                     // guarded by mu; highest membership epoch seen
-	rparts    map[hashspace.Partition]map[string][]byte  // guarded by mu; replica buckets backed for other primaries
-	rpartLvls levelSet                                   // guarded by mu
+	rparts    map[hashspace.Partition]*kvStore           // guarded by mu; replica buckets backed for other primaries
+	rpartLvls hashspace.LevelSet                         // guarded by mu
 	migIn     map[hashspace.Partition]*migInbound        // guarded by mu; staging buckets of inbound live migrations
 	rprov     map[hashspace.Partition]bool               // guarded by mu; replica buckets not yet full-synced (write-created)
 	rmeta     map[hashspace.Partition]*replMeta          // guarded by mu; volatile failover metadata per replica bucket
@@ -388,7 +399,7 @@ func newSnode(id transport.NodeID, cfg Config, net transport.Network) (*Snode, e
 		cache:    make(map[hashspace.Partition]ownerRef),
 		replicas: make(map[core.GroupID]*lpdrState),
 		led:      make(map[core.GroupID]*ledGroup),
-		rparts:   make(map[hashspace.Partition]map[string][]byte),
+		rparts:   make(map[hashspace.Partition]*kvStore),
 		rprov:    make(map[hashspace.Partition]bool),
 		rmeta:    make(map[hashspace.Partition]*replMeta),
 		migIn:    make(map[hashspace.Partition]*migInbound),
@@ -661,7 +672,7 @@ type ownedRef struct {
 
 func (s *Snode) setOwnedLocked(p hashspace.Partition, vs *vnodeState, bk *bucket) {
 	if _, ok := s.owned[p]; !ok {
-		s.ownedLvls.add(p.Level)
+		s.ownedLvls.Add(p.Level)
 	}
 	s.owned[p] = ownedRef{vs: vs, bk: bk}
 }
@@ -674,7 +685,7 @@ func (s *Snode) setOwnedLocked(p hashspace.Partition, vs *vnodeState, bk *bucket
 func (s *Snode) delOwnedLocked(p hashspace.Partition, bk *bucket) {
 	if ref, ok := s.owned[p]; ok && ref.bk == bk {
 		delete(s.owned, p)
-		s.ownedLvls.remove(p.Level)
+		s.ownedLvls.Remove(p.Level)
 	}
 }
 
@@ -682,7 +693,7 @@ func (s *Snode) delOwnedLocked(p hashspace.Partition, bk *bucket) {
 // if any.  One index probe per live level — it runs once per batch item,
 // so it must not scan the hosted vnodes.  Caller holds s.mu.
 func (s *Snode) ownedForLocked(h hashspace.Index) (ownedRef, hashspace.Partition, bool) {
-	for _, l := range s.ownedLvls.desc {
+	for _, l := range s.ownedLvls.Desc {
 		p := hashspace.Containing(h, l)
 		if ref, ok := s.owned[p]; ok {
 			return ref, p, true
@@ -727,44 +738,11 @@ func (s *Snode) forwardTargetLocked(h hashspace.Index, useCache bool) (ownerRef,
 	return ownerRef{}, false
 }
 
-// levelSet tracks, for a partition-keyed map, how many entries exist at
-// each splitlevel and keeps the live levels in a descending slice — the
-// probe order.  Membership changes are rare (splits, transfers); probes
-// run per key per hop, so they must not iterate or sort a map.
-type levelSet struct {
-	count [hashspace.MaxLevel + 1]int
-	desc  []uint8 // live levels, deepest first
-}
-
-// add records one more entry at level l.
-func (ls *levelSet) add(l uint8) {
-	ls.count[l]++
-	if ls.count[l] == 1 {
-		i := sort.Search(len(ls.desc), func(i int) bool { return ls.desc[i] < l })
-		ls.desc = append(ls.desc, 0)
-		copy(ls.desc[i+1:], ls.desc[i:])
-		ls.desc[i] = l
-	}
-}
-
-// remove drops one entry at level l.
-func (ls *levelSet) remove(l uint8) {
-	ls.count[l]--
-	if ls.count[l] == 0 {
-		for i, v := range ls.desc {
-			if v == l {
-				ls.desc = append(ls.desc[:i], ls.desc[i+1:]...)
-				break
-			}
-		}
-	}
-}
-
 // probeLevels finds the deepest entry of a partition-keyed map covering h.
 // It runs on every item of every batch, so it is allocation-free: one map
 // lookup per live level, deepest first.
-func probeLevels[V any](h hashspace.Index, m map[hashspace.Partition]V, lvls *levelSet) (V, bool) {
-	for _, l := range lvls.desc {
+func probeLevels[V any](h hashspace.Index, m map[hashspace.Partition]V, lvls *hashspace.LevelSet) (V, bool) {
+	for _, l := range lvls.Desc {
 		if v, ok := m[hashspace.Containing(h, l)]; ok {
 			return v, true
 		}
@@ -777,7 +755,7 @@ func probeLevels[V any](h hashspace.Index, m map[hashspace.Partition]V, lvls *le
 // implicitly (probes prefer deeper entries, which are newer).
 func (s *Snode) setTombLocked(p hashspace.Partition, ref ownerRef) {
 	if _, ok := s.tombs[p]; !ok {
-		s.tombLvls.add(p.Level)
+		s.tombLvls.Add(p.Level)
 	}
 	s.tombs[p] = ref
 }
@@ -785,13 +763,13 @@ func (s *Snode) setTombLocked(p hashspace.Partition, ref ownerRef) {
 func (s *Snode) delTombLocked(p hashspace.Partition) {
 	if _, ok := s.tombs[p]; ok {
 		delete(s.tombs, p)
-		s.tombLvls.remove(p.Level)
+		s.tombLvls.Remove(p.Level)
 	}
 }
 
 func (s *Snode) setCacheLocked(p hashspace.Partition, ref ownerRef) {
 	if _, ok := s.cache[p]; !ok {
-		s.cacheLvls.add(p.Level)
+		s.cacheLvls.Add(p.Level)
 	}
 	s.cache[p] = ref
 }
@@ -904,20 +882,19 @@ func (s *Snode) splitGroupLocked(g core.GroupID, newLevel uint8) {
 		next := make(map[hashspace.Partition]*bucket, 2*len(vs.parts))
 		for p, bk := range vs.parts {
 			lo, hi := p.Split()
-			loB := make(map[string][]byte)
-			hiB := make(map[string][]byte)
+			loB, hiB := newStore(nil), newStore(nil)
 			bk.mu.Lock()
-			for k, v := range bk.m {
+			for k, v := range bk.kv.m {
 				if lo.Contains(hashspace.HashString(k)) {
-					loB[k] = v
+					loB.put(k, v)
 				} else {
-					hiB[k] = v
+					hiB.put(k, v)
 				}
 			}
 			// The parent dies under its own lock: a batch that resolved it
 			// before the split re-classifies against the children.
 			bk.state = bucketDead
-			bk.m = nil
+			bk.kv = nil
 			bk.mu.Unlock()
 			next[lo] = newBucket(loB)
 			next[hi] = newBucket(hiB)
@@ -1067,7 +1044,7 @@ func (s *Snode) handleSnodeLeaving(m snodeLeavingMsg) {
 	for p, ref := range s.cache {
 		if ref.Host == m.Leaving {
 			delete(s.cache, p)
-			s.cacheLvls.remove(p.Level)
+			s.cacheLvls.Remove(p.Level)
 		}
 	}
 	for _, r := range m.Routes {

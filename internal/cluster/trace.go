@@ -201,6 +201,7 @@ func (t *tracer) collect(out []Span, traceID uint64) []Span {
 type latencies struct {
 	replAck  *metrics.Histogram // replica-ack wait per batch fan-out
 	walWait  *metrics.Histogram // WAL append → durable wait
+	walFsync *metrics.Histogram // the WAL's sync call alone (the log's own histogram once durability is open)
 	migChunk *metrics.Histogram // one migration chunk round-trip
 	aePass   *metrics.Histogram // one full anti-entropy pass
 }
@@ -209,6 +210,7 @@ func newLatencies() *latencies {
 	return &latencies{
 		replAck:  metrics.NewLatencyHistogram(),
 		walWait:  metrics.NewLatencyHistogram(),
+		walFsync: metrics.NewLatencyHistogram(),
 		migChunk: metrics.NewLatencyHistogram(),
 		aePass:   metrics.NewLatencyHistogram(),
 	}
@@ -221,6 +223,7 @@ type LatencySnapshot struct {
 	BatchRPC        metrics.HistogramSnapshot // client-observed batch sub-RPC round-trip
 	ReplicaAckWait  metrics.HistogramSnapshot // primary's wait for replica write acks
 	WALDurableWait  metrics.HistogramSnapshot // WAL append → durable (group-commit) wait
+	WALFsync        metrics.HistogramSnapshot // the WAL's sync call alone, without the queueing in front of it
 	MigrationChunk  metrics.HistogramSnapshot // one live-migration chunk round-trip
 	AntiEntropyPass metrics.HistogramSnapshot // one full anti-entropy pass
 }
@@ -229,6 +232,7 @@ type LatencySnapshot struct {
 func (ls *LatencySnapshot) fold(lat *latencies) {
 	ls.ReplicaAckWait.Merge(lat.replAck.Snapshot())
 	ls.WALDurableWait.Merge(lat.walWait.Snapshot())
+	ls.WALFsync.Merge(lat.walFsync.Snapshot())
 	ls.MigrationChunk.Merge(lat.migChunk.Snapshot())
 	ls.AntiEntropyPass.Merge(lat.aePass.Snapshot())
 }
@@ -238,6 +242,7 @@ func (ls *LatencySnapshot) merge(o LatencySnapshot) {
 	ls.BatchRPC.Merge(o.BatchRPC)
 	ls.ReplicaAckWait.Merge(o.ReplicaAckWait)
 	ls.WALDurableWait.Merge(o.WALDurableWait)
+	ls.WALFsync.Merge(o.WALFsync)
 	ls.MigrationChunk.Merge(o.MigrationChunk)
 	ls.AntiEntropyPass.Merge(o.AntiEntropyPass)
 }

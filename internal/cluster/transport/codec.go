@@ -39,10 +39,13 @@ import (
 // place (each set now carries the primary's write version and replica
 // group); the bump keeps a mixed cluster failing loudly — an old decoder
 // would otherwise mis-read the trailing fields of a one-set request as
-// its ReplyTo.
+// its ReplyTo.  v4 changed the anti-entropy probe pair (tags 7 and 8) in
+// place, for the same reason: one probe now carries every digest a
+// primary places at a host and the reply lists the mismatches, and an old
+// decoder would read the digest count as a partition prefix.
 
 const (
-	wireVersion byte = 3
+	wireVersion byte = 4
 
 	formatGob    byte = 0
 	formatBinary byte = 1

@@ -308,18 +308,26 @@ func (m replProbeReq) WireTag() uint16 { return wireTagReplProbeReq }
 
 func (m replProbeReq) AppendWire(b []byte) []byte {
 	b = transport.AppendUvarint(b, m.Op)
-	b = appendPartition(b, m.Partition)
-	b = transport.AppendVarint(b, int64(m.Count))
-	b = transport.AppendUvarint(b, m.Sum)
+	b = transport.AppendUvarint(b, uint64(len(m.Digests)))
+	for _, d := range m.Digests {
+		b = appendPartition(b, d.Partition)
+		b = transport.AppendVarint(b, int64(d.Count))
+		b = transport.AppendUvarint(b, d.Sum)
+	}
 	return transport.AppendVarint(b, int64(m.ReplyTo))
 }
 
 func decodeReplProbeReq(r *transport.WireReader) (any, error) {
 	var m replProbeReq
 	m.Op = r.Uvarint()
-	m.Partition = readPartition(r)
-	m.Count = int(r.Varint())
-	m.Sum = r.Uvarint()
+	if n := r.ArrayLen(4); n > 0 {
+		m.Digests = make([]partDigest, n)
+		for i := range m.Digests {
+			m.Digests[i].Partition = readPartition(r)
+			m.Digests[i].Count = int(r.Varint())
+			m.Digests[i].Sum = r.Uvarint()
+		}
+	}
 	m.ReplyTo = transport.NodeID(r.Varint())
 	return m, r.Err()
 }
@@ -328,13 +336,13 @@ func (m replProbeResp) WireTag() uint16 { return wireTagReplProbeResp }
 
 func (m replProbeResp) AppendWire(b []byte) []byte {
 	b = transport.AppendUvarint(b, m.Op)
-	return transport.AppendBool(b, m.InSync)
+	return appendPartitions(b, m.OutOfSync)
 }
 
 func decodeReplProbeResp(r *transport.WireReader) (any, error) {
 	var m replProbeResp
 	m.Op = r.Uvarint()
-	m.InSync = r.Bool()
+	m.OutOfSync = readPartitions(r)
 	return m, r.Err()
 }
 

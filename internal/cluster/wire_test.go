@@ -57,8 +57,13 @@ func TestWireRoundTrips(t *testing.T) {
 			{Partition: p.Sibling()},
 		}, ReplyTo: 4, private: true},
 		replWriteResp{Op: 16, Err: "lagging"},
-		replProbeReq{Op: 17, Partition: p, Count: 321, Sum: 1<<63 + 5, ReplyTo: 2},
-		replProbeResp{Op: 18, InSync: true},
+		replProbeReq{Op: 17, Digests: []partDigest{
+			{Partition: p, Count: 321, Sum: 1<<63 + 5},
+			{Partition: p.Sibling()}, // empty bucket
+		}, ReplyTo: 2},
+		replProbeReq{Op: 17, ReplyTo: 2}, // nothing placed at the host
+		replProbeResp{Op: 18, OutOfSync: []hashspace.Partition{p, p.Sibling()}},
+		replProbeResp{Op: 18}, // all in sync
 		pingReq{Op: 19, ReplyTo: -1},
 		pingResp{Op: 20},
 		migBeginReq{Op: 21, Group: core.GroupID{Bits: 0b10, Len: 2}, To: owner,
@@ -141,12 +146,18 @@ func TestWireRejectsInvalidPartition(t *testing.T) {
 		{"prefix-bits-above-level", 0b111, 1},
 	} {
 		t.Run(bad.name, func(t *testing.T) {
-			var body []byte
-			body = append(body, 1, 1) // wire version, binary format
+			// Borrow version, format and flags from a frame the codec made
+			// itself, so the hand-rolled payload is what gets rejected.
+			frame, err := transport.AppendFrame(nil, transport.Envelope{From: 1, To: 2, Msg: pingResp{}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			body := append([]byte(nil), frame[4:7]...)
 			body = transport.AppendVarint(body, 1)
 			body = transport.AppendVarint(body, 2)
 			body = transport.AppendUvarint(body, uint64(wireTagReplProbeReq))
 			body = transport.AppendUvarint(body, 9) // Op
+			body = transport.AppendUvarint(body, 1) // one digest
 			body = transport.AppendUvarint(body, bad.pre)
 			body = transport.AppendUvarint(body, bad.lvl)
 			body = transport.AppendVarint(body, 0) // Count

@@ -13,6 +13,7 @@ import (
 // Set is not safe for concurrent use; owners (vnodes) are single-writer.
 type Set struct {
 	parts map[Partition]struct{}
+	lvls  LevelSet // levels with at least one member, for Lookup
 }
 
 // NewSet returns an empty Set.
@@ -51,6 +52,7 @@ func (s *Set) Add(p Partition) error {
 		}
 	}
 	s.parts[p] = struct{}{}
+	s.lvls.Add(p.Level)
 	return nil
 }
 
@@ -60,6 +62,7 @@ func (s *Set) Remove(p Partition) bool {
 		return false
 	}
 	delete(s.parts, p)
+	s.lvls.Remove(p.Level)
 	return true
 }
 
@@ -89,26 +92,50 @@ func (s *Set) Quota() float64 {
 	return q
 }
 
-// Lookup returns the member containing index i, if any.
+// Lookup returns the member containing index i, if any: one probe per
+// level that occurs in the set, deepest first.  The model keeps at most a
+// handful of distinct levels alive at once.
 func (s *Set) Lookup(i Index) (Partition, bool) {
-	// Probe each level that occurs in the set, deepest first.  The model
-	// keeps at most a handful of distinct levels alive at once.
-	seen := make(map[uint8]struct{}, 4)
-	for p := range s.parts {
-		seen[p.Level] = struct{}{}
-	}
-	levels := make([]uint8, 0, len(seen))
-	for l := range seen {
-		levels = append(levels, l)
-	}
-	sort.Slice(levels, func(a, b int) bool { return levels[a] > levels[b] })
-	for _, l := range levels {
-		p := Containing(i, l)
-		if s.Has(p) {
+	for _, l := range s.lvls.Desc {
+		if p := Containing(i, l); s.Has(p) {
 			return p, true
 		}
 	}
 	return Partition{}, false
+}
+
+// LevelSet tracks, for a collection of partitions, how many members exist
+// at each splitlevel and keeps the live levels in a descending slice — the
+// probe order for "which member covers this index".  Membership changes
+// are rare (splits, transfers); probes run per key, so they must not
+// iterate or sort the collection.  The zero value is empty.
+type LevelSet struct {
+	count [MaxLevel + 1]int
+	Desc  []uint8 // live levels, deepest first; read-only for callers
+}
+
+// Add records one more member at level l.
+func (ls *LevelSet) Add(l uint8) {
+	ls.count[l]++
+	if ls.count[l] == 1 {
+		i := sort.Search(len(ls.Desc), func(i int) bool { return ls.Desc[i] < l })
+		ls.Desc = append(ls.Desc, 0)
+		copy(ls.Desc[i+1:], ls.Desc[i:])
+		ls.Desc[i] = l
+	}
+}
+
+// Remove drops one member at level l.
+func (ls *LevelSet) Remove(l uint8) {
+	ls.count[l]--
+	if ls.count[l] == 0 {
+		for i, v := range ls.Desc {
+			if v == l {
+				ls.Desc = append(ls.Desc[:i], ls.Desc[i+1:]...)
+				break
+			}
+		}
+	}
 }
 
 // Covers reports whether the members exactly tile the whole of R_h

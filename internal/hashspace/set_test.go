@@ -1,6 +1,7 @@
 package hashspace
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -167,5 +168,92 @@ func TestSetSplitAllPreservesCover(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSetLookupMatchesScan: Lookup probes only the levels that currently
+// have members; whatever sequence of adds, removes and splits produced the
+// set, it must answer exactly like a scan over every member.
+func TestSetLookupMatchesScan(t *testing.T) {
+	scan := func(s *Set, i Index) (Partition, bool) {
+		for _, p := range s.Partitions() {
+			if p.Contains(i) {
+				return p, true
+			}
+		}
+		return Partition{}, false
+	}
+	probes := []Index{0, 1, 1 << 61, 1<<62 - 1, 1 << 62, 1<<63 - 1, 1 << 63, 1<<63 + 1<<62, ^Index(0)}
+	check := func(t *testing.T, s *Set, when string) {
+		t.Helper()
+		for _, i := range probes {
+			got, ok := s.Lookup(i)
+			want, wok := scan(s, i)
+			if ok != wok || got != want {
+				t.Fatalf("%s: Lookup(%#x) = %v,%v; a scan finds %v,%v", when, i, got, ok, want, wok)
+			}
+		}
+	}
+	type op struct {
+		kind string // add, remove or split
+		p    Partition
+	}
+	for _, tc := range []struct {
+		name string
+		ops  []op
+	}{
+		{"empty set", nil},
+		{"one level", []op{
+			{"add", Partition{Prefix: 0, Level: 2}}, {"add", Partition{Prefix: 1, Level: 2}},
+			{"add", Partition{Prefix: 2, Level: 2}}, {"add", Partition{Prefix: 3, Level: 2}},
+		}},
+		{"mixed levels with a hole", []op{
+			{"add", Partition{Prefix: 0b0, Level: 1}},
+			{"add", Partition{Prefix: 0b10, Level: 2}},
+			{"add", Partition{Prefix: 0b111, Level: 3}},
+		}},
+		{"a level empties and refills", []op{
+			{"add", Partition{Prefix: 0b0, Level: 1}}, {"add", Partition{Prefix: 0b10, Level: 2}},
+			{"remove", Partition{Prefix: 0b10, Level: 2}}, // level 2 gone
+			{"add", Partition{Prefix: 0b11, Level: 2}},    // and back
+			{"remove", Partition{Prefix: 0b0, Level: 1}},  // level 1 gone
+			{"remove", Partition{Prefix: 0b0, Level: 1}},  // removing a non-member changes nothing
+		}},
+		{"splits deepen one branch at a time", []op{
+			{"add", Root()},
+			{"split", Root()},
+			{"split", Partition{Prefix: 1, Level: 1}},
+			{"split", Partition{Prefix: 0b11, Level: 2}},
+			{"split", Partition{Prefix: 0, Level: 1}},
+			{"remove", Partition{Prefix: 0b110, Level: 3}},
+		}},
+		{"root only", []op{{"add", Root()}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewSet()
+			check(t, s, "start")
+			for n, o := range tc.ops {
+				switch o.kind {
+				case "add":
+					if err := s.Add(o.p); err != nil {
+						t.Fatal(err)
+					}
+				case "remove":
+					s.Remove(o.p)
+				case "split":
+					if !s.Remove(o.p) {
+						t.Fatalf("op %d: %v is not a member", n, o.p)
+					}
+					lo, hi := o.p.Split()
+					if err := s.Add(lo); err != nil {
+						t.Fatal(err)
+					}
+					if err := s.Add(hi); err != nil {
+						t.Fatal(err)
+					}
+				}
+				check(t, s, fmt.Sprintf("after op %d (%s %v)", n, o.kind, o.p))
+			}
+		})
 	}
 }

@@ -788,6 +788,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		counter("dbdht_repl_writes_total", "writes applied to replica buckets", st.Stats.ReplWrites),
 		counter("dbdht_repl_repairs_total", "replica buckets repaired by anti-entropy", st.Stats.ReplRepairs),
 		counter("dbdht_repl_lagged_total", "failed replica exchanges (replication lag)", st.Stats.ReplLagged),
+		counter("dbdht_antientropy_probe_msgs_total", "anti-entropy probe messages sent (one per replica host per pass)", st.Stats.AEProbeMsgs),
+		counter("dbdht_antientropy_keys_hashed_total", "keys re-hashed because a whole replica bucket arrived (0 while replicas stay in sync)", st.Stats.AEKeysHashed),
 		counter("dbdht_failover_reads_total", "reads served from replica buckets", st.Stats.FailoverReads),
 		counter("dbdht_failover_elections_total", "failover elections coordinated after primary crashes", st.Stats.Elections),
 		counter("dbdht_promotions_total", "replica buckets promoted to primary by failover", st.Stats.Promotions),
@@ -802,6 +804,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			"primary's wait for replica write acks", lat.ReplicaAckWait),
 		metrics.HistogramFamily("dbdht_wal_durable_wait_seconds",
 			"wait for the WAL group commit covering a write", lat.WALDurableWait),
+		metrics.HistogramFamily("dbdht_wal_fsync_seconds",
+			"the WAL's sync call alone (device time, without the group-commit queue)", lat.WALFsync),
 		metrics.HistogramFamily("dbdht_migration_chunk_seconds",
 			"one live-migration chunk transfer", lat.MigrationChunk),
 		metrics.HistogramFamily("dbdht_anti_entropy_pass_seconds",
@@ -828,8 +832,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		counter("dbdht_wal_fsyncs_total", "fsync calls issued by snode WALs", wst.Fsyncs),
 		counter("dbdht_wal_flushes_total", "WAL flush rounds (group commits)", wst.Flushes),
 		counter("dbdht_wal_segment_rotations_total", "WAL segment files rotated", wst.Rotations),
+		counter("dbdht_wal_segments_prepared_total", "WAL segment files created ahead of use (zero-filled unless fsync=off)", wst.Prepared),
 		counter("dbdht_wal_segments_truncated_total", "WAL segments deleted behind snapshots", wst.Truncated),
-		counter("dbdht_wal_torn_bytes_total", "bytes cut from torn WAL tails at recovery", wst.TornBytes),
+		counter("dbdht_wal_torn_bytes_total", "garbage bytes cut from torn WAL tails at recovery (zero fill excluded)", wst.TornBytes),
 		counter("dbdht_wal_records_replayed_total", "records replayed during recovery", wst.Replayed),
 		counter("dbdht_wal_snapshot_files_total", "snapshot files written", wst.SnapWrites),
 	)

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -16,6 +17,7 @@ import (
 	"dbdht/internal/cluster"
 	"dbdht/internal/cluster/transport"
 	"dbdht/internal/server"
+	"dbdht/internal/wal"
 )
 
 // ctx is the background context the client calls run under; per-request
@@ -412,5 +414,110 @@ func TestDurabilityPlane(t *testing.T) {
 		if !strings.Contains(string(body), want) {
 			t.Fatalf("metrics exposition lacks %q", want)
 		}
+	}
+}
+
+// metricValue extracts one unlabelled sample from a Prometheus text
+// exposition.
+func metricValue(t *testing.T, text, name string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(text, "\n") {
+		if rest, ok := strings.CutPrefix(line, name+" "); ok {
+			v, err := strconv.ParseFloat(rest, 64)
+			if err != nil {
+				t.Fatalf("metric %s: %v", name, err)
+			}
+			return v
+		}
+	}
+	t.Fatalf("metrics exposition lacks %s", name)
+	return 0
+}
+
+// TestSaturationSignalsExposed: the WAL's sync time and segment pipeline
+// and anti-entropy's work are visible at /v1/metrics — and read as they
+// should on a healthy, in-sync R=2 cluster at fsync=batch.
+func TestSaturationSignalsExposed(t *testing.T) {
+	c, err := cluster.New(cluster.Config{
+		Pmin: 32, Vmin: 8, Seed: 3, Replicas: 2,
+		AntiEntropyInterval: 20 * time.Millisecond,
+		Durability: cluster.DurabilityConfig{
+			Dir: t.TempDir(), Fsync: wal.FsyncBatch, SnapshotInterval: -1,
+			SegmentBytes: 1 << 20,
+		},
+	}, transport.NewMem())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	for i := 0; i < 3; i++ {
+		if _, err := c.AddSnode(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ids := c.Snodes()
+	for i := 0; i < 6; i++ {
+		if _, _, err := c.CreateVnode(ids[i%len(ids)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts := httptest.NewServer(server.New(c).Handler())
+	t.Cleanup(ts.Close)
+	cl := client.New(ts.URL)
+	items := make([]client.Item, 128)
+	for i := range items {
+		items[i] = client.Item{Key: fmt.Sprintf("sat-%04d", i), Value: []byte("v")}
+	}
+	if _, err := cl.MPut(ctx, items); err != nil {
+		t.Fatal(err)
+	}
+	// Take two scrapes a few passes apart, once anti-entropy has settled
+	// whatever the vnode joins re-homed (no repair between the two).
+	scrape := func() string {
+		text, err := cl.Metrics(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return text
+	}
+	before, text := scrape(), ""
+	for deadline := time.Now().Add(10 * time.Second); ; before = text {
+		time.Sleep(150 * time.Millisecond)
+		text = scrape()
+		if metricValue(t, before, "dbdht_repl_repairs_total") == metricValue(t, text, "dbdht_repl_repairs_total") {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("replicas never settled")
+		}
+	}
+	for _, want := range []string{
+		"# TYPE dbdht_wal_fsync_seconds histogram",
+		"dbdht_wal_fsync_seconds_bucket{le=\"+Inf\"}",
+		"# TYPE dbdht_wal_segments_prepared_total counter",
+		"# TYPE dbdht_antientropy_probe_msgs_total counter",
+		"# TYPE dbdht_antientropy_keys_hashed_total counter",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("metrics exposition missing %q", want)
+		}
+	}
+	// Every group commit is one observation of the sync histogram.
+	if syncs, obs := metricValue(t, text, "dbdht_wal_fsyncs_total"), metricValue(t, text, "dbdht_wal_fsync_seconds_count"); syncs == 0 || syncs != obs {
+		t.Errorf("dbdht_wal_fsyncs_total = %v, dbdht_wal_fsync_seconds_count = %v: want equal and non-zero", syncs, obs)
+	}
+	if sum := metricValue(t, text, "dbdht_wal_fsync_seconds_sum"); sum <= 0 {
+		t.Errorf("dbdht_wal_fsync_seconds_sum = %v", sum)
+	}
+	// Each durable snode made its first segment ahead of use.
+	if got := metricValue(t, text, "dbdht_wal_segments_prepared_total"); got < 3 {
+		t.Errorf("dbdht_wal_segments_prepared_total = %v, want >= 3 (one per snode)", got)
+	}
+	// In sync: probes keep flowing, nothing is re-hashed.
+	if a, b := metricValue(t, before, "dbdht_antientropy_probe_msgs_total"), metricValue(t, text, "dbdht_antientropy_probe_msgs_total"); b <= a {
+		t.Errorf("dbdht_antientropy_probe_msgs_total did not grow over 150 ms of 20 ms passes (%v -> %v)", a, b)
+	}
+	if a, b := metricValue(t, before, "dbdht_antientropy_keys_hashed_total"), metricValue(t, text, "dbdht_antientropy_keys_hashed_total"); a != b {
+		t.Errorf("dbdht_antientropy_keys_hashed_total moved on an in-sync cluster (%v -> %v)", a, b)
 	}
 }

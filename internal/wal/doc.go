@@ -8,7 +8,7 @@
 // (wal/00000000000000000001.seg), so replay order and truncation points
 // fall out of a directory listing.  Every record is framed as
 //
-//	uint32  big-endian payload length
+//	uint32  big-endian payload length (0 marks the end of the log)
 //	uint32  big-endian CRC-32C (Castagnoli) of the payload
 //	...     payload
 //
@@ -25,14 +25,23 @@
 //
 //   - FsyncOff: nothing is awaited; a background flusher moves bytes to
 //     the OS promptly, but an acknowledged write may die with the process.
-//   - FsyncBatch: WaitDurable blocks until an fsync covering seq
-//     completed.  Concurrent committers share one fsync (group commit),
-//     so the fsync rate scales with flush rounds, not with writers.
+//   - FsyncBatch: WaitDurable blocks until a sync covering seq
+//     completed.  Concurrent committers share one sync (group commit),
+//     so the sync rate scales with flush rounds, not with writers.
 //   - FsyncAlways: like FsyncBatch, but the flusher syncs on every round
 //     even when no committer is waiting.
 //
-// Recovery tolerates torn writes: Open scans the tail segment and
-// truncates it at the first record whose length or CRC does not check
-// out, so a crash mid-append never poisons the log — everything up to
-// the last complete record replays, and new appends continue from there.
+// Appends never change file-system metadata.  Segments are created ahead
+// of use at their full size, zero-filled and synced by a background step
+// (segment.go), the flusher writes at a tracked offset inside them and
+// syncs with fdatasync, and a retired segment is cut to its written
+// length off the acknowledgement path — so a durability wait costs the
+// device's data sync, not the file system's journal commit.
+//
+// Recovery tolerates torn writes: Open scans every segment and cuts it
+// after its last complete record — at the zero fill of a segment that was
+// never sealed, or at the first record whose length or CRC does not check
+// out — so a crash mid-append never poisons the log.  Everything up to
+// the last complete record replays, and new appends continue in a fresh
+// segment numbered from there.
 package wal

@@ -2,18 +2,17 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"dbdht/internal/metrics"
 )
 
 // FsyncMode selects the durability class of acknowledged appends.
@@ -61,8 +60,9 @@ type Options struct {
 	// acknowledged records are NOT synced — callers that need ack-implies-
 	// on-disk must pick FsyncBatch or FsyncAlways explicitly.
 	Fsync FsyncMode
-	// SegmentBytes rotates to a fresh segment once the current one
-	// exceeds this size (default 16 MiB).
+	// SegmentBytes is the size segments are created at (default 16 MiB):
+	// a flush round that no longer fits the active segment moves to the
+	// next one.
 	SegmentBytes int64
 	// BufferBytes sizes the append buffer handed to the flusher in one
 	// piece (default 256 KiB).
@@ -97,8 +97,9 @@ type Stats struct {
 	FsyncErrors atomic.Int64 // failed fsyncs (real or injected); the batch re-buffers and retries
 	Flushes     atomic.Int64 // flush rounds (buffered bytes handed to the OS)
 	Rotations   atomic.Int64 // segment files opened after the first
+	Prepared    atomic.Int64 // segment files created ahead of use by the prepare step
 	Truncated   atomic.Int64 // segment files deleted by TruncateThrough
-	TornBytes   atomic.Int64 // bytes cut from the tail segment at recovery
+	TornBytes   atomic.Int64 // garbage bytes cut from segments at recovery (zero fill excluded)
 	Replayed    atomic.Int64 // records handed to Replay callbacks
 	SnapWrites  atomic.Int64 // snapshot files written (WriteSnapshot)
 }
@@ -106,7 +107,7 @@ type Stats struct {
 // StatsSnapshot is a plain-value copy of Stats.
 type StatsSnapshot struct {
 	Appends, Bytes, Fsyncs, FsyncErrors, Flushes int64
-	Rotations, Truncated, TornBytes              int64
+	Rotations, Prepared, Truncated, TornBytes    int64
 	Replayed, SnapWrites                         int64
 }
 
@@ -116,7 +117,8 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		Appends: s.Appends.Load(), Bytes: s.Bytes.Load(),
 		Fsyncs: s.Fsyncs.Load(), FsyncErrors: s.FsyncErrors.Load(),
 		Flushes:   s.Flushes.Load(),
-		Rotations: s.Rotations.Load(), Truncated: s.Truncated.Load(),
+		Rotations: s.Rotations.Load(), Prepared: s.Prepared.Load(),
+		Truncated: s.Truncated.Load(),
 		TornBytes: s.TornBytes.Load(), Replayed: s.Replayed.Load(),
 		SnapWrites: s.SnapWrites.Load(),
 	}
@@ -130,6 +132,7 @@ func (a *StatsSnapshot) Fold(b StatsSnapshot) {
 	a.FsyncErrors += b.FsyncErrors
 	a.Flushes += b.Flushes
 	a.Rotations += b.Rotations
+	a.Prepared += b.Prepared
 	a.Truncated += b.Truncated
 	a.TornBytes += b.TornBytes
 	a.Replayed += b.Replayed
@@ -152,6 +155,8 @@ const maxRecord = 256 << 20
 // a few milliseconds.
 const flushPollInterval = 5 * time.Millisecond
 
+var errClosed = errors.New("wal: log closed")
+
 // Log is an append-only, segmented write-ahead log.  Append and
 // WaitDurable are safe for concurrent use; Replay and TruncateThrough
 // must not race appends of the segments they touch (the cluster layer
@@ -160,18 +165,14 @@ type Log struct {
 	dir  string
 	opts Options
 
-	mu       sync.Mutex
-	f        *os.File // current tail segment; guarded by mu
-	fSize    int64    // bytes written to f (buffered included); guarded by mu
-	firstSeq uint64   // first sequence of the current segment; guarded by mu
-	nextSeq  uint64   // sequence the next Append returns; guarded by mu
-	buf      []byte   // records buffered since the last flush; guarded by mu
-	spare    []byte   // recycled flush slab (swapped with buf each round); guarded by mu
-	closed   bool     // guarded by mu
-	failed   bool     // fail-stop after an unrecoverable I/O error; guarded by mu
+	mu      sync.Mutex
+	nextSeq uint64 // sequence the next Append returns; guarded by mu
+	buf     []byte // records buffered since the last flush; guarded by mu
+	spare   []byte // recycled flush slab (swapped with buf each round); guarded by mu
+	closed  bool   // guarded by mu
 
 	// Group commit: appenders publish the seq they need durable and wait
-	// on cond; the flusher goroutine flushes (and fsyncs, per mode) and
+	// on cond; the flusher goroutine flushes (and syncs, per mode) and
 	// advances durableSeq.  The flusher itself is woken through the wake
 	// channel, NOT the cond — an append must never pay a broadcast that
 	// also wakes every durability waiter.
@@ -179,176 +180,74 @@ type Log struct {
 	wake       chan struct{} // capacity 1: flusher work signal
 	durableSeq uint64        // highest seq known flushed (+synced, per mode); guarded by mu
 	flushedSeq uint64        // highest seq handed to the OS; guarded by mu
-	done       chan struct{}
+	done       chan struct{} // closed when the flusher exits
 
-	// flushMu serializes flushThrough: the buffer grab and the file write
+	// flushMu serializes flushThrough — the buffer grab and the file write
 	// happen under it, so records reach the file in append order even when
-	// Sync races the flusher goroutine.
+	// Sync races the flusher goroutine — and owns the active segment.
 	flushMu sync.Mutex
+	seg     *os.File // active segment; nil until the first flush after Open; guarded by flushMu
+	segOff  int64    // end of the records written to seg; guarded by flushMu
+	// segTorn marks a failed write or sync whose bytes may sit past segOff:
+	// the retry must overwrite them in place, so the segment may not rotate
+	// until a round succeeds.
+	segTorn bool // guarded by flushMu
 
-	log   *slog.Logger
-	stats Stats
+	// Segment pipeline (segment.go): prepared hands the flusher the next
+	// ready-made segment, retired takes the one it just left.
+	prepared chan preparedSeg
+	retired  chan retiredSeg // capacity 1: the pipeline drains it between prepares
+	stop     chan struct{}   // closed (under flushMu) once the flusher exited
+	pipeDone chan struct{}
+
+	log      *slog.Logger
+	stats    Stats
+	fsyncLat *metrics.Histogram
 }
 
-// segName formats the canonical segment file name for a first sequence.
-func segName(firstSeq uint64) string {
-	return fmt.Sprintf("%020d.seg", firstSeq)
-}
-
-// parseSegName extracts a segment's first sequence from its file name.
-func parseSegName(name string) (uint64, bool) {
-	if !strings.HasSuffix(name, ".seg") {
-		return 0, false
-	}
-	n, err := strconv.ParseUint(strings.TrimSuffix(name, ".seg"), 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return n, true
-}
-
-// listSegments returns the segment first-sequences present in dir,
-// ascending.
-func listSegments(dir string) ([]uint64, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var segs []uint64
-	for _, e := range ents {
-		if seq, ok := parseSegName(e.Name()); ok {
-			segs = append(segs, seq)
-		}
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
-	return segs, nil
-}
-
-// Open opens (creating if needed) the log in dir, recovering the tail:
-// the last segment is scanned record by record and truncated at the
-// first torn or corrupt frame, so appends resume exactly after the last
-// complete record.
+// Open opens (creating if needed) the log in dir and recovers it: every
+// segment is scanned record by record and cut back to its last complete
+// one, so a crash mid-append never poisons the log.  Appends resume in a
+// fresh segment numbered right after the last recovered record.
 func Open(dir string, opts Options) (*Log, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
 	l := &Log{
-		dir:     dir,
-		opts:    opts,
-		nextSeq: 1,
-		wake:    make(chan struct{}, 1),
-		done:    make(chan struct{}),
-		log:     opts.Logger,
+		dir:      dir,
+		opts:     opts,
+		nextSeq:  1,
+		wake:     make(chan struct{}, 1),
+		done:     make(chan struct{}),
+		prepared: make(chan preparedSeg),
+		retired:  make(chan retiredSeg, 1),
+		stop:     make(chan struct{}),
+		pipeDone: make(chan struct{}),
+		log:      opts.Logger,
+		fsyncLat: metrics.NewLatencyHistogram(),
 	}
 	l.cond = sync.NewCond(&l.mu)
+	if err := removePrepared(dir); err != nil {
+		return nil, err
+	}
 	segs, err := listSegments(dir)
 	if err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	if len(segs) > 0 {
-		// Count the records of every non-tail segment (they were sealed by
-		// a rotation, but a crash can still tear the then-tail — scanning
-		// is cheap at open), then recover the tail.
-		for i, first := range segs {
-			path := filepath.Join(dir, segName(first))
-			n, validLen, serr := scanSegment(path)
-			if serr != nil {
-				return nil, serr
-			}
-			if i == len(segs)-1 {
-				// Tail: cut any torn bytes so appends land after the last
-				// complete record.
-				if fi, err := os.Stat(path); err == nil && fi.Size() > validLen {
-					l.stats.TornBytes.Add(fi.Size() - validLen)
-					if err := os.Truncate(path, validLen); err != nil {
-						return nil, fmt.Errorf("wal: truncating torn tail: %w", err)
-					}
-					l.log.Info("wal: truncated torn tail",
-						"segment", segName(first), "bytes", fi.Size()-validLen)
-				}
-				l.firstSeq = first
-				l.nextSeq = first + uint64(n)
-				l.fSize = validLen
-			} else {
-				l.nextSeq = first + uint64(n)
-			}
-		}
-		f, err := os.OpenFile(filepath.Join(dir, segName(l.firstSeq)), os.O_WRONLY|os.O_APPEND, 0o644)
+	for _, first := range segs {
+		n, err := l.recoverSegment(filepath.Join(dir, segName(first)))
 		if err != nil {
-			return nil, fmt.Errorf("wal: %w", err)
-		}
-		l.f = f
-	} else {
-		if err := l.openSegmentLocked(1); err != nil {
 			return nil, err
 		}
+		l.nextSeq = first + uint64(n)
 	}
+	// Everything recovered is on disk already.
+	l.flushedSeq = l.nextSeq - 1
+	l.durableSeq = l.flushedSeq
+	go l.segmentPipeline()
 	go l.flusher()
 	return l, nil
-}
-
-// scanSegment walks one segment file, returning the number of complete
-// records and the byte offset right after the last one.  A torn or
-// corrupt frame ends the scan cleanly (it is not an error — recovery
-// truncates there).
-func scanSegment(path string) (records int, validLen int64, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, 0, fmt.Errorf("wal: %w", err)
-	}
-	defer f.Close()
-	var hdr [recHeaderLen]byte
-	var payload []byte
-	for {
-		if _, err := io.ReadFull(f, hdr[:]); err != nil {
-			return records, validLen, nil // clean EOF or torn header
-		}
-		n := binary.BigEndian.Uint32(hdr[0:4])
-		crc := binary.BigEndian.Uint32(hdr[4:8])
-		if n > maxRecord {
-			return records, validLen, nil // corrupt length
-		}
-		if uint32(cap(payload)) < n {
-			payload = make([]byte, n)
-		}
-		payload = payload[:n]
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return records, validLen, nil // torn payload
-		}
-		if crc32.Checksum(payload, crcTable) != crc {
-			return records, validLen, nil // corrupt payload
-		}
-		records++
-		validLen += int64(recHeaderLen) + int64(n)
-	}
-}
-
-// openSegmentLocked starts a fresh segment whose first record will be
-// firstSeq, fsyncing the directory so the new file's entry survives a
-// system crash — records fsynced into a segment whose directory entry
-// never reached disk would vanish with it.  Caller holds l.mu (or owns
-// the log exclusively, at Open).
-func (l *Log) openSegmentLocked(firstSeq uint64) error {
-	// O_APPEND is load-bearing: the flush error path truncates the file to
-	// undo a write whose fsync failed, and the retry must land at the
-	// truncated end — a plain fd would keep its old offset and leave a
-	// zero-filled hole that replays as garbage.
-	f, err := os.OpenFile(filepath.Join(l.dir, segName(firstSeq)), os.O_WRONLY|os.O_CREATE|os.O_EXCL|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	if err := syncDir(l.dir); err != nil {
-		_ = f.Close()
-		return err
-	}
-	if l.f != nil {
-		l.stats.Rotations.Add(1)
-	}
-	l.f = f
-	l.fSize = 0
-	l.firstSeq = firstSeq
-	return nil
 }
 
 // NextSeq returns the sequence the next Append will be assigned — the
@@ -369,10 +268,15 @@ func (l *Log) Mode() FsyncMode { return l.opts.Fsync }
 // Stats exposes the log's counters.
 func (l *Log) Stats() *Stats { return &l.stats }
 
+// FsyncLatency is the distribution of the sync call alone — the device's
+// share of a durability wait, without the queueing in front of it.
+func (l *Log) FsyncLatency() *metrics.Histogram { return l.fsyncLat }
+
 // Append frames payload as one record, buffers it, and returns its
 // sequence.  It never blocks on I/O (only on the log's own mutex), so it
 // is safe to call under fine-grained data locks; durability is claimed
-// separately via WaitDurable.  Appending to a closed log returns 0.
+// separately via WaitDurable.  Appending an empty payload, or to a
+// closed log, returns 0.
 func (l *Log) Append(payload []byte) uint64 {
 	return l.AppendWith(func(buf []byte) []byte { return append(buf, payload...) })
 }
@@ -383,16 +287,23 @@ func (l *Log) Append(payload []byte) uint64 {
 // append to (and return) the slice it is given.
 func (l *Log) AppendWith(enc func(buf []byte) []byte) uint64 {
 	l.mu.Lock()
-	if l.closed || l.failed {
+	if l.closed {
+		l.mu.Unlock()
+		return 0
+	}
+	start := len(l.buf)
+	l.buf = append(l.buf, 0, 0, 0, 0, 0, 0, 0, 0) // header back-patched below
+	l.buf = enc(l.buf)
+	payload := l.buf[start+recHeaderLen:]
+	if len(payload) == 0 {
+		// A zero length is the end-of-log marker (segments are zero-filled
+		// ahead of use), so an empty record could never be replayed.
+		l.buf = l.buf[:start]
 		l.mu.Unlock()
 		return 0
 	}
 	seq := l.nextSeq
 	l.nextSeq++
-	start := len(l.buf)
-	l.buf = append(l.buf, 0, 0, 0, 0, 0, 0, 0, 0) // header back-patched below
-	l.buf = enc(l.buf)
-	payload := l.buf[start+recHeaderLen:]
 	binary.BigEndian.PutUint32(l.buf[start:], uint32(len(payload)))
 	binary.BigEndian.PutUint32(l.buf[start+4:], crc32.Checksum(payload, crcTable))
 	l.stats.Appends.Add(1)
@@ -421,7 +332,7 @@ func (l *Log) kick() {
 }
 
 // WaitDurable blocks until the record at seq satisfies the log's
-// durability class: immediately under FsyncOff, after a covering fsync
+// durability class: immediately under FsyncOff, after a covering sync
 // under FsyncBatch/FsyncAlways.  Returns false if the log closed first.
 func (l *Log) WaitDurable(seq uint64) bool {
 	if l.opts.Fsync == FsyncOff || seq == 0 {
@@ -429,13 +340,13 @@ func (l *Log) WaitDurable(seq uint64) bool {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for l.durableSeq < seq && !l.closed && !l.failed {
+	for l.durableSeq < seq && !l.closed {
 		l.cond.Wait()
 	}
 	return l.durableSeq >= seq
 }
 
-// Sync forces everything appended so far to disk (fsync regardless of
+// Sync forces everything appended so far to disk (synced regardless of
 // mode) — used at snapshot barriers and graceful close.
 func (l *Log) Sync() error {
 	l.mu.Lock()
@@ -445,7 +356,7 @@ func (l *Log) Sync() error {
 }
 
 // flusher is the group-commit loop: it waits for buffered records, hands
-// them to the OS in one write, fsyncs per mode, and advances durableSeq
+// them to the OS in one write, syncs per mode, and advances durableSeq
 // for every waiter at once.  In FsyncOff mode — where nobody waits on
 // acks — it POLLS on a millisecond cadence instead of being woken per
 // append: a whole millisecond of appends coalesces into one write
@@ -475,13 +386,17 @@ func (l *Log) flusher() {
 			time.Sleep(flushPollInterval)
 			l.mu.Lock()
 		}
-		if l.failed {
-			l.mu.Unlock()
-			return // fail-stopped: nothing can be made durable anymore
-		}
 		target := l.nextSeq - 1
 		l.mu.Unlock()
 		if err := l.flushThrough(target, !poll); err != nil {
+			l.mu.Lock()
+			closed := l.closed
+			l.mu.Unlock()
+			if closed {
+				// Close's own Sync already reported the failure; the
+				// re-buffered records cannot be saved by spinning here.
+				return
+			}
 			// Transient I/O error: the records went back to the buffer;
 			// back off before retrying instead of spinning on the error.
 			time.Sleep(10 * time.Millisecond)
@@ -489,26 +404,26 @@ func (l *Log) flusher() {
 	}
 }
 
-// flushThrough writes every record appended up to seq target to the OS
-// (rotating segments as size demands) and optionally fsyncs, then
-// advances the durable watermark.  flushMu keeps concurrent callers
-// (the flusher goroutine and Sync) writing buffers in append order.
+// flushThrough writes every record appended up to seq target into the
+// active segment at its tracked offset (moving to the next prepared
+// segment when the round no longer fits) and optionally syncs, then
+// advances the durable watermark.  flushMu keeps concurrent callers (the
+// flusher goroutine and Sync) writing buffers in append order.
 //
 // A failed write or sync must not lose records that were never acked as
-// durable but WILL be covered by a later durableSeq advance: the file is
-// truncated back to its pre-write size (clearing any partial write) and
-// the unwritten records go back to the FRONT of the buffer, so the next
-// round retries them in order.  If even the truncate fails, the log
-// fail-stops: no further append is accepted and every durability wait
-// fails, so nothing can be acknowledged against a file of unknown state.
+// durable but WILL be covered by a later durableSeq advance: the offset
+// stays where the round started and the records go back to the FRONT of
+// the buffer, so the next round rewrites them — byte for byte over
+// whatever the failed round left behind — in order.
 func (l *Log) flushThrough(target uint64, sync bool) error {
 	l.flushMu.Lock()
 	defer l.flushMu.Unlock()
-	l.mu.Lock()
-	if l.failed {
-		l.mu.Unlock()
-		return fmt.Errorf("wal: log failed on an earlier I/O error")
+	select {
+	case <-l.stop:
+		return errClosed
+	default:
 	}
+	l.mu.Lock()
 	if l.flushedSeq >= target && (!sync || l.durableSeq >= target) {
 		l.mu.Unlock()
 		return nil
@@ -516,36 +431,30 @@ func (l *Log) flushThrough(target uint64, sync bool) error {
 	buf := l.buf
 	l.buf = l.spare[:0] // recycle the previous round's slab
 	l.spare = nil
-	f := l.f
-	prevSize := l.fSize
-	flushed := l.nextSeq - 1
+	first := l.flushedSeq + 1 // sequence of buf's first record
+	flushed := l.flushedSeq
+	if len(buf) > 0 {
+		flushed = l.nextSeq - 1
+	}
 	l.mu.Unlock()
 
 	var err error
 	if len(buf) > 0 {
-		_, err = f.Write(buf)
+		err = l.writeLocked(buf, first)
 		l.stats.Flushes.Add(1)
 	}
-	if err == nil && sync {
-		// Nemesis hook: an injected failure takes the error path below
-		// (truncate + re-buffer + retry) before the real fsync ever runs;
-		// an injected stall just makes durability late, never wrong.
-		var d time.Duration
-		if d, err = l.opts.Faults.fsyncFault(); err == nil {
-			if d > 0 {
-				time.Sleep(d)
-			}
-			err = f.Sync()
-			l.stats.Fsyncs.Add(1)
-		}
-		if err != nil {
-			l.stats.FsyncErrors.Add(1)
-		}
+	if err == nil && sync && l.seg != nil {
+		err = l.syncLocked()
+	}
+	if err == nil {
+		l.segOff += int64(len(buf))
+		l.segTorn = false
+	} else if len(buf) > 0 {
+		l.segTorn = true
 	}
 
 	l.mu.Lock()
 	if err == nil {
-		l.fSize = prevSize + int64(len(buf))
 		if cap(buf) <= 4*l.opts.BufferBytes {
 			l.spare = buf[:0] // hand the slab back for the next round
 		}
@@ -555,30 +464,10 @@ func (l *Log) flushThrough(target uint64, sync bool) error {
 		if sync && flushed > l.durableSeq {
 			l.durableSeq = flushed
 		}
-		if l.fSize >= l.opts.SegmentBytes && !l.closed {
-			// Seal the segment.  The new one's name must be the sequence of
-			// the first record it will actually hold — the first UNFLUSHED
-			// record — not nextSeq: records appended while this round's
-			// write was in flight are still buffered and land in the new
-			// segment.  (Recovery derives every record's sequence from the
-			// segment name, so a wrong name would mislabel the replay.)
-			old := l.f
-			if rerr := l.openSegmentLocked(l.flushedSeq + 1); rerr == nil {
-				_ = old.Close()
-			}
-		}
 	} else if len(buf) > 0 {
-		// Undo any partial write, then restore the records ahead of
-		// whatever was appended meanwhile.  (O_APPEND writes continue at
-		// the truncated end.)
-		if terr := f.Truncate(prevSize); terr != nil {
-			l.failed = true
-			l.log.Error("wal: fail-stop: flush failed and partial write could not be undone",
-				"flush_err", err, "truncate_err", terr)
-		} else {
-			l.buf = append(buf, l.buf...)
-			l.log.Warn("wal: flush failed, records re-buffered for retry", "err", err)
-		}
+		// Restore the records ahead of whatever was appended meanwhile.
+		l.buf = append(buf, l.buf...)
+		l.log.Warn("wal: flush failed, records re-buffered for retry", "err", err)
 	}
 	l.cond.Broadcast()
 	l.mu.Unlock()
@@ -586,6 +475,47 @@ func (l *Log) flushThrough(target uint64, sync bool) error {
 		return fmt.Errorf("wal: flush: %w", err)
 	}
 	return nil
+}
+
+// writeLocked puts one flush round into the active segment at the tracked
+// offset — never O_APPEND, never past a size the file system has yet to
+// learn about, so the write changes no metadata.  A round that does not
+// fit what is left of the segment starts the next one, named after the
+// round's first record (recovery derives every record's sequence from
+// the segment name).  Caller holds flushMu.
+func (l *Log) writeLocked(buf []byte, first uint64) error {
+	full := l.segOff > 0 && l.segOff+int64(len(buf)) > l.opts.SegmentBytes
+	if l.seg == nil || (full && !l.segTorn) {
+		// With a segment still open a failed rotation is survivable: the
+		// round extends it past its preallocated size instead.
+		if err := l.rotateLocked(first); err != nil && l.seg == nil {
+			return err
+		}
+	}
+	_, err := l.seg.WriteAt(buf, l.segOff)
+	return err
+}
+
+// syncLocked makes the active segment's written bytes durable.  Caller
+// holds flushMu.
+func (l *Log) syncLocked() error {
+	// Nemesis hook: an injected failure takes the caller's error path
+	// (rewind + re-buffer + retry) before the real sync ever runs; an
+	// injected stall just makes durability late, never wrong.
+	d, err := l.opts.Faults.fsyncFault()
+	if err == nil {
+		if d > 0 {
+			time.Sleep(d)
+		}
+		t0 := time.Now()
+		err = fdatasync(l.seg)
+		l.fsyncLat.ObserveSince(t0)
+		l.stats.Fsyncs.Add(1)
+	}
+	if err != nil {
+		l.stats.FsyncErrors.Add(1)
+	}
+	return err
 }
 
 // Replay streams every complete record with sequence ≥ start, in order,
@@ -602,49 +532,26 @@ func (l *Log) Replay(start uint64, fn func(seq uint64, payload []byte) error) er
 		if i+1 < len(segs) && segs[i+1] <= start {
 			continue
 		}
-		if err := l.replaySegment(filepath.Join(l.dir, segName(first)), first, start, fn); err != nil {
+		f, err := os.Open(filepath.Join(l.dir, segName(first)))
+		if err != nil {
+			return fmt.Errorf("wal: %w", err)
+		}
+		seq := first
+		_, _, err = readRecords(f, func(payload []byte) error {
+			cur := seq
+			seq++
+			if cur < start {
+				return nil
+			}
+			l.stats.Replayed.Add(1)
+			return fn(cur, payload)
+		})
+		_ = f.Close()
+		if err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-func (l *Log) replaySegment(path string, firstSeq, start uint64, fn func(seq uint64, payload []byte) error) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	defer f.Close()
-	var hdr [recHeaderLen]byte
-	seq := firstSeq
-	var payload []byte
-	for {
-		if _, err := io.ReadFull(f, hdr[:]); err != nil {
-			return nil // clean EOF or torn header
-		}
-		n := binary.BigEndian.Uint32(hdr[0:4])
-		crc := binary.BigEndian.Uint32(hdr[4:8])
-		if n > maxRecord {
-			return nil
-		}
-		if uint32(cap(payload)) < n {
-			payload = make([]byte, n)
-		}
-		payload = payload[:n]
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return nil
-		}
-		if crc32.Checksum(payload, crcTable) != crc {
-			return nil
-		}
-		if seq >= start {
-			l.stats.Replayed.Add(1)
-			if err := fn(seq, payload); err != nil {
-				return err
-			}
-		}
-		seq++
-	}
 }
 
 // TruncateThrough deletes every sealed segment whose records all have
@@ -670,27 +577,30 @@ func (l *Log) TruncateThrough(seq uint64) error {
 	return nil
 }
 
-// Close flushes and fsyncs everything buffered, then closes the log.
-// Pending WaitDurable calls are released.
+// Close flushes and syncs everything buffered, then closes the log,
+// leaving exactly the written bytes on disk: the tail segment is cut to
+// its records and the segment prepared ahead of it is removed.  Pending
+// WaitDurable calls are released.
 func (l *Log) Close() error {
 	err := l.Sync()
-	l.shutdown()
+	l.shutdown(true)
 	return err
 }
 
 // Abandon closes the log WITHOUT flushing its userspace buffer —
-// simulating a crash: only bytes already handed to the OS survive.
-// Records buffered but never flushed are lost, exactly like a process
-// dying mid-append; under FsyncBatch no acknowledged (WaitDurable'd)
-// record can be among them.
+// simulating a crash: only bytes already handed to the OS survive, and
+// the tail segment keeps its zero-filled suffix exactly as a killed
+// process would leave it.  Records buffered but never flushed are lost;
+// under FsyncBatch no acknowledged (WaitDurable'd) record can be among
+// them.
 func (l *Log) Abandon() {
 	l.mu.Lock()
 	l.buf = nil // drop unflushed records on the floor
 	l.mu.Unlock()
-	l.shutdown()
+	l.shutdown(false)
 }
 
-func (l *Log) shutdown() {
+func (l *Log) shutdown(graceful bool) {
 	l.mu.Lock()
 	if !l.closed {
 		l.closed = true
@@ -699,11 +609,19 @@ func (l *Log) shutdown() {
 	l.mu.Unlock()
 	l.kick()
 	<-l.done
-	l.mu.Lock()
-	if l.f != nil {
-		_ = l.f.Close()
-		l.f = nil
+	l.flushMu.Lock()
+	select {
+	case <-l.stop: // second Close
+	default:
+		if l.seg != nil {
+			if graceful {
+				_ = l.seg.Truncate(l.segOff)
+			}
+			_ = l.seg.Close()
+			l.seg = nil
+		}
+		close(l.stop)
 	}
-	l.cond.Broadcast()
-	l.mu.Unlock()
+	l.flushMu.Unlock()
+	<-l.pipeDone
 }
