@@ -1,5 +1,5 @@
 // dbdhtlint runs the dbdht project-invariant analyzer suite
-// (internal/analysis: wiretag, lockguard, nogob, atomicfield, tracectx).
+// (internal/analysis: wiretag, lockguard, atomicfield, tracectx).
 //
 // Standalone, over source (no build cache needed):
 //

@@ -8,8 +8,6 @@
 //     tags.lock, and every tagged message has encoder + decoder.
 //   - lockguard:   struct fields annotated "guarded by <mutex>" are only
 //     accessed with that mutex held.
-//   - nogob:       no gob encode/decode is reachable from functions marked
-//     //dbdht:dataplane.
 //   - atomicfield: a field accessed via sync/atomic anywhere is accessed
 //     atomically everywhere.
 //   - tracectx:    trace/context parameters are forwarded, never dropped,
@@ -166,5 +164,5 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 
 // All returns the full suite in a stable order.
 func All() []*Analyzer {
-	return []*Analyzer{WireTag, LockGuard, NoGob, AtomicField, TraceCtx}
+	return []*Analyzer{WireTag, LockGuard, AtomicField, TraceCtx}
 }

@@ -17,10 +17,6 @@ func TestLockGuard(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.LockGuard, "lockguardtest", "cleantest")
 }
 
-func TestNoGob(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.NoGob, "nogobtest", "cleantest")
-}
-
 func TestAtomicField(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.AtomicField, "atomicfieldtest", "cleantest")
 }

@@ -54,7 +54,6 @@ func (nd *node) total() int64 { return atomic.LoadInt64(&nd.raw) }
 func (nd *node) send(m any)                    { nd.out <- m }
 func (nd *node) sendTr(tr TraceContext, m any) { nd.out <- tr; nd.out <- m }
 
-//dbdht:dataplane
 func (nd *node) handleGet(ctx context.Context, tr TraceContext, r getReq) {
 	<-ctx.Done()
 	nd.sendTr(tr, getReq{K: r.K})

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/gob"
 	"fmt"
 	"sync"
 	"time"
@@ -62,16 +61,9 @@ type batchResp struct {
 	Served  []routeEntry
 }
 
-func init() {
-	gob.Register(batchReq{})
-	gob.Register(batchResp{})
-}
-
 // handleBatch serves a batch: local keys are applied immediately, the rest
 // are regrouped by next hop and forwarded as sub-batches awaited in
 // parallel.  Runs outside the actor loop (it performs nested RPCs).
-//
-//dbdht:dataplane
 func (s *Snode) handleBatch(m batchReq, tr transport.TraceContext) {
 	if m.ReadReplica {
 		s.serveReplicaRead(m, tr)
@@ -155,7 +147,7 @@ func (s *Snode) handleBatch(m batchReq, tr transport.TraceContext) {
 				w.idxs = append(w.idxs, i)
 				continue
 			}
-			if m.Hops >= s.cfg.MaxHops {
+			if m.Hops >= maxHops {
 				results[i] = batchItemResp{Err: fmt.Sprintf("data op exceeded %d hops", m.Hops)}
 				continue
 			}
@@ -625,8 +617,6 @@ func (c *Cluster) planFailover(failed transport.NodeID, idxs []int, items []batc
 // and whatever remains is retried once through the normal lookup path via
 // fresh entry snodes — hosts that just failed are not re-picked — before
 // per-key errors surface.
-//
-//dbdht:dataplane
 func (c *Cluster) mbatch(kind dataOp, keys []string, items []batchItem) ([]BatchResult, error) {
 	results := make([]BatchResult, len(items))
 	for i, k := range keys {

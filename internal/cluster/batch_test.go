@@ -152,7 +152,7 @@ func TestBatchPartialFailure(t *testing.T) {
 }
 
 // TestBatchOverTCP round-trips batches over the real TCP fabric: the
-// batch messages must survive gob encoding.
+// batch messages must survive the frame codec.
 func TestBatchOverTCP(t *testing.T) {
 	c, err := New(Config{Pmin: 8, Vmin: 4, Seed: 21, RPCTimeout: 20 * time.Second}, transport.NewTCP("127.0.0.1"))
 	if err != nil {

@@ -85,7 +85,10 @@ func BenchmarkParallelJoins(b *testing.B) {
 		b.Run(cfg.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				c, err := New(Config{Pmin: 8, Vmin: cfg.vmin, Seed: int64(i), RPCTimeout: 120 * time.Second}, transport.NewMemLatency(50*time.Microsecond))
+				net := transport.NewMem()
+				faults := transport.NewFaults(int64(i))
+				net.SetFaults(faults)
+				c, err := New(Config{Pmin: 8, Vmin: cfg.vmin, Seed: int64(i), RPCTimeout: 120 * time.Second}, net)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -95,6 +98,8 @@ func BenchmarkParallelJoins(b *testing.B) {
 					}
 				}
 				ids := c.Snodes()
+				all := append([]transport.NodeID{clientID}, ids...)
+				faults.SetLinkDelay(all, all, 50*time.Microsecond, 0)
 				for v := 0; v < existing; v++ {
 					if _, _, err := c.CreateVnode(ids[v%len(ids)]); err != nil {
 						b.Fatal(err)

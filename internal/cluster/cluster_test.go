@@ -427,7 +427,7 @@ func TestClusterOverTCP(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	growCluster(t, c, 6) // rebalance over TCP moves real gob-encoded data
+	growCluster(t, c, 6) // rebalance over TCP moves real frame-encoded data
 	for i := 0; i < 50; i++ {
 		v, found, err := c.Get(fmt.Sprintf("tcp-%d", i))
 		if err != nil || !found || v[0] != byte(i) {

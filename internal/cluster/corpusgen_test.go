@@ -5,59 +5,47 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 
 	"dbdht/internal/cluster/transport"
-	"dbdht/internal/hashspace"
 )
 
 // TestGenerateFuzzCorpus regenerates the committed seed corpus for
-// transport.FuzzDecodeFrame: one frame body per wire message kind, plus a
-// gob-fallback control frame and a traced frame.  Run manually with
-// DBDHT_GEN_CORPUS=1 when the wire protocol grows a new message.
+// transport.FuzzDecodeFrame: one frame body per wireSamples entry (so
+// every wire message kind has a seed), plus a traced frame and a frame
+// cut mid-payload.  Run manually with DBDHT_GEN_CORPUS=1 when the wire
+// protocol grows a new message; it replaces the old seeds.
 func TestGenerateFuzzCorpus(t *testing.T) {
 	if os.Getenv("DBDHT_GEN_CORPUS") == "" {
 		t.Skip("set DBDHT_GEN_CORPUS=1 to regenerate the fuzz seed corpus")
 	}
-	dir := filepath.Join("..", "cluster", "transport", "testdata", "fuzz", "FuzzDecodeFrame")
+	dir := filepath.Join("transport", "testdata", "fuzz", "FuzzDecodeFrame")
+	old, err := filepath.Glob(filepath.Join(dir, "seed-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range old {
+		if err := os.Remove(f); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	p := hashspace.Partition{Level: 3, Prefix: 5}
 	items := []batchItem{{Key: "seed-key", Value: []byte("seed-value")}}
 	seeds := map[string]transport.Envelope{
-		"seed-lookup-req":  {From: -1, To: 1, Msg: lookupReq{Op: 7, R: 0xdead, ReplyTo: -1, Hops: 1}},
-		"seed-lookup-resp": {From: 1, To: -1, Msg: lookupResp{Op: 7, Host: 1, Partition: p}},
-		"seed-batch-req":   {From: -1, To: 1, Msg: batchReq{Op: 8, Kind: opPut, Items: items, ReplyTo: -1}},
-		"seed-batch-resp":  {From: 1, To: -1, Msg: batchResp{Op: 8, Results: []batchItemResp{{Value: []byte("seed-value"), Found: true}}}},
-		"seed-repl-write-req": {From: 1, To: 2, Msg: replWriteReq{
-			Op: 9, Kind: opPut, ReplyTo: 1,
-			Sets: []replWriteSet{{Partition: p, Items: items, Ver: 4}},
-		}},
-		"seed-repl-write-resp": {From: 2, To: 1, Msg: replWriteResp{Op: 9}},
-		"seed-repl-probe-req":  {From: 1, To: 2, Msg: replProbeReq{Op: 10, Digests: []partDigest{{Partition: p, Count: 3, Sum: 0xfeed}}, ReplyTo: 1}},
-		"seed-repl-probe-resp": {From: 2, To: 1, Msg: replProbeResp{Op: 10, OutOfSync: []hashspace.Partition{p}}},
-		"seed-ping-req":        {From: -1, To: 1, Msg: pingReq{Op: 11, ReplyTo: -1}},
-		"seed-ping-resp":       {From: 1, To: -1, Msg: pingResp{Op: 11}},
-		"seed-mig-begin-req":   {From: 1, To: 2, Msg: migBeginReq{Op: 12, Partition: p, ReplyTo: 1}},
-		"seed-mig-begin-resp":  {From: 2, To: 1, Msg: migBeginResp{Op: 12}},
-		"seed-mig-chunk-req": {From: 1, To: 2, Msg: migChunkReq{
-			Op: 13, Partition: p, ReplyTo: 1,
-			Items: []migItem{{Key: "seed-key", Value: []byte("seed-value")}},
-		}},
-		"seed-mig-chunk-resp":  {From: 2, To: 1, Msg: migChunkResp{Op: 13}},
-		"seed-mig-commit-req":  {From: 1, To: 2, Msg: migCommitReq{Op: 14, Partition: p, ReplyTo: 1}},
-		"seed-mig-commit-resp": {From: 2, To: 1, Msg: migCommitResp{Op: 14}},
-		"seed-mig-abort":       {From: 1, To: 2, Msg: migAbortMsg{Partition: p}},
-		"seed-load-req":        {From: -1, To: 1, Msg: loadReportReq{Op: 15, ReplyTo: -1}},
-		"seed-load-resp":       {From: 1, To: -1, Msg: loadReportResp{Op: 15, Vnodes: 2, Keys: 42}},
-		// Control messages ride the gob fallback format.
-		"seed-gob-control": {From: 1, To: 2, Msg: snodeRecoveredMsg{Recovered: 1}},
 		// A traced data frame exercises the trace-context header fields.
 		"seed-traced-batch-req": {
 			From: -1, To: 1, Msg: batchReq{Op: 16, Kind: opGet, Items: items, ReplyTo: -1},
 			Trace: transport.TraceContext{TraceID: 0xabcdef, SpanID: 2, Sampled: true},
 		},
+	}
+	nth := make(map[string]int) // samples seen per message type
+	for _, m := range wireSamples() {
+		kind := strings.TrimPrefix(fmt.Sprintf("%T", m), "cluster.")
+		seeds[fmt.Sprintf("seed-%s-%d", kind, nth[kind])] = transport.Envelope{From: -1, To: 1, Msg: m}
+		nth[kind]++
 	}
 	for name, env := range seeds {
 		frame, err := transport.AppendFrame(nil, env)

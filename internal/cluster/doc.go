@@ -37,9 +37,8 @@
 //     per-bucket EWMA traffic rates and capacity-normalized quotas and
 //     moves enrollment toward capacity-proportional targets through the
 //     ordinary §3.6 join/leave machinery;
-//   - hot-path messages ride a hand-rolled binary frame codec (wire.go)
-//     over the TCP fabric, with gob retained only for rare control
-//     messages;
+//   - every protocol message rides a hand-rolled binary frame codec
+//     (wire.go) over the TCP fabric;
 //   - crash-durable storage (durable.go, internal/wal): every local
 //     mutation is journaled to a per-snode write-ahead log before ack,
 //     periodic snapshots truncate the log, and a restarted snode

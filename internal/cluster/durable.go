@@ -339,7 +339,7 @@ func (s *Snode) applyWalRecord(seq uint64, payload []byte) error {
 		s.applyReplWriteLocked(rec.Kind, rec.Sets, true)
 		return nil
 	case walTagVnode:
-		rec := decodeWalVnode(r)
+		rec := readVnodeRec(r)
 		if err := r.Err(); err != nil {
 			return fmt.Errorf("cluster: wal record %d: %w", seq, err)
 		}
@@ -373,11 +373,11 @@ func (s *Snode) applyWalRecord(seq uint64, payload []byte) error {
 		}
 		return nil
 	case walTagSplitAll:
-		rec := decodeWalSplitAll(r)
+		g, newLevel := readSplitAll(r)
 		if err := r.Err(); err != nil {
 			return fmt.Errorf("cluster: wal record %d: %w", seq, err)
 		}
-		s.splitGroupLocked(rec.Group, rec.NewLevel)
+		s.splitGroupLocked(g, newLevel)
 		return nil
 	case walTagMigInstall:
 		rec := decodeWalMigInstall(r)
@@ -389,7 +389,7 @@ func (s *Snode) applyWalRecord(seq uint64, payload []byte) error {
 		}
 		return nil
 	case walTagBucketDrop:
-		rec := decodeWalBucketDrop(r)
+		rec := readBucketDropRec(r)
 		if err := r.Err(); err != nil {
 			return fmt.Errorf("cluster: wal record %d: %w", seq, err)
 		}
@@ -405,7 +405,7 @@ func (s *Snode) applyWalRecord(seq uint64, payload []byte) error {
 		delete(s.inDoubt, rec.Partition) // the drop resolves any open intent
 		return nil
 	case walTagMigIntent:
-		rec := decodeWalBucketDrop(r) // same payload layout as tag 38
+		rec := readBucketDropRec(r)
 		if err := r.Err(); err != nil {
 			return fmt.Errorf("cluster: wal record %d: %w", seq, err)
 		}
@@ -419,16 +419,16 @@ func (s *Snode) applyWalRecord(seq uint64, payload []byte) error {
 		delete(s.inDoubt, p)
 		return nil
 	case walTagReplSync:
-		rec := decodeWalReplSync(r)
+		p, data := readBucket(r)
 		if err := r.Err(); err != nil {
 			return fmt.Errorf("cluster: wal record %d: %w", seq, err)
 		}
 		// Mirror handleReplSync: replace only this exact bucket, sparing
 		// strictly deeper ones (they can only exist if the sync's sender
 		// was stale geometry).
-		s.delReplicaBucketLocked(rec.Partition)
-		s.setReplicaBucketLocked(rec.Partition, newStore(rec.Data))
-		delete(s.rprov, rec.Partition)
+		s.delReplicaBucketLocked(p)
+		s.setReplicaBucketLocked(p, newStore(data))
+		delete(s.rprov, p)
 		return nil
 	case walTagReplDrop:
 		ps := readPartitions(r)
@@ -440,7 +440,7 @@ func (s *Snode) applyWalRecord(seq uint64, payload []byte) error {
 		}
 		return nil
 	case walTagLpdr:
-		rec := decodeWalLpdr(r)
+		rec := readLpdrSync(r)
 		if err := r.Err(); err != nil {
 			return fmt.Errorf("cluster: wal record %d: %w", seq, err)
 		}

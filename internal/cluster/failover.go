@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/gob"
 	"fmt"
 	"sort"
 	"sync"
@@ -72,11 +71,6 @@ type promoteOrderReq struct {
 	ReplyTo   transport.NodeID
 }
 
-type promoteOrderResp struct {
-	Op  uint64
-	Err string
-}
-
 // overlapQueryReq asks whether the receiver knows — as owner, replica
 // holder, replica metadata or custody tomb — any partition strictly
 // deeper than Partition that overlaps it.  Partition geometry only ever
@@ -93,16 +87,6 @@ type overlapQueryReq struct {
 type overlapQueryResp struct {
 	Op     uint64
 	Deeper bool
-}
-
-func init() {
-	for _, m := range []any{
-		promoteQueryReq{}, promoteQueryResp{},
-		promoteOrderReq{}, promoteOrderResp{},
-		overlapQueryReq{}, overlapQueryResp{},
-	} {
-		gob.Register(m)
-	}
 }
 
 // failoverScan runs on every survivor after a crash notice: find the
@@ -320,7 +304,7 @@ func (s *Snode) electAndPromote(p hashspace.Partition, dead transport.NodeID, ca
 		s.log.Warn("failover: promotion order failed", "partition", p.String(), "winner", int(win.id), "err", err)
 		return
 	}
-	if resp := v.(promoteOrderResp); resp.Err != "" {
+	if resp := v.(ackResp); resp.Err != "" {
 		s.log.Warn("failover: promotion refused", "partition", p.String(), "winner", int(win.id), "err", resp.Err)
 	}
 }
@@ -344,7 +328,7 @@ func (s *Snode) handlePromoteQuery(m promoteQueryReq) {
 // Runs in its own goroutine: promotion journals durably and re-homes
 // replicas over the fabric.
 func (s *Snode) handlePromoteOrder(m promoteOrderReq) {
-	resp := promoteOrderResp{Op: m.Op}
+	resp := ackResp{Op: m.Op}
 	if err := s.promotePartition(m.Partition, m.Dead); err != nil {
 		resp.Err = err.Error()
 	}

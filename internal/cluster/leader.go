@@ -58,7 +58,7 @@ func (s *Snode) handleGroupInit(m groupInit) {
 	s.mu.Lock()
 	if _, dup := s.led[m.State.Group]; dup {
 		s.mu.Unlock()
-		s.send(m.ReplyTo, groupInitResp{Op: m.Op, Err: fmt.Sprintf("group %v already led at %d", m.State.Group, s.id)})
+		s.send(m.ReplyTo, ackResp{Op: m.Op, Err: fmt.Sprintf("group %v already led at %d", m.State.Group, s.id)})
 		return
 	}
 	st := m.State
@@ -73,7 +73,7 @@ func (s *Snode) handleGroupInit(m groupInit) {
 		dissolved = append(dissolved, parentGroup(st.Group))
 	}
 	s.broadcastSync(st, dissolved)
-	s.send(m.ReplyTo, groupInitResp{Op: m.Op})
+	s.send(m.ReplyTo, ackResp{Op: m.Op})
 }
 
 // parentGroup strips the most-significant digit of a child identifier.
@@ -95,7 +95,7 @@ func (s *Snode) routeJoin(m joinGroupReq) {
 	}
 	rep, ok := s.replicas[m.Group]
 	s.mu.Unlock()
-	if ok && rep.Leader != s.id && m.Hops < s.cfg.MaxHops {
+	if ok && rep.Leader != s.id && m.Hops < maxHops {
 		m.Hops++
 		s.stats.Forwards.Add(1)
 		s.send(rep.Leader, m)
@@ -123,7 +123,7 @@ func (s *Snode) routeLeave(m leaveVnodeReq) {
 	}
 	rep, ok := s.replicas[m.Group]
 	s.mu.Unlock()
-	if ok && rep.Leader != s.id && m.Hops < s.cfg.MaxHops {
+	if ok && rep.Leader != s.id && m.Hops < maxHops {
 		m.Hops++
 		s.stats.Forwards.Add(1)
 		s.send(rep.Leader, m)
@@ -231,7 +231,7 @@ func (s *Snode) leaderJoin(lg *ledGroup, m joinGroupReq) {
 				fail(rerr.Error())
 				return
 			}
-			if resp := v.(splitAllResp); resp.Err != "" {
+			if resp := v.(ackResp); resp.Err != "" {
 				fail(resp.Err)
 				return
 			}
@@ -314,7 +314,7 @@ func (s *Snode) splitLedGroup(lg *ledGroup, m joinGroupReq) {
 			s.send(m.ReplyTo, joinGroupResp{Op: m.Op, Err: err.Error()})
 			return
 		}
-		if resp := v.(groupInitResp); resp.Err != "" {
+		if resp := v.(ackResp); resp.Err != "" {
 			s.send(m.ReplyTo, joinGroupResp{Op: m.Op, Err: resp.Err})
 			return
 		}
@@ -370,7 +370,7 @@ func (s *Snode) leaderLeave(lg *ledGroup, m leaveVnodeReq) {
 		fail(err.Error())
 		return
 	}
-	if resp := v.(shipVnodeResp); resp.Err != "" {
+	if resp := v.(ackResp); resp.Err != "" {
 		fail(resp.Err)
 		return
 	}
@@ -426,7 +426,7 @@ func (s *Snode) relinquishLeadership() error {
 		if err != nil {
 			return err
 		}
-		if resp := v.(groupInitResp); resp.Err != "" {
+		if resp := v.(ackResp); resp.Err != "" {
 			return fmt.Errorf("cluster: handoff of %v to %d: %s", lg.id, target, resp.Err)
 		}
 	}

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/gob"
 	"time"
 
 	"dbdht/internal/cluster/transport"
@@ -87,8 +86,6 @@ func (s *Snode) decayLoads(dt float64) {
 
 // loadReportReq asks an snode for its rolled-up load report; the cluster
 // handle's balancer (and the metrics scrape) fans it out to every snode.
-// Rides the binary frame codec: with the balancer and scrapes polling
-// continuously these are steady-state traffic, not one-off control.
 type loadReportReq struct {
 	Op      uint64
 	ReplyTo transport.NodeID
@@ -105,11 +102,6 @@ type loadReportResp struct {
 	Reads  float64 // EWMA ops/s
 	Writes float64 // EWMA ops/s
 	Bytes  float64 // EWMA bytes/s
-}
-
-func init() {
-	gob.Register(loadReportReq{})
-	gob.Register(loadReportResp{})
 }
 
 // handleLoadReport rolls the snode's owned buckets up into one report.

@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"encoding/gob"
-
 	"dbdht/internal/cluster/transport"
 	"dbdht/internal/core"
 	"dbdht/internal/hashspace"
@@ -13,11 +11,17 @@ import (
 // requests keep both, so whichever snode completes the operation answers
 // the original requester directly.
 //
-// Over the TCP fabric, hot-path messages (batch req/resp, replica
-// fan-out, lookup, ping) ride the hand-rolled binary frame codec — see
-// wire.go.  The control messages in this file are gob-registered and use
-// the frame codec's gob fallback: they are orders of magnitude rarer, so
-// reflection cost is irrelevant and schema flexibility wins.
+// Over the TCP fabric every message rides the binary frame codec in
+// wire.go, the fabric's only encoding: a new message needs a tag, an
+// AppendWire method and a registered decoder there before it can be sent.
+
+// ackResp is the response of every request whose only outcome is success
+// or an error string: splitAllReq, shipVnodeReq, groupInit, the three
+// migration requests, replWriteReq, replSyncReq and promoteOrderReq.
+type ackResp struct {
+	Op  uint64
+	Err string
+}
 
 // memberInfo is one LPDR row: a vnode, its host and its partition count.
 type memberInfo struct {
@@ -114,11 +118,6 @@ type splitAllReq struct {
 	ReplyTo  transport.NodeID
 }
 
-type splitAllResp struct {
-	Op  uint64
-	Err string
-}
-
 // transferReq orders the host of From to hand one partition (its choice,
 // per §2.5 step 4a) to vnode To hosted at ToHost.
 type transferReq struct {
@@ -147,11 +146,6 @@ type shipVnodeReq struct {
 	ReplyTo transport.NodeID
 }
 
-type shipVnodeResp struct {
-	Op  uint64
-	Err string
-}
-
 // Partition contents travel by chunked live migration — see migrate.go
 // for migBeginReq/migChunkReq/migCommitReq/migAbortMsg.
 
@@ -163,11 +157,6 @@ type groupInit struct {
 	Op      uint64
 	State   lpdrState
 	ReplyTo transport.NodeID
-}
-
-type groupInitResp struct {
-	Op  uint64
-	Err string
 }
 
 // lpdrSyncMsg is the fire-and-forget replica refresh every member host (and
@@ -228,21 +217,4 @@ type pingReq struct {
 
 type pingResp struct {
 	Op uint64
-}
-
-func init() {
-	for _, m := range []any{
-		lookupReq{}, lookupResp{},
-		createVnodeReq{}, createVnodeResp{},
-		joinGroupReq{}, joinGroupResp{},
-		leaveVnodeReq{}, leaveVnodeResp{},
-		splitAllReq{}, splitAllResp{},
-		transferReq{}, transferResp{},
-		shipVnodeReq{}, shipVnodeResp{},
-		groupInit{}, groupInitResp{},
-		lpdrSyncMsg{}, bootstrapInfo{}, snodeLeavingMsg{}, snodeRecoveredMsg{},
-		pingReq{}, pingResp{},
-	} {
-		gob.Register(m)
-	}
 }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/gob"
 	"fmt"
 	"time"
 
@@ -55,9 +54,6 @@ import (
 // blind revert could resurrect a stale copy — the precise bug this
 // protocol exists to prevent).
 //
-// All five messages ride the hand-rolled binary frame codec (wire.go):
-// with the balancer migrating continuously they are data-plane volume,
-// not control-plane volume.
 
 // migSender is the outbound side's tracking state, hung off the live
 // bucket.  The pointer itself transitions under BOTH s.mu and the
@@ -109,11 +105,6 @@ type migBeginReq struct {
 	ReplyTo   transport.NodeID
 }
 
-type migBeginResp struct {
-	Op  uint64
-	Err string
-}
-
 // migChunkReq carries one bounded slice of the partition's contents (base
 // snapshot or delta round) into the staging bucket.
 type migChunkReq struct {
@@ -127,11 +118,6 @@ type migChunkReq struct {
 	private bool
 }
 
-type migChunkResp struct {
-	Op  uint64
-	Err string
-}
-
 // migCommitReq is the final, frozen-window delta: the receiver folds it in
 // and installs the staging bucket as the live owned partition.
 type migCommitReq struct {
@@ -143,28 +129,12 @@ type migCommitReq struct {
 	private   bool
 }
 
-type migCommitResp struct {
-	Op  uint64
-	Err string
-}
-
 // migAbortMsg discards a staging bucket after a sender-side failure
 // (fire-and-forget; a missed abort is bounded garbage, not corruption —
 // a later begin for the same partition replaces the staging bucket).
 type migAbortMsg struct {
 	To        VnodeName
 	Partition hashspace.Partition
-}
-
-func init() {
-	for _, m := range []any{
-		migBeginReq{}, migBeginResp{},
-		migChunkReq{}, migChunkResp{},
-		migCommitReq{}, migCommitResp{},
-		migAbortMsg{},
-	} {
-		gob.Register(m)
-	}
 }
 
 // --- sender side ---
@@ -196,7 +166,7 @@ func (s *Snode) sendChunk(toHost transport.NodeID, to VnodeName, p hashspace.Par
 	})
 	s.lat.migChunk.ObserveSince(t0)
 	if err == nil {
-		if resp := v.(migChunkResp); resp.Err != "" {
+		if resp := v.(ackResp); resp.Err != "" {
 			err = fmt.Errorf("cluster: migration chunk at %d: %s", toHost, resp.Err)
 		}
 	}
@@ -235,7 +205,7 @@ func (s *Snode) migratePartition(g core.GroupID, to VnodeName, toHost transport.
 		s.tracer.finish(root, s.id, err.Error())
 		return 0, err
 	}
-	if resp := v.(migBeginResp); resp.Err != "" {
+	if resp := v.(ackResp); resp.Err != "" {
 		err := fmt.Errorf("cluster: migration begin at %d: %s", toHost, resp.Err)
 		s.tracer.finish(root, s.id, err.Error())
 		return 0, err
@@ -306,7 +276,7 @@ func (s *Snode) migratePartition(g core.GroupID, to VnodeName, toHost transport.
 	// is spent (a write rate that outruns the stream indefinitely would
 	// otherwise never converge — the final delta then pays a longer freeze,
 	// bounded by the write rate times one round).
-	for round := 0; round < s.cfg.MigrationMaxDeltaRounds; round++ {
+	for round := 0; round < migrationMaxDeltaRounds; round++ {
 		bk.mu.Lock()
 		if len(bk.mig.dirty) <= chunk {
 			bk.mu.Unlock()
@@ -407,7 +377,7 @@ func (s *Snode) migratePartition(g core.GroupID, to VnodeName, toHost transport.
 		if err != nil {
 			return abortResolved(err)
 		}
-	} else if resp := v.(migCommitResp); resp.Err != "" {
+	} else if resp := v.(ackResp); resp.Err != "" {
 		return abortResolved(fmt.Errorf("cluster: migration commit at %d: %s", toHost, resp.Err))
 	}
 	moved += len(final)
@@ -476,7 +446,7 @@ func (s *Snode) handleMigBegin(m migBeginReq) {
 	s.mu.Lock()
 	if _, ok := s.vnodes[m.To]; !ok {
 		s.mu.Unlock()
-		s.send(m.ReplyTo, migBeginResp{Op: m.Op, Err: fmt.Sprintf("vnode %v not allocated at %d", m.To, s.id)})
+		s.send(m.ReplyTo, ackResp{Op: m.Op, Err: fmt.Sprintf("vnode %v not allocated at %d", m.To, s.id)})
 		return
 	}
 	s.migIn[m.Partition] = &migInbound{
@@ -484,23 +454,21 @@ func (s *Snode) handleMigBegin(m migBeginReq) {
 		data: newStore(nil),
 	}
 	s.mu.Unlock()
-	s.send(m.ReplyTo, migBeginResp{Op: m.Op})
+	s.send(m.ReplyTo, ackResp{Op: m.Op})
 }
 
 // handleMigChunk folds one chunk into the staging bucket.  Runs inline.
-//
-//dbdht:dataplane
 func (s *Snode) handleMigChunk(m migChunkReq) {
 	s.mu.Lock()
 	st, ok := s.migIn[m.Partition]
 	if !ok || st.to != m.To {
 		s.mu.Unlock()
-		s.send(m.ReplyTo, migChunkResp{Op: m.Op, Err: fmt.Sprintf("no migration staged for %v at %d", m.Partition, s.id)})
+		s.send(m.ReplyTo, ackResp{Op: m.Op, Err: fmt.Sprintf("no migration staged for %v at %d", m.Partition, s.id)})
 		return
 	}
 	applyMigItems(st.data, m.Items, m.private)
 	s.mu.Unlock()
-	s.send(m.ReplyTo, migChunkResp{Op: m.Op})
+	s.send(m.ReplyTo, ackResp{Op: m.Op})
 }
 
 // handleMigCommit applies the final delta and installs the staging bucket
@@ -508,8 +476,6 @@ func (s *Snode) handleMigChunk(m migChunkReq) {
 // whole-bucket install, same bookkeeping: ownership index, level/group
 // adoption, custody cleanup, replica re-homing before the ack.  Runs in
 // its own goroutine (re-homing performs nested RPCs).
-//
-//dbdht:dataplane
 func (s *Snode) handleMigCommit(m migCommitReq, tr transport.TraceContext) {
 	sp := beginSpan(tr, "mig.install")
 	defer func() { s.tracer.finish(sp, s.id, "") }()
@@ -517,14 +483,14 @@ func (s *Snode) handleMigCommit(m migCommitReq, tr transport.TraceContext) {
 	st, ok := s.migIn[m.Partition]
 	if !ok || st.to != m.To {
 		s.mu.Unlock()
-		s.send(m.ReplyTo, migCommitResp{Op: m.Op, Err: fmt.Sprintf("no migration staged for %v at %d", m.Partition, s.id)})
+		s.send(m.ReplyTo, ackResp{Op: m.Op, Err: fmt.Sprintf("no migration staged for %v at %d", m.Partition, s.id)})
 		return
 	}
 	vs, ok := s.vnodes[m.To]
 	if !ok {
 		delete(s.migIn, m.Partition)
 		s.mu.Unlock()
-		s.send(m.ReplyTo, migCommitResp{Op: m.Op, Err: fmt.Sprintf("vnode %v not allocated at %d", m.To, s.id)})
+		s.send(m.ReplyTo, ackResp{Op: m.Op, Err: fmt.Sprintf("vnode %v not allocated at %d", m.To, s.id)})
 		return
 	}
 	applyMigItems(st.data, m.Items, m.private)
@@ -548,19 +514,19 @@ func (s *Snode) handleMigCommit(m migCommitReq, tr transport.TraceContext) {
 		// by the pointer check below.
 		s.mu.Unlock()
 		if !s.durWaitSeq(seq) {
-			s.send(m.ReplyTo, migCommitResp{Op: m.Op, Err: fmt.Sprintf("snode %d stopping: install not durable", s.id)})
+			s.send(m.ReplyTo, ackResp{Op: m.Op, Err: fmt.Sprintf("snode %d stopping: install not durable", s.id)})
 			return
 		}
 		s.mu.Lock()
 		if cur, ok := s.migIn[m.Partition]; !ok || cur != st {
 			s.mu.Unlock()
-			s.send(m.ReplyTo, migCommitResp{Op: m.Op, Err: fmt.Sprintf("migration for %v superseded at %d", m.Partition, s.id)})
+			s.send(m.ReplyTo, ackResp{Op: m.Op, Err: fmt.Sprintf("migration for %v superseded at %d", m.Partition, s.id)})
 			return
 		}
 		if vs, ok = s.vnodes[m.To]; !ok {
 			delete(s.migIn, m.Partition)
 			s.mu.Unlock()
-			s.send(m.ReplyTo, migCommitResp{Op: m.Op, Err: fmt.Sprintf("vnode %v not allocated at %d", m.To, s.id)})
+			s.send(m.ReplyTo, ackResp{Op: m.Op, Err: fmt.Sprintf("vnode %v not allocated at %d", m.To, s.id)})
 			return
 		}
 	}
@@ -572,7 +538,7 @@ func (s *Snode) handleMigCommit(m migCommitReq, tr transport.TraceContext) {
 	if s.cfg.Replicas > 1 {
 		s.rehomeReplicas(m.Partition)
 	}
-	s.send(m.ReplyTo, migCommitResp{Op: m.Op})
+	s.send(m.ReplyTo, ackResp{Op: m.Op})
 }
 
 // installBucketLocked makes data the live owned bucket of a partition at

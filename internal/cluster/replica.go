@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/gob"
 	"fmt"
 	"sort"
 	"sync"
@@ -101,11 +100,6 @@ type replWriteReq struct {
 	private bool
 }
 
-type replWriteResp struct {
-	Op  uint64
-	Err string
-}
-
 // partDigest is one partition's (key count, order-independent checksum)
 // as its primary holds it — see kvStore.
 type partDigest struct {
@@ -141,27 +135,10 @@ type replSyncReq struct {
 	ReplyTo   transport.NodeID
 }
 
-type replSyncResp struct {
-	Op  uint64
-	Err string
-}
-
 // replDropMsg tells a host to discard replica buckets it no longer backs
 // (fire-and-forget; a missed drop is garbage, not corruption).
 type replDropMsg struct {
 	Partitions []hashspace.Partition
-}
-
-func init() {
-	for _, m := range []any{
-		viewUpdate{},
-		replWriteReq{}, replWriteResp{},
-		replProbeReq{}, replProbeResp{},
-		replSyncReq{}, replSyncResp{},
-		replDropMsg{},
-	} {
-		gob.Register(m)
-	}
 }
 
 // overlapping reports whether two binary-trie partitions intersect, i.e.
@@ -337,8 +314,6 @@ func (s *Snode) handleViewUpdate(m viewUpdate) {
 	s.mu.Unlock()
 }
 
-//
-//dbdht:dataplane
 func (s *Snode) handleReplWrite(m replWriteReq, tr transport.TraceContext) {
 	sp := beginSpan(tr, "repl.write")
 	s.mu.Lock()
@@ -353,14 +328,14 @@ func (s *Snode) handleReplWrite(m replWriteReq, tr transport.TraceContext) {
 	s.stats.ReplWrites.Add(applied)
 	if s.durFastAck() {
 		s.tracer.finish(sp, s.id, "")
-		s.send(m.ReplyTo, replWriteResp{Op: m.Op})
+		s.send(m.ReplyTo, ackResp{Op: m.Op})
 		return
 	}
 	// The handler runs inline in the actor loop; the group-fsync wait
 	// must not stall message dispatch, so the durable ack rides its own
 	// goroutine.
 	go func() {
-		resp := replWriteResp{Op: m.Op}
+		resp := ackResp{Op: m.Op}
 		t0 := time.Now()
 		if !s.durWaitSeq(seq) {
 			resp.Err = fmt.Sprintf("snode %d stopping: replica write not durable", s.id)
@@ -450,11 +425,11 @@ func (s *Snode) handleReplSync(m replSyncReq) {
 	})
 	s.mu.Unlock()
 	if s.durFastAck() {
-		s.send(m.ReplyTo, replSyncResp{Op: m.Op})
+		s.send(m.ReplyTo, ackResp{Op: m.Op})
 		return
 	}
 	go func() { // inline handler: the fsync wait must not stall the actor
-		resp := replSyncResp{Op: m.Op}
+		resp := ackResp{Op: m.Op}
 		if !s.durWaitSeq(seq) {
 			resp.Err = fmt.Sprintf("snode %d stopping: replica sync not durable", s.id)
 		}
@@ -482,8 +457,6 @@ func (s *Snode) handleReplDrop(m replDropMsg) {
 // replica), so a probe planned against the pre-promotion placement must
 // serve from the promoted bucket — not from whatever stale shallower
 // replica leftover still covers the key.
-//
-//dbdht:dataplane
 func (s *Snode) serveReplicaRead(m batchReq, tr transport.TraceContext) {
 	sp := beginSpan(tr, "repl.read")
 	results := make([]batchItemResp, len(m.Items))
@@ -557,8 +530,6 @@ type replFanMeta struct {
 // repairs the replica later); an error is returned only when this snode is
 // stopping, in which case the write must NOT be acknowledged — the
 // primary's copy dies with it.
-//
-//dbdht:dataplane
 func (s *Snode) replicate(kind dataOp, writes map[hashspace.Partition][]batchItem, dests map[hashspace.Partition][]transport.NodeID, meta map[hashspace.Partition]replFanMeta, tr transport.TraceContext) error {
 	byHost := make(map[transport.NodeID][]replWriteSet)
 	for p, items := range writes {
@@ -694,7 +665,7 @@ func (s *Snode) syncReplica(p hashspace.Partition, host transport.NodeID) (ok bo
 	}
 	select {
 	case v := <-ch:
-		if resp := v.(replSyncResp); resp.Err != "" {
+		if resp := v.(ackResp); resp.Err != "" {
 			return true, fmt.Errorf("cluster: replica sync at %d: %s", host, resp.Err)
 		}
 		return true, nil

@@ -357,6 +357,42 @@ func TestCrashFailoverTCP(t *testing.T) {
 	runCrashWorkload(t, c, 8, 128)
 }
 
+// TestCrashFailoverTCPThreeCopies: at R=3 two replicas survive each dead
+// primary, so the election is a real exchange over real sockets — the
+// coordinator queries the other replica host (promoteQueryReq/Resp) and,
+// when that host holds the winning copy, orders it to promote
+// (promoteOrderReq).  At R=2 the lone replica promotes itself without a
+// message.
+func TestCrashFailoverTCPThreeCopies(t *testing.T) {
+	c := newReplicatedCluster(t, transport.NewTCP("127.0.0.1"), 5, 3, 35)
+	runCrashWorkload(t, c, 10, 128)
+	waitConverged(t, c)
+	if st := c.StatsTotal(); st.Elections == 0 || st.Promotions == 0 {
+		t.Fatalf("elections = %d, promotions = %d; the R=3 crash ran no election", st.Elections, st.Promotions)
+	}
+	// The coordinator usually wins its own election (ties go to the lower
+	// id), so send one order explicitly: a duplicate for a partition its
+	// receiver already owns must succeed without side effects.
+	owner := c.Snapshot().Vnodes[0]
+	var from *Snode
+	c.mu.Lock()
+	for id, s := range c.snodes {
+		if id != owner.Host {
+			from = s
+		}
+	}
+	c.mu.Unlock()
+	v, err := from.rpc(owner.Host, func(op uint64) any {
+		return promoteOrderReq{Op: op, Partition: owner.Partitions[0], Dead: -2, ReplyTo: from.id}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp := v.(ackResp); resp.Err != "" {
+		t.Fatalf("duplicate promotion order refused: %s", resp.Err)
+	}
+}
+
 // TestAntiEntropyRehomesAfterCrash kills a replica-holding snode and
 // expects failover promotion plus the background anti-entropy pass to
 // restore full coverage at R copies on the shrunken view, so a *second*

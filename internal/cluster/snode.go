@@ -24,8 +24,6 @@ type Config struct {
 	// (default 30s — generous, because the model assumes a reliable
 	// cluster network and a timeout indicates a bug, not a failure).
 	RPCTimeout time.Duration
-	// MaxHops bounds lookup/forwarding chains (default 512).
-	MaxHops int
 	// Seed derives each snode's private RNG.
 	Seed int64
 	// Replicas is R, the number of copies of every partition (primary
@@ -40,21 +38,12 @@ type Config struct {
 	// (mid-transfer) partition to settle before failing per key
 	// (default 5s).
 	FreezeTimeout time.Duration
-	// Transfer selects the victim-partition policy.  §2.5 step 4a says
-	// "choose a victim partition" without fixing the choice; the policy is
-	// invisible to balancement quality (all partitions in a scope have the
-	// same size) but changes the *migration cost* in moved keys.
-	Transfer TransferPolicy
 	// LoadInterval paces the per-bucket EWMA load accounting tick
 	// (default 500ms; see load.go).
 	LoadInterval time.Duration
 	// MigrationChunkKeys bounds how many keys one chunk of a live
 	// partition migration carries (default 512; see migrate.go).
 	MigrationChunkKeys int
-	// MigrationMaxDeltaRounds bounds how many live delta rounds a
-	// migration spends chasing concurrent writes before freezing for the
-	// final delta (default 4).
-	MigrationMaxDeltaRounds int
 	// Balance configures the autonomous load-aware balancer at the
 	// cluster handle (see balancer.go).  Zero value: background loop off,
 	// BalanceNow still available with default thresholds.
@@ -86,16 +75,13 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-// TransferPolicy is the victim-partition selection rule.
-type TransferPolicy int
-
 const (
-	// TransferRandom picks uniformly among the victim's partitions (the
-	// default; matches the simulator).
-	TransferRandom TransferPolicy = iota
-	// TransferFewestKeys picks the partition currently storing the fewest
-	// keys, minimizing data movement per handover.
-	TransferFewestKeys
+	// maxHops bounds lookup/forwarding chains.
+	maxHops = 512
+	// migrationMaxDeltaRounds bounds how many live delta rounds a
+	// migration spends chasing concurrent writes before freezing for the
+	// final delta.
+	migrationMaxDeltaRounds = 4
 )
 
 func (c Config) withDefaults() (Config, error) {
@@ -107,9 +93,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.RPCTimeout == 0 {
 		c.RPCTimeout = 30 * time.Second
-	}
-	if c.MaxHops == 0 {
-		c.MaxHops = 512
 	}
 	if c.Replicas == 0 {
 		c.Replicas = 1
@@ -128,9 +111,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.MigrationChunkKeys == 0 {
 		c.MigrationChunkKeys = 512
-	}
-	if c.MigrationMaxDeltaRounds == 0 {
-		c.MigrationMaxDeltaRounds = 4
 	}
 	if c.Balance.QuotaDeviation == 0 {
 		c.Balance.QuotaDeviation = 0.15
@@ -494,13 +474,14 @@ func (s *Snode) randShuffle(n int, swap func(i, j int)) {
 
 // send fires one message; errors mean the destination left the fabric,
 // which the failure-free model treats as a programming error surfaced to
-// callers via timeouts.
-func (s *Snode) send(to transport.NodeID, msg any) {
+// callers via timeouts.  The parameter type keeps a message without a
+// wire codec — the other error Send can return — from compiling.
+func (s *Snode) send(to transport.NodeID, msg transport.WireMessage) {
 	_ = s.net.Send(transport.Envelope{From: s.id, To: to, Msg: msg})
 }
 
 // sendTr is send with a trace context riding the envelope.
-func (s *Snode) sendTr(to transport.NodeID, tr transport.TraceContext, msg any) {
+func (s *Snode) sendTr(to transport.NodeID, tr transport.TraceContext, msg transport.WireMessage) {
 	_ = s.net.Send(transport.Envelope{From: s.id, To: to, Trace: tr, Msg: msg})
 }
 
@@ -562,19 +543,15 @@ func (s *Snode) loop() {
 	for env := range s.inbox {
 		s.stats.MsgsIn.Add(1)
 		switch m := env.Msg.(type) {
+		case ackResp:
+			s.deliver(m.Op, m)
 		case lookupResp:
 			s.deliver(m.Op, m)
 		case joinGroupResp:
 			s.deliver(m.Op, m)
 		case leaveVnodeResp:
 			s.deliver(m.Op, m)
-		case splitAllResp:
-			s.deliver(m.Op, m)
 		case transferResp:
-			s.deliver(m.Op, m)
-		case shipVnodeResp:
-			s.deliver(m.Op, m)
-		case groupInitResp:
 			s.deliver(m.Op, m)
 		case pingResp:
 			s.deliver(m.Op, m)
@@ -600,16 +577,10 @@ func (s *Snode) loop() {
 			go s.handleShipVnode(m)
 		case migBeginReq:
 			s.handleMigBegin(m)
-		case migBeginResp:
-			s.deliver(m.Op, m)
 		case migChunkReq:
 			s.handleMigChunk(m)
-		case migChunkResp:
-			s.deliver(m.Op, m)
 		case migCommitReq:
 			go s.handleMigCommit(m, env.Trace)
-		case migCommitResp:
-			s.deliver(m.Op, m)
 		case migAbortMsg:
 			s.handleMigAbort(m)
 		case loadReportReq:
@@ -632,16 +603,12 @@ func (s *Snode) loop() {
 			s.handleViewUpdate(m)
 		case replWriteReq:
 			s.handleReplWrite(m, env.Trace)
-		case replWriteResp:
-			s.deliver(m.Op, m)
 		case replProbeReq:
 			s.handleReplProbe(m)
 		case replProbeResp:
 			s.deliver(m.Op, m)
 		case replSyncReq:
 			s.handleReplSync(m)
-		case replSyncResp:
-			s.deliver(m.Op, m)
 		case replDropMsg:
 			s.handleReplDrop(m)
 		case promoteQueryReq:
@@ -650,8 +617,6 @@ func (s *Snode) loop() {
 			s.deliver(m.Op, m)
 		case promoteOrderReq:
 			go s.handlePromoteOrder(m)
-		case promoteOrderResp:
-			s.deliver(m.Op, m)
 		case overlapQueryReq:
 			s.handleOverlapQuery(m)
 		case overlapQueryResp:
@@ -720,7 +685,7 @@ func (s *Snode) ownsLocked(h hashspace.Index) (*vnodeState, hashspace.Partition,
 // progress — a stale self-pointer is skipped, and a self-pointing boot
 // fallback means the region is orphaned (its chain died with a crashed
 // snode) and the request must fail fast instead of ping-ponging through
-// the fallback until MaxHops.  Before this guard a single crash could
+// the fallback until maxHops.  Before this guard a single crash could
 // leave every lookup of an orphaned region spinning 512 hops through the
 // survivors' mailboxes, congesting the data plane for seconds.
 func (s *Snode) forwardTargetLocked(h hashspace.Index, useCache bool) (ownerRef, bool) {
@@ -778,8 +743,6 @@ func (s *Snode) setCacheLocked(p hashspace.Partition, ref ownerRef) {
 // A traced lookup records one span per snode visited — "lookup.serve" at
 // the owner, "lookup.hop" at every forwarder — so a custody chain is
 // visible end to end.
-//
-//dbdht:dataplane
 func (s *Snode) handleLookup(m lookupReq, tr transport.TraceContext) {
 	sp := beginSpan(tr, "lookup.serve")
 	s.mu.Lock()
@@ -797,7 +760,7 @@ func (s *Snode) handleLookup(m lookupReq, tr transport.TraceContext) {
 		})
 		return
 	}
-	if m.Hops >= s.cfg.MaxHops {
+	if m.Hops >= maxHops {
 		s.mu.Unlock()
 		s.tracer.finish(sp, s.id, "max-hops")
 		s.send(m.ReplyTo, lookupResp{Op: m.Op, Err: fmt.Sprintf("lookup exceeded %d hops", m.Hops)})
@@ -868,7 +831,7 @@ func (s *Snode) handleSplitAll(m splitAllReq) {
 		// acknowledged.
 		s.durWaitSeq(seq)
 	}
-	s.send(m.ReplyTo, splitAllResp{Op: m.Op})
+	s.send(m.ReplyTo, ackResp{Op: m.Op})
 }
 
 // splitGroupLocked splits every joined vnode of the group below newLevel
@@ -924,8 +887,11 @@ func (s *Snode) handleTransfer(m transferReq) {
 		s.send(m.ReplyTo, transferResp{Op: m.Op, Err: fmt.Sprintf("vnode %v at level %d, leader expects %d", m.From, vs.level, m.Level)})
 		return
 	}
-	// Pick the victim partition (the paper leaves the choice open): any
-	// live partition not already streaming out, per the configured policy.
+	// Pick the victim partition uniformly among the live ones not already
+	// streaming out.  §2.5 step 4a says "choose a victim partition"
+	// without fixing the choice: all partitions in a scope have the same
+	// size, so it is invisible to balancement quality, and random matches
+	// the simulator.
 	var candidates []hashspace.Partition
 	for p, bk := range vs.parts {
 		if bk.state == bucketLive && bk.mig == nil { //lint:dbdht lockguard state and mig transition under BOTH s.mu and bk.mu, so this read under s.mu is race-free
@@ -943,18 +909,7 @@ func (s *Snode) handleTransfer(m transferReq) {
 		}
 		return candidates[i].Prefix < candidates[j].Prefix
 	})
-	var p hashspace.Partition
-	switch s.cfg.Transfer {
-	case TransferFewestKeys:
-		p = candidates[0]
-		for _, c := range candidates[1:] {
-			if vs.parts[c].keys() < vs.parts[p].keys() {
-				p = c
-			}
-		}
-	default:
-		p = candidates[s.randIntn(len(candidates))]
-	}
+	p := candidates[s.randIntn(len(candidates))]
 	bk := vs.parts[p]
 	s.mu.Unlock()
 
@@ -985,7 +940,7 @@ func (s *Snode) handleShipVnode(m shipVnodeReq) {
 	vs, ok := s.vnodes[m.Vnode]
 	if !ok {
 		s.mu.Unlock()
-		s.send(m.ReplyTo, shipVnodeResp{Op: m.Op, Err: fmt.Sprintf("vnode %v not hosted at %d", m.Vnode, s.id)})
+		s.send(m.ReplyTo, ackResp{Op: m.Op, Err: fmt.Sprintf("vnode %v not hosted at %d", m.Vnode, s.id)})
 		return
 	}
 	parts := make([]hashspace.Partition, 0, len(vs.parts))
@@ -995,7 +950,7 @@ func (s *Snode) handleShipVnode(m shipVnodeReq) {
 	sort.Slice(parts, func(i, j int) bool { return parts[i].Prefix < parts[j].Prefix })
 	if len(parts) != len(m.Dests) {
 		s.mu.Unlock()
-		s.send(m.ReplyTo, shipVnodeResp{Op: m.Op, Err: fmt.Sprintf("vnode %v has %d partitions, plan has %d dests", m.Vnode, len(parts), len(m.Dests))})
+		s.send(m.ReplyTo, ackResp{Op: m.Op, Err: fmt.Sprintf("vnode %v has %d partitions, plan has %d dests", m.Vnode, len(parts), len(m.Dests))})
 		return
 	}
 	group, level := vs.group, vs.level
@@ -1007,7 +962,7 @@ func (s *Snode) handleShipVnode(m shipVnodeReq) {
 		s.mu.Unlock()
 		dest := m.Dests[i]
 		if _, err := s.migratePartition(group, dest.Vnode, dest.Host, p, level, vs, bk); err != nil {
-			s.send(m.ReplyTo, shipVnodeResp{Op: m.Op, Err: err.Error()})
+			s.send(m.ReplyTo, ackResp{Op: m.Op, Err: err.Error()})
 			return
 		}
 	}
@@ -1015,7 +970,7 @@ func (s *Snode) handleShipVnode(m shipVnodeReq) {
 	delete(s.vnodes, m.Vnode)
 	s.durAppendWith(func(b []byte) []byte { return encodeWalVnodeGone(b, m.Vnode) })
 	s.mu.Unlock()
-	s.send(m.ReplyTo, shipVnodeResp{Op: m.Op})
+	s.send(m.ReplyTo, ackResp{Op: m.Op})
 }
 
 // routingTable snapshots this snode's custody pointers, to be bequeathed to
@@ -1085,7 +1040,7 @@ func (s *Snode) handleSync(m lpdrSyncMsg) {
 			vs.joined = true
 		}
 	}
-	s.durAppendWith(func(b []byte) []byte { return encodeWalLpdr(b, st, m.Dissolved) })
+	s.durAppendWith(func(b []byte) []byte { return encodeWalLpdr(b, m) })
 	s.mu.Unlock()
 }
 
@@ -1213,7 +1168,7 @@ func (s *Snode) bootstrapFirstVnode(name VnodeName) error {
 		rec.Parts = append(rec.Parts, p)
 	}
 	s.durAppendWith(func(b []byte) []byte { return encodeWalVnode(b, rec) })
-	s.durAppendWith(func(b []byte) []byte { return encodeWalLpdr(b, st, nil) })
+	s.durAppendWith(func(b []byte) []byte { return encodeWalLpdr(b, lpdrSyncMsg{State: st}) })
 	seq := s.durAppendWith(func(b []byte) []byte { return encodeWalBoot(b, s.boot) })
 	s.mu.Unlock()
 	if s.dur != nil && !s.durFastAck() && !s.durWaitSeq(seq) {

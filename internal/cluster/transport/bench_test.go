@@ -2,16 +2,14 @@ package transport
 
 import (
 	"bytes"
-	"encoding/gob"
 	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// benchPayload models a hot-path message: a 16-item batch with 64-byte
-// values, implemented both as a WireMessage (binary path) and as a plain
-// gob-registered struct (fallback path).
+// benchPayloadBinary models a hot-path message: a 16-item batch with
+// 64-byte values.
 type benchPayloadBinary struct {
 	Op    uint64
 	Items []benchItem
@@ -51,13 +49,6 @@ func init() {
 	})
 }
 
-type benchPayloadGob struct {
-	Op    uint64
-	Items []benchItem
-}
-
-func init() { gob.Register(benchPayloadGob{}) }
-
 func benchItems() []benchItem {
 	items := make([]benchItem, 16)
 	val := bytes.Repeat([]byte("x"), 64)
@@ -84,42 +75,9 @@ func BenchmarkEncodeFrameBinary(b *testing.B) {
 	b.SetBytes(int64(len(buf)))
 }
 
-// BenchmarkEncodeFrameGob measures the reflection fallback on the same
-// payload shape — the cost every hot message paid before the binary codec.
-func BenchmarkEncodeFrameGob(b *testing.B) {
-	env := Envelope{From: 1, To: 2, Msg: benchPayloadGob{Op: 7, Items: benchItems()}}
-	buf := make([]byte, 0, 4096)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		buf, err = AppendFrame(buf[:0], env)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(int64(len(buf)))
-}
-
 // BenchmarkDecodeFrameBinary is the read-side counterpart.
 func BenchmarkDecodeFrameBinary(b *testing.B) {
 	frame, err := AppendFrame(nil, Envelope{From: 1, To: 2, Msg: benchPayloadBinary{Op: 7, Items: benchItems()}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	body := frame[frameHeaderLen:]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := DecodeFrame(body); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDecodeFrameGob decodes the gob fallback frame.
-func BenchmarkDecodeFrameGob(b *testing.B) {
-	frame, err := AppendFrame(nil, Envelope{From: 1, To: 2, Msg: benchPayloadGob{Op: 7, Items: benchItems()}})
 	if err != nil {
 		b.Fatal(err)
 	}

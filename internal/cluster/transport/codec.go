@@ -1,9 +1,7 @@
 package transport
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -14,24 +12,17 @@ import (
 //
 //	uint32   big-endian length of the frame body
 //	byte     wire version (wireVersion; mismatches fail loudly)
-//	byte     format: formatBinary or formatGob
 //	byte     flags: flagTrace | flagSampled
 //	uvarint  trace ID   (only when flagTrace is set)
 //	uvarint  span ID    (only when flagTrace is set)
-//
-// followed, for formatBinary, by
-//
 //	varint   From (zigzag — NodeID may be negative, the client endpoint)
 //	varint   To
 //	uvarint  message type tag (see RegisterWire)
 //	...      the message's hand-rolled payload
 //
-// and, for formatGob, by a self-contained encoding/gob stream of the
-// Envelope.  Hot-path messages (batch req/resp, replica fan-out, lookup)
-// implement WireMessage and ride the binary path; rare control messages
-// (join/split/transfer/...) keep gob, whose reflection cost is irrelevant
-// at their volume.  The per-frame version byte makes a mixed cluster fail
-// with an explicit error instead of silently mis-decoding.
+// Every protocol message implements WireMessage; a payload that does not
+// is an encode error.  The per-frame version byte makes a mixed cluster
+// fail with an explicit error instead of silently mis-decoding.
 //
 // Version history: v1 had no flags byte; v2 added it (with the optional
 // trace context) — a frame-level layout change, hence the bump per
@@ -42,13 +33,12 @@ import (
 // its ReplyTo.  v4 changed the anti-entropy probe pair (tags 7 and 8) in
 // place, for the same reason: one probe now carries every digest a
 // primary places at a host and the reply lists the mismatches, and an old
-// decoder would read the digest count as a partition prefix.
+// decoder would read the digest count as a partition prefix.  v5 dropped
+// the format byte that used to select between this codec and an
+// encoding/gob fallback: there is one codec, so nothing to select.
 
 const (
-	wireVersion byte = 4
-
-	formatGob    byte = 0
-	formatBinary byte = 1
+	wireVersion byte = 5
 
 	// Frame flags (v2+).  flagTrace marks a trace context present in the
 	// header; flagSampled carries the head-sampling decision.
@@ -61,15 +51,14 @@ const (
 
 	frameHeaderLen = 4 // length prefix
 
-	// minFrameBody is version + format + flags — the smallest well-formed
+	// minFrameBody is version + flags, the fixed-width start of every
 	// frame body.
-	minFrameBody = 3
+	minFrameBody = 2
 )
 
-// WireMessage is implemented by payloads with a hand-rolled binary codec.
-// AppendWire appends the payload encoding to buf and returns the extended
-// slice; the matching decoder is registered with RegisterWire under the
-// same tag.
+// WireMessage is implemented by every protocol message.  AppendWire
+// appends the payload encoding to buf and returns the extended slice; the
+// matching decoder is registered with RegisterWire under the same tag.
 type WireMessage interface {
 	WireTag() uint16
 	AppendWire(buf []byte) []byte
@@ -103,24 +92,28 @@ func wireDecoderFor(tag uint16) (WireDecoder, bool) {
 	return dec, ok
 }
 
-// Codec-path counters (process-wide).  The binary/gob split verifies that
-// hot-path messages never fall back to reflection-based encoding.
+// Process-wide counts of frames encoded and decoded.
 var (
-	binaryEncodes atomic.Int64
-	gobEncodes    atomic.Int64
-	binaryDecodes atomic.Int64
-	gobDecodes    atomic.Int64
+	frameEncodes atomic.Int64
+	frameDecodes atomic.Int64
 )
 
-// CodecCounters reports how many envelopes each codec path has handled
-// process-wide: (binary encodes, gob encodes, binary decodes, gob decodes).
+// CodecCounters reports how many frames this process has encoded and
+// decoded.  The second and fourth results counted a gob fallback path
+// that no longer exists and are always 0; the four-value signature stays
+// only because bench/ compiles against it.
 func CodecCounters() (binaryEnc, gobEnc, binaryDec, gobDec int64) {
-	return binaryEncodes.Load(), gobEncodes.Load(), binaryDecodes.Load(), gobDecodes.Load()
+	return frameEncodes.Load(), 0, frameDecodes.Load(), 0
 }
 
 // AppendFrame appends env as one complete frame (length prefix included)
-// and returns the extended buffer.  On error buf is returned unchanged.
+// and returns the extended buffer.  On error — a payload that is not a
+// WireMessage, or a frame over maxFrame — buf is returned unchanged.
 func AppendFrame(buf []byte, env Envelope) ([]byte, error) {
+	wm, ok := env.Msg.(WireMessage)
+	if !ok {
+		return buf, fmt.Errorf("transport: %T has no wire codec", env.Msg)
+	}
 	start := len(buf)
 	buf = append(buf, 0, 0, 0, 0) // length back-patched below
 	var flags byte
@@ -130,40 +123,21 @@ func AppendFrame(buf []byte, env Envelope) ([]byte, error) {
 	if env.Trace.Sampled {
 		flags |= flagSampled
 	}
-	appendTrace := func(buf []byte) []byte {
-		buf = append(buf, flags)
-		if flags&flagTrace != 0 {
-			buf = binary.AppendUvarint(buf, env.Trace.TraceID)
-			buf = binary.AppendUvarint(buf, env.Trace.SpanID)
-		}
-		return buf
+	buf = append(buf, wireVersion, flags)
+	if flags&flagTrace != 0 {
+		buf = binary.AppendUvarint(buf, env.Trace.TraceID)
+		buf = binary.AppendUvarint(buf, env.Trace.SpanID)
 	}
-	if wm, ok := env.Msg.(WireMessage); ok {
-		buf = append(buf, wireVersion, formatBinary)
-		buf = appendTrace(buf)
-		buf = binary.AppendVarint(buf, int64(env.From))
-		buf = binary.AppendVarint(buf, int64(env.To))
-		buf = binary.AppendUvarint(buf, uint64(wm.WireTag()))
-		buf = wm.AppendWire(buf)
-		binaryEncodes.Add(1)
-	} else {
-		buf = append(buf, wireVersion, formatGob)
-		buf = appendTrace(buf)
-		// The header owns the trace context for every format; zero it in
-		// the gob stream so it is not encoded twice.
-		env.Trace = TraceContext{}
-		var gb bytes.Buffer
-		if err := gob.NewEncoder(&gb).Encode(&env); err != nil {
-			return buf[:start], fmt.Errorf("transport: gob encode %T: %w", env.Msg, err)
-		}
-		buf = append(buf, gb.Bytes()...)
-		gobEncodes.Add(1)
-	}
+	buf = binary.AppendVarint(buf, int64(env.From))
+	buf = binary.AppendVarint(buf, int64(env.To))
+	buf = binary.AppendUvarint(buf, uint64(wm.WireTag()))
+	buf = wm.AppendWire(buf)
 	body := len(buf) - start - frameHeaderLen
 	if body > maxFrame {
-		return buf[:start], fmt.Errorf("transport: frame of %d bytes exceeds limit", body)
+		return buf[:start], fmt.Errorf("transport: %T frame of %d bytes exceeds the %d-byte limit", env.Msg, body, maxFrame)
 	}
 	binary.BigEndian.PutUint32(buf[start:], uint32(body))
+	frameEncodes.Add(1)
 	return buf, nil
 }
 
@@ -178,62 +152,38 @@ func DecodeFrame(body []byte) (Envelope, error) {
 	if body[0] != wireVersion {
 		return Envelope{}, fmt.Errorf("transport: peer speaks wire version %d, this node speaks %d — mixed cluster?", body[0], wireVersion)
 	}
-	format, flags := body[1], body[2]
+	flags := body[1]
 	if flags&^(flagTrace|flagSampled) != 0 {
 		// Unknown flag bits would mean a frame-level change that should
 		// have bumped the version — treat as corruption, not extension.
 		return Envelope{}, fmt.Errorf("transport: unknown frame flags %#x", flags)
 	}
+	r := NewWireReader(body[minFrameBody:])
 	var tr TraceContext
-	rest := body[3:]
 	if flags&flagTrace != 0 {
-		var n, m int
-		tr.TraceID, n = binary.Uvarint(rest)
-		if n > 0 {
-			tr.SpanID, m = binary.Uvarint(rest[n:])
-		}
-		if n <= 0 || m <= 0 {
-			return Envelope{}, fmt.Errorf("transport: truncated trace context in frame header")
-		}
-		rest = rest[n+m:]
+		tr.TraceID = r.Uvarint()
+		tr.SpanID = r.Uvarint()
 	}
 	tr.Sampled = flags&flagSampled != 0
-	switch format {
-	case formatBinary:
-		r := NewWireReader(rest)
-		from := r.Varint()
-		to := r.Varint()
-		tag := r.Uvarint()
-		if err := r.Err(); err != nil {
-			return Envelope{}, fmt.Errorf("transport: frame envelope header: %w", err)
-		}
-		if tag > uint64(^uint16(0)) {
-			return Envelope{}, fmt.Errorf("transport: wire tag %d out of range", tag)
-		}
-		dec, ok := wireDecoderFor(uint16(tag))
-		if !ok {
-			return Envelope{}, fmt.Errorf("transport: no decoder for wire tag %d — mixed cluster?", tag)
-		}
-		msg, err := dec(r)
-		if err != nil {
-			return Envelope{}, fmt.Errorf("transport: decode wire tag %d: %w", tag, err)
-		}
-		binaryDecodes.Add(1)
-		return Envelope{From: NodeID(from), To: NodeID(to), Trace: tr, Msg: msg}, nil
-	case formatGob:
-		var env Envelope
-		if err := gob.NewDecoder(bytes.NewReader(rest)).Decode(&env); err != nil {
-			return Envelope{}, fmt.Errorf("transport: gob decode frame: %w", err)
-		}
-		if env.Msg == nil {
-			return Envelope{}, fmt.Errorf("transport: gob frame decoded to an empty envelope")
-		}
-		env.Trace = tr
-		gobDecodes.Add(1)
-		return env, nil
-	default:
-		return Envelope{}, fmt.Errorf("transport: unknown frame format %d", format)
+	from := r.Varint()
+	to := r.Varint()
+	tag := r.Uvarint()
+	if err := r.Err(); err != nil {
+		return Envelope{}, fmt.Errorf("transport: frame envelope header: %w", err)
 	}
+	if tag > uint64(^uint16(0)) {
+		return Envelope{}, fmt.Errorf("transport: wire tag %d out of range", tag)
+	}
+	dec, ok := wireDecoderFor(uint16(tag))
+	if !ok {
+		return Envelope{}, fmt.Errorf("transport: no decoder for wire tag %d — mixed cluster?", tag)
+	}
+	msg, err := dec(r)
+	if err != nil {
+		return Envelope{}, fmt.Errorf("transport: decode wire tag %d: %w", tag, err)
+	}
+	frameDecodes.Add(1)
+	return Envelope{From: NodeID(from), To: NodeID(to), Trace: tr, Msg: msg}, nil
 }
 
 // --- encode helpers (append-style, mirrored by WireReader) ---
@@ -340,7 +290,7 @@ func (r *WireReader) Bool() bool {
 
 // Bytes reads a length-prefixed byte slice.  The result is a copy — the
 // frame buffer is pooled and reused after decode.  A zero-length slice
-// decodes as nil, matching gob's round-trip of empty values.
+// decodes as nil, so an empty value round-trips like an absent one.
 func (r *WireReader) Bytes() []byte {
 	n := r.Uvarint()
 	if r.err != nil {

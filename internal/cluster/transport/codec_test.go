@@ -84,19 +84,20 @@ func TestFrameRoundTripBinary(t *testing.T) {
 	}
 }
 
-func TestFrameRoundTripGobFallback(t *testing.T) {
-	// testMsg (registered with gob in transport_test.go) has no wire
-	// codec, so it must travel on the gob path.
-	frame := encodeFrame(t, Envelope{From: 3, To: 4, Msg: testMsg{Seq: 5, S: "fallback"}})
-	if frame[frameHeaderLen+1] != formatGob {
-		t.Fatalf("format byte %d, want gob", frame[frameHeaderLen+1])
+// TestAppendFrameRejectsPayloadWithoutCodec: there is one codec, so a
+// payload that does not implement WireMessage is an encode error that
+// leaves the caller's buffer as it was.
+func TestAppendFrameRejectsPayloadWithoutCodec(t *testing.T) {
+	buf := []byte("queued")
+	out, err := AppendFrame(buf, Envelope{From: 3, To: 4, Msg: map[string][]byte{"k": []byte("v")}})
+	if err == nil {
+		t.Fatal("payload without a wire codec encoded without error")
 	}
-	env, err := DecodeFrame(frame[frameHeaderLen:])
-	if err != nil {
-		t.Fatal(err)
+	if !strings.Contains(err.Error(), "map[string][]uint8") {
+		t.Fatalf("encode error %q does not name the payload type", err)
 	}
-	if got := env.Msg.(testMsg); got.Seq != 5 || got.S != "fallback" {
-		t.Fatalf("gob round trip: %+v", env.Msg)
+	if string(out) != "queued" {
+		t.Fatalf("buffer changed on encode error: %q", out)
 	}
 }
 
@@ -111,7 +112,7 @@ func TestDecodeFrameVersionMismatch(t *testing.T) {
 
 func TestDecodeFrameUnknownTag(t *testing.T) {
 	var body []byte
-	body = append(body, wireVersion, formatBinary, 0) // no flags
+	body = append(body, wireVersion, 0) // no flags
 	body = binary.AppendVarint(body, 1)
 	body = binary.AppendVarint(body, 2)
 	body = binary.AppendUvarint(body, 0xfffe) // never registered
@@ -122,25 +123,16 @@ func TestDecodeFrameUnknownTag(t *testing.T) {
 
 func TestFrameRoundTripTraceContext(t *testing.T) {
 	tr := TraceContext{TraceID: 0xfeedface12345678, SpanID: 42, Sampled: true}
-	// Binary path: trace context rides the frame header.
 	frame := encodeFrame(t, Envelope{From: -1, To: 3, Trace: tr, Msg: fuzzMsg{U: 7}})
 	env, err := DecodeFrame(frame[frameHeaderLen:])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if env.Trace != tr {
-		t.Fatalf("binary trace round trip: got %+v, want %+v", env.Trace, tr)
+		t.Fatalf("trace round trip: got %+v, want %+v", env.Trace, tr)
 	}
 	if !env.Trace.Active() {
 		t.Fatal("sampled trace context must be Active after decode")
-	}
-	// Gob path: the header owns the context there too.
-	frame = encodeFrame(t, Envelope{From: 1, To: 2, Trace: tr, Msg: testMsg{Seq: 9, S: "traced"}})
-	if env, err = DecodeFrame(frame[frameHeaderLen:]); err != nil {
-		t.Fatal(err)
-	}
-	if env.Trace != tr || env.Msg.(testMsg).Seq != 9 {
-		t.Fatalf("gob trace round trip: got %+v / %+v", env.Trace, env.Msg)
 	}
 	// An untraced envelope pays exactly one flags byte and decodes to the
 	// zero context.
@@ -158,32 +150,41 @@ func TestFrameRoundTripTraceContext(t *testing.T) {
 }
 
 func TestDecodeFrameOldVersionRejected(t *testing.T) {
-	// A v1 frame (no flags byte) from a pre-upgrade peer: the version check
-	// must reject it with the mixed-cluster error before misreading its
-	// envelope header as a flags byte.
-	var body []byte
-	body = append(body, 1, formatBinary) // v1 layout: version, format
-	body = binary.AppendVarint(body, -1)
-	body = binary.AppendVarint(body, 2)
-	body = binary.AppendUvarint(body, uint64(fuzzTag))
-	body = fuzzMsg{U: 1}.AppendWire(body)
-	_, err := DecodeFrame(body)
-	if err == nil {
-		t.Fatal("v1 frame must be rejected, not decoded")
+	// Frames from a pre-upgrade peer: the version check must reject them
+	// with the mixed-cluster error before misreading their header — a v1
+	// frame has no flags byte, a v4 frame a format byte where v5 has the
+	// flags.
+	envelope := func(body []byte) []byte {
+		body = binary.AppendVarint(body, -1)
+		body = binary.AppendVarint(body, 2)
+		body = binary.AppendUvarint(body, uint64(fuzzTag))
+		return fuzzMsg{U: 1}.AppendWire(body)
 	}
-	if want := "wire version 1"; !strings.Contains(err.Error(), want) {
-		t.Fatalf("rejection error %q does not name the peer's version", err)
+	for _, old := range []struct {
+		want string
+		body []byte
+	}{
+		{"wire version 1", envelope([]byte{1, 1})},    // v1: version, format
+		{"wire version 4", envelope([]byte{4, 1, 0})}, // v4: version, format, flags
+	} {
+		_, err := DecodeFrame(old.body)
+		if err == nil {
+			t.Fatalf("frame of %s must be rejected, not decoded", old.want)
+		}
+		if !strings.Contains(err.Error(), old.want) || !strings.Contains(err.Error(), "mixed cluster?") {
+			t.Fatalf("rejection error %q does not name the peer's %s and the mixed cluster", err, old.want)
+		}
 	}
 }
 
 func TestDecodeFrameBadTraceHeader(t *testing.T) {
 	// Truncated trace context: flags promise trace IDs the body lacks.
-	if _, err := DecodeFrame([]byte{wireVersion, formatBinary, flagTrace | flagSampled, 0x80}); err == nil {
+	if _, err := DecodeFrame([]byte{wireVersion, flagTrace | flagSampled, 0x80}); err == nil {
 		t.Fatal("truncated trace context must error")
 	}
 	// Unknown flag bits are corruption, not extension (a frame-level
 	// change bumps the version instead).
-	if _, err := DecodeFrame([]byte{wireVersion, formatBinary, 0x80}); err == nil {
+	if _, err := DecodeFrame([]byte{wireVersion, 0x80}); err == nil {
 		t.Fatal("unknown frame flags must error")
 	}
 }
@@ -223,11 +224,9 @@ func FuzzDecodeFrame(f *testing.F) {
 		U: 123, I: -9, B: true, Bs: []byte("payload"), S: "seed", Seq: []uint64{1, 2},
 	}})
 	f.Add(valid[frameHeaderLen:])
-	gobFrame := encodeFrame(f, Envelope{From: 1, To: 2, Msg: testMsg{Seq: 1, S: "gob"}})
-	f.Add(gobFrame[frameHeaderLen:])
 	f.Add([]byte{})
 	f.Add([]byte{wireVersion})
-	f.Add([]byte{wireVersion, formatBinary})
+	f.Add([]byte{wireVersion, 0})
 	f.Add([]byte{wireVersion, 99})
 	f.Fuzz(func(t *testing.T, body []byte) {
 		env, err := DecodeFrame(body) // must not panic

@@ -7,9 +7,9 @@
 // Two implementations are provided: an in-memory fabric built on unbounded
 // mailboxes (the default for simulations and tests), and a TCP fabric for
 // loopback or real interfaces.  On TCP every envelope travels as one
-// length-prefixed, versioned frame (codec.go): hot-path messages use
-// hand-rolled binary codecs registered via RegisterWire, rare control
-// messages fall back to encoding/gob, and each (From, To) pair owns one
+// length-prefixed, versioned frame (codec.go): payloads implement
+// WireMessage with a hand-rolled binary codec whose decoder is registered
+// via RegisterWire, and each (From, To) pair owns one
 // connection drained by a dedicated writer goroutine with a byte-budgeted
 // queue and flush coalescing.  docs/WIRE.md is the formal format spec.
 package transport

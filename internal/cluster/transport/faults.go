@@ -229,6 +229,11 @@ type delayLine struct {
 	closed   bool            // guarded by mu
 }
 
+type timedEnvelope struct {
+	env Envelope
+	due time.Time
+}
+
 func newDelayLine(deliver func(Envelope)) *delayLine {
 	l := &delayLine{deliver: deliver, wake: make(chan struct{}, 1)}
 	go l.pump()

@@ -135,18 +135,24 @@ func TestFaultsLinkDelay(t *testing.T) {
 				t.Fatalf("delayed link delivered in %v, want ≥ ~60ms", el)
 			}
 
-			// FIFO survives jitter: a later frame drawing a shorter delay
-			// must not overtake an earlier one.
-			f.SetLinkDelay([]NodeID{2}, []NodeID{1}, 20*time.Millisecond, 15*time.Millisecond)
-			const count = 30
-			for i := 0; i < count; i++ {
-				if err := n.Send(Envelope{From: 2, To: 1, Msg: testMsg{Seq: i}}); err != nil {
-					t.Fatal(err)
+			// FIFO survives a burst under the uniform delay, and under
+			// jitter, where a later frame drawing a shorter delay must not
+			// overtake an earlier one.
+			for _, rule := range []struct{ base, jitter time.Duration }{
+				{5 * time.Millisecond, 0},
+				{20 * time.Millisecond, 15 * time.Millisecond},
+			} {
+				f.SetLinkDelay([]NodeID{2}, []NodeID{1}, rule.base, rule.jitter)
+				const count = 30
+				for i := 0; i < count; i++ {
+					if err := n.Send(Envelope{From: 2, To: 1, Msg: testMsg{Seq: i}}); err != nil {
+						t.Fatal(err)
+					}
 				}
-			}
-			for i := 0; i < count; i++ {
-				if got := recvOne(t, in1).Msg.(testMsg).Seq; got != i {
-					t.Fatalf("jittered link reordered: got %d at position %d", got, i)
+				for i := 0; i < count; i++ {
+					if got := recvOne(t, in1).Msg.(testMsg).Seq; got != i {
+						t.Fatalf("link delayed %v±%v reordered: got %d at position %d", rule.base, rule.jitter, got, i)
+					}
 				}
 			}
 		})

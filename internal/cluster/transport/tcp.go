@@ -13,8 +13,7 @@ import (
 )
 
 // TCP is a fabric whose messages travel over real TCP connections as
-// length-prefixed frames (see codec.go): hot-path payloads use the
-// hand-rolled binary codec, the rest ride a per-frame gob fallback.
+// length-prefixed frames (see codec.go).
 // Endpoints listen on ephemeral loopback ports; the fabric object doubles
 // as the address registry (on a physical cluster this registry is the
 // deployment's static node list — the paper's model assumes cluster
@@ -134,7 +133,7 @@ func (t *TCP) Register(id NodeID) (<-chan Envelope, error) {
 	ep := &tcpEndpoint{
 		id:     id,
 		lis:    lis,
-		box:    newMailbox(0),
+		box:    newMailbox(),
 		budget: t.budget,
 		faults: t.faults,
 		conns:  make(map[NodeID]*outConn),
@@ -251,7 +250,8 @@ var errConnClosed = errors.New("transport: connection closed")
 // Send implements Network: the envelope is encoded by the sender and
 // enqueued on its per-destination connection within the queue's byte
 // budget.  Send fails synchronously when either endpoint is off the
-// fabric or the destination's writer queue is over budget (stalled
+// fabric, the envelope cannot be encoded (no wire codec, or a frame over
+// maxFrame) or the destination's writer queue is over budget (stalled
 // peer); transmission itself is asynchronous (a connection that later
 // breaks surfaces as RPC timeouts, and the next send redials).
 func (t *TCP) Send(env Envelope) error {
@@ -271,7 +271,7 @@ func (t *TCP) Send(env Envelope) error {
 	}
 	if err := oc.enqueue(env); err != nil {
 		if err != errConnClosed {
-			return err // over budget: fail fast, no retry
+			return err // unencodable or over budget: fail fast, no retry
 		}
 		// The connection failed under a concurrent writer error; fail()
 		// already removed it from the endpoint's map, so re-resolving
@@ -312,8 +312,11 @@ func (ep *tcpEndpoint) connTo(to NodeID, addr string) *outConn {
 // admissible on an empty queue (it is bounded by maxFrame anyway), so an
 // oversized payload, e.g. a whole-bucket replica sync, can never become
 // permanently unsendable.  errConnClosed means the record shut down (the
-// caller re-resolves and redials); a budget overflow drops the envelope,
-// tears the stalled connection down and returns a descriptive error.
+// caller re-resolves and redials); an encode error is returned with the
+// queue and the connection untouched, so the sender's RPC fails at once
+// instead of waiting out its timeout; a budget overflow drops the
+// envelope, tears the stalled connection down and returns a descriptive
+// error.
 func (oc *outConn) enqueue(env Envelope) error {
 	oc.mu.Lock()
 	if oc.closed {
@@ -323,11 +326,8 @@ func (oc *outConn) enqueue(env Envelope) error {
 	start := len(oc.buf)
 	buf, err := AppendFrame(oc.buf, env)
 	if err != nil {
-		// Unencodable payload: drop the envelope (as before), keep the
-		// connection.
 		oc.mu.Unlock()
-		log.Printf("transport: node %d→%d: dropping envelope: %v", env.From, env.To, err)
-		return nil
+		return fmt.Errorf("transport: send %d→%d: %w", env.From, env.To, err)
 	}
 	if start > oc.budget {
 		// The backlog already queued AHEAD of this envelope exceeds the

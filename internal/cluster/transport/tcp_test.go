@@ -134,3 +134,35 @@ func TestSendFailsFastOverBudget(t *testing.T) {
 		t.Fatalf("enqueue after teardown should start a fresh queue: %v", err)
 	}
 }
+
+// TestSendSurfacesEncodeError: a payload the codec cannot encode must fail
+// Send synchronously — an envelope that only looked sent would leave its
+// RPC waiting out the full timeout — and must leave the connection and
+// its queue usable.
+func TestSendSurfacesEncodeError(t *testing.T) {
+	tr := NewTCP("127.0.0.1")
+	defer tr.Close()
+	in, err := tr.Register(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tr.Register(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Send(Envelope{From: 2, To: 1, Msg: testMsg{Seq: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	type noCodec struct{ N int }
+	err = tr.Send(Envelope{From: 2, To: 1, Msg: noCodec{N: 2}})
+	if err == nil || !strings.Contains(err.Error(), "no wire codec") {
+		t.Fatalf("Send of a payload without a codec = %v, want an encode error", err)
+	}
+	if err := tr.Send(Envelope{From: 2, To: 1, Msg: testMsg{Seq: 3}}); err != nil {
+		t.Fatalf("send after an encode error: %v", err)
+	}
+	for _, want := range []int{1, 3} {
+		if got := recvOne(t, in).Msg.(testMsg).Seq; got != want {
+			t.Fatalf("received seq %d, want %d", got, want)
+		}
+	}
+}

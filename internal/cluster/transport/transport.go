@@ -31,9 +31,9 @@ type Envelope struct {
 	// Trace is the tracing context, propagated by value on the in-memory
 	// fabric and in the frame header on TCP.
 	Trace TraceContext
-	// Msg is the payload.  For the TCP fabric every concrete payload type
-	// must be registered with encoding/gob (the cluster package registers
-	// its protocol messages in init).
+	// Msg is the payload.  The TCP fabric carries only WireMessage
+	// payloads whose tag has a registered decoder (the cluster package
+	// registers its protocol messages in init); Send fails on any other.
 	Msg any
 }
 
@@ -55,10 +55,7 @@ type Network interface {
 
 // mailbox is an unbounded FIFO delivering into a channel.  Unboundedness
 // removes the send-blocks-receive deadlocks a bounded actor fabric invites,
-// matching the paper's reliable-cluster-network assumption.  A non-zero
-// latency models the interconnect's one-way delay: each envelope becomes
-// deliverable latency after it was pushed (FIFO order is preserved because
-// the delay is uniform).
+// matching the paper's reliable-cluster-network assumption.
 //
 // The common case — a request/response mailbox that is empty when a
 // message arrives — takes a fast path: push places the envelope straight
@@ -67,24 +64,17 @@ type Network interface {
 // nothing queued and nothing in flight, so FIFO order is preserved.
 type mailbox struct {
 	mu         sync.Mutex
-	queue      []timedEnvelope // guarded by mu
-	delivering bool            // pump holds an undelivered batch outside the lock; guarded by mu
+	queue      []Envelope // guarded by mu
+	delivering bool       // pump holds an undelivered batch outside the lock; guarded by mu
 	wake       chan struct{}
 	out        chan Envelope
 	closed     bool // guarded by mu
-	latency    time.Duration
 }
 
-type timedEnvelope struct {
-	env Envelope
-	due time.Time
-}
-
-func newMailbox(latency time.Duration) *mailbox {
+func newMailbox() *mailbox {
 	m := &mailbox{
-		wake:    make(chan struct{}, 1),
-		out:     make(chan Envelope, 256),
-		latency: latency,
+		wake: make(chan struct{}, 1),
+		out:  make(chan Envelope, 256),
 	}
 	go m.pump()
 	return m
@@ -92,16 +82,12 @@ func newMailbox(latency time.Duration) *mailbox {
 
 // push enqueues an envelope; returns false if the mailbox is closed.
 func (m *mailbox) push(env Envelope) bool {
-	te := timedEnvelope{env: env}
-	if m.latency > 0 {
-		te.due = time.Now().Add(m.latency)
-	}
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
 		return false
 	}
-	if m.latency == 0 && !m.delivering && len(m.queue) == 0 {
+	if !m.delivering && len(m.queue) == 0 {
 		// Nothing ahead of this envelope: hand it to the receiver
 		// directly if the channel has room.  The send happens under m.mu,
 		// so pushes cannot reorder against each other, and the pump only
@@ -113,7 +99,7 @@ func (m *mailbox) push(env Envelope) bool {
 		default:
 		}
 	}
-	m.queue = append(m.queue, te)
+	m.queue = append(m.queue, env)
 	m.mu.Unlock()
 	select {
 	case m.wake <- struct{}{}:
@@ -122,8 +108,7 @@ func (m *mailbox) push(env Envelope) bool {
 	return true
 }
 
-// pump moves queued envelopes to the out channel, preserving order and
-// honouring each envelope's delivery time.
+// pump moves queued envelopes to the out channel, preserving order.
 func (m *mailbox) pump() {
 	defer close(m.out)
 	for {
@@ -141,13 +126,8 @@ func (m *mailbox) pump() {
 		m.queue = nil
 		m.delivering = true
 		m.mu.Unlock()
-		for _, te := range batch {
-			if m.latency > 0 {
-				if wait := time.Until(te.due); wait > 0 {
-					time.Sleep(wait)
-				}
-			}
-			m.out <- te.env
+		for _, env := range batch {
+			m.out <- env
 		}
 		m.mu.Lock()
 		m.delivering = false
@@ -169,26 +149,17 @@ func (m *mailbox) close() {
 
 // Mem is the in-memory fabric.
 type Mem struct {
-	mu      sync.RWMutex
-	boxes   map[NodeID]*mailbox      // guarded by mu
-	faults  *Faults                  // nemesis plan, nil = healthy; guarded by mu
-	lines   map[faultLink]*delayLine // per-link delay queues; guarded by mu
-	closed  bool                     // guarded by mu
-	latency time.Duration
+	mu     sync.RWMutex
+	boxes  map[NodeID]*mailbox      // guarded by mu
+	faults *Faults                  // nemesis plan, nil = healthy; guarded by mu
+	lines  map[faultLink]*delayLine // per-link delay queues; guarded by mu
+	closed bool                     // guarded by mu
 }
 
-// NewMem returns an empty in-memory fabric with zero message latency.
+// NewMem returns an empty in-memory fabric with zero message latency; a
+// Faults plan (SetFaults, Faults.SetLinkDelay) adds per-link delay.
 func NewMem() *Mem {
 	return &Mem{boxes: make(map[NodeID]*mailbox)}
-}
-
-// NewMemLatency returns an in-memory fabric that delivers every message
-// after the given one-way delay, modeling a cluster interconnect (tens of
-// microseconds on the gigabit networks of the paper's era).  Used by the
-// parallelism ablation benchmarks, where serialization cost is latency-
-// dominated.
-func NewMemLatency(oneWay time.Duration) *Mem {
-	return &Mem{boxes: make(map[NodeID]*mailbox), latency: oneWay}
 }
 
 // SetFaults attaches a nemesis fault plan to the fabric.  Attach before
@@ -210,7 +181,7 @@ func (n *Mem) Register(id NodeID) (<-chan Envelope, error) {
 	if _, dup := n.boxes[id]; dup {
 		return nil, fmt.Errorf("transport: node %d already registered", id)
 	}
-	mb := newMailbox(n.latency)
+	mb := newMailbox()
 	n.boxes[id] = mb
 	return mb.out, nil
 }

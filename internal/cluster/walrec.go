@@ -12,10 +12,11 @@ import (
 // journaled as one typed record, encoded with the same varint helpers as
 // the wire codecs in wire.go and framed (length + CRC) by internal/wal.
 // A record's first field is its tag; tags share the number space with
-// the wire message tags 1–19 (see docs/WIRE.md) so a number can never
-// mean two different things — journal tags start at 32, leaving room for
-// future wire messages.  Like wire tags, they are a compatibility
-// contract: never renumber, only append.
+// the wire message tags (see docs/WIRE.md) so a number can never mean two
+// different things — the journal holds 32–63, wire messages 1–31 and 64
+// upwards.  Like wire tags, they are a compatibility contract: never
+// renumber, only append.  A record that journals what a wire message
+// carried reuses that message's body function from wire.go.
 //
 // Replay applies records in sequence order on top of the latest
 // snapshot; every record is idempotent (set/delete semantics, guarded
@@ -116,7 +117,7 @@ func appendLpdrState(b []byte, st lpdrState) []byte {
 func readLpdrState(r *transport.WireReader) lpdrState {
 	var st lpdrState
 	st.Group = readGroup(r)
-	st.Level = uint8(r.Uvarint())
+	st.Level = readLevel(r)
 	st.Leader = transport.NodeID(r.Varint())
 	if n := r.ArrayLen(3); n > 0 {
 		st.Members = make([]memberInfo, n)
@@ -208,6 +209,10 @@ type walVnodeRec struct {
 
 func encodeWalVnode(buf []byte, rec walVnodeRec) []byte {
 	buf = transport.AppendUvarint(buf, uint64(walTagVnode))
+	return appendVnodeRec(buf, rec)
+}
+
+func appendVnodeRec(buf []byte, rec walVnodeRec) []byte {
 	buf = appendVnodeName(buf, rec.Name)
 	buf = appendGroup(buf, rec.Group)
 	buf = transport.AppendUvarint(buf, uint64(rec.Level))
@@ -215,7 +220,7 @@ func encodeWalVnode(buf []byte, rec walVnodeRec) []byte {
 	return appendPartitions(buf, rec.Parts)
 }
 
-func decodeWalVnode(r *transport.WireReader) walVnodeRec {
+func readVnodeRec(r *transport.WireReader) walVnodeRec {
 	var rec walVnodeRec
 	rec.Name = readVnodeName(r)
 	rec.Group = readGroup(r)
@@ -230,25 +235,12 @@ func encodeWalVnodeGone(buf []byte, name VnodeName) []byte {
 	return appendVnodeName(buf, name)
 }
 
-// walSplitAllRec journals one scope-wide split; replay re-buckets the
+// encodeWalSplitAll journals one scope-wide split; replay re-buckets the
 // affected vnodes' data by the next hash bit, exactly like the live
 // handler (the re-bucketing is a pure function of the stored keys).
-type walSplitAllRec struct {
-	Group    core.GroupID
-	NewLevel uint8
-}
-
 func encodeWalSplitAll(buf []byte, g core.GroupID, newLevel uint8) []byte {
 	buf = transport.AppendUvarint(buf, uint64(walTagSplitAll))
-	buf = appendGroup(buf, g)
-	return transport.AppendUvarint(buf, uint64(newLevel))
-}
-
-func decodeWalSplitAll(r *transport.WireReader) walSplitAllRec {
-	var rec walSplitAllRec
-	rec.Group = readGroup(r)
-	rec.NewLevel = uint8(r.Uvarint())
-	return rec
+	return appendSplitAll(buf, g, newLevel)
 }
 
 // walMigInstallRec journals a live-migration commit at the receiver with
@@ -294,12 +286,16 @@ type walBucketDropRec struct {
 
 func encodeWalBucketDrop(buf []byte, rec walBucketDropRec) []byte {
 	buf = transport.AppendUvarint(buf, uint64(walTagBucketDrop))
+	return appendBucketDropRec(buf, rec)
+}
+
+func appendBucketDropRec(buf []byte, rec walBucketDropRec) []byte {
 	buf = appendVnodeName(buf, rec.Vnode)
 	buf = appendPartition(buf, rec.Partition)
 	return appendOwnerRef(buf, rec.NewOwner)
 }
 
-func decodeWalBucketDrop(r *transport.WireReader) walBucketDropRec {
+func readBucketDropRec(r *transport.WireReader) walBucketDropRec {
 	var rec walBucketDropRec
 	rec.Vnode = readVnodeName(r)
 	rec.Partition = readPartition(r)
@@ -312,9 +308,7 @@ func decodeWalBucketDrop(r *transport.WireReader) walBucketDropRec {
 // (vnode, partition, new owner) triple the eventual drop will.
 func encodeWalMigIntent(buf []byte, rec walBucketDropRec) []byte {
 	buf = transport.AppendUvarint(buf, uint64(walTagMigIntent))
-	buf = appendVnodeName(buf, rec.Vnode)
-	buf = appendPartition(buf, rec.Partition)
-	return appendOwnerRef(buf, rec.NewOwner)
+	return appendBucketDropRec(buf, rec)
 }
 
 // encodeWalMigIntentResolved closes an intent without a drop: the
@@ -324,24 +318,11 @@ func encodeWalMigIntentResolved(buf []byte, p hashspace.Partition) []byte {
 	return appendPartition(buf, p)
 }
 
-// walReplSyncRec journals a replica bucket overwrite (full sync from the
-// primary, or the re-homing push after a transfer).
-type walReplSyncRec struct {
-	Partition hashspace.Partition
-	Data      map[string][]byte
-}
-
+// encodeWalReplSync journals a replica bucket overwrite (full sync from
+// the primary, or the re-homing push after a transfer).
 func encodeWalReplSync(buf []byte, p hashspace.Partition, data map[string][]byte) []byte {
 	buf = transport.AppendUvarint(buf, uint64(walTagReplSync))
-	buf = appendPartition(buf, p)
-	return appendKVMap(buf, data)
-}
-
-func decodeWalReplSync(r *transport.WireReader) walReplSyncRec {
-	var rec walReplSyncRec
-	rec.Partition = readPartition(r)
-	rec.Data = readKVMap(r)
-	return rec
+	return appendBucket(buf, p, data)
 }
 
 func encodeWalReplDrop(buf []byte, ps []hashspace.Partition) []byte {
@@ -349,34 +330,12 @@ func encodeWalReplDrop(buf []byte, ps []hashspace.Partition) []byte {
 	return appendPartitions(buf, ps)
 }
 
-// walLpdrRec journals an LPDR replica refresh; replay rebuilds the
+// encodeWalLpdr journals an LPDR replica refresh; replay rebuilds the
 // group view and — when the recorded leader is this snode — reinstalls
 // leadership after the replay completes.
-type walLpdrRec struct {
-	State     lpdrState
-	Dissolved []core.GroupID
-}
-
-func encodeWalLpdr(buf []byte, st lpdrState, dissolved []core.GroupID) []byte {
+func encodeWalLpdr(buf []byte, m lpdrSyncMsg) []byte {
 	buf = transport.AppendUvarint(buf, uint64(walTagLpdr))
-	buf = appendLpdrState(buf, st)
-	buf = transport.AppendUvarint(buf, uint64(len(dissolved)))
-	for _, g := range dissolved {
-		buf = appendGroup(buf, g)
-	}
-	return buf
-}
-
-func decodeWalLpdr(r *transport.WireReader) walLpdrRec {
-	var rec walLpdrRec
-	rec.State = readLpdrState(r)
-	if n := r.ArrayLen(2); n > 0 {
-		rec.Dissolved = make([]core.GroupID, n)
-		for i := range rec.Dissolved {
-			rec.Dissolved[i] = readGroup(r)
-		}
-	}
-	return rec
+	return m.AppendWire(buf)
 }
 
 func encodeWalBoot(buf []byte, owner ownerRef) []byte {
@@ -415,11 +374,7 @@ func encodeSnapMeta(buf []byte, m snapMeta) []byte {
 	buf = appendOwnerRef(buf, m.Boot)
 	buf = transport.AppendUvarint(buf, uint64(len(m.Vnodes)))
 	for _, v := range m.Vnodes {
-		buf = appendVnodeName(buf, v.Name)
-		buf = appendGroup(buf, v.Group)
-		buf = transport.AppendUvarint(buf, uint64(v.Level))
-		buf = transport.AppendBool(buf, v.Joined)
-		buf = appendPartitions(buf, v.Parts)
+		buf = appendVnodeRec(buf, v)
 	}
 	buf = transport.AppendUvarint(buf, uint64(len(m.Tombs)))
 	for _, t := range m.Tombs {
@@ -433,9 +388,7 @@ func encodeSnapMeta(buf []byte, m snapMeta) []byte {
 	buf = appendPartitions(buf, m.Rprov)
 	buf = transport.AppendUvarint(buf, uint64(len(m.Intents)))
 	for _, in := range m.Intents {
-		buf = appendVnodeName(buf, in.Vnode)
-		buf = appendPartition(buf, in.Partition)
-		buf = appendOwnerRef(buf, in.NewOwner)
+		buf = appendBucketDropRec(buf, in)
 	}
 	return buf
 }
@@ -453,11 +406,7 @@ func decodeSnapMeta(payload []byte) (snapMeta, error) {
 	if n := r.ArrayLen(4); n > 0 {
 		m.Vnodes = make([]walVnodeRec, n)
 		for i := range m.Vnodes {
-			m.Vnodes[i].Name = readVnodeName(r)
-			m.Vnodes[i].Group = readGroup(r)
-			m.Vnodes[i].Level = uint8(r.Uvarint())
-			m.Vnodes[i].Joined = r.Bool()
-			m.Vnodes[i].Parts = readPartitions(r)
+			m.Vnodes[i] = readVnodeRec(r)
 		}
 	}
 	if n := r.ArrayLen(4); n > 0 {
@@ -478,9 +427,7 @@ func decodeSnapMeta(payload []byte) (snapMeta, error) {
 		if n := r.ArrayLen(4); n > 0 {
 			m.Intents = make([]walBucketDropRec, n)
 			for i := range m.Intents {
-				m.Intents[i].Vnode = readVnodeName(r)
-				m.Intents[i].Partition = readPartition(r)
-				m.Intents[i].NewOwner = readOwnerRef(r)
+				m.Intents[i] = readBucketDropRec(r)
 			}
 		}
 	}
@@ -495,19 +442,16 @@ type snapBucket struct {
 
 func encodeSnapBucket(buf []byte, p hashspace.Partition, data map[string][]byte) []byte {
 	buf = transport.AppendUvarint(buf, snapVersion)
-	buf = appendPartition(buf, p)
-	return appendKVMap(buf, data)
+	return appendBucket(buf, p, data)
 }
 
 func decodeSnapBucket(payload []byte) (snapBucket, error) {
 	r := transport.NewWireReader(payload)
-	var b snapBucket
 	if v := r.Uvarint(); v < snapOldestVersion || v > snapVersion {
-		return b, fmt.Errorf("cluster: snapshot bucket version %d, this node speaks %d–%d", v, snapOldestVersion, snapVersion)
+		return snapBucket{}, fmt.Errorf("cluster: snapshot bucket version %d, this node speaks %d–%d", v, snapOldestVersion, snapVersion)
 	}
-	b.Partition = readPartition(r)
-	b.Data = readKVMap(r)
-	return b, r.Err()
+	p, data := readBucket(r)
+	return snapBucket{Partition: p, Data: data}, r.Err()
 }
 
 // encodeManifest/decodeManifest frame the snapshot manifest: the replay

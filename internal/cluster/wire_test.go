@@ -3,9 +3,12 @@ package cluster
 import (
 	"encoding/binary"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
-	"time"
 
 	"dbdht/internal/cluster/transport"
 	"dbdht/internal/core"
@@ -30,15 +33,24 @@ func roundTrip(t *testing.T, msg any) any {
 	return env.Msg
 }
 
-// TestWireRoundTrips round-trips every hot message type through the binary
-// frame codec and requires an exact value match.
-func TestWireRoundTrips(t *testing.T) {
+// wireSamples is one or more fixed values of every protocol message.
+// TestWireRoundTrips requires every live wire tag in tags.lock to appear
+// here; the truncation and invalid-partition tests walk the same table.
+func wireSamples() []transport.WireMessage {
 	p := hashspace.Partition{Prefix: 0b1011, Level: 4}
+	g := core.GroupID{Bits: 0b110, Len: 3}
 	owner := VnodeName{Snode: 3, Local: 7}
-	cases := []any{
+	ref := ownerRef{Vnode: owner, Host: 3}
+	routes := []routeEntry{
+		{Partition: p, Ref: ref, Replicas: []transport.NodeID{1, 2}},
+		{Partition: hashspace.Partition{}, Ref: ownerRef{Vnode: VnodeName{Snode: 1}, Host: 1}},
+	}
+	lpdr := lpdrState{Group: g, Level: 4, Leader: 3, Members: []memberInfo{
+		{Vnode: owner, Host: 3, Count: 8}, {Vnode: VnodeName{Snode: 5, Local: 2}, Host: 5, Count: 9},
+	}}
+	return []transport.WireMessage{
 		lookupReq{Op: 9, R: 1 << 60, ReplyTo: -1, Hops: 12},
-		lookupResp{Op: 10, Owner: owner, Host: 3, Partition: p,
-			Group: core.GroupID{Bits: 0b110, Len: 3}, Leader: 5, Err: "boom"},
+		lookupResp{Op: 10, Owner: owner, Host: 3, Partition: p, Group: g, Leader: 5, Err: "boom"},
 		lookupResp{Op: 11}, // zero-valued optional fields
 		batchReq{Op: 12, Kind: opPut, Items: []batchItem{
 			{Key: "a", Value: []byte("va")},
@@ -48,15 +60,13 @@ func TestWireRoundTrips(t *testing.T) {
 		batchResp{Op: 14, Results: []batchItemResp{
 			{Value: []byte("v"), Found: true},
 			{Err: "missing"},
-		}, Served: []routeEntry{
-			{Partition: p, Ref: ownerRef{Vnode: owner, Host: 3}, Replicas: []transport.NodeID{1, 2}},
-			{Partition: hashspace.Partition{}, Ref: ownerRef{Vnode: VnodeName{Snode: 1}, Host: 1}},
-		}},
+		}, Served: routes},
 		replWriteReq{Op: 15, Kind: opDel, Sets: []replWriteSet{
 			{Partition: p, Items: []batchItem{{Key: "k", Value: []byte("v")}}},
 			{Partition: p.Sibling()},
 		}, ReplyTo: 4, private: true},
-		replWriteResp{Op: 16, Err: "lagging"},
+		ackResp{Op: 16, Err: "lagging"},
+		ackResp{Op: 16},
 		replProbeReq{Op: 17, Digests: []partDigest{
 			{Partition: p, Count: 321, Sum: 1<<63 + 5},
 			{Partition: p.Sibling()}, // empty bucket
@@ -68,61 +78,131 @@ func TestWireRoundTrips(t *testing.T) {
 		pingResp{Op: 20},
 		migBeginReq{Op: 21, Group: core.GroupID{Bits: 0b10, Len: 2}, To: owner,
 			Partition: p, Level: 4, ReplyTo: 6},
-		migBeginResp{Op: 22, Err: "not allocated"},
 		migChunkReq{Op: 23, To: owner, Partition: p, Items: []migItem{
 			{Key: "live", Value: []byte("v1")},
 			{Key: "gone", Del: true},
 			{Key: "empty"}, // nil value, not deleted
 		}, ReplyTo: 6, private: true},
 		migChunkReq{Op: 24, To: owner, Partition: p, private: true}, // empty chunk
-		migChunkResp{Op: 25},
 		migCommitReq{Op: 26, To: owner, Partition: p, Items: []migItem{
 			{Key: "final", Value: []byte("vf")},
 		}, ReplyTo: 6, private: true},
-		migCommitResp{Op: 27, Err: "boom"},
 		migAbortMsg{To: owner, Partition: p},
 		loadReportReq{Op: 28, ReplyTo: -1},
 		loadReportResp{Op: 29, Vnodes: 4, Keys: 12345, Quota: 0.375,
 			Reads: 1234.5, Writes: 0.25, Bytes: 9.75e6},
 		loadReportResp{Op: 30}, // all-zero floats
+		createVnodeReq{Op: 31, ReplyTo: -1, Bootstrap: true},
+		createVnodeResp{Op: 32, Vnode: owner, Group: g, Err: "no group"},
+		joinGroupReq{Op: 33, Group: g, NewVnode: owner, NewHost: 3, ReplyTo: 3, Hops: 2},
+		joinGroupResp{Op: 34, Group: g, Retry: true, Err: "leader moved"},
+		leaveVnodeReq{Op: 35, Vnode: owner, Group: g, ReplyTo: -1, Hops: 1},
+		leaveVnodeResp{Op: 36, Retry: true, Err: "busy"},
+		splitAllReq{Op: 37, Group: g, NewLevel: 5, ReplyTo: 2},
+		transferReq{Op: 38, Group: g, From: owner, To: VnodeName{Snode: 5, Local: 2}, ToHost: 5, Level: 4, ReplyTo: 2},
+		transferResp{Op: 39, Partition: p, Keys: 77},
+		transferResp{Op: 40, Err: "no transferable partition"},
+		shipVnodeReq{Op: 41, Vnode: owner, Dests: []ownerRef{ref, {Vnode: VnodeName{Snode: 5}, Host: 5}}, ReplyTo: 2},
+		shipVnodeReq{Op: 42, Vnode: owner, ReplyTo: 2}, // vnode without partitions
+		groupInit{Op: 43, State: lpdr, ReplyTo: 2},
+		lpdrSyncMsg{State: lpdr, Dissolved: []core.GroupID{{Bits: 0b11, Len: 2}}},
+		lpdrSyncMsg{State: lpdrState{Group: g}}, // no members, nothing dissolved
+		bootstrapInfo{Owner: ref},
+		snodeLeavingMsg{Leaving: 4, Routes: routes, Crashed: true},
+		snodeLeavingMsg{Leaving: 4},
+		snodeRecoveredMsg{Recovered: 4, Routes: routes},
+		viewUpdate{Epoch: 9, Snodes: []transport.NodeID{1, 2, 3}},
+		viewUpdate{Epoch: 10},
+		replSyncReq{Op: 44, Partition: p, Data: map[string][]byte{"k": []byte("v"), "nil": nil},
+			Ver: 12, Group: g, ReplyTo: 1},
+		replSyncReq{Op: 45, Partition: p, Data: map[string][]byte{}, ReplyTo: 1}, // empty bucket
+		replDropMsg{Partitions: []hashspace.Partition{p, p.Sibling()}},
+		promoteQueryReq{Op: 46, Partition: p, Dead: 4, ReplyTo: 1},
+		promoteQueryResp{Op: 47, Has: true, Prov: true, Ver: 99},
+		promoteOrderReq{Op: 48, Partition: p, Dead: 4, ReplyTo: 1},
+		overlapQueryReq{Op: 49, Partition: p, ReplyTo: 1},
+		overlapQueryResp{Op: 50, Deeper: true},
 	}
-	for _, want := range cases {
+}
+
+// liveWireTags reads the tag registry: every wireTag* entry that is not
+// retired.
+func liveWireTags(t *testing.T) map[uint16]string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("..", "analysis", "tags.lock"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tags := make(map[uint16]string)
+	for _, line := range strings.Split(string(data), "\n") {
+		name, val, ok := strings.Cut(line, "=")
+		if name = strings.TrimSpace(name); !ok || !strings.HasPrefix(name, "wireTag") {
+			continue
+		}
+		v, err := strconv.ParseUint(strings.TrimSpace(val), 10, 16)
+		if err != nil {
+			t.Fatalf("tags.lock: %q: %v", line, err)
+		}
+		tags[uint16(v)] = name
+	}
+	return tags
+}
+
+// TestWireRoundTrips round-trips every protocol message through the frame
+// codec and requires an exact value match — and a sample for every live
+// wire tag, so a message added to the registry cannot ship untested.
+func TestWireRoundTrips(t *testing.T) {
+	missing := liveWireTags(t)
+	if len(missing) == 0 {
+		t.Fatal("no wire tags found in tags.lock")
+	}
+	for _, want := range wireSamples() {
+		delete(missing, want.WireTag())
 		got := roundTrip(t, want)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("round trip %T:\n got  %+v\n want %+v", want, got, want)
 		}
 	}
+	for tag, name := range missing {
+		t.Errorf("%s = %d has no sample in wireSamples", name, tag)
+	}
 }
 
-// TestWireTruncatedFrames cuts a realistic batchReq frame at every byte
-// offset: each prefix must decode to a clean error, never panic.
+// TestWireTruncatedFrames cuts every sample frame at every byte offset:
+// each prefix must decode to a clean error, never panic.
 func TestWireTruncatedFrames(t *testing.T) {
 	items := make([]batchItem, 16)
 	for i := range items {
 		items[i] = batchItem{Key: fmt.Sprintf("key-%04d", i), Value: []byte("0123456789abcdef")}
 	}
 	msg := batchReq{Op: 77, Kind: opPut, Items: items, ReplyTo: -1}
-	frame, err := transport.AppendFrame(nil, transport.Envelope{From: 1, To: 2, Msg: msg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := frame[4:]
-	for cut := 0; cut < len(body); cut++ {
-		if _, err := transport.DecodeFrame(body[:cut]); err == nil {
-			t.Fatalf("truncated frame (%d/%d bytes) decoded without error", cut, len(body))
+	for _, m := range append(wireSamples(), msg) {
+		frame, err := transport.AppendFrame(nil, transport.Envelope{From: 1, To: 2, Msg: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := frame[4:]
+		for cut := 0; cut < len(body); cut++ {
+			if _, err := transport.DecodeFrame(body[:cut]); err == nil {
+				t.Fatalf("%T: truncated frame (%d/%d bytes) decoded without error", m, cut, len(body))
+			}
 		}
 	}
 	// Flipping the length of the items array to a huge value must error,
 	// not allocate.
-	corrupt := append([]byte(nil), body...)
-	// Body layout: version, format, flags, From varint, To varint,
-	// tag uvarint, Op uvarint, Kind varint, then the item count.
-	off := 3
-	for n := 0; n < 4; n++ { // From, To, tag, Op, Kind occupy varints
+	frame, err := transport.AppendFrame(nil, transport.Envelope{From: 1, To: 2, Msg: msg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	corrupt := append([]byte(nil), frame[4:]...)
+	// Body layout: version, flags, From varint, To varint, tag uvarint,
+	// Op uvarint, Kind varint, then the item count.
+	off := 2
+	for n := 0; n < 4; n++ { // From, To, tag, Op occupy varints
 		_, w := binary.Uvarint(corrupt[off:])
 		off += w
 	}
-	_, w := binary.Varint(corrupt[off:])
+	_, w := binary.Varint(corrupt[off:]) // Kind
 	off += w
 	huge := binary.AppendUvarint(nil, 1<<50)
 	corrupt = append(corrupt[:off], append(huge, corrupt[off:]...)...)
@@ -132,113 +212,63 @@ func TestWireTruncatedFrames(t *testing.T) {
 }
 
 // TestWireRejectsInvalidPartition: a structurally valid frame carrying an
-// out-of-range partition (level beyond MaxLevel, or stray prefix bits)
-// must decode to an error — downstream bookkeeping indexes arrays by
-// level, so an unvalidated level would be a remote panic.
+// out-of-range partition (level beyond MaxLevel, or stray prefix bits) or
+// an out-of-range bare splitlevel must decode to an error — downstream
+// bookkeeping indexes arrays by level, so an unvalidated level would be a
+// remote panic.  Encoders do not validate, so the bad value is framed as
+// is; every message that carries a partition is covered.
 func TestWireRejectsInvalidPartition(t *testing.T) {
 	for _, bad := range []struct {
 		name string
-		pre  uint64
-		lvl  uint64
+		p    hashspace.Partition
 	}{
-		{"level-past-max", 0, uint64(hashspace.MaxLevel) + 1},
-		{"level-huge", 0, 300},
-		{"prefix-bits-above-level", 0b111, 1},
+		{"level-past-max", hashspace.Partition{Level: hashspace.MaxLevel + 1}},
+		{"level-huge", hashspace.Partition{Level: 255}},
+		{"prefix-bits-above-level", hashspace.Partition{Prefix: 0b111, Level: 1}},
 	} {
 		t.Run(bad.name, func(t *testing.T) {
-			// Borrow version, format and flags from a frame the codec made
-			// itself, so the hand-rolled payload is what gets rejected.
-			frame, err := transport.AppendFrame(nil, transport.Envelope{From: 1, To: 2, Msg: pingResp{}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			body := append([]byte(nil), frame[4:7]...)
-			body = transport.AppendVarint(body, 1)
-			body = transport.AppendVarint(body, 2)
-			body = transport.AppendUvarint(body, uint64(wireTagReplProbeReq))
-			body = transport.AppendUvarint(body, 9) // Op
-			body = transport.AppendUvarint(body, 1) // one digest
-			body = transport.AppendUvarint(body, bad.pre)
-			body = transport.AppendUvarint(body, bad.lvl)
-			body = transport.AppendVarint(body, 0) // Count
-			body = transport.AppendUvarint(body, 0)
-			body = transport.AppendVarint(body, 1) // ReplyTo
-			if _, err := transport.DecodeFrame(body); err == nil {
-				t.Fatalf("frame with partition (prefix=%b, level=%d) decoded without error", bad.pre, bad.lvl)
+			for _, m := range []transport.WireMessage{
+				lookupResp{Partition: bad.p},
+				batchResp{Served: []routeEntry{{Partition: bad.p}}},
+				replWriteReq{Sets: []replWriteSet{{Partition: bad.p}}},
+				replProbeReq{Digests: []partDigest{{Partition: bad.p}}},
+				replProbeResp{OutOfSync: []hashspace.Partition{bad.p}},
+				migBeginReq{Partition: bad.p},
+				migChunkReq{Partition: bad.p},
+				migCommitReq{Partition: bad.p},
+				migAbortMsg{Partition: bad.p},
+				transferResp{Partition: bad.p},
+				snodeLeavingMsg{Routes: []routeEntry{{Partition: bad.p}}},
+				snodeRecoveredMsg{Routes: []routeEntry{{Partition: bad.p}}},
+				replSyncReq{Partition: bad.p},
+				replDropMsg{Partitions: []hashspace.Partition{bad.p}},
+				promoteQueryReq{Partition: bad.p},
+				promoteOrderReq{Partition: bad.p},
+				overlapQueryReq{Partition: bad.p},
+			} {
+				frame, err := transport.AppendFrame(nil, transport.Envelope{From: 1, To: 2, Msg: m})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := transport.DecodeFrame(frame[4:]); err == nil {
+					t.Errorf("%T with partition (prefix=%b, level=%d) decoded without error", m, bad.p.Prefix, bad.p.Level)
+				}
 			}
 		})
 	}
-}
-
-// TestDataPlaneStaysOnBinaryCodec is the codec-path guarantee: once a TCP
-// cluster is serving, batched operations, single-key operations, lookups
-// and the replica write fan-out must not touch the gob fallback — only
-// rare control-plane traffic may.
-func TestDataPlaneStaysOnBinaryCodec(t *testing.T) {
-	c, err := New(Config{
-		Pmin: 16, Vmin: 4, Seed: 7, RPCTimeout: 20 * time.Second,
-		Replicas: 2, AntiEntropyInterval: time.Hour, // keep repair traffic out of the measured window
-	}, transport.NewTCP("127.0.0.1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-	for i := 0; i < 4; i++ {
-		if _, err := c.AddSnode(); err != nil {
+	for _, m := range []transport.WireMessage{
+		splitAllReq{NewLevel: hashspace.MaxLevel + 1},
+		transferReq{Level: 255},
+		migBeginReq{Level: 255},
+		groupInit{State: lpdrState{Level: hashspace.MaxLevel + 1}},
+		lpdrSyncMsg{State: lpdrState{Level: 255}},
+	} {
+		frame, err := transport.AppendFrame(nil, transport.Envelope{From: 1, To: 2, Msg: m})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	ids := c.Snodes()
-	for i := 0; i < 8; i++ {
-		if _, _, err := c.CreateVnode(ids[i%len(ids)]); err != nil {
-			t.Fatal(err)
+		if _, err := transport.DecodeFrame(frame[4:]); err == nil {
+			t.Errorf("%T with an out-of-range splitlevel decoded without error", m)
 		}
-	}
-	// Warm the route caches so the measured window has no cold-path
-	// surprises, then let in-flight control traffic drain.
-	var kv []KV
-	var keys []string
-	for i := 0; i < 64; i++ {
-		k := fmt.Sprintf("codec-key-%d", i)
-		kv = append(kv, KV{Key: k, Value: []byte("v")})
-		keys = append(keys, k)
-	}
-	if _, err := c.MPut(kv); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Ping(); err != nil {
-		t.Fatal(err)
-	}
-
-	binEncBefore, gobEncBefore, _, _ := transport.CodecCounters()
-	for round := 0; round < 3; round++ {
-		if _, err := c.MPut(kv); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.MGet(keys); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.MDelete(keys[:4]); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Put("codec-single", []byte("x")); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := c.Get("codec-single"); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.Lookup("codec-key-0"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.Ping(); err != nil { // drain the batch/replica responses
-		t.Fatal(err)
-	}
-	binEnc, gobEnc, _, _ := transport.CodecCounters()
-	if gobEnc != gobEncBefore {
-		t.Fatalf("data plane fell back to gob: %d gob encodes during the measured window", gobEnc-gobEncBefore)
-	}
-	if binEnc == binEncBefore {
-		t.Fatal("no binary encodes recorded — counters broken or wrong fabric")
 	}
 }
