@@ -45,7 +45,6 @@ import (
 	"dbdht/internal/cluster"
 	"dbdht/internal/metrics"
 	"dbdht/internal/sim"
-	"dbdht/internal/viz"
 )
 
 // expCtx is what every experiment runs with: the simulation options,
@@ -111,7 +110,6 @@ func main() {
 		seed     = flag.Int64("seed", 1, "base seed; run i uses seed+i")
 		sample   = flag.Int("sample", 64, "print every k-th step (metrics are still computed each step)")
 		csv      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		plot     = flag.Bool("plot", false, "render an ASCII chart of each figure after its table")
 		benchDir = flag.String("bench-dir", ".", "directory nemesis scenarios write their BENCH_*.json records to")
 	)
 	flag.Parse()
@@ -132,18 +130,6 @@ func main() {
 	printer := tablePrinter
 	if *csv {
 		printer = csvPrinter
-	}
-	if *plot {
-		base := printer
-		printer = func(title, xlabel string, series []metrics.Series, percent bool) {
-			base(title, xlabel, series, percent)
-			chart, err := viz.Render(title, series, viz.Options{Percent: percent})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "dhtsim: plot: %v\n", err)
-				return
-			}
-			fmt.Println(chart)
-		}
 	}
 	ctx := expCtx{
 		o:        sim.Options{Runs: *runs, Vnodes: *vnodes, Seed: *seed, SampleEvery: *sample},

@@ -21,8 +21,17 @@ type getReq struct{ K string }
 
 func (getReq) WireTag() uint16 { return wireTagGet }
 
+var wireMessages = []struct {
+	tag uint16
+	dec func([]byte) any
+}{
+	{wireTagGet, func(b []byte) any { return getReq{} }},
+}
+
 func init() {
-	RegisterWire(wireTagGet, func(b []byte) any { return getReq{} })
+	for _, row := range wireMessages {
+		RegisterWire(row.tag, row.dec)
+	}
 }
 
 func encodeSet(buf []byte) []byte { return append(buf, byte(walTagSet)) }

@@ -3,14 +3,17 @@ package wiretagtest // want `registry entry wireTagGone = 7 in .*tags.lock has n
 // RegisterWire stands in for the transport registry.
 func RegisterWire(tag uint16, fn func([]byte) any) {}
 
+func decoderOf[T any]() func([]byte) any { return func([]byte) any { var m T; return m } }
+
 const (
 	wireTagPing  uint16 = 1
 	wireTagPong  uint16 = 2
-	wireTagDup   uint16 = 2 // want `tag wireTagDup reuses value 2 already held by wireTagPong` `tag wireTagDup = 2 collides with registry entry wireTagPong`
-	wireTagNovel uint16 = 9 // want `tag wireTagNovel = 9 is not registered`
-	wireTagMoved uint16 = 5 // want `tag wireTagMoved = 5 disagrees with registry \(.*tags.lock says 4\)`
-	wireTagBurn  uint16 = 6 // want `tag wireTagBurn = 6 collides with registry entry retired`
-	wireTagNoDec uint16 = 8 // want `wire tag wireTagNoDec has no decoder`
+	wireTagDup   uint16 = 2  // want `tag wireTagDup reuses value 2 already held by wireTagPong` `tag wireTagDup = 2 collides with registry entry wireTagPong`
+	wireTagNovel uint16 = 9  // want `tag wireTagNovel = 9 is not registered`
+	wireTagMoved uint16 = 5  // want `tag wireTagMoved = 5 disagrees with registry \(.*tags.lock says 4\)`
+	wireTagBurn  uint16 = 6  // want `tag wireTagBurn = 6 collides with registry entry retired`
+	wireTagNoDec uint16 = 8  // want `wire tag wireTagNoDec has no decoder`
+	wireTagNoEnc uint16 = 10 // want `wire tag wireTagNoEnc has no encoder`
 )
 
 const (
@@ -46,13 +49,27 @@ type noDec struct{}
 
 func (noDec) WireTag() uint16 { return wireTagNoDec }
 
+type noEnc struct{}
+
+// wireMessages is the message table; wireTagNoDec has no row, and
+// wireTagNoEnc has a row but no WireTag method.
+var wireMessages = []struct {
+	tag uint16
+	dec func([]byte) any
+}{
+	{wireTagPing, decoderOf[ping]()},
+	{wireTagPong, decoderOf[pong]()},
+	{wireTagDup, decoderOf[dup]()},
+	{wireTagNovel, decoderOf[novel]()},
+	{wireTagMoved, decoderOf[moved]()},
+	{wireTagBurn, decoderOf[burn]()},
+	{wireTagNoEnc, decoderOf[noEnc]()},
+}
+
 func init() {
-	RegisterWire(wireTagPing, func(b []byte) any { return ping{} })
-	RegisterWire(wireTagPong, func(b []byte) any { return pong{} })
-	RegisterWire(wireTagDup, func(b []byte) any { return dup{} })
-	RegisterWire(wireTagNovel, func(b []byte) any { return novel{} })
-	RegisterWire(wireTagMoved, func(b []byte) any { return moved{} })
-	RegisterWire(wireTagBurn, func(b []byte) any { return burn{} })
+	for _, row := range wireMessages {
+		RegisterWire(row.tag, row.dec)
+	}
 }
 
 func encodePut(buf []byte) []byte {

@@ -23,7 +23,8 @@ import (
 //     while the constant exists fails the build);
 //   - a `retired` lockfile entry reserves its number forever;
 //   - every wire tag has both an encoder (a WireTag() method returning
-//     it) and a decoder (a transport.RegisterWire call installing it);
+//     it) and a decoder (a row of the message table: an element
+//     {tag, decoder} of a slice literal, which init registers);
 //   - every WAL tag is written by an encoder and handled by a replay
 //     switch case.
 var WireTag = &Analyzer{
@@ -148,7 +149,7 @@ func runWireTag(pass *Pass) error {
 		}
 		if !dec[t.name] {
 			if wire {
-				pass.Reportf(t.pos, "wire tag %s has no decoder: no transport.RegisterWire call installs one", t.name)
+				pass.Reportf(t.pos, "wire tag %s has no decoder: no row of the message table lists it", t.name)
 			} else {
 				pass.Reportf(t.pos, "WAL tag %s has no decoder: no replay switch case handles it", t.name)
 			}
@@ -158,7 +159,7 @@ func runWireTag(pass *Pass) error {
 }
 
 // tagUsageSides classifies every use of a tag constant as encoder-side or
-// decoder-side.  Decoder side: first argument of a RegisterWire call (wire
+// decoder-side.  Decoder side: first field of a message-table row (wire
 // tags) or a switch case expression (WAL replay).  Encoder side: the
 // return expression of a WireTag method (wire tags) or any other use in a
 // function body (WAL record encoders write the tag as their first field).
@@ -182,14 +183,14 @@ func tagUsageSides(pass *Pass) (enc, dec map[string]bool) {
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
-			case *ast.CallExpr:
-				fun := n.Fun
-				if sel, ok := fun.(*ast.SelectorExpr); ok {
-					fun = sel.Sel
-				}
-				if id, ok := fun.(*ast.Ident); ok && id.Name == "RegisterWire" && len(n.Args) == 2 {
-					if name, ok := tagName(n.Args[0]); ok {
-						dec[name] = true
+			case *ast.CompositeLit:
+				// A table row: an untyped {tag, decoder} element of an
+				// enclosing slice literal.
+				for _, elt := range n.Elts {
+					if row, ok := elt.(*ast.CompositeLit); ok && row.Type == nil && len(row.Elts) == 2 {
+						if name, ok := tagName(row.Elts[0]); ok {
+							dec[name] = true
+						}
 					}
 				}
 			case *ast.CaseClause:

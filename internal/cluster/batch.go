@@ -199,8 +199,8 @@ func (s *Snode) handleBatch(m batchReq, tr transport.TraceContext) {
 				var wroteBytes int64
 				if s.dur != nil {
 					// The journal record is encoded inline as the items
-					// apply (layout of encodeWalWrite/decodeWalWrite, with
-					// the item count known upfront), into a scratch slab
+					// apply (the walWriteRec layout, with the item count
+					// known upfront), into a scratch slab
 					// reused across this batch's buckets — no per-bucket
 					// slice or closure allocations on the hot path.
 					walScratch = encodeWalWriteHeader(walScratch[:0], m.Kind, w.p, len(w.idxs))

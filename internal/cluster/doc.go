@@ -37,8 +37,10 @@
 //     per-bucket EWMA traffic rates and capacity-normalized quotas and
 //     moves enrollment toward capacity-proportional targets through the
 //     ordinary §3.6 join/leave machinery;
-//   - every protocol message rides a hand-rolled binary frame codec
-//     (wire.go) over the TCP fabric;
+//   - every protocol message rides a binary frame codec over the TCP
+//     fabric; each message's layout is one fields walk (wire.go) that
+//     both encodes and decodes, and journal and snapshot records
+//     (walrec.go) are walked the same way;
 //   - crash-durable storage (durable.go, internal/wal): every local
 //     mutation is journaled to a per-snode write-ahead log before ack,
 //     periodic snapshots truncate the log, and a restarted snode

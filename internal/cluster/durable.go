@@ -151,14 +151,14 @@ func (s *Snode) openDurability() error {
 	cut := uint64(0)
 	manifest := filepath.Join(snapRoot, "MANIFEST")
 	if payload, err := wal.ReadSnapshot(manifest); err == nil {
-		c, derr := decodeManifest(payload)
+		m, derr := decodeSnap("manifest", payload, (*snapManifest).fields)
 		if derr != nil {
 			return fmt.Errorf("cluster: durability: %w", derr)
 		}
-		if err := s.loadSnapshot(filepath.Join(snapRoot, strconv.FormatUint(c, 10))); err != nil {
+		if err := s.loadSnapshot(filepath.Join(snapRoot, strconv.FormatUint(m.Cut, 10))); err != nil {
 			return err
 		}
-		cut = c
+		cut = m.Cut
 	} else if !errors.Is(err, os.ErrNotExist) {
 		// The manifest exists but does not verify: the log may have been
 		// truncated against it, so replay-from-zero could silently lose
@@ -240,7 +240,7 @@ func (s *Snode) loadSnapshot(dir string) error {
 	if err != nil {
 		return err
 	}
-	meta, err := decodeSnapMeta(payload)
+	meta, err := decodeSnap("meta", payload, (*snapMeta).fields)
 	if err != nil {
 		return err
 	}
@@ -292,7 +292,7 @@ func (s *Snode) loadSnapshot(dir string) error {
 		if err != nil {
 			return err
 		}
-		b, err := decodeSnapBucket(payload)
+		b, err := decodeSnap("bucket", payload, (*snapBucket).fields)
 		if err != nil {
 			return err
 		}
@@ -316,10 +316,12 @@ func (s *Snode) loadSnapshot(dir string) error {
 //dbdht:exclusive
 func (s *Snode) applyWalRecord(seq uint64, payload []byte) error {
 	r := transport.NewWireReader(payload)
+	w := &walker{r: r}
 	tag := r.Uvarint()
 	switch uint16(tag) {
 	case walTagWrite:
-		rec := decodeWalWrite(r)
+		var rec walWriteRec
+		rec.fields(w)
 		if err := r.Err(); err != nil {
 			return fmt.Errorf("cluster: wal record %d: %w", seq, err)
 		}
@@ -332,14 +334,16 @@ func (s *Snode) applyWalRecord(seq uint64, payload []byte) error {
 		}
 		return nil
 	case walTagReplWrite:
-		rec := decodeWalReplWrite(r)
+		var rec walReplWriteRec
+		rec.fields(w)
 		if err := r.Err(); err != nil {
 			return fmt.Errorf("cluster: wal record %d: %w", seq, err)
 		}
 		s.applyReplWriteLocked(rec.Kind, rec.Sets, true)
 		return nil
 	case walTagVnode:
-		rec := readVnodeRec(r)
+		var rec walVnodeRec
+		rec.fields(w)
 		if err := r.Err(); err != nil {
 			return fmt.Errorf("cluster: wal record %d: %w", seq, err)
 		}
@@ -361,7 +365,8 @@ func (s *Snode) applyWalRecord(seq uint64, payload []byte) error {
 		s.vnodes[rec.Name] = vs
 		return nil
 	case walTagVnodeGone:
-		name := readVnodeName(r)
+		var name VnodeName
+		name.fields(w)
 		if err := r.Err(); err != nil {
 			return fmt.Errorf("cluster: wal record %d: %w", seq, err)
 		}
@@ -373,14 +378,16 @@ func (s *Snode) applyWalRecord(seq uint64, payload []byte) error {
 		}
 		return nil
 	case walTagSplitAll:
-		g, newLevel := readSplitAll(r)
+		var rec splitAllReq
+		rec.journalFields(w)
 		if err := r.Err(); err != nil {
 			return fmt.Errorf("cluster: wal record %d: %w", seq, err)
 		}
-		s.splitGroupLocked(g, newLevel)
+		s.splitGroupLocked(rec.Group, rec.NewLevel)
 		return nil
 	case walTagMigInstall:
-		rec := decodeWalMigInstall(r)
+		var rec walMigInstallRec
+		rec.fields(w)
 		if err := r.Err(); err != nil {
 			return fmt.Errorf("cluster: wal record %d: %w", seq, err)
 		}
@@ -389,7 +396,8 @@ func (s *Snode) applyWalRecord(seq uint64, payload []byte) error {
 		}
 		return nil
 	case walTagBucketDrop:
-		rec := readBucketDropRec(r)
+		var rec walBucketDropRec
+		rec.fields(w)
 		if err := r.Err(); err != nil {
 			return fmt.Errorf("cluster: wal record %d: %w", seq, err)
 		}
@@ -405,42 +413,47 @@ func (s *Snode) applyWalRecord(seq uint64, payload []byte) error {
 		delete(s.inDoubt, rec.Partition) // the drop resolves any open intent
 		return nil
 	case walTagMigIntent:
-		rec := readBucketDropRec(r)
+		var rec walBucketDropRec
+		rec.fields(w)
 		if err := r.Err(); err != nil {
 			return fmt.Errorf("cluster: wal record %d: %w", seq, err)
 		}
 		s.inDoubt[rec.Partition] = &migIntent{vnode: rec.Vnode, newOwner: rec.NewOwner}
 		return nil
 	case walTagMigIntentResolved:
-		p := readPartition(r)
+		var p hashspace.Partition
+		w.partition(&p)
 		if err := r.Err(); err != nil {
 			return fmt.Errorf("cluster: wal record %d: %w", seq, err)
 		}
 		delete(s.inDoubt, p)
 		return nil
 	case walTagReplSync:
-		p, data := readBucket(r)
+		var rec snapBucket
+		rec.fields(w)
 		if err := r.Err(); err != nil {
 			return fmt.Errorf("cluster: wal record %d: %w", seq, err)
 		}
 		// Mirror handleReplSync: replace only this exact bucket, sparing
 		// strictly deeper ones (they can only exist if the sync's sender
 		// was stale geometry).
-		s.delReplicaBucketLocked(p)
-		s.setReplicaBucketLocked(p, newStore(data))
-		delete(s.rprov, p)
+		s.delReplicaBucketLocked(rec.Partition)
+		s.setReplicaBucketLocked(rec.Partition, newStore(rec.Data))
+		delete(s.rprov, rec.Partition)
 		return nil
 	case walTagReplDrop:
-		ps := readPartitions(r)
+		var rec replDropMsg
+		rec.fields(w)
 		if err := r.Err(); err != nil {
 			return fmt.Errorf("cluster: wal record %d: %w", seq, err)
 		}
-		for _, p := range ps {
+		for _, p := range rec.Partitions {
 			s.delReplicaBucketLocked(p)
 		}
 		return nil
 	case walTagLpdr:
-		rec := readLpdrSync(r)
+		var rec lpdrSyncMsg
+		rec.fields(w)
 		if err := r.Err(); err != nil {
 			return fmt.Errorf("cluster: wal record %d: %w", seq, err)
 		}
@@ -458,7 +471,7 @@ func (s *Snode) applyWalRecord(seq uint64, payload []byte) error {
 		}
 		return nil
 	case walTagBoot:
-		s.boot = readOwnerRef(r)
+		s.boot.fields(w)
 		if err := r.Err(); err != nil {
 			return fmt.Errorf("cluster: wal record %d: %w", seq, err)
 		}
@@ -588,7 +601,7 @@ func (s *Snode) trySnapshot(lastCut uint64) (newCut uint64, ok bool, err error) 
 			abort()
 			return lastCut, false, nil // moved or split away; retry with a fresh cut
 		}
-		payload := encodeSnapBucket(nil, o.p, o.bk.kv.m)
+		payload := encodeSnap(&snapBucket{o.p, o.bk.kv.m}, (*snapBucket).fields)
 		o.bk.mu.RUnlock()
 		name := fmt.Sprintf("own-%d-%d.snap", o.p.Level, o.p.Prefix)
 		if err := stats.WriteSnapshot(filepath.Join(dir, name), payload); err != nil {
@@ -604,7 +617,7 @@ func (s *Snode) trySnapshot(lastCut uint64) (newCut uint64, ok bool, err error) 
 		b, ok := s.rparts[p]
 		var payload []byte
 		if ok {
-			payload = encodeSnapBucket(nil, p, b.m)
+			payload = encodeSnap(&snapBucket{p, b.m}, (*snapBucket).fields)
 		}
 		s.mu.Unlock()
 		if !ok {
@@ -616,7 +629,7 @@ func (s *Snode) trySnapshot(lastCut uint64) (newCut uint64, ok bool, err error) 
 			return lastCut, false, err
 		}
 	}
-	if err := stats.WriteSnapshot(filepath.Join(dir, "meta.snap"), encodeSnapMeta(nil, meta)); err != nil {
+	if err := stats.WriteSnapshot(filepath.Join(dir, "meta.snap"), encodeSnap(&meta, (*snapMeta).fields)); err != nil {
 		abort()
 		return lastCut, false, err
 	}
@@ -627,7 +640,7 @@ func (s *Snode) trySnapshot(lastCut uint64) (newCut uint64, ok bool, err error) 
 		abort()
 		return lastCut, false, err
 	}
-	if err := stats.WriteSnapshot(filepath.Join(s.dur.snapRoot, "MANIFEST"), encodeManifest(cut)); err != nil {
+	if err := stats.WriteSnapshot(filepath.Join(s.dur.snapRoot, "MANIFEST"), encodeSnap(&snapManifest{cut}, (*snapManifest).fields)); err != nil {
 		abort()
 		return lastCut, false, err
 	}

@@ -12,8 +12,9 @@ import (
 // the original requester directly.
 //
 // Over the TCP fabric every message rides the binary frame codec in
-// wire.go, the fabric's only encoding: a new message needs a tag, an
-// AppendWire method and a registered decoder there before it can be sent.
+// wire.go, the fabric's only encoding: a new message needs a tag, a
+// fields walk and a row of the message table there before it can be sent
+// (docs/WIRE.md, "Adding a message").
 
 // ackResp is the response of every request whose only outcome is success
 // or an error string: splitAllReq, shipVnodeReq, groupInit, the three

@@ -421,7 +421,7 @@ func (s *Snode) handleReplSync(m replSyncReq) {
 	// Lazy encode: the whole-bucket serialization must cost nothing when
 	// durability is off.
 	seq := s.durAppendWith(func(b []byte) []byte {
-		return encodeWalReplSync(b, m.Partition, data.m)
+		return encodeWalReplSync(b, snapBucket{m.Partition, data.m})
 	})
 	s.mu.Unlock()
 	if s.durFastAck() {
@@ -442,7 +442,7 @@ func (s *Snode) handleReplDrop(m replDropMsg) {
 	for _, p := range m.Partitions {
 		s.delReplicaBucketLocked(p)
 	}
-	s.durAppendWith(func(b []byte) []byte { return encodeWalReplDrop(b, m.Partitions) })
+	s.durAppendWith(func(b []byte) []byte { return encodeWalReplDrop(b, m) })
 	s.mu.Unlock()
 }
 

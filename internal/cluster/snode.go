@@ -818,7 +818,7 @@ const (
 func (s *Snode) handleSplitAll(m splitAllReq) {
 	s.mu.Lock()
 	s.splitGroupLocked(m.Group, m.NewLevel)
-	seq := s.durAppendWith(func(b []byte) []byte { return encodeWalSplitAll(b, m.Group, m.NewLevel) })
+	seq := s.durAppendWith(func(b []byte) []byte { return encodeWalSplitAll(b, m) })
 	s.mu.Unlock()
 	s.stats.SplitAlls.Add(1)
 	if s.dur != nil && !s.durFastAck() {

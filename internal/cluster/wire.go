@@ -8,19 +8,23 @@ import (
 	"dbdht/internal/hashspace"
 )
 
-// Binary codecs for every protocol message.  Each message implements
-// transport.WireMessage and registers its decoder under the same tag; the
-// fabric has no other encoding, so a message without a codec cannot be
-// sent.  Where a message and a journal or snapshot record carry the same
-// payload (walrec.go), both sides call one append…/read… body function.
+// The binary codec of every protocol message.  A message's layout is
+// written once, as a fields method that hands each field, in wire order,
+// to a walker; the walker appends the field when encoding and reads it
+// when decoding, so the two directions cannot disagree on order, width or
+// range check.  wireMessages lists one row per tag and is what gets
+// registered with the fabric, which has no other encoding: a message
+// without a row cannot be received, one without WireTag/AppendWire does
+// not compile at Snode.send.  Journal and snapshot records (walrec.go)
+// are walked the same way and share the sub-structure walks below.
 //
 // Tags are a wire-compatibility contract: never renumber, only append
 // (internal/analysis/tags.lock).  Wire tags are 1–31 and 64 upwards; the
 // journal holds 32–63.  Integers are varints (zigzag for the signed
 // NodeID/int fields — the client endpoint id is negative); byte slices
-// and strings are length-prefixed.  Decoders read bytes from outside the
-// process: every count goes through ArrayLen and every partition and
-// level is range-checked.
+// and strings are length-prefixed.  Decoded bytes come from outside the
+// process: every count goes through ArrayLen and every partition, level
+// and group length is range-checked, each in its one walker primitive.
 
 const (
 	wireTagLookupReq    uint16 = 1
@@ -67,973 +71,763 @@ const (
 	wireTagOverlapQueryResp uint16 = 86
 )
 
+// wireMessages is the message table: the decoder of every wire tag,
+// derived from the message's fields walk.  init registers the rows, the
+// wiretag analyzer takes a row as the tag's decoder side, and
+// TestWireRoundTrips requires a sample for each.
+var wireMessages = []struct {
+	tag uint16
+	dec transport.WireDecoder
+}{
+	{wireTagLookupReq, walkDecoder((*lookupReq).fields)},
+	{wireTagLookupResp, walkDecoder((*lookupResp).fields)},
+	{wireTagBatchReq, walkDecoder((*batchReq).fields)},
+	{wireTagBatchResp, walkDecoder((*batchResp).fields)},
+	{wireTagReplWriteReq, walkDecoder((*replWriteReq).fields)},
+	{wireTagReplWriteResp, walkDecoder((*ackResp).fields)},
+	{wireTagReplProbeReq, walkDecoder((*replProbeReq).fields)},
+	{wireTagReplProbeResp, walkDecoder((*replProbeResp).fields)},
+	{wireTagPingReq, walkDecoder((*pingReq).fields)},
+	{wireTagPingResp, walkDecoder((*pingResp).fields)},
+	{wireTagMigBeginReq, walkDecoder((*migBeginReq).fields)},
+	{wireTagMigChunkReq, walkDecoder((*migChunkReq).fields)},
+	{wireTagMigCommitReq, walkDecoder((*migCommitReq).fields)},
+	{wireTagMigAbort, walkDecoder((*migAbortMsg).fields)},
+	{wireTagLoadReq, walkDecoder((*loadReportReq).fields)},
+	{wireTagLoadResp, walkDecoder((*loadReportResp).fields)},
+	{wireTagCreateVnodeReq, walkDecoder((*createVnodeReq).fields)},
+	{wireTagCreateVnodeResp, walkDecoder((*createVnodeResp).fields)},
+	{wireTagJoinGroupReq, walkDecoder((*joinGroupReq).fields)},
+	{wireTagJoinGroupResp, walkDecoder((*joinGroupResp).fields)},
+	{wireTagLeaveVnodeReq, walkDecoder((*leaveVnodeReq).fields)},
+	{wireTagLeaveVnodeResp, walkDecoder((*leaveVnodeResp).fields)},
+	{wireTagSplitAllReq, walkDecoder((*splitAllReq).fields)},
+	{wireTagTransferReq, walkDecoder((*transferReq).fields)},
+	{wireTagTransferResp, walkDecoder((*transferResp).fields)},
+	{wireTagShipVnodeReq, walkDecoder((*shipVnodeReq).fields)},
+	{wireTagGroupInit, walkDecoder((*groupInit).fields)},
+	{wireTagLpdrSync, walkDecoder((*lpdrSyncMsg).fields)},
+	{wireTagBootstrapInfo, walkDecoder((*bootstrapInfo).fields)},
+	{wireTagSnodeLeaving, walkDecoder((*snodeLeavingMsg).fields)},
+	{wireTagSnodeRecovered, walkDecoder((*snodeRecoveredMsg).fields)},
+	{wireTagViewUpdate, walkDecoder((*viewUpdate).fields)},
+	{wireTagReplSyncReq, walkDecoder((*replSyncReq).fields)},
+	{wireTagReplDrop, walkDecoder((*replDropMsg).fields)},
+	{wireTagPromoteQueryReq, walkDecoder((*promoteQueryReq).fields)},
+	{wireTagPromoteQueryResp, walkDecoder((*promoteQueryResp).fields)},
+	{wireTagPromoteOrderReq, walkDecoder((*promoteOrderReq).fields)},
+	{wireTagOverlapQueryReq, walkDecoder((*overlapQueryReq).fields)},
+	{wireTagOverlapQueryResp, walkDecoder((*overlapQueryResp).fields)},
+}
+
 func init() {
-	transport.RegisterWire(wireTagLookupReq, decodeLookupReq)
-	transport.RegisterWire(wireTagLookupResp, decodeLookupResp)
-	transport.RegisterWire(wireTagBatchReq, decodeBatchReq)
-	transport.RegisterWire(wireTagBatchResp, decodeBatchResp)
-	transport.RegisterWire(wireTagReplWriteReq, decodeReplWriteReq)
-	transport.RegisterWire(wireTagReplWriteResp, decodeAckResp)
-	transport.RegisterWire(wireTagReplProbeReq, decodeReplProbeReq)
-	transport.RegisterWire(wireTagReplProbeResp, decodeReplProbeResp)
-	transport.RegisterWire(wireTagPingReq, decodePingReq)
-	transport.RegisterWire(wireTagPingResp, decodePingResp)
-	transport.RegisterWire(wireTagMigBeginReq, decodeMigBeginReq)
-	transport.RegisterWire(wireTagMigChunkReq, decodeMigChunkReq)
-	transport.RegisterWire(wireTagMigCommitReq, decodeMigCommitReq)
-	transport.RegisterWire(wireTagMigAbort, decodeMigAbort)
-	transport.RegisterWire(wireTagLoadReq, decodeLoadReportReq)
-	transport.RegisterWire(wireTagLoadResp, decodeLoadReportResp)
-	transport.RegisterWire(wireTagCreateVnodeReq, decodeCreateVnodeReq)
-	transport.RegisterWire(wireTagCreateVnodeResp, decodeCreateVnodeResp)
-	transport.RegisterWire(wireTagJoinGroupReq, decodeJoinGroupReq)
-	transport.RegisterWire(wireTagJoinGroupResp, decodeJoinGroupResp)
-	transport.RegisterWire(wireTagLeaveVnodeReq, decodeLeaveVnodeReq)
-	transport.RegisterWire(wireTagLeaveVnodeResp, decodeLeaveVnodeResp)
-	transport.RegisterWire(wireTagSplitAllReq, decodeSplitAllReq)
-	transport.RegisterWire(wireTagTransferReq, decodeTransferReq)
-	transport.RegisterWire(wireTagTransferResp, decodeTransferResp)
-	transport.RegisterWire(wireTagShipVnodeReq, decodeShipVnodeReq)
-	transport.RegisterWire(wireTagGroupInit, decodeGroupInit)
-	transport.RegisterWire(wireTagLpdrSync, decodeLpdrSync)
-	transport.RegisterWire(wireTagBootstrapInfo, decodeBootstrapInfo)
-	transport.RegisterWire(wireTagSnodeLeaving, decodeSnodeLeaving)
-	transport.RegisterWire(wireTagSnodeRecovered, decodeSnodeRecovered)
-	transport.RegisterWire(wireTagViewUpdate, decodeViewUpdate)
-	transport.RegisterWire(wireTagReplSyncReq, decodeReplSyncReq)
-	transport.RegisterWire(wireTagReplDrop, decodeReplDrop)
-	transport.RegisterWire(wireTagPromoteQueryReq, decodePromoteQueryReq)
-	transport.RegisterWire(wireTagPromoteQueryResp, decodePromoteQueryResp)
-	transport.RegisterWire(wireTagPromoteOrderReq, decodePromoteOrderReq)
-	transport.RegisterWire(wireTagOverlapQueryReq, decodeOverlapQueryReq)
-	transport.RegisterWire(wireTagOverlapQueryResp, decodeOverlapQueryResp)
+	for _, row := range wireMessages {
+		transport.RegisterWire(row.tag, row.dec)
+	}
+}
+
+// --- the walker ---
+
+// walker carries one encode or decode pass over a value's fields: with r
+// set every primitive reads its field from r, otherwise it appends the
+// field to b.  Decode errors are r's sticky error.  snapV is the layout
+// version of the snapshot file being walked (walrec.go), 0 elsewhere.
+type walker struct {
+	r     *transport.WireReader
+	b     []byte
+	snapV uint64
+}
+
+// appendWalk appends m's fields to b.  The walk is passed as a method
+// expression so that, once this helper is inlined, the call is static and
+// the walker stays on the stack; reaching fields through an interface or
+// a type-parameter method would heap-allocate it on every frame
+// (TestWireEncodeDoesNotAllocate).
+func appendWalk[T any](b []byte, m *T, fields func(*T, *walker)) []byte {
+	w := walker{b: b}
+	fields(m, &w)
+	return w.b
+}
+
+// walkDecoder turns a fields walk into the tag's decoder.  It yields the
+// message value, not a pointer: receivers type-switch on values.
+func walkDecoder[T any](fields func(*T, *walker)) transport.WireDecoder {
+	return func(r *transport.WireReader) (any, error) {
+		var m T
+		fields(&m, &walker{r: r})
+		return m, r.Err()
+	}
+}
+
+func (w *walker) u64(v *uint64) {
+	if w.r != nil {
+		*v = w.r.Uvarint()
+	} else {
+		w.b = transport.AppendUvarint(w.b, *v)
+	}
+}
+
+func (w *walker) int(v *int) {
+	if w.r != nil {
+		*v = int(w.r.Varint())
+	} else {
+		w.b = transport.AppendVarint(w.b, int64(*v))
+	}
+}
+
+func (w *walker) node(v *transport.NodeID) { w.int((*int)(v)) }
+
+func (w *walker) op(v *dataOp) { w.int((*int)(v)) }
+
+func (w *walker) bool(v *bool) {
+	if w.r != nil {
+		*v = w.r.Bool()
+	} else {
+		w.b = transport.AppendBool(w.b, *v)
+	}
+}
+
+func (w *walker) str(v *string) {
+	if w.r != nil {
+		*v = w.r.String()
+	} else {
+		w.b = transport.AppendString(w.b, *v)
+	}
+}
+
+// bytes decodes into a fresh copy: the frame buffer is pooled and reused
+// after the decode returns.
+func (w *walker) bytes(v *[]byte) {
+	if w.r != nil {
+		*v = w.r.Bytes()
+	} else {
+		w.b = transport.AppendBytes(w.b, *v)
+	}
+}
+
+func (w *walker) float(v *float64) {
+	bits := math.Float64bits(*v)
+	w.u64(&bits)
+	*v = math.Float64frombits(bits)
+}
+
+// small walks a uint8 that travels as a uvarint.  A decoded value above
+// max is rejected, never truncated into range: 259 must not arrive as 3.
+func (w *walker) small(v *uint8, max uint64, what string) {
+	if w.r == nil {
+		w.b = transport.AppendUvarint(w.b, uint64(*v))
+	} else if x := w.r.Uvarint(); x > max {
+		w.r.Invalid(what)
+	} else {
+		*v = uint8(x)
+	}
+}
+
+func (w *walker) level(v *uint8) { w.small(v, hashspace.MaxLevel, "splitlevel") }
+
+// partition validates before use: an out-of-range level would index past
+// the level-set arrays downstream (a remote panic from a corrupt frame),
+// and stray prefix bits would corrupt partition-keyed maps.
+func (w *walker) partition(p *hashspace.Partition) {
+	w.u64(&p.Prefix)
+	w.small(&p.Level, hashspace.MaxLevel, "partition level")
+	if w.r != nil && !p.Valid() {
+		w.r.Invalid("partition prefix")
+		*p = hashspace.Partition{}
+	}
+}
+
+// partitionFields is the primitive as a fields walk, for the journal
+// record that is one bare partition.
+func partitionFields(p *hashspace.Partition, w *walker) { w.partition(p) }
+
+// maxGroupLen is the longest group identifier a split can produce:
+// GroupID.Split refuses to deepen an identifier of 63 digits.
+const maxGroupLen = 63
+
+func (w *walker) group(g *core.GroupID) {
+	w.u64(&g.Bits)
+	w.small(&g.Len, maxGroupLen, "group length")
+}
+
+// count walks the length of a collection whose elements occupy at least
+// minBytes each.  Decoding goes through ArrayLen, which refuses a count
+// the remaining input cannot hold, so a corrupt count cannot force a huge
+// allocation.
+func (w *walker) count(n, minBytes int) int {
+	if w.r != nil {
+		return w.r.ArrayLen(minBytes)
+	}
+	w.b = transport.AppendUvarint(w.b, uint64(n))
+	return n
+}
+
+// sliceOf walks a slice's count and, when decoding, sizes the slice for
+// it; the caller walks the elements of the slice it returns, each by a
+// static call (see appendWalk).  An empty slice decodes as nil.
+func sliceOf[T any](w *walker, s *[]T, minBytes int) []T {
+	if n := w.count(len(*s), minBytes); w.r != nil && n > 0 {
+		*s = make([]T, n)
+	}
+	return *s
+}
+
+func (w *walker) nodes(s *[]transport.NodeID) {
+	for i := range sliceOf(w, s, 1) {
+		w.node(&(*s)[i])
+	}
+}
+
+func (w *walker) partitions(s *[]hashspace.Partition) {
+	for i := range sliceOf(w, s, 2) {
+		w.partition(&(*s)[i])
+	}
+}
+
+// kvmap walks a bucket's contents, in map iteration order when encoding;
+// it always decodes to a non-nil map.
+func (w *walker) kvmap(m *map[string][]byte) {
+	n := w.count(len(*m), 2)
+	if w.r == nil {
+		for k, v := range *m {
+			w.str(&k)
+			w.bytes(&v)
+		}
+		return
+	}
+	*m = make(map[string][]byte, n)
+	for ; n > 0 && w.r.Err() == nil; n-- {
+		var k string
+		var v []byte
+		w.str(&k)
+		w.bytes(&v)
+		(*m)[k] = v
+	}
+}
+
+// decoded sets a message's private mark on the way out of a frame: the
+// slices it holds were allocated by this decode and are exclusively the
+// message's, so receivers may store them without a defensive copy.  The
+// mark never travels.
+func (w *walker) decoded(private *bool) {
+	if w.r != nil {
+		*private = true
+	}
 }
 
 // --- shared sub-structures ---
 
-func appendPartition(b []byte, p hashspace.Partition) []byte {
-	b = transport.AppendUvarint(b, p.Prefix)
-	return transport.AppendUvarint(b, uint64(p.Level))
+func (n *VnodeName) fields(w *walker) {
+	w.node(&n.Snode)
+	w.int(&n.Local)
 }
 
-func readPartition(r *transport.WireReader) hashspace.Partition {
-	pre := r.Uvarint()
-	lvl := r.Uvarint()
-	// Validate before use: an out-of-range level would index past the
-	// level-set arrays downstream (a remote panic from a corrupt frame),
-	// and stray prefix bits would corrupt partition-keyed maps.
-	if lvl > hashspace.MaxLevel {
-		r.Invalid("partition level")
-		return hashspace.Partition{}
-	}
-	p := hashspace.Partition{Prefix: pre, Level: uint8(lvl)}
-	if !p.Valid() {
-		r.Invalid("partition prefix")
-		return hashspace.Partition{}
-	}
-	return p
+func (ref *ownerRef) fields(w *walker) {
+	ref.Vnode.fields(w)
+	w.node(&ref.Host)
 }
 
-// readLevel reads a bare splitlevel, rejecting values no partition can
-// have instead of truncating them into range.
-func readLevel(r *transport.WireReader) uint8 {
-	lvl := r.Uvarint()
-	if lvl > hashspace.MaxLevel {
-		r.Invalid("splitlevel")
-		return 0
-	}
-	return uint8(lvl)
+// tombFields is a custody pointer as a snapshot keeps it: no replicas.
+func (e *routeEntry) tombFields(w *walker) {
+	w.partition(&e.Partition)
+	e.Ref.fields(w)
 }
 
-func appendVnodeName(b []byte, n VnodeName) []byte {
-	b = transport.AppendVarint(b, int64(n.Snode))
-	return transport.AppendVarint(b, int64(n.Local))
+func (e *routeEntry) fields(w *walker) {
+	e.tombFields(w)
+	w.nodes(&e.Replicas)
 }
 
-func readVnodeName(r *transport.WireReader) VnodeName {
-	sn := r.Varint()
-	lo := r.Varint()
-	return VnodeName{Snode: transport.NodeID(sn), Local: int(lo)}
+func (it *batchItem) fields(w *walker) {
+	w.str(&it.Key)
+	w.bytes(&it.Value)
 }
 
-func appendNodeIDs(b []byte, ids []transport.NodeID) []byte {
-	b = transport.AppendUvarint(b, uint64(len(ids)))
-	for _, id := range ids {
-		b = transport.AppendVarint(b, int64(id))
-	}
-	return b
+func (res *batchItemResp) fields(w *walker) {
+	w.bytes(&res.Value)
+	w.bool(&res.Found)
+	w.str(&res.Err)
 }
 
-func readNodeIDs(r *transport.WireReader) []transport.NodeID {
-	n := r.ArrayLen(1)
-	if n == 0 {
-		return nil
+// journalFields is what the journal keeps of a replica write set: Ver and
+// Group are volatile election metadata.
+func (set *replWriteSet) journalFields(w *walker) {
+	w.partition(&set.Partition)
+	for i := range sliceOf(w, &set.Items, 2) {
+		set.Items[i].fields(w)
 	}
-	ids := make([]transport.NodeID, n)
-	for i := range ids {
-		ids[i] = transport.NodeID(r.Varint())
-	}
-	return ids
 }
 
-func appendRouteEntries(b []byte, es []routeEntry) []byte {
-	b = transport.AppendUvarint(b, uint64(len(es)))
-	for _, e := range es {
-		b = appendPartition(b, e.Partition)
-		b = appendOwnerRef(b, e.Ref)
-		b = appendNodeIDs(b, e.Replicas)
-	}
-	return b
+func (set *replWriteSet) fields(w *walker) {
+	set.journalFields(w)
+	w.u64(&set.Ver)
+	w.group(&set.Group)
 }
 
-func readRouteEntries(r *transport.WireReader) []routeEntry {
-	n := r.ArrayLen(5)
-	if n == 0 {
-		return nil
-	}
-	es := make([]routeEntry, n)
-	for i := range es {
-		es[i].Partition = readPartition(r)
-		es[i].Ref = readOwnerRef(r)
-		es[i].Replicas = readNodeIDs(r)
-	}
-	return es
+func (d *partDigest) fields(w *walker) {
+	w.partition(&d.Partition)
+	w.int(&d.Count)
+	w.u64(&d.Sum)
 }
 
-func appendBatchItems(b []byte, items []batchItem) []byte {
-	b = transport.AppendUvarint(b, uint64(len(items)))
-	for _, it := range items {
-		b = transport.AppendString(b, it.Key)
-		b = transport.AppendBytes(b, it.Value)
-	}
-	return b
+func (it *migItem) fields(w *walker) {
+	w.str(&it.Key)
+	w.bytes(&it.Value)
+	w.bool(&it.Del)
 }
 
-func readBatchItems(r *transport.WireReader) []batchItem {
-	n := r.ArrayLen(2)
-	if n == 0 {
-		return nil
+func (mem *memberInfo) fields(w *walker) {
+	mem.Vnode.fields(w)
+	w.node(&mem.Host)
+	w.int(&mem.Count)
+}
+
+func (st *lpdrState) fields(w *walker) {
+	w.group(&st.Group)
+	w.level(&st.Level)
+	w.node(&st.Leader)
+	for i := range sliceOf(w, &st.Members, 3) {
+		st.Members[i].fields(w)
 	}
-	items := make([]batchItem, n)
-	for i := range items {
-		items[i].Key = r.String()
-		items[i].Value = r.Bytes()
-	}
-	return items
 }
 
 // --- lookup ---
 
-func (m lookupReq) WireTag() uint16 { return wireTagLookupReq }
+func (m lookupReq) WireTag() uint16            { return wireTagLookupReq }
+func (m lookupReq) AppendWire(b []byte) []byte { return appendWalk(b, &m, (*lookupReq).fields) }
 
-func (m lookupReq) AppendWire(b []byte) []byte {
-	b = transport.AppendUvarint(b, m.Op)
-	b = transport.AppendUvarint(b, m.R)
-	b = transport.AppendVarint(b, int64(m.ReplyTo))
-	return transport.AppendVarint(b, int64(m.Hops))
+func (m *lookupReq) fields(w *walker) {
+	w.u64(&m.Op)
+	w.u64(&m.R)
+	w.node(&m.ReplyTo)
+	w.int(&m.Hops)
 }
 
-func decodeLookupReq(r *transport.WireReader) (any, error) {
-	var m lookupReq
-	m.Op = r.Uvarint()
-	m.R = r.Uvarint()
-	m.ReplyTo = transport.NodeID(r.Varint())
-	m.Hops = int(r.Varint())
-	return m, r.Err()
-}
+func (m lookupResp) WireTag() uint16            { return wireTagLookupResp }
+func (m lookupResp) AppendWire(b []byte) []byte { return appendWalk(b, &m, (*lookupResp).fields) }
 
-func (m lookupResp) WireTag() uint16 { return wireTagLookupResp }
-
-func (m lookupResp) AppendWire(b []byte) []byte {
-	b = transport.AppendUvarint(b, m.Op)
-	b = appendVnodeName(b, m.Owner)
-	b = transport.AppendVarint(b, int64(m.Host))
-	b = appendPartition(b, m.Partition)
-	b = transport.AppendUvarint(b, m.Group.Bits)
-	b = transport.AppendUvarint(b, uint64(m.Group.Len))
-	b = transport.AppendVarint(b, int64(m.Leader))
-	return transport.AppendString(b, m.Err)
-}
-
-func decodeLookupResp(r *transport.WireReader) (any, error) {
-	var m lookupResp
-	m.Op = r.Uvarint()
-	m.Owner = readVnodeName(r)
-	m.Host = transport.NodeID(r.Varint())
-	m.Partition = readPartition(r)
-	m.Group = core.GroupID{Bits: r.Uvarint(), Len: uint8(r.Uvarint())}
-	m.Leader = transport.NodeID(r.Varint())
-	m.Err = r.String()
-	return m, r.Err()
+func (m *lookupResp) fields(w *walker) {
+	w.u64(&m.Op)
+	m.Owner.fields(w)
+	w.node(&m.Host)
+	w.partition(&m.Partition)
+	w.group(&m.Group)
+	w.node(&m.Leader)
+	w.str(&m.Err)
 }
 
 // --- batch ---
 
-func (m batchReq) WireTag() uint16 { return wireTagBatchReq }
+func (m batchReq) WireTag() uint16            { return wireTagBatchReq }
+func (m batchReq) AppendWire(b []byte) []byte { return appendWalk(b, &m, (*batchReq).fields) }
 
-func (m batchReq) AppendWire(b []byte) []byte {
-	b = transport.AppendUvarint(b, m.Op)
-	b = transport.AppendVarint(b, int64(m.Kind))
-	b = appendBatchItems(b, m.Items)
-	b = transport.AppendVarint(b, int64(m.ReplyTo))
-	b = transport.AppendVarint(b, int64(m.Hops))
-	return transport.AppendBool(b, m.ReadReplica)
-}
-
-func decodeBatchReq(r *transport.WireReader) (any, error) {
-	var m batchReq
-	m.Op = r.Uvarint()
-	m.Kind = dataOp(r.Varint())
-	m.Items = readBatchItems(r)
-	m.ReplyTo = transport.NodeID(r.Varint())
-	m.Hops = int(r.Varint())
-	m.ReadReplica = r.Bool()
-	m.private = true // decoded slices are exclusively this message's
-	return m, r.Err()
-}
-
-func (m batchResp) WireTag() uint16 { return wireTagBatchResp }
-
-func (m batchResp) AppendWire(b []byte) []byte {
-	b = transport.AppendUvarint(b, m.Op)
-	b = transport.AppendUvarint(b, uint64(len(m.Results)))
-	for _, res := range m.Results {
-		b = transport.AppendBytes(b, res.Value)
-		b = transport.AppendBool(b, res.Found)
-		b = transport.AppendString(b, res.Err)
+func (m *batchReq) fields(w *walker) {
+	w.u64(&m.Op)
+	w.op(&m.Kind)
+	for i := range sliceOf(w, &m.Items, 2) {
+		m.Items[i].fields(w)
 	}
-	return appendRouteEntries(b, m.Served)
+	w.node(&m.ReplyTo)
+	w.int(&m.Hops)
+	w.bool(&m.ReadReplica)
+	w.decoded(&m.private)
 }
 
-func decodeBatchResp(r *transport.WireReader) (any, error) {
-	var m batchResp
-	m.Op = r.Uvarint()
-	if n := r.ArrayLen(3); n > 0 {
-		m.Results = make([]batchItemResp, n)
-		for i := range m.Results {
-			m.Results[i].Value = r.Bytes()
-			m.Results[i].Found = r.Bool()
-			m.Results[i].Err = r.String()
-		}
+func (m batchResp) WireTag() uint16            { return wireTagBatchResp }
+func (m batchResp) AppendWire(b []byte) []byte { return appendWalk(b, &m, (*batchResp).fields) }
+
+func (m *batchResp) fields(w *walker) {
+	w.u64(&m.Op)
+	for i := range sliceOf(w, &m.Results, 3) {
+		m.Results[i].fields(w)
 	}
-	m.Served = readRouteEntries(r)
-	return m, r.Err()
+	for i := range sliceOf(w, &m.Served, 5) {
+		m.Served[i].fields(w)
+	}
 }
 
 // --- replica plane ---
 
-func (m replWriteReq) WireTag() uint16 { return wireTagReplWriteReq }
+func (m replWriteReq) WireTag() uint16            { return wireTagReplWriteReq }
+func (m replWriteReq) AppendWire(b []byte) []byte { return appendWalk(b, &m, (*replWriteReq).fields) }
 
-func (m replWriteReq) AppendWire(b []byte) []byte {
-	b = transport.AppendUvarint(b, m.Op)
-	b = transport.AppendVarint(b, int64(m.Kind))
-	b = transport.AppendUvarint(b, uint64(len(m.Sets)))
-	for _, set := range m.Sets {
-		b = appendPartition(b, set.Partition)
-		b = appendBatchItems(b, set.Items)
-		b = transport.AppendUvarint(b, set.Ver)
-		b = appendGroup(b, set.Group)
+func (m *replWriteReq) fields(w *walker) {
+	w.u64(&m.Op)
+	w.op(&m.Kind)
+	for i := range sliceOf(w, &m.Sets, 3) {
+		m.Sets[i].fields(w)
 	}
-	return transport.AppendVarint(b, int64(m.ReplyTo))
+	w.node(&m.ReplyTo)
+	w.decoded(&m.private)
 }
 
-func decodeReplWriteReq(r *transport.WireReader) (any, error) {
-	var m replWriteReq
-	m.Op = r.Uvarint()
-	m.Kind = dataOp(r.Varint())
-	if n := r.ArrayLen(3); n > 0 {
-		m.Sets = make([]replWriteSet, n)
-		for i := range m.Sets {
-			m.Sets[i].Partition = readPartition(r)
-			m.Sets[i].Items = readBatchItems(r)
-			m.Sets[i].Ver = r.Uvarint()
-			m.Sets[i].Group = readGroup(r)
-		}
+func (m ackResp) WireTag() uint16            { return wireTagReplWriteResp }
+func (m ackResp) AppendWire(b []byte) []byte { return appendWalk(b, &m, (*ackResp).fields) }
+
+func (m *ackResp) fields(w *walker) {
+	w.u64(&m.Op)
+	w.str(&m.Err)
+}
+
+func (m replProbeReq) WireTag() uint16            { return wireTagReplProbeReq }
+func (m replProbeReq) AppendWire(b []byte) []byte { return appendWalk(b, &m, (*replProbeReq).fields) }
+
+func (m *replProbeReq) fields(w *walker) {
+	w.u64(&m.Op)
+	for i := range sliceOf(w, &m.Digests, 4) {
+		m.Digests[i].fields(w)
 	}
-	m.ReplyTo = transport.NodeID(r.Varint())
-	m.private = true // decoded slices are exclusively this message's
-	return m, r.Err()
+	w.node(&m.ReplyTo)
 }
 
-func (m ackResp) WireTag() uint16 { return wireTagReplWriteResp }
+func (m replProbeResp) WireTag() uint16            { return wireTagReplProbeResp }
+func (m replProbeResp) AppendWire(b []byte) []byte { return appendWalk(b, &m, (*replProbeResp).fields) }
 
-func (m ackResp) AppendWire(b []byte) []byte {
-	b = transport.AppendUvarint(b, m.Op)
-	return transport.AppendString(b, m.Err)
-}
-
-func decodeAckResp(r *transport.WireReader) (any, error) {
-	var m ackResp
-	m.Op = r.Uvarint()
-	m.Err = r.String()
-	return m, r.Err()
-}
-
-func (m replProbeReq) WireTag() uint16 { return wireTagReplProbeReq }
-
-func (m replProbeReq) AppendWire(b []byte) []byte {
-	b = transport.AppendUvarint(b, m.Op)
-	b = transport.AppendUvarint(b, uint64(len(m.Digests)))
-	for _, d := range m.Digests {
-		b = appendPartition(b, d.Partition)
-		b = transport.AppendVarint(b, int64(d.Count))
-		b = transport.AppendUvarint(b, d.Sum)
-	}
-	return transport.AppendVarint(b, int64(m.ReplyTo))
-}
-
-func decodeReplProbeReq(r *transport.WireReader) (any, error) {
-	var m replProbeReq
-	m.Op = r.Uvarint()
-	if n := r.ArrayLen(4); n > 0 {
-		m.Digests = make([]partDigest, n)
-		for i := range m.Digests {
-			m.Digests[i].Partition = readPartition(r)
-			m.Digests[i].Count = int(r.Varint())
-			m.Digests[i].Sum = r.Uvarint()
-		}
-	}
-	m.ReplyTo = transport.NodeID(r.Varint())
-	return m, r.Err()
-}
-
-func (m replProbeResp) WireTag() uint16 { return wireTagReplProbeResp }
-
-func (m replProbeResp) AppendWire(b []byte) []byte {
-	b = transport.AppendUvarint(b, m.Op)
-	return appendPartitions(b, m.OutOfSync)
-}
-
-func decodeReplProbeResp(r *transport.WireReader) (any, error) {
-	var m replProbeResp
-	m.Op = r.Uvarint()
-	m.OutOfSync = readPartitions(r)
-	return m, r.Err()
+func (m *replProbeResp) fields(w *walker) {
+	w.u64(&m.Op)
+	w.partitions(&m.OutOfSync)
 }
 
 // --- ping ---
 
-func (m pingReq) WireTag() uint16 { return wireTagPingReq }
+func (m pingReq) WireTag() uint16            { return wireTagPingReq }
+func (m pingReq) AppendWire(b []byte) []byte { return appendWalk(b, &m, (*pingReq).fields) }
 
-func (m pingReq) AppendWire(b []byte) []byte {
-	b = transport.AppendUvarint(b, m.Op)
-	return transport.AppendVarint(b, int64(m.ReplyTo))
+func (m *pingReq) fields(w *walker) {
+	w.u64(&m.Op)
+	w.node(&m.ReplyTo)
 }
 
-func decodePingReq(r *transport.WireReader) (any, error) {
-	var m pingReq
-	m.Op = r.Uvarint()
-	m.ReplyTo = transport.NodeID(r.Varint())
-	return m, r.Err()
-}
+func (m pingResp) WireTag() uint16            { return wireTagPingResp }
+func (m pingResp) AppendWire(b []byte) []byte { return appendWalk(b, &m, (*pingResp).fields) }
 
-func (m pingResp) WireTag() uint16 { return wireTagPingResp }
-
-func (m pingResp) AppendWire(b []byte) []byte {
-	return transport.AppendUvarint(b, m.Op)
-}
-
-func decodePingResp(r *transport.WireReader) (any, error) {
-	var m pingResp
-	m.Op = r.Uvarint()
-	return m, r.Err()
-}
+func (m *pingResp) fields(w *walker) { w.u64(&m.Op) }
 
 // --- chunked live migration ---
 
-func appendGroup(b []byte, g core.GroupID) []byte {
-	b = transport.AppendUvarint(b, g.Bits)
-	return transport.AppendUvarint(b, uint64(g.Len))
+func (m migBeginReq) WireTag() uint16            { return wireTagMigBeginReq }
+func (m migBeginReq) AppendWire(b []byte) []byte { return appendWalk(b, &m, (*migBeginReq).fields) }
+
+func (m *migBeginReq) fields(w *walker) {
+	w.u64(&m.Op)
+	w.group(&m.Group)
+	m.To.fields(w)
+	w.partition(&m.Partition)
+	w.level(&m.Level)
+	w.node(&m.ReplyTo)
 }
 
-func readGroup(r *transport.WireReader) core.GroupID {
-	return core.GroupID{Bits: r.Uvarint(), Len: uint8(r.Uvarint())}
-}
+func (m migChunkReq) WireTag() uint16            { return wireTagMigChunkReq }
+func (m migChunkReq) AppendWire(b []byte) []byte { return appendWalk(b, &m, (*migChunkReq).fields) }
 
-func appendMigItems(b []byte, items []migItem) []byte {
-	b = transport.AppendUvarint(b, uint64(len(items)))
-	for _, it := range items {
-		b = transport.AppendString(b, it.Key)
-		b = transport.AppendBytes(b, it.Value)
-		b = transport.AppendBool(b, it.Del)
+func (m *migChunkReq) fields(w *walker) {
+	w.u64(&m.Op)
+	m.To.fields(w)
+	w.partition(&m.Partition)
+	for i := range sliceOf(w, &m.Items, 3) {
+		m.Items[i].fields(w)
 	}
-	return b
+	w.node(&m.ReplyTo)
+	w.decoded(&m.private)
 }
 
-func readMigItems(r *transport.WireReader) []migItem {
-	n := r.ArrayLen(3)
-	if n == 0 {
-		return nil
-	}
-	items := make([]migItem, n)
-	for i := range items {
-		items[i].Key = r.String()
-		items[i].Value = r.Bytes()
-		items[i].Del = r.Bool()
-	}
-	return items
-}
+func (m migCommitReq) WireTag() uint16            { return wireTagMigCommitReq }
+func (m migCommitReq) AppendWire(b []byte) []byte { return appendWalk(b, &m, (*migCommitReq).fields) }
 
-func (m migBeginReq) WireTag() uint16 { return wireTagMigBeginReq }
+// A commit carries a chunk's fields; it differs in what the receiver
+// does with them.
+func (m *migCommitReq) fields(w *walker) { (*migChunkReq)(m).fields(w) }
 
-func (m migBeginReq) AppendWire(b []byte) []byte {
-	b = transport.AppendUvarint(b, m.Op)
-	b = appendGroup(b, m.Group)
-	b = appendVnodeName(b, m.To)
-	b = appendPartition(b, m.Partition)
-	b = transport.AppendUvarint(b, uint64(m.Level))
-	return transport.AppendVarint(b, int64(m.ReplyTo))
-}
+func (m migAbortMsg) WireTag() uint16            { return wireTagMigAbort }
+func (m migAbortMsg) AppendWire(b []byte) []byte { return appendWalk(b, &m, (*migAbortMsg).fields) }
 
-func decodeMigBeginReq(r *transport.WireReader) (any, error) {
-	var m migBeginReq
-	m.Op = r.Uvarint()
-	m.Group = readGroup(r)
-	m.To = readVnodeName(r)
-	m.Partition = readPartition(r)
-	m.Level = readLevel(r)
-	m.ReplyTo = transport.NodeID(r.Varint())
-	return m, r.Err()
-}
-
-func (m migChunkReq) WireTag() uint16 { return wireTagMigChunkReq }
-
-func (m migChunkReq) AppendWire(b []byte) []byte {
-	b = transport.AppendUvarint(b, m.Op)
-	b = appendVnodeName(b, m.To)
-	b = appendPartition(b, m.Partition)
-	b = appendMigItems(b, m.Items)
-	return transport.AppendVarint(b, int64(m.ReplyTo))
-}
-
-func decodeMigChunkReq(r *transport.WireReader) (any, error) {
-	var m migChunkReq
-	m.Op = r.Uvarint()
-	m.To = readVnodeName(r)
-	m.Partition = readPartition(r)
-	m.Items = readMigItems(r)
-	m.ReplyTo = transport.NodeID(r.Varint())
-	m.private = true // decoded slices are exclusively this message's
-	return m, r.Err()
-}
-
-func (m migCommitReq) WireTag() uint16 { return wireTagMigCommitReq }
-
-func (m migCommitReq) AppendWire(b []byte) []byte {
-	b = transport.AppendUvarint(b, m.Op)
-	b = appendVnodeName(b, m.To)
-	b = appendPartition(b, m.Partition)
-	b = appendMigItems(b, m.Items)
-	return transport.AppendVarint(b, int64(m.ReplyTo))
-}
-
-func decodeMigCommitReq(r *transport.WireReader) (any, error) {
-	var m migCommitReq
-	m.Op = r.Uvarint()
-	m.To = readVnodeName(r)
-	m.Partition = readPartition(r)
-	m.Items = readMigItems(r)
-	m.ReplyTo = transport.NodeID(r.Varint())
-	m.private = true
-	return m, r.Err()
-}
-
-func (m migAbortMsg) WireTag() uint16 { return wireTagMigAbort }
-
-func (m migAbortMsg) AppendWire(b []byte) []byte {
-	b = appendVnodeName(b, m.To)
-	return appendPartition(b, m.Partition)
-}
-
-func decodeMigAbort(r *transport.WireReader) (any, error) {
-	var m migAbortMsg
-	m.To = readVnodeName(r)
-	m.Partition = readPartition(r)
-	return m, r.Err()
+func (m *migAbortMsg) fields(w *walker) {
+	m.To.fields(w)
+	w.partition(&m.Partition)
 }
 
 // --- load reports ---
 
-func appendFloat(b []byte, v float64) []byte {
-	return transport.AppendUvarint(b, math.Float64bits(v))
-}
+func (m loadReportReq) WireTag() uint16            { return wireTagLoadReq }
+func (m loadReportReq) AppendWire(b []byte) []byte { return appendWalk(b, &m, (*loadReportReq).fields) }
 
-func readFloat(r *transport.WireReader) float64 {
-	return math.Float64frombits(r.Uvarint())
-}
-
-func (m loadReportReq) WireTag() uint16 { return wireTagLoadReq }
-
-func (m loadReportReq) AppendWire(b []byte) []byte {
-	b = transport.AppendUvarint(b, m.Op)
-	return transport.AppendVarint(b, int64(m.ReplyTo))
-}
-
-func decodeLoadReportReq(r *transport.WireReader) (any, error) {
-	var m loadReportReq
-	m.Op = r.Uvarint()
-	m.ReplyTo = transport.NodeID(r.Varint())
-	return m, r.Err()
+func (m *loadReportReq) fields(w *walker) {
+	w.u64(&m.Op)
+	w.node(&m.ReplyTo)
 }
 
 func (m loadReportResp) WireTag() uint16 { return wireTagLoadResp }
-
 func (m loadReportResp) AppendWire(b []byte) []byte {
-	b = transport.AppendUvarint(b, m.Op)
-	b = transport.AppendVarint(b, int64(m.Vnodes))
-	b = transport.AppendVarint(b, int64(m.Keys))
-	b = appendFloat(b, m.Quota)
-	b = appendFloat(b, m.Reads)
-	b = appendFloat(b, m.Writes)
-	return appendFloat(b, m.Bytes)
+	return appendWalk(b, &m, (*loadReportResp).fields)
 }
 
-func decodeLoadReportResp(r *transport.WireReader) (any, error) {
-	var m loadReportResp
-	m.Op = r.Uvarint()
-	m.Vnodes = int(r.Varint())
-	m.Keys = int(r.Varint())
-	m.Quota = readFloat(r)
-	m.Reads = readFloat(r)
-	m.Writes = readFloat(r)
-	m.Bytes = readFloat(r)
-	return m, r.Err()
+func (m *loadReportResp) fields(w *walker) {
+	w.u64(&m.Op)
+	w.int(&m.Vnodes)
+	w.int(&m.Keys)
+	w.float(&m.Quota)
+	w.float(&m.Reads)
+	w.float(&m.Writes)
+	w.float(&m.Bytes)
 }
 
 // --- vnode creation and removal ---
 
 func (m createVnodeReq) WireTag() uint16 { return wireTagCreateVnodeReq }
-
 func (m createVnodeReq) AppendWire(b []byte) []byte {
-	b = transport.AppendUvarint(b, m.Op)
-	b = transport.AppendVarint(b, int64(m.ReplyTo))
-	return transport.AppendBool(b, m.Bootstrap)
+	return appendWalk(b, &m, (*createVnodeReq).fields)
 }
 
-func decodeCreateVnodeReq(r *transport.WireReader) (any, error) {
-	var m createVnodeReq
-	m.Op = r.Uvarint()
-	m.ReplyTo = transport.NodeID(r.Varint())
-	m.Bootstrap = r.Bool()
-	return m, r.Err()
+func (m *createVnodeReq) fields(w *walker) {
+	w.u64(&m.Op)
+	w.node(&m.ReplyTo)
+	w.bool(&m.Bootstrap)
 }
 
 func (m createVnodeResp) WireTag() uint16 { return wireTagCreateVnodeResp }
-
 func (m createVnodeResp) AppendWire(b []byte) []byte {
-	b = transport.AppendUvarint(b, m.Op)
-	b = appendVnodeName(b, m.Vnode)
-	b = appendGroup(b, m.Group)
-	return transport.AppendString(b, m.Err)
+	return appendWalk(b, &m, (*createVnodeResp).fields)
 }
 
-func decodeCreateVnodeResp(r *transport.WireReader) (any, error) {
-	var m createVnodeResp
-	m.Op = r.Uvarint()
-	m.Vnode = readVnodeName(r)
-	m.Group = readGroup(r)
-	m.Err = r.String()
-	return m, r.Err()
+func (m *createVnodeResp) fields(w *walker) {
+	w.u64(&m.Op)
+	m.Vnode.fields(w)
+	w.group(&m.Group)
+	w.str(&m.Err)
 }
 
-func (m joinGroupReq) WireTag() uint16 { return wireTagJoinGroupReq }
+func (m joinGroupReq) WireTag() uint16            { return wireTagJoinGroupReq }
+func (m joinGroupReq) AppendWire(b []byte) []byte { return appendWalk(b, &m, (*joinGroupReq).fields) }
 
-func (m joinGroupReq) AppendWire(b []byte) []byte {
-	b = transport.AppendUvarint(b, m.Op)
-	b = appendGroup(b, m.Group)
-	b = appendVnodeName(b, m.NewVnode)
-	b = transport.AppendVarint(b, int64(m.NewHost))
-	b = transport.AppendVarint(b, int64(m.ReplyTo))
-	return transport.AppendVarint(b, int64(m.Hops))
+func (m *joinGroupReq) fields(w *walker) {
+	w.u64(&m.Op)
+	w.group(&m.Group)
+	m.NewVnode.fields(w)
+	w.node(&m.NewHost)
+	w.node(&m.ReplyTo)
+	w.int(&m.Hops)
 }
 
-func decodeJoinGroupReq(r *transport.WireReader) (any, error) {
-	var m joinGroupReq
-	m.Op = r.Uvarint()
-	m.Group = readGroup(r)
-	m.NewVnode = readVnodeName(r)
-	m.NewHost = transport.NodeID(r.Varint())
-	m.ReplyTo = transport.NodeID(r.Varint())
-	m.Hops = int(r.Varint())
-	return m, r.Err()
+func (m joinGroupResp) WireTag() uint16            { return wireTagJoinGroupResp }
+func (m joinGroupResp) AppendWire(b []byte) []byte { return appendWalk(b, &m, (*joinGroupResp).fields) }
+
+func (m *joinGroupResp) fields(w *walker) {
+	w.u64(&m.Op)
+	w.group(&m.Group)
+	w.bool(&m.Retry)
+	w.str(&m.Err)
 }
 
-func (m joinGroupResp) WireTag() uint16 { return wireTagJoinGroupResp }
+func (m leaveVnodeReq) WireTag() uint16            { return wireTagLeaveVnodeReq }
+func (m leaveVnodeReq) AppendWire(b []byte) []byte { return appendWalk(b, &m, (*leaveVnodeReq).fields) }
 
-func (m joinGroupResp) AppendWire(b []byte) []byte {
-	b = transport.AppendUvarint(b, m.Op)
-	b = appendGroup(b, m.Group)
-	b = transport.AppendBool(b, m.Retry)
-	return transport.AppendString(b, m.Err)
-}
-
-func decodeJoinGroupResp(r *transport.WireReader) (any, error) {
-	var m joinGroupResp
-	m.Op = r.Uvarint()
-	m.Group = readGroup(r)
-	m.Retry = r.Bool()
-	m.Err = r.String()
-	return m, r.Err()
-}
-
-func (m leaveVnodeReq) WireTag() uint16 { return wireTagLeaveVnodeReq }
-
-func (m leaveVnodeReq) AppendWire(b []byte) []byte {
-	b = transport.AppendUvarint(b, m.Op)
-	b = appendVnodeName(b, m.Vnode)
-	b = appendGroup(b, m.Group)
-	b = transport.AppendVarint(b, int64(m.ReplyTo))
-	return transport.AppendVarint(b, int64(m.Hops))
-}
-
-func decodeLeaveVnodeReq(r *transport.WireReader) (any, error) {
-	var m leaveVnodeReq
-	m.Op = r.Uvarint()
-	m.Vnode = readVnodeName(r)
-	m.Group = readGroup(r)
-	m.ReplyTo = transport.NodeID(r.Varint())
-	m.Hops = int(r.Varint())
-	return m, r.Err()
+func (m *leaveVnodeReq) fields(w *walker) {
+	w.u64(&m.Op)
+	m.Vnode.fields(w)
+	w.group(&m.Group)
+	w.node(&m.ReplyTo)
+	w.int(&m.Hops)
 }
 
 func (m leaveVnodeResp) WireTag() uint16 { return wireTagLeaveVnodeResp }
-
 func (m leaveVnodeResp) AppendWire(b []byte) []byte {
-	b = transport.AppendUvarint(b, m.Op)
-	b = transport.AppendBool(b, m.Retry)
-	return transport.AppendString(b, m.Err)
+	return appendWalk(b, &m, (*leaveVnodeResp).fields)
 }
 
-func decodeLeaveVnodeResp(r *transport.WireReader) (any, error) {
-	var m leaveVnodeResp
-	m.Op = r.Uvarint()
-	m.Retry = r.Bool()
-	m.Err = r.String()
-	return m, r.Err()
+func (m *leaveVnodeResp) fields(w *walker) {
+	w.u64(&m.Op)
+	w.bool(&m.Retry)
+	w.str(&m.Err)
 }
 
 // --- intra-group rebalancement ---
 
-// appendSplitAll/readSplitAll are the body of splitAllReq on the wire and
-// of the walTagSplitAll journal record.
-func appendSplitAll(b []byte, g core.GroupID, newLevel uint8) []byte {
-	b = appendGroup(b, g)
-	return transport.AppendUvarint(b, uint64(newLevel))
+func (m splitAllReq) WireTag() uint16            { return wireTagSplitAllReq }
+func (m splitAllReq) AppendWire(b []byte) []byte { return appendWalk(b, &m, (*splitAllReq).fields) }
+
+func (m *splitAllReq) fields(w *walker) {
+	w.u64(&m.Op)
+	m.journalFields(w)
+	w.node(&m.ReplyTo)
 }
 
-func readSplitAll(r *transport.WireReader) (core.GroupID, uint8) {
-	return readGroup(r), readLevel(r)
+// journalFields is the split itself, the body of the walTagSplitAll
+// record.
+func (m *splitAllReq) journalFields(w *walker) {
+	w.group(&m.Group)
+	w.level(&m.NewLevel)
 }
 
-func (m splitAllReq) WireTag() uint16 { return wireTagSplitAllReq }
+func (m transferReq) WireTag() uint16            { return wireTagTransferReq }
+func (m transferReq) AppendWire(b []byte) []byte { return appendWalk(b, &m, (*transferReq).fields) }
 
-func (m splitAllReq) AppendWire(b []byte) []byte {
-	b = transport.AppendUvarint(b, m.Op)
-	b = appendSplitAll(b, m.Group, m.NewLevel)
-	return transport.AppendVarint(b, int64(m.ReplyTo))
+func (m *transferReq) fields(w *walker) {
+	w.u64(&m.Op)
+	w.group(&m.Group)
+	m.From.fields(w)
+	m.To.fields(w)
+	w.node(&m.ToHost)
+	w.level(&m.Level)
+	w.node(&m.ReplyTo)
 }
 
-func decodeSplitAllReq(r *transport.WireReader) (any, error) {
-	var m splitAllReq
-	m.Op = r.Uvarint()
-	m.Group, m.NewLevel = readSplitAll(r)
-	m.ReplyTo = transport.NodeID(r.Varint())
-	return m, r.Err()
+func (m transferResp) WireTag() uint16            { return wireTagTransferResp }
+func (m transferResp) AppendWire(b []byte) []byte { return appendWalk(b, &m, (*transferResp).fields) }
+
+func (m *transferResp) fields(w *walker) {
+	w.u64(&m.Op)
+	w.partition(&m.Partition)
+	w.int(&m.Keys)
+	w.str(&m.Err)
 }
 
-func (m transferReq) WireTag() uint16 { return wireTagTransferReq }
+func (m shipVnodeReq) WireTag() uint16            { return wireTagShipVnodeReq }
+func (m shipVnodeReq) AppendWire(b []byte) []byte { return appendWalk(b, &m, (*shipVnodeReq).fields) }
 
-func (m transferReq) AppendWire(b []byte) []byte {
-	b = transport.AppendUvarint(b, m.Op)
-	b = appendGroup(b, m.Group)
-	b = appendVnodeName(b, m.From)
-	b = appendVnodeName(b, m.To)
-	b = transport.AppendVarint(b, int64(m.ToHost))
-	b = transport.AppendUvarint(b, uint64(m.Level))
-	return transport.AppendVarint(b, int64(m.ReplyTo))
-}
-
-func decodeTransferReq(r *transport.WireReader) (any, error) {
-	var m transferReq
-	m.Op = r.Uvarint()
-	m.Group = readGroup(r)
-	m.From = readVnodeName(r)
-	m.To = readVnodeName(r)
-	m.ToHost = transport.NodeID(r.Varint())
-	m.Level = readLevel(r)
-	m.ReplyTo = transport.NodeID(r.Varint())
-	return m, r.Err()
-}
-
-func (m transferResp) WireTag() uint16 { return wireTagTransferResp }
-
-func (m transferResp) AppendWire(b []byte) []byte {
-	b = transport.AppendUvarint(b, m.Op)
-	b = appendPartition(b, m.Partition)
-	b = transport.AppendVarint(b, int64(m.Keys))
-	return transport.AppendString(b, m.Err)
-}
-
-func decodeTransferResp(r *transport.WireReader) (any, error) {
-	var m transferResp
-	m.Op = r.Uvarint()
-	m.Partition = readPartition(r)
-	m.Keys = int(r.Varint())
-	m.Err = r.String()
-	return m, r.Err()
-}
-
-func (m shipVnodeReq) WireTag() uint16 { return wireTagShipVnodeReq }
-
-func (m shipVnodeReq) AppendWire(b []byte) []byte {
-	b = transport.AppendUvarint(b, m.Op)
-	b = appendVnodeName(b, m.Vnode)
-	b = transport.AppendUvarint(b, uint64(len(m.Dests)))
-	for _, d := range m.Dests {
-		b = appendOwnerRef(b, d)
+func (m *shipVnodeReq) fields(w *walker) {
+	w.u64(&m.Op)
+	m.Vnode.fields(w)
+	for i := range sliceOf(w, &m.Dests, 3) {
+		m.Dests[i].fields(w)
 	}
-	return transport.AppendVarint(b, int64(m.ReplyTo))
-}
-
-func decodeShipVnodeReq(r *transport.WireReader) (any, error) {
-	var m shipVnodeReq
-	m.Op = r.Uvarint()
-	m.Vnode = readVnodeName(r)
-	if n := r.ArrayLen(3); n > 0 {
-		m.Dests = make([]ownerRef, n)
-		for i := range m.Dests {
-			m.Dests[i] = readOwnerRef(r)
-		}
-	}
-	m.ReplyTo = transport.NodeID(r.Varint())
-	return m, r.Err()
+	w.node(&m.ReplyTo)
 }
 
 // --- group management ---
 
-func (m groupInit) WireTag() uint16 { return wireTagGroupInit }
+func (m groupInit) WireTag() uint16            { return wireTagGroupInit }
+func (m groupInit) AppendWire(b []byte) []byte { return appendWalk(b, &m, (*groupInit).fields) }
 
-func (m groupInit) AppendWire(b []byte) []byte {
-	b = transport.AppendUvarint(b, m.Op)
-	b = appendLpdrState(b, m.State)
-	return transport.AppendVarint(b, int64(m.ReplyTo))
+func (m *groupInit) fields(w *walker) {
+	w.u64(&m.Op)
+	m.State.fields(w)
+	w.node(&m.ReplyTo)
 }
 
-func decodeGroupInit(r *transport.WireReader) (any, error) {
-	var m groupInit
-	m.Op = r.Uvarint()
-	m.State = readLpdrState(r)
-	m.ReplyTo = transport.NodeID(r.Varint())
-	return m, r.Err()
-}
+func (m lpdrSyncMsg) WireTag() uint16            { return wireTagLpdrSync }
+func (m lpdrSyncMsg) AppendWire(b []byte) []byte { return appendWalk(b, &m, (*lpdrSyncMsg).fields) }
 
-func (m lpdrSyncMsg) WireTag() uint16 { return wireTagLpdrSync }
-
-// AppendWire is also the body of the walTagLpdr journal record.
-func (m lpdrSyncMsg) AppendWire(b []byte) []byte {
-	b = appendLpdrState(b, m.State)
-	b = transport.AppendUvarint(b, uint64(len(m.Dissolved)))
-	for _, g := range m.Dissolved {
-		b = appendGroup(b, g)
+// fields is also the body of the walTagLpdr journal record.
+func (m *lpdrSyncMsg) fields(w *walker) {
+	m.State.fields(w)
+	for i := range sliceOf(w, &m.Dissolved, 2) {
+		w.group(&m.Dissolved[i])
 	}
-	return b
 }
 
-func readLpdrSync(r *transport.WireReader) lpdrSyncMsg {
-	var m lpdrSyncMsg
-	m.State = readLpdrState(r)
-	if n := r.ArrayLen(2); n > 0 {
-		m.Dissolved = make([]core.GroupID, n)
-		for i := range m.Dissolved {
-			m.Dissolved[i] = readGroup(r)
-		}
-	}
-	return m
-}
+func (m bootstrapInfo) WireTag() uint16            { return wireTagBootstrapInfo }
+func (m bootstrapInfo) AppendWire(b []byte) []byte { return appendWalk(b, &m, (*bootstrapInfo).fields) }
 
-func decodeLpdrSync(r *transport.WireReader) (any, error) {
-	m := readLpdrSync(r)
-	return m, r.Err()
-}
-
-func (m bootstrapInfo) WireTag() uint16 { return wireTagBootstrapInfo }
-
-func (m bootstrapInfo) AppendWire(b []byte) []byte { return appendOwnerRef(b, m.Owner) }
-
-func decodeBootstrapInfo(r *transport.WireReader) (any, error) {
-	m := bootstrapInfo{Owner: readOwnerRef(r)}
-	return m, r.Err()
-}
+// fields is also the body of the walTagBoot journal record.
+func (m *bootstrapInfo) fields(w *walker) { m.Owner.fields(w) }
 
 // --- membership ---
 
 func (m snodeLeavingMsg) WireTag() uint16 { return wireTagSnodeLeaving }
-
 func (m snodeLeavingMsg) AppendWire(b []byte) []byte {
-	b = transport.AppendVarint(b, int64(m.Leaving))
-	b = appendRouteEntries(b, m.Routes)
-	return transport.AppendBool(b, m.Crashed)
+	return appendWalk(b, &m, (*snodeLeavingMsg).fields)
 }
 
-func decodeSnodeLeaving(r *transport.WireReader) (any, error) {
-	var m snodeLeavingMsg
-	m.Leaving = transport.NodeID(r.Varint())
-	m.Routes = readRouteEntries(r)
-	m.Crashed = r.Bool()
-	return m, r.Err()
+func (m *snodeLeavingMsg) fields(w *walker) {
+	w.node(&m.Leaving)
+	for i := range sliceOf(w, &m.Routes, 5) {
+		m.Routes[i].fields(w)
+	}
+	w.bool(&m.Crashed)
 }
 
 func (m snodeRecoveredMsg) WireTag() uint16 { return wireTagSnodeRecovered }
-
 func (m snodeRecoveredMsg) AppendWire(b []byte) []byte {
-	b = transport.AppendVarint(b, int64(m.Recovered))
-	return appendRouteEntries(b, m.Routes)
+	return appendWalk(b, &m, (*snodeRecoveredMsg).fields)
 }
 
-func decodeSnodeRecovered(r *transport.WireReader) (any, error) {
-	var m snodeRecoveredMsg
-	m.Recovered = transport.NodeID(r.Varint())
-	m.Routes = readRouteEntries(r)
-	return m, r.Err()
+func (m *snodeRecoveredMsg) fields(w *walker) {
+	w.node(&m.Recovered)
+	for i := range sliceOf(w, &m.Routes, 5) {
+		m.Routes[i].fields(w)
+	}
 }
 
-func (m viewUpdate) WireTag() uint16 { return wireTagViewUpdate }
+func (m viewUpdate) WireTag() uint16            { return wireTagViewUpdate }
+func (m viewUpdate) AppendWire(b []byte) []byte { return appendWalk(b, &m, (*viewUpdate).fields) }
 
-func (m viewUpdate) AppendWire(b []byte) []byte {
-	b = transport.AppendUvarint(b, m.Epoch)
-	return appendNodeIDs(b, m.Snodes)
-}
-
-func decodeViewUpdate(r *transport.WireReader) (any, error) {
-	var m viewUpdate
-	m.Epoch = r.Uvarint()
-	m.Snodes = readNodeIDs(r)
-	return m, r.Err()
+func (m *viewUpdate) fields(w *walker) {
+	w.u64(&m.Epoch)
+	w.nodes(&m.Snodes)
 }
 
 // --- replica repair ---
 
-// appendBucket/readBucket are one partition with its full contents: the
-// body of replSyncReq on the wire, of the walTagReplSync journal record
-// and of a snapshot bucket file.
-func appendBucket(b []byte, p hashspace.Partition, data map[string][]byte) []byte {
-	b = appendPartition(b, p)
-	return appendKVMap(b, data)
+func (m replSyncReq) WireTag() uint16            { return wireTagReplSyncReq }
+func (m replSyncReq) AppendWire(b []byte) []byte { return appendWalk(b, &m, (*replSyncReq).fields) }
+
+func (m *replSyncReq) fields(w *walker) {
+	w.u64(&m.Op)
+	w.partition(&m.Partition)
+	w.kvmap(&m.Data)
+	w.u64(&m.Ver)
+	w.group(&m.Group)
+	w.node(&m.ReplyTo)
 }
 
-func readBucket(r *transport.WireReader) (hashspace.Partition, map[string][]byte) {
-	return readPartition(r), readKVMap(r)
-}
+func (m replDropMsg) WireTag() uint16            { return wireTagReplDrop }
+func (m replDropMsg) AppendWire(b []byte) []byte { return appendWalk(b, &m, (*replDropMsg).fields) }
 
-func (m replSyncReq) WireTag() uint16 { return wireTagReplSyncReq }
-
-func (m replSyncReq) AppendWire(b []byte) []byte {
-	b = transport.AppendUvarint(b, m.Op)
-	b = appendBucket(b, m.Partition, m.Data)
-	b = transport.AppendUvarint(b, m.Ver)
-	b = appendGroup(b, m.Group)
-	return transport.AppendVarint(b, int64(m.ReplyTo))
-}
-
-func decodeReplSyncReq(r *transport.WireReader) (any, error) {
-	var m replSyncReq
-	m.Op = r.Uvarint()
-	m.Partition, m.Data = readBucket(r)
-	m.Ver = r.Uvarint()
-	m.Group = readGroup(r)
-	m.ReplyTo = transport.NodeID(r.Varint())
-	return m, r.Err()
-}
-
-func (m replDropMsg) WireTag() uint16 { return wireTagReplDrop }
-
-func (m replDropMsg) AppendWire(b []byte) []byte { return appendPartitions(b, m.Partitions) }
-
-func decodeReplDrop(r *transport.WireReader) (any, error) {
-	m := replDropMsg{Partitions: readPartitions(r)}
-	return m, r.Err()
-}
+// fields is also the body of the walTagReplDrop journal record.
+func (m *replDropMsg) fields(w *walker) { w.partitions(&m.Partitions) }
 
 // --- failover election ---
 
-// promoteQueryReq and promoteOrderReq carry the same four fields about
-// one partition of a dead primary; they differ in what they ask for.
 func (m promoteQueryReq) WireTag() uint16 { return wireTagPromoteQueryReq }
-
 func (m promoteQueryReq) AppendWire(b []byte) []byte {
-	b = transport.AppendUvarint(b, m.Op)
-	b = appendPartition(b, m.Partition)
-	b = transport.AppendVarint(b, int64(m.Dead))
-	return transport.AppendVarint(b, int64(m.ReplyTo))
+	return appendWalk(b, &m, (*promoteQueryReq).fields)
 }
 
-func readPromoteQueryReq(r *transport.WireReader) promoteQueryReq {
-	var m promoteQueryReq
-	m.Op = r.Uvarint()
-	m.Partition = readPartition(r)
-	m.Dead = transport.NodeID(r.Varint())
-	m.ReplyTo = transport.NodeID(r.Varint())
-	return m
-}
-
-func decodePromoteQueryReq(r *transport.WireReader) (any, error) {
-	m := readPromoteQueryReq(r)
-	return m, r.Err()
+func (m *promoteQueryReq) fields(w *walker) {
+	w.u64(&m.Op)
+	w.partition(&m.Partition)
+	w.node(&m.Dead)
+	w.node(&m.ReplyTo)
 }
 
 func (m promoteQueryResp) WireTag() uint16 { return wireTagPromoteQueryResp }
-
 func (m promoteQueryResp) AppendWire(b []byte) []byte {
-	b = transport.AppendUvarint(b, m.Op)
-	b = transport.AppendBool(b, m.Has)
-	b = transport.AppendBool(b, m.Prov)
-	return transport.AppendUvarint(b, m.Ver)
+	return appendWalk(b, &m, (*promoteQueryResp).fields)
 }
 
-func decodePromoteQueryResp(r *transport.WireReader) (any, error) {
-	var m promoteQueryResp
-	m.Op = r.Uvarint()
-	m.Has = r.Bool()
-	m.Prov = r.Bool()
-	m.Ver = r.Uvarint()
-	return m, r.Err()
+func (m *promoteQueryResp) fields(w *walker) {
+	w.u64(&m.Op)
+	w.bool(&m.Has)
+	w.bool(&m.Prov)
+	w.u64(&m.Ver)
 }
 
 func (m promoteOrderReq) WireTag() uint16 { return wireTagPromoteOrderReq }
-
-func (m promoteOrderReq) AppendWire(b []byte) []byte { return promoteQueryReq(m).AppendWire(b) }
-
-func decodePromoteOrderReq(r *transport.WireReader) (any, error) {
-	m := promoteOrderReq(readPromoteQueryReq(r))
-	return m, r.Err()
+func (m promoteOrderReq) AppendWire(b []byte) []byte {
+	return appendWalk(b, &m, (*promoteOrderReq).fields)
 }
+
+// An order carries a query's four fields about one partition of a dead
+// primary; it differs in what it asks for.
+func (m *promoteOrderReq) fields(w *walker) { (*promoteQueryReq)(m).fields(w) }
 
 func (m overlapQueryReq) WireTag() uint16 { return wireTagOverlapQueryReq }
-
 func (m overlapQueryReq) AppendWire(b []byte) []byte {
-	b = transport.AppendUvarint(b, m.Op)
-	b = appendPartition(b, m.Partition)
-	return transport.AppendVarint(b, int64(m.ReplyTo))
+	return appendWalk(b, &m, (*overlapQueryReq).fields)
 }
 
-func decodeOverlapQueryReq(r *transport.WireReader) (any, error) {
-	var m overlapQueryReq
-	m.Op = r.Uvarint()
-	m.Partition = readPartition(r)
-	m.ReplyTo = transport.NodeID(r.Varint())
-	return m, r.Err()
+func (m *overlapQueryReq) fields(w *walker) {
+	w.u64(&m.Op)
+	w.partition(&m.Partition)
+	w.node(&m.ReplyTo)
 }
 
 func (m overlapQueryResp) WireTag() uint16 { return wireTagOverlapQueryResp }
-
 func (m overlapQueryResp) AppendWire(b []byte) []byte {
-	b = transport.AppendUvarint(b, m.Op)
-	return transport.AppendBool(b, m.Deeper)
+	return appendWalk(b, &m, (*overlapQueryResp).fields)
 }
 
-func decodeOverlapQueryResp(r *transport.WireReader) (any, error) {
-	var m overlapQueryResp
-	m.Op = r.Uvarint()
-	m.Deeper = r.Bool()
-	return m, r.Err()
+func (m *overlapQueryResp) fields(w *walker) {
+	w.u64(&m.Op)
+	w.bool(&m.Deeper)
 }

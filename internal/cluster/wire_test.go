@@ -34,8 +34,9 @@ func roundTrip(t *testing.T, msg any) any {
 }
 
 // wireSamples is one or more fixed values of every protocol message.
-// TestWireRoundTrips requires every live wire tag in tags.lock to appear
-// here; the truncation and invalid-partition tests walk the same table.
+// TestWireRoundTrips requires every live wire tag in tags.lock and every
+// row of wireMessages to appear here; the truncation and invalid-partition
+// tests walk the same table.
 func wireSamples() []transport.WireMessage {
 	p := hashspace.Partition{Prefix: 0b1011, Level: 4}
 	g := core.GroupID{Bits: 0b110, Len: 3}
@@ -150,11 +151,17 @@ func liveWireTags(t *testing.T) map[uint16]string {
 
 // TestWireRoundTrips round-trips every protocol message through the frame
 // codec and requires an exact value match — and a sample for every live
-// wire tag, so a message added to the registry cannot ship untested.
+// wire tag — registered in tags.lock or listed in the message table — so
+// a message cannot ship untested from either end.
 func TestWireRoundTrips(t *testing.T) {
 	missing := liveWireTags(t)
 	if len(missing) == 0 {
 		t.Fatal("no wire tags found in tags.lock")
+	}
+	for _, row := range wireMessages {
+		if _, ok := missing[row.tag]; !ok {
+			missing[row.tag] = "wireMessages row"
+		}
 	}
 	for _, want := range wireSamples() {
 		delete(missing, want.WireTag())
@@ -218,6 +225,16 @@ func TestWireTruncatedFrames(t *testing.T) {
 // remote panic.  Encoders do not validate, so the bad value is framed as
 // is; every message that carries a partition is covered.
 func TestWireRejectsInvalidPartition(t *testing.T) {
+	// decodes frames m as is and reports whether the frame was accepted.
+	decodes := func(m transport.WireMessage) bool {
+		t.Helper()
+		frame, err := transport.AppendFrame(nil, transport.Envelope{From: 1, To: 2, Msg: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = transport.DecodeFrame(frame[4:])
+		return err == nil
+	}
 	for _, bad := range []struct {
 		name string
 		p    hashspace.Partition
@@ -246,11 +263,7 @@ func TestWireRejectsInvalidPartition(t *testing.T) {
 				promoteOrderReq{Partition: bad.p},
 				overlapQueryReq{Partition: bad.p},
 			} {
-				frame, err := transport.AppendFrame(nil, transport.Envelope{From: 1, To: 2, Msg: m})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := transport.DecodeFrame(frame[4:]); err == nil {
+				if decodes(m) {
 					t.Errorf("%T with partition (prefix=%b, level=%d) decoded without error", m, bad.p.Prefix, bad.p.Level)
 				}
 			}
@@ -263,12 +276,103 @@ func TestWireRejectsInvalidPartition(t *testing.T) {
 		groupInit{State: lpdrState{Level: hashspace.MaxLevel + 1}},
 		lpdrSyncMsg{State: lpdrState{Level: 255}},
 	} {
-		frame, err := transport.AppendFrame(nil, transport.Envelope{From: 1, To: 2, Msg: m})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := transport.DecodeFrame(frame[4:]); err == nil {
+		if decodes(m) {
 			t.Errorf("%T with an out-of-range splitlevel decoded without error", m)
 		}
+	}
+	// A group identifier longer than any split can produce (GroupID.Split
+	// stops at 63 digits) is rejected, not accepted as is.
+	for _, n := range []uint8{maxGroupLen + 1, 255} {
+		bad := core.GroupID{Len: n}
+		for _, m := range []transport.WireMessage{
+			lookupResp{Group: bad},
+			migBeginReq{Group: bad},
+			createVnodeResp{Group: bad},
+			replSyncReq{Group: bad},
+		} {
+			if decodes(m) {
+				t.Errorf("%T with a group identifier of %d digits decoded without error", m, n)
+			}
+		}
+	}
+	// Nor may a length that does not fit its uint8 wrap into range: 259 is
+	// not 3.  A struct cannot hold it, so splice the uvarint in by hand —
+	// a lookupResp ends Group.Len, Leader, Err, here one zero byte each.
+	frame, err := transport.AppendFrame(nil, transport.Envelope{From: 1, To: 2, Msg: lookupResp{Op: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := frame[4:]
+	lenOff := len(body) - 3
+	spliced := append([]byte(nil), body[:lenOff]...)
+	spliced = binary.AppendUvarint(spliced, 259)
+	spliced = append(spliced, body[lenOff+1:]...)
+	if _, err := transport.DecodeFrame(spliced); err == nil {
+		t.Error("lookupResp with a group length of 259 decoded without error (as length 3?)")
+	}
+}
+
+// codecBenchMessages are the three data-plane messages at the benchmark's
+// batch size: 64 items of 128 bytes.
+func codecBenchMessages() []transport.WireMessage {
+	p := hashspace.Partition{Prefix: 0b1011, Level: 4}
+	items := make([]batchItem, 64)
+	results := make([]batchItemResp, len(items))
+	for i := range items {
+		items[i] = batchItem{Key: fmt.Sprintf("user%012d", i), Value: make([]byte, 128)}
+		results[i] = batchItemResp{Value: items[i].Value, Found: true}
+	}
+	served := []routeEntry{{Partition: p, Ref: ownerRef{Vnode: VnodeName{Snode: 3, Local: 7}, Host: 3}, Replicas: []transport.NodeID{1, 2}}}
+	return []transport.WireMessage{
+		batchReq{Op: 1, Kind: opPut, Items: items, ReplyTo: -1},
+		batchResp{Op: 1, Results: results, Served: served},
+		replWriteReq{Op: 1, Kind: opPut, Sets: []replWriteSet{{Partition: p, Items: items, Ver: 9, Group: core.GroupID{Bits: 0b110, Len: 3}}}, ReplyTo: 4},
+	}
+}
+
+// TestWireEncodeDoesNotAllocate pins the encode side of the data plane at
+// zero allocations per frame into a pre-sized buffer.  The walker lives on
+// the encoder's stack only while every call down to the element walks is
+// static; an interface or func-value hop the compiler cannot see through
+// moves it to the heap, once per frame.
+func TestWireEncodeDoesNotAllocate(t *testing.T) {
+	buf := make([]byte, 0, 64<<10)
+	for _, m := range codecBenchMessages() {
+		if n := testing.AllocsPerRun(100, func() { buf = m.AppendWire(buf[:0]) }); n != 0 {
+			t.Errorf("%T.AppendWire: %v allocations per frame, want 0", m, n)
+		}
+	}
+	sets := codecBenchMessages()[2].(replWriteReq).Sets
+	if n := testing.AllocsPerRun(100, func() { buf = encodeWalReplWrite(buf[:0], opPut, sets) }); n != 0 {
+		t.Errorf("encodeWalReplWrite: %v allocations per record, want 0", n)
+	}
+}
+
+func BenchmarkWireEncode(b *testing.B) {
+	buf := make([]byte, 0, 64<<10)
+	for _, m := range codecBenchMessages() {
+		b.Run(strings.TrimPrefix(fmt.Sprintf("%T", m), "cluster."), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				buf = m.AppendWire(buf[:0])
+			}
+		})
+	}
+}
+
+func BenchmarkWireDecode(b *testing.B) {
+	for _, m := range codecBenchMessages() {
+		frame, err := transport.AppendFrame(nil, transport.Envelope{From: 1, To: 2, Msg: m})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(strings.TrimPrefix(fmt.Sprintf("%T", m), "cluster."), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := transport.DecodeFrame(frame[4:]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
