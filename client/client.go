@@ -283,6 +283,7 @@ func transientWriteError(msg string) bool {
 		"sub-request",
 		"timed out",
 		"timeout",
+		"left the cluster",
 		"connection refused",
 		"EOF",
 	} {

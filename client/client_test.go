@@ -96,9 +96,13 @@ func TestWriteRetryBatch(t *testing.T) {
 		var resp batchResponse
 		for _, it := range req.Items {
 			res := Result{Key: it.Key}
-			// First attempt: keys on the "promoting" partition fail.
-			if attempts == 1 && strings.HasPrefix(it.Key, "hot-") {
+			// First attempt: keys on the "promoting" partition fail, one
+			// frozen mid-handover, one forwarded to an snode that then left.
+			if attempts == 1 && it.Key == "hot-0" {
 				res.Error = "partition frozen for handover"
+			}
+			if attempts == 1 && it.Key == "hot-1" {
+				res.Error = "cluster: snode 3: rpc to 2 failed: peer left the cluster"
 			}
 			resp.Results = append(resp.Results, res)
 		}

@@ -60,10 +60,9 @@ func (nd *node) bump() {
 func (nd *node) count()       { atomic.AddInt64(&nd.raw, 1) }
 func (nd *node) total() int64 { return atomic.LoadInt64(&nd.raw) }
 
-func (nd *node) send(m any)                    { nd.out <- m }
-func (nd *node) sendTr(tr TraceContext, m any) { nd.out <- tr; nd.out <- m }
+func (nd *node) send(tr TraceContext, m any) { nd.out <- tr; nd.out <- m }
 
 func (nd *node) handleGet(ctx context.Context, tr TraceContext, r getReq) {
 	<-ctx.Done()
-	nd.sendTr(tr, getReq{K: r.K})
+	nd.send(tr, getReq{K: r.K})
 }

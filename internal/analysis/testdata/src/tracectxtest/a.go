@@ -10,45 +10,49 @@ type fooResp struct{ V string }
 
 type node struct{ out chan any }
 
-func (n *node) send(m any) { n.out <- m }
+// untraced is the package's explicit "no trace" argument.
+var untraced TraceContext
 
-func (n *node) sendTr(tr TraceContext, m any) {
+func (n *node) send(tr TraceContext, m any) {
 	n.out <- tr
 	n.out <- m
 }
 
-func (n *node) rpc(m any) any {
-	n.out <- m
-	return nil
-}
-
-func (n *node) rpcTr(tr TraceContext, m any) any {
+func ask(n *node, tr TraceContext, build func(op uint64) any) any {
 	n.out <- tr
-	n.out <- m
+	n.out <- build(1)
 	return nil
 }
 
 func (n *node) forward(tr TraceContext, k string) {
-	n.sendTr(tr, fooReq{K: k}) // ok: traced variant
+	n.send(tr, fooReq{K: k}) // ok: the trace rides along
 }
 
 func (n *node) reply(tr TraceContext, v string) {
 	_ = tr.ID
-	n.send(fooResp{V: v}) // ok: responses are deliberately untraced
+	n.send(untraced, fooResp{V: v}) // ok: responses are deliberately untraced
+}
+
+func (n *node) background(k string) {
+	n.send(untraced, fooReq{K: k}) // ok: no trace in scope to drop
 }
 
 func (n *node) dropped(tr TraceContext, k string) { // want `trace context parameter tr is never used`
-	n.send(fooReq{K: k}) // want `request sent via n.send while a trace context is in scope — use sendTr`
+	n.send(untraced, fooReq{K: k}) // want `request sent via n.send with an explicit zero trace context`
 }
 
 func (n *node) partial(tr TraceContext, k string) {
-	n.sendTr(tr, fooReq{K: k})
-	n.send(fooReq{K: k + "2"}) // want `use sendTr`
+	n.send(tr, fooReq{K: k})
+	n.send(TraceContext{}, fooReq{K: k + "2"}) // want `explicit zero trace context`
 }
 
 func (n *node) call(tr TraceContext, k string) any {
 	_ = tr.ID
-	return n.rpc(fooReq{K: k}) // want `use rpcTr`
+	return ask(n, untraced, func(op uint64) any { return fooReq{K: k} }) // want `request sent via ask with an explicit zero trace context`
+}
+
+func (n *node) callTraced(tr TraceContext, k string) any {
+	return ask(n, tr, func(op uint64) any { return fooReq{K: k} }) // ok: the one entry point, trace passed on
 }
 
 func run(ctx context.Context) { <-ctx.Done() }

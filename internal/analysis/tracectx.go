@@ -15,10 +15,13 @@ import (
 //  2. a function that HAS a context.Context parameter must not mint a
 //     fresh context.Background()/context.TODO() — that severs
 //     cancellation and deadlines mid-path;
-//  3. a function that has a TraceContext parameter in scope and sends a
-//     request message (a composite literal whose type name ends in
-//     "Req") through the untraced send/rpc variants drops the trace on
-//     an RPC hop — use sendTr/rpcTr/rpcTimeout;
+//  3. the send and call entry points take the trace context as a required
+//     argument, so an untraced hop is spelled out: an explicit zero trace
+//     context (an empty TraceContext{} literal, or a package-level
+//     variable of that type such as cluster's untraced).  A function that
+//     has a TraceContext parameter in scope and passes the explicit zero
+//     next to a request message (a composite literal whose type name ends
+//     in "Req") drops the trace on an RPC hop — pass the parameter;
 //  4. context.Context parameters come first (matching the stdlib
 //     convention, so call sites stay uniform).
 var TraceCtx = &Analyzer{
@@ -125,18 +128,10 @@ func checkTraceFunc(pass *Pass, fd *ast.FuncDecl) {
 				}
 			}
 		}
-		// Rule 3: untraced request sends with a trace context in scope.
-		if hasTrace {
-			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && (sel.Sel.Name == "send" || sel.Sel.Name == "rpc") {
-				if recvHasTracedVariant(pass, sel) && sendsRequestLiteral(pass, call) {
-					variant := "sendTr"
-					if sel.Sel.Name == "rpc" {
-						variant = "rpcTr"
-					}
-					pass.Reportf(call.Pos(), "request sent via %s.%s while a trace context is in scope — use %s so the span tree survives this hop",
-						types.ExprString(sel.X), sel.Sel.Name, variant)
-				}
-			}
+		// Rule 3: explicitly untraced request sends with a trace context in scope.
+		if hasTrace && passesZeroTrace(pass, call) && sendsRequestLiteral(pass, call) {
+			pass.Reportf(call.Pos(), "request sent via %s with an explicit zero trace context while a trace context is in scope — pass it on so the span tree survives this hop",
+				types.ExprString(call.Fun))
 		}
 		return true
 	})
@@ -156,22 +151,23 @@ func isContextType(t types.Type) bool {
 	return obj.Name() == "Context" && obj.Pkg() != nil && obj.Pkg().Path() == "context"
 }
 
-// recvHasTracedVariant reports whether the receiver type of sel also has
-// a <method>Tr sibling — the signal that the untraced variant was a
-// choice, not the only option.
-func recvHasTracedVariant(pass *Pass, sel *ast.SelectorExpr) bool {
-	t := pass.Info.TypeOf(sel.X)
-	if t == nil {
-		return false
-	}
-	named := namedStruct(t)
-	if named == nil {
-		return false
-	}
-	want := sel.Sel.Name + "Tr"
-	for i := 0; i < named.NumMethods(); i++ {
-		if named.Method(i).Name() == want {
-			return true
+// passesZeroTrace reports whether one of the call's arguments is an
+// explicit zero trace context: an empty TraceContext{} literal, or a
+// package-level variable of that type (which cannot be the caller's).
+func passesZeroTrace(pass *Pass, call *ast.CallExpr) bool {
+	for _, arg := range call.Args {
+		if !isTraceContextType(pass.Info.TypeOf(arg)) {
+			continue
+		}
+		switch e := arg.(type) {
+		case *ast.CompositeLit:
+			if len(e.Elts) == 0 {
+				return true
+			}
+		case *ast.Ident:
+			if v, ok := pass.Info.Uses[e].(*types.Var); ok && v.Parent() == v.Pkg().Scope() {
+				return true
+			}
 		}
 	}
 	return false

@@ -95,7 +95,7 @@ func (c *Cluster) balancerLoop() {
 	defer t.Stop()
 	for {
 		select {
-		case <-c.done:
+		case <-c.stopCh:
 			return
 		case <-t.C:
 			_, _ = c.BalanceNow()
@@ -126,13 +126,12 @@ func (c *Cluster) LoadReport() ([]SnodeLoad, error) {
 		wg.Add(1)
 		go func(id transport.NodeID) {
 			defer wg.Done()
-			v, err := c.rpc(id, func(op uint64) any {
+			resp, err := ask[loadReportResp](&c.endpoint, id, untraced, func(op uint64) transport.WireMessage {
 				return loadReportReq{Op: op, ReplyTo: clientID}
 			})
 			if err != nil {
 				return
 			}
-			resp := v.(loadReportResp)
 			w := caps[id]
 			if w <= 0 {
 				w = 1

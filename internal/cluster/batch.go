@@ -61,6 +61,9 @@ type batchResp struct {
 	Served  []routeEntry
 }
 
+func (m batchResp) replyOp() uint64  { return m.Op }
+func (m batchResp) replyErr() string { return "" }
+
 // handleBatch serves a batch: local keys are applied immediately, the rest
 // are regrouped by next hop and forwarded as sub-batches awaited in
 // parallel.  Runs outside the actor loop (it performs nested RPCs).
@@ -297,11 +300,7 @@ func (s *Snode) handleBatch(m batchReq, tr transport.TraceContext) {
 			t0 := time.Now()
 			err := s.replicate(m.Kind, replWrites, replDests, replMeta, rsp.ctx)
 			s.lat.replAck.ObserveSince(t0)
-			outcome := ""
-			if err != nil {
-				outcome = err.Error()
-			}
-			s.tracer.finish(rsp, s.id, outcome)
+			s.tracer.finishErr(rsp, s.id, err)
 			if err != nil {
 				mergeMu.Lock()
 				replErr = err
@@ -319,16 +318,10 @@ func (s *Snode) handleBatch(m batchReq, tr transport.TraceContext) {
 			}
 			s.stats.Forwards.Add(1)
 			fsp := beginSpan(sp.ctx, "batch.forward")
-			v, err := s.rpcTr(host, fsp.ctx, func(op uint64) any {
+			resp, err := ask[batchResp](&s.endpoint, host, fsp.ctx, func(op uint64) transport.WireMessage {
 				return batchReq{Op: op, Kind: m.Kind, Items: sub, ReplyTo: s.id, Hops: m.Hops + 1}
 			})
-			if fsp.active() {
-				outcome := ""
-				if err != nil {
-					outcome = err.Error()
-				}
-				s.tracer.finish(fsp, s.id, outcome)
-			}
+			s.tracer.finishErr(fsp, s.id, err)
 			mergeMu.Lock()
 			defer mergeMu.Unlock()
 			if err != nil {
@@ -337,7 +330,6 @@ func (s *Snode) handleBatch(m batchReq, tr transport.TraceContext) {
 				}
 				return
 			}
-			resp := v.(batchResp)
 			for j, i := range idxs {
 				if j < len(resp.Results) {
 					results[i] = resp.Results[j]
@@ -379,7 +371,7 @@ func (s *Snode) handleBatch(m batchReq, tr transport.TraceContext) {
 	}
 
 	s.tracer.finish(sp, s.id, "")
-	s.send(m.ReplyTo, batchResp{Op: m.Op, Results: results, Served: dedupRoutes(served)})
+	s.send(m.ReplyTo, untraced, batchResp{Op: m.Op, Results: results, Served: dedupRoutes(served)})
 }
 
 // dedupRoutes keeps one entry per partition (the last one wins — deeper
@@ -739,17 +731,11 @@ func (c *Cluster) mbatch(kind dataOp, keys []string, items []batchItem) ([]Batch
 				}
 				rsp := beginSpan(root.ctx, "batch.rpc")
 				t0 := time.Now()
-				v, err := c.rpcTr(host, rsp.ctx, func(op uint64) any {
+				resp, err := ask[batchResp](&c.endpoint, host, rsp.ctx, func(op uint64) transport.WireMessage {
 					return batchReq{Op: op, Kind: kind, Items: sub, ReplyTo: clientID}
 				})
 				c.batchRPC.ObserveSince(t0)
-				if rsp.active() {
-					outcome := ""
-					if err != nil {
-						outcome = err.Error()
-					}
-					c.tracer.finish(rsp, clientID, outcome)
-				}
+				c.tracer.finishErr(rsp, clientID, err)
 				if err != nil {
 					// The believed owner stopped answering.  Plan read
 					// failover from the replica sets cached with the
@@ -773,7 +759,6 @@ func (c *Cluster) mbatch(kind dataOp, keys []string, items []batchItem) ([]Batch
 				}
 				mergeMu.Lock()
 				defer mergeMu.Unlock()
-				resp := v.(batchResp)
 				for j, i := range idxs {
 					if j < len(resp.Results) {
 						r := resp.Results[j]
@@ -810,22 +795,15 @@ func (c *Cluster) failoverReads(kind dataOp, plan map[transport.NodeID][]int, it
 		}
 		rsp := beginSpan(tr, "batch.failover-read")
 		t0 := time.Now()
-		v, err := c.rpcTr(rhost, rsp.ctx, func(op uint64) any {
+		resp, err := ask[batchResp](&c.endpoint, rhost, rsp.ctx, func(op uint64) transport.WireMessage {
 			return batchReq{Op: op, Kind: kind, Items: sub, ReplyTo: clientID, ReadReplica: true}
 		})
 		c.batchRPC.ObserveSince(t0)
-		if rsp.active() {
-			outcome := ""
-			if err != nil {
-				outcome = err.Error()
-			}
-			c.tracer.finish(rsp, clientID, outcome)
-		}
+		c.tracer.finishErr(rsp, clientID, err)
 		if err != nil {
 			c.subFails.Add(1)
 			continue
 		}
-		resp := v.(batchResp)
 		mergeMu.Lock()
 		for j, i := range ridxs {
 			if j < len(resp.Results) && resp.Results[j].Err == "" {

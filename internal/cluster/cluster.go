@@ -25,12 +25,8 @@ const clientID transport.NodeID = -1
 // safe for concurrent use; operations on different groups proceed in
 // parallel inside the cluster (§3.1).
 type Cluster struct {
-	cfg Config
-	net transport.Network
-
-	pendMu  sync.Mutex
-	pending map[uint64]chan any // guarded by pendMu
-	opSeq   atomic.Uint64
+	endpoint // the handle's own fabric address (clientID) and its calls to snodes
+	cfg      Config
 
 	mu           sync.Mutex
 	snodes       map[transport.NodeID]*Snode  // guarded by mu
@@ -79,7 +75,6 @@ type Cluster struct {
 	log      *slog.Logger
 
 	stopOnce sync.Once
-	done     chan struct{}
 }
 
 // foldStats accumulates a departing snode's counters so cluster-wide totals
@@ -121,9 +116,8 @@ func New(cfg Config, net transport.Network) (*Cluster, error) {
 		return nil, err
 	}
 	c := &Cluster{
+		endpoint: newEndpoint(clientID, net, cfg.RPCTimeout),
 		cfg:      cfg,
-		net:      net,
-		pending:  make(map[uint64]chan any),
 		snodes:   make(map[transport.NodeID]*Snode),
 		caps:     make(map[transport.NodeID]float64),
 		deadCaps: make(map[transport.NodeID]float64),
@@ -134,7 +128,6 @@ func New(cfg Config, net transport.Network) (*Cluster, error) {
 		batchRPC: metrics.NewLatencyHistogram(),
 		slowOp:   cfg.SlowOpThreshold,
 		log:      cfg.Logger.With("component", "cluster"),
-		done:     make(chan struct{}),
 	}
 	c.sampler.setRate(cfg.TraceSample)
 	go c.loop(inbox)
@@ -147,71 +140,22 @@ func New(cfg Config, net transport.Network) (*Cluster, error) {
 	return c, nil
 }
 
-// loop routes responses to waiting client calls.
+// loop routes responses to waiting client calls.  It ends when the fabric
+// closes the handle's inbox (Close), and stops the handle's endpoint with
+// it: nothing can answer a call any more.
 func (c *Cluster) loop(inbox <-chan transport.Envelope) {
-	defer close(c.done)
+	defer close(c.stopCh)
 	for env := range inbox {
-		var op uint64
 		switch m := env.Msg.(type) {
+		case reply:
+			c.deliver(m)
 		case snodeRecoveredMsg:
 			// A promoted (failover.go) or restarted primary re-announced
 			// custody of its partitions: fold the fresh owner pointers into
 			// the route cache so the next batch aims straight at the new
 			// primary instead of a route the crash left dead.
 			c.learnRoutes(m.Routes)
-			continue
-		case createVnodeResp:
-			op = m.Op
-		case leaveVnodeResp:
-			op = m.Op
-		case pingResp:
-			op = m.Op
-		case lookupResp:
-			op = m.Op
-		case batchResp:
-			op = m.Op
-		case loadReportResp:
-			op = m.Op
-		default:
-			continue
 		}
-		c.pendMu.Lock()
-		ch, ok := c.pending[op]
-		c.pendMu.Unlock()
-		if ok {
-			select {
-			case ch <- env.Msg:
-			default:
-			}
-		}
-	}
-}
-
-// rpc issues one correlated request from the client endpoint.
-func (c *Cluster) rpc(to transport.NodeID, build func(op uint64) any) (any, error) {
-	return c.rpcTr(to, transport.TraceContext{}, build)
-}
-
-// rpcTr is rpc with a trace context riding the request envelope.
-func (c *Cluster) rpcTr(to transport.NodeID, tr transport.TraceContext, build func(op uint64) any) (any, error) {
-	op := c.opSeq.Add(1)
-	ch := make(chan any, 1)
-	c.pendMu.Lock()
-	c.pending[op] = ch
-	c.pendMu.Unlock()
-	defer func() {
-		c.pendMu.Lock()
-		delete(c.pending, op)
-		c.pendMu.Unlock()
-	}()
-	if err := c.net.Send(transport.Envelope{From: clientID, To: to, Trace: tr, Msg: build(op)}); err != nil {
-		return nil, err
-	}
-	select {
-	case v := <-ch:
-		return v, nil
-	case <-time.After(c.cfg.RPCTimeout):
-		return nil, fmt.Errorf("cluster: client rpc to %d timed out", to)
 	}
 }
 
@@ -253,7 +197,7 @@ func (c *Cluster) AddSnodeWithCapacity(weight float64) (transport.NodeID, error)
 	c.caps[id] = weight
 	c.mu.Unlock()
 	if haveBoot {
-		_ = c.net.Send(transport.Envelope{From: clientID, To: id, Msg: bootstrapInfo{Owner: boot}})
+		c.send(id, untraced, bootstrapInfo{Owner: boot})
 	}
 	c.broadcastView()
 	// With durability on, a fresh data directory may not be fresh at all:
@@ -285,7 +229,7 @@ func (c *Cluster) adoptRecovered(s *Snode) {
 	ids := append([]transport.NodeID(nil), c.order...)
 	c.mu.Unlock()
 	for _, id := range ids {
-		_ = c.net.Send(transport.Envelope{From: clientID, To: id, Msg: bootstrapInfo{Owner: owner}})
+		c.send(id, untraced, bootstrapInfo{Owner: owner})
 	}
 }
 
@@ -302,7 +246,7 @@ func (c *Cluster) broadcastView() {
 	view := append([]transport.NodeID(nil), ids...)
 	sort.Slice(view, func(i, j int) bool { return view[i] < view[j] })
 	for _, id := range ids {
-		_ = c.net.Send(transport.Envelope{From: clientID, To: id, Msg: viewUpdate{Epoch: epoch, Snodes: view}})
+		c.send(id, untraced, viewUpdate{Epoch: epoch, Snodes: view})
 	}
 }
 
@@ -356,7 +300,7 @@ func (c *Cluster) CreateVnode(at transport.NodeID) (VnodeName, core.GroupID, err
 		c.bootstrapped = true // optimistic; reverted on failure
 	}
 	c.mu.Unlock()
-	v, err := c.rpc(at, func(op uint64) any {
+	resp, err := ask[createVnodeResp](&c.endpoint, at, untraced, func(op uint64) transport.WireMessage {
 		return createVnodeReq{Op: op, ReplyTo: clientID, Bootstrap: bootstrap}
 	})
 	if err != nil {
@@ -365,16 +309,7 @@ func (c *Cluster) CreateVnode(at transport.NodeID) (VnodeName, core.GroupID, err
 			c.bootstrapped = false
 			c.mu.Unlock()
 		}
-		return VnodeName{}, core.GroupID{}, err
-	}
-	resp := v.(createVnodeResp)
-	if resp.Err != "" {
-		if bootstrap {
-			c.mu.Lock()
-			c.bootstrapped = false
-			c.mu.Unlock()
-		}
-		return VnodeName{}, core.GroupID{}, fmt.Errorf("cluster: create vnode at %d: %s", at, resp.Err)
+		return VnodeName{}, core.GroupID{}, fmt.Errorf("cluster: create vnode at %d: %w", at, err)
 	}
 	if bootstrap {
 		owner := ownerRef{Vnode: resp.Vnode, Host: at}
@@ -383,7 +318,7 @@ func (c *Cluster) CreateVnode(at transport.NodeID) (VnodeName, core.GroupID, err
 		ids := append([]transport.NodeID(nil), c.order...)
 		c.mu.Unlock()
 		for _, id := range ids {
-			_ = c.net.Send(transport.Envelope{From: clientID, To: id, Msg: bootstrapInfo{Owner: owner}})
+			c.send(id, untraced, bootstrapInfo{Owner: owner})
 		}
 	}
 	return resp.Vnode, resp.Group, nil
@@ -394,18 +329,14 @@ func (c *Cluster) CreateVnode(at transport.NodeID) (VnodeName, core.GroupID, err
 func (c *Cluster) RemoveVnode(name VnodeName) error {
 	const maxRetries = 16
 	for attempt := 0; attempt < maxRetries; attempt++ {
-		v, err := c.rpc(name.Snode, func(op uint64) any {
+		resp, err := ask[leaveVnodeResp](&c.endpoint, name.Snode, untraced, func(op uint64) transport.WireMessage {
 			return leaveVnodeReq{Op: op, Vnode: name, ReplyTo: clientID}
 		})
 		if err != nil {
-			return err
+			return fmt.Errorf("cluster: remove vnode %v: %w", name, err)
 		}
-		resp := v.(leaveVnodeResp)
 		if resp.Retry {
 			continue
-		}
-		if resp.Err != "" {
-			return fmt.Errorf("cluster: remove vnode %v: %s", name, resp.Err)
 		}
 		return nil
 	}
@@ -459,42 +390,7 @@ func (c *Cluster) RemoveSnode(id transport.NodeID) error {
 	if err := s.relinquishLeadership(); err != nil {
 		return err
 	}
-	c.mu.Lock()
-	delete(c.snodes, id)
-	delete(c.caps, id)
-	for i, o := range c.order {
-		if o == id {
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			break
-		}
-	}
-	survivors := append([]transport.NodeID(nil), c.order...)
-	needNewBoot := c.firstOwner.Host == id
-	c.mu.Unlock()
-	c.broadcastView() // before any fallible step: placement must stop using the leaver
-	// Proactive purge: the leaver's partitions all moved to survivors, so
-	// every cached pointer at it — owner routes and replica sets alike —
-	// is stale now, not on the first failed batch RPC.
-	c.purgeRoutesTo(id, false)
-	// Bequeath the leaver's custody table so no routing chain dangles.
-	leaving := snodeLeavingMsg{Leaving: id, Routes: s.routingTable()}
-	for _, sid := range survivors {
-		_ = c.net.Send(transport.Envelope{From: clientID, To: sid, Msg: leaving})
-	}
-	if needNewBoot {
-		if err := c.reseedBootstrap(survivors); err != nil {
-			return err
-		}
-	}
-	c.retiredMu.Lock()
-	c.retired.fold(s.stats.snapshot())
-	if s.dur != nil {
-		c.retiredWal.Fold(s.dur.log.Stats().Snapshot())
-	}
-	c.retiredLat.fold(s.lat)
-	c.retiredMu.Unlock()
-	s.stop()
-	return nil
+	return c.depart(id, false)
 }
 
 // KillSnode stops an snode abruptly — no graceful leave, no partition
@@ -507,6 +403,16 @@ func (c *Cluster) RemoveSnode(id transport.NodeID) error {
 // the dead snode and learn the shrunken membership view, so anti-entropy
 // re-homes the replica sets that included it.
 func (c *Cluster) KillSnode(id transport.NodeID) error {
+	return c.depart(id, true)
+}
+
+// depart takes an snode out of the cluster: off the membership tables,
+// out of the route cache, out of every survivor's view and routing state,
+// stopped, and its counters folded into the retired totals.  A graceful
+// leaver stops last, so work already sent to it drains; a crashed one
+// stops first, before anyone is told — survivors must not start electing
+// replacements for a primary that still serves.
+func (c *Cluster) depart(id transport.NodeID, crashed bool) error {
 	c.mu.Lock()
 	s, ok := c.snodes[id]
 	if !ok {
@@ -514,7 +420,9 @@ func (c *Cluster) KillSnode(id transport.NodeID) error {
 		return fmt.Errorf("cluster: snode %d not in cluster", id)
 	}
 	delete(c.snodes, id)
-	c.deadCaps[id] = c.caps[id] // RestartSnode restores the weight
+	if crashed {
+		c.deadCaps[id] = c.caps[id] // RestartSnode restores the weight
+	}
 	delete(c.caps, id)
 	for i, o := range c.order {
 		if o == id {
@@ -525,12 +433,42 @@ func (c *Cluster) KillSnode(id transport.NodeID) error {
 	survivors := append([]transport.NodeID(nil), c.order...)
 	needNewBoot := c.firstOwner.Host == id
 	c.mu.Unlock()
-	// Proactive purge: routes aimed at the dead snode with surviving
+	// Proactive purge, so the first post-departure batch pays no failed
+	// round-trip discovering it.  Graceful: the leaver's partitions all
+	// moved to survivors, so every cached pointer at it — owner routes and
+	// replica sets alike — is stale.  Crash: routes with surviving
 	// replicas are retargeted (marked dead-primary, so the very next read
-	// goes straight to a replica instead of burning a failed RPC first);
-	// routes with no surviving copy are dropped, and the dead host is
-	// stripped from every cached replica set.
-	c.purgeRoutesTo(id, true)
+	// goes straight to a replica), routes with no surviving copy are
+	// dropped, and the dead host is stripped from every cached replica set.
+	c.purgeRoutesTo(id, crashed)
+	// A graceful leaver bequeaths its custody table so no routing chain
+	// dangles.  A crash bequeaths nothing: survivors just drop pointers at
+	// the dead snode, and Crashed starts the failover election at every
+	// survivor backing one of the victim's partitions as a replica.
+	notice := snodeLeavingMsg{Leaving: id, Crashed: crashed}
+	if crashed {
+		s.crashed.Store(true) // abandon (not flush) the WAL: crashes do not get to fsync
+		c.retire(s)
+	} else {
+		notice.Routes = s.routingTable()
+	}
+	c.broadcastView() // placement must stop using the departed snode
+	for _, sid := range survivors {
+		c.send(sid, untraced, notice)
+	}
+	if needNewBoot {
+		c.reseedBootstrap(survivors)
+	}
+	if !crashed {
+		c.retire(s)
+	}
+	return nil
+}
+
+// retire stops a departed snode, keeps its counters in the cluster-wide
+// totals, and fails whatever the handle still has parked on it: nothing
+// will answer now.
+func (c *Cluster) retire(s *Snode) {
 	c.retiredMu.Lock()
 	c.retired.fold(s.stats.snapshot())
 	if s.dur != nil {
@@ -538,23 +476,8 @@ func (c *Cluster) KillSnode(id transport.NodeID) error {
 	}
 	c.retiredLat.fold(s.lat)
 	c.retiredMu.Unlock()
-	s.crashed.Store(true) // abandon (not flush) the WAL: crashes do not get to fsync
 	s.stop()
-	c.broadcastView() // before any fallible step: placement must stop using the dead snode
-	// A crash bequeaths nothing: survivors just drop pointers at the dead
-	// snode (stale chains through it would only hit fast send errors).
-	// Crashed starts the failover election at every survivor backing one
-	// of the victim's partitions as a replica.
-	dead := snodeLeavingMsg{Leaving: id, Crashed: true}
-	for _, sid := range survivors {
-		_ = c.net.Send(transport.Envelope{From: clientID, To: sid, Msg: dead})
-	}
-	if needNewBoot {
-		if err := c.reseedBootstrap(survivors); err != nil {
-			return err
-		}
-	}
-	return nil
+	c.failPeer(s.id)
 }
 
 // RestartSnode brings a previously crashed (or otherwise departed) snode
@@ -601,7 +524,7 @@ func (c *Cluster) RestartSnode(id transport.NodeID) error {
 	c.mu.Unlock()
 	c.broadcastView()
 	if haveBoot {
-		_ = c.net.Send(transport.Envelope{From: clientID, To: id, Msg: bootstrapInfo{Owner: boot}})
+		c.send(id, untraced, bootstrapInfo{Owner: boot})
 	} else if s.recoveredVnodes() {
 		c.adoptRecovered(s)
 	}
@@ -612,7 +535,7 @@ func (c *Cluster) RestartSnode(id transport.NodeID) error {
 		announce := snodeRecoveredMsg{Recovered: id, Routes: routes}
 		for _, sid := range survivors {
 			if sid != id {
-				_ = c.net.Send(transport.Envelope{From: clientID, To: sid, Msg: announce})
+				c.send(sid, untraced, announce)
 			}
 		}
 	}
@@ -640,15 +563,12 @@ func (c *Cluster) failoverLoop() {
 	defer t.Stop()
 	for {
 		select {
-		case <-c.done:
+		case <-c.stopCh:
 			return
 		case <-t.C:
 		}
 		for _, id := range c.Snodes() {
-			_, err := c.rpc(id, func(op uint64) any {
-				return pingReq{Op: op, ReplyTo: clientID}
-			})
-			if err == nil {
+			if err := c.ping(id); err == nil {
 				delete(misses, id)
 				continue
 			}
@@ -669,7 +589,7 @@ func (c *Cluster) failoverLoop() {
 
 // reseedBootstrap points every snode's fallback route at a live vnode after
 // the previous bootstrap owner's host left.
-func (c *Cluster) reseedBootstrap(survivors []transport.NodeID) error {
+func (c *Cluster) reseedBootstrap(survivors []transport.NodeID) {
 	c.mu.Lock()
 	var owner ownerRef
 	found := false
@@ -687,14 +607,13 @@ func (c *Cluster) reseedBootstrap(survivors []transport.NodeID) error {
 		c.bootstrapped = false
 		c.firstOwner = ownerRef{}
 		c.mu.Unlock()
-		return nil
+		return
 	}
 	c.firstOwner = owner
 	c.mu.Unlock()
 	for _, sid := range survivors {
-		_ = c.net.Send(transport.Envelope{From: clientID, To: sid, Msg: bootstrapInfo{Owner: owner}})
+		c.send(sid, untraced, bootstrapInfo{Owner: owner})
 	}
-	return nil
 }
 
 // entry picks a random snode as the entry point for a data operation.
@@ -755,15 +674,11 @@ func (c *Cluster) Lookup(key string) (VnodeName, error) {
 	if err != nil {
 		return VnodeName{}, err
 	}
-	v, err := c.rpc(at, func(op uint64) any {
+	resp, err := ask[lookupResp](&c.endpoint, at, untraced, func(op uint64) transport.WireMessage {
 		return lookupReq{Op: op, R: hashspace.HashString(key), ReplyTo: clientID}
 	})
 	if err != nil {
-		return VnodeName{}, err
-	}
-	resp := v.(lookupResp)
-	if resp.Err != "" {
-		return VnodeName{}, fmt.Errorf("cluster: lookup %q: %s", key, resp.Err)
+		return VnodeName{}, fmt.Errorf("cluster: lookup %q: %w", key, err)
 	}
 	return resp.Owner, nil
 }
@@ -772,17 +687,19 @@ func (c *Cluster) Lookup(key string) (VnodeName, error) {
 // fire-and-forget traffic on each (client → snode) pair.
 func (c *Cluster) Ping() error {
 	for _, id := range c.Snodes() {
-		v, err := c.rpc(id, func(op uint64) any {
-			return pingReq{Op: op, ReplyTo: clientID}
-		})
-		if err != nil {
+		if err := c.ping(id); err != nil {
 			return err
-		}
-		if _, ok := v.(pingResp); !ok {
-			return fmt.Errorf("cluster: unexpected ping reply %T", v)
 		}
 	}
 	return nil
+}
+
+// ping round-trips one snode's inbox.
+func (c *Cluster) ping(id transport.NodeID) error {
+	_, err := ask[pingResp](&c.endpoint, id, untraced, func(op uint64) transport.WireMessage {
+		return pingReq{Op: op, ReplyTo: clientID}
+	})
+	return err
 }
 
 // Close stops every snode and the fabric.

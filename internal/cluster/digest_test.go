@@ -183,9 +183,32 @@ func TestDigestStaysExact(t *testing.T) {
 			}
 
 			// Promotion: a primary dies for good and survivors install their
-			// replica stores as primary buckets.
+			// replica stores as primary buckets.  The first crash's elections
+			// must be over before the count is read, or their promotions pass
+			// for this crash's; and the snode to die is the one that is
+			// primary for the most partitions (the restarted one aside: the
+			// replicas of what it recovered were promoted when it died), so
+			// there is something to promote whatever the random steps left
+			// where.
 			before := c.StatsTotal().Promotions
-			if err := c.KillSnode(c.Snodes()[2]); err != nil {
+			for quiet := time.Now(); time.Since(quiet) < 200*time.Millisecond; time.Sleep(10 * time.Millisecond) {
+				if n := c.StatsTotal().Promotions; n != before {
+					before, quiet = n, time.Now()
+				}
+			}
+			primaries := make(map[transport.NodeID]int)
+			for _, v := range c.Snapshot().Vnodes {
+				if v.Host != victim {
+					primaries[v.Host] += len(v.Partitions)
+				}
+			}
+			doomed := transport.NodeID(0)
+			for id, n := range primaries {
+				if n > primaries[doomed] || (n == primaries[doomed] && id < doomed) {
+					doomed = id
+				}
+			}
+			if err := c.KillSnode(doomed); err != nil {
 				t.Fatal(err)
 			}
 			deadline := time.Now().Add(15 * time.Second)

@@ -41,6 +41,10 @@
 //     fabric; each message's layout is one fields walk (wire.go) that
 //     both encodes and decodes, and journal and snapshot records
 //     (walrec.go) are walked the same way;
+//   - every request/response exchange goes through one endpoint
+//     (endpoint.go), embedded by Snode and Cluster: a call ends with its
+//     reply, its deadline, the owner stopping or its peer leaving the
+//     cluster, and a response type joins in by implementing reply;
 //   - crash-durable storage (durable.go, internal/wal): every local
 //     mutation is journaled to a per-snode write-ahead log before ack,
 //     periodic snapshots truncate the log, and a restarted snode

@@ -1,0 +1,275 @@
+package cluster
+
+import (
+	"errors"
+	"fmt"
+	"strings"
+	"testing"
+	"time"
+
+	"dbdht/internal/cluster/transport"
+	"dbdht/internal/hashspace"
+)
+
+// fakePeer joins the fabric under id and hands every envelope it receives
+// to handle (on its own goroutine) until the fabric closes.
+func fakePeer(t *testing.T, net transport.Network, id transport.NodeID, handle func(transport.Envelope)) {
+	t.Helper()
+	in, err := net.Register(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		for env := range in {
+			handle(env)
+		}
+	}()
+}
+
+func pingTo(e *endpoint, to transport.NodeID, timeout time.Duration) (pingResp, error) {
+	return replyAs[pingResp](e.call(to, untraced, timeout, nil, func(op uint64) transport.WireMessage {
+		return pingReq{Op: op, ReplyTo: e.id}
+	}))
+}
+
+// returnsWithin fails the test unless fn returns inside d.
+func returnsWithin(t *testing.T, d time.Duration, what string, fn func() error) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- fn() }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(d):
+		t.Fatalf("%s still waiting after %v", what, d)
+		return nil
+	}
+}
+
+// waitParked polls until the endpoint has n calls registered.
+func waitParked(t *testing.T, e *endpoint, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		e.pendMu.Lock()
+		got := len(e.pending)
+		e.pendMu.Unlock()
+		if got == n {
+			return
+		}
+	}
+	t.Fatalf("never saw %d parked calls", n)
+}
+
+// TestCallRejectsReplyOfWrongType: a reply of another type under the
+// call's op is an error at the caller.  At the parent the caller's
+// unchecked cast panicked the process.
+func TestCallRejectsReplyOfWrongType(t *testing.T) {
+	net := transport.NewMem()
+	c, err := New(Config{Pmin: 4, Vmin: 2, RPCTimeout: 5 * time.Second}, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const fake = transport.NodeID(99)
+	fakePeer(t, net, fake, func(env transport.Envelope) {
+		m := env.Msg.(pingReq)
+		_ = net.Send(transport.Envelope{From: fake, To: m.ReplyTo, Msg: lookupResp{Op: m.Op}})
+	})
+	if _, err := pingTo(&c.endpoint, fake, 0); err == nil || !strings.Contains(err.Error(), "unexpected reply") {
+		t.Fatalf("ping answered by a lookupResp = %v, want an unexpected-reply error", err)
+	}
+}
+
+// TestLateReplyIsDropped: a reply arriving after its call timed out is
+// discarded, and the next call gets its own reply.
+func TestLateReplyIsDropped(t *testing.T) {
+	net := transport.NewMem()
+	c, err := New(Config{Pmin: 4, Vmin: 2, RPCTimeout: 5 * time.Second}, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const fake = transport.NodeID(99)
+	release := make(chan struct{})
+	first := true
+	fakePeer(t, net, fake, func(env transport.Envelope) {
+		m := env.Msg.(pingReq)
+		if first {
+			first = false
+			<-release // answer only after the caller gave up
+		}
+		_ = net.Send(transport.Envelope{From: fake, To: m.ReplyTo, Msg: pingResp{Op: m.Op}})
+	})
+	if _, err := pingTo(&c.endpoint, fake, 20*time.Millisecond); err == nil || !strings.Contains(err.Error(), "timed out") {
+		t.Fatalf("first ping = %v, want a timeout", err)
+	}
+	close(release)
+	resp, err := pingTo(&c.endpoint, fake, 0)
+	if err != nil {
+		t.Fatalf("ping after a late reply: %v", err)
+	}
+	if want := c.opSeq.Load(); resp.Op != want {
+		t.Fatalf("second ping completed by op %d, want its own op %d", resp.Op, want)
+	}
+	waitParked(t, &c.endpoint, 0)
+}
+
+// TestStopUnblocksWaitingCalls: a call parked on a silent peer returns
+// with the stopping error as soon as its owner stops — at an snode and at
+// the handle, which had no stop case at the parent and waited out the
+// whole RPC timeout.
+func TestStopUnblocksWaitingCalls(t *testing.T) {
+	net := transport.NewMem()
+	c, err := New(Config{Pmin: 4, Vmin: 2, RPCTimeout: 30 * time.Second}, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.AddSnode(); err != nil {
+		t.Fatal(err)
+	}
+	s := liveSnodes(c)[0]
+	const silent = transport.NodeID(99)
+	fakePeer(t, net, silent, func(transport.Envelope) {})
+
+	for _, tc := range []struct {
+		name string
+		e    *endpoint
+		stop func()
+	}{
+		{"snode", &s.endpoint, s.stop},
+		{"handle", &c.endpoint, c.Close},
+	} {
+		errc := make(chan error, 1)
+		go func() {
+			_, err := pingTo(tc.e, silent, 0)
+			errc <- err
+		}()
+		waitParked(t, tc.e, 1)
+		go tc.stop()
+		err := returnsWithin(t, 5*time.Second, tc.name+" call", func() error { return <-errc })
+		if err == nil || !strings.Contains(err.Error(), "stopping") {
+			t.Fatalf("%s call after stop = %v, want the stopping error", tc.name, err)
+		}
+	}
+}
+
+// TestCallsToDepartedPeerFailFast: with RPCTimeout at 10 s, calls parked on
+// an snode — one from a peer snode, one from the handle — return within a
+// second of that snode being killed, while a call parked on a different
+// snode at the same time still gets its reply.  At the parent all three
+// waited out the deadline.
+func TestCallsToDepartedPeerFailFast(t *testing.T) {
+	for _, fabric := range []string{"mem", "tcp"} {
+		t.Run(fabric, func(t *testing.T) {
+			var net transport.Network = transport.NewMem()
+			if fabric == "tcp" {
+				net = transport.NewTCP("127.0.0.1")
+			}
+			c, err := New(Config{Pmin: 8, Vmin: 4, Seed: 7, RPCTimeout: 10 * time.Second, FreezeTimeout: 8 * time.Second}, net)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			for i := 0; i < 3; i++ {
+				id, err := c.AddSnode()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, _, err := c.CreateVnode(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sn := liveSnodes(c)
+			caller, other, victim := sn[0], sn[1], sn[2]
+
+			// A write to a frozen bucket parks its batch at the owner until
+			// the bucket thaws, so freezing one bucket at victim and one at
+			// other parks a call on each for as long as the test wants.
+			frozenKey := func(s *Snode) (string, *bucket) {
+				for i := 0; ; i++ {
+					key := fmt.Sprintf("k%d", i)
+					s.mu.Lock()
+					ref, _, ok := s.ownedForLocked(hashspace.HashString(key))
+					if ok {
+						ref.bk.setStateLocked(bucketFrozen)
+					}
+					s.mu.Unlock()
+					if ok {
+						return key, ref.bk
+					}
+				}
+			}
+			put := func(e *endpoint, to transport.NodeID, key string) error {
+				resp, err := ask[batchResp](e, to, untraced, func(op uint64) transport.WireMessage {
+					return batchReq{Op: op, Kind: opPut, Items: []batchItem{{Key: key, Value: []byte("v")}}, ReplyTo: e.id, Hops: 1}
+				})
+				if err == nil && resp.Results[0].Err != "" {
+					err = errors.New(resp.Results[0].Err)
+				}
+				return err
+			}
+			victimKey, _ := frozenKey(victim)
+			otherKey, otherBucket := frozenKey(other)
+			fromPeer := make(chan error, 1)
+			fromHandle := make(chan error, 1)
+			toOther := make(chan error, 1)
+			go func() { fromPeer <- put(&caller.endpoint, victim.id, victimKey) }()
+			go func() { fromHandle <- put(&c.endpoint, victim.id, victimKey) }()
+			go func() { toOther <- put(&caller.endpoint, other.id, otherKey) }()
+			waitParked(t, &caller.endpoint, 2)
+			waitParked(t, &c.endpoint, 1)
+
+			if err := c.KillSnode(victim.id); err != nil {
+				t.Fatal(err)
+			}
+			for name, ch := range map[string]chan error{"peer snode": fromPeer, "handle": fromHandle} {
+				err := returnsWithin(t, time.Second, "call from the "+name, func() error { return <-ch })
+				if !errors.Is(err, errPeerGone) {
+					t.Fatalf("call from the %s to the killed snode = %v, want errPeerGone", name, err)
+				}
+			}
+			select {
+			case err := <-toOther:
+				t.Fatalf("call to a live snode completed early: %v", err)
+			default:
+			}
+			other.mu.Lock()
+			otherBucket.setStateLocked(bucketLive)
+			other.mu.Unlock()
+			if err := returnsWithin(t, 5*time.Second, "call to the live snode", func() error { return <-toOther }); err != nil {
+				t.Fatalf("call to the live snode: %v", err)
+			}
+		})
+	}
+}
+
+// TestCallAllocations pins one Mem-fabric round trip through ask to the
+// parent commit's rpc: 8 allocations from an snode, 7 from the handle
+// (both sides of the exchange counted; measured on the parent with the
+// same loop).
+func TestCallAllocations(t *testing.T) {
+	c := newTestCluster(t, 4, 2, 2, 1)
+	ids := c.Snodes()
+	s := liveSnodes(c)[0]
+	for _, tc := range []struct {
+		name string
+		e    *endpoint
+		max  float64
+	}{
+		{"snode", &s.endpoint, 8},
+		{"handle", &c.endpoint, 7},
+	} {
+		got := testing.AllocsPerRun(1000, func() {
+			_, err := ask[pingResp](tc.e, ids[1], untraced, func(op uint64) transport.WireMessage {
+				return pingReq{Op: op, ReplyTo: tc.e.id}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > tc.max {
+			t.Errorf("%s: %v allocations per call, parent's rpc made %v", tc.name, got, tc.max)
+		}
+	}
+}

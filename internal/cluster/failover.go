@@ -62,6 +62,9 @@ type promoteQueryResp struct {
 	Ver  uint64 // highest primary write version folded into the copy
 }
 
+func (m promoteQueryResp) replyOp() uint64  { return m.Op }
+func (m promoteQueryResp) replyErr() string { return "" }
+
 // promoteOrderReq tells the election winner to promote its replica bucket
 // to primary.
 type promoteOrderReq struct {
@@ -88,6 +91,9 @@ type overlapQueryResp struct {
 	Op     uint64
 	Deeper bool
 }
+
+func (m overlapQueryResp) replyOp() uint64  { return m.Op }
+func (m overlapQueryResp) replyErr() string { return "" }
 
 // failoverScan runs on every survivor after a crash notice: find the
 // partitions this snode backs whose primary died, and for those where
@@ -200,7 +206,7 @@ func (s *Snode) handleOverlapQuery(m overlapQueryReq) {
 	s.mu.Lock()
 	deeper := s.deeperOverlapLocked(m.Partition)
 	s.mu.Unlock()
-	s.send(m.ReplyTo, overlapQueryResp{Op: m.Op, Deeper: deeper})
+	s.send(m.ReplyTo, untraced, overlapQueryResp{Op: m.Op, Deeper: deeper})
 }
 
 // staleGeometry asks every live view member whether it knows a partition
@@ -222,13 +228,10 @@ func (s *Snode) staleGeometry(p hashspace.Partition, view []transport.NodeID) bo
 		if id == s.id {
 			continue
 		}
-		v, err := s.rpc(id, func(op uint64) any {
+		resp, err := ask[overlapQueryResp](&s.endpoint, id, untraced, func(op uint64) transport.WireMessage {
 			return overlapQueryReq{Op: op, Partition: p, ReplyTo: s.id}
 		})
-		if err != nil {
-			continue
-		}
-		if v.(overlapQueryResp).Deeper {
+		if err == nil && resp.Deeper {
 			return true
 		}
 	}
@@ -260,13 +263,12 @@ func (s *Snode) electAndPromote(p hashspace.Partition, dead transport.NodeID, ca
 			}
 			continue
 		}
-		v, err := s.rpc(id, func(op uint64) any {
+		resp, err := ask[promoteQueryResp](&s.endpoint, id, untraced, func(op uint64) transport.WireMessage {
 			return promoteQueryReq{Op: op, Partition: p, Dead: dead, ReplyTo: s.id}
 		})
 		if err != nil {
 			continue // unreachable elector: proceed with the quorum we have
 		}
-		resp := v.(promoteQueryResp)
 		if resp.Has {
 			votes = append(votes, vote{id: id, prov: resp.Prov, ver: resp.Ver})
 		}
@@ -297,15 +299,11 @@ func (s *Snode) electAndPromote(p hashspace.Partition, dead transport.NodeID, ca
 		}
 		return
 	}
-	v, err := s.rpc(win.id, func(op uint64) any {
+	_, err := ask[ackResp](&s.endpoint, win.id, untraced, func(op uint64) transport.WireMessage {
 		return promoteOrderReq{Op: op, Partition: p, Dead: dead, ReplyTo: s.id}
 	})
 	if err != nil {
 		s.log.Warn("failover: promotion order failed", "partition", p.String(), "winner", int(win.id), "err", err)
-		return
-	}
-	if resp := v.(ackResp); resp.Err != "" {
-		s.log.Warn("failover: promotion refused", "partition", p.String(), "winner", int(win.id), "err", resp.Err)
 	}
 }
 
@@ -321,7 +319,7 @@ func (s *Snode) handlePromoteQuery(m promoteQueryReq) {
 	if has && meta != nil && meta.prim == m.Dead {
 		resp.Has, resp.Prov, resp.Ver = true, prov, meta.ver
 	}
-	s.send(m.ReplyTo, resp)
+	s.send(m.ReplyTo, untraced, resp)
 }
 
 // handlePromoteOrder executes a promotion order from the coordinator.
@@ -332,7 +330,7 @@ func (s *Snode) handlePromoteOrder(m promoteOrderReq) {
 	if err := s.promotePartition(m.Partition, m.Dead); err != nil {
 		resp.Err = err.Error()
 	}
-	s.send(m.ReplyTo, resp)
+	s.send(m.ReplyTo, untraced, resp)
 }
 
 // promotePartition installs this snode's replica bucket for p as the
@@ -421,10 +419,10 @@ func (s *Snode) promotePartition(p hashspace.Partition, dead transport.NodeID) e
 	ann := snodeRecoveredMsg{Recovered: s.id, Routes: []routeEntry{route}}
 	for _, id := range view {
 		if id != s.id {
-			s.send(id, ann)
+			s.send(id, untraced, ann)
 		}
 	}
-	s.send(clientID, ann)
+	s.send(clientID, untraced, ann)
 	s.rehomeReplicas(p)
 	return nil
 }

@@ -58,7 +58,7 @@ func (s *Snode) handleGroupInit(m groupInit) {
 	s.mu.Lock()
 	if _, dup := s.led[m.State.Group]; dup {
 		s.mu.Unlock()
-		s.send(m.ReplyTo, ackResp{Op: m.Op, Err: fmt.Sprintf("group %v already led at %d", m.State.Group, s.id)})
+		s.send(m.ReplyTo, untraced, ackResp{Op: m.Op, Err: fmt.Sprintf("group %v already led at %d", m.State.Group, s.id)})
 		return
 	}
 	st := m.State
@@ -73,7 +73,7 @@ func (s *Snode) handleGroupInit(m groupInit) {
 		dissolved = append(dissolved, parentGroup(st.Group))
 	}
 	s.broadcastSync(st, dissolved)
-	s.send(m.ReplyTo, ackResp{Op: m.Op})
+	s.send(m.ReplyTo, untraced, ackResp{Op: m.Op})
 }
 
 // parentGroup strips the most-significant digit of a child identifier.
@@ -89,7 +89,7 @@ func (s *Snode) routeJoin(m joinGroupReq) {
 		ok := lg.ops.push(groupOp{join: &m})
 		s.mu.Unlock()
 		if !ok {
-			s.send(m.ReplyTo, joinGroupResp{Op: m.Op, Retry: true})
+			s.send(m.ReplyTo, untraced, joinGroupResp{Op: m.Op, Retry: true})
 		}
 		return
 	}
@@ -98,10 +98,10 @@ func (s *Snode) routeJoin(m joinGroupReq) {
 	if ok && rep.Leader != s.id && m.Hops < maxHops {
 		m.Hops++
 		s.stats.Forwards.Add(1)
-		s.send(rep.Leader, m)
+		s.send(rep.Leader, untraced, m)
 		return
 	}
-	s.send(m.ReplyTo, joinGroupResp{Op: m.Op, Retry: true})
+	s.send(m.ReplyTo, untraced, joinGroupResp{Op: m.Op, Retry: true})
 }
 
 // routeLeave steers a vnode-leave request analogously.  A request arriving
@@ -117,7 +117,7 @@ func (s *Snode) routeLeave(m leaveVnodeReq) {
 		ok := lg.ops.push(groupOp{leave: &m})
 		s.mu.Unlock()
 		if !ok {
-			s.send(m.ReplyTo, leaveVnodeResp{Op: m.Op, Retry: true})
+			s.send(m.ReplyTo, untraced, leaveVnodeResp{Op: m.Op, Retry: true})
 		}
 		return
 	}
@@ -126,10 +126,10 @@ func (s *Snode) routeLeave(m leaveVnodeReq) {
 	if ok && rep.Leader != s.id && m.Hops < maxHops {
 		m.Hops++
 		s.stats.Forwards.Add(1)
-		s.send(rep.Leader, m)
+		s.send(rep.Leader, untraced, m)
 		return
 	}
-	s.send(m.ReplyTo, leaveVnodeResp{Op: m.Op, Retry: true})
+	s.send(m.ReplyTo, untraced, leaveVnodeResp{Op: m.Op, Retry: true})
 }
 
 // groupWorker serializes one group's balancement events.
@@ -145,10 +145,10 @@ func (s *Snode) groupWorker(lg *ledGroup) {
 		if dead {
 			// The group dissolved (split) while this op was queued.
 			if op.join != nil {
-				s.send(op.join.ReplyTo, joinGroupResp{Op: op.join.Op, Retry: true})
+				s.send(op.join.ReplyTo, untraced, joinGroupResp{Op: op.join.Op, Retry: true})
 			}
 			if op.leave != nil {
-				s.send(op.leave.ReplyTo, leaveVnodeResp{Op: op.leave.Op, Retry: true})
+				s.send(op.leave.ReplyTo, untraced, leaveVnodeResp{Op: op.leave.Op, Retry: true})
 			}
 			continue
 		}
@@ -197,7 +197,7 @@ func (s *Snode) broadcastSync(st lpdrState, dissolved []core.GroupID) {
 	}
 	delete(hosts, s.id)
 	for h := range hosts {
-		s.send(h, msg)
+		s.send(h, untraced, msg)
 	}
 }
 
@@ -209,7 +209,7 @@ func (s *Snode) leaderJoin(lg *ledGroup, m joinGroupReq) {
 		return
 	}
 	fail := func(err string) {
-		s.send(m.ReplyTo, joinGroupResp{Op: m.Op, Err: err})
+		s.send(m.ReplyTo, untraced, joinGroupResp{Op: m.Op, Err: err})
 	}
 	if _, exists := lg.table.Count(m.NewVnode); exists {
 		fail(fmt.Sprintf("vnode %v already in group %v", m.NewVnode, lg.id))
@@ -224,15 +224,11 @@ func (s *Snode) leaderJoin(lg *ledGroup, m joinGroupReq) {
 	if split {
 		lg.level++
 		for _, h := range lg.memberHosts() {
-			v, rerr := s.rpc(h, func(op uint64) any {
+			_, rerr := ask[ackResp](&s.endpoint, h, untraced, func(op uint64) transport.WireMessage {
 				return splitAllReq{Op: op, Group: lg.id, NewLevel: lg.level, ReplyTo: s.id}
 			})
 			if rerr != nil {
 				fail(rerr.Error())
-				return
-			}
-			if resp := v.(ackResp); resp.Err != "" {
-				fail(resp.Err)
 				return
 			}
 		}
@@ -255,7 +251,7 @@ func (s *Snode) leaderJoin(lg *ledGroup, m joinGroupReq) {
 	}
 	s.stats.JoinsLed.Add(1)
 	s.broadcastSync(lg.state(s.id), nil)
-	s.send(m.ReplyTo, joinGroupResp{Op: m.Op, Group: lg.id})
+	s.send(m.ReplyTo, untraced, joinGroupResp{Op: m.Op, Group: lg.id})
 }
 
 // orderTransfer executes one planned handover: instruct the victim's host,
@@ -269,14 +265,11 @@ func (s *Snode) orderTransfer(lg *ledGroup, from, to VnodeName) error {
 	if !ok {
 		return fmt.Errorf("cluster: no host for receiver %v", to)
 	}
-	v, err := s.rpc(fromHost, func(op uint64) any {
+	_, err := ask[transferResp](&s.endpoint, fromHost, untraced, func(op uint64) transport.WireMessage {
 		return transferReq{Op: op, Group: lg.id, From: from, To: to, ToHost: toHost, Level: lg.level, ReplyTo: s.id}
 	})
 	if err != nil {
-		return err
-	}
-	if resp := v.(transferResp); resp.Err != "" {
-		return fmt.Errorf("cluster: transfer %v→%v: %s", from, to, resp.Err)
+		return fmt.Errorf("cluster: transfer %v→%v: %w", from, to, err)
 	}
 	return nil
 }
@@ -307,15 +300,11 @@ func (s *Snode) splitLedGroup(lg *ledGroup, m joinGroupReq) {
 		leader := lg.host[minName]
 		childLeaders[childID] = leader
 		st.Leader = leader
-		v, err := s.rpc(leader, func(op uint64) any {
+		_, err := ask[ackResp](&s.endpoint, leader, untraced, func(op uint64) transport.WireMessage {
 			return groupInit{Op: op, State: st, ReplyTo: s.id}
 		})
 		if err != nil {
-			s.send(m.ReplyTo, joinGroupResp{Op: m.Op, Err: err.Error()})
-			return
-		}
-		if resp := v.(ackResp); resp.Err != "" {
-			s.send(m.ReplyTo, joinGroupResp{Op: m.Op, Err: resp.Err})
+			s.send(m.ReplyTo, untraced, joinGroupResp{Op: m.Op, Err: err.Error()})
 			return
 		}
 	}
@@ -333,7 +322,7 @@ func (s *Snode) splitLedGroup(lg *ledGroup, m joinGroupReq) {
 	fwd := m
 	fwd.Group = chosen
 	fwd.Hops++
-	s.send(childLeaders[chosen], fwd)
+	s.send(childLeaders[chosen], untraced, fwd)
 }
 
 // leaderLeave dissolves one vnode inside the led group: ship its partitions
@@ -343,7 +332,7 @@ func (s *Snode) splitLedGroup(lg *ledGroup, m joinGroupReq) {
 // in package core.
 func (s *Snode) leaderLeave(lg *ledGroup, m leaveVnodeReq) {
 	fail := func(err string) {
-		s.send(m.ReplyTo, leaveVnodeResp{Op: m.Op, Err: err})
+		s.send(m.ReplyTo, untraced, leaveVnodeResp{Op: m.Op, Err: err})
 	}
 	if _, ok := lg.table.Count(m.Vnode); !ok {
 		fail(fmt.Sprintf("vnode %v not in group %v", m.Vnode, lg.id))
@@ -363,15 +352,11 @@ func (s *Snode) leaderLeave(lg *ledGroup, m leaveVnodeReq) {
 	for i, d := range dests {
 		refs[i] = ownerRef{Vnode: d, Host: lg.host[d]}
 	}
-	v, err := s.rpc(vnodeHost, func(op uint64) any {
+	_, err = ask[ackResp](&s.endpoint, vnodeHost, untraced, func(op uint64) transport.WireMessage {
 		return shipVnodeReq{Op: op, Vnode: m.Vnode, Dests: refs, ReplyTo: s.id}
 	})
 	if err != nil {
 		fail(err.Error())
-		return
-	}
-	if resp := v.(ackResp); resp.Err != "" {
-		fail(resp.Err)
 		return
 	}
 	delete(lg.host, m.Vnode)
@@ -383,7 +368,7 @@ func (s *Snode) leaderLeave(lg *ledGroup, m leaveVnodeReq) {
 	}
 	s.stats.LeavesLed.Add(1)
 	s.broadcastSync(lg.state(s.id), nil)
-	s.send(m.ReplyTo, leaveVnodeResp{Op: m.Op})
+	s.send(m.ReplyTo, untraced, leaveVnodeResp{Op: m.Op})
 }
 
 // relinquishLeadership hands every group this snode leads to another member
@@ -420,14 +405,11 @@ func (s *Snode) relinquishLeadership() error {
 		delete(s.led, lg.id)
 		lg.ops.close()
 		s.mu.Unlock()
-		v, err := s.rpc(target, func(op uint64) any {
+		_, err := ask[ackResp](&s.endpoint, target, untraced, func(op uint64) transport.WireMessage {
 			return groupInit{Op: op, State: st, ReplyTo: s.id}
 		})
 		if err != nil {
-			return err
-		}
-		if resp := v.(ackResp); resp.Err != "" {
-			return fmt.Errorf("cluster: handoff of %v to %d: %s", lg.id, target, resp.Err)
+			return fmt.Errorf("cluster: handoff of %v to %d: %w", lg.id, target, err)
 		}
 	}
 	return nil

@@ -104,6 +104,9 @@ type loadReportResp struct {
 	Bytes  float64 // EWMA bytes/s
 }
 
+func (m loadReportResp) replyOp() uint64  { return m.Op }
+func (m loadReportResp) replyErr() string { return "" }
+
 // handleLoadReport rolls the snode's owned buckets up into one report.
 // Runs inline: no nested RPCs, one pass under s.mu with per-bucket read
 // locks (the same nesting order as the batch path).
@@ -126,5 +129,5 @@ func (s *Snode) handleLoadReport(m loadReportReq) {
 		}
 	}
 	s.mu.Unlock()
-	s.send(m.ReplyTo, resp)
+	s.send(m.ReplyTo, untraced, resp)
 }

@@ -9,7 +9,9 @@ import (
 // Protocol messages.  Every request carries Op (the sender's correlation
 // id) and ReplyTo (the endpoint awaiting the matching response); forwarded
 // requests keep both, so whichever snode completes the operation answers
-// the original requester directly.
+// the original requester directly.  Every response implements reply (two
+// one-line methods beside the struct), which is how the receive loops
+// hand it to the call awaiting its Op (endpoint.go).
 //
 // Over the TCP fabric every message rides the binary frame codec in
 // wire.go, the fabric's only encoding: a new message needs a tag, a
@@ -23,6 +25,9 @@ type ackResp struct {
 	Op  uint64
 	Err string
 }
+
+func (m ackResp) replyOp() uint64  { return m.Op }
+func (m ackResp) replyErr() string { return m.Err }
 
 // memberInfo is one LPDR row: a vnode, its host and its partition count.
 type memberInfo struct {
@@ -59,6 +64,9 @@ type lookupResp struct {
 	Err       string
 }
 
+func (m lookupResp) replyOp() uint64  { return m.Op }
+func (m lookupResp) replyErr() string { return m.Err }
+
 // --- vnode creation (§2.5 + §3.6/§3.7) ---
 
 type createVnodeReq struct {
@@ -73,6 +81,9 @@ type createVnodeResp struct {
 	Group core.GroupID
 	Err   string
 }
+
+func (m createVnodeResp) replyOp() uint64  { return m.Op }
+func (m createVnodeResp) replyErr() string { return m.Err }
 
 // joinGroupReq asks a group leader to admit a new (empty) vnode.
 type joinGroupReq struct {
@@ -91,6 +102,9 @@ type joinGroupResp struct {
 	Err   string
 }
 
+func (m joinGroupResp) replyOp() uint64  { return m.Op }
+func (m joinGroupResp) replyErr() string { return m.Err }
+
 // --- vnode removal (dynamic leave; base-model feature (c)) ---
 
 type leaveVnodeReq struct {
@@ -106,6 +120,9 @@ type leaveVnodeResp struct {
 	Retry bool
 	Err   string
 }
+
+func (m leaveVnodeResp) replyOp() uint64  { return m.Op }
+func (m leaveVnodeResp) replyErr() string { return m.Err }
 
 // --- intra-group rebalancement (leader → member hosts) ---
 
@@ -137,6 +154,9 @@ type transferResp struct {
 	Keys      int
 	Err       string
 }
+
+func (m transferResp) replyOp() uint64  { return m.Op }
+func (m transferResp) replyErr() string { return m.Err }
 
 // shipVnodeReq orders the host of a leaving vnode to ship each of its
 // partitions (in sorted order) to the planned destinations.
@@ -219,3 +239,6 @@ type pingReq struct {
 type pingResp struct {
 	Op uint64
 }
+
+func (m pingResp) replyOp() uint64  { return m.Op }
+func (m pingResp) replyErr() string { return "" }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -161,24 +162,13 @@ func collectDeltaLocked(bk *bucket, dirty map[string]struct{}) []migItem {
 func (s *Snode) sendChunk(toHost transport.NodeID, to VnodeName, p hashspace.Partition, items []migItem, tr transport.TraceContext) error {
 	csp := beginSpan(tr, "mig.chunk")
 	t0 := time.Now()
-	v, err := s.rpcTr(toHost, csp.ctx, func(op uint64) any {
+	_, err := ask[ackResp](&s.endpoint, toHost, csp.ctx, func(op uint64) transport.WireMessage {
 		return migChunkReq{Op: op, To: to, Partition: p, Items: items, ReplyTo: s.id}
 	})
 	s.lat.migChunk.ObserveSince(t0)
-	if err == nil {
-		if resp := v.(ackResp); resp.Err != "" {
-			err = fmt.Errorf("cluster: migration chunk at %d: %s", toHost, resp.Err)
-		}
-	}
-	if csp.active() {
-		outcome := ""
-		if err != nil {
-			outcome = err.Error()
-		}
-		s.tracer.finish(csp, s.id, outcome)
-	}
+	s.tracer.finishErr(csp, s.id, err)
 	if err != nil {
-		return err
+		return fmt.Errorf("cluster: migration chunk at %d: %w", toHost, err)
 	}
 	s.stats.ChunksSent.Add(1)
 	return nil
@@ -198,16 +188,12 @@ func (s *Snode) migratePartition(g core.GroupID, to VnodeName, toHost transport.
 
 	// Open the staging bucket before touching local state, so a dead or
 	// refusing receiver costs nothing.
-	v, err := s.rpcTr(toHost, root.ctx, func(op uint64) any {
+	_, err := ask[ackResp](&s.endpoint, toHost, root.ctx, func(op uint64) transport.WireMessage {
 		return migBeginReq{Op: op, Group: g, To: to, Partition: p, Level: level, ReplyTo: s.id}
 	})
 	if err != nil {
-		s.tracer.finish(root, s.id, err.Error())
-		return 0, err
-	}
-	if resp := v.(ackResp); resp.Err != "" {
-		err := fmt.Errorf("cluster: migration begin at %d: %s", toHost, resp.Err)
-		s.tracer.finish(root, s.id, err.Error())
+		err = fmt.Errorf("cluster: migration begin at %d: %w", toHost, err)
+		s.tracer.finishErr(root, s.id, err)
 		return 0, err
 	}
 
@@ -219,7 +205,7 @@ func (s *Snode) migratePartition(g core.GroupID, to VnodeName, toHost transport.
 	if bk.state != bucketLive || bk.mig != nil {
 		bk.mu.Unlock()
 		s.mu.Unlock()
-		s.send(toHost, migAbortMsg{To: to, Partition: p})
+		s.send(toHost, untraced, migAbortMsg{To: to, Partition: p})
 		err := fmt.Errorf("cluster: partition %v not live for migration", p)
 		s.tracer.finish(root, s.id, err.Error())
 		return 0, err
@@ -242,7 +228,7 @@ func (s *Snode) migratePartition(g core.GroupID, to VnodeName, toHost transport.
 		}
 		bk.mu.Unlock()
 		s.mu.Unlock()
-		s.send(toHost, migAbortMsg{To: to, Partition: p})
+		s.send(toHost, untraced, migAbortMsg{To: to, Partition: p})
 		s.stats.MigAborts.Add(1)
 		s.tracer.finish(root, s.id, err.Error())
 		s.log.Warn("migration aborted", "partition", p, "to", int(toHost), "err", err)
@@ -333,15 +319,13 @@ func (s *Snode) migratePartition(g core.GroupID, to VnodeName, toHost transport.
 	}
 
 	csp := beginSpan(root.ctx, "mig.commit")
-	v, err = s.rpcTr(toHost, csp.ctx, func(op uint64) any {
+	_, err = ask[ackResp](&s.endpoint, toHost, csp.ctx, func(op uint64) transport.WireMessage {
 		return migCommitReq{Op: op, To: to, Partition: p, Items: final, ReplyTo: s.id}
 	})
-	if csp.active() {
-		outcome := ""
-		if err != nil {
-			outcome = err.Error()
-		}
-		s.tracer.finish(csp, s.id, outcome)
+	s.tracer.finishErr(csp, s.id, err)
+	var refused remoteError
+	if errors.As(err, &refused) {
+		return abortResolved(fmt.Errorf("cluster: migration commit at %d: %w", toHost, err))
 	}
 	if err != nil {
 		// The commit RPC failing does NOT mean the commit failed: the
@@ -362,14 +346,10 @@ func (s *Snode) migratePartition(g core.GroupID, to VnodeName, toHost transport.
 			if attempt > 0 {
 				time.Sleep(20 * time.Millisecond)
 			}
-			lv, lerr := s.rpc(toHost, func(op uint64) any {
+			lr, lerr := ask[lookupResp](&s.endpoint, toHost, untraced, func(op uint64) transport.WireMessage {
 				return lookupReq{Op: op, R: p.Start(), ReplyTo: s.id}
 			})
-			if lerr != nil {
-				continue
-			}
-			if lr, ok := lv.(lookupResp); ok && lr.Err == "" &&
-				lr.Owner == to && lr.Host == toHost && lr.Partition == p {
+			if lerr == nil && lr.Owner == to && lr.Host == toHost && lr.Partition == p {
 				err = nil
 				break
 			}
@@ -377,8 +357,6 @@ func (s *Snode) migratePartition(g core.GroupID, to VnodeName, toHost transport.
 		if err != nil {
 			return abortResolved(err)
 		}
-	} else if resp := v.(ackResp); resp.Err != "" {
-		return abortResolved(fmt.Errorf("cluster: migration commit at %d: %s", toHost, resp.Err))
 	}
 	moved += len(final)
 
@@ -446,7 +424,7 @@ func (s *Snode) handleMigBegin(m migBeginReq) {
 	s.mu.Lock()
 	if _, ok := s.vnodes[m.To]; !ok {
 		s.mu.Unlock()
-		s.send(m.ReplyTo, ackResp{Op: m.Op, Err: fmt.Sprintf("vnode %v not allocated at %d", m.To, s.id)})
+		s.send(m.ReplyTo, untraced, ackResp{Op: m.Op, Err: fmt.Sprintf("vnode %v not allocated at %d", m.To, s.id)})
 		return
 	}
 	s.migIn[m.Partition] = &migInbound{
@@ -454,7 +432,7 @@ func (s *Snode) handleMigBegin(m migBeginReq) {
 		data: newStore(nil),
 	}
 	s.mu.Unlock()
-	s.send(m.ReplyTo, ackResp{Op: m.Op})
+	s.send(m.ReplyTo, untraced, ackResp{Op: m.Op})
 }
 
 // handleMigChunk folds one chunk into the staging bucket.  Runs inline.
@@ -463,12 +441,12 @@ func (s *Snode) handleMigChunk(m migChunkReq) {
 	st, ok := s.migIn[m.Partition]
 	if !ok || st.to != m.To {
 		s.mu.Unlock()
-		s.send(m.ReplyTo, ackResp{Op: m.Op, Err: fmt.Sprintf("no migration staged for %v at %d", m.Partition, s.id)})
+		s.send(m.ReplyTo, untraced, ackResp{Op: m.Op, Err: fmt.Sprintf("no migration staged for %v at %d", m.Partition, s.id)})
 		return
 	}
 	applyMigItems(st.data, m.Items, m.private)
 	s.mu.Unlock()
-	s.send(m.ReplyTo, ackResp{Op: m.Op})
+	s.send(m.ReplyTo, untraced, ackResp{Op: m.Op})
 }
 
 // handleMigCommit applies the final delta and installs the staging bucket
@@ -483,14 +461,14 @@ func (s *Snode) handleMigCommit(m migCommitReq, tr transport.TraceContext) {
 	st, ok := s.migIn[m.Partition]
 	if !ok || st.to != m.To {
 		s.mu.Unlock()
-		s.send(m.ReplyTo, ackResp{Op: m.Op, Err: fmt.Sprintf("no migration staged for %v at %d", m.Partition, s.id)})
+		s.send(m.ReplyTo, untraced, ackResp{Op: m.Op, Err: fmt.Sprintf("no migration staged for %v at %d", m.Partition, s.id)})
 		return
 	}
 	vs, ok := s.vnodes[m.To]
 	if !ok {
 		delete(s.migIn, m.Partition)
 		s.mu.Unlock()
-		s.send(m.ReplyTo, ackResp{Op: m.Op, Err: fmt.Sprintf("vnode %v not allocated at %d", m.To, s.id)})
+		s.send(m.ReplyTo, untraced, ackResp{Op: m.Op, Err: fmt.Sprintf("vnode %v not allocated at %d", m.To, s.id)})
 		return
 	}
 	applyMigItems(st.data, m.Items, m.private)
@@ -514,19 +492,19 @@ func (s *Snode) handleMigCommit(m migCommitReq, tr transport.TraceContext) {
 		// by the pointer check below.
 		s.mu.Unlock()
 		if !s.durWaitSeq(seq) {
-			s.send(m.ReplyTo, ackResp{Op: m.Op, Err: fmt.Sprintf("snode %d stopping: install not durable", s.id)})
+			s.send(m.ReplyTo, untraced, ackResp{Op: m.Op, Err: fmt.Sprintf("snode %d stopping: install not durable", s.id)})
 			return
 		}
 		s.mu.Lock()
 		if cur, ok := s.migIn[m.Partition]; !ok || cur != st {
 			s.mu.Unlock()
-			s.send(m.ReplyTo, ackResp{Op: m.Op, Err: fmt.Sprintf("migration for %v superseded at %d", m.Partition, s.id)})
+			s.send(m.ReplyTo, untraced, ackResp{Op: m.Op, Err: fmt.Sprintf("migration for %v superseded at %d", m.Partition, s.id)})
 			return
 		}
 		if vs, ok = s.vnodes[m.To]; !ok {
 			delete(s.migIn, m.Partition)
 			s.mu.Unlock()
-			s.send(m.ReplyTo, ackResp{Op: m.Op, Err: fmt.Sprintf("vnode %v not allocated at %d", m.To, s.id)})
+			s.send(m.ReplyTo, untraced, ackResp{Op: m.Op, Err: fmt.Sprintf("vnode %v not allocated at %d", m.To, s.id)})
 			return
 		}
 	}
@@ -538,7 +516,7 @@ func (s *Snode) handleMigCommit(m migCommitReq, tr transport.TraceContext) {
 	if s.cfg.Replicas > 1 {
 		s.rehomeReplicas(m.Partition)
 	}
-	s.send(m.ReplyTo, ackResp{Op: m.Op})
+	s.send(m.ReplyTo, untraced, ackResp{Op: m.Op})
 }
 
 // installBucketLocked makes data the live owned bucket of a partition at
@@ -631,15 +609,11 @@ func (s *Snode) resolveIntentOnce(p hashspace.Partition) {
 	if s.cfg.RPCTimeout < timeout {
 		timeout = s.cfg.RPCTimeout
 	}
-	v, err := s.rpcTimeout(in.newOwner.Host, transport.TraceContext{}, timeout, func(op uint64) any {
+	lr, err := replyAs[lookupResp](s.call(in.newOwner.Host, untraced, timeout, nil, func(op uint64) transport.WireMessage {
 		return lookupReq{Op: op, R: p.Start(), ReplyTo: s.id}
-	})
+	}))
 	if err != nil {
 		s.log.Debug("intent probe failed, staying in doubt", "partition", p.String(), "err", err)
-		return
-	}
-	lr, ok := v.(lookupResp)
-	if !ok || lr.Err != "" {
 		return
 	}
 	if lr.Host != s.id && lr.Partition.Level >= p.Level && overlapping(lr.Partition, p) {
@@ -707,7 +681,7 @@ func (s *Snode) revertIntent(p hashspace.Partition, in *migIntent) {
 	}
 	s.durAppendWith(func(b []byte) []byte { return encodeWalMigIntentResolved(b, p) })
 	s.mu.Unlock()
-	s.send(in.newOwner.Host, migAbortMsg{To: in.newOwner.Vnode, Partition: p})
+	s.send(in.newOwner.Host, untraced, migAbortMsg{To: in.newOwner.Vnode, Partition: p})
 	s.stats.MigAborts.Add(1)
 	s.log.Info("migration intent reverted: receiver never committed",
 		"partition", p.String(), "to", int(in.newOwner.Host))

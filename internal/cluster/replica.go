@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"dbdht/internal/cluster/transport"
@@ -122,6 +121,9 @@ type replProbeResp struct {
 	Op        uint64
 	OutOfSync []hashspace.Partition
 }
+
+func (m replProbeResp) replyOp() uint64  { return m.Op }
+func (m replProbeResp) replyErr() string { return "" }
 
 // replSyncReq overwrites a replica bucket with the primary's full copy —
 // the repair step after a probe mismatch, and the re-homing push after a
@@ -277,19 +279,6 @@ func (s *Snode) delReplicaBucketLocked(p hashspace.Partition) {
 	}
 }
 
-// sendOrdFor returns the per-destination mutex serializing replica-plane
-// sends to one host.
-func (s *Snode) sendOrdFor(host transport.NodeID) *sync.Mutex {
-	s.sendOrdMu.Lock()
-	defer s.sendOrdMu.Unlock()
-	mu, ok := s.sendOrd[host]
-	if !ok {
-		mu = &sync.Mutex{}
-		s.sendOrd[host] = mu
-	}
-	return mu
-}
-
 // dropReplicaWithinLocked discards every replica bucket contained in p
 // (p itself included).  Ancestors are deliberately spared: they may still
 // carry the only failover copy of a *sibling* region's acknowledged keys,
@@ -328,7 +317,7 @@ func (s *Snode) handleReplWrite(m replWriteReq, tr transport.TraceContext) {
 	s.stats.ReplWrites.Add(applied)
 	if s.durFastAck() {
 		s.tracer.finish(sp, s.id, "")
-		s.send(m.ReplyTo, ackResp{Op: m.Op})
+		s.send(m.ReplyTo, untraced, ackResp{Op: m.Op})
 		return
 	}
 	// The handler runs inline in the actor loop; the group-fsync wait
@@ -342,7 +331,7 @@ func (s *Snode) handleReplWrite(m replWriteReq, tr transport.TraceContext) {
 		}
 		s.lat.walWait.ObserveSince(t0)
 		s.tracer.finish(sp, s.id, resp.Err)
-		s.send(m.ReplyTo, resp)
+		s.send(m.ReplyTo, untraced, resp)
 	}()
 }
 
@@ -400,7 +389,7 @@ func (s *Snode) handleReplProbe(m replProbeReq) {
 		resp.OutOfSync = append(resp.OutOfSync, d.Partition)
 	}
 	s.mu.Unlock()
-	s.send(m.ReplyTo, resp)
+	s.send(m.ReplyTo, untraced, resp)
 }
 
 func (s *Snode) handleReplSync(m replSyncReq) {
@@ -425,7 +414,7 @@ func (s *Snode) handleReplSync(m replSyncReq) {
 	})
 	s.mu.Unlock()
 	if s.durFastAck() {
-		s.send(m.ReplyTo, ackResp{Op: m.Op})
+		s.send(m.ReplyTo, untraced, ackResp{Op: m.Op})
 		return
 	}
 	go func() { // inline handler: the fsync wait must not stall the actor
@@ -433,7 +422,7 @@ func (s *Snode) handleReplSync(m replSyncReq) {
 		if !s.durWaitSeq(seq) {
 			resp.Err = fmt.Sprintf("snode %d stopping: replica sync not durable", s.id)
 		}
-		s.send(m.ReplyTo, resp)
+		s.send(m.ReplyTo, untraced, resp)
 	}()
 }
 
@@ -498,7 +487,7 @@ func (s *Snode) serveReplicaRead(m batchReq, tr transport.TraceContext) {
 	s.mu.Unlock()
 	s.stats.FailoverReads.Add(served)
 	s.tracer.finish(sp, s.id, "")
-	s.send(m.ReplyTo, batchResp{Op: m.Op, Results: results})
+	s.send(m.ReplyTo, untraced, batchResp{Op: m.Op, Results: results})
 }
 
 // replicaBucketLocked finds the deepest replica bucket covering h.
@@ -550,16 +539,10 @@ func (s *Snode) replicate(kind dataOp, writes map[hashspace.Partition][]batchIte
 			// concurrent full sync cannot be overtaken by a write it does
 			// not contain (see syncReplica).
 			fsp := beginSpan(tr, "repl.fanout")
-			_, err := s.rpcOrderedSend(host, fsp.ctx, func(op uint64) any {
+			_, err := askOrdered[ackResp](&s.endpoint, host, fsp.ctx, func(op uint64) transport.WireMessage {
 				return replWriteReq{Op: op, Kind: kind, Sets: sets, ReplyTo: s.id}
 			})
-			if fsp.active() {
-				outcome := ""
-				if err != nil {
-					outcome = err.Error()
-				}
-				s.tracer.finish(fsp, s.id, outcome)
-			}
+			s.tracer.finishErr(fsp, s.id, err)
 			errs <- err
 		}(host, sets)
 	}
@@ -577,37 +560,6 @@ func (s *Snode) replicate(kind dataOp, writes map[hashspace.Partition][]batchIte
 	return stopping
 }
 
-// rpcOrderedSend is s.rpc with the send serialized through the
-// destination's replica-plane send mutex; the response wait happens
-// outside the mutex.
-func (s *Snode) rpcOrderedSend(to transport.NodeID, tr transport.TraceContext, build func(op uint64) any) (any, error) {
-	op := s.opSeq.Add(1)
-	ch := make(chan any, 1)
-	s.pendMu.Lock()
-	s.pending[op] = ch
-	s.pendMu.Unlock()
-	defer func() {
-		s.pendMu.Lock()
-		delete(s.pending, op)
-		s.pendMu.Unlock()
-	}()
-	ord := s.sendOrdFor(to)
-	ord.Lock()
-	err := s.net.Send(transport.Envelope{From: s.id, To: to, Trace: tr, Msg: build(op)})
-	ord.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	select {
-	case v := <-ch:
-		return v, nil
-	case <-time.After(s.cfg.RPCTimeout):
-		return nil, fmt.Errorf("cluster: snode %d: rpc to %d timed out", s.id, to)
-	case <-s.stopCh:
-		return nil, fmt.Errorf("cluster: snode %d stopping", s.id)
-	}
-}
-
 // syncReplica ships the current bucket of an owned partition to one
 // replica host and waits for the ack.  The destination's send mutex is
 // held from before the snapshot copy until after the send, and every
@@ -623,57 +575,34 @@ func (s *Snode) rpcOrderedSend(to transport.NodeID, tr transport.TraceContext, b
 // receiver was this partition's replica host).  The new owner re-homes
 // the replicas; an aborted handover thaws and the next pass retries.
 func (s *Snode) syncReplica(p hashspace.Partition, host transport.NodeID) (ok bool, err error) {
-	op := s.opSeq.Add(1)
-	ch := make(chan any, 1)
-	s.pendMu.Lock()
-	s.pending[op] = ch
-	s.pendMu.Unlock()
-	defer func() {
-		s.pendMu.Lock()
-		delete(s.pending, op)
-		s.pendMu.Unlock()
-	}()
-	ord := s.sendOrdFor(host)
-	ord.Lock()
-	s.mu.Lock()
-	vs, p2, owned := s.ownsLocked(p.Start())
-	var bk *bucket
-	var g core.GroupID
-	if owned && p2 == p {
-		bk = vs.parts[p]
-		g = vs.group
-	}
-	s.mu.Unlock()
-	if bk == nil {
-		ord.Unlock()
-		return false, nil
-	}
-	bk.mu.RLock()
-	if bk.state != bucketLive {
-		bk.mu.RUnlock()
-		ord.Unlock()
-		return false, nil
-	}
-	data := copyBucket(bk.kv.m)
-	ver := bk.ver
-	bk.mu.RUnlock()
-	err = s.net.Send(transport.Envelope{From: s.id, To: host,
-		Msg: replSyncReq{Op: op, Partition: p, Data: data, Ver: ver, Group: g, ReplyTo: s.id}})
-	ord.Unlock()
-	if err != nil {
-		return true, err
-	}
-	select {
-	case v := <-ch:
-		if resp := v.(ackResp); resp.Err != "" {
-			return true, fmt.Errorf("cluster: replica sync at %d: %s", host, resp.Err)
+	_, err = askOrdered[ackResp](&s.endpoint, host, untraced, func(op uint64) transport.WireMessage {
+		s.mu.Lock()
+		vs, p2, owned := s.ownsLocked(p.Start())
+		var bk *bucket
+		var g core.GroupID
+		if owned && p2 == p {
+			bk = vs.parts[p]
+			g = vs.group
 		}
-		return true, nil
-	case <-time.After(s.cfg.RPCTimeout):
-		return true, fmt.Errorf("cluster: replica sync to %d timed out", host)
-	case <-s.stopCh:
-		return true, fmt.Errorf("cluster: snode %d stopping", s.id)
+		s.mu.Unlock()
+		if bk == nil {
+			return nil
+		}
+		bk.mu.RLock()
+		defer bk.mu.RUnlock()
+		if bk.state != bucketLive {
+			return nil
+		}
+		ok = true
+		return replSyncReq{Op: op, Partition: p, Data: copyBucket(bk.kv.m), Ver: bk.ver, Group: g, ReplyTo: s.id}
+	})
+	if !ok {
+		return false, nil
 	}
+	if err != nil {
+		return true, fmt.Errorf("cluster: replica sync at %d: %w", host, err)
+	}
+	return true, nil
 }
 
 // rehomeReplicas pushes full replica buckets for a freshly installed
@@ -733,7 +662,7 @@ func (s *Snode) dropOrphanReplicas(p hashspace.Partition, newPrimary transport.N
 	s.mu.Unlock()
 	for _, host := range old {
 		if !keep[host] && host != newPrimary {
-			s.send(host, replDropMsg{Partitions: []hashspace.Partition{p}})
+			s.send(host, untraced, replDropMsg{Partitions: []hashspace.Partition{p}})
 		}
 	}
 }
@@ -865,7 +794,7 @@ func (s *Snode) antiEntropyPass() {
 			continue
 		}
 		s.stats.AEProbeMsgs.Add(1)
-		v, err := s.rpc(host, func(op uint64) any {
+		probe, err := ask[replProbeResp](&s.endpoint, host, untraced, func(op uint64) transport.WireMessage {
 			return replProbeReq{Op: op, Digests: digests, ReplyTo: s.id}
 		})
 		if err != nil {
@@ -875,7 +804,7 @@ func (s *Snode) antiEntropyPass() {
 			}
 			continue
 		}
-		for _, p := range v.(replProbeResp).OutOfSync {
+		for _, p := range probe.OutOfSync {
 			switch stillOwned, serr := s.syncReplica(p, host); {
 			case !stillOwned:
 				synced[p] = false
@@ -950,7 +879,7 @@ func (s *Snode) antiEntropyPass() {
 	}
 	s.mu.Unlock()
 	for host, ps := range drops {
-		s.send(host, replDropMsg{Partitions: ps})
+		s.send(host, untraced, replDropMsg{Partitions: ps})
 	}
 }
 

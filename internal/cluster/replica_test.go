@@ -382,14 +382,11 @@ func TestCrashFailoverTCPThreeCopies(t *testing.T) {
 		}
 	}
 	c.mu.Unlock()
-	v, err := from.rpc(owner.Host, func(op uint64) any {
+	_, err := ask[ackResp](&from.endpoint, owner.Host, untraced, func(op uint64) transport.WireMessage {
 		return promoteOrderReq{Op: op, Partition: owner.Partitions[0], Dead: -2, ReplyTo: from.id}
 	})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if resp := v.(ackResp); resp.Err != "" {
-		t.Fatalf("duplicate promotion order refused: %s", resp.Err)
+		t.Fatalf("duplicate promotion order: %v", err)
 	}
 }
 

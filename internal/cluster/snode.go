@@ -294,10 +294,9 @@ type vnodeState struct {
 // group — running that group's balancement events serially while other
 // groups proceed in parallel on their own leaders.
 type Snode struct {
-	id    transport.NodeID
-	cfg   Config
-	net   transport.Network
-	inbox <-chan transport.Envelope
+	endpoint // this snode's fabric address and its calls to peers
+	cfg      Config
+	inbox    <-chan transport.Envelope
 
 	rngMu sync.Mutex
 	rng   *rand.Rand // guarded by rngMu
@@ -325,16 +324,6 @@ type Snode struct {
 	placed    map[hashspace.Partition][]transport.NodeID // guarded by mu; replica hosts last reconciled per owned partition
 	inDoubt   map[hashspace.Partition]*migIntent         // guarded by mu; unresolved journaled migration intents (recovery)
 
-	// sendOrd serializes replica-plane sends per destination, so a full
-	// sync and the writes racing it reach a replica in an order
-	// consistent with the primary's apply order (see syncReplica).
-	sendOrdMu sync.Mutex
-	sendOrd   map[transport.NodeID]*sync.Mutex // guarded by sendOrdMu
-
-	pendMu  sync.Mutex
-	pending map[uint64]chan any // guarded by pendMu
-	opSeq   atomic.Uint64
-
 	// dur is the durability layer (nil when Config.Durability is off);
 	// crashed marks an abrupt stop (KillSnode), which abandons the WAL's
 	// userspace buffer instead of flushing it — simulating process death.
@@ -342,7 +331,6 @@ type Snode struct {
 	crashed atomic.Bool
 
 	stopOnce sync.Once
-	stopCh   chan struct{}
 	done     chan struct{}
 
 	stats Stats
@@ -369,9 +357,8 @@ type Snode struct {
 // observes a half-recovered store.
 func newSnode(id transport.NodeID, cfg Config, net transport.Network) (*Snode, error) {
 	s := &Snode{
-		id:       id,
+		endpoint: newEndpoint(id, net, cfg.RPCTimeout),
 		cfg:      cfg,
-		net:      net,
 		rng:      rand.New(rand.NewSource(cfg.Seed ^ int64(uint64(id)*0x9E3779B97F4A7C15))),
 		vnodes:   make(map[VnodeName]*vnodeState),
 		owned:    make(map[hashspace.Partition]ownedRef),
@@ -385,9 +372,6 @@ func newSnode(id transport.NodeID, cfg Config, net transport.Network) (*Snode, e
 		migIn:    make(map[hashspace.Partition]*migInbound),
 		placed:   make(map[hashspace.Partition][]transport.NodeID),
 		inDoubt:  make(map[hashspace.Partition]*migIntent),
-		sendOrd:  make(map[transport.NodeID]*sync.Mutex),
-		pending:  make(map[uint64]chan any),
-		stopCh:   make(chan struct{}),
 		done:     make(chan struct{}),
 		tracer:   newTracer(cfg.TraceBufferSize),
 		lat:      newLatencies(),
@@ -428,8 +412,9 @@ func newSnode(id transport.NodeID, cfg Config, net transport.Network) (*Snode, e
 // ID returns the snode's fabric endpoint id.
 func (s *Snode) ID() transport.NodeID { return s.id }
 
-// stop terminates the actor; in-flight operations fail with timeouts.
-// With durability on, a graceful stop flushes and fsyncs the WAL; a
+// stop terminates the actor: its own waiting calls return the stopping
+// error, and calls other endpoints have parked on it fail once they learn
+// of the departure (failPeer).  With durability on, a graceful stop flushes and fsyncs the WAL; a
 // crash-stop (KillSnode set s.crashed) abandons the userspace buffer —
 // only records already handed to the OS (and, under fsync=batch, every
 // acknowledged one) survive, exactly like a process dying mid-append.
@@ -472,69 +457,6 @@ func (s *Snode) randShuffle(n int, swap func(i, j int)) {
 	s.rng.Shuffle(n, swap)
 }
 
-// send fires one message; errors mean the destination left the fabric,
-// which the failure-free model treats as a programming error surfaced to
-// callers via timeouts.  The parameter type keeps a message without a
-// wire codec — the other error Send can return — from compiling.
-func (s *Snode) send(to transport.NodeID, msg transport.WireMessage) {
-	_ = s.net.Send(transport.Envelope{From: s.id, To: to, Msg: msg})
-}
-
-// sendTr is send with a trace context riding the envelope.
-func (s *Snode) sendTr(to transport.NodeID, tr transport.TraceContext, msg transport.WireMessage) {
-	_ = s.net.Send(transport.Envelope{From: s.id, To: to, Trace: tr, Msg: msg})
-}
-
-// rpc sends a correlated request and waits for its response.
-func (s *Snode) rpc(to transport.NodeID, build func(op uint64) any) (any, error) {
-	return s.rpcTr(to, transport.TraceContext{}, build)
-}
-
-// rpcTr is rpc with a trace context riding the request envelope.
-func (s *Snode) rpcTr(to transport.NodeID, tr transport.TraceContext, build func(op uint64) any) (any, error) {
-	return s.rpcTimeout(to, tr, s.cfg.RPCTimeout, build)
-}
-
-// rpcTimeout is rpcTr with an explicit deadline, for callers that retry
-// on their own (e.g. the migration-intent resolver) and want a probe to
-// fail fast instead of burning the full configured RPC timeout.
-func (s *Snode) rpcTimeout(to transport.NodeID, tr transport.TraceContext, timeout time.Duration, build func(op uint64) any) (any, error) {
-	op := s.opSeq.Add(1)
-	ch := make(chan any, 1)
-	s.pendMu.Lock()
-	s.pending[op] = ch
-	s.pendMu.Unlock()
-	defer func() {
-		s.pendMu.Lock()
-		delete(s.pending, op)
-		s.pendMu.Unlock()
-	}()
-	if err := s.net.Send(transport.Envelope{From: s.id, To: to, Trace: tr, Msg: build(op)}); err != nil {
-		return nil, err
-	}
-	select {
-	case v := <-ch:
-		return v, nil
-	case <-time.After(timeout):
-		return nil, fmt.Errorf("cluster: snode %d: rpc to %d timed out", s.id, to)
-	case <-s.stopCh:
-		return nil, fmt.Errorf("cluster: snode %d stopping", s.id)
-	}
-}
-
-// deliver routes a response to the goroutine awaiting it.
-func (s *Snode) deliver(op uint64, v any) {
-	s.pendMu.Lock()
-	ch, ok := s.pending[op]
-	s.pendMu.Unlock()
-	if ok {
-		select {
-		case ch <- v:
-		default:
-		}
-	}
-}
-
 // loop is the actor: it dispatches every inbound message.  Fast handlers
 // run inline; handlers that perform nested RPCs run in their own goroutine
 // so the actor never blocks on the fabric.
@@ -543,26 +465,12 @@ func (s *Snode) loop() {
 	for env := range s.inbox {
 		s.stats.MsgsIn.Add(1)
 		switch m := env.Msg.(type) {
-		case ackResp:
-			s.deliver(m.Op, m)
-		case lookupResp:
-			s.deliver(m.Op, m)
-		case joinGroupResp:
-			s.deliver(m.Op, m)
-		case leaveVnodeResp:
-			s.deliver(m.Op, m)
-		case transferResp:
-			s.deliver(m.Op, m)
-		case pingResp:
-			s.deliver(m.Op, m)
-		case createVnodeResp:
-			s.deliver(m.Op, m)
+		case reply:
+			s.deliver(m)
 		case lookupReq:
 			s.handleLookup(m, env.Trace)
 		case batchReq:
 			go s.handleBatch(m, env.Trace)
-		case batchResp:
-			s.deliver(m.Op, m)
 		case createVnodeReq:
 			go s.handleCreateVnode(m)
 		case joinGroupReq:
@@ -605,24 +513,18 @@ func (s *Snode) loop() {
 			s.handleReplWrite(m, env.Trace)
 		case replProbeReq:
 			s.handleReplProbe(m)
-		case replProbeResp:
-			s.deliver(m.Op, m)
 		case replSyncReq:
 			s.handleReplSync(m)
 		case replDropMsg:
 			s.handleReplDrop(m)
 		case promoteQueryReq:
 			s.handlePromoteQuery(m)
-		case promoteQueryResp:
-			s.deliver(m.Op, m)
 		case promoteOrderReq:
 			go s.handlePromoteOrder(m)
 		case overlapQueryReq:
 			s.handleOverlapQuery(m)
-		case overlapQueryResp:
-			s.deliver(m.Op, m)
 		case pingReq:
-			s.send(m.ReplyTo, pingResp{Op: m.Op})
+			s.send(m.ReplyTo, untraced, pingResp{Op: m.Op})
 		}
 	}
 }
@@ -754,7 +656,7 @@ func (s *Snode) handleLookup(m lookupReq, tr transport.TraceContext) {
 		}
 		s.mu.Unlock()
 		s.tracer.finish(sp, s.id, "")
-		s.send(m.ReplyTo, lookupResp{
+		s.send(m.ReplyTo, untraced, lookupResp{
 			Op: m.Op, Owner: vs.name, Host: s.id, Partition: p,
 			Group: group, Leader: leader,
 		})
@@ -763,38 +665,30 @@ func (s *Snode) handleLookup(m lookupReq, tr transport.TraceContext) {
 	if m.Hops >= maxHops {
 		s.mu.Unlock()
 		s.tracer.finish(sp, s.id, "max-hops")
-		s.send(m.ReplyTo, lookupResp{Op: m.Op, Err: fmt.Sprintf("lookup exceeded %d hops", m.Hops)})
+		s.send(m.ReplyTo, untraced, lookupResp{Op: m.Op, Err: fmt.Sprintf("lookup exceeded %d hops", m.Hops)})
 		return
 	}
 	ref, ok := s.forwardTargetLocked(m.R, m.Hops == 0)
 	s.mu.Unlock()
 	if !ok {
 		s.tracer.finish(sp, s.id, "no-route")
-		s.send(m.ReplyTo, lookupResp{Op: m.Op, Err: "no route: empty DHT view"})
+		s.send(m.ReplyTo, untraced, lookupResp{Op: m.Op, Err: "no route: empty DHT view"})
 		return
 	}
 	m.Hops++
 	s.stats.Forwards.Add(1)
-	if sp.active() {
-		sp.name = "lookup.hop"
-		s.tracer.finish(sp, s.id, "")
-		s.sendTr(ref.Host, sp.ctx, m)
-		return
-	}
-	s.send(ref.Host, m)
+	sp.name = "lookup.hop"
+	s.tracer.finish(sp, s.id, "")
+	s.send(ref.Host, sp.ctx, m)
 }
 
 // resolveOwner runs a lookup for hash index r from this snode.
 func (s *Snode) resolveOwner(r uint64) (lookupResp, error) {
-	v, err := s.rpc(s.id, func(op uint64) any {
+	resp, err := ask[lookupResp](&s.endpoint, s.id, untraced, func(op uint64) transport.WireMessage {
 		return lookupReq{Op: op, R: r, ReplyTo: s.id}
 	})
 	if err != nil {
-		return lookupResp{}, err
-	}
-	resp := v.(lookupResp)
-	if resp.Err != "" {
-		return lookupResp{}, fmt.Errorf("cluster: lookup: %s", resp.Err)
+		return lookupResp{}, fmt.Errorf("cluster: lookup: %w", err)
 	}
 	s.mu.Lock()
 	s.setCacheLocked(resp.Partition, ownerRef{Vnode: resp.Owner, Host: resp.Host})
@@ -831,7 +725,7 @@ func (s *Snode) handleSplitAll(m splitAllReq) {
 		// acknowledged.
 		s.durWaitSeq(seq)
 	}
-	s.send(m.ReplyTo, ackResp{Op: m.Op})
+	s.send(m.ReplyTo, untraced, ackResp{Op: m.Op})
 }
 
 // splitGroupLocked splits every joined vnode of the group below newLevel
@@ -879,12 +773,12 @@ func (s *Snode) handleTransfer(m transferReq) {
 	vs, ok := s.vnodes[m.From]
 	if !ok {
 		s.mu.Unlock()
-		s.send(m.ReplyTo, transferResp{Op: m.Op, Err: fmt.Sprintf("vnode %v not hosted at %d", m.From, s.id)})
+		s.send(m.ReplyTo, untraced, transferResp{Op: m.Op, Err: fmt.Sprintf("vnode %v not hosted at %d", m.From, s.id)})
 		return
 	}
 	if vs.level != m.Level {
 		s.mu.Unlock()
-		s.send(m.ReplyTo, transferResp{Op: m.Op, Err: fmt.Sprintf("vnode %v at level %d, leader expects %d", m.From, vs.level, m.Level)})
+		s.send(m.ReplyTo, untraced, transferResp{Op: m.Op, Err: fmt.Sprintf("vnode %v at level %d, leader expects %d", m.From, vs.level, m.Level)})
 		return
 	}
 	// Pick the victim partition uniformly among the live ones not already
@@ -900,7 +794,7 @@ func (s *Snode) handleTransfer(m transferReq) {
 	}
 	if len(candidates) == 0 {
 		s.mu.Unlock()
-		s.send(m.ReplyTo, transferResp{Op: m.Op, Err: fmt.Sprintf("vnode %v has no transferable partition", m.From)})
+		s.send(m.ReplyTo, untraced, transferResp{Op: m.Op, Err: fmt.Sprintf("vnode %v has no transferable partition", m.From)})
 		return
 	}
 	sort.Slice(candidates, func(i, j int) bool {
@@ -915,10 +809,10 @@ func (s *Snode) handleTransfer(m transferReq) {
 
 	keys, err := s.migratePartition(m.Group, m.To, m.ToHost, p, m.Level, vs, bk)
 	if err != nil {
-		s.send(m.ReplyTo, transferResp{Op: m.Op, Err: err.Error()})
+		s.send(m.ReplyTo, untraced, transferResp{Op: m.Op, Err: err.Error()})
 		return
 	}
-	s.send(m.ReplyTo, transferResp{Op: m.Op, Partition: p, Keys: keys})
+	s.send(m.ReplyTo, untraced, transferResp{Op: m.Op, Partition: p, Keys: keys})
 }
 
 // copyBucket clones one partition's key/value map (values are immutable
@@ -940,7 +834,7 @@ func (s *Snode) handleShipVnode(m shipVnodeReq) {
 	vs, ok := s.vnodes[m.Vnode]
 	if !ok {
 		s.mu.Unlock()
-		s.send(m.ReplyTo, ackResp{Op: m.Op, Err: fmt.Sprintf("vnode %v not hosted at %d", m.Vnode, s.id)})
+		s.send(m.ReplyTo, untraced, ackResp{Op: m.Op, Err: fmt.Sprintf("vnode %v not hosted at %d", m.Vnode, s.id)})
 		return
 	}
 	parts := make([]hashspace.Partition, 0, len(vs.parts))
@@ -950,7 +844,7 @@ func (s *Snode) handleShipVnode(m shipVnodeReq) {
 	sort.Slice(parts, func(i, j int) bool { return parts[i].Prefix < parts[j].Prefix })
 	if len(parts) != len(m.Dests) {
 		s.mu.Unlock()
-		s.send(m.ReplyTo, ackResp{Op: m.Op, Err: fmt.Sprintf("vnode %v has %d partitions, plan has %d dests", m.Vnode, len(parts), len(m.Dests))})
+		s.send(m.ReplyTo, untraced, ackResp{Op: m.Op, Err: fmt.Sprintf("vnode %v has %d partitions, plan has %d dests", m.Vnode, len(parts), len(m.Dests))})
 		return
 	}
 	group, level := vs.group, vs.level
@@ -962,7 +856,7 @@ func (s *Snode) handleShipVnode(m shipVnodeReq) {
 		s.mu.Unlock()
 		dest := m.Dests[i]
 		if _, err := s.migratePartition(group, dest.Vnode, dest.Host, p, level, vs, bk); err != nil {
-			s.send(m.ReplyTo, ackResp{Op: m.Op, Err: err.Error()})
+			s.send(m.ReplyTo, untraced, ackResp{Op: m.Op, Err: err.Error()})
 			return
 		}
 	}
@@ -970,7 +864,7 @@ func (s *Snode) handleShipVnode(m shipVnodeReq) {
 	delete(s.vnodes, m.Vnode)
 	s.durAppendWith(func(b []byte) []byte { return encodeWalVnodeGone(b, m.Vnode) })
 	s.mu.Unlock()
-	s.send(m.ReplyTo, ackResp{Op: m.Op})
+	s.send(m.ReplyTo, untraced, ackResp{Op: m.Op})
 }
 
 // routingTable snapshots this snode's custody pointers, to be bequeathed to
@@ -990,6 +884,7 @@ func (s *Snode) routingTable() []routeEntry {
 // chains that passed through it now skip it.  Entries we already have (our
 // own custody history, or ownership) take precedence.
 func (s *Snode) handleSnodeLeaving(m snodeLeavingMsg) {
+	s.failPeer(m.Leaving)
 	s.mu.Lock()
 	for p, ref := range s.tombs {
 		if ref.Host == m.Leaving {
@@ -1069,10 +964,10 @@ func (s *Snode) handleCreateVnode(m createVnodeReq) {
 
 	if m.Bootstrap {
 		if err := s.bootstrapFirstVnode(name); err != nil {
-			s.send(m.ReplyTo, createVnodeResp{Op: m.Op, Err: err.Error()})
+			s.send(m.ReplyTo, untraced, createVnodeResp{Op: m.Op, Err: err.Error()})
 			return
 		}
-		s.send(m.ReplyTo, createVnodeResp{Op: m.Op, Vnode: name, Group: core.GroupID{}})
+		s.send(m.ReplyTo, untraced, createVnodeResp{Op: m.Op, Vnode: name, Group: core.GroupID{}})
 		return
 	}
 
@@ -1093,31 +988,25 @@ func (s *Snode) handleCreateVnode(m createVnodeReq) {
 		lr, err := s.resolveOwner(r)
 		if err != nil {
 			s.abandonVnode(name)
-			s.send(m.ReplyTo, createVnodeResp{Op: m.Op, Err: err.Error()})
+			s.send(m.ReplyTo, untraced, createVnodeResp{Op: m.Op, Err: err.Error()})
 			return
 		}
-		v, err := s.rpc(lr.Host, func(op uint64) any {
+		resp, err := ask[joinGroupResp](&s.endpoint, lr.Host, untraced, func(op uint64) transport.WireMessage {
 			return joinGroupReq{Op: op, Group: lr.Group, NewVnode: name, NewHost: s.id, ReplyTo: s.id}
 		})
 		if err != nil {
 			s.abandonVnode(name)
-			s.send(m.ReplyTo, createVnodeResp{Op: m.Op, Err: err.Error()})
+			s.send(m.ReplyTo, untraced, createVnodeResp{Op: m.Op, Err: err.Error()})
 			return
 		}
-		resp := v.(joinGroupResp)
 		if resp.Retry {
 			continue // leadership moved under us; re-resolve
 		}
-		if resp.Err != "" {
-			s.abandonVnode(name)
-			s.send(m.ReplyTo, createVnodeResp{Op: m.Op, Err: resp.Err})
-			return
-		}
-		s.send(m.ReplyTo, createVnodeResp{Op: m.Op, Vnode: name, Group: resp.Group})
+		s.send(m.ReplyTo, untraced, createVnodeResp{Op: m.Op, Vnode: name, Group: resp.Group})
 		return
 	}
 	s.abandonVnode(name)
-	s.send(m.ReplyTo, createVnodeResp{Op: m.Op, Err: "join retries exhausted"})
+	s.send(m.ReplyTo, untraced, createVnodeResp{Op: m.Op, Err: "join retries exhausted"})
 }
 
 // abandonVnode discards a never-joined vnode allocation after a failure.

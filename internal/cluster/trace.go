@@ -178,6 +178,18 @@ func (t *tracer) finish(a activeSpan, snode transport.NodeID, outcome string) {
 	t.mu.Unlock()
 }
 
+// finishErr is finish with the outcome taken from err (nil means ok).
+func (t *tracer) finishErr(a activeSpan, snode transport.NodeID, err error) {
+	if !a.active() {
+		return
+	}
+	outcome := ""
+	if err != nil {
+		outcome = err.Error()
+	}
+	t.finish(a, snode, outcome)
+}
+
 // collect appends the ring's spans (oldest first) to out, keeping only
 // those matching traceID (0 = all).
 func (t *tracer) collect(out []Span, traceID uint64) []Span {

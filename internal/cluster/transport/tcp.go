@@ -50,9 +50,10 @@ type tcpEndpoint struct {
 	box    *mailbox
 	budget int
 	mu     sync.Mutex
-	conns  map[NodeID]*outConn // ordered-pair outbound connections; guarded by mu
-	faults *Faults             // nemesis plan, nil = healthy; guarded by mu
-	closed bool                // guarded by mu
+	conns  map[NodeID]*outConn   // ordered-pair outbound connections; guarded by mu
+	inbnd  map[net.Conn]struct{} // accepted connections, closed with the endpoint; guarded by mu
+	faults *Faults               // nemesis plan, nil = healthy; guarded by mu
+	closed bool                  // guarded by mu
 	wg     sync.WaitGroup
 }
 
@@ -137,6 +138,7 @@ func (t *TCP) Register(id NodeID) (<-chan Envelope, error) {
 		budget: t.budget,
 		faults: t.faults,
 		conns:  make(map[NodeID]*outConn),
+		inbnd:  make(map[net.Conn]struct{}),
 	}
 	ep.wg.Add(1)
 	go ep.acceptLoop()
@@ -151,6 +153,14 @@ func (ep *tcpEndpoint) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
+		ep.mu.Lock()
+		if ep.closed {
+			ep.mu.Unlock()
+			conn.Close()
+			return
+		}
+		ep.inbnd[conn] = struct{}{}
+		ep.mu.Unlock()
 		ep.wg.Add(1)
 		go ep.readLoop(conn)
 	}
@@ -168,7 +178,12 @@ var frameBufPool = sync.Pool{
 
 func (ep *tcpEndpoint) readLoop(conn net.Conn) {
 	defer ep.wg.Done()
-	defer conn.Close()
+	defer func() {
+		conn.Close()
+		ep.mu.Lock()
+		delete(ep.inbnd, conn)
+		ep.mu.Unlock()
+	}()
 	br := bufio.NewReaderSize(conn, 64<<10)
 	bufp := frameBufPool.Get().(*[]byte)
 	defer frameBufPool.Put(bufp)
@@ -230,15 +245,23 @@ func (t *TCP) Unregister(id NodeID) error {
 	return nil
 }
 
+// close takes the endpoint off the network.  The accepted connections are
+// closed too: a peer that still holds one must see its next write fail and
+// redial whoever owns the id now, not feed a dead endpoint's read loop.
 func (ep *tcpEndpoint) close() {
 	ep.lis.Close()
 	ep.mu.Lock()
 	ep.closed = true
 	conns := ep.conns
 	ep.conns = make(map[NodeID]*outConn)
+	inbnd := ep.inbnd
+	ep.inbnd = make(map[net.Conn]struct{})
 	ep.mu.Unlock()
 	for _, oc := range conns {
 		oc.shut()
+	}
+	for conn := range inbnd {
+		conn.Close()
 	}
 	ep.box.close()
 }
@@ -297,7 +320,13 @@ func (ep *tcpEndpoint) connTo(to NodeID, addr string) *outConn {
 		return nil
 	}
 	if oc, ok := ep.conns[to]; ok {
-		return oc
+		if oc.addr == addr {
+			return oc
+		}
+		// The id re-registered at another address (a restarted snode): the
+		// cached connection leads to the old incarnation's socket, where
+		// frames would be accepted as sent and then lost.
+		oc.shut()
 	}
 	oc := &outConn{ep: ep, to: to, addr: addr, budget: ep.budget, wake: make(chan struct{}, 1)}
 	ep.conns[to] = oc

@@ -166,3 +166,42 @@ func TestSendSurfacesEncodeError(t *testing.T) {
 		}
 	}
 }
+
+// TestSendFollowsReRegisteredEndpoint: an id that leaves and re-registers
+// (a restarted snode) listens on a new port.  The very next envelope to it
+// must travel to the new incarnation — at the parent it was written into
+// the cached connection to the old one, reported as sent, and lost.
+func TestSendFollowsReRegisteredEndpoint(t *testing.T) {
+	tr := NewTCP("127.0.0.1")
+	defer tr.Close()
+	if _, err := tr.Register(1); err != nil {
+		t.Fatal(err)
+	}
+	in, err := tr.Register(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Send(Envelope{From: 1, To: 2, Msg: testMsg{Seq: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := recvOne(t, in).Msg.(testMsg).Seq; got != 1 {
+		t.Fatalf("received seq %d, want 1", got)
+	}
+	if err := tr.Unregister(2); err != nil {
+		t.Fatal(err)
+	}
+	if in, err = tr.Register(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Send(Envelope{From: 1, To: 2, Msg: testMsg{Seq: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case env := <-in:
+		if got := env.Msg.(testMsg).Seq; got != 2 {
+			t.Fatalf("received seq %d, want 2", got)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("first envelope after the re-registration never arrived")
+	}
+}
