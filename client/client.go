@@ -271,8 +271,9 @@ const (
 
 // transientWriteError reports whether a write failure is worth retrying:
 // the key's partition was frozen for a migration handover, is being
-// promoted after a primary crash, or the route to it lapsed — all states
-// that resolve on their own within the failover window.  Permanent
+// promoted after a primary crash, its primary stopped under the write (a
+// kill or leave closed the WAL mid-wait), or the route to it lapsed — all
+// states that resolve on their own within the failover window.  Permanent
 // errors (bad request, oversized value) are not retried.
 func transientWriteError(msg string) bool {
 	for _, s := range [...]string{
@@ -284,6 +285,7 @@ func transientWriteError(msg string) bool {
 		"timed out",
 		"timeout",
 		"left the cluster",
+		"stopping",
 		"connection refused",
 		"EOF",
 	} {

@@ -97,12 +97,14 @@ func TestWriteRetryBatch(t *testing.T) {
 		for _, it := range req.Items {
 			res := Result{Key: it.Key}
 			// First attempt: keys on the "promoting" partition fail, one
-			// frozen mid-handover, one forwarded to an snode that then left.
-			if attempts == 1 && it.Key == "hot-0" {
-				res.Error = "partition frozen for handover"
-			}
-			if attempts == 1 && it.Key == "hot-1" {
-				res.Error = "cluster: snode 3: rpc to 2 failed: peer left the cluster"
+			// frozen mid-handover, one forwarded to an snode that then
+			// left, one whose primary was killed under the durable wait.
+			if attempts == 1 {
+				res.Error = map[string]string{
+					"hot-0": "partition frozen for handover",
+					"hot-1": "cluster: snode 3: rpc to 2 failed: peer left the cluster",
+					"hot-2": "wal aborted: snode stopping",
+				}[it.Key]
 			}
 			resp.Results = append(resp.Results, res)
 		}
@@ -118,6 +120,7 @@ func TestWriteRetryBatch(t *testing.T) {
 		{Key: "hot-0", Value: []byte("b")},
 		{Key: "cold-1", Value: []byte("c")},
 		{Key: "hot-1", Value: []byte("d")},
+		{Key: "hot-2", Value: []byte("e")},
 	}
 	res, err := cl.MPut(context.Background(), items)
 	if err != nil {
@@ -126,8 +129,8 @@ func TestWriteRetryBatch(t *testing.T) {
 	if attempts != 2 {
 		t.Fatalf("server saw %d attempts, want 2", attempts)
 	}
-	if len(secondBody.Items) != 2 || secondBody.Items[0].Key != "hot-0" || secondBody.Items[1].Key != "hot-1" {
-		t.Fatalf("retry re-sent %+v, want only the two hot keys", secondBody.Items)
+	if len(secondBody.Items) != 3 || secondBody.Items[0].Key != "hot-0" || secondBody.Items[1].Key != "hot-1" || secondBody.Items[2].Key != "hot-2" {
+		t.Fatalf("retry re-sent %+v, want only the three hot keys", secondBody.Items)
 	}
 	if len(res) != len(items) {
 		t.Fatalf("got %d results, want %d", len(res), len(items))

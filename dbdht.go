@@ -215,14 +215,9 @@ func NewConsistentHashing(k int, seed int64) (*ConsistentHashing, error) {
 	return ch.New(k, rand.New(rand.NewSource(seed)))
 }
 
-// NewCluster starts a cluster over an in-memory message fabric — the
-// default for experiments and tests.
-func NewCluster(o ClusterOptions) (*Cluster, error) {
-	net := transport.NewMem()
-	if o.Faults != nil {
-		net.SetFaults(o.Faults)
-	}
-	return cluster.New(cluster.Config{
+// config spells the options as the cluster package takes them.
+func (o ClusterOptions) config() cluster.Config {
+	return cluster.Config{
 		Pmin: o.Pmin, Vmin: o.Vmin, Seed: o.Seed, RPCTimeout: o.RPCTimeout,
 		Replicas: o.Replicas, AntiEntropyInterval: o.AntiEntropyInterval,
 		FailoverPingInterval: o.FailoverPingInterval, FailoverPingMisses: o.FailoverPingMisses,
@@ -230,7 +225,17 @@ func NewCluster(o ClusterOptions) (*Cluster, error) {
 		Durability:  o.Durability,
 		TraceSample: o.TraceSample, TraceBufferSize: o.TraceBuffer,
 		SlowOpThreshold: o.SlowOpThreshold, Logger: o.Logger,
-	}, net)
+	}
+}
+
+// NewCluster starts a cluster over an in-memory message fabric — the
+// default for experiments and tests.
+func NewCluster(o ClusterOptions) (*Cluster, error) {
+	net := transport.NewMem()
+	if o.Faults != nil {
+		net.SetFaults(o.Faults)
+	}
+	return cluster.New(o.config(), net)
 }
 
 // NewClusterTCP starts a cluster whose snodes communicate over real TCP
@@ -240,15 +245,7 @@ func NewClusterTCP(o ClusterOptions, host string) (*Cluster, error) {
 	if o.Faults != nil {
 		net.SetFaults(o.Faults)
 	}
-	return cluster.New(cluster.Config{
-		Pmin: o.Pmin, Vmin: o.Vmin, Seed: o.Seed, RPCTimeout: o.RPCTimeout,
-		Replicas: o.Replicas, AntiEntropyInterval: o.AntiEntropyInterval,
-		FailoverPingInterval: o.FailoverPingInterval, FailoverPingMisses: o.FailoverPingMisses,
-		Balance: o.Balance, LoadInterval: o.LoadInterval,
-		Durability:  o.Durability,
-		TraceSample: o.TraceSample, TraceBufferSize: o.TraceBuffer,
-		SlowOpThreshold: o.SlowOpThreshold, Logger: o.Logger,
-	}, net)
+	return cluster.New(o.config(), net)
 }
 
 // Hash maps an arbitrary key to the hash range R_h.

@@ -34,14 +34,15 @@ func init() {
 	}
 }
 
-func encodeSet(buf []byte) []byte { return append(buf, byte(walTagSet)) }
+type setRec struct{ K string }
 
-func replay(tag uint16) bool {
-	switch tag {
-	case walTagSet:
-		return true
-	}
-	return false
+func (*setRec) walTag() uint16 { return walTagSet }
+
+var walRecords = []struct {
+	tag uint16
+	new func() any
+}{
+	{walTagSet, func() any { return new(setRec) }},
 }
 
 type node struct {

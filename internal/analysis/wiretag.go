@@ -22,11 +22,10 @@ import (
 //     explicit, reviewable lockfile edit (and deleting a lockfile entry
 //     while the constant exists fails the build);
 //   - a `retired` lockfile entry reserves its number forever;
-//   - every wire tag has both an encoder (a WireTag() method returning
-//     it) and a decoder (a row of the message table: an element
-//     {tag, decoder} of a slice literal, which init registers);
-//   - every WAL tag is written by an encoder and handled by a replay
-//     switch case.
+//   - every tag has both an encoder — a method returning it, WireTag()
+//     for a message, walTag() for a journal record — and a decoder: a row
+//     of its table, an element {tag, decoder} of a slice literal (the
+//     message table init registers, the record table replay walks).
 var WireTag = &Analyzer{
 	Name: "wiretag",
 	Doc:  "wire/WAL tags are unique, lockfile-registered, and fully wired (encoder + decoder)",
@@ -139,41 +138,28 @@ func runWireTag(pass *Pass) error {
 	// Encoder/decoder completeness.
 	enc, dec := tagUsageSides(pass)
 	for _, t := range tags {
-		wire := strings.HasPrefix(t.name, "wireTag")
+		kind, method, table := "wire", "WireTag", "message"
+		if strings.HasPrefix(t.name, "walTag") {
+			kind, method, table = "WAL", "walTag", "record"
+		}
 		if !enc[t.name] {
-			if wire {
-				pass.Reportf(t.pos, "wire tag %s has no encoder: no WireTag() method returns it", t.name)
-			} else {
-				pass.Reportf(t.pos, "WAL tag %s has no encoder: no record encoder writes it", t.name)
-			}
+			pass.Reportf(t.pos, "%s tag %s has no encoder: no %s() method returns it", kind, t.name, method)
 		}
 		if !dec[t.name] {
-			if wire {
-				pass.Reportf(t.pos, "wire tag %s has no decoder: no row of the message table lists it", t.name)
-			} else {
-				pass.Reportf(t.pos, "WAL tag %s has no decoder: no replay switch case handles it", t.name)
-			}
+			pass.Reportf(t.pos, "%s tag %s has no decoder: no row of the %s table lists it", kind, t.name, table)
 		}
 	}
 	return nil
 }
 
-// tagUsageSides classifies every use of a tag constant as encoder-side or
-// decoder-side.  Decoder side: first field of a message-table row (wire
-// tags) or a switch case expression (WAL replay).  Encoder side: the
-// return expression of a WireTag method (wire tags) or any other use in a
-// function body (WAL record encoders write the tag as their first field).
+// tagUsageSides finds each tag's encoder side — the return expression of
+// a WireTag or walTag method — and its decoder side: the first field of a
+// row of the message or record table.
 func tagUsageSides(pass *Pass) (enc, dec map[string]bool) {
 	enc = make(map[string]bool)
 	dec = make(map[string]bool)
 	tagName := func(e ast.Expr) (string, bool) {
 		e = ast.Unparen(e)
-		// Tags may appear converted: uint64(walTagWrite).
-		if call, ok := e.(*ast.CallExpr); ok && len(call.Args) == 1 {
-			if _, isConv := pass.Info.Types[call.Fun]; isConv && pass.Info.Types[call.Fun].IsType() {
-				e = ast.Unparen(call.Args[0])
-			}
-		}
 		id, ok := e.(*ast.Ident)
 		if !ok || (!strings.HasPrefix(id.Name, "wireTag") && !strings.HasPrefix(id.Name, "walTag")) {
 			return "", false
@@ -193,14 +179,8 @@ func tagUsageSides(pass *Pass) (enc, dec map[string]bool) {
 						}
 					}
 				}
-			case *ast.CaseClause:
-				for _, e := range n.List {
-					if name, ok := tagName(e); ok {
-						dec[name] = true
-					}
-				}
 			case *ast.FuncDecl:
-				if n.Name.Name == "WireTag" && n.Recv != nil && n.Body != nil {
+				if (n.Name.Name == "WireTag" || n.Name.Name == "walTag") && n.Recv != nil && n.Body != nil {
 					ast.Inspect(n.Body, func(m ast.Node) bool {
 						ret, ok := m.(*ast.ReturnStmt)
 						if !ok {
@@ -213,17 +193,7 @@ func tagUsageSides(pass *Pass) (enc, dec map[string]bool) {
 						}
 						return true
 					})
-					return false // WireTag methods are encoder-only
-				}
-				if n.Body != nil && strings.HasPrefix(n.Name.Name, "encode") {
-					ast.Inspect(n.Body, func(m ast.Node) bool {
-						if e, ok := m.(ast.Expr); ok {
-							if name, ok := tagName(e); ok {
-								enc[name] = true
-							}
-						}
-						return true
-					})
+					return false // tag methods are encoder-only
 				}
 			}
 			return true

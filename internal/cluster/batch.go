@@ -201,11 +201,13 @@ func (s *Snode) handleBatch(m batchReq, tr transport.TraceContext) {
 				}
 				var wroteBytes int64
 				if s.dur != nil {
-					// The journal record is encoded inline as the items
-					// apply (the walWriteRec layout, with the item count
-					// known upfront), into a scratch slab
-					// reused across this batch's buckets — no per-bucket
-					// slice or closure allocations on the hot path.
+					// The one mutation that is not a record's applyLocked
+					// plus journal (walrec.go): the record is encoded
+					// inline as the items apply (the walWriteRec layout,
+					// with the item count known upfront), into a scratch
+					// slab reused across this batch's buckets — no
+					// per-bucket slice or closure allocations on the hot
+					// path.  Replay runs walWriteRec.applyLocked.
 					walScratch = encodeWalWriteHeader(walScratch[:0], m.Kind, w.p, len(w.idxs))
 				}
 				for _, i := range w.idxs {
@@ -236,7 +238,7 @@ func (s *Snode) handleBatch(m batchReq, tr transport.TraceContext) {
 					// Journal under the bucket lock: the snapshot pass reads
 					// buckets under the same lock, so a record below its cut
 					// is always reflected in the bucket it serializes.
-					seq := s.durAppend(walScratch)
+					seq := s.dur.log.Append(walScratch)
 					if seq == 0 {
 						walClosed = true
 					} else if seq > walMax {
@@ -353,11 +355,9 @@ func (s *Snode) handleBatch(m batchReq, tr transport.TraceContext) {
 	// acknowledged only once its journal record is on disk per the
 	// configured fsync mode.
 	walOK := !walClosed
-	if walOK && walMax > 0 && !s.durFastAck() {
+	if walOK && walMax > 0 {
 		wsp := beginSpan(sp.ctx, "batch.wal-wait")
-		t0 := time.Now()
-		walOK = s.durWaitSeq(walMax)
-		s.lat.walWait.ObserveSince(t0)
+		walOK = s.awaitDurable(walMax)
 		outcome := ""
 		if !walOK {
 			outcome = "wal-closed"

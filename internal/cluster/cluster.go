@@ -705,17 +705,23 @@ func (c *Cluster) ping(id transport.NodeID) error {
 // Close stops every snode and the fabric.
 func (c *Cluster) Close() {
 	c.stopOnce.Do(func() {
-		c.mu.Lock()
-		snodes := make([]*Snode, 0, len(c.snodes))
-		for _, s := range c.snodes {
-			snodes = append(snodes, s)
-		}
-		c.mu.Unlock()
-		for _, s := range snodes {
+		for _, s := range c.liveSnodes() {
 			s.stop()
 		}
 		c.net.Close()
 	})
+}
+
+// liveSnodes copies the live snodes, in joining order, out from under
+// c.mu, for callers that then talk to each without holding it.
+func (c *Cluster) liveSnodes() []*Snode {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]*Snode, 0, len(c.order))
+	for _, id := range c.order {
+		out = append(out, c.snodes[id])
+	}
+	return out
 }
 
 // --- introspection (tests, examples, benches) ---
@@ -755,17 +761,11 @@ type Snapshot struct {
 // Snapshot collects the materialized state of every snode.  The cluster
 // should be quiescent (no in-flight operations) for a consistent picture.
 func (c *Cluster) Snapshot() Snapshot {
-	c.mu.Lock()
-	snodes := make([]*Snode, 0, len(c.snodes))
-	for _, id := range c.order {
-		snodes = append(snodes, c.snodes[id])
-	}
-	c.mu.Unlock()
 	snap := Snapshot{
 		Replicas: make(map[transport.NodeID][]lpdrState),
 		Leaders:  make(map[core.GroupID]transport.NodeID),
 	}
-	for _, s := range snodes {
+	for _, s := range c.liveSnodes() {
 		s.mu.Lock()
 		for name, vs := range s.vnodes {
 			if !vs.joined {
@@ -808,16 +808,10 @@ func (snap Snapshot) VnodeQuotas() []float64 {
 
 // StatsTotal aggregates every snode's runtime counters.
 func (c *Cluster) StatsTotal() StatsSnapshot {
-	c.mu.Lock()
-	snodes := make([]*Snode, 0, len(c.snodes))
-	for _, s := range c.snodes {
-		snodes = append(snodes, s)
-	}
-	c.mu.Unlock()
 	c.retiredMu.Lock()
 	tot := c.retired
 	c.retiredMu.Unlock()
-	for _, s := range snodes {
+	for _, s := range c.liveSnodes() {
 		tot.fold(s.stats.snapshot())
 	}
 	tot.FailoverDetects = c.failoverDetects.Load()

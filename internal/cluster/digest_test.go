@@ -12,17 +12,6 @@ import (
 	"dbdht/internal/wal"
 )
 
-// liveSnodes snapshots the handle's snode set.
-func liveSnodes(c *Cluster) []*Snode {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]*Snode, 0, len(c.snodes))
-	for _, id := range c.order {
-		out = append(out, c.snodes[id])
-	}
-	return out
-}
-
 // checkClusterDigests asserts incremental == recomputed-from-scratch on
 // every store the cluster holds right now: primary buckets, replica
 // buckets and migration staging.  It returns how many stores it checked.
@@ -36,7 +25,7 @@ func checkClusterDigests(t *testing.T, c *Cluster, step string) int {
 			bad = append(bad, fmt.Sprintf("snode %d %s %v: %s", s.id, kind, p, msg))
 		}
 	}
-	for _, s := range liveSnodes(c) {
+	for _, s := range c.liveSnodes() {
 		s.mu.Lock()
 		for _, vs := range s.vnodes {
 			for p, bk := range vs.parts {
@@ -47,8 +36,8 @@ func checkClusterDigests(t *testing.T, c *Cluster, step string) int {
 				bk.mu.RUnlock()
 			}
 		}
-		for p, st := range s.rparts {
-			note(s, "replica", p, st)
+		for p, b := range s.rparts {
+			note(s, "replica", p, b.kv)
 		}
 		for p, in := range s.migIn {
 			note(s, "staging", p, in.data)
@@ -157,7 +146,7 @@ func TestDigestStaysExact(t *testing.T) {
 					}
 				default:
 					what = "anti-entropy pass (probes, full syncs)"
-					for _, s := range liveSnodes(c) {
+					for _, s := range c.liveSnodes() {
 						s.antiEntropyPass()
 					}
 				}
@@ -235,7 +224,7 @@ func aeCounters(c *Cluster) (st StatsSnapshot, passes uint64) {
 // decided on long ago — is over, and a whole pass has run since.
 func waitPasses(t *testing.T, c *Cluster, n uint64) {
 	t.Helper()
-	snodes := liveSnodes(c)
+	snodes := c.liveSnodes()
 	start := make([]uint64, len(snodes))
 	for i, s := range snodes {
 		start[i] = s.lat.aePass.Snapshot().Count
@@ -307,11 +296,11 @@ func TestAntiEntropyRepairsExactlyTheDivergedPartition(t *testing.T) {
 		key  string
 		size int
 	)
-	for _, s := range liveSnodes(c) {
+	for _, s := range c.liveSnodes() {
 		s.mu.Lock()
-		for p, st := range s.rparts {
-			if st.len() > size {
-				host, part, size = s, p, st.len()
+		for p, b := range s.rparts {
+			if b.kv.len() > size {
+				host, part, size = s, p, b.kv.len()
 			}
 		}
 		s.mu.Unlock()
@@ -322,13 +311,13 @@ func TestAntiEntropyRepairsExactlyTheDivergedPartition(t *testing.T) {
 	st0, _ := aeCounters(c)
 	host.mu.Lock()
 	keys := make([]string, 0, size)
-	for k := range host.rparts[part].m {
+	for k := range host.rparts[part].kv.m {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	key = keys[0]
-	want := append([]byte(nil), host.rparts[part].m[key]...)
-	host.rparts[part].put(key, []byte("diverged"))
+	want := append([]byte(nil), host.rparts[part].kv.m[key]...)
+	host.rparts[part].kv.put(key, []byte("diverged"))
 	host.mu.Unlock()
 
 	deadline := time.Now().Add(10 * time.Second)
@@ -347,7 +336,7 @@ func TestAntiEntropyRepairsExactlyTheDivergedPartition(t *testing.T) {
 		t.Fatalf("repair re-hashed %d keys, want the bucket's %d", d, size)
 	}
 	host.mu.Lock()
-	got := append([]byte(nil), host.rparts[part].m[key]...)
+	got := append([]byte(nil), host.rparts[part].kv.m[key]...)
 	host.mu.Unlock()
 	if string(got) != string(want) {
 		t.Fatalf("replica value after repair = %q, want %q", got, want)
@@ -419,7 +408,7 @@ func TestPlacementCacheFollowsView(t *testing.T) {
 	}
 	check := func(when string) {
 		t.Helper()
-		for _, s := range liveSnodes(c) {
+		for _, s := range c.liveSnodes() {
 			s.mu.Lock()
 			for p := range s.owned {
 				got := s.replicaHostsLocked(p)

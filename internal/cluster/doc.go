@@ -49,7 +49,10 @@
 //     mutation is journaled to a per-snode write-ahead log before ack,
 //     periodic snapshots truncate the log, and a restarted snode
 //     (Cluster.RestartSnode) replays snapshot + tail before serving — an
-//     R=1 single-snode restart loses zero acknowledged writes.
+//     R=1 single-snode restart loses zero acknowledged writes;
+//   - a mutation is a record (walrec.go) — tag, fields walk, applyLocked
+//     — and the live handler, log replay and snapshot load all change
+//     state through that one applyLocked.
 //
 // See docs/ARCHITECTURE.md for the layer map and lifecycle walkthroughs,
 // and docs/WIRE.md for the wire protocol and journal record formats.

@@ -92,41 +92,81 @@ type durable struct {
 	// away) the directory the manifest currently references.
 	snapMu  sync.Mutex
 	lastCut uint64 // guarded by snapMu
+
+	// jw is journal's walker, reused across records: fields reaches journal
+	// as a func value, and a walker handed to one would otherwise move to
+	// the heap, once per record (TestWireEncodeDoesNotAllocate).  Touched
+	// only inside log.AppendWith's callback, which the log serializes.
+	jw walker
 }
 
-// durAppend journals one encoded record; 0 means durability is off or
-// the log already closed (the caller's ack path must fail, not lie).
-func (s *Snode) durAppend(payload []byte) uint64 {
-	if s.dur == nil {
+// journal appends one record to the snode's log — its tag, then its
+// fields walk, encoded straight into the log's buffer — and returns its
+// sequence; 0 means durability is off or the log already closed
+// (awaitDurable then fails the ack).  Callers pass rec.walTag() and
+// rec.fields, under the lock they apply rec with.
+func (s *Snode) journal(tag uint16, fields func(*walker)) uint64 {
+	d := s.dur
+	if d == nil {
 		return 0
 	}
-	return s.dur.log.Append(payload)
+	return d.log.AppendWith(func(b []byte) []byte {
+		d.jw = walker{b: transport.AppendUvarint(b, uint64(tag))}
+		fields(&d.jw)
+		b, d.jw.b = d.jw.b, nil // the buffer is the log's: keep no pointer into it
+		return b
+	})
 }
 
-// durAppendWith is durAppend for the hot paths: the record is encoded
-// directly into the WAL buffer, skipping the intermediate allocation.
-func (s *Snode) durAppendWith(enc func([]byte) []byte) uint64 {
-	if s.dur == nil {
-		return 0
-	}
-	return s.dur.log.AppendWith(enc)
+// mutate is a whole mutation: rec applied and journaled under s.mu.  The
+// sequence it returns is for awaitDurable.  (The replica-write path spells
+// the two steps out: boxing its record here would put it on the heap.)
+func (s *Snode) mutate(rec walRecord) uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	rec.applyLocked(s)
+	return s.journal(rec.walTag(), rec.fields)
 }
 
-// durWaitSeq blocks until the record is durable per the configured
-// fsync mode; false means the log closed first (or never accepted the
-// record) and the mutation must not be acknowledged as durable.
-func (s *Snode) durWaitSeq(seq uint64) bool {
-	if seq == 0 {
-		return false
+// ackDurable acknowledges op to its sender once the record at seq is
+// durable, failing the ack if the log closes first.  Inline when nothing
+// waits; otherwise on a goroutine, because its callers run in the actor
+// loop and a group-fsync wait must not stall message dispatch.
+func (s *Snode) ackDurable(to transport.NodeID, op, seq uint64, what string, sp activeSpan) {
+	ack := func() {
+		resp := ackResp{Op: op}
+		if !s.awaitDurable(seq) {
+			resp.Err = fmt.Sprintf("snode %d stopping: %s not durable", s.id, what)
+		}
+		s.tracer.finish(sp, s.id, resp.Err)
+		s.send(to, untraced, resp)
 	}
-	return s.dur.log.WaitDurable(seq)
+	if s.durFastAck() {
+		ack()
+	} else {
+		go ack()
+	}
 }
 
 // durFastAck reports whether an ack may be sent inline without a
 // durability wait (durability off entirely, or FsyncOff mode where
-// WaitDurable never blocks).
+// WaitDurable never blocks).  It decides only whether a wait needs a
+// goroutine or a lock released around it; whether to acknowledge is
+// awaitDurable's call.
 func (s *Snode) durFastAck() bool {
 	return s.dur == nil || s.dur.log.Mode() == wal.FsyncOff
+}
+
+// awaitDurable reports whether the mutation journaled at seq may be
+// acknowledged as durable: at once when nothing waits (durFastAck), else
+// once the record is on disk per the fsync mode.  False means the log
+// closed first, or never accepted the record (seq 0).
+func (s *Snode) awaitDurable(seq uint64) bool {
+	if s.durFastAck() {
+		return true
+	}
+	defer s.lat.walWait.ObserveSince(time.Now())
+	return seq != 0 && s.dur.log.WaitDurable(seq)
 }
 
 // --- open & recover ---
@@ -247,30 +287,20 @@ func (s *Snode) loadSnapshot(dir string) error {
 	s.nextLocal = meta.NextLocal
 	s.hasBoot = meta.HasBoot
 	s.boot = meta.Boot
-	for _, v := range meta.Vnodes {
-		vs := &vnodeState{
-			name: v.Name, group: v.Group, level: v.Level, joined: v.Joined,
-			parts: make(map[hashspace.Partition]*bucket, len(v.Parts)),
-		}
-		for _, p := range v.Parts {
-			bk := newBucket(nil)
-			vs.parts[p] = bk
-			s.setOwnedLocked(p, vs, bk)
-		}
-		s.vnodes[v.Name] = vs
+	for i := range meta.Vnodes {
+		meta.Vnodes[i].applyLocked(s)
 	}
 	for _, t := range meta.Tombs {
 		s.setTombLocked(t.Partition, t.Ref)
 	}
+	// The LPDR replicas are restored as captured, not applied as syncs: a
+	// sync also binds the member vnodes to its level, and a vnode captured
+	// just after a split is already ahead of the replica captured with it.
 	for i := range meta.Lpdrs {
-		st := meta.Lpdrs[i]
-		s.replicas[st.Group] = &st
+		s.replicas[meta.Lpdrs[i].Group] = &meta.Lpdrs[i]
 	}
-	for _, p := range meta.Rprov {
-		s.rprov[p] = true
-	}
-	for _, in := range meta.Intents {
-		s.inDoubt[in.Partition] = &migIntent{vnode: in.Vnode, newOwner: in.NewOwner}
+	for i := range meta.Intents {
+		meta.Intents[i].applyLocked(s)
 	}
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -302,180 +332,38 @@ func (s *Snode) loadSnapshot(dir string) error {
 			}
 			continue
 		}
-		s.setReplicaBucketLocked(b.Partition, newStore(b.Data))
+		s.setReplicaBucketLocked(b.Partition, &replicaBucket{kv: newStore(b.Data)})
+	}
+	for _, p := range meta.Rprov {
+		if b, ok := s.rparts[p]; ok {
+			b.provisional = true
+		}
 	}
 	return nil
 }
 
 // --- replay ---
 
-// applyWalRecord decodes and applies one journal record during recovery.
-// Runs pre-start: no locks, no fabric.  Records are idempotent, so a
-// record the snapshot already reflects applies harmlessly.
+// applyWalRecord decodes one journal record and applies it, during
+// recovery: the tag picks the row of walRecords, the row's record walks
+// the bytes and runs the applyLocked the live handler ran.  Runs
+// pre-start: no locks, no fabric.  Records are idempotent, so a record
+// the snapshot already reflects applies harmlessly.
 //
 //dbdht:exclusive
 func (s *Snode) applyWalRecord(seq uint64, payload []byte) error {
-	r := transport.NewWireReader(payload)
-	w := &walker{r: r}
-	tag := r.Uvarint()
-	switch uint16(tag) {
-	case walTagWrite:
-		var rec walWriteRec
+	w := &walker{r: transport.NewWireReader(payload)}
+	tag := w.r.Uvarint()
+	for _, row := range walRecords {
+		if uint64(row.tag) != tag {
+			continue
+		}
+		rec := row.new()
 		rec.fields(w)
-		if err := r.Err(); err != nil {
+		if err := w.r.Err(); err != nil {
 			return fmt.Errorf("cluster: wal record %d: %w", seq, err)
 		}
-		// Apply only while the partition is owned at exactly this level:
-		// ownership transitions are journaled too, so a write that replays
-		// against a later state (bucket dropped, split deeper) is already
-		// reflected there.
-		if ref, ok := s.owned[rec.Partition]; ok {
-			ref.bk.kv.apply(rec.Kind, rec.Items, true)
-		}
-		return nil
-	case walTagReplWrite:
-		var rec walReplWriteRec
-		rec.fields(w)
-		if err := r.Err(); err != nil {
-			return fmt.Errorf("cluster: wal record %d: %w", seq, err)
-		}
-		s.applyReplWriteLocked(rec.Kind, rec.Sets, true)
-		return nil
-	case walTagVnode:
-		var rec walVnodeRec
-		rec.fields(w)
-		if err := r.Err(); err != nil {
-			return fmt.Errorf("cluster: wal record %d: %w", seq, err)
-		}
-		if rec.Name.Snode == s.id && rec.Name.Local >= s.nextLocal {
-			s.nextLocal = rec.Name.Local + 1
-		}
-		if _, dup := s.vnodes[rec.Name]; dup {
-			return nil
-		}
-		vs := &vnodeState{
-			name: rec.Name, group: rec.Group, level: rec.Level, joined: rec.Joined,
-			parts: make(map[hashspace.Partition]*bucket, len(rec.Parts)),
-		}
-		for _, p := range rec.Parts {
-			bk := newBucket(nil)
-			vs.parts[p] = bk
-			s.setOwnedLocked(p, vs, bk)
-		}
-		s.vnodes[rec.Name] = vs
-		return nil
-	case walTagVnodeGone:
-		var name VnodeName
-		name.fields(w)
-		if err := r.Err(); err != nil {
-			return fmt.Errorf("cluster: wal record %d: %w", seq, err)
-		}
-		if vs, ok := s.vnodes[name]; ok {
-			for p, bk := range vs.parts {
-				s.delOwnedLocked(p, bk)
-			}
-			delete(s.vnodes, name)
-		}
-		return nil
-	case walTagSplitAll:
-		var rec splitAllReq
-		rec.journalFields(w)
-		if err := r.Err(); err != nil {
-			return fmt.Errorf("cluster: wal record %d: %w", seq, err)
-		}
-		s.splitGroupLocked(rec.Group, rec.NewLevel)
-		return nil
-	case walTagMigInstall:
-		var rec walMigInstallRec
-		rec.fields(w)
-		if err := r.Err(); err != nil {
-			return fmt.Errorf("cluster: wal record %d: %w", seq, err)
-		}
-		if vs, ok := s.vnodes[rec.To]; ok {
-			s.installBucketLocked(vs, rec.Group, rec.Level, rec.Partition, newStore(rec.Data))
-		}
-		return nil
-	case walTagBucketDrop:
-		var rec walBucketDropRec
-		rec.fields(w)
-		if err := r.Err(); err != nil {
-			return fmt.Errorf("cluster: wal record %d: %w", seq, err)
-		}
-		if vs, ok := s.vnodes[rec.Vnode]; ok {
-			if bk, ok := vs.parts[rec.Partition]; ok {
-				bk.state = bucketDead
-				bk.kv = nil
-				delete(vs.parts, rec.Partition)
-				s.delOwnedLocked(rec.Partition, bk)
-			}
-		}
-		s.setTombLocked(rec.Partition, rec.NewOwner)
-		delete(s.inDoubt, rec.Partition) // the drop resolves any open intent
-		return nil
-	case walTagMigIntent:
-		var rec walBucketDropRec
-		rec.fields(w)
-		if err := r.Err(); err != nil {
-			return fmt.Errorf("cluster: wal record %d: %w", seq, err)
-		}
-		s.inDoubt[rec.Partition] = &migIntent{vnode: rec.Vnode, newOwner: rec.NewOwner}
-		return nil
-	case walTagMigIntentResolved:
-		var p hashspace.Partition
-		w.partition(&p)
-		if err := r.Err(); err != nil {
-			return fmt.Errorf("cluster: wal record %d: %w", seq, err)
-		}
-		delete(s.inDoubt, p)
-		return nil
-	case walTagReplSync:
-		var rec snapBucket
-		rec.fields(w)
-		if err := r.Err(); err != nil {
-			return fmt.Errorf("cluster: wal record %d: %w", seq, err)
-		}
-		// Mirror handleReplSync: replace only this exact bucket, sparing
-		// strictly deeper ones (they can only exist if the sync's sender
-		// was stale geometry).
-		s.delReplicaBucketLocked(rec.Partition)
-		s.setReplicaBucketLocked(rec.Partition, newStore(rec.Data))
-		delete(s.rprov, rec.Partition)
-		return nil
-	case walTagReplDrop:
-		var rec replDropMsg
-		rec.fields(w)
-		if err := r.Err(); err != nil {
-			return fmt.Errorf("cluster: wal record %d: %w", seq, err)
-		}
-		for _, p := range rec.Partitions {
-			s.delReplicaBucketLocked(p)
-		}
-		return nil
-	case walTagLpdr:
-		var rec lpdrSyncMsg
-		rec.fields(w)
-		if err := r.Err(); err != nil {
-			return fmt.Errorf("cluster: wal record %d: %w", seq, err)
-		}
-		st := rec.State
-		s.replicas[st.Group] = &st
-		for _, d := range rec.Dissolved {
-			delete(s.replicas, d)
-		}
-		for _, mem := range st.Members {
-			if vs, ok := s.vnodes[mem.Vnode]; ok && mem.Host == s.id {
-				vs.group = st.Group
-				vs.level = st.Level
-				vs.joined = true
-			}
-		}
-		return nil
-	case walTagBoot:
-		s.boot.fields(w)
-		if err := r.Err(); err != nil {
-			return fmt.Errorf("cluster: wal record %d: %w", seq, err)
-		}
-		s.hasBoot = true
+		rec.applyLocked(s)
 		return nil
 	}
 	return fmt.Errorf("cluster: wal record %d: unknown tag %d — downgraded binary over a newer log?", seq, tag)
@@ -575,18 +463,18 @@ func (s *Snode) trySnapshot(lastCut uint64) (newCut uint64, ok bool, err error) 
 	for _, st := range s.replicas {
 		meta.Lpdrs = append(meta.Lpdrs, *st)
 	}
-	for p := range s.rprov {
-		meta.Rprov = append(meta.Rprov, p)
-	}
 	for p, in := range s.inDoubt {
 		// An open intent must survive the truncation of its (pre-cut)
 		// journal record, or a crash before its resolution would replay
 		// without it — reopening the stale-copy window the intent exists
 		// to close.
-		meta.Intents = append(meta.Intents, walBucketDropRec{Vnode: in.vnode, Partition: p, NewOwner: in.newOwner})
+		meta.Intents = append(meta.Intents, walMigIntentRec{Vnode: in.vnode, Partition: p, NewOwner: in.newOwner})
 	}
-	for p := range s.rparts {
+	for p, b := range s.rparts {
 		rparts = append(rparts, p)
+		if b.provisional {
+			meta.Rprov = append(meta.Rprov, p)
+		}
 	}
 	s.mu.Unlock()
 
@@ -617,7 +505,7 @@ func (s *Snode) trySnapshot(lastCut uint64) (newCut uint64, ok bool, err error) 
 		b, ok := s.rparts[p]
 		var payload []byte
 		if ok {
-			payload = encodeSnap(&snapBucket{p, b.m}, (*snapBucket).fields)
+			payload = encodeSnap(&snapBucket{p, b.kv.m}, (*snapBucket).fields)
 		}
 		s.mu.Unlock()
 		if !ok {
@@ -668,13 +556,7 @@ func (s *Snode) trySnapshot(lastCut uint64) (newCut uint64, ok bool, err error) 
 // SnapshotNow forces one snapshot+truncate pass on every live snode —
 // operator hook (tests, the HTTP admin plane, graceful shutdowns).
 func (c *Cluster) SnapshotNow() error {
-	c.mu.Lock()
-	snodes := make([]*Snode, 0, len(c.snodes))
-	for _, s := range c.snodes {
-		snodes = append(snodes, s)
-	}
-	c.mu.Unlock()
-	for _, s := range snodes {
+	for _, s := range c.liveSnodes() {
 		if err := s.snapshotPass(); err != nil {
 			return err
 		}
@@ -686,16 +568,10 @@ func (c *Cluster) SnapshotNow() error {
 // of snodes that already left), for the dbdht_wal_* metrics.  All zeros
 // when durability is off.
 func (c *Cluster) WALStats() wal.StatsSnapshot {
-	c.mu.Lock()
-	snodes := make([]*Snode, 0, len(c.snodes))
-	for _, s := range c.snodes {
-		snodes = append(snodes, s)
-	}
-	c.mu.Unlock()
 	c.retiredMu.Lock()
 	tot := c.retiredWal
 	c.retiredMu.Unlock()
-	for _, s := range snodes {
+	for _, s := range c.liveSnodes() {
 		if s.dur != nil {
 			tot.Fold(s.dur.log.Stats().Snapshot())
 		}

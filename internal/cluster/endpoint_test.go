@@ -128,7 +128,7 @@ func TestStopUnblocksWaitingCalls(t *testing.T) {
 	if _, err := c.AddSnode(); err != nil {
 		t.Fatal(err)
 	}
-	s := liveSnodes(c)[0]
+	s := c.liveSnodes()[0]
 	const silent = transport.NodeID(99)
 	fakePeer(t, net, silent, func(transport.Envelope) {})
 
@@ -180,7 +180,7 @@ func TestCallsToDepartedPeerFailFast(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			sn := liveSnodes(c)
+			sn := c.liveSnodes()
 			caller, other, victim := sn[0], sn[1], sn[2]
 
 			// A write to a frozen bucket parks its batch at the owner until
@@ -251,7 +251,7 @@ func TestCallsToDepartedPeerFailFast(t *testing.T) {
 func TestCallAllocations(t *testing.T) {
 	c := newTestCluster(t, 4, 2, 2, 1)
 	ids := c.Snodes()
-	s := liveSnodes(c)[0]
+	s := c.liveSnodes()[0]
 	for _, tc := range []struct {
 		name string
 		e    *endpoint

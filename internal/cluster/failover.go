@@ -18,7 +18,7 @@ import (
 // The protocol, run independently per dead primary:
 //
 //  1. Scan.  Each survivor receives snodeLeavingMsg{Crashed: true} and
-//     scans its replica metadata (rmeta) for partitions whose primary
+//     scans its replica buckets' metadata for partitions whose primary
 //     was the dead snode.
 //  2. Coordinate.  For each such partition the pre-crash replica set is
 //     recomputed from the placement function (the view plus the dead
@@ -114,8 +114,8 @@ func (s *Snode) failoverScan(dead transport.NodeID) {
 	}
 	sort.Slice(preCrash, func(i, j int) bool { return preCrash[i] < preCrash[j] })
 	var targets []hashspace.Partition
-	for p, m := range s.rmeta {
-		if m.prim == dead {
+	for p, b := range s.rparts {
+		if b.meta != nil && b.meta.prim == dead {
 			targets = append(targets, p)
 		}
 	}
@@ -158,9 +158,7 @@ func (s *Snode) failoverScan(dead transport.NodeID) {
 				// descendants hold the current copies and run their own
 				// elections; promoting the ancestor would shadow them with
 				// an empty bucket.
-				s.mu.Lock()
-				s.delReplicaBucketLocked(p)
-				s.mu.Unlock()
+				s.mutate(&replDropMsg{Partitions: []hashspace.Partition{p}})
 				return
 			}
 			s.electAndPromote(p, dead, cands, live)
@@ -175,24 +173,13 @@ const failoverElectionWorkers = 8
 
 // deeperOverlapLocked reports whether this snode knows any partition
 // strictly deeper than p overlapping p — as a primary bucket, a replica
-// bucket, replica metadata or a custody tomb.  Caller holds s.mu.
+// bucket or a custody tomb.  Caller holds s.mu.
 func (s *Snode) deeperOverlapLocked(p hashspace.Partition) bool {
-	for q := range s.owned {
-		if q.Level > p.Level && overlapping(q, p) {
-			return true
-		}
-	}
-	for q := range s.rparts {
-		if q.Level > p.Level && overlapping(q, p) {
-			return true
-		}
-	}
-	for q := range s.rmeta {
-		if q.Level > p.Level && overlapping(q, p) {
-			return true
-		}
-	}
-	for q := range s.tombs {
+	return deeperIn(s.owned, p) || deeperIn(s.rparts, p) || deeperIn(s.tombs, p)
+}
+
+func deeperIn[V any](m map[hashspace.Partition]V, p hashspace.Partition) bool {
+	for q := range m {
 		if q.Level > p.Level && overlapping(q, p) {
 			return true
 		}
@@ -211,7 +198,7 @@ func (s *Snode) handleOverlapQuery(m overlapQueryReq) {
 
 // staleGeometry asks every live view member whether it knows a partition
 // strictly deeper than p overlapping it.  Replica buckets survive splits
-// as bounded garbage at their old hosts, so a dead primary's rmeta may
+// as bounded garbage at their old hosts, so a dead primary's buckets may
 // name partitions the geometry has since refined; promoting one would
 // install an empty ancestor that shadows live deeper partitions.  Levels
 // only grow, so one positive answer anywhere is proof of staleness; an
@@ -253,13 +240,8 @@ func (s *Snode) electAndPromote(p hashspace.Partition, dead transport.NodeID, ca
 			continue
 		}
 		if id == s.id {
-			s.mu.Lock()
-			m := s.rmeta[p]
-			_, has := s.rparts[p]
-			prov := s.rprov[p]
-			s.mu.Unlock()
-			if has && m != nil && m.prim == dead {
-				votes = append(votes, vote{id: id, prov: prov, ver: m.ver})
+			if own := s.promoteCredentials(p, dead); own.Has {
+				votes = append(votes, vote{id: id, prov: own.Prov, ver: own.Ver})
 			}
 			continue
 		}
@@ -307,18 +289,22 @@ func (s *Snode) electAndPromote(p hashspace.Partition, dead transport.NodeID, ca
 	}
 }
 
-// handlePromoteQuery answers an election query from the replica store.
-// Fast (no nested RPCs) — runs inline in the actor loop.
-func (s *Snode) handlePromoteQuery(m promoteQueryReq) {
+// promoteCredentials reads this snode's election credentials for one
+// partition of a dead primary out of the replica store (Op left zero).
+func (s *Snode) promoteCredentials(p hashspace.Partition, dead transport.NodeID) promoteQueryResp {
 	s.mu.Lock()
-	meta := s.rmeta[m.Partition]
-	_, has := s.rparts[m.Partition]
-	prov := s.rprov[m.Partition]
-	s.mu.Unlock()
-	resp := promoteQueryResp{Op: m.Op}
-	if has && meta != nil && meta.prim == m.Dead {
-		resp.Has, resp.Prov, resp.Ver = true, prov, meta.ver
+	defer s.mu.Unlock()
+	if b, ok := s.rparts[p]; ok && b.meta != nil && b.meta.prim == dead {
+		return promoteQueryResp{Has: true, Prov: b.provisional, Ver: b.meta.ver}
 	}
+	return promoteQueryResp{}
+}
+
+// handlePromoteQuery answers an election query.  Fast (no nested RPCs) —
+// runs inline in the actor loop.
+func (s *Snode) handlePromoteQuery(m promoteQueryReq) {
+	resp := s.promoteCredentials(m.Partition, m.Dead)
+	resp.Op = m.Op
 	s.send(m.ReplyTo, untraced, resp)
 }
 
@@ -342,71 +328,63 @@ func (s *Snode) promotePartition(p hashspace.Partition, dead transport.NodeID) e
 		s.mu.Unlock()
 		return nil // duplicate order, or custody already moved here
 	}
-	data, has := s.rparts[p]
-	meta := s.rmeta[p]
-	if !has || meta == nil {
+	b, has := s.rparts[p]
+	if !has || b.meta == nil {
 		s.mu.Unlock()
 		return fmt.Errorf("cluster: snode %d holds no promotable replica of %s", s.id, p.String())
 	}
-	if meta.prim != dead {
+	if b.meta.prim != dead {
 		s.mu.Unlock()
-		return fmt.Errorf("cluster: snode %d replica of %s names primary %d, not %d", s.id, p.String(), meta.prim, dead)
+		return fmt.Errorf("cluster: snode %d replica of %s names primary %d, not %d", s.id, p.String(), b.meta.prim, dead)
 	}
+	ver := b.meta.ver
 	// Host the partition on a joined vnode of its group, allocating a
 	// fresh one (journaled, so a restart replays the allocation) when
 	// none lives here.
-	var vs *vnodeState
+	install := walMigInstallRec{Group: b.meta.group, Level: p.Level, Partition: p, Data: b.kv}
+	hosted := false
 	for _, v := range s.vnodes {
-		if v.joined && v.group == meta.group && v.level == p.Level {
-			vs = v
+		if v.joined && v.group == install.Group && v.level == p.Level {
+			install.To, hosted = v.name, true
 			break
 		}
 	}
-	if vs == nil {
-		name := VnodeName{Snode: s.id, Local: s.nextLocal}
-		s.nextLocal++
-		vs = &vnodeState{
-			name: name, group: meta.group, level: p.Level, joined: true,
-			parts: make(map[hashspace.Partition]*bucket),
+	if !hosted {
+		vnode := walVnodeRec{
+			Name:  VnodeName{Snode: s.id, Local: s.nextLocal},
+			Group: install.Group, Level: p.Level, Joined: true,
 		}
-		s.vnodes[name] = vs
-		s.durAppendWith(func(b []byte) []byte {
-			return encodeWalVnode(b, walVnodeRec{Name: name, Group: meta.group, Level: p.Level, Joined: true})
-		})
+		vnode.applyLocked(s)
+		s.journal(vnode.walTag(), vnode.fields)
+		install.To = vnode.Name
 	}
-	ver := meta.ver
 	// Journal the install first — exactly like a migration commit — and
 	// only then flip the in-memory state, so a crash mid-promotion
 	// replays to the same outcome.
-	seq := s.durAppendWith(func(b []byte) []byte {
-		return encodeWalMigInstall(b, walMigInstallRec{
-			To: vs.name, Group: meta.group, Level: p.Level, Partition: p, Data: data.m,
-		})
-	})
-	name := vs.name
+	seq := s.journal(install.walTag(), install.fields)
 	s.mu.Unlock()
-	if s.dur != nil && !s.durFastAck() && !s.durWaitSeq(seq) {
+	if !s.awaitDurable(seq) {
 		return fmt.Errorf("cluster: snode %d stopping: promotion not durable", s.id)
 	}
 	s.mu.Lock()
-	vs2, still := s.vnodes[name]
+	vs, still := s.vnodes[install.To]
 	if !still {
 		s.mu.Unlock()
-		return fmt.Errorf("cluster: snode %d: vnode %v vanished during promotion", s.id, name)
+		return fmt.Errorf("cluster: snode %d: vnode %v vanished during promotion", s.id, install.To)
 	}
 	if _, _, owned := s.ownedForLocked(p.Start()); owned {
 		s.mu.Unlock()
 		return nil
 	}
-	s.installBucketLocked(vs2, meta.group, p.Level, p, data)
-	if bk, ok := vs2.parts[p]; ok {
+	install.applyLocked(s)
+	if bk, ok := vs.parts[p]; ok {
 		bk.mu.Lock()
 		bk.ver = ver // keep the version climbing across the handover
 		bk.mu.Unlock()
 	}
 	route := routeEntry{
 		Partition: p,
-		Ref:       ownerRef{Vnode: name, Host: s.id},
+		Ref:       ownerRef{Vnode: install.To, Host: s.id},
 		Replicas:  s.replicaHostsLocked(p),
 	}
 	view := append([]transport.NodeID(nil), s.view...)

@@ -190,7 +190,7 @@ func (lg *ledGroup) state(leader transport.NodeID) lpdrState {
 // fabric-only broadcast).
 func (s *Snode) broadcastSync(st lpdrState, dissolved []core.GroupID) {
 	msg := lpdrSyncMsg{State: st, Dissolved: dissolved}
-	s.handleSync(msg)
+	s.mutate(&msg)
 	hosts := make(map[transport.NodeID]struct{})
 	for _, m := range st.Members {
 		hosts[m.Host] = struct{}{}

@@ -287,29 +287,22 @@ func (s *Snode) migratePartition(g core.GroupID, to VnodeName, toHost transport.
 	// migration intent and make it durable BEFORE the receiver is allowed
 	// to commit.  From here to the resolution record, a crash replays
 	// into the in-doubt state resolved by resolveIntents.
+	intent := walMigIntentRec{Vnode: vs.name, Partition: p, NewOwner: ownerRef{Vnode: to, Host: toHost}}
 	s.mu.Lock()
 	bk.mu.Lock()
 	bk.state = bucketFrozen
 	final := collectDeltaLocked(bk, bk.mig.dirty)
 	bk.mu.Unlock()
-	intent := &migIntent{vnode: vs.name, newOwner: ownerRef{Vnode: to, Host: toHost}}
-	s.inDoubt[p] = intent
-	intentSeq := s.durAppendWith(func(b []byte) []byte {
-		return encodeWalMigIntent(b, walBucketDropRec{
-			Vnode: vs.name, Partition: p, NewOwner: ownerRef{Vnode: to, Host: toHost},
-		})
-	})
+	intent.applyLocked(s)
+	intentSeq := s.journal(intent.walTag(), intent.fields)
 	s.mu.Unlock()
 	abortResolved := func(err error) (int, error) {
 		// The intent is on disk; journal its resolution so a later crash
 		// does not replay into a needless in-doubt probe.
-		s.mu.Lock()
-		delete(s.inDoubt, p)
-		s.durAppendWith(func(b []byte) []byte { return encodeWalMigIntentResolved(b, p) })
-		s.mu.Unlock()
+		s.mutate(&walMigIntentResolvedRec{Partition: p})
 		return abort(err)
 	}
-	if s.dur != nil && !s.durFastAck() && !s.durWaitSeq(intentSeq) {
+	if !s.awaitDurable(intentSeq) {
 		return abortResolved(fmt.Errorf("cluster: snode %d stopping: migration intent not durable", s.id))
 	}
 	if s.testCrashBeforeCommit != nil {
@@ -370,26 +363,7 @@ func (s *Snode) migratePartition(g core.GroupID, to VnodeName, toHost transport.
 	// retirement is journaled (resolving the intent — tag 38 closes tag
 	// 43) so a restart does not resurrect a partition that provably lives
 	// elsewhere now.
-	s.mu.Lock()
-	bk.mu.Lock()
-	bk.state = bucketDead
-	bk.kv = nil
-	bk.mig = nil
-	bk.mu.Unlock()
-	delete(vs.parts, p)
-	s.delOwnedLocked(p, bk)
-	s.setTombLocked(p, ownerRef{Vnode: to, Host: toHost})
-	delete(s.inDoubt, p)
-	seq := s.durAppendWith(func(b []byte) []byte {
-		return encodeWalBucketDrop(b, walBucketDropRec{
-			Vnode: vs.name, Partition: p, NewOwner: ownerRef{Vnode: to, Host: toHost},
-		})
-	})
-	s.mu.Unlock()
-	if s.dur != nil && !s.durFastAck() {
-		s.durWaitSeq(seq) // best-effort: a failed wait means we are stopping
-	}
-	s.dropOrphanReplicas(p, toHost)
+	s.retireBucket(walBucketDropRec(intent), nil)
 	s.stats.PartitionsSent.Add(1)
 	s.stats.KeysMoved.Add(int64(moved))
 	s.tracer.finish(root, s.id, "")
@@ -464,8 +438,7 @@ func (s *Snode) handleMigCommit(m migCommitReq, tr transport.TraceContext) {
 		s.send(m.ReplyTo, untraced, ackResp{Op: m.Op, Err: fmt.Sprintf("no migration staged for %v at %d", m.Partition, s.id)})
 		return
 	}
-	vs, ok := s.vnodes[m.To]
-	if !ok {
+	if _, ok := s.vnodes[m.To]; !ok {
 		delete(s.migIn, m.Partition)
 		s.mu.Unlock()
 		s.send(m.ReplyTo, untraced, ackResp{Op: m.Op, Err: fmt.Sprintf("vnode %v not allocated at %d", m.To, s.id)})
@@ -474,16 +447,10 @@ func (s *Snode) handleMigCommit(m migCommitReq, tr transport.TraceContext) {
 	applyMigItems(st.data, m.Items, m.private)
 	// Journal the install with the FULL folded contents before it goes
 	// live: the staging chunks were volatile, so the commit record alone
-	// must reconstruct the bucket at replay (see walrec.go).  Encoded
-	// lazily — the whole-bucket serialization must cost nothing when
-	// durability is off.
-	seq := s.durAppendWith(func(b []byte) []byte {
-		return encodeWalMigInstall(b, walMigInstallRec{
-			To: m.To, Group: st.group, Level: st.level,
-			Partition: m.Partition, Data: st.data.m,
-		})
-	})
-	if s.dur != nil && !s.durFastAck() {
+	// must reconstruct the bucket at replay (see walrec.go).
+	install := walMigInstallRec{To: m.To, Group: st.group, Level: st.level, Partition: m.Partition, Data: st.data}
+	seq := s.journal(install.walTag(), install.fields)
+	if !s.durFastAck() {
 		// The durability wait must come BEFORE the install goes live: an
 		// error reply makes the sender abort back to a live bucket, so
 		// installing first and then failing the wait would leave BOTH
@@ -491,7 +458,7 @@ func (s *Snode) handleMigCommit(m migCommitReq, tr transport.TraceContext) {
 		// wait (s.mu released) so a racing abort or re-begin is detected
 		// by the pointer check below.
 		s.mu.Unlock()
-		if !s.durWaitSeq(seq) {
+		if !s.awaitDurable(seq) {
 			s.send(m.ReplyTo, untraced, ackResp{Op: m.Op, Err: fmt.Sprintf("snode %d stopping: install not durable", s.id)})
 			return
 		}
@@ -501,7 +468,7 @@ func (s *Snode) handleMigCommit(m migCommitReq, tr transport.TraceContext) {
 			s.send(m.ReplyTo, untraced, ackResp{Op: m.Op, Err: fmt.Sprintf("migration for %v superseded at %d", m.Partition, s.id)})
 			return
 		}
-		if vs, ok = s.vnodes[m.To]; !ok {
+		if _, ok := s.vnodes[m.To]; !ok {
 			delete(s.migIn, m.Partition)
 			s.mu.Unlock()
 			s.send(m.ReplyTo, untraced, ackResp{Op: m.Op, Err: fmt.Sprintf("vnode %v not allocated at %d", m.To, s.id)})
@@ -509,7 +476,7 @@ func (s *Snode) handleMigCommit(m migCommitReq, tr transport.TraceContext) {
 		}
 	}
 	delete(s.migIn, m.Partition)
-	s.installBucketLocked(vs, st.group, st.level, m.Partition, st.data)
+	install.applyLocked(s)
 	s.mu.Unlock()
 	// Re-home the replica set with the primary before acknowledging, so
 	// the handover never shrinks the number of copies.
@@ -517,29 +484,6 @@ func (s *Snode) handleMigCommit(m migCommitReq, tr transport.TraceContext) {
 		s.rehomeReplicas(m.Partition)
 	}
 	s.send(m.ReplyTo, untraced, ackResp{Op: m.Op})
-}
-
-// installBucketLocked makes data the live owned bucket of a partition at
-// the receiving vnode — ownership index, level/group adoption, custody
-// cleanup, replica-store cleanup.  Shared by the live commit handler,
-// failover promotion and recovery replay.  Caller holds s.mu (or owns the
-// snode exclusively).
-func (s *Snode) installBucketLocked(vs *vnodeState, g core.GroupID, level uint8, p hashspace.Partition, data *kvStore) {
-	if vs.parts == nil {
-		vs.parts = make(map[hashspace.Partition]*bucket)
-	}
-	if old, ok := vs.parts[p]; ok {
-		old.setStateLocked(bucketDead) // a re-install supersedes the previous bucket
-	}
-	bk := newBucket(data)
-	vs.parts[p] = bk
-	s.setOwnedLocked(p, vs, bk)
-	vs.level = level
-	vs.group = g
-	// Owning again supersedes any old custody pointer for this region,
-	// and any replica bucket we held for the previous primary.
-	s.delTombLocked(p)
-	s.dropReplicaWithinLocked(p)
 }
 
 // handleMigAbort discards a staging bucket.  Runs inline.
@@ -625,50 +569,45 @@ func (s *Snode) resolveIntentOnce(p hashspace.Partition) {
 	}
 }
 
-// finalizeIntent completes a crashed handover whose receiver committed:
-// the local frozen copy dies behind a custody tombstone, mirroring the
-// retire sequence of migratePartition's success path.
-func (s *Snode) finalizeIntent(p hashspace.Partition, in *migIntent) {
+// retireBucket is the sender's end of a committed handover: the local
+// copy dies behind a custody tombstone at the new owner (the drop record
+// doubles as the intent's resolution) and the old replica set is told to
+// let go.  A non-nil only is the intent that must still be the
+// partition's open one, or nothing happens.
+func (s *Snode) retireBucket(drop walBucketDropRec, only *migIntent) bool {
 	s.mu.Lock()
-	if cur, ok := s.inDoubt[p]; !ok || cur != in {
+	if only != nil && s.inDoubt[drop.Partition] != only {
 		s.mu.Unlock()
-		return
+		return false
 	}
-	delete(s.inDoubt, p)
-	vs, p2, owned := s.ownsLocked(p.Start())
-	if owned && p2 == p {
-		bk := vs.parts[p]
-		bk.mu.Lock()
-		bk.state = bucketDead
-		bk.kv = nil
-		bk.mig = nil
-		bk.mu.Unlock()
-		delete(vs.parts, p)
-		s.delOwnedLocked(p, bk)
-	}
-	s.setTombLocked(p, in.newOwner)
-	seq := s.durAppendWith(func(b []byte) []byte {
-		return encodeWalBucketDrop(b, walBucketDropRec{Vnode: in.vnode, Partition: p, NewOwner: in.newOwner})
-	})
+	drop.applyLocked(s)
+	seq := s.journal(drop.walTag(), drop.fields)
 	s.mu.Unlock()
-	if s.dur != nil && !s.durFastAck() {
-		s.durWaitSeq(seq) // best-effort: a failed wait means we are stopping
+	s.awaitDurable(seq) // best-effort: a failed wait means we are stopping
+	s.dropOrphanReplicas(drop.Partition, drop.NewOwner.Host)
+	return true
+}
+
+// finalizeIntent completes a crashed handover whose receiver committed,
+// exactly like a clean handover's last step.
+func (s *Snode) finalizeIntent(p hashspace.Partition, in *migIntent) {
+	if s.retireBucket(walBucketDropRec{Vnode: in.vnode, Partition: p, NewOwner: in.newOwner}, in) {
+		s.log.Info("migration intent finalized: receiver owns the partition",
+			"partition", p.String(), "to", int(in.newOwner.Host))
 	}
-	s.dropOrphanReplicas(p, in.newOwner.Host)
-	s.log.Info("migration intent finalized: receiver owns the partition",
-		"partition", p.String(), "to", int(in.newOwner.Host))
 }
 
 // revertIntent settles a crashed handover whose receiver provably never
 // committed: the frozen bucket goes back to live (requeued writes
 // proceed) and the resolution is journaled.
 func (s *Snode) revertIntent(p hashspace.Partition, in *migIntent) {
+	resolved := walMigIntentResolvedRec{Partition: p}
 	s.mu.Lock()
 	if cur, ok := s.inDoubt[p]; !ok || cur != in {
 		s.mu.Unlock()
 		return
 	}
-	delete(s.inDoubt, p)
+	resolved.applyLocked(s)
 	vs, p2, owned := s.ownsLocked(p.Start())
 	if owned && p2 == p {
 		bk := vs.parts[p]
@@ -679,7 +618,7 @@ func (s *Snode) revertIntent(p hashspace.Partition, in *migIntent) {
 		bk.mig = nil
 		bk.mu.Unlock()
 	}
-	s.durAppendWith(func(b []byte) []byte { return encodeWalMigIntentResolved(b, p) })
+	s.journal(resolved.walTag(), resolved.fields)
 	s.mu.Unlock()
 	s.send(in.newOwner.Host, untraced, migAbortMsg{To: in.newOwner.Vnode, Partition: p})
 	s.stats.MigAborts.Add(1)

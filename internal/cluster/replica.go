@@ -45,7 +45,7 @@ import (
 // replica sets whose score order that host perturbed — ~1/n of them —
 // and the anti-entropy pass migrates exactly those deltas.
 //
-// Each replica bucket also carries volatile metadata (rmeta): the
+// Each replica bucket also carries volatile metadata (replMeta): the
 // primary's write version, the owning vnode's group, and the last primary
 // host.  Failover promotion (failover.go) uses it to elect the
 // most-caught-up replica deterministically.  It is deliberately not
@@ -235,12 +235,21 @@ func hrwScore(p hashspace.Partition, id transport.NodeID) uint64 {
 
 // --- replica store maintenance (caller holds s.mu) ---
 
+// replicaBucket is one partition this snode backs for another primary.
+type replicaBucket struct {
+	kv *kvStore
+	// provisional marks a write-created bucket that was never full-synced:
+	// present keys are real, absent keys are unknown.
+	provisional bool
+	// meta is nil until a primary told this bucket its metadata (GroupID's
+	// zero value is the valid group 0, so absence needs its own mark).
+	meta *replMeta
+}
+
 // replMeta is the volatile failover metadata of one replica bucket: the
 // highest primary write version seen, the owning vnode's group, and the
-// primary host that last fed the bucket.  Map-entry presence in s.rmeta
-// distinguishes "metadata known" from "never told" (GroupID's zero value
-// is the valid group 0).  Not journaled, not snapshotted — see the file
-// header.
+// primary host that last fed the bucket.  Not journaled, not snapshotted
+// — see the file header.
 type replMeta struct {
 	ver   uint64
 	group core.GroupID
@@ -251,19 +260,21 @@ type replMeta struct {
 // The version only ratchets up, so a reordered stale fan-out cannot
 // regress the election priority.  Caller holds s.mu.
 func (s *Snode) noteReplMetaLocked(p hashspace.Partition, ver uint64, g core.GroupID, prim transport.NodeID) {
-	m, ok := s.rmeta[p]
+	b, ok := s.rparts[p]
 	if !ok {
-		m = &replMeta{}
-		s.rmeta[p] = m
+		return
 	}
-	if ver > m.ver {
-		m.ver = ver
+	if b.meta == nil {
+		b.meta = &replMeta{}
 	}
-	m.group = g
-	m.prim = prim
+	if ver > b.meta.ver {
+		b.meta.ver = ver
+	}
+	b.meta.group = g
+	b.meta.prim = prim
 }
 
-func (s *Snode) setReplicaBucketLocked(p hashspace.Partition, b *kvStore) {
+func (s *Snode) setReplicaBucketLocked(p hashspace.Partition, b *replicaBucket) {
 	if _, ok := s.rparts[p]; !ok {
 		s.rpartLvls.Add(p.Level)
 	}
@@ -273,8 +284,6 @@ func (s *Snode) setReplicaBucketLocked(p hashspace.Partition, b *kvStore) {
 func (s *Snode) delReplicaBucketLocked(p hashspace.Partition) {
 	if _, ok := s.rparts[p]; ok {
 		delete(s.rparts, p)
-		delete(s.rprov, p)
-		delete(s.rmeta, p)
 		s.rpartLvls.Remove(p.Level)
 	}
 }
@@ -305,69 +314,18 @@ func (s *Snode) handleViewUpdate(m viewUpdate) {
 
 func (s *Snode) handleReplWrite(m replWriteReq, tr transport.TraceContext) {
 	sp := beginSpan(tr, "repl.write")
+	rec := walReplWriteRec{Kind: m.Kind, Sets: m.Sets, private: m.private}
+	var applied int64
 	s.mu.Lock()
-	applied := s.applyReplWriteLocked(m.Kind, m.Sets, m.private)
+	rec.applyLocked(s)
 	for _, set := range m.Sets {
 		s.noteReplMetaLocked(set.Partition, set.Ver, set.Group, m.ReplyTo)
-	}
-	seq := s.durAppendWith(func(b []byte) []byte {
-		return encodeWalReplWrite(b, m.Kind, m.Sets)
-	})
-	s.mu.Unlock()
-	s.stats.ReplWrites.Add(applied)
-	if s.durFastAck() {
-		s.tracer.finish(sp, s.id, "")
-		s.send(m.ReplyTo, untraced, ackResp{Op: m.Op})
-		return
-	}
-	// The handler runs inline in the actor loop; the group-fsync wait
-	// must not stall message dispatch, so the durable ack rides its own
-	// goroutine.
-	go func() {
-		resp := ackResp{Op: m.Op}
-		t0 := time.Now()
-		if !s.durWaitSeq(seq) {
-			resp.Err = fmt.Sprintf("snode %d stopping: replica write not durable", s.id)
-		}
-		s.lat.walWait.ObserveSince(t0)
-		s.tracer.finish(sp, s.id, resp.Err)
-		s.send(m.ReplyTo, untraced, resp)
-	}()
-}
-
-// applyReplWriteLocked folds one replica write fan-in into the replica
-// store.  Caller holds s.mu (or owns the snode exclusively, during
-// recovery replay).
-func (s *Snode) applyReplWriteLocked(kind dataOp, sets []replWriteSet, private bool) int64 {
-	var applied int64
-	for _, set := range sets {
-		b := s.rparts[set.Partition]
-		if b == nil {
-			// First write at this partition (typically right after a
-			// split): seed the bucket from any stale ancestor's keys in
-			// range — they are acknowledged data that must stay
-			// failover-readable until anti-entropy ships the
-			// authoritative copy.  Until then the bucket is provisional:
-			// present keys are real, absent keys are unknown
-			// (serveReplicaRead refuses to vouch for them).
-			s.rprov[set.Partition] = true
-			b = newStore(nil)
-			for q, ob := range s.rparts {
-				if q.Level < set.Partition.Level && overlapping(q, set.Partition) {
-					for k, v := range ob.m {
-						if set.Partition.Contains(hashspace.HashString(k)) {
-							b.put(k, v)
-						}
-					}
-				}
-			}
-			s.dropReplicaWithinLocked(set.Partition)
-			s.setReplicaBucketLocked(set.Partition, b)
-		}
-		b.apply(kind, set.Items, private)
 		applied += int64(len(set.Items))
 	}
-	return applied
+	seq := s.journal(rec.walTag(), rec.fields)
+	s.mu.Unlock()
+	s.stats.ReplWrites.Add(applied)
+	s.ackDurable(m.ReplyTo, m.Op, seq, "replica write", sp)
 }
 
 // handleReplProbe compares the stored digests of the probed partitions
@@ -378,11 +336,11 @@ func (s *Snode) handleReplProbe(m replProbeReq) {
 	s.mu.Lock()
 	for _, d := range m.Digests {
 		if b, ok := s.rparts[d.Partition]; ok {
-			if n, sum := b.digest(); n == d.Count && sum == d.Sum {
+			if n, sum := b.kv.digest(); n == d.Count && sum == d.Sum {
 				// Digest equality with the primary proves the bucket
 				// complete: a write-created (provisional) bucket becomes
 				// authoritative here.
-				delete(s.rprov, d.Partition)
+				b.provisional = false
 				continue
 			}
 		}
@@ -394,45 +352,15 @@ func (s *Snode) handleReplProbe(m replProbeReq) {
 
 func (s *Snode) handleReplSync(m replSyncReq) {
 	// The one place anti-entropy hashes data: a repaired bucket arrives
-	// whole and its digest is rebuilt from its contents.
-	data := newStore(m.Data)
-	s.stats.AEKeysHashed.Add(int64(data.len()))
+	// whole and its digest is rebuilt from its contents, before s.mu.
+	rec := walReplSyncRec{Partition: m.Partition, Data: newStore(m.Data)}
+	s.stats.AEKeysHashed.Add(int64(rec.Data.len()))
 	s.mu.Lock()
-	// Replace only this exact bucket.  Strictly deeper buckets are spared:
-	// geometry only ever deepens, so a deeper overlapping bucket here can
-	// only mean the SENDER's partition is stale (a leftover ancestor), and
-	// the deeper buckets may hold the only failover copy of acknowledged
-	// keys the stale sync does not carry.
-	s.delReplicaBucketLocked(m.Partition)
-	s.setReplicaBucketLocked(m.Partition, data)
-	delete(s.rprov, m.Partition) // a full sync makes the bucket authoritative
+	rec.applyLocked(s)
 	s.noteReplMetaLocked(m.Partition, m.Ver, m.Group, m.ReplyTo)
-	// Lazy encode: the whole-bucket serialization must cost nothing when
-	// durability is off.
-	seq := s.durAppendWith(func(b []byte) []byte {
-		return encodeWalReplSync(b, snapBucket{m.Partition, data.m})
-	})
+	seq := s.journal(rec.walTag(), rec.fields)
 	s.mu.Unlock()
-	if s.durFastAck() {
-		s.send(m.ReplyTo, untraced, ackResp{Op: m.Op})
-		return
-	}
-	go func() { // inline handler: the fsync wait must not stall the actor
-		resp := ackResp{Op: m.Op}
-		if !s.durWaitSeq(seq) {
-			resp.Err = fmt.Sprintf("snode %d stopping: replica sync not durable", s.id)
-		}
-		s.send(m.ReplyTo, untraced, resp)
-	}()
-}
-
-func (s *Snode) handleReplDrop(m replDropMsg) {
-	s.mu.Lock()
-	for _, p := range m.Partitions {
-		s.delReplicaBucketLocked(p)
-	}
-	s.durAppendWith(func(b []byte) []byte { return encodeWalReplDrop(b, m) })
-	s.mu.Unlock()
+	s.ackDurable(m.ReplyTo, m.Op, seq, "replica sync", activeSpan{})
 }
 
 // serveReplicaRead answers a ReadReplica batch from the replica store —
@@ -474,8 +402,8 @@ func (s *Snode) serveReplicaRead(m batchReq, tr transport.TraceContext) {
 			results[i] = batchItemResp{Err: fmt.Sprintf("snode %d holds no replica for key %q", s.id, it.Key)}
 			continue
 		}
-		v, found := b.m[it.Key]
-		if !found && s.rprov[p] {
+		v, found := b.kv.m[it.Key]
+		if !found && b.provisional {
 			// The bucket was write-created and never full-synced: a
 			// missing key is unknown, not authoritatively absent.
 			results[i] = batchItemResp{Err: fmt.Sprintf("snode %d replica for key %q is provisional", s.id, it.Key)}
@@ -492,7 +420,7 @@ func (s *Snode) serveReplicaRead(m batchReq, tr transport.TraceContext) {
 
 // replicaBucketLocked finds the deepest replica bucket covering h.
 // Caller holds s.mu.
-func (s *Snode) replicaBucketLocked(h hashspace.Index) (hashspace.Partition, *kvStore, bool) {
+func (s *Snode) replicaBucketLocked(h hashspace.Index) (hashspace.Partition, *replicaBucket, bool) {
 	for _, l := range s.rpartLvls.Desc {
 		p := hashspace.Containing(h, l)
 		if b, ok := s.rparts[p]; ok {
@@ -717,9 +645,7 @@ func (s *Snode) sweepStaleReplicas() {
 			continue
 		}
 		if lr.Partition.Level > q.Level {
-			s.mu.Lock()
-			s.delReplicaBucketLocked(q)
-			s.mu.Unlock()
+			s.mutate(&replDropMsg{Partitions: []hashspace.Partition{q}})
 		}
 	}
 }

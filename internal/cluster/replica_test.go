@@ -191,7 +191,7 @@ func replicasConverged(c *Cluster) bool {
 		var n int
 		var sum uint64
 		if ok {
-			n, sum = bucketDigest(b.m)
+			n, sum = bucketDigest(b.kv.m)
 		}
 		r.mu.Unlock()
 		if !ok || n != w.count || sum != w.sum {

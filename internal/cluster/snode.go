@@ -260,12 +260,13 @@ func newBucket(kv *kvStore) *bucket {
 
 // setStateLocked transitions the bucket's lifecycle state.  Caller holds
 // s.mu; the bucket's own mutex is taken here, completing the dual-lock
-// write that makes single-lock reads safe.
+// write that makes single-lock reads safe.  A dead bucket lets go of its
+// store and of any outbound migration's tracking.
 func (b *bucket) setStateLocked(st bucketState) {
 	b.mu.Lock()
 	b.state = st
 	if st == bucketDead {
-		b.kv = nil
+		b.kv, b.mig = nil, nil
 	}
 	b.mu.Unlock()
 }
@@ -316,11 +317,9 @@ type Snode struct {
 	led       map[core.GroupID]*ledGroup                 // guarded by mu
 	view      []transport.NodeID                         // guarded by mu; sorted DHT membership (replica placement)
 	viewEpoch uint64                                     // guarded by mu; highest membership epoch seen
-	rparts    map[hashspace.Partition]*kvStore           // guarded by mu; replica buckets backed for other primaries
+	rparts    map[hashspace.Partition]*replicaBucket     // guarded by mu; replica buckets backed for other primaries
 	rpartLvls hashspace.LevelSet                         // guarded by mu
 	migIn     map[hashspace.Partition]*migInbound        // guarded by mu; staging buckets of inbound live migrations
-	rprov     map[hashspace.Partition]bool               // guarded by mu; replica buckets not yet full-synced (write-created)
-	rmeta     map[hashspace.Partition]*replMeta          // guarded by mu; volatile failover metadata per replica bucket
 	placed    map[hashspace.Partition][]transport.NodeID // guarded by mu; replica hosts last reconciled per owned partition
 	inDoubt   map[hashspace.Partition]*migIntent         // guarded by mu; unresolved journaled migration intents (recovery)
 
@@ -366,9 +365,7 @@ func newSnode(id transport.NodeID, cfg Config, net transport.Network) (*Snode, e
 		cache:    make(map[hashspace.Partition]ownerRef),
 		replicas: make(map[core.GroupID]*lpdrState),
 		led:      make(map[core.GroupID]*ledGroup),
-		rparts:   make(map[hashspace.Partition]*kvStore),
-		rprov:    make(map[hashspace.Partition]bool),
-		rmeta:    make(map[hashspace.Partition]*replMeta),
+		rparts:   make(map[hashspace.Partition]*replicaBucket),
 		migIn:    make(map[hashspace.Partition]*migInbound),
 		placed:   make(map[hashspace.Partition][]transport.NodeID),
 		inDoubt:  make(map[hashspace.Partition]*migIntent),
@@ -496,13 +493,11 @@ func (s *Snode) loop() {
 		case groupInit:
 			s.handleGroupInit(m)
 		case lpdrSyncMsg:
-			s.handleSync(m)
+			// Fire-and-forget, like the sync itself: a lost record only
+			// costs group metadata that the next sync re-delivers.
+			s.mutate(&m)
 		case bootstrapInfo:
-			s.mu.Lock()
-			s.boot = m.Owner
-			s.hasBoot = true
-			s.durAppendWith(func(b []byte) []byte { return encodeWalBoot(b, m.Owner) })
-			s.mu.Unlock()
+			s.mutate(&m)
 		case snodeLeavingMsg:
 			s.handleSnodeLeaving(m)
 		case snodeRecoveredMsg:
@@ -516,7 +511,7 @@ func (s *Snode) loop() {
 		case replSyncReq:
 			s.handleReplSync(m)
 		case replDropMsg:
-			s.handleReplDrop(m)
+			s.mutate(&m)
 		case promoteQueryReq:
 			s.handlePromoteQuery(m)
 		case promoteOrderReq:
@@ -705,63 +700,19 @@ const (
 )
 
 // handleSplitAll performs the scope-wide binary split on this host's
-// vnodes of the group: every partition splits in two and stored keys are
-// re-bucketed by their next hash bit (§2.5 materialized on real data).
-// The split is journaled as one small record — replay re-runs the same
-// deterministic re-bucketing over the recovered keys.
+// vnodes of the group (walSplitAllRec: every partition splits in two and
+// stored keys are re-bucketed by their next hash bit).
 func (s *Snode) handleSplitAll(m splitAllReq) {
-	s.mu.Lock()
-	s.splitGroupLocked(m.Group, m.NewLevel)
-	seq := s.durAppendWith(func(b []byte) []byte { return encodeWalSplitAll(b, m) })
-	s.mu.Unlock()
+	seq := s.mutate((*walSplitAllRec)(&m))
 	s.stats.SplitAlls.Add(1)
-	if s.dur != nil && !s.durFastAck() {
-		// Best-effort wait.  A failed wait means the WAL closed or
-		// fail-stopped — but the split IS applied here, so reporting an
-		// error would leave the leader believing this host is at the old
-		// level while its vnodes already re-bucketed.  Acked-data safety
-		// does not depend on this record: every post-split write's own
-		// durability wait fails on the same dead WAL and is never
-		// acknowledged.
-		s.durWaitSeq(seq)
-	}
+	// Best-effort wait.  A failed wait means the WAL closed or
+	// fail-stopped — but the split IS applied here, so reporting an error
+	// would leave the leader believing this host is at the old level while
+	// its vnodes already re-bucketed.  Acked-data safety does not depend on
+	// this record: every post-split write's own durability wait fails on
+	// the same dead WAL and is never acknowledged.
+	s.awaitDurable(seq)
 	s.send(m.ReplyTo, untraced, ackResp{Op: m.Op})
-}
-
-// splitGroupLocked splits every joined vnode of the group below newLevel
-// in two, re-bucketing stored keys by their next hash bit.  Caller holds
-// s.mu (or owns the snode exclusively, during recovery replay).
-func (s *Snode) splitGroupLocked(g core.GroupID, newLevel uint8) {
-	for _, vs := range s.vnodes {
-		if !vs.joined || vs.group != g || vs.level >= newLevel {
-			continue
-		}
-		next := make(map[hashspace.Partition]*bucket, 2*len(vs.parts))
-		for p, bk := range vs.parts {
-			lo, hi := p.Split()
-			loB, hiB := newStore(nil), newStore(nil)
-			bk.mu.Lock()
-			for k, v := range bk.kv.m {
-				if lo.Contains(hashspace.HashString(k)) {
-					loB.put(k, v)
-				} else {
-					hiB.put(k, v)
-				}
-			}
-			// The parent dies under its own lock: a batch that resolved it
-			// before the split re-classifies against the children.
-			bk.state = bucketDead
-			bk.kv = nil
-			bk.mu.Unlock()
-			next[lo] = newBucket(loB)
-			next[hi] = newBucket(hiB)
-			s.delOwnedLocked(p, bk)
-			s.setOwnedLocked(lo, vs, next[lo])
-			s.setOwnedLocked(hi, vs, next[hi])
-		}
-		vs.parts = next
-		vs.level = newLevel
-	}
 }
 
 // handleTransfer hands one partition of the victim vnode to the new owner
@@ -860,10 +811,7 @@ func (s *Snode) handleShipVnode(m shipVnodeReq) {
 			return
 		}
 	}
-	s.mu.Lock()
-	delete(s.vnodes, m.Vnode)
-	s.durAppendWith(func(b []byte) []byte { return encodeWalVnodeGone(b, m.Vnode) })
-	s.mu.Unlock()
+	s.mutate(&walVnodeGoneRec{Name: m.Vnode})
 	s.send(m.ReplyTo, untraced, ackResp{Op: m.Op})
 }
 
@@ -918,27 +866,6 @@ func (s *Snode) handleSnodeLeaving(m snodeLeavingMsg) {
 	}
 }
 
-// handleSync installs an LPDR replica refresh.  Journaled (fire-and-
-// forget, like the sync itself): a lost record only costs group metadata
-// that the next sync re-delivers.
-func (s *Snode) handleSync(m lpdrSyncMsg) {
-	s.mu.Lock()
-	st := m.State
-	s.replicas[st.Group] = &st
-	for _, d := range m.Dissolved {
-		delete(s.replicas, d)
-	}
-	for _, mem := range st.Members {
-		if vs, ok := s.vnodes[mem.Vnode]; ok && mem.Host == s.id {
-			vs.group = st.Group
-			vs.level = st.Level
-			vs.joined = true
-		}
-	}
-	s.durAppendWith(func(b []byte) []byte { return encodeWalLpdr(b, m) })
-	s.mu.Unlock()
-}
-
 // handleSnodeRecovered repairs routing after an snode restarted from its
 // WAL: the crash dropped every custody pointer at it, so the recovered
 // owner re-announces its partitions and survivors adopt pointers back to
@@ -973,14 +900,8 @@ func (s *Snode) handleCreateVnode(m createVnodeReq) {
 
 	// Allocate the (empty) vnode so partition installs can land.  The
 	// allocation is journaled unjoined; the LPDR sync that completes the
-	// join is journaled by handleSync.
-	s.mu.Lock()
-	s.vnodes[name] = &vnodeState{
-		name:  name,
-		parts: make(map[hashspace.Partition]*bucket),
-	}
-	s.durAppendWith(func(b []byte) []byte { return encodeWalVnode(b, walVnodeRec{Name: name}) })
-	s.mu.Unlock()
+	// join is journaled as it arrives (lpdrSyncMsg).
+	s.mutate(&walVnodeRec{Name: name})
 
 	const maxRetries = 16
 	for attempt := 0; attempt < maxRetries; attempt++ {
@@ -1011,10 +932,11 @@ func (s *Snode) handleCreateVnode(m createVnodeReq) {
 
 // abandonVnode discards a never-joined vnode allocation after a failure.
 func (s *Snode) abandonVnode(name VnodeName) {
+	gone := walVnodeGoneRec{Name: name}
 	s.mu.Lock()
 	if vs, ok := s.vnodes[name]; ok && !vs.joined && len(vs.parts) == 0 {
-		delete(s.vnodes, name)
-		s.durAppendWith(func(b []byte) []byte { return encodeWalVnodeGone(b, name) })
+		gone.applyLocked(s)
+		s.journal(gone.walTag(), gone.fields)
 	}
 	s.mu.Unlock()
 }
@@ -1024,43 +946,32 @@ func (s *Snode) abandonVnode(name VnodeName) {
 // snode leading.
 func (s *Snode) bootstrapFirstVnode(name VnodeName) error {
 	level := uint8(bits.TrailingZeros(uint(s.cfg.Pmin)))
-	parts := make(map[hashspace.Partition]*bucket, s.cfg.Pmin)
+	// The birth of the DHT is three records — the pre-split vnode, its
+	// LPDR and the boot route — so a restarted first snode comes back
+	// owning R_h.
+	vnode := walVnodeRec{Name: name, Level: level, Joined: true}
 	for pre := uint64(0); pre < uint64(s.cfg.Pmin); pre++ {
-		parts[hashspace.Partition{Prefix: pre, Level: level}] = newBucket(nil)
+		vnode.Parts = append(vnode.Parts, hashspace.Partition{Prefix: pre, Level: level})
 	}
-	g0 := core.GroupID{}
+	lpdr := lpdrSyncMsg{State: lpdrState{
+		Level: level, Leader: s.id,
+		Members: []memberInfo{{Vnode: name, Host: s.id, Count: s.cfg.Pmin}},
+	}}
+	boot := bootstrapInfo{Owner: ownerRef{Vnode: name, Host: s.id}}
 	s.mu.Lock()
 	if len(s.vnodes) != 0 || len(s.led) != 0 {
 		s.mu.Unlock()
 		return fmt.Errorf("cluster: snode %d is not empty; cannot bootstrap", s.id)
 	}
-	vs := &vnodeState{
-		name: name, group: g0, level: level, joined: true,
-		parts: parts,
-	}
-	s.vnodes[name] = vs
-	for p, bk := range parts {
-		s.setOwnedLocked(p, vs, bk)
-	}
-	st := lpdrState{
-		Group: g0, Level: level, Leader: s.id,
-		Members: []memberInfo{{Vnode: name, Host: s.id, Count: s.cfg.Pmin}},
-	}
-	s.replicas[g0] = &st
-	s.boot = ownerRef{Vnode: name, Host: s.id}
-	s.hasBoot = true
-	s.installLeaderLocked(st)
-	// Journal the birth of the DHT: the pre-split vnode, its LPDR, and
-	// the boot route, so a restarted first snode comes back owning R_h.
-	rec := walVnodeRec{Name: name, Group: g0, Level: level, Joined: true}
-	for p := range parts {
-		rec.Parts = append(rec.Parts, p)
-	}
-	s.durAppendWith(func(b []byte) []byte { return encodeWalVnode(b, rec) })
-	s.durAppendWith(func(b []byte) []byte { return encodeWalLpdr(b, lpdrSyncMsg{State: st}) })
-	seq := s.durAppendWith(func(b []byte) []byte { return encodeWalBoot(b, s.boot) })
+	vnode.applyLocked(s)
+	lpdr.applyLocked(s)
+	boot.applyLocked(s)
+	s.installLeaderLocked(lpdr.State)
+	s.journal(vnode.walTag(), vnode.fields)
+	s.journal(lpdr.walTag(), lpdr.fields)
+	seq := s.journal(boot.walTag(), boot.fields)
 	s.mu.Unlock()
-	if s.dur != nil && !s.durFastAck() && !s.durWaitSeq(seq) {
+	if !s.awaitDurable(seq) {
 		return fmt.Errorf("cluster: snode %d stopping: bootstrap not durable", s.id)
 	}
 	return nil

@@ -264,12 +264,6 @@ func (ls *LatencySnapshot) merge(o LatencySnapshot) {
 // Latencies folds every live snode's histograms (plus departed snodes'
 // retained totals) with the handle's own client-side distribution.
 func (c *Cluster) Latencies() LatencySnapshot {
-	c.mu.Lock()
-	snodes := make([]*Snode, 0, len(c.snodes))
-	for _, s := range c.snodes {
-		snodes = append(snodes, s)
-	}
-	c.mu.Unlock()
 	c.retiredMu.Lock()
 	out := c.retiredLat
 	// The retained snapshot's slices are shared with the accumulator;
@@ -278,7 +272,7 @@ func (c *Cluster) Latencies() LatencySnapshot {
 	tot.merge(out)
 	c.retiredMu.Unlock()
 	tot.BatchRPC.Merge(c.batchRPC.Snapshot())
-	for _, s := range snodes {
+	for _, s := range c.liveSnodes() {
 		tot.fold(s.lat)
 	}
 	return tot
@@ -289,13 +283,7 @@ func (c *Cluster) Latencies() LatencySnapshot {
 // background tracing (migrations) follows the same rate.
 func (c *Cluster) SetTraceSampling(p float64) {
 	c.sampler.setRate(p)
-	c.mu.Lock()
-	snodes := make([]*Snode, 0, len(c.snodes))
-	for _, s := range c.snodes {
-		snodes = append(snodes, s)
-	}
-	c.mu.Unlock()
-	for _, s := range snodes {
+	for _, s := range c.liveSnodes() {
 		s.sampler.setRate(p)
 	}
 }
@@ -305,12 +293,9 @@ func (c *Cluster) TraceSampling() float64 { return c.sampler.rate() }
 
 // allTracers snapshots the handle's tracer plus every live snode's.
 func (c *Cluster) allTracers() []*tracer {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]*tracer, 0, len(c.snodes)+1)
-	out = append(out, c.tracer)
-	for _, id := range c.order {
-		out = append(out, c.snodes[id].tracer)
+	out := []*tracer{c.tracer}
+	for _, s := range c.liveSnodes() {
+		out = append(out, s.tracer)
 	}
 	return out
 }

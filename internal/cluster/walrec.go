@@ -9,13 +9,28 @@ import (
 )
 
 // Journal and snapshot records.  Every durable mutation of an snode's
-// local state is journaled as one typed record, framed (length + CRC) by
-// internal/wal.  Like a wire message, a record's layout is written once,
-// as a fields walk (see the walker in wire.go) that encodeWal… appends
-// from and replay (applyWalRecord) reads through; a record that journals
-// what a wire message carried reuses that message's walk.  A record's
-// first field is its tag; tags share the number space with the wire
-// message tags (see docs/WIRE.md) so a number can never mean two
+// local state is one typed record, framed (length + CRC) by internal/wal,
+// and a record is three things, each written once: its tag (walTag), its
+// layout (a fields walk, see the walker in wire.go) and its meaning
+// (applyLocked).  The live handler builds the record and, under s.mu,
+// applies and journals it (Snode.mutate; applyLocked then Snode.journal
+// where more must happen under the same lock); recovery reads a tag,
+// takes that tag's row of walRecords, walks the bytes into a fresh record
+// and calls the same applyLocked, and the records a snapshot embeds load
+// through it too — a restart re-runs the code that ran, not a
+// transcription of it.  A wire message that is journaled as it arrives
+// (replDropMsg, lpdrSyncMsg, bootstrapInfo) is its own record.  Two
+// handlers journal, wait for the record to be durable and only then
+// apply — handleMigCommit and promotePartition, whose installs start
+// serving at once and must not have happened if the wait fails.
+//
+// Not on this path: handleBatch's share of walTagWrite.  It streams a
+// bucket's items into the journal while it applies them
+// (encodeWalWriteHeader), so only replay goes through
+// walWriteRec.applyLocked.
+//
+// A record's first field is its tag; tags share the number space with the
+// wire message tags (see docs/WIRE.md) so a number can never mean two
 // different things — the journal holds 32–63, wire messages 1–31 and 64
 // upwards.  Like wire tags, they are a compatibility contract: never
 // renumber, only append.
@@ -46,11 +61,37 @@ const (
 	walTagMigIntentResolved uint16 = 44 // handover aborted or reverted; intent closed
 )
 
-// --- journal records ---
+// walRecord is one journaled mutation.
+type walRecord interface {
+	walTag() uint16
+	fields(*walker)
+	// applyLocked performs the mutation on s.  The caller holds s.mu, or
+	// owns the snode exclusively (recovery, before the actor starts);
+	// bucket mutexes are taken here.
+	applyLocked(s *Snode)
+}
 
-// encodeWal appends one journal record: its tag, then the record's fields.
-func encodeWal[T any](buf []byte, tag uint16, rec *T, fields func(*T, *walker)) []byte {
-	return appendWalk(transport.AppendUvarint(buf, uint64(tag)), rec, fields)
+// walRecords is the record table: what recovery makes of every journal
+// tag.  The wiretag analyzer takes a row as the tag's decoder side (the
+// walTag method is its encoder side), and TestDiskFormatGolden requires
+// golden bytes for each.
+var walRecords = []struct {
+	tag uint16
+	new func() walRecord
+}{
+	{walTagWrite, func() walRecord { return new(walWriteRec) }},
+	{walTagReplWrite, func() walRecord { return new(walReplWriteRec) }},
+	{walTagVnode, func() walRecord { return new(walVnodeRec) }},
+	{walTagVnodeGone, func() walRecord { return new(walVnodeGoneRec) }},
+	{walTagSplitAll, func() walRecord { return new(walSplitAllRec) }},
+	{walTagMigInstall, func() walRecord { return new(walMigInstallRec) }},
+	{walTagBucketDrop, func() walRecord { return new(walBucketDropRec) }},
+	{walTagReplSync, func() walRecord { return new(walReplSyncRec) }},
+	{walTagReplDrop, func() walRecord { return new(replDropMsg) }},
+	{walTagLpdr, func() walRecord { return new(lpdrSyncMsg) }},
+	{walTagBoot, func() walRecord { return new(bootstrapInfo) }},
+	{walTagMigIntent, func() walRecord { return new(walMigIntentRec) }},
+	{walTagMigIntentResolved, func() walRecord { return new(walMigIntentResolvedRec) }},
 }
 
 // walWriteRec journals one batch's mutations of one owned bucket.
@@ -60,11 +101,25 @@ type walWriteRec struct {
 	Items     []batchItem
 }
 
+func (*walWriteRec) walTag() uint16 { return walTagWrite }
+
 func (rec *walWriteRec) fields(w *walker) {
 	w.op(&rec.Kind)
 	w.partition(&rec.Partition)
 	for i := range sliceOf(w, &rec.Items, 2) {
 		rec.Items[i].fields(w)
+	}
+}
+
+// applyLocked runs at replay only (see the file header).  It applies only
+// while the partition is owned at exactly this level: ownership
+// transitions are journaled too, so a write that replays against a later
+// state (bucket dropped, split deeper) is already reflected there.
+func (rec *walWriteRec) applyLocked(s *Snode) {
+	if ref, ok := s.owned[rec.Partition]; ok {
+		ref.bk.mu.Lock()
+		ref.bk.kv.apply(rec.Kind, rec.Items, true)
+		ref.bk.mu.Unlock()
 	}
 }
 
@@ -86,21 +141,54 @@ func encodeWalWriteHeader(buf []byte, kind dataOp, p hashspace.Partition, count 
 type walReplWriteRec struct {
 	Kind dataOp
 	Sets []replWriteSet
+	// private marks item values this record owns exclusively (decoded off
+	// a frame or the journal), as on replWriteReq; it never travels.
+	private bool
 }
+
+func (*walReplWriteRec) walTag() uint16 { return walTagReplWrite }
 
 func (rec *walReplWriteRec) fields(w *walker) {
 	w.op(&rec.Kind)
 	for i := range sliceOf(w, &rec.Sets, 3) {
 		rec.Sets[i].journalFields(w)
 	}
+	w.decoded(&rec.private)
 }
 
-func encodeWalReplWrite(buf []byte, kind dataOp, sets []replWriteSet) []byte {
-	return encodeWal(buf, walTagReplWrite, &walReplWriteRec{Kind: kind, Sets: sets}, (*walReplWriteRec).fields)
+// applyLocked folds the write sets into the replica store.
+func (rec *walReplWriteRec) applyLocked(s *Snode) {
+	for _, set := range rec.Sets {
+		b := s.rparts[set.Partition]
+		if b == nil {
+			// First write at this partition (typically right after a
+			// split): seed the bucket from any stale ancestor's keys in
+			// range — they are acknowledged data that must stay
+			// failover-readable until anti-entropy ships the
+			// authoritative copy.  Until then the bucket is provisional:
+			// present keys are real, absent keys are unknown
+			// (serveReplicaRead refuses to vouch for them).
+			b = &replicaBucket{kv: newStore(nil), provisional: true}
+			for q, ob := range s.rparts {
+				if q.Level < set.Partition.Level && overlapping(q, set.Partition) {
+					for k, v := range ob.kv.m {
+						if set.Partition.Contains(hashspace.HashString(k)) {
+							b.kv.put(k, v)
+						}
+					}
+				}
+			}
+			s.dropReplicaWithinLocked(set.Partition)
+			s.setReplicaBucketLocked(set.Partition, b)
+		}
+		b.kv.apply(rec.Kind, set.Items, rec.private)
+	}
 }
 
-// walVnodeRec journals a vnode allocation.  Parts is non-empty only for
-// the bootstrap vnode, which is born owning the Pmin-way pre-split.
+// walVnodeRec journals a vnode allocation, and is how a snapshot keeps a
+// hosted vnode (Parts then lists its partitions).  In the journal Parts is
+// non-empty only for the bootstrap vnode, which is born owning the
+// Pmin-way pre-split.
 type walVnodeRec struct {
 	Name   VnodeName
 	Group  core.GroupID
@@ -108,6 +196,8 @@ type walVnodeRec struct {
 	Joined bool
 	Parts  []hashspace.Partition
 }
+
+func (*walVnodeRec) walTag() uint16 { return walTagVnode }
 
 func (rec *walVnodeRec) fields(w *walker) {
 	rec.Name.fields(w)
@@ -117,45 +207,137 @@ func (rec *walVnodeRec) fields(w *walker) {
 	w.partitions(&rec.Parts)
 }
 
-func encodeWalVnode(buf []byte, rec walVnodeRec) []byte {
-	return encodeWal(buf, walTagVnode, &rec, (*walVnodeRec).fields)
+// applyLocked allocates the vnode with an empty bucket per partition,
+// keeping nextLocal ahead of every local name ever handed out.
+func (rec *walVnodeRec) applyLocked(s *Snode) {
+	if rec.Name.Snode == s.id && rec.Name.Local >= s.nextLocal {
+		s.nextLocal = rec.Name.Local + 1
+	}
+	if _, dup := s.vnodes[rec.Name]; dup {
+		return
+	}
+	vs := &vnodeState{
+		name: rec.Name, group: rec.Group, level: rec.Level, joined: rec.Joined,
+		parts: make(map[hashspace.Partition]*bucket, len(rec.Parts)),
+	}
+	for _, p := range rec.Parts {
+		bk := newBucket(nil)
+		vs.parts[p] = bk
+		s.setOwnedLocked(p, vs, bk)
+	}
+	s.vnodes[rec.Name] = vs
 }
 
-func encodeWalVnodeGone(buf []byte, name VnodeName) []byte {
-	return encodeWal(buf, walTagVnodeGone, &name, (*VnodeName).fields)
+// walVnodeGoneRec journals a vnode dissolved after shipping its partitions
+// away, or abandoned before it joined.
+type walVnodeGoneRec struct{ Name VnodeName }
+
+func (*walVnodeGoneRec) walTag() uint16 { return walTagVnodeGone }
+
+func (rec *walVnodeGoneRec) fields(w *walker) { rec.Name.fields(w) }
+
+func (rec *walVnodeGoneRec) applyLocked(s *Snode) {
+	if vs, ok := s.vnodes[rec.Name]; ok {
+		for p, bk := range vs.parts {
+			s.delOwnedLocked(p, bk)
+		}
+		delete(s.vnodes, rec.Name)
+	}
 }
 
-// encodeWalSplitAll journals one scope-wide split; replay re-buckets the
-// affected vnodes' data by the next hash bit, exactly like the live
-// handler (the re-bucketing is a pure function of the stored keys).
-func encodeWalSplitAll(buf []byte, m splitAllReq) []byte {
-	return encodeWal(buf, walTagSplitAll, &m, (*splitAllReq).journalFields)
+// walSplitAllRec journals one scope-wide split (§2.5 materialized on real
+// data): what a splitAllReq orders, minus the request's envelope.  The
+// record is small because the re-bucketing is a pure function of the
+// stored keys.
+type walSplitAllRec splitAllReq
+
+func (*walSplitAllRec) walTag() uint16 { return walTagSplitAll }
+
+func (rec *walSplitAllRec) fields(w *walker) {
+	w.group(&rec.Group)
+	w.level(&rec.NewLevel)
 }
 
-// walMigInstallRec journals a live-migration commit at the receiver with
-// the bucket's FULL contents (staging folded with the final delta), so
-// replay never depends on the volatile staging state: a migration whose
-// commit record is durable installs completely; one whose commit never
-// landed leaves the partition with its old owner, which aborts and
-// stays live.
+// applyLocked splits every joined vnode of the group below NewLevel in
+// two, re-bucketing stored keys by their next hash bit.
+func (rec *walSplitAllRec) applyLocked(s *Snode) {
+	for _, vs := range s.vnodes {
+		if !vs.joined || vs.group != rec.Group || vs.level >= rec.NewLevel {
+			continue
+		}
+		next := make(map[hashspace.Partition]*bucket, 2*len(vs.parts))
+		for p, bk := range vs.parts {
+			lo, hi := p.Split()
+			loB, hiB := newStore(nil), newStore(nil)
+			bk.mu.Lock()
+			for k, v := range bk.kv.m {
+				if lo.Contains(hashspace.HashString(k)) {
+					loB.put(k, v)
+				} else {
+					hiB.put(k, v)
+				}
+			}
+			// The parent dies under its own lock: a batch that resolved it
+			// before the split re-classifies against the children.
+			bk.state = bucketDead
+			bk.kv = nil
+			bk.mu.Unlock()
+			next[lo] = newBucket(loB)
+			next[hi] = newBucket(hiB)
+			s.delOwnedLocked(p, bk)
+			s.setOwnedLocked(lo, vs, next[lo])
+			s.setOwnedLocked(hi, vs, next[hi])
+		}
+		vs.parts = next
+		vs.level = rec.NewLevel
+	}
+}
+
+// walMigInstallRec journals a bucket becoming the live owned partition of
+// vnode To — a live-migration commit at the receiver, or a failover
+// promotion — with the bucket's FULL contents (staging folded with the
+// final delta), so replay never depends on the volatile staging state: a
+// migration whose commit record is durable installs completely; one whose
+// commit never landed leaves the partition with its old owner, which
+// aborts and stays live.  Live, Data is the store the handler already
+// holds, digest and all; recovery hashes the decoded map once.
 type walMigInstallRec struct {
 	To        VnodeName
 	Group     core.GroupID
 	Level     uint8
 	Partition hashspace.Partition
-	Data      map[string][]byte
+	Data      *kvStore
 }
+
+func (*walMigInstallRec) walTag() uint16 { return walTagMigInstall }
 
 func (rec *walMigInstallRec) fields(w *walker) {
 	rec.To.fields(w)
 	w.group(&rec.Group)
 	w.level(&rec.Level)
 	w.partition(&rec.Partition)
-	w.kvmap(&rec.Data)
+	w.store(&rec.Data)
 }
 
-func encodeWalMigInstall(buf []byte, rec walMigInstallRec) []byte {
-	return encodeWal(buf, walTagMigInstall, &rec, (*walMigInstallRec).fields)
+// applyLocked makes Data the live bucket: ownership index, level/group
+// adoption, custody cleanup, replica-store cleanup.
+func (rec *walMigInstallRec) applyLocked(s *Snode) {
+	vs, ok := s.vnodes[rec.To]
+	if !ok {
+		return
+	}
+	if old, ok := vs.parts[rec.Partition]; ok {
+		old.setStateLocked(bucketDead) // a re-install supersedes the previous bucket
+	}
+	bk := newBucket(rec.Data)
+	vs.parts[rec.Partition] = bk
+	s.setOwnedLocked(rec.Partition, vs, bk)
+	vs.level = rec.Level
+	vs.group = rec.Group
+	// Owning again supersedes any old custody pointer for this region,
+	// and any replica bucket we held for the previous primary.
+	s.delTombLocked(rec.Partition)
+	s.dropReplicaWithinLocked(rec.Partition)
 }
 
 // walBucketDropRec journals the sender-side retirement after a committed
@@ -166,48 +348,112 @@ type walBucketDropRec struct {
 	NewOwner  ownerRef
 }
 
+func (*walBucketDropRec) walTag() uint16 { return walTagBucketDrop }
+
 func (rec *walBucketDropRec) fields(w *walker) {
 	rec.Vnode.fields(w)
 	w.partition(&rec.Partition)
 	rec.NewOwner.fields(w)
 }
 
-func encodeWalBucketDrop(buf []byte, rec walBucketDropRec) []byte {
-	return encodeWal(buf, walTagBucketDrop, &rec, (*walBucketDropRec).fields)
+func (rec *walBucketDropRec) applyLocked(s *Snode) {
+	if vs, ok := s.vnodes[rec.Vnode]; ok {
+		if bk, ok := vs.parts[rec.Partition]; ok {
+			bk.setStateLocked(bucketDead)
+			delete(vs.parts, rec.Partition)
+			s.delOwnedLocked(rec.Partition, bk)
+		}
+	}
+	s.setTombLocked(rec.Partition, rec.NewOwner)
+	delete(s.inDoubt, rec.Partition) // the drop resolves any open intent
 }
 
-// encodeWalMigIntent journals phase one of a migration handover.  The
+// walMigIntentRec journals phase one of a migration handover.  The
 // payload is exactly a walBucketDropRec — the intent names the same
-// (vnode, partition, new owner) triple the eventual drop will.
-func encodeWalMigIntent(buf []byte, rec walBucketDropRec) []byte {
-	return encodeWal(buf, walTagMigIntent, &rec, (*walBucketDropRec).fields)
+// (vnode, partition, new owner) triple the eventual drop will — and a
+// snapshot keeps an unresolved intent in the same shape.
+type walMigIntentRec walBucketDropRec
+
+func (*walMigIntentRec) walTag() uint16 { return walTagMigIntent }
+
+func (rec *walMigIntentRec) fields(w *walker) { (*walBucketDropRec)(rec).fields(w) }
+
+func (rec *walMigIntentRec) applyLocked(s *Snode) {
+	s.inDoubt[rec.Partition] = &migIntent{vnode: rec.Vnode, newOwner: rec.NewOwner}
 }
 
-// encodeWalMigIntentResolved closes an intent without a drop: the
-// handover aborted (or recovery reverted it) and the bucket is live here.
-func encodeWalMigIntentResolved(buf []byte, p hashspace.Partition) []byte {
-	return encodeWal(buf, walTagMigIntentResolved, &p, partitionFields)
+// walMigIntentResolvedRec closes an intent without a drop: the handover
+// aborted (or recovery reverted it) and the bucket is live here.
+type walMigIntentResolvedRec struct{ Partition hashspace.Partition }
+
+func (*walMigIntentResolvedRec) walTag() uint16 { return walTagMigIntentResolved }
+
+func (rec *walMigIntentResolvedRec) fields(w *walker) { w.partition(&rec.Partition) }
+
+func (rec *walMigIntentResolvedRec) applyLocked(s *Snode) { delete(s.inDoubt, rec.Partition) }
+
+// walReplSyncRec journals a replica bucket overwrite (full sync from the
+// primary, or the re-homing push after a transfer).  Its bytes are a
+// snapBucket's; Data is a store for the reason walMigInstallRec's is.
+type walReplSyncRec struct {
+	Partition hashspace.Partition
+	Data      *kvStore
 }
 
-// encodeWalReplSync journals a replica bucket overwrite (full sync from
-// the primary, or the re-homing push after a transfer).
-func encodeWalReplSync(buf []byte, b snapBucket) []byte {
-	return encodeWal(buf, walTagReplSync, &b, (*snapBucket).fields)
+func (*walReplSyncRec) walTag() uint16 { return walTagReplSync }
+
+func (rec *walReplSyncRec) fields(w *walker) {
+	w.partition(&rec.Partition)
+	w.store(&rec.Data)
 }
 
-func encodeWalReplDrop(buf []byte, m replDropMsg) []byte {
-	return encodeWal(buf, walTagReplDrop, &m, (*replDropMsg).fields)
+// applyLocked replaces only this exact bucket, with an authoritative
+// (non-provisional) one.  Strictly deeper buckets are spared: geometry
+// only ever deepens, so a deeper overlapping bucket here can only mean
+// the SENDER's partition is stale (a leftover ancestor), and the deeper
+// buckets may hold the only failover copy of acknowledged keys the stale
+// sync does not carry.
+func (rec *walReplSyncRec) applyLocked(s *Snode) {
+	s.delReplicaBucketLocked(rec.Partition)
+	s.setReplicaBucketLocked(rec.Partition, &replicaBucket{kv: rec.Data})
 }
 
-// encodeWalLpdr journals an LPDR replica refresh; replay rebuilds the
-// group view and — when the recorded leader is this snode — reinstalls
-// leadership after the replay completes.
-func encodeWalLpdr(buf []byte, m lpdrSyncMsg) []byte {
-	return encodeWal(buf, walTagLpdr, &m, (*lpdrSyncMsg).fields)
+// --- wire messages journaled as they arrive (fields walks in wire.go) ---
+
+func (*replDropMsg) walTag() uint16 { return walTagReplDrop }
+
+func (m *replDropMsg) applyLocked(s *Snode) {
+	for _, p := range m.Partitions {
+		s.delReplicaBucketLocked(p)
+	}
 }
 
-func encodeWalBoot(buf []byte, owner ownerRef) []byte {
-	return encodeWal(buf, walTagBoot, &owner, (*ownerRef).fields)
+func (*lpdrSyncMsg) walTag() uint16 { return walTagLpdr }
+
+// applyLocked installs the LPDR replica and binds the member vnodes
+// hosted here to the group — which completes a join.  Leadership is not
+// installed here: a leader takes office by groupInit, and recovery
+// reinstalls it once the whole log has replayed (openDurability).
+func (m *lpdrSyncMsg) applyLocked(s *Snode) {
+	st := m.State
+	s.replicas[st.Group] = &st
+	for _, d := range m.Dissolved {
+		delete(s.replicas, d)
+	}
+	for _, mem := range st.Members {
+		if vs, ok := s.vnodes[mem.Vnode]; ok && mem.Host == s.id {
+			vs.group = st.Group
+			vs.level = st.Level
+			vs.joined = true
+		}
+	}
+}
+
+func (*bootstrapInfo) walTag() uint16 { return walTagBoot }
+
+func (m *bootstrapInfo) applyLocked(s *Snode) {
+	s.boot = m.Owner
+	s.hasBoot = true
 }
 
 // --- snapshot files ---
@@ -244,6 +490,8 @@ func decodeSnap[T any](what string, payload []byte, fields func(*T, *walker)) (v
 
 // snapMeta is the snode-level metadata captured by one snapshot pass:
 // everything except the bucket contents, which live in per-bucket files.
+// Vnodes and Intents are journal records, loaded through their
+// applyLocked.
 type snapMeta struct {
 	NextLocal int
 	HasBoot   bool
@@ -252,7 +500,7 @@ type snapMeta struct {
 	Tombs     []routeEntry  // custody pointers (Replicas unused)
 	Lpdrs     []lpdrState
 	Rprov     []hashspace.Partition // provisional (write-created) replica buckets
-	Intents   []walBucketDropRec    // unresolved migration intents (v2+)
+	Intents   []walMigIntentRec     // unresolved migration intents (v2+)
 }
 
 func (m *snapMeta) fields(w *walker) {
@@ -277,7 +525,7 @@ func (m *snapMeta) fields(w *walker) {
 }
 
 // snapBucket is one partition with its full contents: a snapshot bucket
-// file, and the body of the walTagReplSync journal record.
+// file.
 type snapBucket struct {
 	Partition hashspace.Partition
 	Data      map[string][]byte

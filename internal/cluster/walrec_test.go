@@ -16,8 +16,9 @@ import (
 // committed hex and the committed hex must decode back to the value.  The
 // journal and snapshot layouts are a compatibility contract (an old data
 // directory must still recover), so a diff here is a format change that
-// needs a version bump — never a golden update alone.  Maps hold one entry
-// because the kvmap walk writes in map iteration order.
+// needs a version bump — never a golden update alone.  The journal cases
+// come from walking walRecords, so a row without golden bytes fails.  Maps
+// hold one entry because the kvmap walk writes in map iteration order.
 func TestDiskFormatGolden(t *testing.T) {
 	p := hashspace.Partition{Prefix: 0b1011, Level: 4}
 	g := core.GroupID{Bits: 0b110, Len: 3}
@@ -37,7 +38,70 @@ func TestDiskFormatGolden(t *testing.T) {
 		Tombs:   []routeEntry{{Partition: p.Sibling(), Ref: owner}},
 		Lpdrs:   []lpdrState{lpdr},
 		Rprov:   []hashspace.Partition{p},
-		Intents: []walBucketDropRec{dropRec},
+		Intents: []walMigIntentRec{walMigIntentRec(dropRec)},
+	}
+
+	// One fixed value per journal tag; want is what the bytes decode back
+	// to where the journal keeps less than the value holds (nil: rec).
+	records := map[uint16]struct {
+		rec, want walRecord
+		golden    string
+	}{
+		walTagWrite: {rec: &walWriteRec{Kind: opPut, Partition: p, Items: items},
+			golden: "20020b0402026b31027631026b3200"},
+		// Ver and Group are volatile election metadata: not journaled.
+		walTagReplWrite: {rec: &walReplWriteRec{Kind: opDel, Sets: []replWriteSet{{Partition: p, Items: items, Ver: 7, Group: g}}},
+			want:   &walReplWriteRec{Kind: opDel, Sets: []replWriteSet{{Partition: p, Items: items}}, private: true},
+			golden: "2104010b0402026b31027631026b3200"},
+		walTagVnode:     {rec: &vnodeRec, golden: "22060e06030401020b040a04"},
+		walTagVnodeGone: {rec: &walVnodeGoneRec{Name: vn}, golden: "23060e"},
+		// Op and ReplyTo belong to the request, not the split: not journaled.
+		walTagSplitAll: {rec: &walSplitAllRec{Op: 9, Group: g, NewLevel: 5, ReplyTo: 2},
+			want:   &walSplitAllRec{Group: g, NewLevel: 5},
+			golden: "24060305"},
+		walTagMigInstall: {rec: &walMigInstallRec{To: vn, Group: g, Level: 4, Partition: p, Data: newStore(data)},
+			golden: "25060e0603040b0401036b65790576616c7565"},
+		walTagBucketDrop: {rec: &dropRec, golden: "26060e0b040a040a"},
+		walTagReplSync: {rec: &walReplSyncRec{Partition: p, Data: newStore(data)},
+			golden: "270b0401036b65790576616c7565"},
+		walTagReplDrop: {rec: &replDropMsg{Partitions: []hashspace.Partition{p, p.Sibling()}},
+			golden: "28020b040a04"},
+		walTagLpdr: {rec: &lpdrSyncMsg{State: lpdr, Dissolved: dissolved},
+			golden: "290603040602060e06100a040a12010302"},
+		walTagBoot:              {rec: &bootstrapInfo{Owner: owner}, golden: "2a0a040a"},
+		walTagMigIntent:         {rec: (*walMigIntentRec)(&dropRec), golden: "2b060e0b040a040a"},
+		walTagMigIntentResolved: {rec: &walMigIntentResolvedRec{Partition: p}, golden: "2c0b04"},
+	}
+
+	type goldenCase struct {
+		name   string
+		enc    []byte
+		golden string
+		dec    func([]byte) (any, error)
+		want   any
+	}
+	var cases []goldenCase
+	for _, row := range walRecords {
+		g, ok := records[row.tag]
+		if !ok {
+			t.Errorf("walRecords row for tag %d (%T) has no golden bytes", row.tag, row.new())
+			continue
+		}
+		if got := row.new().walTag(); got != row.tag {
+			t.Errorf("walRecords row for tag %d makes a %T, which journals under tag %d", row.tag, row.new(), got)
+		}
+		if reflect.TypeOf(g.rec) != reflect.TypeOf(row.new()) {
+			t.Errorf("tag %d: golden value is a %T, the row makes a %T", row.tag, g.rec, row.new())
+		}
+		if g.want == nil {
+			g.want = g.rec
+		}
+		w := walker{b: transport.AppendUvarint(nil, uint64(g.rec.walTag()))}
+		g.rec.fields(&w)
+		cases = append(cases, goldenCase{fmt.Sprintf("tag %d %T", row.tag, g.rec), w.b, g.golden, walRecDecoder(row.tag, row.new), g.want})
+	}
+	if len(records) != len(walRecords) {
+		t.Errorf("golden bytes for %d journal tags, walRecords has %d rows", len(records), len(walRecords))
 	}
 
 	// The batch path journals a write record as header + items appended one
@@ -47,76 +111,23 @@ func TestDiskFormatGolden(t *testing.T) {
 		streamed = transport.AppendString(streamed, it.Key)
 		streamed = transport.AppendBytes(streamed, it.Value)
 	}
-	cases := []struct {
-		name   string
-		enc    []byte
-		golden string
-		dec    func([]byte) (any, error)
-		want   any
-	}{
-		{"walTagWrite", encodeWal(nil, walTagWrite, &walWriteRec{Kind: opPut, Partition: p, Items: items}, (*walWriteRec).fields),
+	cases = append(cases,
+		goldenCase{"walTagWrite-streamed", streamed,
 			"20020b0402026b31027631026b3200",
-			walRecDecoder(walTagWrite, (*walWriteRec).fields),
-			walWriteRec{Kind: opPut, Partition: p, Items: items}},
-		{"walTagWrite-streamed", streamed,
-			"20020b0402026b31027631026b3200",
-			walRecDecoder(walTagWrite, (*walWriteRec).fields),
-			walWriteRec{Kind: opPut, Partition: p, Items: items}},
-		{"walTagReplWrite", encodeWalReplWrite(nil, opDel, []replWriteSet{{Partition: p, Items: items, Ver: 7, Group: g}}),
-			"2104010b0402026b31027631026b3200",
-			walRecDecoder(walTagReplWrite, (*walReplWriteRec).fields),
-			// Ver and Group are volatile election metadata: not journaled.
-			walReplWriteRec{Kind: opDel, Sets: []replWriteSet{{Partition: p, Items: items}}}},
-		{"walTagVnode", encodeWalVnode(nil, vnodeRec),
-			"22060e06030401020b040a04",
-			walRecDecoder(walTagVnode, (*walVnodeRec).fields), vnodeRec},
-		{"walTagVnodeGone", encodeWalVnodeGone(nil, vn),
-			"23060e",
-			walRecDecoder(walTagVnodeGone, (*VnodeName).fields), vn},
-		{"walTagSplitAll", encodeWalSplitAll(nil, splitAllReq{Op: 9, Group: g, NewLevel: 5, ReplyTo: 2}),
-			"24060305",
-			walRecDecoder(walTagSplitAll, (*splitAllReq).journalFields),
-			// Op and ReplyTo belong to the request, not the split: not journaled.
-			splitAllReq{Group: g, NewLevel: 5}},
-		{"walTagMigInstall", encodeWalMigInstall(nil, walMigInstallRec{To: vn, Group: g, Level: 4, Partition: p, Data: data}),
-			"25060e0603040b0401036b65790576616c7565",
-			walRecDecoder(walTagMigInstall, (*walMigInstallRec).fields),
-			walMigInstallRec{To: vn, Group: g, Level: 4, Partition: p, Data: data}},
-		{"walTagBucketDrop", encodeWalBucketDrop(nil, dropRec),
-			"26060e0b040a040a",
-			walRecDecoder(walTagBucketDrop, (*walBucketDropRec).fields), dropRec},
-		{"walTagReplSync", encodeWalReplSync(nil, snapBucket{Partition: p, Data: data}),
-			"270b0401036b65790576616c7565",
-			walRecDecoder(walTagReplSync, (*snapBucket).fields), snapBucket{Partition: p, Data: data}},
-		{"walTagReplDrop", encodeWalReplDrop(nil, replDropMsg{Partitions: []hashspace.Partition{p, p.Sibling()}}),
-			"28020b040a04",
-			walRecDecoder(walTagReplDrop, (*replDropMsg).fields),
-			replDropMsg{Partitions: []hashspace.Partition{p, p.Sibling()}}},
-		{"walTagLpdr", encodeWalLpdr(nil, lpdrSyncMsg{State: lpdr, Dissolved: dissolved}),
-			"290603040602060e06100a040a12010302",
-			walRecDecoder(walTagLpdr, (*lpdrSyncMsg).fields),
-			lpdrSyncMsg{State: lpdr, Dissolved: dissolved}},
-		{"walTagBoot", encodeWalBoot(nil, owner),
-			"2a0a040a",
-			walRecDecoder(walTagBoot, (*ownerRef).fields), owner},
-		{"walTagMigIntent", encodeWalMigIntent(nil, dropRec),
-			"2b060e0b040a040a",
-			walRecDecoder(walTagMigIntent, (*walBucketDropRec).fields), dropRec},
-		{"walTagMigIntentResolved", encodeWalMigIntentResolved(nil, p),
-			"2c0b04",
-			walRecDecoder(walTagMigIntentResolved, partitionFields), p},
-		{"snapMeta", encodeSnap(&meta, (*snapMeta).fields),
+			walRecDecoder(walTagWrite, func() walRecord { return new(walWriteRec) }),
+			&walWriteRec{Kind: opPut, Partition: p, Items: items}},
+		goldenCase{"snapMeta", encodeSnap(&meta, (*snapMeta).fields),
 			"0212010a040a02060e06030401020b040a0406100000000000010a040a040a010603040602060e06100a040a12010b0401060e0b040a040a",
 			func(b []byte) (any, error) { return decodeSnap("meta", b, (*snapMeta).fields) }, meta},
-		{"snapBucket", encodeSnap(&snapBucket{Partition: p, Data: data}, (*snapBucket).fields),
+		goldenCase{"snapBucket", encodeSnap(&snapBucket{Partition: p, Data: data}, (*snapBucket).fields),
 			"020b0401036b65790576616c7565",
 			func(b []byte) (any, error) { return decodeSnap("bucket", b, (*snapBucket).fields) },
 			snapBucket{Partition: p, Data: data}},
-		{"manifest", encodeSnap(&snapManifest{Cut: 123456}, (*snapManifest).fields),
+		goldenCase{"manifest", encodeSnap(&snapManifest{Cut: 123456}, (*snapManifest).fields),
 			"02c0c407",
 			func(b []byte) (any, error) { return decodeSnap("manifest", b, (*snapManifest).fields) },
 			snapManifest{Cut: 123456}},
-	}
+	)
 	for _, tc := range cases {
 		if got := hex.EncodeToString(tc.enc); got != tc.golden {
 			t.Errorf("%s encodes to\n  %s\nwant the committed\n  %s", tc.name, got, tc.golden)
@@ -143,16 +154,17 @@ func TestDiskFormatGolden(t *testing.T) {
 }
 
 // walRecDecoder decodes a journal record the way applyWalRecord does: the
-// tag, then the record's fields walk.  Bytes left over are an error, so a
-// golden record that grew a field cannot pass on its old prefix.
-func walRecDecoder[T any](tag uint16, fields func(*T, *walker)) func([]byte) (any, error) {
+// tag, then the fields walk of the record its table row makes.  Bytes left
+// over are an error, so a golden record that grew a field cannot pass on
+// its old prefix.
+func walRecDecoder(tag uint16, newRec func() walRecord) func([]byte) (any, error) {
 	return func(payload []byte) (any, error) {
 		r := transport.NewWireReader(payload)
 		if got := r.Uvarint(); r.Err() == nil && got != uint64(tag) {
 			return nil, fmt.Errorf("record tag %d, want %d", got, tag)
 		}
-		var rec T
-		fields(&rec, &walker{r: r})
+		rec := newRec()
+		rec.fields(&walker{r: r})
 		if r.Err() == nil && r.Len() != 0 {
 			return nil, fmt.Errorf("tag %d: %d bytes left undecoded", tag, r.Len())
 		}

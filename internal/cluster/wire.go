@@ -237,10 +237,6 @@ func (w *walker) partition(p *hashspace.Partition) {
 	}
 }
 
-// partitionFields is the primitive as a fields walk, for the journal
-// record that is one bare partition.
-func partitionFields(p *hashspace.Partition, w *walker) { w.partition(p) }
-
 // maxGroupLen is the longest group identifier a split can produce:
 // GroupID.Split refuses to deepen an identifier of 63 digits.
 const maxGroupLen = 63
@@ -302,6 +298,20 @@ func (w *walker) kvmap(m *map[string][]byte) {
 		w.str(&k)
 		w.bytes(&v)
 		(*m)[k] = v
+	}
+}
+
+// store walks a bucket's contents held as a store: encoding writes the
+// store's map, decoding builds a store around the decoded map — the one
+// pass that hashes a bucket arriving whole.  A nil store encodes as empty.
+func (w *walker) store(st **kvStore) {
+	var m map[string][]byte
+	if *st != nil {
+		m = (*st).m
+	}
+	w.kvmap(&m)
+	if w.r != nil {
+		*st = newStore(m)
 	}
 }
 
@@ -645,17 +655,11 @@ func (m *leaveVnodeResp) fields(w *walker) {
 func (m splitAllReq) WireTag() uint16            { return wireTagSplitAllReq }
 func (m splitAllReq) AppendWire(b []byte) []byte { return appendWalk(b, &m, (*splitAllReq).fields) }
 
+// The split itself is walSplitAllRec's walk: the journal keeps that much.
 func (m *splitAllReq) fields(w *walker) {
 	w.u64(&m.Op)
-	m.journalFields(w)
+	(*walSplitAllRec)(m).fields(w)
 	w.node(&m.ReplyTo)
-}
-
-// journalFields is the split itself, the body of the walTagSplitAll
-// record.
-func (m *splitAllReq) journalFields(w *walker) {
-	w.group(&m.Group)
-	w.level(&m.NewLevel)
 }
 
 func (m transferReq) WireTag() uint16            { return wireTagTransferReq }

@@ -13,6 +13,7 @@ import (
 	"dbdht/internal/cluster/transport"
 	"dbdht/internal/core"
 	"dbdht/internal/hashspace"
+	"dbdht/internal/wal"
 )
 
 // roundTrip frames msg as an envelope, decodes it, and returns the decoded
@@ -342,9 +343,17 @@ func TestWireEncodeDoesNotAllocate(t *testing.T) {
 			t.Errorf("%T.AppendWire: %v allocations per frame, want 0", m, n)
 		}
 	}
-	sets := codecBenchMessages()[2].(replWriteReq).Sets
-	if n := testing.AllocsPerRun(100, func() { buf = encodeWalReplWrite(buf[:0], opPut, sets) }); n != 0 {
-		t.Errorf("encodeWalReplWrite: %v allocations per record, want 0", n)
+	// Journaling a replica write, through the helper every record takes
+	// (FsyncOff: the log's flusher drains and reuses its own buffers).
+	log, err := wal.Open(t.TempDir(), wal.Options{Fsync: wal.FsyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	s := &Snode{dur: &durable{log: log}}
+	rec := walReplWriteRec{Kind: opPut, Sets: codecBenchMessages()[2].(replWriteReq).Sets}
+	if n := testing.AllocsPerRun(100, func() { s.journal(rec.walTag(), rec.fields) }); n != 0 {
+		t.Errorf("journal(walReplWriteRec): %v allocations per record, want 0", n)
 	}
 }
 
