@@ -14,30 +14,34 @@
 //	dhtsim -exp stability       # §4.1.1: plateau stable out to 8192 vnodes
 //	dhtsim -exp ratio           # §4.1.1: ~30% σ̄ drop per doubling
 //	dhtsim -exp hetero          # weighted nodes: model vs weighted CH
-//	dhtsim -exp skew            # live balancer under a 10× hot-spot write skew
-//	dhtsim -exp crash           # crash-and-recover: R=2 replication under a kill
-//	dhtsim -exp restart         # durability: kill -9 one snode (R=1) and replay its WAL
-//	dhtsim -exp failover        # self-healing: primary killed under sustained writes, replicas promote
 //	dhtsim -exp trace           # observability: traced MPut with latency tails and a span dump
-//	dhtsim -exp partition       # nemesis: 2s symmetric partition + heal, invariants machine-checked
-//	dhtsim -exp slowlink        # nemesis: 250ms±50ms delay + 5% drop between snode halves
-//	dhtsim -exp slowdisk        # nemesis: slow and failing fsyncs under durable writes
-//	dhtsim -exp ycsb            # YCSB-B mix with scans and chunked blobs, open-loop paced
+//	dhtsim -exp skew            # access-skew load imbalance, then the live balancer under hot-spot writes
+//	dhtsim -exp crash           # live: R=2, one snode killed under load
+//	dhtsim -exp restart         # live: 1 snode, R=1, fsync=batch, killed and restarted twice
+//	dhtsim -exp failover        # live: durable R=2, a primary killed under load, replicas promote
+//	dhtsim -exp partition-kill  # live: a primary killed while a partition isolates a replica
+//	dhtsim -exp partition       # live: 2s symmetric partition + heal
+//	dhtsim -exp slowlink        # live: 250ms±50ms delay + 5% drop between snode halves
+//	dhtsim -exp slowdisk        # live: slow and failing fsyncs under durable writes
+//	dhtsim -exp ycsb            # live: YCSB-B mix with scans and chunked blobs, open-loop paced
 //	dhtsim -exp all             # everything above
 //
 // Flags -runs, -vnodes, -seed, -sample scale the effort; the defaults match
 // the paper (100 runs × 1024 vnodes) with sparse sampling for readable
 // tables.  -csv emits machine-readable output instead.
+//
+// Every live experiment is a scenario value (scenario.go) run by one
+// runner: it prints the seed, the nemesis schedule and a key-stream
+// fingerprint, machine-checks its verdicts, writes
+// BENCH_nemesis_<name>.json to -bench-dir, and exits non-zero if any
+// verdict fails.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"text/tabwriter"
 	"time"
 
@@ -58,13 +62,15 @@ type expCtx struct {
 // experiment is one -exp entry.  The registry below is the single
 // source of truth for experiment names: dispatch, validation, and the
 // usage text all iterate it, so a new experiment cannot be reachable
-// but unlisted (or listed but unreachable).
+// but unlisted (or listed but unreachable).  Consecutive entries may
+// share a name — skew's simulation, then its live scenario — and -exp
+// runs each of them in order.
 type experiment struct {
 	name, desc string
 	run        func(expCtx) error
 }
 
-var experiments = []experiment{
+var experiments = append([]experiment{
 	{"fig4", "σ̄(Q_v) for Pmin=Vmin ∈ {8..128}", func(e expCtx) error { return fig4(e.o, e.print) }},
 	{"fig5", "θ tradeoff, minimum at Vmin=32", func(e expCtx) error { return fig5(e.o) }},
 	{"fig6", "σ̄(Q_v), Pmin=32, Vmin ∈ {8..512}", func(e expCtx) error { return fig6(e.o, e.print) }},
@@ -74,30 +80,29 @@ var experiments = []experiment{
 	{"stability", "§4.1.1: plateau stable out to 8192 vnodes", func(e expCtx) error { return stability(e.o, e.print) }},
 	{"ratio", "§4.1.1: ~30% σ̄ drop per doubling", func(e expCtx) error { return ratio(e.o) }},
 	{"hetero", "weighted nodes: model vs weighted CH", func(e expCtx) error { return hetero(e.o) }},
-	{"skew", "live balancer under a 10× hot-spot write skew", func(e expCtx) error { return skew(e.o) }},
-	{"crash", "crash-and-recover: R=2 replication under a kill", func(e expCtx) error { return crash(e.o) }},
-	{"restart", "durability: kill -9 one snode (R=1) and replay its WAL", func(e expCtx) error { return restart(e.o) }},
-	{"failover", "self-healing: primary killed under sustained writes", func(e expCtx) error { return failover(e.o) }},
 	{"trace", "observability: traced MPut with latency tails", func(e expCtx) error { return traceDemo(e.o.Seed) }},
-	{"partition", "nemesis: symmetric partition + heal under zipfian writes", func(e expCtx) error {
-		return runScenario(partitionScenario(), e.o.Seed, e.benchDir)
-	}},
-	{"slowlink", "nemesis: slow + lossy link between snode halves", func(e expCtx) error {
-		return runScenario(slowlinkScenario(), e.o.Seed, e.benchDir)
-	}},
-	{"slowdisk", "nemesis: slow and failing fsyncs under durable writes", func(e expCtx) error {
-		return runScenario(slowdiskScenario(), e.o.Seed, e.benchDir)
-	}},
-	{"ycsb", "YCSB-B mix with scans and chunked blobs, open-loop paced", func(e expCtx) error {
-		return runScenario(ycsbScenario(), e.o.Seed, e.benchDir)
-	}},
+	{"skew", "§6: per-vnode load imbalance under access skew", func(e expCtx) error { return skew(e.o) }},
+}, scenarioExperiments()...)
+
+// scenarioExperiments registers every catalog scenario under its name.
+func scenarioExperiments() []experiment {
+	var exps []experiment
+	for _, sc := range catalog() {
+		exps = append(exps, experiment{sc.name, sc.title, func(e expCtx) error {
+			_, err := runScenario(os.Stdout, sc, e.o.Seed, e.benchDir)
+			return err
+		}})
+	}
+	return exps
 }
 
 // experimentNames lists every registered -exp value, in order.
 func experimentNames() []string {
-	names := make([]string, len(experiments))
-	for i, e := range experiments {
-		names[i] = e.name
+	var names []string
+	for _, e := range experiments {
+		if len(names) == 0 || names[len(names)-1] != e.name {
+			names = append(names, e.name)
+		}
 	}
 	return names
 }
@@ -339,505 +344,7 @@ func skew(o sim.Options) error {
 	fmt.Fprintln(w, "workload\tσ̄(accesses) [%]\thottest vnode share [%]\tσ̄(Qv) [%]")
 	fmt.Fprintf(w, "uniform\t%.1f\t%.2f\t%.2f\n", 100*uniform.SigmaAccess, 100*uniform.HottestShare, 100*uniform.SigmaQuota)
 	fmt.Fprintf(w, "zipf s=1.2\t%.1f\t%.2f\t%.2f\n", 100*zipf.SigmaAccess, 100*zipf.HottestShare, 100*zipf.SigmaQuota)
-	w.Flush()
-	return skewLive(o.Seed)
-}
-
-// skewLive drives the autonomous balancer on a *live* cluster: four
-// snodes with 1:4 heterogeneous capacities start equally enrolled, a
-// 10× hot-spot write workload runs continuously, and balancer rounds
-// migrate partitions (chunked, live) until the capacity-normalized
-// per-snode quota deviation converges — under sustained writes, with
-// zero freeze-timeout write failures and zero acknowledged-write loss.
-func skewLive(seed int64) error {
-	fmt.Printf("\n== Live balancer under a 10× hot-spot write skew, capacities 1:1:4:4 ==\n")
-	c, err := dbdht.NewCluster(dbdht.ClusterOptions{
-		Pmin: 32, Vmin: 8, Seed: seed,
-		RPCTimeout:   10 * time.Second,
-		LoadInterval: 25 * time.Millisecond,
-		Balance:      dbdht.BalanceConfig{QuotaDeviation: 0.2, MaxMovesPerRound: 2},
-	})
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	for _, w := range []float64{1, 1, 4, 4} {
-		if _, err := c.AddSnodeWithCapacity(w); err != nil {
-			return err
-		}
-	}
-	ids := c.Snodes()
-	for i := 0; i < 16; i++ { // equal enrollment: wrong for 1:4 capacities
-		if _, _, err := c.CreateVnode(ids[i%len(ids)]); err != nil {
-			return err
-		}
-	}
-	const n = 20000
-	items := make([]dbdht.KV, n)
-	for i := range items {
-		items[i] = dbdht.KV{Key: fmt.Sprintf("skew-key-%05d", i), Value: []byte(fmt.Sprintf("val-%05d", i))}
-	}
-	results, err := c.MPut(items)
-	if err != nil {
-		return err
-	}
-	acked := 0
-	for _, r := range results {
-		if r.OK() {
-			acked++
-		}
-	}
-
-	// Hot-spot writers: 90% of writes hammer the hottest 10% of a key
-	// range disjoint from the preload, so the final readability check of
-	// the preload keys genuinely detects acknowledged-write loss (a
-	// rewritten key could mask a drop).
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	var writeErrs, writesOK int64
-	for g := 0; g < 2; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			r := 0
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				batch := make([]dbdht.KV, 64)
-				for j := range batch {
-					idx := (r*64 + j*7) % (n / 10) // hot subset
-					if j%10 == 0 {
-						idx = (r*64 + j*13) % n // 10% of ops roam the full set
-					}
-					k := fmt.Sprintf("skew-hot-%05d", idx)
-					batch[j] = dbdht.KV{Key: k, Value: []byte("h-" + k)}
-				}
-				res, err := c.MPut(batch)
-				if err != nil {
-					continue
-				}
-				for _, br := range res {
-					if br.OK() {
-						atomic.AddInt64(&writesOK, 1)
-					} else {
-						atomic.AddInt64(&writeErrs, 1)
-					}
-				}
-				r++
-			}
-		}(g)
-	}
-
-	first, err := c.BalanceNow()
-	if err != nil {
-		return err
-	}
-	last := first
-	rounds := 1
-	for ; rounds < 40 && last.Sigma > 0.2; rounds++ {
-		if last, err = c.BalanceNow(); err != nil {
-			return err
-		}
-	}
-	close(stop)
-	wg.Wait()
-
-	// Every acknowledged preload key must still be readable.
-	keys := make([]string, n)
-	for i := range items {
-		keys[i] = items[i].Key
-	}
-	reads, err := c.MGet(keys)
-	if err != nil {
-		return err
-	}
-	readable := 0
-	for _, r := range reads {
-		if r.OK() && r.Found {
-			readable++
-		}
-	}
-	st := c.StatsTotal()
-	bs := c.BalancerStats()
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "σ̄ before [%]\tσ̄ after [%]\trounds\tmoves\tpartitions migrated\tchunks\tfreeze timeouts\twrites ok/failed\treadable [%]")
-	fmt.Fprintf(w, "%.1f\t%.1f\t%d\t%d\t%d\t%d\t%d\t%d/%d\t%.2f\n",
-		100*first.Sigma, 100*last.Sigma, rounds, bs.Moves,
-		st.PartitionsSent, st.ChunksSent, st.FreezeTimeouts,
-		writesOK, writeErrs, 100*float64(readable)/float64(acked))
-	w.Flush()
-	if st.FreezeTimeouts != 0 {
-		return fmt.Errorf("skew: %d writes hit FreezeTimeout during live migration", st.FreezeTimeouts)
-	}
-	return nil
-}
-
-// crash runs the crash-and-recover scenario on a *live* cluster: with
-// R=2 replication, load a key set, kill one snode abruptly, and measure
-// how many acknowledged keys stay readable (failover reads), then wait
-// for anti-entropy to re-establish R copies on the survivors and measure
-// again.  With R=1 the same kill loses every key the dead snode owned —
-// run both to see the difference.
-func crash(o sim.Options) error {
-	fmt.Printf("\n== Crash and recover: 8 snodes, 32 vnodes, 20000 keys, one snode killed ==\n")
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "R\tacked keys\treadable after crash [%]\treadable after repair [%]\tfailover reads\trepairs")
-	for _, r := range []int{1, 2} {
-		if err := crashRun(w, r, o.Seed); err != nil {
-			return err
-		}
-	}
-	w.Flush()
-	return nil
-}
-
-func crashRun(w io.Writer, r int, seed int64) error {
-	c, err := dbdht.NewCluster(dbdht.ClusterOptions{
-		Pmin: 32, Vmin: 8, Seed: seed, Replicas: r,
-		AntiEntropyInterval: 50 * time.Millisecond,
-		RPCTimeout:          10 * time.Second,
-	})
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	for i := 0; i < 8; i++ {
-		if _, err := c.AddSnode(); err != nil {
-			return err
-		}
-	}
-	ids := c.Snodes()
-	for i := 0; i < 32; i++ {
-		if _, _, err := c.CreateVnode(ids[i%len(ids)]); err != nil {
-			return err
-		}
-	}
-	const n = 20000
-	keys := make([]string, n)
-	items := make([]dbdht.KV, n)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("crash-key-%05d", i)
-		items[i] = dbdht.KV{Key: keys[i], Value: []byte(fmt.Sprintf("val-%05d", i))}
-	}
-	results, err := c.MPut(items)
-	if err != nil {
-		return err
-	}
-	var acked []string
-	for _, res := range results {
-		if res.OK() {
-			acked = append(acked, res.Key)
-		}
-	}
-	if err := c.KillSnode(ids[3]); err != nil {
-		return err
-	}
-	readable := func() (int, error) {
-		res, err := c.MGet(acked)
-		if err != nil {
-			return 0, err
-		}
-		ok := 0
-		for _, r := range res {
-			if r.OK() && r.Found {
-				ok++
-			}
-		}
-		return ok, nil
-	}
-	afterCrash, err := readable()
-	if err != nil {
-		return err
-	}
-	// Let anti-entropy re-home the replica sets onto the survivors, then
-	// measure again (with R=1 there is nothing to repair).
-	if r > 1 {
-		last := int64(-1)
-		for settled := 0; settled < 3; {
-			time.Sleep(100 * time.Millisecond)
-			if reps := c.StatsTotal().ReplRepairs; reps == last {
-				settled++
-			} else {
-				last = reps
-				settled = 0
-			}
-		}
-	}
-	afterRepair, err := readable()
-	if err != nil {
-		return err
-	}
-	st := c.StatsTotal()
-	fmt.Fprintf(w, "%d\t%d\t%.2f\t%.2f\t%d\t%d\n", r, len(acked),
-		100*float64(afterCrash)/float64(len(acked)),
-		100*float64(afterRepair)/float64(len(acked)),
-		st.FailoverReads, st.ReplRepairs)
-	return nil
-}
-
-// restart runs the durability acceptance scenario on a *live* cluster:
-// a single snode (R=1 — no replication safety net) journaling to disk
-// with group-commit fsync is loaded with keys, killed abruptly (its
-// WAL's userspace buffer is abandoned, not flushed, simulating process
-// death), and restarted from snapshot + log tail.  Zero acknowledged
-// writes may be lost.  A second pass snapshots mid-run, so recovery
-// stitches snapshot and WAL tail together.
-func restart(o sim.Options) error {
-	fmt.Printf("\n== Restart recovery: 1 snode, R=1, fsync=batch, kill -9 then restart ==\n")
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "phase\tacked keys\treadable after restart [%]\twal records replayed\ttorn bytes cut")
-	for _, snapshotted := range []bool{false, true} {
-		if err := restartRun(w, o.Seed, snapshotted); err != nil {
-			return err
-		}
-	}
-	w.Flush()
-	return nil
-}
-
-func restartRun(w io.Writer, seed int64, snapshotted bool) error {
-	dir, err := os.MkdirTemp("", "dbdht-restart-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	c, err := dbdht.NewCluster(dbdht.ClusterOptions{
-		Pmin: 32, Vmin: 8, Seed: seed,
-		RPCTimeout: 10 * time.Second,
-		Durability: dbdht.DurabilityConfig{
-			Dir: dir, Fsync: dbdht.FsyncBatch, SnapshotInterval: -1,
-		},
-	})
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	id, err := c.AddSnode()
-	if err != nil {
-		return err
-	}
-	for i := 0; i < 8; i++ {
-		if _, _, err := c.CreateVnode(id); err != nil {
-			return err
-		}
-	}
-	const n = 20000
-	items := make([]dbdht.KV, n)
-	for i := range items {
-		items[i] = dbdht.KV{Key: fmt.Sprintf("restart-key-%05d", i), Value: []byte(fmt.Sprintf("val-%05d", i))}
-	}
-	half := items[:n/2]
-	rest := items[n/2:]
-	results, err := c.MPut(half)
-	if err != nil {
-		return err
-	}
-	var acked []string
-	for _, res := range results {
-		if res.OK() {
-			acked = append(acked, res.Key)
-		}
-	}
-	if snapshotted {
-		// Snapshot between the two write waves: recovery must stitch the
-		// snapshotted buckets and the post-snapshot WAL tail together.
-		if err := c.SnapshotNow(); err != nil {
-			return err
-		}
-	}
-	if results, err = c.MPut(rest); err != nil {
-		return err
-	}
-	for _, res := range results {
-		if res.OK() {
-			acked = append(acked, res.Key)
-		}
-	}
-
-	if err := c.KillSnode(id); err != nil {
-		return err
-	}
-	if err := c.RestartSnode(id); err != nil {
-		return err
-	}
-	res, err := c.MGet(acked)
-	if err != nil {
-		return err
-	}
-	want := make(map[string]string, n)
-	for _, it := range items {
-		want[it.Key] = string(it.Value)
-	}
-	readable := 0
-	for _, r := range res {
-		// Found alone is not enough: recovery must bring back the VALUE
-		// that was acknowledged, byte for byte.
-		if r.OK() && r.Found && string(r.Value) == want[r.Key] {
-			readable++
-		}
-	}
-	wst := c.WALStats()
-	phase := "wal only"
-	if snapshotted {
-		phase = "snapshot + wal tail"
-	}
-	fmt.Fprintf(w, "%s\t%d\t%.2f\t%d\t%d\n", phase, len(acked),
-		100*float64(readable)/float64(len(acked)), wst.Replayed, wst.TornBytes)
-	if readable != len(acked) {
-		return fmt.Errorf("restart: lost %d of %d acknowledged writes", len(acked)-readable, len(acked))
-	}
-	return nil
-}
-
-// failover runs the self-healing acceptance scenario: a durable R=2
-// cluster takes a sustained stream of batched writes while one primary
-// snode is killed abruptly.  The surviving replicas must elect and
-// promote new primaries automatically — no operator RestartSnode — so
-// the write stream resumes within a bounded blackout window (< 2s) and
-// every acknowledged write stays readable.
-func failover(o sim.Options) error {
-	fmt.Printf("\n== Automatic failover: 6 snodes, 24 vnodes, R=2, fsync=batch, primary killed under sustained MPut ==\n")
-	dir, err := os.MkdirTemp("", "dbdht-failover-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	c, err := dbdht.NewCluster(dbdht.ClusterOptions{
-		Pmin: 32, Vmin: 8, Seed: o.Seed, Replicas: 2,
-		RPCTimeout:          5 * time.Second,
-		AntiEntropyInterval: 25 * time.Millisecond,
-		Durability: dbdht.DurabilityConfig{
-			Dir: dir, Fsync: dbdht.FsyncBatch, SnapshotInterval: -1,
-		},
-	})
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	for i := 0; i < 6; i++ {
-		if _, err := c.AddSnode(); err != nil {
-			return err
-		}
-	}
-	ids := c.Snodes()
-	for i := 0; i < 24; i++ {
-		if _, _, err := c.CreateVnode(ids[i%len(ids)]); err != nil {
-			return err
-		}
-	}
-
-	const batch = 256
-	var acked []string
-	seq := 0
-	// writeBatch streams one batch of fresh keys; okAll reports whether
-	// every key in the batch was acknowledged.  A whole-call error is
-	// returned so the caller can decide whether it is fatal (before the
-	// kill) or part of the blackout (after it).
-	writeBatch := func() (okAll bool, err error) {
-		items := make([]dbdht.KV, batch)
-		for i := range items {
-			k := fmt.Sprintf("failover-key-%06d", seq)
-			seq++
-			items[i] = dbdht.KV{Key: k, Value: []byte("val-" + k)}
-		}
-		res, err := c.MPut(items)
-		if err != nil {
-			return false, err
-		}
-		okAll = true
-		for _, r := range res {
-			if r.OK() {
-				acked = append(acked, r.Key)
-			} else {
-				okAll = false
-			}
-		}
-		return okAll, nil
-	}
-
-	// Warm-up: the stream must be fully healthy before the kill.
-	for i := 0; i < 10; i++ {
-		ok, err := writeBatch()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return fmt.Errorf("failover: warm-up batch had failures before the kill")
-		}
-	}
-
-	victim := ids[1]
-	killAt := time.Now()
-	if err := c.KillSnode(victim); err != nil {
-		return err
-	}
-	// Keep writing through the blackout; it ends at the first of 5
-	// consecutive fully-acknowledged batches (a single clean batch can
-	// slip between two partitions' promotions, so one success is not
-	// proof of health).  256 keys spread over the hash space make a batch
-	// that misses every partition of the dead snode (~1/6 of the space)
-	// vanishingly unlikely, so sustained full acks mean the promoted
-	// replicas are serving writes.
-	blackout := time.Duration(-1)
-	deadline := time.Now().Add(10 * time.Second)
-	var firstOK time.Time
-	streak := 0
-	for time.Now().Before(deadline) {
-		ok, err := writeBatch()
-		if err != nil || !ok {
-			streak = 0 // whole-call failure is part of the blackout
-			continue
-		}
-		if streak == 0 {
-			firstOK = time.Now()
-		}
-		streak++
-		if streak == 5 {
-			blackout = firstOK.Sub(killAt)
-			break
-		}
-	}
-	if blackout < 0 {
-		return fmt.Errorf("failover: writes did not resume within 10s of the kill")
-	}
-
-	// Zero acknowledged-write loss: every acked key must read back.
-	lost := 0
-	for off := 0; off < len(acked); off += 4096 {
-		end := off + 4096
-		if end > len(acked) {
-			end = len(acked)
-		}
-		res, err := c.MGet(acked[off:end])
-		if err != nil {
-			return err
-		}
-		for _, r := range res {
-			if !r.OK() || !r.Found {
-				lost++
-			}
-		}
-	}
-
-	st := c.StatsTotal()
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "acked keys\tblackout [ms]\telections\tpromotions\tfailover reads\tlost acked keys")
-	fmt.Fprintf(w, "%d\t%.0f\t%d\t%d\t%d\t%d\n", len(acked),
-		float64(blackout.Microseconds())/1000, st.Elections, st.Promotions, st.FailoverReads, lost)
-	w.Flush()
-	if lost > 0 {
-		return fmt.Errorf("failover: lost %d of %d acknowledged writes", lost, len(acked))
-	}
-	if st.Promotions == 0 {
-		return fmt.Errorf("failover: no replica was promoted — the kill did not exercise failover")
-	}
-	if blackout > 2*time.Second {
-		return fmt.Errorf("failover: write blackout %v exceeds the 2s acceptance window", blackout)
-	}
-	return nil
+	return w.Flush()
 }
 
 func hetero(o sim.Options) error {

@@ -1,17 +1,17 @@
-// Nemesis scenarios: a scenario is a value — {topology, workload,
-// nemesis schedule, invariants} — and the runner is one generic loop, so
-// new fault campaigns are data, not code.  Every source of randomness
-// (key choice, op mix, values, drop coins, jitter draws) derives from
-// the -seed flag, so a failing run reproduces exactly from its printed
-// seed.  Each run emits a BENCH_nemesis_<name>.json record with the
-// machine-checked invariant verdicts and the latency tail.
+// Live scenarios: a scenario is a value — {topology, workload, nemesis
+// schedule, verdicts} — and runScenario is the one loop that executes
+// any of them, so a new fault campaign is data, not code.  Every source
+// of randomness (key choice, op mix, values, drop coins, jitter draws)
+// derives from the -seed flag, so a failing run reproduces exactly from
+// its printed seed.  Each run emits a BENCH_nemesis_<name>.json record
+// with the machine-checked verdicts and the latency tail.
 package main
 
 import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
-	"math"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -22,18 +22,20 @@ import (
 	"time"
 
 	"dbdht"
+	"dbdht/internal/cluster"
 	"dbdht/internal/invariant"
 	"dbdht/internal/workload"
 )
 
-// scnTopo is the cluster a scenario runs on.
+// scnTopo is the cluster a scenario runs on.  The runner adds the seed
+// and the fault plans to opts, and for a durable topology a temp-dir
+// WAL at fsync=batch.  Snodes join with the given capacity weights
+// (unit weight past the end of the list); vnodes enroll round-robin.
 type scnTopo struct {
+	opts           dbdht.ClusterOptions
 	snodes, vnodes int
-	replicas       int
-	pmin, vmin     int
-	rpcTimeout     time.Duration
-	antiEntropy    time.Duration
-	durable        bool // journal to a temp dir, fsync=batch
+	capacities     []float64
+	durable        bool
 }
 
 // scnLoad is the workload a scenario applies: `workers` goroutines each
@@ -64,70 +66,203 @@ type scnEvent struct {
 	do   func(*scnEnv) error
 }
 
-// scnEnv is what nemesis events and probes act on.
+// scnEnv is what nemesis events and checks act on.
 type scnEnv struct {
 	c    *dbdht.Cluster
 	net  *dbdht.NetFaults
 	disk *dbdht.DiskFaults
 	ids  []dbdht.SnodeID
+	rec  *invariant.Recorder
 }
 
-// scenario is a complete nemesis campaign.
+// scenario is a complete live campaign.  Every run is judged by
+// no-acked-write-loss, bounded-staleness and convergence-after-heal,
+// then by the scenario's own checks.
 type scenario struct {
 	name, title string
 	topo        scnTopo
 	load        scnLoad
 	nemesis     []scnEvent
+	checks      []func(*scnEnv) invariant.Verdict
 	staleBound  time.Duration // bounded-staleness budget for mid-run reads
 	convergeIn  time.Duration // deadline for convergence after heal
 	maxSigma    float64       // quota deviation [%] the cluster must settle under
 }
 
+// statCheck judges one cluster counter at the end of the run: the
+// evidence that a nemesis exercised the mechanism it targets (wantZero
+// false: the counter moved) or that a failure mode never fired
+// (wantZero true).
+func statCheck(name, counter string, get func(cluster.StatsSnapshot) int64, wantZero bool) func(*scnEnv) invariant.Verdict {
+	return func(e *scnEnv) invariant.Verdict {
+		n := get(e.c.StatsTotal())
+		return invariant.Verdict{
+			Name: name, Pass: (n == 0) == wantZero,
+			Detail:  fmt.Sprintf("%s = %d", counter, n),
+			Metrics: map[string]float64{counter: float64(n)},
+		}
+	}
+}
+
+var (
+	promoted = statCheck("replicas-promoted", "promotions",
+		func(s cluster.StatsSnapshot) int64 { return s.Promotions }, false)
+	elected = statCheck("elections-ran", "elections",
+		func(s cluster.StatsSnapshot) int64 { return s.Elections }, false)
+	noFreezeTimeouts = statCheck("no-freeze-timeouts", "freeze_timeouts",
+		func(s cluster.StatsSnapshot) int64 { return s.FreezeTimeouts }, true)
+)
+
+// killRestart crashes snode i (its WAL buffer is abandoned, as in a
+// kill -9) and restarts it under the same id from its data directory.
+func killRestart(i int) func(*scnEnv) error {
+	return func(e *scnEnv) error {
+		if err := e.c.KillSnode(e.ids[i]); err != nil {
+			return err
+		}
+		return e.c.RestartSnode(e.ids[i])
+	}
+}
+
 // --- the scenario catalog ---
 
-// partitionScenario: a 2s symmetric partition splits the snodes in half
-// under sustained zipfian writes (clients stay connected, so writes ack
-// from primaries while cross-cut replication lags), then heals.
-// Anti-entropy must re-converge and no acknowledged write may be lost.
-func partitionScenario() scenario {
-	return scenario{
+// catalog lists every live scenario in -exp all order.  Each call
+// returns fresh values, so a caller may rescale one freely.
+func catalog() []scenario {
+	updates := func(f float64) workload.MixRatios { return workload.MixRatios{Update: f} }
+	return []scenario{{
+		// skew: capacities 1:1:4:4 start with equal enrollment, the wrong
+		// shape for them.  Balancer rounds move enrollment toward
+		// capacity-proportional targets — every partition handover a
+		// chunked live migration — under zipfian hot-spot writes, which
+		// must never stall into a FreezeTimeout.
+		name:  "skew",
+		title: "live balancer, capacities 1:1:4:4 with equal enrollment, under zipfian hot-spot writes",
+		topo: scnTopo{
+			opts: dbdht.ClusterOptions{
+				Pmin: 32, Vmin: 8, RPCTimeout: 10 * time.Second, LoadInterval: 25 * time.Millisecond,
+				Balance: dbdht.BalanceConfig{QuotaDeviation: 0.2, MaxMovesPerRound: 2},
+			},
+			snodes: 4, vnodes: 16, capacities: []float64{1, 1, 4, 4},
+		},
+		load: scnLoad{workers: 4, ops: 1500, rate: 1500, keys: 2000, zipf: 1.2, ratios: updates(0.9), valueSize: 64},
+		nemesis: []scnEvent{{at: 500 * time.Millisecond, desc: "balancer rounds until σ̄ ≤ 20% (at most 40)", heal: true,
+			do: func(e *scnEnv) error {
+				for i := 0; i < 40; i++ {
+					if r, err := e.c.BalanceNow(); err != nil || r.Sigma <= 0.2 {
+						return err
+					}
+				}
+				return nil
+			}}},
+		checks:     []func(*scnEnv) invariant.Verdict{noFreezeTimeouts},
+		staleBound: 2 * time.Second, convergeIn: 20 * time.Second, maxSigma: 20,
+	}, {
+		// crash: one snode dies abruptly under load.  With R=2 reads fail
+		// over to replicas, replicas are promoted, and anti-entropy
+		// re-homes the replica sets on the survivors.
+		name:  "crash",
+		title: "R=2, 8 snodes: one snode killed under zipfian writes",
+		topo: scnTopo{
+			opts: dbdht.ClusterOptions{Pmin: 32, Vmin: 8, Replicas: 2,
+				RPCTimeout: 2 * time.Second, AntiEntropyInterval: 50 * time.Millisecond},
+			snodes: 8, vnodes: 32,
+		},
+		load: scnLoad{workers: 4, ops: 1500, rate: 1500, keys: 2000, zipf: 1.2, ratios: updates(0.8), valueSize: 64},
+		nemesis: []scnEvent{{at: time.Second, desc: "kill snode 3",
+			do: func(e *scnEnv) error { return e.c.KillSnode(e.ids[3]) }}},
+		staleBound: 2 * time.Second, convergeIn: 20 * time.Second, maxSigma: 50,
+	}, {
+		// restart: no replica to fall back on, so the durability layer
+		// alone carries every acked write through two crashes — the
+		// first recovered from the WAL, the second from a snapshot plus
+		// the WAL tail written after it.
+		name:  "restart",
+		title: "1 snode, R=1, fsync=batch: kill -9 + restart from the WAL, snapshot, kill -9 + restart from snapshot + tail",
+		topo: scnTopo{
+			opts:   dbdht.ClusterOptions{Pmin: 32, Vmin: 8, RPCTimeout: 2 * time.Second},
+			snodes: 1, vnodes: 8, durable: true,
+		},
+		load: scnLoad{workers: 4, ops: 1000, rate: 1000, keys: 2000, zipf: 1.2, ratios: updates(0.8), valueSize: 64},
+		nemesis: []scnEvent{
+			{at: 1 * time.Second, desc: "kill -9 snode 0, restart from its WAL", do: killRestart(0)},
+			{at: 2 * time.Second, desc: "snapshot", do: func(e *scnEnv) error { return e.c.SnapshotNow() }},
+			{at: 3 * time.Second, desc: "kill -9 snode 0, restart from snapshot + WAL tail", heal: true, do: killRestart(0)},
+		},
+		staleBound: 2 * time.Second, convergeIn: 20 * time.Second, maxSigma: 50,
+	}, {
+		// failover: a primary dies under durable R=2 writes.  The
+		// surviving replicas elect and promote new primaries with no
+		// operator action, so writes keep being acknowledged.
+		name:  "failover",
+		title: "durable R=2, 6 snodes: a primary killed under sustained writes, replicas promote",
+		topo: scnTopo{
+			opts: dbdht.ClusterOptions{Pmin: 32, Vmin: 8, Replicas: 2,
+				RPCTimeout: 5 * time.Second, AntiEntropyInterval: 25 * time.Millisecond},
+			snodes: 6, vnodes: 24, durable: true,
+		},
+		load: scnLoad{workers: 4, ops: 1500, rate: 1500, keys: 4000, ratios: updates(0.9), valueSize: 64},
+		nemesis: []scnEvent{{at: time.Second, desc: "kill snode 1",
+			do: func(e *scnEnv) error { return e.c.KillSnode(e.ids[1]) }}},
+		checks: []func(*scnEnv) invariant.Verdict{
+			func(e *scnEnv) invariant.Verdict { return e.rec.CheckWriteAvailability(2 * time.Second) },
+			promoted, elected,
+		},
+		staleBound: 2 * time.Second, convergeIn: 20 * time.Second, maxSigma: 50,
+	}, {
+		// partition-kill: a partition isolates one snode while a primary
+		// of some of its replicated partitions dies.  Both sides of the
+		// cut hear the crash (client links stay healthy) and elect with
+		// a partial view; after the heal, anti-entropy restores full
+		// coverage.
+		name:  "partition-kill",
+		title: "R=2, 5 snodes: snode 4 partitioned off, snode 1 killed during the cut, then heal",
+		topo: scnTopo{
+			opts: dbdht.ClusterOptions{Pmin: 16, Vmin: 8, Replicas: 2,
+				RPCTimeout: 500 * time.Millisecond, AntiEntropyInterval: 50 * time.Millisecond},
+			snodes: 5, vnodes: 10,
+		},
+		load: scnLoad{workers: 4, ops: 750, rate: 1000, keys: 2000, zipf: 1.2, ratios: updates(0.8), valueSize: 64},
+		nemesis: []scnEvent{
+			{at: 1000 * time.Millisecond, desc: "partition snodes {4} | {0..3}",
+				do: func(e *scnEnv) error { e.net.Partition(e.ids[4:], e.ids[:4]); return nil }},
+			{at: 1020 * time.Millisecond, desc: "kill snode 1",
+				do: func(e *scnEnv) error { return e.c.KillSnode(e.ids[1]) }},
+			{at: 1620 * time.Millisecond, desc: "heal", heal: true,
+				do: func(e *scnEnv) error { e.net.Heal(); return nil }},
+		},
+		checks:     []func(*scnEnv) invariant.Verdict{promoted, elected},
+		staleBound: 2 * time.Second, convergeIn: 20 * time.Second, maxSigma: 50,
+	}, {
+		// partition: a 2s symmetric partition splits the snodes in half
+		// (clients stay connected, so writes ack from primaries while
+		// cross-cut replication lags), then heals.
 		name:  "partition",
 		title: "2s symmetric partition between snode halves under zipfian writes, then heal",
 		topo: scnTopo{
-			snodes: 6, vnodes: 24, replicas: 2, pmin: 32, vmin: 8,
-			rpcTimeout: 1 * time.Second, antiEntropy: 50 * time.Millisecond,
+			opts: dbdht.ClusterOptions{Pmin: 32, Vmin: 8, Replicas: 2,
+				RPCTimeout: 1 * time.Second, AntiEntropyInterval: 50 * time.Millisecond},
+			snodes: 6, vnodes: 24,
 		},
-		load: scnLoad{
-			workers: 4, ops: 1500, rate: 1500, keys: 2000, zipf: 1.2,
-			ratios: workload.MixRatios{Update: 0.8}, valueSize: 64,
-		},
+		load: scnLoad{workers: 4, ops: 1500, rate: 1500, keys: 2000, zipf: 1.2, ratios: updates(0.8), valueSize: 64},
 		nemesis: []scnEvent{
 			{at: 1 * time.Second, desc: "partition snodes {0..2} | {3..5}",
 				do: func(e *scnEnv) error { e.net.Partition(e.ids[:3], e.ids[3:]); return nil }},
 			{at: 3 * time.Second, desc: "heal", heal: true,
 				do: func(e *scnEnv) error { e.net.Heal(); return nil }},
 		},
-		staleBound: 2 * time.Second,
-		convergeIn: 20 * time.Second,
-		maxSigma:   50,
-	}
-}
-
-// slowlinkScenario: the classic flaky WAN link — 250ms ± 50ms one-way
-// delay plus 5% frame loss in both directions between the halves.
-// Nothing is down, everything is slow; acks must survive it.
-func slowlinkScenario() scenario {
-	return scenario{
+		staleBound: 2 * time.Second, convergeIn: 20 * time.Second, maxSigma: 50,
+	}, {
+		// slowlink: the classic flaky WAN link — nothing is down,
+		// everything is slow; acks must survive it.
 		name:  "slowlink",
 		title: "250ms±50ms delay + 5% drop between snode halves under a read-mostly mix, then heal",
 		topo: scnTopo{
-			snodes: 6, vnodes: 24, replicas: 2, pmin: 32, vmin: 8,
-			rpcTimeout: 1 * time.Second, antiEntropy: 50 * time.Millisecond,
+			opts: dbdht.ClusterOptions{Pmin: 32, Vmin: 8, Replicas: 2,
+				RPCTimeout: 1 * time.Second, AntiEntropyInterval: 50 * time.Millisecond},
+			snodes: 6, vnodes: 24,
 		},
-		load: scnLoad{
-			workers: 4, ops: 1200, rate: 1200, keys: 2000, zipf: 1.2,
-			ratios: workload.MixRatios{Update: 0.3}, valueSize: 64,
-		},
+		load: scnLoad{workers: 4, ops: 1200, rate: 1200, keys: 2000, zipf: 1.2, ratios: updates(0.3), valueSize: 64},
 		nemesis: []scnEvent{
 			{at: 1 * time.Second, desc: "slow+lossy link snodes {0..2} | {3..5} (250ms±50ms, drop 5%)",
 				do: func(e *scnEnv) error {
@@ -141,28 +276,18 @@ func slowlinkScenario() scenario {
 			{at: 3 * time.Second, desc: "heal", heal: true,
 				do: func(e *scnEnv) error { e.net.Heal(); return nil }},
 		},
-		staleBound: 2 * time.Second,
-		convergeIn: 20 * time.Second,
-		maxSigma:   50,
-	}
-}
-
-// slowdiskScenario: the WAL's fsyncs turn slow (20ms±10ms) and start
-// failing 20% of the time mid-run.  Failed fsyncs re-buffer and retry,
-// so durability waits stretch but no acknowledged write may be lost.
-func slowdiskScenario() scenario {
-	return scenario{
+		staleBound: 2 * time.Second, convergeIn: 20 * time.Second, maxSigma: 50,
+	}, {
+		// slowdisk: failed fsyncs re-buffer and retry, so durability
+		// waits stretch but no acknowledged write may be lost.
 		name:  "slowdisk",
 		title: "slow (20ms±10ms) and failing (20%) fsyncs under fsync=batch writes, then heal",
 		topo: scnTopo{
-			snodes: 4, vnodes: 16, replicas: 2, pmin: 32, vmin: 8,
-			rpcTimeout: 2 * time.Second, antiEntropy: 50 * time.Millisecond,
-			durable: true,
+			opts: dbdht.ClusterOptions{Pmin: 32, Vmin: 8, Replicas: 2,
+				RPCTimeout: 2 * time.Second, AntiEntropyInterval: 50 * time.Millisecond},
+			snodes: 4, vnodes: 16, durable: true,
 		},
-		load: scnLoad{
-			workers: 4, ops: 900, rate: 900, keys: 2000, zipf: 1.2,
-			ratios: workload.MixRatios{Update: 0.8}, valueSize: 64,
-		},
+		load: scnLoad{workers: 4, ops: 900, rate: 900, keys: 2000, zipf: 1.2, ratios: updates(0.8), valueSize: 64},
 		nemesis: []scnEvent{
 			{at: 1 * time.Second, desc: "slow fsync 20ms±10ms, fsync error rate 20%",
 				do: func(e *scnEnv) error {
@@ -173,60 +298,46 @@ func slowdiskScenario() scenario {
 			{at: 3 * time.Second, desc: "heal", heal: true,
 				do: func(e *scnEnv) error { e.disk.Heal(); return nil }},
 		},
-		staleBound: 2 * time.Second,
-		convergeIn: 20 * time.Second,
-		maxSigma:   50,
-	}
-}
-
-// ycsbScenario: no nemesis — the YCSB-B read-mostly mix with short
-// scans and periodic chunked 64KiB blobs, open-loop paced.  The
-// baseline the fault campaigns are read against.
-func ycsbScenario() scenario {
-	s := scenario{
+		staleBound: 2 * time.Second, convergeIn: 20 * time.Second, maxSigma: 50,
+	}, {
+		// ycsb: no nemesis — the baseline the fault campaigns are read
+		// against.
 		name:  "ycsb",
 		title: "YCSB-B (95/5) with scans and chunked 64KiB blobs, open-loop paced, no nemesis",
 		topo: scnTopo{
-			snodes: 4, vnodes: 16, replicas: 2, pmin: 32, vmin: 8,
-			rpcTimeout: 2 * time.Second, antiEntropy: 100 * time.Millisecond,
+			opts: dbdht.ClusterOptions{Pmin: 32, Vmin: 8, Replicas: 2,
+				RPCTimeout: 2 * time.Second, AntiEntropyInterval: 100 * time.Millisecond},
+			snodes: 4, vnodes: 16,
 		},
 		load: scnLoad{
 			workers: 4, ops: 2000, rate: 4000, keys: 4000, zipf: 1.2,
-			valueSize: 128, scanLen: 8,
+			ratios: workload.MixRatios{Update: 0.05, Scan: 0.05}, valueSize: 128, scanLen: 8,
 			blobEvery: 500, blobSize: 64 << 10, blobChunk: 8 << 10,
 		},
-		staleBound: 2 * time.Second,
-		convergeIn: 10 * time.Second,
-		maxSigma:   50,
-	}
-	s.load.ratios = workload.YCSBB()
-	s.load.ratios.Scan = 0.05
-	return s
+		staleBound: 2 * time.Second, convergeIn: 10 * time.Second, maxSigma: 50,
+	}}
 }
 
 // --- the generic runner ---
 
 // runScenario builds the topology, applies the workload while firing
-// the nemesis schedule, then machine-checks the invariants and writes
-// the BENCH record.  Any failed invariant is an error.
-func runScenario(sc scenario, seed int64, benchDir string) error {
-	fmt.Printf("\n== nemesis %s: %s ==\n", sc.name, sc.title)
-	fmt.Printf("seed %d — rerun with -exp %s -seed %d to reproduce the exact fault schedule and key stream\n",
+// the nemesis schedule, then machine-checks the verdicts, prints them to
+// out and writes the BENCH record to benchDir.  It returns the verdicts
+// whenever the run got that far; the error is non-nil if the run could
+// not complete or any verdict failed.
+func runScenario(out io.Writer, sc scenario, seed int64, benchDir string) ([]invariant.Verdict, error) {
+	fmt.Fprintf(out, "\n== nemesis %s: %s ==\n", sc.name, sc.title)
+	fmt.Fprintf(out, "seed %d — rerun with -exp %s -seed %d to reproduce the exact fault schedule and key stream\n",
 		seed, sc.name, seed)
 
-	netFaults := dbdht.NewNetFaults(seed)
-	opts := dbdht.ClusterOptions{
-		Pmin: sc.topo.pmin, Vmin: sc.topo.vmin, Seed: seed,
-		Replicas:            sc.topo.replicas,
-		RPCTimeout:          sc.topo.rpcTimeout,
-		AntiEntropyInterval: sc.topo.antiEntropy,
-		Faults:              netFaults,
-	}
-	env := &scnEnv{net: netFaults}
+	opts := sc.topo.opts
+	opts.Seed = seed
+	opts.Faults = dbdht.NewNetFaults(seed)
+	env := &scnEnv{net: opts.Faults, rec: invariant.NewRecorder()}
 	if sc.topo.durable {
 		dir, err := os.MkdirTemp("", "dbdht-nemesis-*")
 		if err != nil {
-			return err
+			return nil, err
 		}
 		defer os.RemoveAll(dir)
 		env.disk = dbdht.NewDiskFaults(seed + 1)
@@ -237,32 +348,35 @@ func runScenario(sc scenario, seed int64, benchDir string) error {
 	}
 	c, err := dbdht.NewCluster(opts)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer c.Close()
 	env.c = c
 	for i := 0; i < sc.topo.snodes; i++ {
-		if _, err := c.AddSnode(); err != nil {
-			return err
+		w := 1.0
+		if i < len(sc.topo.capacities) {
+			w = sc.topo.capacities[i]
+		}
+		if _, err := c.AddSnodeWithCapacity(w); err != nil {
+			return nil, err
 		}
 	}
 	env.ids = c.Snodes()
 	for i := 0; i < sc.topo.vnodes; i++ {
 		if _, _, err := c.CreateVnode(env.ids[i%len(env.ids)]); err != nil {
-			return err
+			return nil, err
 		}
 	}
 
 	// Print the deterministic nemesis schedule up front.
 	for _, ev := range sc.nemesis {
-		fmt.Printf("  t=%-6v %s\n", ev.at, ev.desc)
+		fmt.Fprintf(out, "  t=%-6v %s\n", ev.at, ev.desc)
 	}
 
-	rec := invariant.NewRecorder()
 	var pacer *workload.Pacer
 	if sc.load.rate > 0 {
 		if pacer, err = workload.NewPacer(sc.load.rate); err != nil {
-			return err
+			return nil, err
 		}
 	}
 
@@ -278,7 +392,7 @@ func runScenario(sc scenario, seed int64, benchDir string) error {
 			if wait := time.Until(start.Add(ev.at)); wait > 0 {
 				time.Sleep(wait)
 			}
-			fmt.Printf("  [%7.3fs] nemesis: %s\n", time.Since(start).Seconds(), ev.desc)
+			fmt.Fprintf(out, "  [%7.3fs] nemesis: %s\n", time.Since(start).Seconds(), ev.desc)
 			if err := ev.do(env); err != nil {
 				nemErr <- fmt.Errorf("nemesis %q: %w", ev.desc, err)
 				return
@@ -296,7 +410,7 @@ func runScenario(sc scenario, seed int64, benchDir string) error {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			fpw, err := runWorker(c, rec, pacer, sc.load, seed, w)
+			fpw, err := runWorker(c, env.rec, pacer, sc.load, seed, w)
 			prints[w] = fpw
 			if err != nil {
 				workerErrs <- fmt.Errorf("worker %d: %w", w, err)
@@ -307,9 +421,9 @@ func runScenario(sc scenario, seed int64, benchDir string) error {
 	<-nemDone
 	select {
 	case err := <-nemErr:
-		return err
+		return nil, err
 	case err := <-workerErrs:
-		return err
+		return nil, err
 	default:
 	}
 	loadDur := time.Since(start)
@@ -323,7 +437,7 @@ func runScenario(sc scenario, seed int64, benchDir string) error {
 	for _, p := range prints {
 		fingerprint ^= p
 	}
-	fmt.Printf("  key-stream fingerprint %016x (seed-stable)\n", fingerprint)
+	fmt.Fprintf(out, "  key-stream fingerprint %016x (seed-stable)\n", fingerprint)
 
 	// Invariant 3 first — it polls until the cluster goes quiet, and the
 	// final read-back for invariant 1 wants the repaired state.
@@ -332,18 +446,18 @@ func runScenario(sc scenario, seed int64, benchDir string) error {
 			repairs := c.StatsTotal().ReplRepairs
 			sigma := 0.0
 			if loads, err := c.LoadReport(); err == nil {
-				sigma = 100 * quotaSigmaOf(loads)
+				sigma = 100 * dbdht.QuotaSigma(loads)
 			}
 			return repairs, sigma
 		})
 
-	acked := rec.AckedKeys()
+	acked := env.rec.AckedKeys()
 	final := make(map[string]invariant.ReadBack, len(acked))
 	for off := 0; off < len(acked); off += 4096 {
 		end := min(off+4096, len(acked))
 		res, err := c.MGet(acked[off:end])
 		if err != nil {
-			return fmt.Errorf("final read-back: %w", err)
+			return nil, fmt.Errorf("final read-back: %w", err)
 		}
 		for _, r := range res {
 			if !r.OK() {
@@ -353,16 +467,19 @@ func runScenario(sc scenario, seed int64, benchDir string) error {
 		}
 	}
 	verdicts := []invariant.Verdict{
-		rec.CheckNoAckedLoss(final),
-		rec.CheckBoundedStaleness(sc.staleBound),
+		env.rec.CheckNoAckedLoss(final),
+		env.rec.CheckBoundedStaleness(sc.staleBound),
 		conv,
 	}
+	for _, check := range sc.checks {
+		verdicts = append(verdicts, check(env))
+	}
 
-	writes, ackedN, reads := rec.Counts()
+	writes, ackedN, reads := env.rec.Counts()
 	lat := c.Latencies()
 	us := func(q float64) float64 { return 1e6 * lat.BatchRPC.Quantile(q) }
 	st := c.StatsTotal()
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	tw := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "writes\tacked\treads\tload [s]\trepl lagged\trepairs\tbatch-RPC p50 [µs]\tp95 [µs]\tp99 [µs]")
 	fmt.Fprintf(tw, "%d\t%d\t%d\t%.2f\t%d\t%d\t%.0f\t%.0f\t%.0f\n",
 		writes, ackedN, reads, loadDur.Seconds(), st.ReplLagged, st.ReplRepairs,
@@ -370,24 +487,24 @@ func runScenario(sc scenario, seed int64, benchDir string) error {
 	tw.Flush()
 	pass := true
 	for _, v := range verdicts {
-		fmt.Printf("  %s\n", v)
+		fmt.Fprintf(out, "  %s\n", v)
 		if !v.Pass {
 			pass = false
 		}
 	}
 
-	if err := writeScenarioRecord(sc, seed, fingerprint, verdicts, pass, benchDir, map[string]float64{
+	if err := writeScenarioRecord(out, sc, seed, fingerprint, verdicts, pass, benchDir, map[string]float64{
 		"writes": float64(writes), "acked": float64(ackedN), "reads": float64(reads),
 		"load_s": loadDur.Seconds(), "repl_lagged": float64(st.ReplLagged),
 		"repl_repairs":     float64(st.ReplRepairs),
 		"batch_rpc_p50_us": us(0.50), "batch_rpc_p95_us": us(0.95), "batch_rpc_p99_us": us(0.99),
 	}); err != nil {
-		return err
+		return verdicts, err
 	}
 	if !pass {
-		return fmt.Errorf("nemesis %s: invariant violation (see verdicts above)", sc.name)
+		return verdicts, fmt.Errorf("nemesis %s: invariant violation (see verdicts above)", sc.name)
 	}
-	return nil
+	return verdicts, nil
 }
 
 // runWorker drives one worker's op stream and returns the worker's
@@ -563,30 +680,6 @@ func scanKeys(key string, n int) []string {
 	return out
 }
 
-// quotaSigmaOf is the balancer's convergence metric: relative stddev of
-// capacity-normalized per-snode quotas.
-func quotaSigmaOf(loads []dbdht.SnodeLoad) float64 {
-	if len(loads) == 0 {
-		return 0
-	}
-	mean := 0.0
-	norm := make([]float64, len(loads))
-	for i, l := range loads {
-		norm[i] = l.Quota / l.Capacity
-		mean += norm[i]
-	}
-	mean /= float64(len(norm))
-	if mean == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, q := range norm {
-		d := q - mean
-		sum += d * d
-	}
-	return math.Sqrt(sum/float64(len(norm))) / mean
-}
-
 // scnRecord is the BENCH_nemesis_<name>.json shape.
 type scnRecord struct {
 	Scenario    string              `json:"scenario"`
@@ -601,7 +694,7 @@ type scnRecord struct {
 	Pass        bool                `json:"pass"`
 }
 
-func writeScenarioRecord(sc scenario, seed int64, fingerprint uint64, verdicts []invariant.Verdict, pass bool, dir string, metrics map[string]float64) error {
+func writeScenarioRecord(out io.Writer, sc scenario, seed int64, fingerprint uint64, verdicts []invariant.Verdict, pass bool, dir string, metrics map[string]float64) error {
 	var sched []string
 	for _, ev := range sc.nemesis {
 		sched = append(sched, fmt.Sprintf("t=%v %s", ev.at, ev.desc))
@@ -621,6 +714,6 @@ func writeScenarioRecord(sc scenario, seed int64, fingerprint uint64, verdicts [
 	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("  record written to %s\n", path)
+	fmt.Fprintf(out, "  record written to %s\n", path)
 	return nil
 }

@@ -1,19 +1,20 @@
 // Package dbdht is a from-scratch Go implementation of the cluster-oriented
 // model for dynamically balanced Distributed Hash Tables of Rufino, Alves,
-// Exposto and Pina (IPDPS 2004), including:
+// Exposto and Pina (IPDPS 2004).  It exports:
 //
 //   - the paper's primary contribution, the *local approach*: the DHT's
 //     vnodes are divided into groups that balance themselves independently
 //     and in parallel, each around its own Local Partition Distribution
-//     Record (LPDR);
-//   - the *global approach* base model it extends (one GPDR, serial
-//     balancement, invariants G1–G5);
-//   - the Consistent Hashing reference model it is evaluated against;
+//     Record (LPDR) — see NewLocal;
 //   - a cluster runtime where snodes are live actors exchanging protocol
 //     messages (in-memory or TCP fabric) and storing real key/value data
-//     that migrates with its partitions;
-//   - the simulation harness reproducing every figure of the paper's
-//     evaluation (see cmd/dhtsim and EXPERIMENTS.md).
+//     that migrates with its partitions — see NewCluster.
+//
+// The *global approach* base model the paper extends (internal/global)
+// and the Consistent Hashing reference it is evaluated against
+// (internal/ch) are driven by the simulation harness that reproduces
+// every figure of the paper's evaluation (see cmd/dhtsim and
+// EXPERIMENTS.md).
 //
 // # Quick start
 //
@@ -35,11 +36,9 @@ import (
 	"math/rand"
 	"time"
 
-	"dbdht/internal/ch"
 	"dbdht/internal/cluster"
 	"dbdht/internal/cluster/transport"
 	"dbdht/internal/core"
-	"dbdht/internal/global"
 	"dbdht/internal/hashspace"
 	"dbdht/internal/wal"
 )
@@ -48,12 +47,6 @@ import (
 // internal/core for the full method set: AddVnode, RemoveVnode, Lookup,
 // QualityOfBalancement, GroupBalancement, Groups, CheckInvariants, ...
 type LocalDHT = core.DHT
-
-// GlobalDHT is a global-approach DHT (the base model of §2).
-type GlobalDHT = global.DHT
-
-// ConsistentHashing is the Karger et al. reference ring of §4.3.
-type ConsistentHashing = ch.Ring
 
 // Cluster is a live message-passing DHT cluster with a key/value data
 // plane; see internal/cluster for the full method set: AddSnode,
@@ -80,6 +73,11 @@ type BalancerStats = cluster.BalancerStats
 
 // SnodeLoad is one snode's load report (capacity, quota, EWMA rates).
 type SnodeLoad = cluster.SnodeLoad
+
+// QuotaSigma is the balancer's convergence metric σ̄ over a load report:
+// the relative stddev of the capacity-normalized per-snode quotas, the
+// same function that sets BalanceRound.Sigma.
+func QuotaSigma(loads []SnodeLoad) float64 { return cluster.QuotaSigma(loads) }
 
 // DurabilityConfig configures the per-snode write-ahead log and
 // snapshots (Dir, Fsync, SnapshotInterval); the zero value disables
@@ -204,17 +202,6 @@ func NewLocal(o Options) (*LocalDHT, error) {
 	return core.New(core.Config{Pmin: o.Pmin, Vmin: o.Vmin}, rand.New(rand.NewSource(o.Seed)))
 }
 
-// NewGlobal returns an empty global-approach DHT (Vmin is ignored).
-func NewGlobal(o Options) (*GlobalDHT, error) {
-	return global.New(o.Pmin, rand.New(rand.NewSource(o.Seed)))
-}
-
-// NewConsistentHashing returns an empty Consistent Hashing ring with k
-// points per unit of node weight.
-func NewConsistentHashing(k int, seed int64) (*ConsistentHashing, error) {
-	return ch.New(k, rand.New(rand.NewSource(seed)))
-}
-
 // config spells the options as the cluster package takes them.
 func (o ClusterOptions) config() cluster.Config {
 	return cluster.Config{
@@ -247,9 +234,3 @@ func NewClusterTCP(o ClusterOptions, host string) (*Cluster, error) {
 	}
 	return cluster.New(o.config(), net)
 }
-
-// Hash maps an arbitrary key to the hash range R_h.
-func Hash(key []byte) uint64 { return hashspace.Hash(key) }
-
-// HashString is Hash for string keys.
-func HashString(key string) uint64 { return hashspace.HashString(key) }

@@ -28,36 +28,6 @@ func TestFacadeLocal(t *testing.T) {
 	}
 }
 
-func TestFacadeGlobal(t *testing.T) {
-	d, err := dbdht.NewGlobal(dbdht.Options{Pmin: 16, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 64; i++ {
-		if _, err := d.AddVnode(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if q := d.QualityOfBalancement(); q != 0 {
-		t.Fatalf("σ̄ at power-of-two V = %v, want 0", q)
-	}
-}
-
-func TestFacadeCH(t *testing.T) {
-	r, err := dbdht.NewConsistentHashing(32, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 32; i++ {
-		if _, err := r.AddNode(1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if q := r.QualityOfBalancement(); q <= 0 {
-		t.Fatalf("CH σ̄ = %v, must be positive", q)
-	}
-}
-
 func TestFacadeCluster(t *testing.T) {
 	c, err := dbdht.NewCluster(dbdht.ClusterOptions{Pmin: 8, Vmin: 4, Seed: 4})
 	if err != nil {
@@ -84,12 +54,6 @@ func TestFacadeCluster(t *testing.T) {
 		if _, found, err := c.Get(fmt.Sprintf("k%d", i)); err != nil || !found {
 			t.Fatalf("get k%d: %v %v", i, err, found)
 		}
-	}
-}
-
-func TestFacadeHash(t *testing.T) {
-	if dbdht.Hash([]byte("x")) != dbdht.HashString("x") {
-		t.Fatal("Hash and HashString disagree")
 	}
 }
 

@@ -153,9 +153,11 @@ func (c *Cluster) LoadReport() ([]SnodeLoad, error) {
 	return loads, nil
 }
 
-// quotaSigma is the convergence metric: relative stddev of the
-// capacity-normalized per-snode quotas Q_s/w_s.
-func quotaSigma(loads []SnodeLoad) float64 {
+// QuotaSigma is the balancer's convergence metric σ̄: the relative
+// stddev of the capacity-normalized per-snode quotas Q_s/w_s in a load
+// report.  BalanceNow stops moving enrollment once it is at most
+// BalanceConfig.QuotaDeviation.
+func QuotaSigma(loads []SnodeLoad) float64 {
 	if len(loads) == 0 {
 		return 0
 	}
@@ -199,7 +201,7 @@ func (c *Cluster) BalanceNow() (BalanceRound, error) {
 	if err != nil {
 		return BalanceRound{}, err
 	}
-	round := BalanceRound{Loads: loads, Sigma: quotaSigma(loads)}
+	round := BalanceRound{Loads: loads, Sigma: QuotaSigma(loads)}
 	c.balRounds.Add(1)
 	c.balSigma.Store(math.Float64bits(round.Sigma))
 	if round.Sigma <= c.cfg.Balance.QuotaDeviation {

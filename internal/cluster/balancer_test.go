@@ -28,7 +28,7 @@ func snodeQuotaSigma(c *Cluster) float64 {
 	for _, l := range loads {
 		flat = append(flat, *l)
 	}
-	return quotaSigma(flat)
+	return QuotaSigma(flat)
 }
 
 // runBalancerConvergence is the ISSUE-4 acceptance scenario on any

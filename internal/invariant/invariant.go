@@ -9,6 +9,8 @@
 //   - CheckBoundedStaleness: a failover read may serve an old value,
 //     but never older than the configured bound, and never a value
 //     nobody wrote (a phantom);
+//   - CheckWriteAvailability: the longest stretch of the history with no
+//     acknowledged write stays within a bound (a failover's blackout);
 //   - CheckConvergence: after Heal the cluster stops repairing and the
 //     balancer's quota deviation settles within the deadline.
 //
@@ -228,8 +230,8 @@ func (r *Recorder) CheckNoAckedLoss(final map[string]ReadBack) Verdict {
 // stale: a read may return an old value (failover reads serve replicas),
 // but only if the value it superseded it by less than bound — i.e. the
 // next acknowledged write's ack was within bound of the read's start.
-// Reads returning a value no write produced are phantoms and always
-// fail.
+// Reads returning a value no write issued before the read ended had
+// produced are phantoms and always fail.
 func (r *Recorder) CheckBoundedStaleness(bound time.Duration) Verdict {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -256,11 +258,14 @@ func (r *Recorder) CheckBoundedStaleness(bound time.Duration) Verdict {
 			}
 			continue
 		}
-		// Find the write the read observed; staleness is measured to
+		// Find the write the read observed — the latest one with that
+		// value issued before the read ended, since a key may be
+		// rewritten with an earlier value — and measure staleness to
 		// the first acked write that superseded it.
 		matched := false
-		for i, w := range h.writes {
-			if w.sum != rd.sum {
+		for i := len(h.writes) - 1; i >= 0; i-- {
+			w := h.writes[i]
+			if w.sum != rd.sum || w.start.After(rd.end) {
 				continue
 			}
 			matched = true
@@ -305,6 +310,53 @@ func (r *Recorder) CheckBoundedStaleness(bound time.Duration) Verdict {
 	} else {
 		v.Detail = firstBad
 	}
+	return v
+}
+
+// CheckWriteAvailability verifies writes kept being acknowledged: the
+// longest stretch of the history with no acknowledged write — from the
+// first write issued to the first ack, between consecutive acks, and
+// from the last ack to the last write issued — is at most maxGap.  A
+// history without an acknowledged write fails.
+func (r *Recorder) CheckWriteAvailability(maxGap time.Duration) Verdict {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var acks []time.Time
+	var first, last time.Time
+	for _, h := range r.keys {
+		for _, w := range h.writes {
+			if first.IsZero() || w.start.Before(first) {
+				first = w.start
+			}
+			if w.start.After(last) {
+				last = w.start
+			}
+			if w.acked {
+				acks = append(acks, w.ackedAt)
+			}
+		}
+	}
+	v := Verdict{Name: "write-availability", Metrics: map[string]float64{
+		"acked_writes": float64(len(acks)),
+		"bound_ms":     float64(maxGap.Milliseconds()),
+	}}
+	if len(acks) == 0 {
+		v.Detail = "no acknowledged write in the history"
+		return v
+	}
+	sort.Slice(acks, func(i, j int) bool { return acks[i].Before(acks[j]) })
+	var worst time.Duration
+	worstFrom, prev := first, first
+	for _, t := range append(acks, last) {
+		if gap := t.Sub(prev); gap > worst {
+			worst, worstFrom = gap, prev
+		}
+		prev = t
+	}
+	v.Pass = worst <= maxGap
+	v.Metrics["max_gap_ms"] = float64(worst.Milliseconds())
+	v.Detail = fmt.Sprintf("longest gap without an acked write %v, from +%v (bound %v)",
+		worst.Round(time.Millisecond), worstFrom.Sub(first).Round(time.Millisecond), maxGap)
 	return v
 }
 

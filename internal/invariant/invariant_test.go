@@ -94,6 +94,7 @@ func TestCheckBoundedStaleness(t *testing.T) {
 	const key = "writer1-k2"
 	const bound = 100 * time.Millisecond
 	twoAcked := []w{{"v1", 0, 5}, {"v2", 1000, 1005}}
+	rewritten := append(twoAcked, w{"v1", 2000, 2005})
 	for _, tc := range []struct {
 		row       string
 		writes    []w
@@ -110,11 +111,36 @@ func TestCheckBoundedStaleness(t *testing.T) {
 		{"phantom: a value no write produced", twoAcked, []rd{{"v9", 1100}}, false, 0},
 		{"an un-acked write's value is no phantom", []w{{"v1", 0, 5}, {"v2", 10, -1}}, []rd{{"v2", 500}}, true, 0},
 		{"a read of a key this history never wrote is not judged", nil, []rd{{"v9", 100}}, true, 0},
+		{"a key rewritten with an earlier value: the fresh copy", rewritten, []rd{{"v1", 2100}}, true, 0},
+		{"read ended before the rewrite was issued: the old copy", rewritten, []rd{{"v1", 1500}}, false, 495},
 	} {
 		v := history(key, tc.writes, tc.reads).CheckBoundedStaleness(bound)
 		checkVerdict(t, tc.row, v, tc.pass, key)
 		if got := v.Metrics["worst_lag_ms"]; got != tc.worstLagM {
 			t.Errorf("%s: worst_lag_ms = %v, want %v", tc.row, got, tc.worstLagM)
+		}
+	}
+}
+
+func TestCheckWriteAvailability(t *testing.T) {
+	const bound = time.Second
+	for _, tc := range []struct {
+		row     string
+		writes  []w
+		pass    bool
+		maxGapM float64
+	}{
+		{"every gap inside the bound", []w{{"v1", 0, 100}, {"v2", 200, 900}, {"v3", 1000, 1200}}, true, 800},
+		{"a gap between two acks beyond the bound", []w{{"v1", 0, 100}, {"v2", 200, -1}, {"v3", 1500, 1600}}, false, 1500},
+		{"writes still failing after the last ack", []w{{"v1", 0, 100}, {"v2", 1500, -1}}, false, 1400},
+		{"an empty history", nil, false, 0},
+	} {
+		v := history("k", tc.writes, nil).CheckWriteAvailability(bound)
+		if v.Pass != tc.pass || v.Name != "write-availability" {
+			t.Errorf("%s: %s %v, want pass %v (%s)", tc.row, v.Name, v.Pass, tc.pass, v.Detail)
+		}
+		if got := v.Metrics["max_gap_ms"]; got != tc.maxGapM {
+			t.Errorf("%s: max_gap_ms = %v, want %v", tc.row, got, tc.maxGapM)
 		}
 	}
 }
