@@ -11,6 +11,8 @@ import (
 	"net/url"
 	"strings"
 	"time"
+
+	"dbdht/internal/api"
 )
 
 // MaxBodyBytes caps how much of any response body the client will read.
@@ -135,6 +137,8 @@ func readBody(resp *http.Response) ([]byte, error) {
 
 // doJSON performs a request with optional JSON body, decoding a JSON
 // response into out (if non-nil) and mapping non-2xx statuses to errors.
+// A batch response is decoded by api.DecodeBatchResponse, any other by
+// encoding/json.
 func (c *Client) doJSON(ctx context.Context, method, path string, in, out any) error {
 	var body io.Reader
 	ct := ""
@@ -162,6 +166,9 @@ func (c *Client) doJSON(ctx context.Context, method, path string, in, out any) e
 	raw, err := readBody(resp)
 	if err != nil {
 		return err
+	}
+	if out, ok := out.(*batchResponse); ok {
+		return api.DecodeBatchResponse(raw, out)
 	}
 	return json.Unmarshal(raw, out)
 }
@@ -228,31 +235,13 @@ func (c *Client) Delete(ctx context.Context, key string) (found bool, err error)
 }
 
 // Item is one key/value pair of a batch put.
-type Item struct {
-	Key   string `json:"key"`
-	Value []byte `json:"value,omitempty"`
-}
+type Item = api.Item
 
-// Result is one key's outcome in a batch response; Error is empty on
-// success.
-type Result struct {
-	Key   string `json:"key"`
-	Found bool   `json:"found"`
-	Value []byte `json:"value,omitempty"`
-	Error string `json:"error,omitempty"`
-}
+// Result is one key's outcome in a batch response; OK reports success.
+type Result = api.Result
 
-// OK reports whether the operation on this key succeeded.
-func (r Result) OK() bool { return r.Error == "" }
-
-type batchRequest struct {
-	Op    string `json:"op"`
-	Items []Item `json:"items"`
-}
-
-type batchResponse struct {
-	Results []Result `json:"results"`
-}
+type batchRequest = api.BatchRequest
+type batchResponse = api.BatchResponse
 
 func (c *Client) batch(ctx context.Context, op string, items []Item) ([]Result, error) {
 	var out batchResponse

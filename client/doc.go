@@ -9,4 +9,7 @@
 // client's per-request timeout (WithRequestTimeout, default 30s), so no
 // call can hang on an unresponsive server.  Response bodies are read with
 // a hard size cap.
+//
+// Item and Result are the batch body schema the server itself uses
+// (internal/api); batch responses are decoded without reflection.
 package client

@@ -1,10 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dbdht/internal/api"
 	"dbdht/internal/cluster"
 	"dbdht/internal/cluster/transport"
 	"dbdht/internal/metrics"
@@ -136,6 +137,30 @@ func pathID(r *http.Request) (transport.NodeID, error) {
 	return transport.NodeID(id), nil
 }
 
+// readBody reads a whole request body of at most MaxValueBytes into one
+// buffer sized from Content-Length (the spare MinRead lets the read that
+// meets EOF land without growing it).  On failure it answers 413 or 400
+// itself, naming the body what.
+func readBody(w http.ResponseWriter, r *http.Request, what string) ([]byte, bool) {
+	n := r.ContentLength
+	if n < 0 || n > MaxValueBytes {
+		n = 0 // unknown, or too long to accept: grow as bytes arrive
+	}
+	var buf bytes.Buffer
+	buf.Grow(int(n) + bytes.MinRead)
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, MaxValueBytes))
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		writeErr(w, http.StatusRequestEntityTooLarge, "%s exceeds %d bytes", what, MaxValueBytes)
+	case err != nil:
+		writeErr(w, http.StatusBadRequest, "reading %s: %v", what, err)
+	default:
+		return buf.Bytes(), true
+	}
+	return nil, false
+}
+
 // --- KV plane ---
 
 func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
@@ -144,14 +169,8 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "empty key")
 		return
 	}
-	value, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxValueBytes))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeErr(w, http.StatusRequestEntityTooLarge, "value exceeds %d bytes", MaxValueBytes)
-			return
-		}
-		writeErr(w, http.StatusBadRequest, "reading value: %v", err)
+	value, ok := readBody(w, r, "value")
+	if !ok {
 		return
 	}
 	if err := s.c.Put(key, value); err != nil {
@@ -198,35 +217,14 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, deleteResponse{Found: found})
 }
 
-// BatchRequest is the body of POST /v1/kv:batch.  Op selects the verb
-// applied to every item; Value is base64 in JSON ([]byte), used by "put".
-type BatchRequest struct {
-	Op    string      `json:"op"` // "put" | "get" | "delete"
-	Items []BatchItem `json:"items"`
-}
-
-// BatchItem is one key (and, for puts, its value) of a batch.
-type BatchItem struct {
-	Key   string `json:"key"`
-	Value []byte `json:"value,omitempty"`
-}
-
-// BatchResponse answers a batch, results parallel to the request items.
-type BatchResponse struct {
-	Results []BatchResult `json:"results"`
-}
-
-// BatchResult is one key's outcome; Error is empty on success.
-type BatchResult struct {
-	Key   string `json:"key"`
-	Found bool   `json:"found"`
-	Value []byte `json:"value,omitempty"`
-	Error string `json:"error,omitempty"`
-}
-
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req BatchRequest
-	if !readJSON(w, r, &req) {
+	body, ok := readBody(w, r, "batch body")
+	if !ok {
+		return
+	}
+	var req api.BatchRequest
+	if err := api.DecodeBatchRequest(body, &req); err != nil {
+		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
 	var (
@@ -258,9 +256,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, clusterErrCode(err), "%v", err)
 		return
 	}
-	resp := BatchResponse{Results: make([]BatchResult, len(results))}
+	resp := api.BatchResponse{Results: make([]api.Result, len(results))}
 	for i, res := range results {
-		resp.Results[i] = BatchResult{Key: res.Key, Found: res.Found, Value: res.Value, Error: res.Err}
+		resp.Results[i] = api.Result{Key: res.Key, Found: res.Found, Value: res.Value, Error: res.Err}
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -238,12 +238,20 @@ func TestHTTPErrors(t *testing.T) {
 	if resp := get("POST", "/v1/kv:batch", `{"op":`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("batch with malformed JSON: %d, want 400", resp.StatusCode)
 	}
+	for _, trailing := range []string{`{"op":"put"}`, ` trailing garbage`} {
+		if resp := get("POST", "/v1/kv:batch", `{"op":"get","items":[{"key":"a"}]}`+trailing); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("batch followed by %q: %d, want 400", trailing, resp.StatusCode)
+		}
+	}
 	if resp := get("PUT", "/v1/snodes/1/enrollment", `{"target":-3}`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("negative enrollment: %d, want 400", resp.StatusCode)
 	}
 	big := bytes.Repeat([]byte("x"), server.MaxValueBytes+1)
 	if resp := get("PUT", "/v1/kv/huge", string(big)); resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized value: %d, want 413", resp.StatusCode)
+	}
+	if resp := get("POST", "/v1/kv:batch", string(big)); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized batch body: %d, want 413", resp.StatusCode)
 	}
 }
 
