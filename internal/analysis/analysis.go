@@ -14,12 +14,8 @@
 //     on RPC paths.
 //
 // The suite runs standalone and under `go vet -vettool=` via cmd/dbdhtlint.
-// Suppressions require an inline justification:
-//
-//	//lint:dbdht <analyzer> <why this site is exempt>
-//
-// placed on the offending line or the line above it.  See
-// docs/INVARIANTS.md for the catalogue and the suppression policy.
+// There is no way to silence a finding: it is fixed by restructuring the
+// code it points at.  See docs/INVARIANTS.md for the catalogue.
 package analysis
 
 import (
@@ -27,9 +23,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"regexp"
 	"sort"
-	"strings"
 )
 
 // Analyzer is one invariant checker.  The API mirrors
@@ -70,62 +64,19 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: %s: %s", d.Pos, d.Analyzer, d.Message)
 }
 
-// Reportf records a finding at pos unless a matching //lint:dbdht
-// suppression covers that line.
+// Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	position := p.Fset.Position(pos)
 	p.diagnostics = append(p.diagnostics, Diagnostic{
-		Pos:      position,
+		Pos:      p.Fset.Position(pos),
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
 	})
 }
 
-// suppression is one parsed //lint:dbdht comment.
-type suppression struct {
-	file     string
-	line     int // the line the suppression covers (its own line, or the next)
-	analyzer string
-	reason   string
-}
-
-var suppressRe = regexp.MustCompile(`^//lint:dbdht\s+([a-z]+)\s*(.*)$`)
-
-// collectSuppressions scans a file's comments for //lint:dbdht markers.  A
-// marker covers diagnostics on its own line (trailing comment) and on the
-// line immediately below (a comment on its own line above the code).
-func collectSuppressions(fset *token.FileSet, files []*ast.File) []suppression {
-	var out []suppression
-	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				m := suppressRe.FindStringSubmatch(c.Text)
-				if m == nil {
-					continue
-				}
-				pos := fset.Position(c.Pos())
-				out = append(out, suppression{file: pos.Filename, line: pos.Line, analyzer: m[1], reason: strings.TrimSpace(m[2])})
-			}
-		}
-	}
-	return out
-}
-
 // RunAnalyzers executes the given analyzers over one loaded package and
-// returns surviving diagnostics (suppressed findings are dropped; a
-// suppression with no justification is itself a finding).
+// returns their diagnostics in position order.
 func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	sups := collectSuppressions(pkg.Fset, pkg.Files)
 	var diags []Diagnostic
-	for _, s := range sups {
-		if s.reason == "" {
-			diags = append(diags, Diagnostic{
-				Pos:      token.Position{Filename: s.file, Line: s.line},
-				Analyzer: "suppress",
-				Message:  "suppression without justification: write //lint:dbdht <analyzer> <reason>",
-			})
-		}
-	}
 	for _, a := range analyzers {
 		pass := &Pass{
 			Analyzer:     a,
@@ -139,16 +90,7 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 		if err := a.Run(pass); err != nil {
 			return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Types.Path(), err)
 		}
-	diagLoop:
-		for _, d := range pass.diagnostics {
-			for _, s := range sups {
-				if s.reason != "" && s.analyzer == a.Name && s.file == d.Pos.Filename &&
-					(s.line == d.Pos.Line || s.line == d.Pos.Line-1) {
-					continue diagLoop
-				}
-			}
-			diags = append(diags, d)
-		}
+		diags = append(diags, pass.diagnostics...)
 	}
 	sort.Slice(diags, func(i, j int) bool {
 		if diags[i].Pos.Filename != diags[j].Pos.Filename {

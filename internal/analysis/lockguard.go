@@ -5,51 +5,47 @@ import (
 	"go/token"
 	"go/types"
 	"regexp"
+	"slices"
 	"strings"
 )
 
 // LockGuard enforces "guarded by <mutex>" field annotations: a struct
-// field whose doc or line comment contains `guarded by mu` (alternatives:
-// `guarded by mu or balMu`) may only be accessed while one of the named
-// sibling mutexes is held on the same base expression — e.g. `s.vnodes`
-// requires `s.mu.Lock()` (or a held RLock for reads) earlier in the
-// function, not yet unlocked.
+// field whose doc or line comment contains `guarded by mu` may only be
+// accessed while that sibling mutex is held on the same base expression —
+// e.g. `s.vnodes` requires `s.mu.Lock()` (or a held RLock for reads)
+// earlier in the function, not yet unlocked.  A field names one guard; an
+// annotation naming two (`guarded by mu or rw`) is itself a finding.
 //
 // The analysis is intra-procedural and follows this codebase's
 // conventions:
 //
 //   - a method whose name ends in "Locked" asserts its caller holds the
 //     receiver's guard mutexes (the convention the repo already uses);
-//   - a function marked `//dbdht:exclusive` runs while no other
-//     goroutine can reach the data (pre-start recovery, post-stop
-//     teardown) and is skipped entirely — the directive documents WHY
-//     locks are unnecessary, unlike a bare missing lock;
 //   - a variable built from a composite literal in the same function
-//     (constructors) is exempt — nothing else can see it yet;
+//     (constructors) is exempt — nothing else can see it yet — until the
+//     function's first `go` statement;
 //   - `go func(){...}` bodies start with no locks held; other function
 //     literals inherit the locks held where they appear (they run under
 //     the caller's locks, e.g. the durAppendWith journaling closures);
 //   - a deferred Unlock keeps the mutex held to the end of the function.
 //
-// Dual-lock reads (fields written under two mutexes and legally read
-// under either, like bucket.state) are suppressed per-site with a
-// justification: //lint:dbdht lockguard <why>.
+// There are no other exceptions.
 var LockGuard = &Analyzer{
 	Name: "lockguard",
 	Doc:  "fields annotated 'guarded by <mutex>' are only accessed with that mutex held",
 	Run:  runLockGuard,
 }
 
-var guardedByRe = regexp.MustCompile(`guarded by ([a-zA-Z_][a-zA-Z0-9_]*(?:\s+or\s+[a-zA-Z_][a-zA-Z0-9_]*)*)`)
+var guardedByRe = regexp.MustCompile(`guarded by ([a-zA-Z_][a-zA-Z0-9_]*)(\s+or\s+[a-zA-Z_][a-zA-Z0-9_]*)?`)
 
 // lockState records how a mutex is held: write (Lock) or read (RLock).
 type lockState struct{ write bool }
 
 type lockGuardCtx struct {
 	pass *Pass
-	// guards maps an annotated field object to the sibling mutex field
-	// names that may guard it.
-	guards map[*types.Var][]string
+	// guards maps an annotated field object to the name of its sibling
+	// guard mutex.
+	guards map[*types.Var]string
 	// structMutexes maps a struct's named type to the union of guard
 	// mutex names annotated on its fields (for the "Locked" convention).
 	structMutexes map[*types.Named][]string
@@ -58,7 +54,7 @@ type lockGuardCtx struct {
 func runLockGuard(pass *Pass) error {
 	ctx := &lockGuardCtx{
 		pass:          pass,
-		guards:        make(map[*types.Var][]string),
+		guards:        make(map[*types.Var]string),
 		structMutexes: make(map[*types.Named][]string),
 	}
 	ctx.collectAnnotations()
@@ -69,9 +65,6 @@ func runLockGuard(pass *Pass) error {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
-				continue
-			}
-			if isExclusive(fd) {
 				continue
 			}
 			held := make(map[string]lockState)
@@ -111,23 +104,6 @@ func runLockGuard(pass *Pass) error {
 	return nil
 }
 
-// exclusiveDirective marks functions that run while the data structure is
-// unreachable from other goroutines (recovery before the actor loop
-// starts, teardown after it drains): lockguard skips their bodies.
-const exclusiveDirective = "//dbdht:exclusive"
-
-func isExclusive(fd *ast.FuncDecl) bool {
-	if fd.Doc == nil {
-		return false
-	}
-	for _, c := range fd.Doc.List {
-		if strings.HasPrefix(strings.TrimSpace(c.Text), exclusiveDirective) {
-			return true
-		}
-	}
-	return false
-}
-
 // collectAnnotations parses `guarded by ...` field comments, validating
 // that every named guard is a sibling field of mutex type.
 func (ctx *lockGuardCtx) collectAnnotations() {
@@ -160,27 +136,22 @@ func (ctx *lockGuardCtx) collectAnnotations() {
 				if m == nil {
 					continue
 				}
-				var guards []string
-				for _, g := range regexp.MustCompile(`\s+or\s+`).Split(m[1], -1) {
-					gf, ok := fieldNames[g]
-					if !ok || !isMutexField(ctx.pass, gf) {
-						ctx.pass.Reportf(fl.Pos(), "guarded-by annotation names %q, which is not a sibling sync.Mutex/RWMutex field", g)
-						continue
-					}
-					guards = append(guards, g)
+				g := m[1]
+				if m[2] != "" {
+					ctx.pass.Reportf(fl.Pos(), "guarded-by annotation names more than one mutex (%q): a field has one guard", m[0])
+					continue
 				}
-				if len(guards) == 0 {
+				if gf, ok := fieldNames[g]; !ok || !isMutexField(ctx.pass, gf) {
+					ctx.pass.Reportf(fl.Pos(), "guarded-by annotation names %q, which is not a sibling sync.Mutex/RWMutex field", g)
 					continue
 				}
 				for _, name := range fl.Names {
 					if obj, ok := ctx.pass.Info.Defs[name].(*types.Var); ok {
-						ctx.guards[obj] = guards
+						ctx.guards[obj] = g
 					}
 				}
-				for _, g := range guards {
-					if !contains(structGuards, g) {
-						structGuards = append(structGuards, g)
-					}
+				if !slices.Contains(structGuards, g) {
+					structGuards = append(structGuards, g)
 				}
 			}
 			if len(structGuards) > 0 {
@@ -193,15 +164,6 @@ func (ctx *lockGuardCtx) collectAnnotations() {
 			return true
 		})
 	}
-}
-
-func contains(s []string, v string) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 func isMutexField(pass *Pass, fl *ast.Field) bool {
@@ -305,11 +267,8 @@ func (w *lockWalker) walkStmt(s ast.Stmt, held map[string]lockState) bool {
 			w.noteConstructors(s)
 		}
 		for _, l := range s.Lhs {
-			if s.Tok == token.DEFINE {
-				if id, ok := l.(*ast.Ident); ok {
-					_ = id
-					continue
-				}
+			if _, ok := l.(*ast.Ident); ok && s.Tok == token.DEFINE {
+				continue
 			}
 			w.checkWriteTarget(l, held)
 		}
@@ -589,7 +548,7 @@ func (w *lockWalker) checkSelector(sel *ast.SelectorExpr, write bool, held map[s
 	if !ok {
 		return
 	}
-	guards, annotated := w.ctx.guards[field]
+	guard, annotated := w.ctx.guards[field]
 	if !annotated {
 		return
 	}
@@ -600,22 +559,15 @@ func (w *lockWalker) checkSelector(sel *ast.SelectorExpr, write bool, held map[s
 		}
 	}
 	base := types.ExprString(sel.X)
-	for _, g := range guards {
-		st, heldNow := held[base+"."+g]
-		if heldNow && (st.write || !write) {
-			return
-		}
+	if st, heldNow := held[base+"."+guard]; heldNow && (st.write || !write) {
+		return
 	}
 	verb := "read"
 	if write {
 		verb = "written"
 	}
-	want := make([]string, len(guards))
-	for i, g := range guards {
-		want[i] = base + "." + g
-	}
-	w.ctx.pass.Reportf(sel.Sel.Pos(), "%s.%s %s without %s held (field is 'guarded by %s')",
-		base, field.Name(), verb, strings.Join(want, " or "), strings.Join(guards, " or "))
+	w.ctx.pass.Reportf(sel.Sel.Pos(), "%s.%s %s without %s.%s held (field is 'guarded by %s')",
+		base, field.Name(), verb, base, guard, guard)
 }
 
 func isPanicCall(e ast.Expr) bool {

@@ -2,7 +2,6 @@ package analysis_test
 
 import (
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"dbdht/internal/analysis"
@@ -32,30 +31,6 @@ func TestFullSuiteClean(t *testing.T) {
 	diags := runOn(t, "cleantest", analysis.All())
 	for _, d := range diags {
 		t.Errorf("unexpected diagnostic on clean package: %s", d)
-	}
-}
-
-// TestSuppression checks the //lint:dbdht policy: a justified suppression
-// silences its line, an unjustified one is itself a finding and silences
-// nothing, and a suppression naming a different analyzer does not apply.
-func TestSuppression(t *testing.T) {
-	diags := runOn(t, "suppresstest", []*analysis.Analyzer{analysis.LockGuard})
-	var suppress, lockguard int
-	for _, d := range diags {
-		switch {
-		case d.Analyzer == "suppress" && strings.Contains(d.Message, "suppression without justification"):
-			suppress++
-		case d.Analyzer == "lockguard" && strings.Contains(d.Message, "b.n read without b.mu held"):
-			lockguard++
-		default:
-			t.Errorf("unexpected diagnostic: %s", d)
-		}
-	}
-	if suppress != 1 {
-		t.Errorf("got %d unjustified-suppression findings, want 1", suppress)
-	}
-	if lockguard != 2 {
-		t.Errorf("got %d lockguard findings, want 2 (unjustified + wrong-analyzer suppressions must not apply)", lockguard)
 	}
 }
 

@@ -8,10 +8,12 @@ type store struct {
 
 	n     int            // guarded by mu
 	m     map[string]int // guarded by mu
-	state int            // guarded by mu or rw
+	state int            // guarded by rw
 	// guarded by nothere
 	bogus int // want `guarded-by annotation names "nothere", which is not a sibling sync.Mutex/RWMutex field`
-	free  int
+	// guarded by mu or rw
+	both int // want `guarded-by annotation names more than one mutex \("guarded by mu or rw"\): a field has one guard`
+	free int
 }
 
 func newStore() *store {
@@ -81,12 +83,12 @@ func (s *store) condUnlock(cond bool) {
 func (s *store) rlockRead() int {
 	s.rw.RLock()
 	defer s.rw.RUnlock()
-	return s.state // ok: either guard satisfies a read
+	return s.state // ok: a read lock satisfies a read
 }
 
 func (s *store) rlockWrite() {
 	s.rw.RLock()
-	s.state = 1 // want `s.state written without s.mu or s.rw held`
+	s.state = 1 // want `s.state written without s.rw held`
 	s.rw.RUnlock()
 }
 
@@ -113,19 +115,22 @@ func (s *store) withClosure() {
 	})
 }
 
+// dualRead keeps a retired suppression comment: it silences nothing.
 func (s *store) dualRead() int {
 	//lint:dbdht lockguard golden test of a justified dual-lock suppression
-	return s.state
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.state // want `s.state read without s.rw held`
 }
 
 func (s *store) escape() *int {
 	return &s.n // want `s.n written without s.mu held`
 }
 
-// recover rebuilds state before anything else can see the store.
+// recover keeps a retired directive: it exempts nothing.
 //
 //dbdht:exclusive
 func (s *store) recover() {
-	s.n = 9 // ok: exclusive access, locks unnecessary by construction
-	s.m = map[string]int{"seed": 1}
+	s.n = 9                         // want `s.n written without s.mu held`
+	s.m = map[string]int{"seed": 1} // want `s.m written without s.mu held`
 }

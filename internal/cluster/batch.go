@@ -134,13 +134,9 @@ func (s *Snode) handleBatch(m batchReq, tr transport.TraceContext) {
 			h := hashes[i]
 			if ref, p, ok := s.ownedForLocked(h); ok {
 				bk := ref.bk
-				if bk.state == bucketFrozen && m.Kind != opGet { //lint:dbdht lockguard state transitions under BOTH s.mu and bk.mu, so this read under s.mu is race-free
-					frozen = append(frozen, i)
-					continue
-				}
 				w := work[bk]
 				if w == nil {
-					reps := s.bucketReplicasLocked(p, bk)
+					reps := s.ownedReplicasLocked(p, ref)
 					if replicate {
 						replDests[p] = reps
 					}

@@ -176,12 +176,10 @@ func snodeDataDir(root string, id transport.NodeID) string {
 	return filepath.Join(root, fmt.Sprintf("snode-%d", id))
 }
 
-// openDurability opens the snode's WAL and replays snapshot + tail into
-// its (not yet serving) state.  Called by newSnode before the actor
-// starts, so no locks are needed.
-//
-//dbdht:exclusive
-func (s *Snode) openDurability() error {
+// openDurabilityLocked opens the snode's WAL and replays snapshot + tail
+// into its (not yet serving) state.  Called by newSnode, holding s.mu,
+// before the snode joins the fabric.
+func (s *Snode) openDurabilityLocked() error {
 	dc := s.cfg.Durability
 	root := snodeDataDir(dc.Dir, s.id)
 	snapRoot := filepath.Join(root, "snap")
@@ -195,7 +193,7 @@ func (s *Snode) openDurability() error {
 		if derr != nil {
 			return fmt.Errorf("cluster: durability: %w", derr)
 		}
-		if err := s.loadSnapshot(filepath.Join(snapRoot, strconv.FormatUint(m.Cut, 10))); err != nil {
+		if err := s.loadSnapshotLocked(filepath.Join(snapRoot, strconv.FormatUint(m.Cut, 10))); err != nil {
 			return err
 		}
 		cut = m.Cut
@@ -212,7 +210,7 @@ func (s *Snode) openDurability() error {
 	if err != nil {
 		return err
 	}
-	if err := log.Replay(cut, s.applyWalRecord); err != nil {
+	if err := log.Replay(cut, s.applyWalRecordLocked); err != nil {
 		_ = log.Close()
 		return err
 	}
@@ -226,14 +224,14 @@ func (s *Snode) openDurability() error {
 	// record followed in the log) is stale bookkeeping and is pruned.
 	for p := range s.inDoubt {
 		if ref, ok := s.owned[p]; ok {
-			ref.bk.state = bucketFrozen // pre-start: snode owned exclusively
+			ref.bk.setState(bucketFrozen)
 		} else {
 			delete(s.inDoubt, p)
 		}
 	}
 	// Reinstall leadership for the groups this snode led: the recovered
 	// LPDR states carry the leader, and installLeaderLocked rebuilds the
-	// balance table from the members (no lock needed pre-start).
+	// balance table from the members.
 	for _, st := range s.replicas {
 		if st.Leader == s.id {
 			if _, dup := s.led[st.Group]; !dup {
@@ -271,11 +269,9 @@ func (s *Snode) ownedRoutes() []routeEntry {
 	return out
 }
 
-// loadSnapshot rebuilds the snode's state from one complete snapshot
-// directory.  Runs pre-start: no locks.
-//
-//dbdht:exclusive
-func (s *Snode) loadSnapshot(dir string) error {
+// loadSnapshotLocked rebuilds the snode's state from one complete
+// snapshot directory.  Caller holds s.mu (recovery).
+func (s *Snode) loadSnapshotLocked(dir string) error {
 	payload, err := wal.ReadSnapshot(filepath.Join(dir, "meta.snap"))
 	if err != nil {
 		return err
@@ -328,7 +324,9 @@ func (s *Snode) loadSnapshot(dir string) error {
 		}
 		if isOwn {
 			if ref, ok := s.owned[b.Partition]; ok {
+				ref.bk.mu.Lock()
 				ref.bk.kv.replaceAll(b.Data)
+				ref.bk.mu.Unlock()
 			}
 			continue
 		}
@@ -344,14 +342,12 @@ func (s *Snode) loadSnapshot(dir string) error {
 
 // --- replay ---
 
-// applyWalRecord decodes one journal record and applies it, during
+// applyWalRecordLocked decodes one journal record and applies it, during
 // recovery: the tag picks the row of walRecords, the row's record walks
-// the bytes and runs the applyLocked the live handler ran.  Runs
-// pre-start: no locks, no fabric.  Records are idempotent, so a record
-// the snapshot already reflects applies harmlessly.
-//
-//dbdht:exclusive
-func (s *Snode) applyWalRecord(seq uint64, payload []byte) error {
+// the bytes and runs the applyLocked the live handler ran.  Caller holds
+// s.mu; no fabric yet.  Records are idempotent, so a record the snapshot
+// already reflects applies harmlessly.
+func (s *Snode) applyWalRecordLocked(seq uint64, payload []byte) error {
 	w := &walker{r: transport.NewWireReader(payload)}
 	tag := w.r.Uvarint()
 	for _, row := range walRecords {

@@ -192,7 +192,7 @@ func TestCallsToDepartedPeerFailFast(t *testing.T) {
 					s.mu.Lock()
 					ref, _, ok := s.ownedForLocked(hashspace.HashString(key))
 					if ok {
-						ref.bk.setStateLocked(bucketFrozen)
+						ref.bk.setState(bucketFrozen)
 					}
 					s.mu.Unlock()
 					if ok {
@@ -234,9 +234,7 @@ func TestCallsToDepartedPeerFailFast(t *testing.T) {
 				t.Fatalf("call to a live snode completed early: %v", err)
 			default:
 			}
-			other.mu.Lock()
-			otherBucket.setStateLocked(bucketLive)
-			other.mu.Unlock()
+			otherBucket.setState(bucketLive)
 			if err := returnsWithin(t, 5*time.Second, "call to the live snode", func() error { return <-toOther }); err != nil {
 				t.Fatalf("call to the live snode: %v", err)
 			}

@@ -279,7 +279,9 @@ func (s *Snode) orderTransfer(lg *ledGroup, from, to VnodeName) error {
 // a randomly chosen child.
 func (s *Snode) splitLedGroup(lg *ledGroup, m joinGroupReq) {
 	members := lg.table.Keys()
-	s.randShuffle(len(members), func(i, j int) { members[i], members[j] = members[j], members[i] })
+	s.mu.Lock()
+	s.rng.Shuffle(len(members), func(i, j int) { members[i], members[j] = members[j], members[i] })
+	s.mu.Unlock()
 	loID, hiID := lg.id.Split()
 	halves := map[core.GroupID][]VnodeName{
 		loID: members[:s.cfg.Vmin],
@@ -309,16 +311,16 @@ func (s *Snode) splitLedGroup(lg *ledGroup, m joinGroupReq) {
 		}
 	}
 	// The parent group is gone; retire its worker after the queue drains.
+	// One of the two children, randomly chosen, receives the new vnode.
+	chosen := loID
 	s.mu.Lock()
 	lg.dead = true
 	delete(s.led, lg.id)
-	s.mu.Unlock()
-	s.stats.GroupSplits.Add(1)
-	// One of the two children, randomly chosen, receives the new vnode.
-	chosen := loID
-	if s.randIntn(2) == 1 {
+	if s.rng.Intn(2) == 1 {
 		chosen = hiID
 	}
+	s.mu.Unlock()
+	s.stats.GroupSplits.Add(1)
 	fwd := m
 	fwd.Group = chosen
 	fwd.Hops++

@@ -57,10 +57,8 @@ import (
 //
 
 // migSender is the outbound side's tracking state, hung off the live
-// bucket.  The pointer itself transitions under BOTH s.mu and the
-// bucket's mutex (like bucket.state), so either lock alone makes a read
-// race-free; the dirty set inside is guarded by the bucket's mutex alone,
-// exactly like the bucket's data map.
+// bucket: the pointer and the dirty set inside are guarded by the
+// bucket's mutex, exactly like the bucket's data map.
 type migSender struct {
 	// dirty records keys written (put or deleted) since their last chunk
 	// was streamed; each delta round swaps it for a fresh map.
@@ -200,11 +198,9 @@ func (s *Snode) migratePartition(g core.GroupID, to VnodeName, toHost transport.
 	// Turn on dirty tracking and snapshot the key list in one critical
 	// section: every write from here on either is in the key snapshot or
 	// lands in the dirty set (or both — re-sent values are idempotent).
-	s.mu.Lock()
 	bk.mu.Lock()
 	if bk.state != bucketLive || bk.mig != nil {
 		bk.mu.Unlock()
-		s.mu.Unlock()
 		s.send(toHost, untraced, migAbortMsg{To: to, Partition: p})
 		err := fmt.Errorf("cluster: partition %v not live for migration", p)
 		s.tracer.finish(root, s.id, err.Error())
@@ -216,18 +212,15 @@ func (s *Snode) migratePartition(g core.GroupID, to VnodeName, toHost transport.
 		keys = append(keys, k)
 	}
 	bk.mu.Unlock()
-	s.mu.Unlock()
 
 	moved := 0
 	abort := func(err error) (int, error) {
-		s.mu.Lock()
 		bk.mu.Lock()
 		bk.mig = nil
 		if bk.state == bucketFrozen {
 			bk.state = bucketLive
 		}
 		bk.mu.Unlock()
-		s.mu.Unlock()
 		s.send(toHost, untraced, migAbortMsg{To: to, Partition: p})
 		s.stats.MigAborts.Add(1)
 		s.tracer.finish(root, s.id, err.Error())

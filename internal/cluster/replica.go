@@ -157,25 +157,27 @@ func overlapping(a, b hashspace.Partition) bool {
 // must not modify it.  Caller holds s.mu.
 func (s *Snode) replicaHostsLocked(p hashspace.Partition) []transport.NodeID {
 	if ref, ok := s.owned[p]; ok {
-		return s.bucketReplicasLocked(p, ref.bk)
+		return s.ownedReplicasLocked(p, ref)
 	}
 	return replicaHostsFor(p, s.id, s.view, s.cfg.Replicas)
 }
 
-// bucketReplicasLocked is replicaHostsLocked for a caller that already
-// holds p's bucket — the batch path, once per bucket per batch.  Placement
-// is a pure function of (partition, primary, view), so it is computed once
-// per view epoch and cached on the bucket; a split or an install makes
-// new buckets, which start with an empty cache.  Caller holds s.mu.
-func (s *Snode) bucketReplicasLocked(p hashspace.Partition, bk *bucket) []transport.NodeID {
+// ownedReplicasLocked is replicaHostsLocked for a caller that already
+// holds p's ownership entry — the batch path, once per bucket per batch.
+// Placement is a pure function of (partition, primary, view), so it is
+// computed once per view epoch and cached in the entry, which a refresh
+// writes back; a split or an install makes new entries, which start with
+// an empty cache.  Caller holds s.mu.
+func (s *Snode) ownedReplicasLocked(p hashspace.Partition, ref ownedRef) []transport.NodeID {
 	if s.cfg.Replicas <= 1 {
 		return nil
 	}
-	if bk.repsAt != s.viewEpoch+1 {
-		bk.reps = replicaHostsFor(p, s.id, s.view, s.cfg.Replicas)
-		bk.repsAt = s.viewEpoch + 1
+	if ref.repsAt != s.viewEpoch+1 {
+		ref.reps = replicaHostsFor(p, s.id, s.view, s.cfg.Replicas)
+		ref.repsAt = s.viewEpoch + 1
+		s.owned[p] = ref
 	}
-	return bk.reps
+	return ref.reps
 }
 
 // replicaHostsFor is the pure placement rule: rendezvous (HRW) hashing.
@@ -668,19 +670,18 @@ func (s *Snode) antiEntropyPass() {
 	s.mu.Lock()
 	cur := make(map[hashspace.Partition][]transport.NodeID)
 	live := make(map[hashspace.Partition]*bucket)
-	for _, vs := range s.vnodes {
-		for p, bk := range vs.parts {
-			// Frozen (mid-transfer) partitions and partitions of a vnode
-			// whose join has not completed stay in the snapshot so their
-			// placement record is not mistaken for a handover (which
-			// would delete it and orphan the old replica's bucket
-			// forever), but they are neither probed nor advanced this
-			// pass.
-			cur[p] = s.bucketReplicasLocked(p, bk)
-			if vs.joined && bk.state == bucketLive && len(cur[p]) > 0 { //lint:dbdht lockguard state transitions under BOTH s.mu and bk.mu, so this read under s.mu is race-free
-				live[p] = bk
-			}
+	for p, ref := range s.owned {
+		// Frozen (mid-transfer) partitions and partitions of a vnode whose
+		// join has not completed stay in the snapshot so their placement
+		// record is not mistaken for a handover (which would delete it and
+		// orphan the old replica's bucket forever), but they are neither
+		// probed nor advanced this pass.
+		cur[p] = s.ownedReplicasLocked(p, ref)
+		ref.bk.mu.RLock()
+		if ref.vs.joined && ref.bk.state == bucketLive && len(cur[p]) > 0 {
+			live[p] = ref.bk
 		}
+		ref.bk.mu.RUnlock()
 	}
 	s.mu.Unlock()
 

@@ -168,10 +168,11 @@ func replicasConverged(c *Cluster) bool {
 				continue
 			}
 			for p, b := range vs.parts {
+				b.mu.RLock()
 				if b.state != bucketLive {
+					b.mu.RUnlock()
 					continue
 				}
-				b.mu.RLock()
 				n, sum := bucketDigest(b.kv.m)
 				b.mu.RUnlock()
 				for _, host := range s.replicaHostsLocked(p) {
@@ -577,9 +578,9 @@ func TestBatchFrozenPartitionDeadline(t *testing.T) {
 			s.mu.Lock()
 			if vs, p, ok := s.ownsLocked(h); ok {
 				if on {
-					vs.parts[p].setStateLocked(bucketFrozen)
+					vs.parts[p].setState(bucketFrozen)
 				} else {
-					vs.parts[p].setStateLocked(bucketLive)
+					vs.parts[p].setState(bucketLive)
 				}
 			}
 			s.mu.Unlock()

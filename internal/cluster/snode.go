@@ -196,10 +196,8 @@ func (s *Stats) snapshot() StatsSnapshot {
 	}
 }
 
-// bucketState is a bucket's lifecycle phase.  Transitions are made while
-// holding BOTH s.mu and the bucket's own mutex, so either lock alone makes
-// a read race-free: the batch path checks state under bucket.mu without
-// touching the snode-wide lock.
+// bucketState is a bucket's lifecycle phase, guarded by the bucket's own
+// mutex like the data it describes.
 type bucketState uint8
 
 const (
@@ -216,33 +214,22 @@ const (
 // bucket is one partition's key/value store behind its own lock — the
 // striping that lets concurrent batches for different partitions on the
 // same snode proceed without contending on the snode-wide mutex.  s.mu
-// still guards the *maps* of buckets (ownership, custody, membership);
-// the data inside a bucket is guarded by the bucket's mutex alone.
+// guards the *maps* of buckets (ownership, custody, membership); a
+// bucket's lifecycle and data belong to the bucket's mutex alone.  Where
+// both are needed, s.mu is taken first.
 type bucket struct {
-	mu sync.RWMutex
-	// state transitions under BOTH s.mu and mu (setStateLocked), so a
-	// read under either lock is race-free; guarded by mu as far as the
-	// analyzer can see — single-lock readers under s.mu carry a
-	// per-site suppression.
-	state bucketState
-	kv    *kvStore // guarded by mu; nil once the bucket is dead
-	// ver counts write batches applied to this bucket (guarded by mu).
+	mu    sync.RWMutex
+	state bucketState // guarded by mu
+	kv    *kvStore    // guarded by mu; nil once the bucket is dead
+	// ver counts write batches applied to this bucket; guarded by mu.
 	// It piggybacks on the replica fan-out so replicas can rank
 	// themselves by recency in a failover election; a promoted bucket
 	// inherits the replica's version so it keeps climbing.
 	ver uint64
 	// mig is non-nil while the bucket streams out in a chunked live
-	// migration (see migrate.go).  Like state, the pointer transitions
-	// under BOTH s.mu and mu, so a read under either lock is race-free;
-	// the dirty set inside is guarded by mu alone.
+	// migration (see migrate.go); guarded by mu, as is the dirty set
+	// inside it.
 	mig *migSender
-
-	// reps caches the partition's replica hosts as computed for view epoch
-	// repsAt−1 (0: never computed).  Unlike the rest of the bucket it
-	// belongs to the snode-wide lock: placement is read and refreshed
-	// while classifying a batch under s.mu (see bucketReplicasLocked).
-	reps   []transport.NodeID
-	repsAt uint64
 
 	// Load window counters, bumped atomically on the data path and folded
 	// into the EWMA rates by the snode's load ticker (load.go).
@@ -258,11 +245,10 @@ func newBucket(kv *kvStore) *bucket {
 	return &bucket{kv: kv}
 }
 
-// setStateLocked transitions the bucket's lifecycle state.  Caller holds
-// s.mu; the bucket's own mutex is taken here, completing the dual-lock
-// write that makes single-lock reads safe.  A dead bucket lets go of its
-// store and of any outbound migration's tracking.
-func (b *bucket) setStateLocked(st bucketState) {
+// setState transitions the bucket's lifecycle state under the bucket's
+// mutex.  A dead bucket lets go of its store and of any outbound
+// migration's tracking.
+func (b *bucket) setState(st bucketState) {
 	b.mu.Lock()
 	b.state = st
 	if st == bucketDead {
@@ -299,10 +285,8 @@ type Snode struct {
 	cfg      Config
 	inbox    <-chan transport.Envelope
 
-	rngMu sync.Mutex
-	rng   *rand.Rand // guarded by rngMu
-
 	mu        sync.Mutex
+	rng       *rand.Rand                                 // guarded by mu; private, seeded from Config.Seed
 	vnodes    map[VnodeName]*vnodeState                  // guarded by mu
 	owned     map[hashspace.Partition]ownedRef           // guarded by mu; ownership index over every hosted vnode's partitions
 	ownedLvls hashspace.LevelSet                         // guarded by mu
@@ -375,11 +359,17 @@ func newSnode(id transport.NodeID, cfg Config, net transport.Network) (*Snode, e
 		log:      cfg.Logger.With("snode", int(id)),
 	}
 	s.sampler.setRate(cfg.TraceSample)
+	// Recovery mutates state like any handler does, under s.mu: leadership
+	// it reinstalls starts group workers that take the same lock.
+	s.mu.Lock()
 	if cfg.Durability.Dir != "" {
-		if err := s.openDurability(); err != nil {
+		if err := s.openDurabilityLocked(); err != nil {
+			s.mu.Unlock()
 			return nil, err
 		}
 	}
+	hasInDoubt := len(s.inDoubt) > 0
+	s.mu.Unlock()
 	inbox, err := net.Register(id)
 	if err != nil {
 		if s.dur != nil {
@@ -388,10 +378,6 @@ func newSnode(id transport.NodeID, cfg Config, net transport.Network) (*Snode, e
 		return nil, err
 	}
 	s.inbox = inbox
-	// Read recovery state BEFORE the actor loop starts: once loop() runs,
-	// s.inDoubt belongs to s.mu and an unlocked read here would race with
-	// intent resolution (caught by the lockguard analyzer).
-	hasInDoubt := len(s.inDoubt) > 0
 	go s.loop()
 	go s.loadLoop()
 	if cfg.Replicas > 1 {
@@ -433,25 +419,6 @@ func (s *Snode) stop() {
 			}
 		}
 	})
-}
-
-// randUint64 draws from the snode's private RNG safely.
-func (s *Snode) randUint64() uint64 {
-	s.rngMu.Lock()
-	defer s.rngMu.Unlock()
-	return s.rng.Uint64()
-}
-
-func (s *Snode) randIntn(n int) int {
-	s.rngMu.Lock()
-	defer s.rngMu.Unlock()
-	return s.rng.Intn(n)
-}
-
-func (s *Snode) randShuffle(n int, swap func(i, j int)) {
-	s.rngMu.Lock()
-	defer s.rngMu.Unlock()
-	s.rng.Shuffle(n, swap)
 }
 
 // loop is the actor: it dispatches every inbound message.  Fast handlers
@@ -527,9 +494,13 @@ func (s *Snode) loop() {
 // ownedRef binds an owned partition to its hosting vnode and bucket — one
 // entry of the snode-level ownership index behind ownsLocked.  The index
 // mirrors every vs.parts map; the two are mutated together under s.mu.
+// reps caches the partition's replica hosts as computed for view epoch
+// repsAt−1 (0: never computed; see ownedReplicasLocked).
 type ownedRef struct {
-	vs *vnodeState
-	bk *bucket
+	vs     *vnodeState
+	bk     *bucket
+	reps   []transport.NodeID
+	repsAt uint64
 }
 
 func (s *Snode) setOwnedLocked(p hashspace.Partition, vs *vnodeState, bk *bucket) {
@@ -739,9 +710,11 @@ func (s *Snode) handleTransfer(m transferReq) {
 	// the simulator.
 	var candidates []hashspace.Partition
 	for p, bk := range vs.parts {
-		if bk.state == bucketLive && bk.mig == nil { //lint:dbdht lockguard state and mig transition under BOTH s.mu and bk.mu, so this read under s.mu is race-free
+		bk.mu.RLock()
+		if bk.state == bucketLive && bk.mig == nil {
 			candidates = append(candidates, p)
 		}
+		bk.mu.RUnlock()
 	}
 	if len(candidates) == 0 {
 		s.mu.Unlock()
@@ -754,7 +727,7 @@ func (s *Snode) handleTransfer(m transferReq) {
 		}
 		return candidates[i].Prefix < candidates[j].Prefix
 	})
-	p := candidates[s.randIntn(len(candidates))]
+	p := candidates[s.rng.Intn(len(candidates))]
 	bk := vs.parts[p]
 	s.mu.Unlock()
 
@@ -905,7 +878,9 @@ func (s *Snode) handleCreateVnode(m createVnodeReq) {
 
 	const maxRetries = 16
 	for attempt := 0; attempt < maxRetries; attempt++ {
-		r := s.randUint64()
+		s.mu.Lock()
+		r := s.rng.Uint64()
+		s.mu.Unlock()
 		lr, err := s.resolveOwner(r)
 		if err != nil {
 			s.abandonVnode(name)

@@ -65,9 +65,8 @@ const (
 type walRecord interface {
 	walTag() uint16
 	fields(*walker)
-	// applyLocked performs the mutation on s.  The caller holds s.mu, or
-	// owns the snode exclusively (recovery, before the actor starts);
-	// bucket mutexes are taken here.
+	// applyLocked performs the mutation on s.  The caller holds s.mu — the
+	// live handler and recovery alike; bucket mutexes are taken here.
 	applyLocked(s *Snode)
 }
 
@@ -327,7 +326,7 @@ func (rec *walMigInstallRec) applyLocked(s *Snode) {
 		return
 	}
 	if old, ok := vs.parts[rec.Partition]; ok {
-		old.setStateLocked(bucketDead) // a re-install supersedes the previous bucket
+		old.setState(bucketDead) // a re-install supersedes the previous bucket
 	}
 	bk := newBucket(rec.Data)
 	vs.parts[rec.Partition] = bk
@@ -359,7 +358,7 @@ func (rec *walBucketDropRec) fields(w *walker) {
 func (rec *walBucketDropRec) applyLocked(s *Snode) {
 	if vs, ok := s.vnodes[rec.Vnode]; ok {
 		if bk, ok := vs.parts[rec.Partition]; ok {
-			bk.setStateLocked(bucketDead)
+			bk.setState(bucketDead)
 			delete(vs.parts, rec.Partition)
 			s.delOwnedLocked(rec.Partition, bk)
 		}
@@ -433,9 +432,23 @@ func (*lpdrSyncMsg) walTag() uint16 { return walTagLpdr }
 // applyLocked installs the LPDR replica and binds the member vnodes
 // hosted here to the group — which completes a join.  Leadership is not
 // installed here: a leader takes office by groupInit, and recovery
-// reinstalls it once the whole log has replayed (openDurability).
+// reinstalls it once the whole log has replayed (openDurabilityLocked).
+//
+// Groups only split and levels only deepen, so a sync that would move a
+// hosted, joined member to a shallower level or to an ancestor group is
+// stale, and is ignored whole: a parent leader's sync can reach a member
+// host after the child group's sync overtook it on another connection,
+// and applying it would re-bind the member to the dissolved parent and
+// re-create the parent's replica.  Replay skips the same record, because
+// it meets the same state.
 func (m *lpdrSyncMsg) applyLocked(s *Snode) {
 	st := m.State
+	for _, mem := range st.Members {
+		if vs, ok := s.vnodes[mem.Vnode]; ok && mem.Host == s.id && vs.joined &&
+			(st.Level < vs.level || st.Group.Len < vs.group.Len) {
+			return
+		}
+	}
 	s.replicas[st.Group] = &st
 	for _, d := range m.Dissolved {
 		delete(s.replicas, d)

@@ -153,7 +153,7 @@ func TestDiskFormatGolden(t *testing.T) {
 	}
 }
 
-// walRecDecoder decodes a journal record the way applyWalRecord does: the
+// walRecDecoder decodes a journal record the way applyWalRecordLocked does: the
 // tag, then the fields walk of the record its table row makes.  Bytes left
 // over are an error, so a golden record that grew a field cannot pass on
 // its old prefix.
@@ -169,5 +169,47 @@ func walRecDecoder(tag uint16, newRec func() walRecord) func([]byte) (any, error
 			return nil, fmt.Errorf("tag %d: %d bytes left undecoded", tag, r.Len())
 		}
 		return rec, r.Err()
+	}
+}
+
+// TestStaleLpdrSyncIgnored replays the §3.6 race in which a parent
+// leader's sync, sent before the group split, reaches a member host only
+// after the child group's sync: the late sync must neither move the
+// member back to the dissolved parent (group or level) nor re-create the
+// parent's LPDR replica.
+func TestStaleLpdrSyncIgnored(t *testing.T) {
+	parent := core.GroupID{Bits: 0b1, Len: 1}
+	child, _ := parent.Split()
+	vn := VnodeName{Snode: 3, Local: 0}
+	sync := func(g core.GroupID, level uint8, leader transport.NodeID) *lpdrSyncMsg {
+		return &lpdrSyncMsg{State: lpdrState{Group: g, Level: level, Leader: leader,
+			Members: []memberInfo{{Vnode: vn, Host: 3, Count: 4}}}}
+	}
+	cfg, err := Config{Pmin: 4, Vmin: 2}.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, childLevel := range []uint8{6, 7} {
+		t.Run(fmt.Sprintf("child at level %d", childLevel), func(t *testing.T) {
+			s, err := newSnode(3, cfg, transport.NewMem())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.stop()
+			s.mutate(&walVnodeRec{Name: vn})
+			s.mutate(sync(parent, 6, 1)) // the join completes in the parent
+			split := sync(child, childLevel, 2)
+			split.Dissolved = []core.GroupID{parent}
+			s.mutate(split)
+			s.mutate(sync(parent, 6, 1)) // the parent's sync, overtaken
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			if vs := s.vnodes[vn]; vs.group != child || vs.level != childLevel {
+				t.Errorf("vnode in group %v at level %d, want the child %v at level %d", vs.group, vs.level, child, childLevel)
+			}
+			if _, ok := s.replicas[parent]; ok {
+				t.Errorf("the late sync re-created the dissolved parent's LPDR replica")
+			}
+		})
 	}
 }
