@@ -158,15 +158,12 @@ func benchName(prefix string, v int) string {
 }
 
 // benchCluster boots a quiesced data-plane cluster for throughput
-// benchmarks: 8 snodes, 32 vnodes, in-memory fabric.
+// benchmarks: 8 snodes, 32 vnodes, in-memory fabric.  Batched and
+// replicated throughput, on either medium, is measured by bench/'s layer
+// metrics (cluster.{mem,tcp}_m{put,get}_keys_per_s.*).
 func benchCluster(b *testing.B) *dbdht.Cluster {
-	return benchClusterR(b, 1)
-}
-
-// benchClusterR is benchCluster with R-way replication.
-func benchClusterR(b *testing.B, replicas int) *dbdht.Cluster {
 	b.Helper()
-	c, err := dbdht.NewCluster(dbdht.ClusterOptions{Pmin: 32, Vmin: 8, Seed: 1, Replicas: replicas})
+	c, err := dbdht.NewCluster(dbdht.ClusterOptions{Pmin: 32, Vmin: 8, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -183,122 +180,11 @@ func benchClusterR(b *testing.B, replicas int) *dbdht.Cluster {
 		}
 	}
 	return c
-}
-
-// benchClusterTCPR is benchClusterR over the real TCP fabric on loopback:
-// every protocol message is framed, encoded and sent through the kernel's
-// network stack, so encode cost and per-connection serialization show up.
-func benchClusterTCPR(b *testing.B, replicas int) *dbdht.Cluster {
-	b.Helper()
-	c, err := dbdht.NewClusterTCP(dbdht.ClusterOptions{Pmin: 32, Vmin: 8, Seed: 1, Replicas: replicas}, "127.0.0.1")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(c.Close)
-	for i := 0; i < 8; i++ {
-		if _, err := c.AddSnode(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	ids := c.Snodes()
-	for i := 0; i < 32; i++ {
-		if _, _, err := c.CreateVnode(ids[i%len(ids)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	return c
-}
-
-// BenchmarkClusterMPutTCP measures batched puts over the TCP fabric at
-// batch=256 — the headline wire-path number: it exercises the frame codec,
-// the per-connection writer and the snode storage locks end to end, with
-// (R=2) and without (R=1) the synchronous replica fan-out.
-func BenchmarkClusterMPutTCP(b *testing.B) {
-	for _, r := range []int{1, 2} {
-		b.Run(benchName("R", r), func(b *testing.B) {
-			const size = 256
-			c := benchClusterTCPR(b, r)
-			value := make([]byte, 64)
-			items := make([]dbdht.KV, size)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j := range items {
-					items[j] = dbdht.KV{Key: fmt.Sprintf("bench-key-%d", (i*size+j)%4096), Value: value}
-				}
-				results, err := c.MPut(items)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, r := range results {
-					if !r.OK() {
-						b.Fatalf("MPut %q: %s", r.Key, r.Err)
-					}
-				}
-			}
-			b.ReportMetric(float64(b.N*size)/b.Elapsed().Seconds(), "keys/s")
-			lat := c.Latencies().BatchRPC
-			b.ReportMetric(1e6*lat.Quantile(0.50), "p50-µs")
-			b.ReportMetric(1e6*lat.Quantile(0.95), "p95-µs")
-			b.ReportMetric(1e6*lat.Quantile(0.99), "p99-µs")
-		})
-	}
-}
-
-// BenchmarkClusterMPutTCPDurable is BenchmarkClusterMPutTCP R=1 with the
-// write-ahead log on: every batch encodes one journal record per touched
-// bucket before ack.  fsync=off measures the pure journaling overhead
-// (the regression guard against the non-durable baseline); fsync=batch
-// adds the group-commit fsync each batch awaits.
-func BenchmarkClusterMPutTCPDurable(b *testing.B) {
-	for _, mode := range []dbdht.FsyncMode{dbdht.FsyncOff, dbdht.FsyncBatch} {
-		b.Run("fsync="+mode.String(), func(b *testing.B) {
-			const size = 256
-			c, err := dbdht.NewClusterTCP(dbdht.ClusterOptions{
-				Pmin: 32, Vmin: 8, Seed: 1,
-				Durability: dbdht.DurabilityConfig{
-					Dir: b.TempDir(), Fsync: mode, SnapshotInterval: -1,
-				},
-			}, "127.0.0.1")
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(c.Close)
-			for i := 0; i < 8; i++ {
-				if _, err := c.AddSnode(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			ids := c.Snodes()
-			for i := 0; i < 32; i++ {
-				if _, _, err := c.CreateVnode(ids[i%len(ids)]); err != nil {
-					b.Fatal(err)
-				}
-			}
-			value := make([]byte, 64)
-			items := make([]dbdht.KV, size)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j := range items {
-					items[j] = dbdht.KV{Key: fmt.Sprintf("bench-key-%d", (i*size+j)%4096), Value: value}
-				}
-				results, err := c.MPut(items)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, r := range results {
-					if !r.OK() {
-						b.Fatalf("MPut %q: %s", r.Key, r.Err)
-					}
-				}
-			}
-			b.ReportMetric(float64(b.N*size)/b.Elapsed().Seconds(), "keys/s")
-		})
-	}
 }
 
 // BenchmarkClusterPut measures single-key puts: one serial request/response
-// round-trip per key.  Compare ns/op·batch with BenchmarkClusterMPut at the
-// same batch sizes to see the batching win.
+// round-trip per key.  Compare its keys/s with cluster.mem_mput_keys_per_s.R1
+// (batch 256 on the same shape, bench/) to see the batching win.
 func BenchmarkClusterPut(b *testing.B) {
 	c := benchCluster(b)
 	value := make([]byte, 64)
@@ -309,98 +195,4 @@ func BenchmarkClusterPut(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "keys/s")
-}
-
-// BenchmarkClusterMPut measures batched puts: keys grouped by owner and
-// fanned out in parallel across the groups (§3.1), amortizing round-trips.
-func BenchmarkClusterMPut(b *testing.B) {
-	for _, size := range []int{16, 64, 256} {
-		b.Run(benchName("batch", size), func(b *testing.B) {
-			c := benchCluster(b)
-			value := make([]byte, 64)
-			items := make([]dbdht.KV, size)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j := range items {
-					items[j] = dbdht.KV{Key: fmt.Sprintf("bench-key-%d", (i*size+j)%4096), Value: value}
-				}
-				results, err := c.MPut(items)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, r := range results {
-					if !r.OK() {
-						b.Fatalf("MPut %q: %s", r.Key, r.Err)
-					}
-				}
-			}
-			b.ReportMetric(float64(b.N*size)/b.Elapsed().Seconds(), "keys/s")
-		})
-	}
-}
-
-// BenchmarkClusterMPutReplicated measures the cost of durability: every
-// batched put is synchronously fanned to R−1 replica snodes before it is
-// acknowledged.
-func BenchmarkClusterMPutReplicated(b *testing.B) {
-	for _, r := range []int{2, 3} {
-		b.Run(benchName("R", r), func(b *testing.B) {
-			const size = 256
-			c := benchClusterR(b, r)
-			value := make([]byte, 64)
-			items := make([]dbdht.KV, size)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j := range items {
-					items[j] = dbdht.KV{Key: fmt.Sprintf("bench-key-%d", (i*size+j)%4096), Value: value}
-				}
-				results, err := c.MPut(items)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, r := range results {
-					if !r.OK() {
-						b.Fatalf("MPut %q: %s", r.Key, r.Err)
-					}
-				}
-			}
-			b.ReportMetric(float64(b.N*size)/b.Elapsed().Seconds(), "keys/s")
-		})
-	}
-}
-
-// BenchmarkClusterMGet is the read-side counterpart.
-func BenchmarkClusterMGet(b *testing.B) {
-	for _, size := range []int{16, 64, 256} {
-		b.Run(benchName("batch", size), func(b *testing.B) {
-			c := benchCluster(b)
-			value := make([]byte, 64)
-			keys := make([]string, 4096)
-			var items []dbdht.KV
-			for i := range keys {
-				keys[i] = fmt.Sprintf("bench-key-%d", i)
-				items = append(items, dbdht.KV{Key: keys[i], Value: value})
-			}
-			if _, err := c.MPut(items); err != nil {
-				b.Fatal(err)
-			}
-			batch := make([]string, size)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j := range batch {
-					batch[j] = keys[(i*size+j)%len(keys)]
-				}
-				results, err := c.MGet(batch)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, r := range results {
-					if !r.OK() || !r.Found {
-						b.Fatalf("MGet %q = %+v", r.Key, r)
-					}
-				}
-			}
-			b.ReportMetric(float64(b.N*size)/b.Elapsed().Seconds(), "keys/s")
-		})
-	}
 }

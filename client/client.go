@@ -500,7 +500,12 @@ type Stats struct {
 	ReplWrites     int64 `json:"ReplWrites"`
 	ReplRepairs    int64 `json:"ReplRepairs"`
 	ReplLagged     int64 `json:"ReplLagged"`
+	AEProbeMsgs    int64 `json:"AEProbeMsgs"`
+	AEKeysHashed   int64 `json:"AEKeysHashed"`
 	FailoverReads  int64 `json:"FailoverReads"`
+	ChunksSent     int64 `json:"ChunksSent"`
+	MigAborts      int64 `json:"MigAborts"`
+	FreezeTimeouts int64 `json:"FreezeTimeouts"`
 
 	Elections       int64 `json:"Elections"`
 	Promotions      int64 `json:"Promotions"`

@@ -13,7 +13,7 @@
 //   - tracectx:    trace/context parameters are forwarded, never dropped,
 //     on RPC paths.
 //
-// The suite runs standalone and under `go vet -vettool=` via cmd/dbdhtlint.
+// The suite runs via cmd/dbdhtlint and TestRepoInvariantsClean.
 // There is no way to silence a finding: it is fixed by restructuring the
 // code it points at.  See docs/INVARIANTS.md for the catalogue.
 package analysis

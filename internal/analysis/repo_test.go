@@ -9,8 +9,7 @@ import (
 // TestRepoInvariantsClean runs the full analyzer suite over the real
 // module, so `go test ./...` — not just the CI analyze job — fails when a
 // tag constant is deleted from tags.lock, a duplicate tag lands, a
-// guarded field is accessed bare, or a trace context is dropped.  Suppressed findings carry their inline
-// justification and do not count.
+// guarded field is accessed bare, or a trace context is dropped.
 func TestRepoInvariantsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("repo-wide type-check is a few seconds; skipped under -short")

@@ -37,11 +37,6 @@ type batchReq struct {
 	// ReadReplica marks a failover read: the receiver serves the keys
 	// straight from its replica store instead of the ownership path.
 	ReadReplica bool
-	// private (never on the wire; set by the frame decoder) marks Items
-	// whose slices are exclusively owned by this message — freshly
-	// allocated during decode — so puts may store the values without the
-	// defensive copy the by-reference in-memory fabric requires.
-	private bool
 }
 
 // batchItemResp is the per-key outcome inside a batchResp, parallel to the
@@ -179,7 +174,7 @@ func (s *Snode) handleBatch(m batchReq, tr transport.TraceContext) {
 				for _, i := range w.idxs {
 					v, found := bk.kv.m[m.Items[i].Key]
 					readBytes += int64(len(v))
-					results[i] = batchItemResp{Value: append([]byte(nil), v...), Found: found}
+					results[i] = batchItemResp{Value: v, Found: found}
 				}
 				bk.mu.RUnlock()
 				bk.noteReads(int64(len(w.idxs)), readBytes)
@@ -210,12 +205,8 @@ func (s *Snode) handleBatch(m batchReq, tr transport.TraceContext) {
 					it := m.Items[i]
 					switch m.Kind {
 					case opPut:
-						v := it.Value
-						if !m.private {
-							v = append([]byte(nil), v...)
-						}
-						bk.kv.put(it.Key, v)
-						wroteBytes += int64(len(v))
+						bk.kv.put(it.Key, it.Value)
+						wroteBytes += int64(len(it.Value))
 						results[i] = batchItemResp{Found: true}
 					case opDel:
 						results[i] = batchItemResp{Found: bk.kv.del(it.Key)}

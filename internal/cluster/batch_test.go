@@ -186,6 +186,56 @@ func TestBatchOverTCP(t *testing.T) {
 	}
 }
 
+// TestBatchValuesAreNotShared: the cluster keeps no slice a caller holds.
+// Overwriting the bytes passed to MPut after it returned, or the bytes an
+// MGet returned, never changes what the next MGet reads — on either
+// medium, since every value crosses the codec between the handle and the
+// snodes.
+func TestBatchValuesAreNotShared(t *testing.T) {
+	for name, mk := range map[string]func() transport.Network{
+		"mem": func() transport.Network { return transport.NewMem() },
+		"tcp": func() transport.Network { return transport.NewTCP("127.0.0.1") },
+	} {
+		t.Run(name, func(t *testing.T) {
+			c, err := New(Config{Pmin: 8, Vmin: 4, Seed: 22, Replicas: 2, RPCTimeout: 20 * time.Second}, mk())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			for i := 0; i < 3; i++ {
+				if _, err := c.AddSnode(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			growCluster(t, c, 6)
+			keys, items := batchKeys(32)
+			if _, err := c.MPut(items); err != nil {
+				t.Fatal(err)
+			}
+			mustRead := func(what string) []BatchResult {
+				t.Helper()
+				results, err := c.MGet(keys)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, r := range results {
+					if want := fmt.Sprintf("batch-val-%04d", i); !r.OK() || string(r.Value) != want {
+						t.Fatalf("%s: MGet %q = %+v, want %q", what, keys[i], r, want)
+					}
+				}
+				return results
+			}
+			for _, it := range items {
+				copy(it.Value, "XXXXXXXXX")
+			}
+			for _, r := range mustRead("after overwriting the MPut input") {
+				copy(r.Value, "YYYYYYYYY")
+			}
+			mustRead("after overwriting an MGet result")
+		})
+	}
+}
+
 func TestDataOpsOnEmptyAndClosedCluster(t *testing.T) {
 	// No snodes at all: every data op fails fast.
 	c := newTestCluster(t, 32, 8, 0, 3)

@@ -13,8 +13,8 @@ import (
 // one-line methods beside the struct), which is how the receive loops
 // hand it to the call awaiting its Op (endpoint.go).
 //
-// Over the TCP fabric every message rides the binary frame codec in
-// wire.go, the fabric's only encoding: a new message needs a tag, a
+// Every message rides the binary frame codec in wire.go, the fabric's
+// only encoding, on either medium: a new message needs a tag, a
 // fields walk and a row of the message table there before it can be sent
 // (docs/WIRE.md, "Adding a message").
 

@@ -112,9 +112,6 @@ type migChunkReq struct {
 	Partition hashspace.Partition
 	Items     []migItem
 	ReplyTo   transport.NodeID
-	// private is the frame decoder's exclusively-owned-slices mark, as on
-	// batchReq: decoded values may be stored without a defensive copy.
-	private bool
 }
 
 // migCommitReq is the final, frozen-window delta: the receiver folds it in
@@ -125,7 +122,6 @@ type migCommitReq struct {
 	Partition hashspace.Partition
 	Items     []migItem
 	ReplyTo   transport.NodeID
-	private   bool
 }
 
 // migAbortMsg discards a staging bucket after a sender-side failure
@@ -367,21 +363,13 @@ func (s *Snode) migratePartition(g core.GroupID, to VnodeName, toHost transport.
 // --- receiver side ---
 
 // applyMigItems folds chunk items into a staging store.
-func applyMigItems(data *kvStore, items []migItem, private bool) {
+func applyMigItems(data *kvStore, items []migItem) {
 	for _, it := range items {
 		if it.Del {
 			data.del(it.Key)
-			continue
+		} else {
+			data.put(it.Key, it.Value)
 		}
-		v := it.Value
-		if !private {
-			// Over the by-reference in-memory fabric values stay shared
-			// with the sender's bucket (immutable by convention, exactly
-			// as the data plane stores them); only the slice header is
-			// copied.  Decoded frames pass private and skip even that.
-			v = append([]byte(nil), v...)
-		}
-		data.put(it.Key, v)
 	}
 }
 
@@ -411,7 +399,7 @@ func (s *Snode) handleMigChunk(m migChunkReq) {
 		s.send(m.ReplyTo, untraced, ackResp{Op: m.Op, Err: fmt.Sprintf("no migration staged for %v at %d", m.Partition, s.id)})
 		return
 	}
-	applyMigItems(st.data, m.Items, m.private)
+	applyMigItems(st.data, m.Items)
 	s.mu.Unlock()
 	s.send(m.ReplyTo, untraced, ackResp{Op: m.Op})
 }
@@ -437,7 +425,7 @@ func (s *Snode) handleMigCommit(m migCommitReq, tr transport.TraceContext) {
 		s.send(m.ReplyTo, untraced, ackResp{Op: m.Op, Err: fmt.Sprintf("vnode %v not allocated at %d", m.To, s.id)})
 		return
 	}
-	applyMigItems(st.data, m.Items, m.private)
+	applyMigItems(st.data, m.Items)
 	// Journal the install with the FULL folded contents before it goes
 	// live: the staging chunks were volatile, so the commit record alone
 	// must reconstruct the bucket at replay (see walrec.go).

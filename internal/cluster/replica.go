@@ -94,9 +94,6 @@ type replWriteReq struct {
 	Kind    dataOp
 	Sets    []replWriteSet
 	ReplyTo transport.NodeID
-	// private is the frame decoder's exclusively-owned-slices mark, as on
-	// batchReq: it lets the replica store decoded values without copying.
-	private bool
 }
 
 // partDigest is one partition's (key count, order-independent checksum)
@@ -316,7 +313,7 @@ func (s *Snode) handleViewUpdate(m viewUpdate) {
 
 func (s *Snode) handleReplWrite(m replWriteReq, tr transport.TraceContext) {
 	sp := beginSpan(tr, "repl.write")
-	rec := walReplWriteRec{Kind: m.Kind, Sets: m.Sets, private: m.private}
+	rec := walReplWriteRec{Kind: m.Kind, Sets: m.Sets}
 	var applied int64
 	s.mu.Lock()
 	rec.applyLocked(s)
@@ -393,7 +390,7 @@ func (s *Snode) serveReplicaRead(m batchReq, tr transport.TraceContext) {
 			bk.mu.RLock()
 			if bk.state != bucketDead {
 				v, found := bk.kv.m[it.Key]
-				results[i] = batchItemResp{Value: append([]byte(nil), v...), Found: found}
+				results[i] = batchItemResp{Value: v, Found: found}
 				bk.mu.RUnlock()
 				served++
 				continue
@@ -411,7 +408,7 @@ func (s *Snode) serveReplicaRead(m batchReq, tr transport.TraceContext) {
 			results[i] = batchItemResp{Err: fmt.Sprintf("snode %d replica for key %q is provisional", s.id, it.Key)}
 			continue
 		}
-		results[i] = batchItemResp{Value: append([]byte(nil), v...), Found: found}
+		results[i] = batchItemResp{Value: v, Found: found}
 		served++
 	}
 	s.mu.Unlock()

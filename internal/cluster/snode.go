@@ -24,7 +24,7 @@ type Config struct {
 	// (default 30s — generous, because the model assumes a reliable
 	// cluster network and a timeout indicates a bug, not a failure).
 	RPCTimeout time.Duration
-	// Seed derives each snode's private RNG.
+	// Seed derives each snode's own RNG.
 	Seed int64
 	// Replicas is R, the number of copies of every partition (primary
 	// included).  1 (the default) disables replication, matching the
@@ -286,7 +286,7 @@ type Snode struct {
 	inbox    <-chan transport.Envelope
 
 	mu        sync.Mutex
-	rng       *rand.Rand                                 // guarded by mu; private, seeded from Config.Seed
+	rng       *rand.Rand                                 // guarded by mu; the snode's own, seeded from Config.Seed
 	vnodes    map[VnodeName]*vnodeState                  // guarded by mu
 	owned     map[hashspace.Partition]ownedRef           // guarded by mu; ownership index over every hosted vnode's partitions
 	ownedLvls hashspace.LevelSet                         // guarded by mu
@@ -739,8 +739,8 @@ func (s *Snode) handleTransfer(m transferReq) {
 	s.send(m.ReplyTo, untraced, transferResp{Op: m.Op, Partition: p, Keys: keys})
 }
 
-// copyBucket clones one partition's key/value map (values are immutable
-// by convention — the data plane stores and returns copies).
+// copyBucket clones one partition's key/value map; the values are shared,
+// as no stored value is ever written in place.
 func copyBucket(b map[string][]byte) map[string][]byte {
 	out := make(map[string][]byte, len(b))
 	for k, v := range b {

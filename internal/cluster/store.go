@@ -57,18 +57,14 @@ func (st *kvStore) replaceAll(m map[string][]byte) {
 	}
 }
 
-// apply folds one batch's writes into the store.  private marks values
-// whose slices the caller owns exclusively (decoded off a wire frame or a
-// journal record) and may be stored without a defensive copy.
-func (st *kvStore) apply(kind dataOp, items []batchItem, private bool) {
+// apply folds one batch's writes into the store, adopting the values:
+// they were decoded off a frame or a journal record and are the caller's
+// alone.
+func (st *kvStore) apply(kind dataOp, items []batchItem) {
 	for _, it := range items {
 		switch kind {
 		case opPut:
-			v := it.Value
-			if !private {
-				v = append([]byte(nil), v...)
-			}
-			st.put(it.Key, v)
+			st.put(it.Key, it.Value)
 		case opDel:
 			st.del(it.Key)
 		}

@@ -12,11 +12,11 @@ import (
 )
 
 // Request tracing.  A sampled operation carries a transport.TraceContext
-// through every hop — by value on the in-memory fabric, in the frame
-// header on TCP (codec.go) — and each stage records one Span into its
-// snode's fixed-size ring buffer.  The cluster handle, which hosts every
-// snode in-process on both fabrics, assembles a trace by sweeping the
-// rings (Cluster.Trace), so collection needs no wire protocol of its own.
+// through every hop in the frame header (codec.go), and each stage
+// records one Span into its snode's fixed-size ring buffer.  The cluster
+// handle, which hosts every snode in-process on either medium, assembles
+// a trace by sweeping the rings (Cluster.Trace), so collection needs no
+// wire protocol of its own.
 //
 // Cost discipline: with sampling off (the default) the data plane pays
 // exactly one atomic load per client operation (sampler.next) and zero

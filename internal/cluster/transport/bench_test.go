@@ -92,18 +92,15 @@ func BenchmarkDecodeFrameBinary(b *testing.B) {
 }
 
 // BenchmarkTransportPipe measures envelopes/sec through one (From, To)
-// connection of each fabric: a sender pushing batch payloads, a receiver
+// connection of each medium: a sender pushing batch payloads, a receiver
 // draining.  The sender keeps a bounded number of envelopes in flight —
 // like the request/response traffic the cluster actually runs — so the
 // TCP writer queue's byte budget (there to cut off peers that STOP
-// reading) never trips against a healthy-but-slower reader.  On the TCP
-// fabric this exercises the full framed path: sender-side slab encode,
-// writer goroutine, flush coalescing, pooled frame reads.
+// reading) never trips against a healthy-but-slower reader.  Both media
+// exercise the full framed path: sender-side slab encode, writer
+// goroutine, flush coalescing, pooled frame reads.
 func BenchmarkTransportPipe(b *testing.B) {
-	for name, mk := range map[string]func() Network{
-		"mem": func() Network { return NewMem() },
-		"tcp": func() Network { return NewTCP("127.0.0.1") },
-	} {
+	for name, mk := range fabrics() {
 		b.Run(name, func(b *testing.B) {
 			n := mk()
 			defer n.Close()

@@ -7,7 +7,7 @@ import (
 	"sync/atomic"
 )
 
-// Wire framing.  Every envelope on the TCP fabric travels as one
+// Wire framing.  Every envelope, over either medium, travels as one
 // length-prefixed frame:
 //
 //	uint32   big-endian length of the frame body

@@ -4,12 +4,16 @@
 // bandwidth, no partitions (§5) — so the abstraction is deliberately small:
 // asynchronous, reliable, FIFO-per-sender-receiver-pair message passing.
 //
-// Two implementations are provided: an in-memory fabric built on unbounded
-// mailboxes (the default for simulations and tests), and a TCP fabric for
-// loopback or real interfaces.  On TCP every envelope travels as one
+// There is one fabric with two media.  NewTCP carries it over TCP
+// sockets, on loopback or real interfaces; NewMem over in-process
+// net.Pipe connections, the default for simulations and tests, which
+// opens no socket.  Either way every envelope travels as one
 // length-prefixed, versioned frame (codec.go): payloads implement
 // WireMessage with a hand-rolled binary codec whose decoder is registered
-// via RegisterWire, and each (From, To) pair owns one
-// connection drained by a dedicated writer goroutine with a byte-budgeted
-// queue and flush coalescing.  docs/WIRE.md is the formal format spec.
+// via RegisterWire, and each (From, To) pair owns one connection drained
+// by a dedicated writer goroutine with a byte-budgeted queue and flush
+// coalescing.  The receiver's read loop decodes each frame, judges it
+// against the Faults plan and pushes it into the endpoint's unbounded
+// mailbox, so every received message is a fresh value that shares
+// nothing with its sender.  docs/WIRE.md is the formal format spec.
 package transport

@@ -10,7 +10,7 @@ import (
 	"time"
 )
 
-// Faults is a nemesis fault plan shared by the fabrics: a set of
+// Faults is a nemesis fault plan for the fabric: a set of
 // per-directed-link rules — blocked (partition), probabilistic frame
 // drop, and one-way delay with jitter — consulted once per envelope.
 // Every random decision (drop coin flips, jitter draws) comes from one
@@ -18,24 +18,19 @@ import (
 // from a printed seed; the rule set itself is mutated only by the
 // nemesis schedule, which is deterministic by construction.
 //
-// Attach a plan with Mem.SetFaults or TCP.SetFaults before the fabric
-// carries traffic; rules may then be installed, changed and healed live.
-// All rules are directed (from → to): Partition installs both
-// directions, PartitionOneWay and the link setters exactly what they
-// are given, so asymmetric partitions are first-class.
+// Attach a plan with SetFaults before the fabric carries traffic; rules
+// may then be installed, changed and healed live.  All rules are
+// directed (from → to): Partition installs both directions,
+// PartitionOneWay and the link setters exactly what they are given, so
+// asymmetric partitions are first-class.
 //
-// Semantics on each fabric:
-//
-//   - Mem: a blocked or dropped envelope vanishes at Send (the sender
-//     sees success, exactly like a lost datagram — RPCs surface it as
-//     timeouts).  A delayed envelope is queued on a per-link delay line
-//     that preserves the link's FIFO order without head-of-line blocking
-//     other senders into the same mailbox.
-//   - TCP: faults are applied on the receive side, after a frame is
-//     decoded and before it is delivered, so an injected drop can never
-//     corrupt framing — the stream stays intact and only whole messages
-//     vanish.  Delay sleeps in the connection's read loop; each ordered
-//     (from, to) pair has its own connection, so only that link slows.
+// Faults are judged on the receive side, after a frame is decoded and
+// before it is delivered, on either medium.  A blocked or dropped
+// envelope vanishes whole — the sender saw Send succeed, exactly like a
+// lost datagram, and RPCs surface the loss as timeouts — while the byte
+// stream underneath stays intact.  Delay sleeps in the connection's read
+// loop; each ordered (from, to) pair has its own connection, so only
+// that link slows and its FIFO order holds.
 type Faults struct {
 	seed int64
 	// ruled counts installed rules so the per-envelope judge call is a
@@ -148,8 +143,9 @@ func (f *Faults) SetLinkDrop(from, to []NodeID, p float64) {
 	f.recountLocked()
 }
 
-// Heal removes every rule: the fabric is whole again.  Envelopes already
-// queued on delay lines still deliver (late packets from the bad period).
+// Heal removes every rule: the fabric is whole again.  An envelope a
+// read loop is already sleeping on still delivers (a late packet from
+// the bad period).
 func (f *Faults) Heal() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -211,102 +207,4 @@ func (f *Faults) judge(from, to NodeID) faultVerdict {
 		}
 	}
 	return v
-}
-
-// delayLine delivers the delayed envelopes of one directed mem-fabric
-// link in FIFO order at their due times.  A dedicated queue per link —
-// rather than due times in the destination's shared mailbox — keeps a
-// slow link from head-of-line blocking every other sender into the same
-// mailbox, matching what a slow wire does.
-type delayLine struct {
-	deliver func(Envelope)
-	wake    chan struct{}
-
-	mu       sync.Mutex
-	queue    []timedEnvelope // guarded by mu
-	lastDue  time.Time       // guarded by mu
-	inflight bool            // pump holds a popped envelope; guarded by mu
-	closed   bool            // guarded by mu
-}
-
-type timedEnvelope struct {
-	env Envelope
-	due time.Time
-}
-
-func newDelayLine(deliver func(Envelope)) *delayLine {
-	l := &delayLine{deliver: deliver, wake: make(chan struct{}, 1)}
-	go l.pump()
-	return l
-}
-
-// push enqueues an envelope due at the given time.  Due times are
-// clamped monotone so shrinking jitter cannot reorder the link.
-func (l *delayLine) push(env Envelope, due time.Time) {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return
-	}
-	if due.Before(l.lastDue) {
-		due = l.lastDue
-	}
-	l.lastDue = due
-	l.queue = append(l.queue, timedEnvelope{env: env, due: due})
-	l.mu.Unlock()
-	select {
-	case l.wake <- struct{}{}:
-	default:
-	}
-}
-
-// pending reports whether any envelope is queued or in flight.  While
-// true, new sends on the link must route through the line even when the
-// delay rule is gone, or they would overtake the queued ones.
-func (l *delayLine) pending() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.queue) > 0 || l.inflight
-}
-
-func (l *delayLine) pump() {
-	for {
-		l.mu.Lock()
-		for len(l.queue) == 0 {
-			if l.closed {
-				l.mu.Unlock()
-				return
-			}
-			l.mu.Unlock()
-			<-l.wake
-			l.mu.Lock()
-		}
-		if l.closed {
-			// Fabric going down: drop the backlog instead of sleeping it out.
-			l.queue = nil
-			l.mu.Unlock()
-			return
-		}
-		te := l.queue[0]
-		l.queue = l.queue[1:]
-		l.inflight = true
-		l.mu.Unlock()
-		if wait := time.Until(te.due); wait > 0 {
-			time.Sleep(wait)
-		}
-		l.deliver(te.env)
-		l.mu.Lock()
-		l.inflight = false
-		l.mu.Unlock()
-	}
-}
-
-func (l *delayLine) close() {
-	l.mu.Lock()
-	l.closed = true
-	l.mu.Unlock()
-	select {
-	case l.wake <- struct{}{}:
-	default:
-	}
 }

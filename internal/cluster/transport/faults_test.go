@@ -22,26 +22,13 @@ func drainUntilQuiet(in <-chan Envelope, quiet time.Duration) []int {
 	}
 }
 
-// setFaults attaches a plan to whichever fabric is under test.
-func setFaults(t *testing.T, n Network, f *Faults) {
-	t.Helper()
-	switch fab := n.(type) {
-	case *Mem:
-		fab.SetFaults(f)
-	case *TCP:
-		fab.SetFaults(f)
-	default:
-		t.Fatalf("unknown fabric %T", n)
-	}
-}
-
 func TestFaultsPartitionBlocksAndHeals(t *testing.T) {
 	for name, mk := range fabrics() {
 		t.Run(name, func(t *testing.T) {
 			n := mk()
 			defer n.Close()
 			f := NewFaults(1)
-			setFaults(t, n, f)
+			n.SetFaults(f)
 			in1, err := n.Register(1)
 			if err != nil {
 				t.Fatal(err)
@@ -85,7 +72,7 @@ func TestFaultsPartitionOneWay(t *testing.T) {
 			n := mk()
 			defer n.Close()
 			f := NewFaults(2)
-			setFaults(t, n, f)
+			n.SetFaults(f)
 			in1, err := n.Register(1)
 			if err != nil {
 				t.Fatal(err)
@@ -117,7 +104,7 @@ func TestFaultsLinkDelay(t *testing.T) {
 			n := mk()
 			defer n.Close()
 			f := NewFaults(3)
-			setFaults(t, n, f)
+			n.SetFaults(f)
 			in1, err := n.Register(1)
 			if err != nil {
 				t.Fatal(err)
@@ -161,34 +148,38 @@ func TestFaultsLinkDelay(t *testing.T) {
 
 func TestFaultsDelayNoHeadOfLineBlocking(t *testing.T) {
 	// A slow 2→1 link must not stall an unrelated 3→1 sender into the
-	// same mailbox (the delay queue is per link, not per receiver).
-	n := NewMem()
-	defer n.Close()
-	f := NewFaults(4)
-	n.SetFaults(f)
-	in1, err := n.Register(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := n.Register(2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := n.Register(3); err != nil {
-		t.Fatal(err)
-	}
-	f.SetLinkDelay([]NodeID{2}, []NodeID{1}, 150*time.Millisecond, 0)
-	if err := n.Send(Envelope{From: 2, To: 1, Msg: testMsg{Seq: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Send(Envelope{From: 3, To: 1, Msg: testMsg{Seq: 2}}); err != nil {
-		t.Fatal(err)
-	}
-	first := recvOne(t, in1)
-	if first.From != 3 {
-		t.Fatalf("fast link waited behind slow link: first delivery from %d", first.From)
-	}
-	if second := recvOne(t, in1); second.From != 2 {
-		t.Fatalf("delayed frame never arrived: second delivery from %d", second.From)
+	// same mailbox (each link sleeps on its own connection).
+	for name, mk := range fabrics() {
+		t.Run(name, func(t *testing.T) {
+			n := mk()
+			defer n.Close()
+			f := NewFaults(4)
+			n.SetFaults(f)
+			in1, err := n.Register(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := n.Register(2); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := n.Register(3); err != nil {
+				t.Fatal(err)
+			}
+			f.SetLinkDelay([]NodeID{2}, []NodeID{1}, 150*time.Millisecond, 0)
+			if err := n.Send(Envelope{From: 2, To: 1, Msg: testMsg{Seq: 1}}); err != nil {
+				t.Fatal(err)
+			}
+			if err := n.Send(Envelope{From: 3, To: 1, Msg: testMsg{Seq: 2}}); err != nil {
+				t.Fatal(err)
+			}
+			first := recvOne(t, in1)
+			if first.From != 3 {
+				t.Fatalf("fast link waited behind slow link: first delivery from %d", first.From)
+			}
+			if second := recvOne(t, in1); second.From != 2 {
+				t.Fatalf("delayed frame never arrived: second delivery from %d", second.From)
+			}
+		})
 	}
 }
 
@@ -198,7 +189,7 @@ func TestFaultsDropRates(t *testing.T) {
 			n := mk()
 			defer n.Close()
 			f := NewFaults(5)
-			setFaults(t, n, f)
+			n.SetFaults(f)
 			in1, err := n.Register(1)
 			if err != nil {
 				t.Fatal(err)
@@ -225,47 +216,51 @@ func TestFaultsDropRates(t *testing.T) {
 }
 
 func TestTCPDropsNeverCorruptFraming(t *testing.T) {
-	// Probabilistic drops on a TCP link remove whole decoded messages;
-	// every frame that survives must arrive intact and in order, and the
+	// Probabilistic drops on a link remove whole decoded messages; every
+	// frame that survives must arrive intact and in order, and the
 	// connection must stay usable afterwards.
-	n := NewTCP("127.0.0.1")
-	defer n.Close()
-	f := NewFaults(6)
-	n.SetFaults(f)
-	in1, err := n.Register(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := n.Register(2); err != nil {
-		t.Fatal(err)
-	}
-	f.SetLinkDrop([]NodeID{2}, []NodeID{1}, 0.5)
-	const count = 400
-	for i := 0; i < count; i++ {
-		if err := n.Send(Envelope{From: 2, To: 1, Msg: testMsg{Seq: i, S: "payload"}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := drainUntilQuiet(in1, 500*time.Millisecond)
-	if len(got) == 0 || len(got) == count {
-		t.Fatalf("received %d of %d at p=0.5 — drops not applied", len(got), count)
-	}
-	if len(got) < count/5 || len(got) > count*4/5 {
-		t.Errorf("received %d of %d at p=0.5 — far outside plausible range", len(got), count)
-	}
-	// The surviving subset must preserve the link's send order: frames
-	// vanish whole, they never tear or reorder the stream.
-	for i := 1; i < len(got); i++ {
-		if got[i] <= got[i-1] {
-			t.Fatalf("surviving frames reordered: %d after %d", got[i], got[i-1])
-		}
-	}
-	f.Heal()
-	if err := n.Send(Envelope{From: 2, To: 1, Msg: testMsg{Seq: 12345}}); err != nil {
-		t.Fatal(err)
-	}
-	if got := recvOne(t, in1).Msg.(testMsg).Seq; got != 12345 {
-		t.Fatalf("connection unusable after lossy period: got seq %d", got)
+	for name, mk := range fabrics() {
+		t.Run(name, func(t *testing.T) {
+			n := mk()
+			defer n.Close()
+			f := NewFaults(6)
+			n.SetFaults(f)
+			in1, err := n.Register(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := n.Register(2); err != nil {
+				t.Fatal(err)
+			}
+			f.SetLinkDrop([]NodeID{2}, []NodeID{1}, 0.5)
+			const count = 400
+			for i := 0; i < count; i++ {
+				if err := n.Send(Envelope{From: 2, To: 1, Msg: testMsg{Seq: i, S: "payload"}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got := drainUntilQuiet(in1, 500*time.Millisecond)
+			if len(got) == 0 || len(got) == count {
+				t.Fatalf("received %d of %d at p=0.5 — drops not applied", len(got), count)
+			}
+			if len(got) < count/5 || len(got) > count*4/5 {
+				t.Errorf("received %d of %d at p=0.5 — far outside plausible range", len(got), count)
+			}
+			// The surviving subset must preserve the link's send order:
+			// frames vanish whole, they never tear or reorder the stream.
+			for i := 1; i < len(got); i++ {
+				if got[i] <= got[i-1] {
+					t.Fatalf("surviving frames reordered: %d after %d", got[i], got[i-1])
+				}
+			}
+			f.Heal()
+			if err := n.Send(Envelope{From: 2, To: 1, Msg: testMsg{Seq: 12345}}); err != nil {
+				t.Fatal(err)
+			}
+			if got := recvOne(t, in1).Msg.(testMsg).Seq; got != 12345 {
+				t.Fatalf("connection unusable after lossy period: got seq %d", got)
+			}
+		})
 	}
 }
 

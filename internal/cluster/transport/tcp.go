@@ -12,12 +12,14 @@ import (
 	"time"
 )
 
-// TCP is a fabric whose messages travel over real TCP connections as
-// length-prefixed frames (see codec.go).
-// Endpoints listen on ephemeral loopback ports; the fabric object doubles
-// as the address registry (on a physical cluster this registry is the
-// deployment's static node list — the paper's model assumes cluster
-// membership is known, §5).
+// TCP is the message fabric: every envelope travels as one length-prefixed
+// frame (see codec.go) over a connection of its ordered (From, To) pair.
+// The medium is the constructor's choice — NewTCP listens and dials TCP
+// sockets, NewMem in-process pipes — and everything above it, from the
+// codec to fault injection, is the same code.  Each endpoint listens at
+// its own address; the fabric object doubles as the address registry (on
+// a physical cluster this registry is the deployment's static node list —
+// the paper's model assumes cluster membership is known, §5).
 //
 // One connection per ordered (From, To) pair preserves the FIFO-per-pair
 // guarantee Network requires.  Each outbound connection is drained by a
@@ -25,14 +27,15 @@ import (
 // encode and enqueue without blocking (Send never waits on a slow peer),
 // the writer dials outside any endpoint-wide lock and flushes only when
 // the queue runs dry — many envelopes per syscall under load, prompt
-// delivery when idle.  A peer that accepts TCP but stops reading cannot
-// grow process memory without bound: once the queue exceeds its budget
-// the envelope is dropped, Send fails, and the connection is torn down
-// (the next send redials — a recovered peer resumes service, a stalled
-// one keeps failing fast).
+// delivery when idle.  A peer that accepts a connection but stops
+// reading cannot grow process memory without bound: once the queue
+// exceeds its budget the envelope is dropped, Send fails, and the
+// connection is torn down (the next send redials — a recovered peer
+// resumes service, a stalled one keeps failing fast).
 type TCP struct {
+	listen    func() (net.Listener, error) // opens an endpoint's listener at a fresh address
+	dial      func(addr string) (net.Conn, error)
 	mu        sync.RWMutex
-	addr      string                  // listen address, e.g. "127.0.0.1:0"
 	endpoints map[NodeID]*tcpEndpoint // guarded by mu
 	budget    int                     // guarded by mu
 	faults    *Faults                 // nemesis plan, nil = healthy; guarded by mu
@@ -47,6 +50,8 @@ const DefaultWriterBudget = 64 << 20
 type tcpEndpoint struct {
 	id     NodeID
 	lis    net.Listener
+	addr   string // lis.Addr(), spelled once: senders compare it on every Send
+	dial   func(addr string) (net.Conn, error)
 	box    *mailbox
 	budget int
 	mu     sync.Mutex
@@ -80,10 +85,17 @@ type outConn struct {
 	wake   chan struct{}
 }
 
-// NewTCP returns a TCP fabric listening on the given host (usually
-// "127.0.0.1"); each registered endpoint gets its own ephemeral port.
+// NewTCP returns a fabric over TCP sockets on the given host (usually
+// "127.0.0.1"); each registered endpoint listens on its own ephemeral
+// port.
 func NewTCP(host string) *TCP {
-	return &TCP{addr: host + ":0", endpoints: make(map[NodeID]*tcpEndpoint), budget: DefaultWriterBudget}
+	return newFabric(
+		func() (net.Listener, error) { return net.Listen("tcp", host+":0") },
+		func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) })
+}
+
+func newFabric(listen func() (net.Listener, error), dial func(string) (net.Conn, error)) *TCP {
+	return &TCP{listen: listen, dial: dial, endpoints: make(map[NodeID]*tcpEndpoint), budget: DefaultWriterBudget}
 }
 
 // SetWriterBudget overrides the per-connection writer-queue byte budget.
@@ -127,13 +139,15 @@ func (t *TCP) Register(id NodeID) (<-chan Envelope, error) {
 	if _, dup := t.endpoints[id]; dup {
 		return nil, fmt.Errorf("transport: node %d already registered", id)
 	}
-	lis, err := net.Listen("tcp", t.addr)
+	lis, err := t.listen()
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen for node %d: %w", id, err)
 	}
 	ep := &tcpEndpoint{
 		id:     id,
 		lis:    lis,
+		addr:   lis.Addr().String(),
+		dial:   t.dial,
 		box:    newMailbox(),
 		budget: t.budget,
 		faults: t.faults,
@@ -288,7 +302,7 @@ func (t *TCP) Send(env Envelope) error {
 	if !okSrc {
 		return fmt.Errorf("transport: sender %d not registered", env.From)
 	}
-	oc := src.connTo(env.To, dst.lis.Addr().String())
+	oc := src.connTo(env.To, dst.addr)
 	if oc == nil {
 		return fmt.Errorf("transport: sender %d shutting down", env.From)
 	}
@@ -299,7 +313,7 @@ func (t *TCP) Send(env Envelope) error {
 		// The connection failed under a concurrent writer error; fail()
 		// already removed it from the endpoint's map, so re-resolving
 		// yields a fresh record whose writer redials.
-		oc = src.connTo(env.To, dst.lis.Addr().String())
+		oc = src.connTo(env.To, dst.addr)
 		if oc == nil {
 			return fmt.Errorf("transport: sender %d shutting down", env.From)
 		}
@@ -360,7 +374,7 @@ func (oc *outConn) enqueue(env Envelope) error {
 	}
 	if start > oc.budget {
 		// The backlog already queued AHEAD of this envelope exceeds the
-		// budget — the writer is not draining (a peer that accepted TCP
+		// budget — the writer is not draining (a peer that accepted the dial
 		// but stopped reading), so the envelope is dropped and the
 		// connection torn down.  Judging the pre-existing backlog rather
 		// than the total keeps one admitted oversized frame from
@@ -426,7 +440,7 @@ func (oc *outConn) fail() {
 // syscall.
 func (oc *outConn) writeLoop() {
 	defer oc.ep.wg.Done()
-	c, err := net.Dial("tcp", oc.addr)
+	c, err := oc.ep.dial(oc.addr)
 	if err != nil {
 		oc.fail()
 		return

@@ -1,10 +1,6 @@
 package transport
 
-import (
-	"fmt"
-	"sync"
-	"time"
-)
+import "sync"
 
 // NodeID identifies an endpoint on the fabric: a cluster node hosting an
 // snode, or a client endpoint.
@@ -13,8 +9,8 @@ type NodeID int
 // TraceContext is the request-tracing context riding every envelope: a
 // cluster-unique trace ID, the sender's current span ID (the receiver's
 // parent), and the head-sampling decision.  The zero value means
-// untraced; on the TCP fabric a zero context costs zero header bytes
-// beyond the flags byte (see codec.go).
+// untraced and costs zero header bytes beyond the flags byte (see
+// codec.go).
 type TraceContext struct {
 	TraceID uint64
 	SpanID  uint64
@@ -28,12 +24,13 @@ func (t TraceContext) Active() bool { return t.Sampled && t.TraceID != 0 }
 // Envelope is one message in flight.
 type Envelope struct {
 	From, To NodeID
-	// Trace is the tracing context, propagated by value on the in-memory
-	// fabric and in the frame header on TCP.
+	// Trace is the tracing context, carried in the frame header.
 	Trace TraceContext
-	// Msg is the payload.  The TCP fabric carries only WireMessage
-	// payloads whose tag has a registered decoder (the cluster package
-	// registers its protocol messages in init); Send fails on any other.
+	// Msg is the payload.  The fabric carries only WireMessage payloads
+	// whose tag has a registered decoder (the cluster package registers
+	// its protocol messages in init); Send fails on any other.  Send
+	// encodes it before returning, and the receiver gets a freshly decoded
+	// value: no message is shared between endpoints.
 	Msg any
 }
 
@@ -145,150 +142,4 @@ func (m *mailbox) close() {
 	case m.wake <- struct{}{}:
 	default:
 	}
-}
-
-// Mem is the in-memory fabric.
-type Mem struct {
-	mu     sync.RWMutex
-	boxes  map[NodeID]*mailbox      // guarded by mu
-	faults *Faults                  // nemesis plan, nil = healthy; guarded by mu
-	lines  map[faultLink]*delayLine // per-link delay queues; guarded by mu
-	closed bool                     // guarded by mu
-}
-
-// NewMem returns an empty in-memory fabric with zero message latency; a
-// Faults plan (SetFaults, Faults.SetLinkDelay) adds per-link delay.
-func NewMem() *Mem {
-	return &Mem{boxes: make(map[NodeID]*mailbox)}
-}
-
-// SetFaults attaches a nemesis fault plan to the fabric.  Attach before
-// the fabric carries traffic; the plan's rules may then change live
-// (Partition, SetLinkDelay, Heal, ...).
-func (n *Mem) SetFaults(f *Faults) {
-	n.mu.Lock()
-	n.faults = f
-	n.mu.Unlock()
-}
-
-// Register implements Network.
-func (n *Mem) Register(id NodeID) (<-chan Envelope, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.closed {
-		return nil, fmt.Errorf("transport: network closed")
-	}
-	if _, dup := n.boxes[id]; dup {
-		return nil, fmt.Errorf("transport: node %d already registered", id)
-	}
-	mb := newMailbox()
-	n.boxes[id] = mb
-	return mb.out, nil
-}
-
-// Unregister implements Network.
-func (n *Mem) Unregister(id NodeID) error {
-	n.mu.Lock()
-	mb, ok := n.boxes[id]
-	if ok {
-		delete(n.boxes, id)
-	}
-	n.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("transport: node %d not registered", id)
-	}
-	mb.close()
-	return nil
-}
-
-// Send implements Network.
-func (n *Mem) Send(env Envelope) error {
-	n.mu.RLock()
-	mb, ok := n.boxes[env.To]
-	f := n.faults
-	n.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("transport: destination %d not registered", env.To)
-	}
-	if f != nil {
-		v := f.judge(env.From, env.To)
-		if v.drop {
-			// The fabric ate it: the sender sees success, like a lost
-			// datagram; in-flight RPCs surface the loss as timeouts.
-			return nil
-		}
-		if v.delay > 0 || n.linePending(env.From, env.To) {
-			// Delayed links ride a per-link FIFO queue; once the queue
-			// drains after a heal, sends bypass it again.
-			n.lineFor(env.From, env.To).push(env, time.Now().Add(v.delay))
-			return nil
-		}
-	}
-	if !mb.push(env) {
-		return fmt.Errorf("transport: destination %d shutting down", env.To)
-	}
-	return nil
-}
-
-// linePending reports whether the link's delay line (if any) still holds
-// undelivered envelopes, in which case new sends must queue behind them
-// to preserve the link's FIFO order.
-func (n *Mem) linePending(from, to NodeID) bool {
-	n.mu.RLock()
-	l := n.lines[faultLink{from, to}]
-	n.mu.RUnlock()
-	return l != nil && l.pending()
-}
-
-// lineFor returns the link's delay line, creating it on first use.  The
-// line resolves the destination mailbox at delivery time, so an endpoint
-// that unregisters mid-delay just drops the late envelopes.
-func (n *Mem) lineFor(from, to NodeID) *delayLine {
-	k := faultLink{from, to}
-	n.mu.RLock()
-	l := n.lines[k]
-	n.mu.RUnlock()
-	if l != nil {
-		return l
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if l = n.lines[k]; l != nil {
-		return l
-	}
-	if n.lines == nil {
-		n.lines = make(map[faultLink]*delayLine)
-	}
-	l = newDelayLine(func(env Envelope) {
-		n.mu.RLock()
-		mb, ok := n.boxes[env.To]
-		n.mu.RUnlock()
-		if ok {
-			mb.push(env)
-		}
-	})
-	n.lines[k] = l
-	return l
-}
-
-// Close implements Network.
-func (n *Mem) Close() error {
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return nil
-	}
-	n.closed = true
-	boxes := n.boxes
-	n.boxes = make(map[NodeID]*mailbox)
-	lines := n.lines
-	n.lines = nil
-	n.mu.Unlock()
-	for _, l := range lines {
-		l.close()
-	}
-	for _, mb := range boxes {
-		mb.close()
-	}
-	return nil
 }

@@ -9,6 +9,7 @@ import (
 type testMsg struct {
 	Seq int
 	S   string
+	B   []byte
 }
 
 const testTag uint16 = 0x7e59
@@ -17,7 +18,8 @@ func (m testMsg) WireTag() uint16 { return testTag }
 
 func (m testMsg) AppendWire(buf []byte) []byte {
 	buf = AppendVarint(buf, int64(m.Seq))
-	return AppendString(buf, m.S)
+	buf = AppendString(buf, m.S)
+	return AppendBytes(buf, m.B)
 }
 
 func init() {
@@ -25,15 +27,16 @@ func init() {
 		var m testMsg
 		m.Seq = int(r.Varint())
 		m.S = r.String()
+		m.B = r.Bytes()
 		return m, r.Err()
 	})
 }
 
-// networks under test, by constructor.
-func fabrics() map[string]func() Network {
-	return map[string]func() Network{
-		"mem": func() Network { return NewMem() },
-		"tcp": func() Network { return NewTCP("127.0.0.1") },
+// fabrics under test, by medium.
+func fabrics() map[string]func() *TCP {
+	return map[string]func() *TCP{
+		"mem": NewMem,
+		"tcp": func() *TCP { return NewTCP("127.0.0.1") },
 	}
 }
 
@@ -259,42 +262,84 @@ func TestSelfSend(t *testing.T) {
 func TestMailboxBuffersWithoutReceiver(t *testing.T) {
 	// Unbounded mailboxes must accept arbitrary backlog without blocking
 	// the sender (deadlock freedom for the actor runtime).
-	n := NewMem()
-	defer n.Close()
-	in, err := n.Register(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.Register(2)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 100000; i++ {
-			if err := n.Send(Envelope{From: 2, To: 1, Msg: testMsg{Seq: i}}); err != nil {
-				t.Error(err)
-				return
+	for name, mk := range fabrics() {
+		t.Run(name, func(t *testing.T) {
+			n := mk()
+			defer n.Close()
+			in, err := n.Register(1)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("sender blocked; mailbox not unbounded")
-	}
-	for i := 0; i < 100000; i++ {
-		if got := recvOne(t, in).Msg.(testMsg).Seq; got != i {
-			t.Fatalf("lost or reordered at %d (got %d)", i, got)
-		}
+			if _, err := n.Register(2); err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for i := 0; i < 100000; i++ {
+					if err := n.Send(Envelope{From: 2, To: 1, Msg: testMsg{Seq: i}}); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatal("sender blocked; mailbox not unbounded")
+			}
+			for i := 0; i < 100000; i++ {
+				if got := recvOne(t, in).Msg.(testMsg).Seq; got != i {
+					t.Fatalf("lost or reordered at %d (got %d)", i, got)
+				}
+			}
+		})
 	}
 }
 
 func TestTCPSendFromUnregistered(t *testing.T) {
-	n := NewTCP("127.0.0.1")
-	defer n.Close()
-	if _, err := n.Register(1); err != nil {
-		t.Fatal(err)
+	for name, mk := range fabrics() {
+		t.Run(name, func(t *testing.T) {
+			n := mk()
+			defer n.Close()
+			if _, err := n.Register(1); err != nil {
+				t.Fatal(err)
+			}
+			if err := n.Send(Envelope{From: 5, To: 1, Msg: testMsg{}}); err == nil {
+				t.Fatal("send from unregistered sender must fail")
+			}
+		})
 	}
-	if err := n.Send(Envelope{From: 5, To: 1, Msg: testMsg{}}); err == nil {
-		t.Fatal("tcp send from unregistered sender must fail")
+}
+
+// TestReceiverGetsItsOwnCopy: Send encodes the message before it
+// returns, so a sender that reuses a slice afterwards cannot change what
+// the receiver got — on either medium, no value is shared between
+// endpoints.
+func TestReceiverGetsItsOwnCopy(t *testing.T) {
+	for name, mk := range fabrics() {
+		t.Run(name, func(t *testing.T) {
+			n := mk()
+			defer n.Close()
+			in, err := n.Register(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := n.Register(2); err != nil {
+				t.Fatal(err)
+			}
+			b := []byte("original")
+			if err := n.Send(Envelope{From: 2, To: 1, Msg: testMsg{Seq: 1, B: b}}); err != nil {
+				t.Fatal(err)
+			}
+			copy(b, "MUTATED!")
+			got := recvOne(t, in).Msg.(testMsg).B
+			if string(got) != "original" {
+				t.Fatalf("received %q, want %q: the sender's slice reached the receiver", got, "original")
+			}
+			if &got[0] == &b[0] {
+				t.Fatal("received message aliases the sender's slice")
+			}
+		})
 	}
 }

@@ -117,7 +117,7 @@ func (rec *walWriteRec) fields(w *walker) {
 func (rec *walWriteRec) applyLocked(s *Snode) {
 	if ref, ok := s.owned[rec.Partition]; ok {
 		ref.bk.mu.Lock()
-		ref.bk.kv.apply(rec.Kind, rec.Items, true)
+		ref.bk.kv.apply(rec.Kind, rec.Items)
 		ref.bk.mu.Unlock()
 	}
 }
@@ -140,9 +140,6 @@ func encodeWalWriteHeader(buf []byte, kind dataOp, p hashspace.Partition, count 
 type walReplWriteRec struct {
 	Kind dataOp
 	Sets []replWriteSet
-	// private marks item values this record owns exclusively (decoded off
-	// a frame or the journal), as on replWriteReq; it never travels.
-	private bool
 }
 
 func (*walReplWriteRec) walTag() uint16 { return walTagReplWrite }
@@ -152,7 +149,6 @@ func (rec *walReplWriteRec) fields(w *walker) {
 	for i := range sliceOf(w, &rec.Sets, 3) {
 		rec.Sets[i].journalFields(w)
 	}
-	w.decoded(&rec.private)
 }
 
 // applyLocked folds the write sets into the replica store.
@@ -180,7 +176,7 @@ func (rec *walReplWriteRec) applyLocked(s *Snode) {
 			s.dropReplicaWithinLocked(set.Partition)
 			s.setReplicaBucketLocked(set.Partition, b)
 		}
-		b.kv.apply(rec.Kind, set.Items, rec.private)
+		b.kv.apply(rec.Kind, set.Items)
 	}
 }
 

@@ -51,7 +51,7 @@ func TestDiskFormatGolden(t *testing.T) {
 			golden: "20020b0402026b31027631026b3200"},
 		// Ver and Group are volatile election metadata: not journaled.
 		walTagReplWrite: {rec: &walReplWriteRec{Kind: opDel, Sets: []replWriteSet{{Partition: p, Items: items, Ver: 7, Group: g}}},
-			want:   &walReplWriteRec{Kind: opDel, Sets: []replWriteSet{{Partition: p, Items: items}}, private: true},
+			want:   &walReplWriteRec{Kind: opDel, Sets: []replWriteSet{{Partition: p, Items: items}}},
 			golden: "2104010b0402026b31027631026b3200"},
 		walTagVnode:     {rec: &vnodeRec, golden: "22060e06030401020b040a04"},
 		walTagVnodeGone: {rec: &walVnodeGoneRec{Name: vn}, golden: "23060e"},

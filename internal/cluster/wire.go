@@ -315,16 +315,6 @@ func (w *walker) store(st **kvStore) {
 	}
 }
 
-// decoded sets a message's private mark on the way out of a frame: the
-// slices it holds were allocated by this decode and are exclusively the
-// message's, so receivers may store them without a defensive copy.  The
-// mark never travels.
-func (w *walker) decoded(private *bool) {
-	if w.r != nil {
-		*private = true
-	}
-}
-
 // --- shared sub-structures ---
 
 func (n *VnodeName) fields(w *walker) {
@@ -440,7 +430,6 @@ func (m *batchReq) fields(w *walker) {
 	w.node(&m.ReplyTo)
 	w.int(&m.Hops)
 	w.bool(&m.ReadReplica)
-	w.decoded(&m.private)
 }
 
 func (m batchResp) WireTag() uint16            { return wireTagBatchResp }
@@ -468,7 +457,6 @@ func (m *replWriteReq) fields(w *walker) {
 		m.Sets[i].fields(w)
 	}
 	w.node(&m.ReplyTo)
-	w.decoded(&m.private)
 }
 
 func (m ackResp) WireTag() uint16            { return wireTagReplWriteResp }
@@ -538,7 +526,6 @@ func (m *migChunkReq) fields(w *walker) {
 		m.Items[i].fields(w)
 	}
 	w.node(&m.ReplyTo)
-	w.decoded(&m.private)
 }
 
 func (m migCommitReq) WireTag() uint16            { return wireTagMigCommitReq }

@@ -57,8 +57,8 @@ func wireSamples() []transport.WireMessage {
 		batchReq{Op: 12, Kind: opPut, Items: []batchItem{
 			{Key: "a", Value: []byte("va")},
 			{Key: "b"}, // nil value (deletes, gets)
-		}, ReplyTo: -1, Hops: 2, ReadReplica: true, private: true},
-		batchReq{Op: 13, Kind: opGet, private: true}, // empty batch
+		}, ReplyTo: -1, Hops: 2, ReadReplica: true},
+		batchReq{Op: 13, Kind: opGet}, // empty batch
 		batchResp{Op: 14, Results: []batchItemResp{
 			{Value: []byte("v"), Found: true},
 			{Err: "missing"},
@@ -66,7 +66,7 @@ func wireSamples() []transport.WireMessage {
 		replWriteReq{Op: 15, Kind: opDel, Sets: []replWriteSet{
 			{Partition: p, Items: []batchItem{{Key: "k", Value: []byte("v")}}},
 			{Partition: p.Sibling()},
-		}, ReplyTo: 4, private: true},
+		}, ReplyTo: 4},
 		ackResp{Op: 16, Err: "lagging"},
 		ackResp{Op: 16},
 		replProbeReq{Op: 17, Digests: []partDigest{
@@ -84,11 +84,11 @@ func wireSamples() []transport.WireMessage {
 			{Key: "live", Value: []byte("v1")},
 			{Key: "gone", Del: true},
 			{Key: "empty"}, // nil value, not deleted
-		}, ReplyTo: 6, private: true},
-		migChunkReq{Op: 24, To: owner, Partition: p, private: true}, // empty chunk
+		}, ReplyTo: 6},
+		migChunkReq{Op: 24, To: owner, Partition: p}, // empty chunk
 		migCommitReq{Op: 26, To: owner, Partition: p, Items: []migItem{
 			{Key: "final", Value: []byte("vf")},
-		}, ReplyTo: 6, private: true},
+		}, ReplyTo: 6},
 		migAbortMsg{To: owner, Partition: p},
 		loadReportReq{Op: 28, ReplyTo: -1},
 		loadReportResp{Op: 29, Vnodes: 4, Keys: 12345, Quota: 0.375,

@@ -529,3 +529,28 @@ func TestSaturationSignalsExposed(t *testing.T) {
 		t.Errorf("dbdht_antientropy_keys_hashed_total moved on an in-sync cluster (%v -> %v)", a, b)
 	}
 }
+
+// TestClientStatsCoversServerStats: every counter the server reports in
+// /v1/status's stats object lands in a client.Stats field — a counter
+// added on one side only fails here instead of vanishing in the client.
+func TestClientStatsCoversServerStats(t *testing.T) {
+	_, ts := boot(t, 2, 4)
+	resp, err := http.Get(ts.URL + "/v1/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	var doc struct {
+		Stats json.RawMessage `json:"stats"`
+	}
+	if err := json.Unmarshal(body, &doc); err != nil || len(doc.Stats) == 0 {
+		t.Fatalf("status %s: no stats object (err %v)", body, err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(doc.Stats))
+	dec.DisallowUnknownFields()
+	var st client.Stats
+	if err := dec.Decode(&st); err != nil {
+		t.Fatalf("server stats %s do not fit client.Stats: %v", doc.Stats, err)
+	}
+}
