@@ -3,6 +3,7 @@ package client
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -123,8 +124,19 @@ func (c *Client) do(ctx context.Context, method, path string, body io.Reader, co
 }
 
 // readBody drains at most MaxBodyBytes of a response body, erroring if
-// the server sends more.
+// the server sends more.  A body of declared length is read into one
+// buffer of exactly that size; one that ends short of it is an error.
 func readBody(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n >= 0 {
+		if n > MaxBodyBytes {
+			return nil, fmt.Errorf("dhtd: response body of %d bytes exceeds %d", n, MaxBodyBytes)
+		}
+		body := make([]byte, n)
+		if _, err := io.ReadFull(resp.Body, body); err != nil {
+			return nil, fmt.Errorf("dhtd: reading %d-byte response body: %w", n, err)
+		}
+		return body, nil
+	}
 	body, err := io.ReadAll(io.LimitReader(resp.Body, MaxBodyBytes+1))
 	if err != nil {
 		return nil, err
@@ -137,14 +149,17 @@ func readBody(resp *http.Response) ([]byte, error) {
 
 // doJSON performs a request with optional JSON body, decoding a JSON
 // response into out (if non-nil) and mapping non-2xx statuses to errors.
-// A batch response is decoded by api.DecodeBatchResponse, any other by
-// encoding/json.
+// A batch request is encoded by api.AppendBatchRequest and a batch
+// response decoded by api.DecodeBatchResponse, any other by encoding/json.
 func (c *Client) doJSON(ctx context.Context, method, path string, in, out any) error {
 	var body io.Reader
 	ct := ""
 	if in != nil {
-		buf, err := json.Marshal(in)
-		if err != nil {
+		var buf []byte
+		var err error
+		if br, ok := in.(*batchRequest); ok {
+			buf = api.AppendBatchRequest(make([]byte, 0, batchRequestSize(br)), br)
+		} else if buf, err = json.Marshal(in); err != nil {
 			return err
 		}
 		body = bytes.NewReader(buf)
@@ -245,10 +260,20 @@ type batchResponse = api.BatchResponse
 
 func (c *Client) batch(ctx context.Context, op string, items []Item) ([]Result, error) {
 	var out batchResponse
-	if err := c.doJSON(ctx, http.MethodPost, "/v1/kv:batch", batchRequest{Op: op, Items: items}, &out); err != nil {
+	if err := c.doJSON(ctx, http.MethodPost, "/v1/kv:batch", &batchRequest{Op: op, Items: items}, &out); err != nil {
 		return nil, err
 	}
 	return out.Results, nil
+}
+
+// batchRequestSize bounds the encoded size of a batch request whose
+// strings need no escape, so the body is written into one allocation.
+func batchRequestSize(r *batchRequest) int {
+	n := len(`{"op":"","items":[]}`) + len(r.Op)
+	for _, it := range r.Items {
+		n += len(`{"key":"","value":""},`) + len(it.Key) + base64.StdEncoding.EncodedLen(len(it.Value))
+	}
+	return n
 }
 
 // --- write retry ---

@@ -1,10 +1,14 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -78,6 +82,88 @@ func TestBodyCap(t *testing.T) {
 	_, _, err := cl.Get(context.Background(), "huge")
 	if err == nil || !strings.Contains(err.Error(), "exceeds") {
 		t.Fatalf("oversized Get error = %v, want a body-cap error", err)
+	}
+}
+
+// rawReply serves every request with reply, written as is to the
+// connection, which it then closes.
+func rawReply(t *testing.T, reply string) *httptest.Server {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		conn, buf, err := w.(http.Hijacker).Hijack()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer conn.Close()
+		buf.WriteString(reply)
+		buf.Flush()
+	}))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+const replyHead = "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nConnection: close\r\n"
+
+// TestBatchReplyChunked: a batch reply without a Content-Length, chunked
+// as dhtd sent every batch reply before it declared the length, decodes.
+func TestBatchReplyChunked(t *testing.T) {
+	body := `{"results":[{"key":"a","found":true,"value":"dg=="},{"key":"b","found":false}]}` + "\n"
+	ts := rawReply(t, replyHead+"Transfer-Encoding: chunked\r\n\r\n"+
+		fmt.Sprintf("%x\r\n%s\r\n%x\r\n%s\r\n0\r\n\r\n", 20, body[:20], len(body)-20, body[20:]))
+	res, err := New(ts.URL).MGet(context.Background(), []string{"a", "b"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != 2 || !res[0].Found || string(res[0].Value) != "v" || res[1].Found {
+		t.Fatalf("chunked reply decoded to %+v", res)
+	}
+}
+
+// TestBatchReplyOverCap: a declared length over MaxBodyBytes is refused
+// before a buffer of that size is allocated.
+func TestBatchReplyOverCap(t *testing.T) {
+	ts := rawReply(t, replyHead+fmt.Sprintf("Content-Length: %d\r\n\r\n", MaxBodyBytes+1)+`{"results":[]}`)
+	cl := New(ts.URL)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := cl.MGet(context.Background(), []string{"a"})
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("oversized Content-Length: error %v, want a body-cap error", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > MaxBodyBytes/2 {
+		t.Fatalf("refusing the body allocated %d bytes", grew)
+	}
+}
+
+// TestBatchReplyShort: a body that ends before its declared length is an
+// error, not a truncated result.
+func TestBatchReplyShort(t *testing.T) {
+	body := `{"results":[{"key":"a","found":false}]}`
+	ts := rawReply(t, replyHead+fmt.Sprintf("Content-Length: %d\r\n\r\n", len(body)+10)+body)
+	if res, err := New(ts.URL).MGet(context.Background(), []string{"a"}); err == nil {
+		t.Fatalf("short body decoded to %+v, want an error", res)
+	}
+}
+
+// TestBatchRequestBytes: the client sends json.Marshal's bytes.
+func TestBatchRequestBytes(t *testing.T) {
+	items := []Item{{Key: "plain", Value: []byte("v")}, {Key: "<html&> "}, {Key: "bad\xff", Value: []byte{}}}
+	want, err := json.Marshal(batchRequest{Op: "put", Items: items})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []byte
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		got, _ = io.ReadAll(r.Body)
+		json.NewEncoder(w).Encode(batchResponse{Results: make([]Result, len(items))})
+	}))
+	defer ts.Close()
+	if _, err := New(ts.URL).MPut(context.Background(), items); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("request body\n%s\nwant\n%s", got, want)
 	}
 }
 

@@ -8,8 +8,11 @@
 // pass) to abort the request.  Contexts without a deadline get the
 // client's per-request timeout (WithRequestTimeout, default 30s), so no
 // call can hang on an unresponsive server.  Response bodies are read with
-// a hard size cap.
+// a hard size cap: a body whose Content-Length exceeds it is refused
+// before anything is read, and one that ends short of its Content-Length
+// is an error.
 //
 // Item and Result are the batch body schema the server itself uses
-// (internal/api); batch responses are decoded without reflection.
+// (internal/api); batch requests are encoded and batch responses decoded
+// without reflection, to the same bytes and values encoding/json gives.
 package client

@@ -26,7 +26,8 @@ func stdRequest(body []byte) (BatchRequest, error) {
 }
 
 // agreeRequest fails t unless DecodeBatchRequest and stdRequest agree on
-// body: both reject it, or both accept it with equal values.
+// body: both reject it, or both accept it with equal values, which
+// AppendBatchRequest then encodes to json.Marshal's bytes.
 func agreeRequest(t *testing.T, body []byte) {
 	t.Helper()
 	var got BatchRequest
@@ -38,10 +39,14 @@ func agreeRequest(t *testing.T, body []byte) {
 	if err == nil && !reflect.DeepEqual(got, want) {
 		t.Fatalf("body %q:\nDecodeBatchRequest %#v\nencoding/json      %#v", body, got, want)
 	}
+	if werr == nil {
+		agreeEncoding(t, body, AppendBatchRequest(nil, &want), mustMarshal(t, want))
+	}
 }
 
 // agreeResponse is agreeRequest for DecodeBatchResponse against
-// json.Unmarshal, which the client used before this package.
+// json.Unmarshal, which the client used before this package, and for
+// AppendBatchResponse.
 func agreeResponse(t *testing.T, body []byte) {
 	t.Helper()
 	var got, want BatchResponse
@@ -52,6 +57,16 @@ func agreeResponse(t *testing.T, body []byte) {
 	}
 	if err == nil && !reflect.DeepEqual(got, want) {
 		t.Fatalf("body %q:\nDecodeBatchResponse %#v\njson.Unmarshal      %#v", body, got, want)
+	}
+	if werr == nil {
+		agreeEncoding(t, body, AppendBatchResponse(nil, &want), mustMarshal(t, want))
+	}
+}
+
+func agreeEncoding(t *testing.T, body, got, want []byte) {
+	t.Helper()
+	if !bytes.Equal(got, want) {
+		t.Fatalf("value decoded from %q:\nAppendBatch… %q\njson.Marshal %q", body, got, want)
 	}
 }
 
@@ -134,6 +149,61 @@ func BenchmarkDecodeBatchRequest(b *testing.B) {
 			}
 		})
 	}
+}
+
+// The encoding_json sub-benchmarks time json.Marshal, which the client
+// called for requests, and the server's json.Encoder for responses.
+func BenchmarkEncodeBatchRequest(b *testing.B) {
+	get, put, _ := batch64(b)
+	for _, bc := range []struct {
+		name string
+		body []byte
+	}{{"get64", get}, {"put64", put}} {
+		var r BatchRequest
+		if err := DecodeBatchRequest(bc.body, &r); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(bc.name+"/api", func(b *testing.B) {
+			b.ReportAllocs()
+			buf := make([]byte, 0, 2*len(bc.body))
+			for b.Loop() {
+				buf = AppendBatchRequest(buf[:0], &r)
+			}
+		})
+		b.Run(bc.name+"/encoding_json", func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := json.Marshal(&r); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkEncodeBatchResponse(b *testing.B) {
+	_, _, resp := batch64(b)
+	var r BatchResponse
+	if err := DecodeBatchResponse(resp, &r); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("get64/api", func(b *testing.B) {
+		b.ReportAllocs()
+		buf := make([]byte, 0, 2*len(resp))
+		for b.Loop() {
+			buf = AppendBatchResponse(buf[:0], &r)
+		}
+	})
+	b.Run("get64/encoding_json", func(b *testing.B) {
+		b.ReportAllocs()
+		var buf bytes.Buffer
+		for b.Loop() {
+			buf.Reset()
+			if err := json.NewEncoder(&buf).Encode(&r); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 func BenchmarkDecodeBatchResponse(b *testing.B) {

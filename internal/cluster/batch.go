@@ -37,6 +37,11 @@ type batchReq struct {
 	// ReadReplica marks a failover read: the receiver serves the keys
 	// straight from its replica store instead of the ownership path.
 	ReadReplica bool
+	// Known is the receiver's route epoch that tags the handle's route of
+	// every item (0: none, or not one epoch).  While the receiver's epoch
+	// still equals it, the routes it would teach are the ones the handle
+	// holds, and its reply leaves them out.
+	Known uint64
 }
 
 // batchItemResp is the per-key outcome inside a batchResp, parallel to the
@@ -49,7 +54,8 @@ type batchItemResp struct {
 
 // batchResp answers a batchReq.  Served carries the partitions the
 // responder chain resolved, so requesters (the cluster handle included)
-// can aim future batches directly at the owners.
+// can aim future batches directly at the owners — all but those the
+// handle named a current route epoch for (batchReq.Known).
 type batchResp struct {
 	Op      uint64
 	Results []batchItemResp
@@ -125,6 +131,10 @@ func (s *Snode) handleBatch(m batchReq, tr transport.TraceContext) {
 		var frozen []int
 		work := make(map[*bucket]*bucketWork)
 		s.mu.Lock()
+		// Entries resolved under the epoch the handle named equal the
+		// routes it holds: a reply to it directly leaves them out.
+		epoch := s.routeEpoch
+		teach := m.Hops > 0 || m.Known != epoch
 		for _, i := range pending {
 			h := hashes[i]
 			if ref, p, ok := s.ownedForLocked(h); ok {
@@ -249,7 +259,9 @@ func (s *Snode) handleBatch(m batchReq, tr transport.TraceContext) {
 				replMeta[w.p] = replFanMeta{ver: verAfter, group: w.group}
 				localWrites = append(localWrites, w.idxs...)
 			}
-			served = append(served, routeEntry{Partition: w.p, Ref: w.owner, Replicas: w.reps})
+			if teach {
+				served = append(served, routeEntry{Partition: w.p, Ref: w.owner, Replicas: w.reps, Epoch: epoch})
+			}
 		}
 
 		if len(frozen) > 0 {
@@ -442,24 +454,29 @@ func (c *Cluster) MDelete(keys []string) ([]BatchResult, error) {
 // its primary stayed live: invalidateStaleRoutes treats it like a
 // replica-backed route (retained on transient RPC failure), because a
 // crash can orphan custody chains and leave this cached pointer as the
-// only path to a perfectly healthy partition.
+// only path to a perfectly healthy partition.  epoch is the owner's route
+// epoch when it taught the route (0: learned from an announcement).
 type route struct {
 	ref      ownerRef
 	replicas []transport.NodeID
 	dead     bool
 	keep     bool
+	epoch    uint64
 }
 
 // learnRoutes folds served-partition info from batch responses into the
 // handle's owner cache, so subsequent batches aim straight at the owners.
 func (c *Cluster) learnRoutes(entries []routeEntry) {
+	if len(entries) == 0 {
+		return
+	}
 	c.routeMu.Lock()
 	defer c.routeMu.Unlock()
 	for _, e := range entries {
 		if _, ok := c.routes[e.Partition]; !ok {
 			c.routeLvls.Add(e.Partition.Level)
 		}
-		c.routes[e.Partition] = route{ref: e.Ref, replicas: e.Replicas}
+		c.routes[e.Partition] = route{ref: e.Ref, replicas: e.Replicas, epoch: e.Epoch}
 	}
 }
 
@@ -649,6 +666,9 @@ func (c *Cluster) mbatch(kind dataOp, keys []string, items []batchItem) ([]Batch
 			}
 		}
 		groups := make(map[transport.NodeID][]int)
+		// known[h] is the route epoch shared by every item aimed at h, or
+		// 0 when they do not share one (batchReq.Known).
+		known := make(map[transport.NodeID]uint64)
 		var unrouted []int
 		var replicaGroups map[transport.NodeID][]int
 		if attempt == 0 {
@@ -673,7 +693,13 @@ func (c *Cluster) mbatch(kind dataOp, keys []string, items []batchItem) ([]Batch
 						unrouted = append(unrouted, i)
 					}
 				default:
-					groups[rt.ref.Host] = append(groups[rt.ref.Host], i)
+					h := rt.ref.Host
+					if e, seen := known[h]; !seen || e == rt.epoch {
+						known[h] = rt.epoch
+					} else {
+						known[h] = 0
+					}
+					groups[h] = append(groups[h], i)
 				}
 			}
 			c.routeMu.Unlock()
@@ -686,6 +712,7 @@ func (c *Cluster) mbatch(kind dataOp, keys []string, items []batchItem) ([]Batch
 			// Retries rotate the entry so a dead first pick isn't re-chosen.
 			entry := entries[(hashes[i]+uint64(attempt))%uint64(len(entries))]
 			groups[entry] = append(groups[entry], i)
+			known[entry] = 0
 		}
 		var (
 			wg      sync.WaitGroup
@@ -710,7 +737,7 @@ func (c *Cluster) mbatch(kind dataOp, keys []string, items []batchItem) ([]Batch
 		}
 		for host, idxs := range groups {
 			wg.Add(1)
-			go func(host transport.NodeID, idxs []int) {
+			go func(host transport.NodeID, idxs []int, known uint64) {
 				defer wg.Done()
 				sub := make([]batchItem, len(idxs))
 				for j, i := range idxs {
@@ -719,7 +746,7 @@ func (c *Cluster) mbatch(kind dataOp, keys []string, items []batchItem) ([]Batch
 				rsp := beginSpan(root.ctx, "batch.rpc")
 				t0 := time.Now()
 				resp, err := ask[batchResp](&c.endpoint, host, rsp.ctx, func(op uint64) transport.WireMessage {
-					return batchReq{Op: op, Kind: kind, Items: sub, ReplyTo: clientID}
+					return batchReq{Op: op, Kind: kind, Items: sub, ReplyTo: clientID, Known: known}
 				})
 				c.batchRPC.ObserveSince(t0)
 				c.tracer.finishErr(rsp, clientID, err)
@@ -757,7 +784,7 @@ func (c *Cluster) mbatch(kind dataOp, keys []string, items []batchItem) ([]Batch
 					}
 				}
 				c.learnRoutes(resp.Served)
-			}(host, idxs)
+			}(host, idxs, known[host])
 		}
 		wg.Wait()
 		if attempt == 1 {

@@ -24,7 +24,8 @@
 //   - the data plane is batched end to end (batch.go): the handle groups
 //     keys by believed owner via a learned route cache and fans sub-batches
 //     out in parallel, one per owner, single-key operations riding as
-//     one-item batches;
+//     one-item batches; an owner whose route epoch the handle still holds
+//     leaves the routes it would re-teach out of its reply;
 //   - R-way partition replication (replica.go) keeps R−1 replica buckets
 //     per partition on deterministically placed snodes, with synchronous
 //     write fan-out, client-side failover reads, and background

@@ -307,6 +307,7 @@ func (s *Snode) handleViewUpdate(m viewUpdate) {
 	if m.Epoch > s.viewEpoch {
 		s.viewEpoch = m.Epoch
 		s.view = m.Snodes
+		s.bumpRouteEpochLocked() // replica placement follows the view
 	}
 	s.mu.Unlock()
 }

@@ -1,0 +1,208 @@
+package cluster
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+	"time"
+
+	"dbdht/internal/cluster/transport"
+	"dbdht/internal/hashspace"
+	"dbdht/internal/wal"
+)
+
+// checkRoutesFollowOwners fails t unless, for every key, the handle's
+// deepest cached route names the partition, vnode and replica hosts that
+// the route's host itself holds for the key.
+func checkRoutesFollowOwners(t *testing.T, c *Cluster, keys []string, step string) {
+	t.Helper()
+	for _, k := range keys {
+		h := hashspace.HashString(k)
+		var (
+			p  hashspace.Partition
+			rt route
+			ok bool
+		)
+		c.routeMu.Lock()
+		for _, l := range c.routeLvls.Desc {
+			p = hashspace.Containing(h, l)
+			if rt, ok = c.routes[p]; ok {
+				break
+			}
+		}
+		c.routeMu.Unlock()
+		if !ok {
+			t.Fatalf("%s: no cached route for %q", step, k)
+		}
+		c.mu.Lock()
+		s := c.snodes[rt.ref.Host]
+		c.mu.Unlock()
+		if s == nil {
+			t.Fatalf("%s: route %v of %q aims at departed snode %d", step, p, k, rt.ref.Host)
+		}
+		s.mu.Lock()
+		ref, owned, isOwner := s.ownedForLocked(h)
+		var reps []transport.NodeID
+		if isOwner {
+			reps = s.ownedReplicasLocked(owned, ref)
+		}
+		s.mu.Unlock()
+		switch {
+		case !isOwner:
+			t.Fatalf("%s: route %v of %q aims at snode %d, which owns nothing covering it", step, p, k, s.id)
+		case owned != p || ref.vs.name != rt.ref.Vnode:
+			t.Fatalf("%s: handle routes %q to %v of vnode %v, snode %d holds it in %v of vnode %v",
+				step, k, p, rt.ref.Vnode, s.id, owned, ref.vs.name)
+		case !slices.Equal(reps, rt.replicas):
+			t.Fatalf("%s: handle lists replicas %v for %v, snode %d places them on %v",
+				step, rt.replicas, p, s.id, reps)
+		}
+	}
+}
+
+// awaitPromotionsQuiet waits until no replica has been promoted for
+// 200ms, so the elections a crash started are over.
+func awaitPromotionsQuiet(c *Cluster) {
+	n := c.StatsTotal().Promotions
+	for quiet := time.Now(); time.Since(quiet) < 200*time.Millisecond; time.Sleep(10 * time.Millisecond) {
+		if m := c.StatsTotal().Promotions; m != n {
+			n, quiet = m, time.Now()
+		}
+	}
+}
+
+// TestRouteCacheFollowsOwnership: a batch reply leaves out the routes the
+// handle holds under the owner's current route epoch, so every change to
+// what an owner would teach must move its epoch on.  After partitions move
+// between vnodes of one snode, a new snode re-ranks replica hosts, a group
+// splits and a crashed snode restarts, the first batch must leave every
+// cached route equal to what its owner holds; and a crash must find the
+// replica hosts the handle holds ready to serve reads at once.
+func TestRouteCacheFollowsOwnership(t *testing.T) {
+	for _, fab := range []struct {
+		name string
+		net  func() transport.Network
+	}{
+		{"mem", func() transport.Network { return transport.NewMem() }},
+		{"tcp", func() transport.Network { return transport.NewTCP("127.0.0.1") }},
+	} {
+		t.Run(fab.name, func(t *testing.T) { runRouteCacheFollowsOwnership(t, fab.net()) })
+	}
+}
+
+func runRouteCacheFollowsOwnership(t *testing.T, net transport.Network) {
+	c, err := New(Config{
+		Pmin: 8, Vmin: 2, Seed: 61, Replicas: 2,
+		RPCTimeout: 5 * time.Second, AntiEntropyInterval: 25 * time.Millisecond,
+		Durability: DurabilityConfig{Dir: t.TempDir(), Fsync: wal.FsyncBatch, SnapshotInterval: -1},
+	}, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	for i := 0; i < 2; i++ {
+		if _, err := c.AddSnode(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Every vnode lives on home: each transfer moves a partition between
+	// two vnodes of one snode, and home is the primary of every key.
+	home := c.Snodes()[0]
+	enroll := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, _, err := c.CreateVnode(home); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	enroll(3)
+	keys := make([]string, 512)
+	items := make([]KV, len(keys))
+	for i := range keys {
+		keys[i] = fmt.Sprintf("route-%04d", i)
+		items[i] = KV{Key: keys[i], Value: []byte(keys[i])}
+	}
+	res, err := c.MPut(items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range res {
+		if !r.OK() {
+			t.Fatalf("put %q: %s", r.Key, r.Err)
+		}
+	}
+	readAll := func(step string) {
+		t.Helper()
+		res, err := c.MGet(keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range res {
+			if !r.OK() || !r.Found || string(r.Value) != r.Key {
+				t.Fatalf("%s: read %q: %+v", step, r.Key, r)
+			}
+		}
+	}
+	// firstBatch reads every key once the snodes have taken in the change
+	// (Ping drains what the handle sent them) and checks the routes.
+	firstBatch := func(step string) {
+		t.Helper()
+		if err := c.Ping(); err != nil {
+			t.Fatal(err)
+		}
+		readAll(step)
+		checkRoutesFollowOwners(t, c, keys, step)
+	}
+	firstBatch("warm")
+
+	before := c.StatsTotal()
+	enroll(1) // 32 partitions over 4 vnodes: transfers, no split
+	if c.StatsTotal().PartitionsSent == before.PartitionsSent {
+		t.Fatal("the fourth vnode took no partition")
+	}
+	firstBatch("partitions moved between vnodes of one snode")
+
+	if _, err := c.AddSnode(); err != nil {
+		t.Fatal(err)
+	}
+	firstBatch("snode added")
+
+	enroll(1) // five vnodes exceed Vmax = 4
+	if c.StatsTotal().GroupSplits == before.GroupSplits {
+		t.Fatal("the fifth vnode did not split the group")
+	}
+	firstBatch("group split")
+
+	// Crash the primary of every key: reads fail over to the replica hosts
+	// the handle holds, with no failed round trip.
+	waitConverged(t, c)
+	c.mu.Lock()
+	victim := c.snodes[home]
+	c.mu.Unlock()
+	victim.mu.Lock()
+	oldEpoch := victim.routeEpoch
+	victim.mu.Unlock()
+	fails := c.subFails.Load()
+	if err := c.KillSnode(home); err != nil {
+		t.Fatal(err)
+	}
+	readAll("primary crashed")
+	if n := c.subFails.Load() - fails; n != 0 {
+		t.Fatalf("the first read after the crash took %d failed round trips, want 0", n)
+	}
+
+	awaitPromotionsQuiet(c)
+	if err := c.RestartSnode(home); err != nil {
+		t.Fatal(err)
+	}
+	c.mu.Lock()
+	restarted := c.snodes[home]
+	c.mu.Unlock()
+	restarted.mu.Lock()
+	newEpoch := restarted.routeEpoch
+	restarted.mu.Unlock()
+	if newEpoch <= oldEpoch {
+		t.Fatalf("restarted snode is at route epoch %d, not above its previous incarnation's %d", newEpoch, oldEpoch)
+	}
+	firstBatch("crashed snode restarted")
+}

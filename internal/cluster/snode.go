@@ -307,6 +307,10 @@ type Snode struct {
 	placed    map[hashspace.Partition][]transport.NodeID // guarded by mu; replica hosts last reconciled per owned partition
 	inDoubt   map[hashspace.Partition]*migIntent         // guarded by mu; unresolved journaled migration intents (recovery)
 
+	// routeEpoch tags the routes this snode's batch replies teach; it
+	// changes whenever one of them would (bumpRouteEpochLocked).
+	routeEpoch uint64 // guarded by mu
+
 	// dur is the durability layer (nil when Config.Durability is off);
 	// crashed marks an abrupt stop (KillSnode), which abandons the WAL's
 	// userspace buffer instead of flushing it — simulating process death.
@@ -357,6 +361,9 @@ func newSnode(id transport.NodeID, cfg Config, net transport.Network) (*Snode, e
 		tracer:   newTracer(cfg.TraceBufferSize),
 		lat:      newLatencies(),
 		log:      cfg.Logger.With("snode", int(id)),
+
+		// Never 0, the epoch a handle names when it knows none.
+		routeEpoch: routeEpochs.Add(1),
 	}
 	s.sampler.setRate(cfg.TraceSample)
 	// Recovery mutates state like any handler does, under s.mu: leadership
@@ -508,6 +515,7 @@ func (s *Snode) setOwnedLocked(p hashspace.Partition, vs *vnodeState, bk *bucket
 		s.ownedLvls.Add(p.Level)
 	}
 	s.owned[p] = ownedRef{vs: vs, bk: bk}
+	s.bumpRouteEpochLocked()
 }
 
 // delOwnedLocked removes a partition's index entry, but only while it
@@ -519,8 +527,18 @@ func (s *Snode) delOwnedLocked(p hashspace.Partition, bk *bucket) {
 	if ref, ok := s.owned[p]; ok && ref.bk == bk {
 		delete(s.owned, p)
 		s.ownedLvls.Remove(p.Level)
+		s.bumpRouteEpochLocked()
 	}
 }
+
+// routeEpochs is drawn from by every snode in the process, so no two
+// snodes, and no two incarnations of one snode id, share an epoch value.
+var routeEpochs atomic.Uint64
+
+// bumpRouteEpochLocked moves the route epoch on after a change to what a
+// batch reply would teach about this snode's partitions: their set, their
+// vnodes or their replica hosts.  Caller holds s.mu.
+func (s *Snode) bumpRouteEpochLocked() { s.routeEpoch = routeEpochs.Add(1) }
 
 // ownedForLocked returns the ownership-index entry covering hash index h,
 // if any.  One index probe per live level — it runs once per batch item,

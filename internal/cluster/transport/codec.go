@@ -35,10 +35,12 @@ import (
 // primary places at a host and the reply lists the mismatches, and an old
 // decoder would read the digest count as a partition prefix.  v5 dropped
 // the format byte that used to select between this codec and an
-// encoding/gob fallback: there is one codec, so nothing to select.
+// encoding/gob fallback: there is one codec, so nothing to select.  v6
+// appended a route epoch to batchReq (tag 3) and to every route entry
+// (tags 4, 77, 78) in place.
 
 const (
-	wireVersion byte = 5
+	wireVersion byte = 6
 
 	// Frame flags (v2+).  flagTrace marks a trace context present in the
 	// header; flagSampled carries the head-sampling decision.

@@ -153,7 +153,7 @@ func TestDecodeFrameOldVersionRejected(t *testing.T) {
 	// Frames from a pre-upgrade peer: the version check must reject them
 	// with the mixed-cluster error before misreading their header — a v1
 	// frame has no flags byte, a v4 frame a format byte where v5 has the
-	// flags.
+	// flags, and a v5 frame the same header as v6 over shorter payloads.
 	envelope := func(body []byte) []byte {
 		body = binary.AppendVarint(body, -1)
 		body = binary.AppendVarint(body, 2)
@@ -166,6 +166,7 @@ func TestDecodeFrameOldVersionRejected(t *testing.T) {
 	}{
 		{"wire version 1", envelope([]byte{1, 1})},    // v1: version, format
 		{"wire version 4", envelope([]byte{4, 1, 0})}, // v4: version, format, flags
+		{"wire version 5", envelope([]byte{5, 0})},    // v5: version, flags
 	} {
 		_, err := DecodeFrame(old.body)
 		if err == nil {

@@ -336,6 +336,7 @@ func (e *routeEntry) tombFields(w *walker) {
 func (e *routeEntry) fields(w *walker) {
 	e.tombFields(w)
 	w.nodes(&e.Replicas)
+	w.u64(&e.Epoch)
 }
 
 func (it *batchItem) fields(w *walker) {
@@ -430,6 +431,7 @@ func (m *batchReq) fields(w *walker) {
 	w.node(&m.ReplyTo)
 	w.int(&m.Hops)
 	w.bool(&m.ReadReplica)
+	w.u64(&m.Known)
 }
 
 func (m batchResp) WireTag() uint16            { return wireTagBatchResp }

@@ -44,7 +44,7 @@ func wireSamples() []transport.WireMessage {
 	owner := VnodeName{Snode: 3, Local: 7}
 	ref := ownerRef{Vnode: owner, Host: 3}
 	routes := []routeEntry{
-		{Partition: p, Ref: ref, Replicas: []transport.NodeID{1, 2}},
+		{Partition: p, Ref: ref, Replicas: []transport.NodeID{1, 2}, Epoch: 1 << 40},
 		{Partition: hashspace.Partition{}, Ref: ownerRef{Vnode: VnodeName{Snode: 1}, Host: 1}},
 	}
 	lpdr := lpdrState{Group: g, Level: 4, Leader: 3, Members: []memberInfo{
@@ -57,7 +57,7 @@ func wireSamples() []transport.WireMessage {
 		batchReq{Op: 12, Kind: opPut, Items: []batchItem{
 			{Key: "a", Value: []byte("va")},
 			{Key: "b"}, // nil value (deletes, gets)
-		}, ReplyTo: -1, Hops: 2, ReadReplica: true},
+		}, ReplyTo: -1, Hops: 2, ReadReplica: true, Known: 77},
 		batchReq{Op: 13, Kind: opGet}, // empty batch
 		batchResp{Op: 14, Results: []batchItemResp{
 			{Value: []byte("v"), Found: true},

@@ -260,8 +260,25 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for i, res := range results {
 		resp.Results[i] = api.Result{Key: res.Key, Found: res.Found, Value: res.Value, Error: res.Err}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	bp := batchBufs.Get().(*[]byte)
+	// The newline ends the value as writeJSON's json.Encoder ends it.
+	b := append(api.AppendBatchResponse((*bp)[:0], &resp), '\n')
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(b)
+	if cap(b) <= maxPooledBatchBuf {
+		*bp = b
+		batchBufs.Put(bp)
+	}
 }
+
+// batchBufs holds the encode buffers of batch replies for reuse, as
+// encoding/json pools its own; a buffer over maxPooledBatchBuf is left to
+// the collector rather than kept alive.
+var batchBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledBatchBuf = 1 << 20
 
 // --- admin plane ---
 

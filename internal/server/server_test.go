@@ -159,6 +159,53 @@ func TestBatchPutDeleteOverHTTP(t *testing.T) {
 	}
 }
 
+// TestBatchReplyBytes: a batch reply declares its length instead of being
+// chunked, and its bytes are what json.Encoder wrote before.
+func TestBatchReplyBytes(t *testing.T) {
+	_, ts := boot(t, 2, 8)
+	cl := client.New(ts.URL)
+	items := make([]client.Item, 64)
+	keys := make([]string, len(items))
+	for i := range items {
+		keys[i] = fmt.Sprintf("key<%03d>", i)
+		items[i] = client.Item{Key: keys[i], Value: bytes.Repeat([]byte{byte(i)}, 100)}
+	}
+	if _, err := cl.MPut(ctx, items); err != nil {
+		t.Fatal(err)
+	}
+	body, _ := json.Marshal(map[string]any{"op": "get", "items": items})
+	resp, err := http.Post(ts.URL+"/v1/kv:batch", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	got, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.ContentLength != int64(len(got)) || len(resp.TransferEncoding) != 0 {
+		t.Fatalf("%d-byte reply: Content-Length %d, Transfer-Encoding %v", len(got), resp.ContentLength, resp.TransferEncoding)
+	}
+	var decoded struct {
+		Results []client.Result `json:"results"`
+	}
+	if err := json.Unmarshal(got, &decoded); err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := json.NewEncoder(&want).Encode(decoded); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("reply\n%s\nencoding/json\n%s", got, want.Bytes())
+	}
+	for i, r := range decoded.Results {
+		if !r.Found || !bytes.Equal(r.Value, items[i].Value) {
+			t.Fatalf("result %d = %+v", i, r)
+		}
+	}
+}
+
 func TestAdminPlane(t *testing.T) {
 	c, ts := boot(t, 2, 4)
 	cl := client.New(ts.URL)

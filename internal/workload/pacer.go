@@ -15,6 +15,8 @@ type Pacer struct {
 	interval time.Duration
 	start    time.Time
 	n        atomic.Int64
+	now      func() time.Time // the clock, which tests replace
+	sleep    func(time.Duration)
 }
 
 // NewPacer returns a pacer targeting opsPerSec operations per second,
@@ -26,6 +28,8 @@ func NewPacer(opsPerSec float64) (*Pacer, error) {
 	return &Pacer{
 		interval: time.Duration(float64(time.Second) / opsPerSec),
 		start:    time.Now(),
+		now:      time.Now,
+		sleep:    time.Sleep,
 	}, nil
 }
 
@@ -36,9 +40,9 @@ func NewPacer(opsPerSec float64) (*Pacer, error) {
 func (p *Pacer) Wait() time.Duration {
 	i := p.n.Add(1) - 1
 	due := p.start.Add(time.Duration(i) * p.interval)
-	lag := time.Since(due)
+	lag := p.now().Sub(due)
 	if lag < 0 {
-		time.Sleep(-lag)
+		p.sleep(-lag)
 		return 0
 	}
 	return lag
