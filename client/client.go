@@ -80,18 +80,13 @@ func New(base string, opts ...Option) *Client {
 	return c
 }
 
-// apiError is the server's JSON error envelope.
-type apiError struct {
-	Error string `json:"error"`
-}
-
 // errorFrom decodes the error body of a non-2xx response.
 func errorFrom(resp *http.Response) error {
 	defer resp.Body.Close()
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 64<<10))
-	var ae apiError
-	if json.Unmarshal(body, &ae) == nil && ae.Error != "" {
-		return fmt.Errorf("dhtd: %s (HTTP %d)", ae.Error, resp.StatusCode)
+	var ae api.Error
+	if json.Unmarshal(body, &ae) == nil && ae.Message != "" {
+		return fmt.Errorf("dhtd: %s (HTTP %d)", ae.Message, resp.StatusCode)
 	}
 	return fmt.Errorf("dhtd: HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(body))
 }
@@ -237,9 +232,7 @@ func (c *Client) Get(ctx context.Context, key string) (value []byte, found bool,
 // WithWriteRetry set, transient failures are retried within the budget.
 func (c *Client) Delete(ctx context.Context, key string) (found bool, err error) {
 	err = c.retrying(ctx, func() error {
-		var out struct {
-			Found bool `json:"found"`
-		}
+		var out api.DeleteResponse
 		if err := c.doJSON(ctx, http.MethodDelete, kvPath(key), nil, &out); err != nil {
 			return err
 		}
@@ -445,9 +438,7 @@ func keyItems(keys []string) []Item {
 
 // AddSnode joins one fresh snode and returns its id.
 func (c *Client) AddSnode(ctx context.Context) (int, error) {
-	var out struct {
-		ID int `json:"id"`
-	}
+	var out api.AddSnodeResponse
 	if err := c.doJSON(ctx, http.MethodPost, "/v1/snodes", nil, &out); err != nil {
 		return 0, err
 	}
@@ -459,31 +450,23 @@ func (c *Client) RemoveSnode(ctx context.Context, id int) error {
 	return c.doJSON(ctx, http.MethodDelete, fmt.Sprintf("/v1/snodes/%d", id), nil, nil)
 }
 
+// CreatedVnode names a vnode CreateVnode enrolled: the vnode, its group
+// and the snode that hosts it.
+type CreatedVnode = api.CreateVnodeResponse
+
 // CreateVnode enrolls one vnode at the given snode (0 lets the server
-// pick the least-loaded snode) and returns the vnode name and group.
-func (c *Client) CreateVnode(ctx context.Context, snode int) (vnode, group string, err error) {
-	var out struct {
-		Vnode string `json:"vnode"`
-		Group string `json:"group"`
-	}
-	in := struct {
-		Snode int `json:"snode"`
-	}{Snode: snode}
-	if err := c.doJSON(ctx, http.MethodPost, "/v1/vnodes", in, &out); err != nil {
-		return "", "", err
-	}
-	return out.Vnode, out.Group, nil
+// pick the least-loaded snode).
+func (c *Client) CreateVnode(ctx context.Context, snode int) (CreatedVnode, error) {
+	var out CreatedVnode
+	err := c.doJSON(ctx, http.MethodPost, "/v1/vnodes", api.CreateVnodeRequest{Snode: snode}, &out)
+	return out, err
 }
 
 // SetEnrollment adjusts an snode's hosted vnode count and returns the
 // count after adjustment.
 func (c *Client) SetEnrollment(ctx context.Context, id, target int) (int, error) {
-	var out struct {
-		Hosted int `json:"hosted"`
-	}
-	in := struct {
-		Target int `json:"target"`
-	}{Target: target}
+	var out api.EnrollmentResponse
+	in := api.EnrollmentRequest{Target: target}
 	if err := c.doJSON(ctx, http.MethodPut, fmt.Sprintf("/v1/snodes/%d/enrollment", id), in, &out); err != nil {
 		return 0, err
 	}
@@ -492,62 +475,17 @@ func (c *Client) SetEnrollment(ctx context.Context, id, target int) (int, error)
 
 // --- introspection ---
 
+// Status is the GET /v1/status document, durability block included.
+type Status = api.Status
+
 // SnodeStatus summarizes one live snode.
-type SnodeStatus struct {
-	ID     int `json:"id"`
-	Vnodes int `json:"vnodes"`
-	Keys   int `json:"keys"`
-}
+type SnodeStatus = api.SnodeStatus
 
 // VnodeStatus is one vnode's materialized state.
-type VnodeStatus struct {
-	Name       string `json:"name"`
-	Snode      int    `json:"snode"`
-	Group      string `json:"group"`
-	Level      int    `json:"level"`
-	Partitions int    `json:"partitions"`
-	Keys       int    `json:"keys"`
-}
+type VnodeStatus = api.VnodeStatus
 
-// Stats mirrors the cluster's aggregated runtime counters.
-type Stats struct {
-	MsgsIn         int64 `json:"MsgsIn"`
-	Forwards       int64 `json:"Forwards"`
-	PartitionsSent int64 `json:"PartitionsSent"`
-	KeysMoved      int64 `json:"KeysMoved"`
-	SplitAlls      int64 `json:"SplitAlls"`
-	GroupSplits    int64 `json:"GroupSplits"`
-	JoinsLed       int64 `json:"JoinsLed"`
-	LeavesLed      int64 `json:"LeavesLed"`
-	DataOps        int64 `json:"DataOps"`
-	Requeues       int64 `json:"Requeues"`
-	Batches        int64 `json:"Batches"`
-	ReplWrites     int64 `json:"ReplWrites"`
-	ReplRepairs    int64 `json:"ReplRepairs"`
-	ReplLagged     int64 `json:"ReplLagged"`
-	AEProbeMsgs    int64 `json:"AEProbeMsgs"`
-	AEKeysHashed   int64 `json:"AEKeysHashed"`
-	FailoverReads  int64 `json:"FailoverReads"`
-	ChunksSent     int64 `json:"ChunksSent"`
-	MigAborts      int64 `json:"MigAborts"`
-	FreezeTimeouts int64 `json:"FreezeTimeouts"`
-
-	Elections       int64 `json:"Elections"`
-	Promotions      int64 `json:"Promotions"`
-	FailoverDetects int64 `json:"FailoverDetects"`
-}
-
-// Status is the GET /v1/status document.
-type Status struct {
-	Snodes        []SnodeStatus `json:"snodes"`
-	Vnodes        []VnodeStatus `json:"vnodes"`
-	Groups        int           `json:"groups"`
-	Keys          int           `json:"keys"`
-	Replicas      int           `json:"replicas"`
-	SigmaQv       float64       `json:"sigma_qv"`
-	Stats         Stats         `json:"stats"`
-	UptimeSeconds float64       `json:"uptime_seconds"`
-}
+// Stats is the cluster's aggregated runtime counters.
+type Stats = api.Stats
 
 // Status fetches the cluster status snapshot.
 func (c *Client) Status(ctx context.Context) (Status, error) {

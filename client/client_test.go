@@ -12,6 +12,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"dbdht/internal/api"
 )
 
 // TestRequestTimeout verifies every request gets a deadline even when the
@@ -288,7 +290,7 @@ func TestPutRetry(t *testing.T) {
 		attempts++
 		if attempts < 3 {
 			w.WriteHeader(http.StatusServiceUnavailable)
-			json.NewEncoder(w).Encode(apiError{Error: "partition frozen for handover"})
+			json.NewEncoder(w).Encode(api.Error{Message: "partition frozen for handover"})
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)

@@ -12,7 +12,10 @@
 // before anything is read, and one that ends short of its Content-Length
 // is an error.
 //
-// Item and Result are the batch body schema the server itself uses
-// (internal/api); batch requests are encoded and batch responses decoded
-// without reflection, to the same bytes and values encoding/json gives.
+// Every body the client sends or reads is the type the server itself uses,
+// declared once in internal/api: Item, Result, Status (with its
+// SnodeStatus, VnodeStatus and Stats) and CreatedVnode are aliases of
+// those types, so the two sides cannot drift apart.  Batch requests are
+// encoded and batch responses decoded without reflection, to the same
+// bytes and values encoding/json gives.
 package client

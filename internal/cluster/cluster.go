@@ -79,7 +79,7 @@ type Cluster struct {
 
 // foldStats accumulates a departing snode's counters so cluster-wide totals
 // are monotonic across membership changes.
-func (a *StatsSnapshot) fold(b StatsSnapshot) {
+func foldStats(a *StatsSnapshot, b StatsSnapshot) {
 	a.MsgsIn += b.MsgsIn
 	a.Forwards += b.Forwards
 	a.PartitionsSent += b.PartitionsSent
@@ -470,7 +470,7 @@ func (c *Cluster) depart(id transport.NodeID, crashed bool) error {
 // will answer now.
 func (c *Cluster) retire(s *Snode) {
 	c.retiredMu.Lock()
-	c.retired.fold(s.stats.snapshot())
+	foldStats(&c.retired, s.stats.snapshot())
 	if s.dur != nil {
 		c.retiredWal.Fold(s.dur.log.Stats().Snapshot())
 	}
@@ -812,7 +812,7 @@ func (c *Cluster) StatsTotal() StatsSnapshot {
 	tot := c.retired
 	c.retiredMu.Unlock()
 	for _, s := range c.liveSnodes() {
-		tot.fold(s.stats.snapshot())
+		foldStats(&tot, s.stats.snapshot())
 	}
 	tot.FailoverDetects = c.failoverDetects.Load()
 	return tot

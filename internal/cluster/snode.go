@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dbdht/internal/api"
 	"dbdht/internal/cluster/transport"
 	"dbdht/internal/core"
 	"dbdht/internal/hashspace"
@@ -163,21 +164,9 @@ type Stats struct {
 	Promotions     atomic.Int64 // replica buckets this snode promoted to primary
 }
 
-// StatsSnapshot is a plain-value copy of Stats.
-type StatsSnapshot struct {
-	MsgsIn, Forwards, PartitionsSent, KeysMoved int64
-	SplitAlls, GroupSplits, JoinsLed, LeavesLed int64
-	DataOps, Requeues, Batches                  int64
-	ReplWrites, ReplRepairs, ReplLagged         int64
-	AEProbeMsgs, AEKeysHashed                   int64
-	FailoverReads                               int64
-	ChunksSent, MigAborts, FreezeTimeouts       int64
-	Elections, Promotions                       int64
-	// FailoverDetects counts snodes the cluster handle's liveness
-	// detector declared dead; it is handle-level, set only in
-	// Cluster.StatsTotal (zero in per-snode snapshots).
-	FailoverDetects int64
-}
+// StatsSnapshot is a plain-value copy of Stats, in the shape GET
+// /v1/status reports it.
+type StatsSnapshot = api.Stats
 
 func (s *Stats) snapshot() StatsSnapshot {
 	return StatsSnapshot{

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -91,10 +92,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // --- encoding helpers ---
 
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -102,7 +99,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, errorResponse{Error: fmt.Sprintf(format, args...)})
+	writeJSON(w, code, api.Error{Message: fmt.Sprintf(format, args...)})
 }
 
 // clusterErrCode maps a cluster-level error to an HTTP status.
@@ -118,11 +115,21 @@ func clusterErrCode(err error) int {
 	}
 }
 
+// readJSON decodes an admin request body into v, answering 413 or 400
+// itself: the body is read as readBody reads it, an unknown field is
+// refused, and so is anything but whitespace after the value.
 func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	body := http.MaxBytesReader(w, r.Body, MaxValueBytes)
-	dec := json.NewDecoder(body)
+	body, ok := readBody(w, r, "request body")
+	if !ok {
+		return false
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	err := dec.Decode(v)
+	if _, end := dec.Token(); err == nil && end != io.EOF {
+		err = errors.New("trailing data after the value")
+	}
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
 		return false
 	}
@@ -200,10 +207,6 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(value)
 }
 
-type deleteResponse struct {
-	Found bool `json:"found"`
-}
-
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	if r.PathValue("key") == "" {
 		writeErr(w, http.StatusBadRequest, "empty key")
@@ -214,7 +217,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, clusterErrCode(err), "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, deleteResponse{Found: found})
+	writeJSON(w, http.StatusOK, api.DeleteResponse{Found: found})
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -282,16 +285,8 @@ const maxPooledBatchBuf = 1 << 20
 
 // --- admin plane ---
 
-type snodeResponse struct {
-	ID int `json:"id"`
-}
-
-type addSnodeRequest struct {
-	Capacity float64 `json:"capacity"` // 0: unit capacity
-}
-
 func (s *Server) handleAddSnode(w http.ResponseWriter, r *http.Request) {
-	req := addSnodeRequest{}
+	var req api.AddSnodeRequest
 	if r.ContentLength != 0 {
 		if !readJSON(w, r, &req) {
 			return
@@ -309,11 +304,7 @@ func (s *Server) handleAddSnode(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, clusterErrCode(err), "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, snodeResponse{ID: int(id)})
-}
-
-type capacityRequest struct {
-	Weight float64 `json:"weight"`
+	writeJSON(w, http.StatusCreated, api.AddSnodeResponse{ID: int(id)})
 }
 
 func (s *Server) handleCapacity(w http.ResponseWriter, r *http.Request) {
@@ -322,7 +313,7 @@ func (s *Server) handleCapacity(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	var req capacityRequest
+	var req api.CapacityRequest
 	if !readJSON(w, r, &req) {
 		return
 	}
@@ -334,35 +325,13 @@ func (s *Server) handleCapacity(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, clusterErrCode(err), "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]float64{"capacity": req.Weight})
+	writeJSON(w, http.StatusOK, api.CapacityResponse{Capacity: req.Weight})
 }
 
-// SnodeLoadStatus is one snode's load report in a balance response.
-type SnodeLoadStatus struct {
-	Snode    int     `json:"snode"`
-	Capacity float64 `json:"capacity"`
-	Vnodes   int     `json:"vnodes"`
-	Keys     int     `json:"keys"`
-	Quota    float64 `json:"quota"`
-	ReadsPS  float64 `json:"reads_per_s"`
-	WritesPS float64 `json:"writes_per_s"`
-	BytesPS  float64 `json:"bytes_per_s"`
-}
-
-// BalanceResponse answers POST /v1/balance with the round's outcome and
-// GET /v1/balance with the balancer's lifetime counters.
-type BalanceResponse struct {
-	Sigma     float64           `json:"sigma"`
-	Threshold float64           `json:"threshold,omitempty"`
-	Moves     int               `json:"moves"`
-	Rounds    int64             `json:"rounds,omitempty"`
-	Loads     []SnodeLoadStatus `json:"loads,omitempty"`
-}
-
-func loadStatuses(loads []cluster.SnodeLoad) []SnodeLoadStatus {
-	out := make([]SnodeLoadStatus, len(loads))
+func loadStatuses(loads []cluster.SnodeLoad) []api.SnodeLoad {
+	out := make([]api.SnodeLoad, len(loads))
 	for i, l := range loads {
-		out[i] = SnodeLoadStatus{
+		out[i] = api.SnodeLoad{
 			Snode: int(l.Snode), Capacity: l.Capacity, Vnodes: l.Vnodes,
 			Keys: l.Keys, Quota: l.Quota,
 			ReadsPS: l.Reads, WritesPS: l.Writes, BytesPS: l.Bytes,
@@ -377,7 +346,7 @@ func (s *Server) handleBalanceNow(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, clusterErrCode(err), "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, BalanceResponse{
+	writeJSON(w, http.StatusOK, api.Balance{
 		Sigma: round.Sigma, Moves: round.Moves, Loads: loadStatuses(round.Loads),
 	})
 }
@@ -389,7 +358,7 @@ func (s *Server) handleBalanceStatus(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, clusterErrCode(err), "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, BalanceResponse{
+	writeJSON(w, http.StatusOK, api.Balance{
 		Sigma:  st.LastSigma,
 		Moves:  int(st.Moves),
 		Rounds: st.Rounds,
@@ -410,21 +379,13 @@ func (s *Server) handleRemoveSnode(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-type enrollmentRequest struct {
-	Target int `json:"target"`
-}
-
-type enrollmentResponse struct {
-	Hosted int `json:"hosted"`
-}
-
 func (s *Server) handleEnrollment(w http.ResponseWriter, r *http.Request) {
 	id, err := pathID(r)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	var req enrollmentRequest
+	var req api.EnrollmentRequest
 	if !readJSON(w, r, &req) {
 		return
 	}
@@ -437,21 +398,11 @@ func (s *Server) handleEnrollment(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, clusterErrCode(err), "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, enrollmentResponse{Hosted: hosted})
-}
-
-type createVnodeRequest struct {
-	Snode int `json:"snode"` // 0: server picks the least-loaded snode
-}
-
-type createVnodeResponse struct {
-	Vnode string `json:"vnode"`
-	Group string `json:"group"`
-	Snode int    `json:"snode"`
+	writeJSON(w, http.StatusOK, api.EnrollmentResponse{Hosted: hosted})
 }
 
 func (s *Server) handleCreateVnode(w http.ResponseWriter, r *http.Request) {
-	req := createVnodeRequest{}
+	var req api.CreateVnodeRequest
 	if r.ContentLength != 0 {
 		if !readJSON(w, r, &req) {
 			return
@@ -482,7 +433,7 @@ func (s *Server) handleCreateVnode(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, clusterErrCode(err), "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, createVnodeResponse{
+	writeJSON(w, http.StatusCreated, api.CreateVnodeResponse{
 		Vnode: name.String(), Group: group.String(), Snode: int(at),
 	})
 }
@@ -496,55 +447,25 @@ func (s *Server) handleSnapshotNow(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := s.c.WALStats()
-	writeJSON(w, http.StatusOK, map[string]int64{"snapshot_files": st.SnapWrites})
+	writeJSON(w, http.StatusOK, api.SnapshotResponse{SnapshotFiles: st.SnapWrites})
 }
 
 // --- tracing ---
-
-// TraceSummary is one sampled trace in GET /v1/trace.
-type TraceSummary struct {
-	TraceID    string  `json:"trace_id"` // hex
-	Name       string  `json:"name"`
-	Start      string  `json:"start"` // RFC 3339 with nanoseconds
-	DurationMS float64 `json:"duration_ms"`
-	Outcome    string  `json:"outcome"`
-	Spans      int     `json:"spans"`
-}
-
-// TraceSpan is one recorded stage in GET /v1/trace/{id}.
-type TraceSpan struct {
-	SpanID     string  `json:"span_id"`          // hex
-	Parent     string  `json:"parent,omitempty"` // hex; absent for the root
-	Name       string  `json:"name"`
-	Snode      int     `json:"snode"` // -1 is the client handle
-	Start      string  `json:"start"`
-	DurationMS float64 `json:"duration_ms"`
-	Outcome    string  `json:"outcome"`
-}
-
-// TraceResponse answers GET /v1/trace/{id}.
-type TraceResponse struct {
-	TraceID string      `json:"trace_id"`
-	Spans   []TraceSpan `json:"spans"`
-}
 
 func traceID(id uint64) string { return strconv.FormatUint(id, 16) }
 
 func (s *Server) handleTraceList(w http.ResponseWriter, r *http.Request) {
 	summaries := s.c.Traces()
-	out := make([]TraceSummary, 0, len(summaries))
+	out := make([]api.TraceSummary, 0, len(summaries))
 	for _, ts := range summaries {
-		out = append(out, TraceSummary{
+		out = append(out, api.TraceSummary{
 			TraceID: traceID(ts.TraceID), Name: ts.Name,
 			Start:      ts.Start.Format(time.RFC3339Nano),
 			DurationMS: float64(ts.Duration) / float64(time.Millisecond),
 			Outcome:    ts.Outcome, Spans: ts.Spans,
 		})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"sampling": s.c.TraceSampling(),
-		"traces":   out,
-	})
+	writeJSON(w, http.StatusOK, api.TraceList{Sampling: s.c.TraceSampling(), Traces: out})
 }
 
 func (s *Server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
@@ -558,9 +479,9 @@ func (s *Server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "trace %s not found (unsampled or evicted)", r.PathValue("id"))
 		return
 	}
-	resp := TraceResponse{TraceID: traceID(id), Spans: make([]TraceSpan, len(spans))}
+	resp := api.Trace{TraceID: traceID(id), Spans: make([]api.TraceSpan, len(spans))}
 	for i, sp := range spans {
-		out := TraceSpan{
+		out := api.TraceSpan{
 			SpanID: traceID(sp.SpanID), Name: sp.Name, Snode: int(sp.Snode),
 			Start:      sp.Start.Format(time.RFC3339Nano),
 			DurationMS: float64(sp.Duration) / float64(time.Millisecond),
@@ -574,12 +495,8 @@ func (s *Server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-type traceSamplingRequest struct {
-	Rate float64 `json:"rate"`
-}
-
 func (s *Server) handleTraceSampling(w http.ResponseWriter, r *http.Request) {
-	var req traceSamplingRequest
+	var req api.SamplingRequest
 	if !readJSON(w, r, &req) {
 		return
 	}
@@ -588,71 +505,25 @@ func (s *Server) handleTraceSampling(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.c.SetTraceSampling(req.Rate)
-	writeJSON(w, http.StatusOK, map[string]float64{"sampling": s.c.TraceSampling()})
+	writeJSON(w, http.StatusOK, api.SamplingResponse{Sampling: s.c.TraceSampling()})
 }
 
 // --- introspection ---
 
-// SnodeStatus summarizes one live snode.
-type SnodeStatus struct {
-	ID     int `json:"id"`
-	Vnodes int `json:"vnodes"`
-	Keys   int `json:"keys"`
-}
-
-// VnodeStatus is one vnode's materialized state.
-type VnodeStatus struct {
-	Name       string `json:"name"`
-	Snode      int    `json:"snode"`
-	Group      string `json:"group"`
-	Level      int    `json:"level"`
-	Partitions int    `json:"partitions"`
-	Keys       int    `json:"keys"`
-}
-
-// DurabilityStatus reports the crash-durability layer's state.
-type DurabilityStatus struct {
-	Enabled bool   `json:"enabled"`
-	Fsync   string `json:"fsync,omitempty"` // off | batch | always
-	// WAL counters aggregated over the snodes (live + departed).
-	Appends       int64 `json:"wal_appends,omitempty"`
-	Bytes         int64 `json:"wal_bytes,omitempty"`
-	Fsyncs        int64 `json:"wal_fsyncs,omitempty"`
-	SnapshotFiles int64 `json:"snapshot_files,omitempty"`
-}
-
-// StatusResponse is the GET /v1/status document: a cluster snapshot plus
-// the aggregated runtime counters.
-type StatusResponse struct {
-	Snodes        []SnodeStatus         `json:"snodes"`
-	Vnodes        []VnodeStatus         `json:"vnodes"`
-	Groups        int                   `json:"groups"`
-	Keys          int                   `json:"keys"`
-	Replicas      int                   `json:"replicas"` // configured copies per partition (R)
-	SigmaQv       float64               `json:"sigma_qv"` // σ̄(Q_v), fraction
-	Durability    DurabilityStatus      `json:"durability"`
-	Stats         cluster.StatsSnapshot `json:"stats"`
-	UptimeSeconds float64               `json:"uptime_seconds"`
-}
-
-func (s *Server) buildStatus() StatusResponse {
-	st, _ := s.buildStatusAndWAL()
-	return st
-}
-
-// buildStatusAndWAL also returns the aggregated WAL counters it sampled
-// (all zeros with durability off), so the metrics scrape reuses one
-// snode sweep for both the status block and the dbdht_wal_* families.
-func (s *Server) buildStatusAndWAL() (StatusResponse, wal.StatsSnapshot) {
+// buildStatus builds the GET /v1/status document.  It also returns the
+// aggregated WAL counters it sampled (all zeros with durability off), so
+// the metrics scrape reuses one snode sweep for both the status block and
+// the dbdht_wal_* families.
+func (s *Server) buildStatus() (api.Status, wal.StatsSnapshot) {
 	snap := s.c.Snapshot()
-	perSnode := make(map[transport.NodeID]*SnodeStatus)
+	perSnode := make(map[transport.NodeID]*api.SnodeStatus)
 	for _, id := range s.c.Snodes() {
-		perSnode[id] = &SnodeStatus{ID: int(id)}
+		perSnode[id] = &api.SnodeStatus{ID: int(id)}
 	}
 	groups := make(map[string]bool)
-	resp := StatusResponse{
-		Snodes:        []SnodeStatus{},
-		Vnodes:        make([]VnodeStatus, 0, len(snap.Vnodes)),
+	resp := api.Status{
+		Snodes:        []api.SnodeStatus{},
+		Vnodes:        make([]api.VnodeStatus, 0, len(snap.Vnodes)),
 		Replicas:      s.c.ReplicationFactor(),
 		Stats:         s.c.StatsTotal(),
 		UptimeSeconds: time.Since(s.start).Seconds(),
@@ -660,7 +531,7 @@ func (s *Server) buildStatusAndWAL() (StatusResponse, wal.StatsSnapshot) {
 	var wst wal.StatsSnapshot
 	if on, mode := s.c.DurabilityEnabled(); on {
 		wst = s.c.WALStats()
-		resp.Durability = DurabilityStatus{
+		resp.Durability = api.Durability{
 			Enabled: true, Fsync: mode.String(),
 			Appends: wst.Appends, Bytes: wst.Bytes, Fsyncs: wst.Fsyncs,
 			SnapshotFiles: wst.SnapWrites,
@@ -673,7 +544,7 @@ func (s *Server) buildStatusAndWAL() (StatusResponse, wal.StatsSnapshot) {
 			ss.Vnodes++
 			ss.Keys += v.Keys
 		}
-		resp.Vnodes = append(resp.Vnodes, VnodeStatus{
+		resp.Vnodes = append(resp.Vnodes, api.VnodeStatus{
 			Name: v.Name.String(), Snode: int(v.Host), Group: v.Group.String(),
 			Level: int(v.Level), Partitions: len(v.Partitions), Keys: v.Keys,
 		})
@@ -689,7 +560,8 @@ func (s *Server) buildStatusAndWAL() (StatusResponse, wal.StatsSnapshot) {
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.buildStatus())
+	st, _ := s.buildStatus()
+	writeJSON(w, http.StatusOK, st)
 }
 
 // cachedLoads serves the last collected load reports and kicks off one
@@ -714,7 +586,7 @@ func (s *Server) cachedLoads() []cluster.SnodeLoad {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	st, wst := s.buildStatusAndWAL()
+	st, wst := s.buildStatus()
 	counter := func(name, help string, v int64) metrics.Family {
 		return metrics.Family{
 			Name: name, Help: help, Type: metrics.TypeCounter,

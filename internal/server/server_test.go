@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"dbdht/client"
+	"dbdht/internal/api"
 	"dbdht/internal/cluster"
 	"dbdht/internal/cluster/transport"
 	"dbdht/internal/server"
@@ -217,16 +218,16 @@ func TestAdminPlane(t *testing.T) {
 	if got := len(c.Snodes()); got != 3 {
 		t.Fatalf("cluster has %d snodes after add, want 3", got)
 	}
-	vnode, group, err := cl.CreateVnode(ctx, id)
+	v, err := cl.CreateVnode(ctx, id)
 	if err != nil {
 		t.Fatalf("create vnode: %v", err)
 	}
-	if vnode == "" || group == "" {
-		t.Fatalf("create vnode returned %q/%q", vnode, group)
+	if v.Vnode == "" || v.Group == "" || v.Snode != id {
+		t.Fatalf("create vnode at snode %d returned %+v", id, v)
 	}
 	// Server-side placement (snode 0 = pick least loaded).
-	if _, _, err := cl.CreateVnode(ctx, 0); err != nil {
-		t.Fatalf("create vnode (auto): %v", err)
+	if v, err := cl.CreateVnode(ctx, 0); err != nil || v.Snode == 0 {
+		t.Fatalf("create vnode (auto) = %+v, %v; want a hosting snode", v, err)
 	}
 	hosted, err := cl.SetEnrollment(ctx, id, 4)
 	if err != nil || hosted != 4 {
@@ -285,11 +286,6 @@ func TestHTTPErrors(t *testing.T) {
 	if resp := get("POST", "/v1/kv:batch", `{"op":`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("batch with malformed JSON: %d, want 400", resp.StatusCode)
 	}
-	for _, trailing := range []string{`{"op":"put"}`, ` trailing garbage`} {
-		if resp := get("POST", "/v1/kv:batch", `{"op":"get","items":[{"key":"a"}]}`+trailing); resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("batch followed by %q: %d, want 400", trailing, resp.StatusCode)
-		}
-	}
 	if resp := get("PUT", "/v1/snodes/1/enrollment", `{"target":-3}`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("negative enrollment: %d, want 400", resp.StatusCode)
 	}
@@ -297,8 +293,27 @@ func TestHTTPErrors(t *testing.T) {
 	if resp := get("PUT", "/v1/kv/huge", string(big)); resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized value: %d, want 413", resp.StatusCode)
 	}
-	if resp := get("POST", "/v1/kv:batch", string(big)); resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Errorf("oversized batch body: %d, want 413", resp.StatusCode)
+	// Every JSON request body, batch or admin, is refused when anything
+	// but whitespace follows it (400) and when it is oversized (413).
+	for _, rt := range []struct{ method, path, body string }{
+		{"POST", "/v1/kv:batch", `{"op":"get","items":[{"key":"a"}]}`},
+		{"PUT", "/v1/snodes/1/enrollment", `{"target":2}`},
+		{"PUT", "/v1/snodes/1/capacity", `{"weight":1}`},
+		{"POST", "/v1/vnodes", `{"snode":1}`},
+		{"PUT", "/v1/trace/sampling", `{"rate":0}`},
+	} {
+		route := rt.method + " " + rt.path
+		if resp := get(rt.method, rt.path, rt.body+" \n"); resp.StatusCode/100 != 2 {
+			t.Errorf("%s %s: %d, want 2xx", route, rt.body, resp.StatusCode)
+		}
+		for _, trailing := range []string{`{"op":"put"}`, ` trailing garbage`, `}`} {
+			if resp := get(rt.method, rt.path, rt.body+trailing); resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s body followed by %q: %d, want 400", route, trailing, resp.StatusCode)
+			}
+		}
+		if resp := get(rt.method, rt.path, string(big)); resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s oversized body: %d, want 413", route, resp.StatusCode)
+		}
 	}
 }
 
@@ -353,7 +368,7 @@ func TestBalancePlane(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("balance now: %d %s", resp.StatusCode, body)
 	}
-	var round server.BalanceResponse
+	var round api.Balance
 	if err := json.Unmarshal(body, &round); err != nil {
 		t.Fatalf("balance response %s: %v", body, err)
 	}
@@ -368,7 +383,7 @@ func TestBalancePlane(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("balance status: %d %s", resp.StatusCode, body)
 	}
-	var st server.BalanceResponse
+	var st api.Balance
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}
@@ -431,31 +446,25 @@ func TestDurabilityPlane(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resp, err := http.Get(ts.URL + "/v1/status")
+	st, err := cl.Status(ctx)
 	if err != nil {
 		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	var st server.StatusResponse
-	if err := json.Unmarshal(body, &st); err != nil {
-		t.Fatalf("status %s: %v", body, err)
 	}
 	if !st.Durability.Enabled || st.Durability.Fsync != "off" || st.Durability.Appends == 0 {
 		t.Fatalf("durability status = %+v, want enabled with appends", st.Durability)
 	}
 
-	resp, err = http.Post(ts.URL+"/v1/snapshot", "application/json", nil)
+	resp, err := http.Post(ts.URL+"/v1/snapshot", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, _ = io.ReadAll(resp.Body)
+	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("snapshot: %d %s", resp.StatusCode, body)
 	}
-	var snap map[string]int64
-	if err := json.Unmarshal(body, &snap); err != nil || snap["snapshot_files"] == 0 {
+	var snap api.SnapshotResponse
+	if err := json.Unmarshal(body, &snap); err != nil || snap.SnapshotFiles == 0 {
 		t.Fatalf("snapshot response %s (err %v), want counted files", body, err)
 	}
 
@@ -574,30 +583,5 @@ func TestSaturationSignalsExposed(t *testing.T) {
 	}
 	if a, b := metricValue(t, before, "dbdht_antientropy_keys_hashed_total"), metricValue(t, text, "dbdht_antientropy_keys_hashed_total"); a != b {
 		t.Errorf("dbdht_antientropy_keys_hashed_total moved on an in-sync cluster (%v -> %v)", a, b)
-	}
-}
-
-// TestClientStatsCoversServerStats: every counter the server reports in
-// /v1/status's stats object lands in a client.Stats field — a counter
-// added on one side only fails here instead of vanishing in the client.
-func TestClientStatsCoversServerStats(t *testing.T) {
-	_, ts := boot(t, 2, 4)
-	resp, err := http.Get(ts.URL + "/v1/status")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	var doc struct {
-		Stats json.RawMessage `json:"stats"`
-	}
-	if err := json.Unmarshal(body, &doc); err != nil || len(doc.Stats) == 0 {
-		t.Fatalf("status %s: no stats object (err %v)", body, err)
-	}
-	dec := json.NewDecoder(bytes.NewReader(doc.Stats))
-	dec.DisallowUnknownFields()
-	var st client.Stats
-	if err := dec.Decode(&st); err != nil {
-		t.Fatalf("server stats %s do not fit client.Stats: %v", doc.Stats, err)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"dbdht/client"
+	"dbdht/internal/api"
 	"dbdht/internal/cluster"
 	"dbdht/internal/cluster/transport"
 	"dbdht/internal/server"
@@ -65,10 +66,7 @@ func TestTraceEndpoints(t *testing.T) {
 	}
 
 	// List: the MPut must show up as a sampled trace.
-	var list struct {
-		Sampling float64               `json:"sampling"`
-		Traces   []server.TraceSummary `json:"traces"`
-	}
+	var list api.TraceList
 	getJSON(t, ts.URL+"/v1/trace", &list)
 	if list.Sampling != 1 {
 		t.Fatalf("sampling = %v, want 1", list.Sampling)
@@ -85,7 +83,7 @@ func TestTraceEndpoints(t *testing.T) {
 	}
 
 	// By id: the span breakdown must cross snodes and cover the write path.
-	var trace server.TraceResponse
+	var trace api.Trace
 	getJSON(t, ts.URL+"/v1/trace/"+id, &trace)
 	names := map[string]int{}
 	snodes := map[int]bool{}
