@@ -1,6 +1,6 @@
 // dbdhtlint runs the dbdht project-invariant analyzer suite
-// (internal/analysis: wiretag, lockguard, atomicfield, tracectx) over
-// source (no build cache needed):
+// (internal/analysis: lockguard, tracectx) over source (no build cache
+// needed):
 //
 //	dbdhtlint [-only a,b] [packages]      # default ./...
 //

@@ -1,16 +1,12 @@
 // Package analysis is dbdht's project-invariant analyzer suite: a small,
 // dependency-free re-implementation of the golang.org/x/tools/go/analysis
 // driver model (the container this repo builds in has no module proxy, so
-// the suite is built on go/ast + go/types alone).  Each Analyzer enforces
-// one invariant that otherwise lives only in prose and reviewer vigilance:
+// the suite is built on go/ast + go/types alone).  It keeps only the
+// invariants that neither the type system nor a test can check:
 //
-//   - wiretag:     wire/WAL record tags are unique, registered in
-//     tags.lock, and every tagged message has encoder + decoder.
-//   - lockguard:   struct fields annotated "guarded by <mutex>" are only
+//   - lockguard: struct fields annotated "guarded by <mutex>" are only
 //     accessed with that mutex held.
-//   - atomicfield: a field accessed via sync/atomic anywhere is accessed
-//     atomically everywhere.
-//   - tracectx:    trace/context parameters are forwarded, never dropped,
+//   - tracectx:  trace/context parameters are forwarded, never dropped,
 //     on RPC paths.
 //
 // The suite runs via cmd/dbdhtlint and TestRepoInvariantsClean.
@@ -43,12 +39,6 @@ type Pass struct {
 	Files    []*ast.File
 	Pkg      *types.Package
 	Info     *types.Info
-	// Dir is the directory holding the package's sources.
-	Dir string
-	// TagsLockPath points wiretag at its registry file.  Empty means
-	// "walk up from Dir to the module root and use
-	// internal/analysis/tags.lock" (resolved by the driver).
-	TagsLockPath string
 
 	diagnostics []Diagnostic
 }
@@ -79,13 +69,11 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{
-			Analyzer:     a,
-			Fset:         pkg.Fset,
-			Files:        pkg.Files,
-			Pkg:          pkg.Types,
-			Info:         pkg.Info,
-			Dir:          pkg.Dir,
-			TagsLockPath: pkg.TagsLockPath,
+			Analyzer: a,
+			Fset:     pkg.Fset,
+			Files:    pkg.Files,
+			Pkg:      pkg.Types,
+			Info:     pkg.Info,
 		}
 		if err := a.Run(pass); err != nil {
 			return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Types.Path(), err)
@@ -106,5 +94,5 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 
 // All returns the full suite in a stable order.
 func All() []*Analyzer {
-	return []*Analyzer{WireTag, LockGuard, AtomicField, TraceCtx}
+	return []*Analyzer{LockGuard, TraceCtx}
 }

@@ -47,7 +47,6 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) {
 			t.Fatal(err)
 		}
 		loader.ExtraRoot = src
-		loader.TagsLockPath = "" // golden packages carry their own tags.lock
 		pkg, err := loader.LoadDir(filepath.Join(src, pkgName))
 		if err != nil {
 			t.Fatalf("loading %s: %v", pkgName, err)

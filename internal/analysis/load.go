@@ -16,15 +16,10 @@ import (
 
 // Package is one parsed + type-checked package, ready for analysis.
 type Package struct {
-	Path  string // import path
-	Dir   string
 	Fset  *token.FileSet
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
-	// TagsLockPath is the wiretag registry governing this package (may be
-	// empty for packages outside a module).
-	TagsLockPath string
 }
 
 // Loader parses and type-checks packages of one module from source.  It
@@ -40,9 +35,6 @@ type Loader struct {
 	// module: import "a/b" loads <ExtraRoot>/a/b.  The analysistest
 	// harness points it at a testdata/src directory.
 	ExtraRoot string
-	// TagsLockPath overrides the wiretag registry location (defaults to
-	// <ModuleDir>/internal/analysis/tags.lock).
-	TagsLockPath string
 
 	std   types.Importer
 	cache map[string]*Package
@@ -60,7 +52,6 @@ func NewLoader(dir string) (*Loader, error) {
 	if err == nil {
 		l.ModuleDir = modDir
 		l.Module = modPath
-		l.TagsLockPath = filepath.Join(modDir, "internal", "analysis", "tags.lock")
 	}
 	l.std = importer.ForCompiler(l.Fset, "source", nil)
 	return l, nil
@@ -210,13 +201,10 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 		return nil, fmt.Errorf("analysis: type-checking %s: %w", path, err)
 	}
 	pkg := &Package{
-		Path:         path,
-		Dir:          dir,
-		Fset:         l.Fset,
-		Files:        files,
-		Types:        tpkg,
-		Info:         info,
-		TagsLockPath: l.TagsLockPath,
+		Fset:  l.Fset,
+		Files: files,
+		Types: tpkg,
+		Info:  info,
 	}
 	l.cache[path] = pkg
 	return pkg, nil

@@ -8,16 +8,8 @@ import (
 	"dbdht/internal/analysis/analysistest"
 )
 
-func TestWireTag(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.WireTag, "wiretagtest", "cleantest")
-}
-
 func TestLockGuard(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.LockGuard, "lockguardtest", "cleantest")
-}
-
-func TestAtomicField(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.AtomicField, "atomicfieldtest", "cleantest")
 }
 
 func TestTraceCtx(t *testing.T) {
@@ -45,7 +37,6 @@ func runOn(t *testing.T, pkgName string, analyzers []*analysis.Analyzer) []analy
 		t.Fatal(err)
 	}
 	loader.ExtraRoot = src
-	loader.TagsLockPath = ""
 	pkg, err := loader.LoadDir(filepath.Join(src, pkgName))
 	if err != nil {
 		t.Fatalf("loading %s: %v", pkgName, err)

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"encoding/binary"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -99,6 +100,25 @@ func TestAppendFrameRejectsPayloadWithoutCodec(t *testing.T) {
 	if string(out) != "queued" {
 		t.Fatalf("buffer changed on encode error: %q", out)
 	}
+}
+
+// TestRegisterWireDuplicatePanics: a second decoder for a registered tag
+// panics, so two messages can never share a wire tag at run time.
+func TestRegisterWireDuplicatePanics(t *testing.T) {
+	const tag uint16 = 0x7e56
+	t.Cleanup(func() {
+		wireMu.Lock()
+		delete(wireDecoders, tag)
+		wireMu.Unlock()
+	})
+	dec := func(r *WireReader) (any, error) { return nil, r.Err() }
+	RegisterWire(tag, dec)
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "registered twice") {
+			t.Fatalf("second RegisterWire(%#x): recovered %v, want a \"registered twice\" panic", tag, r)
+		}
+	}()
+	RegisterWire(tag, dec)
 }
 
 func TestDecodeFrameVersionMismatch(t *testing.T) {

@@ -71,9 +71,8 @@ type walRecord interface {
 }
 
 // walRecords is the record table: what recovery makes of every journal
-// tag.  The wiretag analyzer takes a row as the tag's decoder side (the
-// walTag method is its encoder side), and TestDiskFormatGolden requires
-// golden bytes for each.
+// tag.  TestTagRegistry requires one row per walTag constant, and
+// TestDiskFormatGolden requires golden bytes for each.
 var walRecords = []struct {
 	tag uint16
 	new func() walRecord

@@ -19,12 +19,13 @@ import (
 // are walked the same way and share the sub-structure walks below.
 //
 // Tags are a wire-compatibility contract: never renumber, only append
-// (internal/analysis/tags.lock).  Wire tags are 1–31 and 64 upwards; the
-// journal holds 32–63.  Integers are varints (zigzag for the signed
-// NodeID/int fields — the client endpoint id is negative); byte slices
-// and strings are length-prefixed.  Decoded bytes come from outside the
-// process: every count goes through ArrayLen and every partition, level
-// and group length is range-checked, each in its one walker primitive.
+// (tags.lock, held to the constants by TestTagRegistry).  Wire tags are
+// 1–31 and 64 upwards; the journal holds 32–63.  Integers are varints
+// (zigzag for the signed NodeID/int fields — the client endpoint id is
+// negative); byte slices and strings are length-prefixed.  Decoded bytes
+// come from outside the process: every count goes through ArrayLen and
+// every partition, level and group length is range-checked, each in its
+// one walker primitive.
 
 const (
 	wireTagLookupReq    uint16 = 1
@@ -72,8 +73,8 @@ const (
 )
 
 // wireMessages is the message table: the decoder of every wire tag,
-// derived from the message's fields walk.  init registers the rows, the
-// wiretag analyzer takes a row as the tag's decoder side, and
+// derived from the message's fields walk.  init registers the rows,
+// TestTagRegistry requires one per wireTag constant, and
 // TestWireRoundTrips requires a sample for each.
 var wireMessages = []struct {
 	tag uint16

@@ -3,6 +3,9 @@ package cluster
 import (
 	"encoding/binary"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -35,9 +38,8 @@ func roundTrip(t *testing.T, msg any) any {
 }
 
 // wireSamples is one or more fixed values of every protocol message.
-// TestWireRoundTrips requires every live wire tag in tags.lock and every
-// row of wireMessages to appear here; the truncation and invalid-partition
-// tests walk the same table.
+// TestWireRoundTrips requires every row of wireMessages to appear here;
+// the truncation and invalid-partition tests walk the same table.
 func wireSamples() []transport.WireMessage {
 	p := hashspace.Partition{Prefix: 0b1011, Level: 4}
 	g := core.GroupID{Bits: 0b110, Len: 3}
@@ -127,42 +129,155 @@ func wireSamples() []transport.WireMessage {
 	}
 }
 
-// liveWireTags reads the tag registry: every wireTag* entry that is not
-// retired.
-func liveWireTags(t *testing.T) map[uint16]string {
+// tagEntry is one wireTag*/walTag* constant, or one `name = value` line
+// of tags.lock.
+type tagEntry struct {
+	name  string
+	value uint16
+}
+
+// readTagsLock reads the tag registry in file order, retired entries
+// included.
+func readTagsLock(t *testing.T) []tagEntry {
 	t.Helper()
-	data, err := os.ReadFile(filepath.Join("..", "analysis", "tags.lock"))
+	data, err := os.ReadFile("tags.lock")
 	if err != nil {
 		t.Fatal(err)
 	}
-	tags := make(map[uint16]string)
-	for _, line := range strings.Split(string(data), "\n") {
-		name, val, ok := strings.Cut(line, "=")
-		if name = strings.TrimSpace(name); !ok || !strings.HasPrefix(name, "wireTag") {
+	var out []tagEntry
+	for i, line := range strings.Split(string(data), "\n") {
+		if line = strings.TrimSpace(line); line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
+		name, val, ok := strings.Cut(line, "=")
 		v, err := strconv.ParseUint(strings.TrimSpace(val), 10, 16)
-		if err != nil {
-			t.Fatalf("tags.lock: %q: %v", line, err)
+		if !ok || err != nil {
+			t.Fatalf("tags.lock:%d: want \"name = value\", got %q", i+1, line)
 		}
-		tags[uint16(v)] = name
+		out = append(out, tagEntry{strings.TrimSpace(name), uint16(v)})
 	}
-	return tags
+	return out
+}
+
+// tagConsts reads every wireTag*/walTag* constant of the package's
+// non-test sources, in declaration order.
+func tagConsts(t *testing.T) []tagEntry {
+	t.Helper()
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	var out []tagEntry
+	for _, fn := range files {
+		if strings.HasSuffix(fn, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, fn, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.CONST {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				vs := spec.(*ast.ValueSpec)
+				for i, id := range vs.Names {
+					if !strings.HasPrefix(id.Name, "wireTag") && !strings.HasPrefix(id.Name, "walTag") {
+						continue
+					}
+					var lit *ast.BasicLit
+					if i < len(vs.Values) {
+						lit, _ = vs.Values[i].(*ast.BasicLit)
+					}
+					if lit == nil || lit.Kind != token.INT {
+						t.Fatalf("%s: tag %s is not an integer literal", fset.Position(id.Pos()), id.Name)
+					}
+					v, err := strconv.ParseUint(lit.Value, 0, 16)
+					if err != nil {
+						t.Fatalf("%s: tag %s: %v", fset.Position(id.Pos()), id.Name, err)
+					}
+					out = append(out, tagEntry{id.Name, uint16(v)})
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestTagRegistry holds the tag number space to tags.lock, which freezes
+// it as a wire- and disk-compatibility contract.  The wireTag*/walTag*
+// constants and the registry agree name for name and value for value; no
+// value is claimed twice across both families, retired numbers included;
+// and each family's constants are exactly its table's rows, wireMessages
+// for wireTag* and walRecords for walTag*.
+func TestTagRegistry(t *testing.T) {
+	consts := tagConsts(t)
+	declared := make(map[string]uint16)
+	holder := make(map[uint16]string)
+	for _, c := range consts {
+		if prev, dup := holder[c.value]; dup {
+			t.Errorf("%s = %d reuses the value of %s: pick the next free number", c.name, c.value, prev)
+		}
+		holder[c.value] = c.name
+		declared[c.name] = c.value
+	}
+	locked := make(map[string]bool)
+	claimed := make(map[uint16]string)
+	for _, e := range readTagsLock(t) {
+		if prev, dup := claimed[e.value]; dup {
+			t.Errorf("tags.lock: %s and %s both claim %d", prev, e.name, e.value)
+		}
+		claimed[e.value] = e.name
+		if e.name == "retired" {
+			continue
+		}
+		locked[e.name] = true
+		switch v, ok := declared[e.name]; {
+		case !ok:
+			t.Errorf("tags.lock: %s = %d has no constant: tags are frozen, so mark it retired", e.name, e.value)
+		case v != e.value:
+			t.Errorf("%s = %d, but tags.lock says %d: tags are never renumbered", e.name, v, e.value)
+		}
+	}
+	wireRows, walRows := make(map[uint16]bool), make(map[uint16]bool)
+	for _, row := range wireMessages {
+		wireRows[row.tag] = true
+	}
+	for _, row := range walRecords {
+		walRows[row.tag] = true
+	}
+	for _, c := range consts {
+		if !locked[c.name] {
+			t.Errorf("%s = %d is not in tags.lock: append it", c.name, c.value)
+		}
+		rows, table := wireRows, "wireMessages"
+		if strings.HasPrefix(c.name, "walTag") {
+			rows, table = walRows, "walRecords"
+		}
+		if !rows[c.value] {
+			t.Errorf("%s = %d has no %s row", c.name, c.value, table)
+		}
+		delete(rows, c.value)
+	}
+	for tag := range wireRows {
+		t.Errorf("wireMessages row %d has no wireTag constant", tag)
+	}
+	for tag := range walRows {
+		t.Errorf("walRecords row %d has no walTag constant", tag)
+	}
 }
 
 // TestWireRoundTrips round-trips every protocol message through the frame
-// codec and requires an exact value match — and a sample for every live
-// wire tag — registered in tags.lock or listed in the message table — so
-// a message cannot ship untested from either end.
+// codec and requires an exact value match, and a sample for every row of
+// the message table, so a message cannot ship untested from either end.
+// (TestTagRegistry ties the rows to the constants and to tags.lock.)
 func TestWireRoundTrips(t *testing.T) {
-	missing := liveWireTags(t)
-	if len(missing) == 0 {
-		t.Fatal("no wire tags found in tags.lock")
-	}
+	missing := make(map[uint16]bool)
 	for _, row := range wireMessages {
-		if _, ok := missing[row.tag]; !ok {
-			missing[row.tag] = "wireMessages row"
-		}
+		missing[row.tag] = true
 	}
 	for _, want := range wireSamples() {
 		delete(missing, want.WireTag())
@@ -171,8 +286,8 @@ func TestWireRoundTrips(t *testing.T) {
 			t.Errorf("round trip %T:\n got  %+v\n want %+v", want, got, want)
 		}
 	}
-	for tag, name := range missing {
-		t.Errorf("%s = %d has no sample in wireSamples", name, tag)
+	for tag := range missing {
+		t.Errorf("wire tag %d has no sample in wireSamples", tag)
 	}
 }
 
