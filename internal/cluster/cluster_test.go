@@ -3,6 +3,8 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -228,6 +230,92 @@ func TestConcurrentJoinsAcrossGroups(t *testing.T) {
 	snap := verifySnapshot(t, c)
 	if len(snap.Vnodes) != 96 {
 		t.Fatalf("vnodes = %d, want 96", len(snap.Vnodes))
+	}
+}
+
+// groupWorkers counts the goroutines running a led group's worker.
+func groupWorkers() int {
+	buf := make([]byte, 1<<20)
+	for {
+		if n := runtime.Stack(buf, true); n < len(buf) {
+			return strings.Count(string(buf[:n]), "(*Snode).groupWorker(")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// awaitGroupWorkers waits up to five seconds for the worker count to
+// reach want, and returns the last count seen.
+func awaitGroupWorkers(want int) int {
+	n := groupWorkers()
+	for deadline := time.Now().Add(5 * time.Second); n != want && time.Now().Before(deadline); n = groupWorkers() {
+		time.Sleep(10 * time.Millisecond)
+	}
+	return n
+}
+
+// TestSplitRetiresGroupWorker: a group that splits is dissolved at its
+// leader, and its worker exits once the queue drains, so the live workers
+// are exactly one per led group; after Close none is left.
+func TestSplitRetiresGroupWorker(t *testing.T) {
+	before := awaitGroupWorkers(0)
+	c, err := New(Config{Pmin: 8, Vmin: 4, Seed: 3, RPCTimeout: 20 * time.Second}, transport.NewMem())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i < 4; i++ {
+		if _, err := c.AddSnode(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	growCluster(t, c, 64)
+	if err := c.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	if splits := c.StatsTotal().GroupSplits; splits == 0 {
+		t.Fatal("growth made no split; the test needs one")
+	}
+	led := len(c.Snapshot().Leaders)
+	if n := awaitGroupWorkers(before + led); n != before+led {
+		t.Fatalf("%d group workers for %d led groups", n-before, led)
+	}
+	c.Close()
+	if n := awaitGroupWorkers(before); n != before {
+		t.Fatalf("%d group workers still running after Close", n-before)
+	}
+}
+
+// TestFullLeaderQueueAnswersRetry: a join or leave reaching a leader whose
+// queue is at capacity is answered Retry at once, and the queue is left as
+// it was.
+func TestFullLeaderQueueAnswersRetry(t *testing.T) {
+	c := newTestCluster(t, 8, 4, 1, 4)
+	s := c.snodes[c.Snodes()[0]]
+	// A group no vnode belongs to, led here, whose worker never runs.
+	gid := core.GroupID{Bits: 5, Len: 20}
+	lg := &ledGroup{id: gid, ops: make(chan groupOp, groupOpsCap)}
+	for len(lg.ops) < cap(lg.ops) {
+		lg.ops <- groupOp{}
+	}
+	s.mu.Lock()
+	s.led[gid] = lg
+	s.mu.Unlock()
+
+	join, err := ask[joinGroupResp](&c.endpoint, s.id, untraced, func(op uint64) transport.WireMessage {
+		return joinGroupReq{Op: op, Group: gid, NewVnode: VnodeName{Snode: s.id, Local: 99}, NewHost: s.id, ReplyTo: clientID}
+	})
+	if err != nil || !join.Retry {
+		t.Fatalf("join at a full leader queue = %+v, %v; want Retry", join, err)
+	}
+	leave, err := ask[leaveVnodeResp](&c.endpoint, s.id, untraced, func(op uint64) transport.WireMessage {
+		return leaveVnodeReq{Op: op, Vnode: VnodeName{Snode: s.id, Local: 99}, Group: gid, Hops: 1, ReplyTo: clientID}
+	})
+	if err != nil || !leave.Retry {
+		t.Fatalf("leave at a full leader queue = %+v, %v; want Retry", leave, err)
+	}
+	if n := len(lg.ops); n != groupOpsCap {
+		t.Fatalf("queue holds %d ops after the refusals, want %d", n, groupOpsCap)
 	}
 }
 

@@ -7,7 +7,8 @@
 //
 // The architecture follows the paper §3 directly:
 //
-//   - every snode is an actor (goroutine + unbounded inbox) hosting vnodes;
+//   - every snode is an actor (goroutine + bounded fabric inbox) hosting
+//     vnodes;
 //   - each group of vnodes has a *leader* snode holding the authoritative
 //     LPDR; balancement events within a group are serialized by its leader,
 //     while different groups progress in parallel — the paper's central

@@ -15,6 +15,13 @@ type groupOp struct {
 	leave *leaveVnodeReq
 }
 
+// groupOpsCap bounds a led group's pending balancement events.  A join or
+// leave arriving at a full queue is answered Retry, which every initiator
+// already handles by re-resolving and asking again.  Events run one at a
+// time, each a few RPCs long; 256 pending is far beyond any burst of
+// joins the cluster makes, so a Retry for this reason marks overload.
+const groupOpsCap = 256
+
 // ledGroup is the authoritative state of a group at its leader: the LPDR as
 // a balance table plus each member's host.  All mutations happen on the
 // group's worker goroutine, which serializes balancement events within the
@@ -25,8 +32,19 @@ type ledGroup struct {
 	level uint8
 	table *balance.Table[VnodeName]
 	host  map[VnodeName]transport.NodeID
-	ops   *queue[groupOp]
-	dead  bool
+	// ops feeds the worker.  It is sent on only under s.mu while dead is
+	// false, and closed only by retireLocked, which sets dead.
+	ops  chan groupOp
+	dead bool
+}
+
+// retireLocked dissolves the group at this snode: the worker answers
+// whatever is still queued Retry, then exits.  Caller holds s.mu.
+func (lg *ledGroup) retireLocked() {
+	if !lg.dead {
+		lg.dead = true
+		close(lg.ops)
+	}
 }
 
 // installLeaderLocked makes this snode the leader of the group described by
@@ -37,7 +55,7 @@ func (s *Snode) installLeaderLocked(st lpdrState) {
 		level: st.Level,
 		table: balance.NewTable[VnodeName](func(a, b VnodeName) bool { return a.Less(b) }),
 		host:  make(map[VnodeName]transport.NodeID, len(st.Members)),
-		ops:   newQueue[groupOp](),
+		ops:   make(chan groupOp, groupOpsCap),
 	}
 	for _, m := range st.Members {
 		if err := lg.table.Add(m.Vnode); err != nil {
@@ -86,9 +104,11 @@ func parentGroup(g core.GroupID) core.GroupID {
 func (s *Snode) routeJoin(m joinGroupReq) {
 	s.mu.Lock()
 	if lg, ok := s.led[m.Group]; ok && !lg.dead {
-		ok := lg.ops.push(groupOp{join: &m})
-		s.mu.Unlock()
-		if !ok {
+		select {
+		case lg.ops <- groupOp{join: &m}:
+			s.mu.Unlock()
+		default:
+			s.mu.Unlock()
 			s.send(m.ReplyTo, untraced, joinGroupResp{Op: m.Op, Retry: true})
 		}
 		return
@@ -114,9 +134,11 @@ func (s *Snode) routeLeave(m leaveVnodeReq) {
 		}
 	}
 	if lg, ok := s.led[m.Group]; ok && !lg.dead {
-		ok := lg.ops.push(groupOp{leave: &m})
-		s.mu.Unlock()
-		if !ok {
+		select {
+		case lg.ops <- groupOp{leave: &m}:
+			s.mu.Unlock()
+		default:
+			s.mu.Unlock()
 			s.send(m.ReplyTo, untraced, leaveVnodeResp{Op: m.Op, Retry: true})
 		}
 		return
@@ -132,18 +154,16 @@ func (s *Snode) routeLeave(m leaveVnodeReq) {
 	s.send(m.ReplyTo, untraced, leaveVnodeResp{Op: m.Op, Retry: true})
 }
 
-// groupWorker serializes one group's balancement events.
+// groupWorker serializes one group's balancement events.  It exits once
+// the group's queue is closed and drained.
 func (s *Snode) groupWorker(lg *ledGroup) {
-	for {
-		op, ok := lg.ops.pop()
-		if !ok {
-			return
-		}
+	for op := range lg.ops {
 		s.mu.Lock()
 		dead := lg.dead
 		s.mu.Unlock()
 		if dead {
-			// The group dissolved (split) while this op was queued.
+			// The group dissolved (split, handoff or stop) while this op
+			// was queued.
 			if op.join != nil {
 				s.send(op.join.ReplyTo, untraced, joinGroupResp{Op: op.join.Op, Retry: true})
 			}
@@ -314,7 +334,7 @@ func (s *Snode) splitLedGroup(lg *ledGroup, m joinGroupReq) {
 	// One of the two children, randomly chosen, receives the new vnode.
 	chosen := loID
 	s.mu.Lock()
-	lg.dead = true
+	lg.retireLocked()
 	delete(s.led, lg.id)
 	if s.rng.Intn(2) == 1 {
 		chosen = hiID
@@ -403,9 +423,8 @@ func (s *Snode) relinquishLeadership() error {
 			return fmt.Errorf("cluster: group %v has no member host other than %d", lg.id, s.id)
 		}
 		st := lg.state(target)
-		lg.dead = true
+		lg.retireLocked()
 		delete(s.led, lg.id)
-		lg.ops.close()
 		s.mu.Unlock()
 		_, err := ask[ackResp](&s.endpoint, target, untraced, func(op uint64) transport.WireMessage {
 			return groupInit{Op: op, State: st, ReplyTo: s.id}

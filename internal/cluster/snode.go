@@ -404,7 +404,7 @@ func (s *Snode) stop() {
 		<-s.done
 		s.mu.Lock()
 		for _, lg := range s.led {
-			lg.ops.close()
+			lg.retireLocked()
 		}
 		s.mu.Unlock()
 		if s.dur != nil {
@@ -562,7 +562,7 @@ func (s *Snode) ownsLocked(h hashspace.Index) (*vnodeState, hashspace.Partition,
 // snode) and the request must fail fast instead of ping-ponging through
 // the fallback until maxHops.  Before this guard a single crash could
 // leave every lookup of an orphaned region spinning 512 hops through the
-// survivors' mailboxes, congesting the data plane for seconds.
+// survivors' inboxes, congesting the data plane for seconds.
 func (s *Snode) forwardTargetLocked(h hashspace.Index, useCache bool) (ownerRef, bool) {
 	if ref, ok := probeLevels(h, s.tombs, &s.tombLvls); ok && ref.Host != s.id {
 		return ref, true

@@ -13,7 +13,11 @@
 // via RegisterWire, and each (From, To) pair owns one connection drained
 // by a dedicated writer goroutine with a byte-budgeted queue and flush
 // coalescing.  The receiver's read loop decodes each frame, judges it
-// against the Faults plan and pushes it into the endpoint's unbounded
-// mailbox, so every received message is a fresh value that shares
-// nothing with its sender.  docs/WIRE.md is the formal format spec.
+// against the Faults plan and hands it to the endpoint's inbox, so every
+// received message is a fresh value that shares nothing with its sender.
+// Each hop has one bound: the inbox holds 256 envelopes, and a read loop
+// that finds it full stops reading, so the backlog moves into the
+// sender's writer queue, whose byte budget (DefaultWriterBudget) makes
+// Send fail and tears the connection down.  docs/WIRE.md is the formal
+// format spec.
 package transport

@@ -148,7 +148,7 @@ func TestFaultsLinkDelay(t *testing.T) {
 
 func TestFaultsDelayNoHeadOfLineBlocking(t *testing.T) {
 	// A slow 2→1 link must not stall an unrelated 3→1 sender into the
-	// same mailbox (each link sleeps on its own connection).
+	// same inbox (each link sleeps on its own connection).
 	for name, mk := range fabrics() {
 		t.Run(name, func(t *testing.T) {
 			n := mk()

@@ -37,7 +37,7 @@ type TCP struct {
 	dial      func(addr string) (net.Conn, error)
 	mu        sync.RWMutex
 	endpoints map[NodeID]*tcpEndpoint // guarded by mu
-	budget    int                     // guarded by mu
+	budget    int                     // writer-queue byte budget; fixed before the first Register
 	faults    *Faults                 // nemesis plan, nil = healthy; guarded by mu
 	closed    bool                    // guarded by mu
 }
@@ -47,19 +47,29 @@ type TCP struct {
 // than this — so hitting it means the peer has genuinely stalled.
 const DefaultWriterBudget = 64 << 20
 
+// inboxCap is the capacity of every endpoint's inbox.  A read loop that
+// finds the inbox full stops reading its connection until the endpoint
+// drains; the backlog then builds in the sender's writer queue, whose
+// byte budget refuses further sends.  256 lets a burst of replies to a
+// wide fan-out land without stalling the readers, while a stalled
+// endpoint hands its backlog to the byte-budgeted writers quickly.
+const inboxCap = 256
+
 type tcpEndpoint struct {
-	id     NodeID
-	lis    net.Listener
-	addr   string // lis.Addr(), spelled once: senders compare it on every Send
-	dial   func(addr string) (net.Conn, error)
-	box    *mailbox
-	budget int
+	id   NodeID
+	lis  net.Listener
+	addr string // lis.Addr(), spelled once: senders compare it on every Send
+	dial func(addr string) (net.Conn, error)
+	// inbox is fed by the read loops alone.  Once the endpoint is closed,
+	// whichever of close and the last read loop finds inbnd empty closes
+	// it, so no read loop ever sends on a closed channel.
+	inbox  chan Envelope
+	done   chan struct{} // closed by close: read loops blocked on a full inbox give up
 	mu     sync.Mutex
 	conns  map[NodeID]*outConn   // ordered-pair outbound connections; guarded by mu
-	inbnd  map[net.Conn]struct{} // accepted connections, closed with the endpoint; guarded by mu
+	inbnd  map[net.Conn]struct{} // accepted connections, one per running read loop; guarded by mu
 	faults *Faults               // nemesis plan, nil = healthy; guarded by mu
 	closed bool                  // guarded by mu
-	wg     sync.WaitGroup
 }
 
 // outConn is one outbound ordered-pair connection.  Senders encode their
@@ -98,20 +108,6 @@ func newFabric(listen func() (net.Listener, error), dial func(string) (net.Conn,
 	return &TCP{listen: listen, dial: dial, endpoints: make(map[NodeID]*tcpEndpoint), budget: DefaultWriterBudget}
 }
 
-// SetWriterBudget overrides the per-connection writer-queue byte budget.
-// It applies to connections created after the call; use it before the
-// fabric carries traffic.
-func (t *TCP) SetWriterBudget(n int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.budget = n
-	for _, ep := range t.endpoints {
-		ep.mu.Lock()
-		ep.budget = n
-		ep.mu.Unlock()
-	}
-}
-
 // SetFaults attaches a nemesis fault plan.  Faults are applied on the
 // receive side, after a frame is decoded and before it is delivered, so
 // injected drops can never corrupt the framing of the stream they ride.
@@ -148,20 +144,18 @@ func (t *TCP) Register(id NodeID) (<-chan Envelope, error) {
 		lis:    lis,
 		addr:   lis.Addr().String(),
 		dial:   t.dial,
-		box:    newMailbox(),
-		budget: t.budget,
+		inbox:  make(chan Envelope, inboxCap),
+		done:   make(chan struct{}),
 		faults: t.faults,
 		conns:  make(map[NodeID]*outConn),
 		inbnd:  make(map[net.Conn]struct{}),
 	}
-	ep.wg.Add(1)
 	go ep.acceptLoop()
 	t.endpoints[id] = ep
-	return ep.box.out, nil
+	return ep.inbox, nil
 }
 
 func (ep *tcpEndpoint) acceptLoop() {
-	defer ep.wg.Done()
 	for {
 		conn, err := ep.lis.Accept()
 		if err != nil {
@@ -175,7 +169,6 @@ func (ep *tcpEndpoint) acceptLoop() {
 		}
 		ep.inbnd[conn] = struct{}{}
 		ep.mu.Unlock()
-		ep.wg.Add(1)
 		go ep.readLoop(conn)
 	}
 }
@@ -191,11 +184,13 @@ var frameBufPool = sync.Pool{
 }
 
 func (ep *tcpEndpoint) readLoop(conn net.Conn) {
-	defer ep.wg.Done()
 	defer func() {
 		conn.Close()
 		ep.mu.Lock()
 		delete(ep.inbnd, conn)
+		if ep.closed && len(ep.inbnd) == 0 {
+			close(ep.inbox)
+		}
 		ep.mu.Unlock()
 	}()
 	br := bufio.NewReaderSize(conn, 64<<10)
@@ -238,7 +233,9 @@ func (ep *tcpEndpoint) readLoop(conn net.Conn) {
 			// and preserves its FIFO order.
 			time.Sleep(v.delay)
 		}
-		if !ep.box.push(env) {
+		select {
+		case ep.inbox <- env:
+		case <-ep.done:
 			return
 		}
 	}
@@ -268,16 +265,21 @@ func (ep *tcpEndpoint) close() {
 	ep.closed = true
 	conns := ep.conns
 	ep.conns = make(map[NodeID]*outConn)
-	inbnd := ep.inbnd
-	ep.inbnd = make(map[net.Conn]struct{})
+	inbnd := make([]net.Conn, 0, len(ep.inbnd))
+	for conn := range ep.inbnd {
+		inbnd = append(inbnd, conn)
+	}
+	if len(inbnd) == 0 {
+		close(ep.inbox)
+	}
 	ep.mu.Unlock()
+	close(ep.done)
 	for _, oc := range conns {
 		oc.shut()
 	}
-	for conn := range inbnd {
+	for _, conn := range inbnd {
 		conn.Close()
 	}
-	ep.box.close()
 }
 
 // errConnClosed reports an enqueue on a connection record that shut down
@@ -302,7 +304,7 @@ func (t *TCP) Send(env Envelope) error {
 	if !okSrc {
 		return fmt.Errorf("transport: sender %d not registered", env.From)
 	}
-	oc := src.connTo(env.To, dst.addr)
+	oc := src.connTo(env.To, dst.addr, t.budget)
 	if oc == nil {
 		return fmt.Errorf("transport: sender %d shutting down", env.From)
 	}
@@ -313,7 +315,7 @@ func (t *TCP) Send(env Envelope) error {
 		// The connection failed under a concurrent writer error; fail()
 		// already removed it from the endpoint's map, so re-resolving
 		// yields a fresh record whose writer redials.
-		oc = src.connTo(env.To, dst.addr)
+		oc = src.connTo(env.To, dst.addr, t.budget)
 		if oc == nil {
 			return fmt.Errorf("transport: sender %d shutting down", env.From)
 		}
@@ -325,9 +327,10 @@ func (t *TCP) Send(env Envelope) error {
 }
 
 // connTo finds or creates the outbound connection record for a
-// destination.  No I/O happens under ep.mu: the writer goroutine dials,
-// so a slow or unreachable peer never blocks sends to other peers.
-func (ep *tcpEndpoint) connTo(to NodeID, addr string) *outConn {
+// destination; a new record gets the given writer-queue budget.  No I/O
+// happens under ep.mu: the writer goroutine dials, so a slow or
+// unreachable peer never blocks sends to other peers.
+func (ep *tcpEndpoint) connTo(to NodeID, addr string, budget int) *outConn {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
 	if ep.closed {
@@ -342,9 +345,8 @@ func (ep *tcpEndpoint) connTo(to NodeID, addr string) *outConn {
 		// frames would be accepted as sent and then lost.
 		oc.shut()
 	}
-	oc := &outConn{ep: ep, to: to, addr: addr, budget: ep.budget, wake: make(chan struct{}, 1)}
+	oc := &outConn{ep: ep, to: to, addr: addr, budget: budget, wake: make(chan struct{}, 1)}
 	ep.conns[to] = oc
-	ep.wg.Add(1)
 	go oc.writeLoop()
 	return oc
 }
@@ -439,7 +441,6 @@ func (oc *outConn) fail() {
 // only when the queue runs dry — consecutive envelopes coalesce into one
 // syscall.
 func (oc *outConn) writeLoop() {
-	defer oc.ep.wg.Done()
 	c, err := oc.ep.dial(oc.addr)
 	if err != nil {
 		oc.fail()

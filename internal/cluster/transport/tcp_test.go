@@ -41,14 +41,14 @@ func TestWriterQueueBudget(t *testing.T) {
 			tr := mk()
 			defer tr.Close()
 			lis := fakeStalledPeer(t, tr)
-			tr.SetWriterBudget(128 << 10)
+			tr.budget = 128 << 10
 			if _, err := tr.Register(1); err != nil {
 				t.Fatal(err)
 			}
 			tr.mu.RLock()
 			ep := tr.endpoints[1]
 			tr.mu.RUnlock()
-			oc := ep.connTo(2, lis.Addr().String())
+			oc := ep.connTo(2, lis.Addr().String(), tr.budget)
 			if oc == nil {
 				t.Fatal("connTo returned nil")
 			}
@@ -111,7 +111,7 @@ func TestSendFailsFastOverBudget(t *testing.T) {
 			tr := mk()
 			defer tr.Close()
 			lis := fakeStalledPeer(t, tr)
-			tr.SetWriterBudget(1024)
+			tr.budget = 1024
 			if _, err := tr.Register(1); err != nil {
 				t.Fatal(err)
 			}
@@ -119,7 +119,7 @@ func TestSendFailsFastOverBudget(t *testing.T) {
 			tr.mu.RLock()
 			ep := tr.endpoints[1]
 			tr.mu.RUnlock()
-			oc := ep.connTo(2, lis.Addr().String())
+			oc := ep.connTo(2, lis.Addr().String(), tr.budget)
 			big := Envelope{From: 1, To: 2, Msg: testMsg{S: strings.Repeat("y", 64<<10)}}
 			if err := oc.enqueue(big); err != nil {
 				t.Fatalf("single frame larger than the budget must be admissible on an empty queue, got %v", err)
@@ -134,7 +134,7 @@ func TestSendFailsFastOverBudget(t *testing.T) {
 			}
 			// The teardown removed the record; a fresh connection accepts
 			// again.
-			oc2 := ep.connTo(2, lis.Addr().String())
+			oc2 := ep.connTo(2, lis.Addr().String(), tr.budget)
 			if oc2 == oc {
 				t.Fatal("overflowed connection record was not replaced")
 			}
@@ -221,5 +221,122 @@ func TestSendFollowsReRegisteredEndpoint(t *testing.T) {
 				t.Fatal("first envelope after the re-registration never arrived")
 			}
 		})
+	}
+}
+
+// TestSendFailsWhenReceiverNeverDrains: an endpoint that never reads its
+// inbox holds at most inboxCap envelopes.  Its read loop then stops
+// reading, the backlog builds in the sender's writer queue, and Send
+// fails with the budget error instead of growing memory without bound.
+func TestSendFailsWhenReceiverNeverDrains(t *testing.T) {
+	for name, mk := range fabrics() {
+		t.Run(name, func(t *testing.T) {
+			tr := mk()
+			defer tr.Close()
+			tr.budget = 64 << 10
+			in, err := tr.Register(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tr.Register(2); err != nil {
+				t.Fatal(err)
+			}
+			env := Envelope{From: 2, To: 1, Msg: testMsg{S: strings.Repeat("z", 8<<10)}}
+			var overflow error
+			// 4000 × 8 KiB ≈ 32 MiB: far beyond the inbox, the budget and
+			// any socket buffering.  Each send waits a moment for the
+			// writer to take the queue, so only a receiver that stops
+			// reading, not a sender outrunning it, can trip the budget.
+			for i := 0; i < 4000 && overflow == nil; i++ {
+				if overflow = tr.Send(env); overflow == nil {
+					awaitWriterIdle(tr, 2, 1, 25*time.Millisecond)
+				}
+			}
+			if overflow == nil || !strings.Contains(overflow.Error(), "budget") {
+				t.Fatalf("Send to a receiver that never drains = %v, want the budget error", overflow)
+			}
+			if n := len(in); n > inboxCap {
+				t.Fatalf("inbox holds %d envelopes, over its capacity %d", n, inboxCap)
+			}
+		})
+	}
+}
+
+// awaitWriterIdle waits up to d for the writer of the from→to connection
+// to take everything queued on it.
+func awaitWriterIdle(tr *TCP, from, to NodeID, d time.Duration) {
+	tr.mu.RLock()
+	ep := tr.endpoints[from]
+	tr.mu.RUnlock()
+	ep.mu.Lock()
+	oc := ep.conns[to]
+	ep.mu.Unlock()
+	if oc == nil {
+		return
+	}
+	for deadline := time.Now().Add(d); time.Now().Before(deadline); time.Sleep(50 * time.Microsecond) {
+		oc.mu.Lock()
+		n := len(oc.buf)
+		oc.mu.Unlock()
+		if n == 0 {
+			return
+		}
+	}
+}
+
+// TestLeaveWithReadLoopBlockedOnFullInbox: Unregister and Close return
+// while a read loop is blocked on a full inbox, and the inbox still
+// yields the envelopes queued in it, in order, before it closes.
+func TestLeaveWithReadLoopBlockedOnFullInbox(t *testing.T) {
+	leave := map[string]func(*TCP) error{
+		"unregister": func(tr *TCP) error { return tr.Unregister(1) },
+		"close":      (*TCP).Close,
+	}
+	for name, mk := range fabrics() {
+		for how, do := range leave {
+			t.Run(name+"/"+how, func(t *testing.T) {
+				tr := mk()
+				defer tr.Close()
+				in, err := tr.Register(1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := tr.Register(2); err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < 2*inboxCap; i++ {
+					if err := tr.Send(Envelope{From: 2, To: 1, Msg: testMsg{Seq: i}}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				deadline := time.Now().Add(5 * time.Second)
+				for len(in) < inboxCap {
+					if time.Now().After(deadline) {
+						t.Fatalf("inbox holds %d envelopes, never filled to %d", len(in), inboxCap)
+					}
+					time.Sleep(time.Millisecond)
+				}
+				left := make(chan error, 1)
+				go func() { left <- do(tr) }()
+				select {
+				case err := <-left:
+					if err != nil {
+						t.Fatal(err)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatalf("%s blocked behind a read loop waiting on a full inbox", how)
+				}
+				got := 0
+				for env := range in {
+					if seq := env.Msg.(testMsg).Seq; seq != got {
+						t.Fatalf("drained seq %d at position %d", seq, got)
+					}
+					got++
+				}
+				if got < inboxCap {
+					t.Fatalf("inbox closed after %d envelopes, want at least the %d queued in it", got, inboxCap)
+				}
+			})
+		}
 	}
 }

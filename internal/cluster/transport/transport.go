@@ -1,7 +1,5 @@
 package transport
 
-import "sync"
-
 // NodeID identifies an endpoint on the fabric: a cluster node hosting an
 // snode, or a client endpoint.
 type NodeID int
@@ -36,110 +34,20 @@ type Envelope struct {
 
 // Network is the fabric interface.
 type Network interface {
-	// Register joins an endpoint to the fabric and returns its inbox.  The
-	// inbox channel is closed when the network shuts down.  Registering an
-	// id twice is an error.
+	// Register joins an endpoint to the fabric and returns its inbox, a
+	// channel of constant capacity.  While the inbox is full the fabric
+	// stops reading the endpoint's connections, and senders' writer queues
+	// absorb the backlog up to their byte budget.  The inbox channel is
+	// closed when the endpoint leaves or the network shuts down, after the
+	// envelopes already in it.  Registering an id twice is an error.
 	Register(id NodeID) (<-chan Envelope, error)
 	// Unregister removes an endpoint; its inbox is closed and subsequent
 	// sends to it fail.
 	Unregister(id NodeID) error
 	// Send delivers env.Msg to env.To.  Delivery is asynchronous, reliable
-	// and FIFO per (From, To) pair.  Send never blocks on slow receivers.
+	// and FIFO per (From, To) pair.  Send never blocks on slow receivers:
+	// it fails instead once the pair's writer queue is over its budget.
 	Send(env Envelope) error
 	// Close shuts the fabric down, closing every inbox.
 	Close() error
-}
-
-// mailbox is an unbounded FIFO delivering into a channel.  Unboundedness
-// removes the send-blocks-receive deadlocks a bounded actor fabric invites,
-// matching the paper's reliable-cluster-network assumption.
-//
-// The common case — a request/response mailbox that is empty when a
-// message arrives — takes a fast path: push places the envelope straight
-// into the (buffered) out channel, skipping the pump goroutine and its two
-// scheduler handoffs.  The fast path is taken only while the pump has
-// nothing queued and nothing in flight, so FIFO order is preserved.
-type mailbox struct {
-	mu         sync.Mutex
-	queue      []Envelope // guarded by mu
-	delivering bool       // pump holds an undelivered batch outside the lock; guarded by mu
-	wake       chan struct{}
-	out        chan Envelope
-	closed     bool // guarded by mu
-}
-
-func newMailbox() *mailbox {
-	m := &mailbox{
-		wake: make(chan struct{}, 1),
-		out:  make(chan Envelope, 256),
-	}
-	go m.pump()
-	return m
-}
-
-// push enqueues an envelope; returns false if the mailbox is closed.
-func (m *mailbox) push(env Envelope) bool {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return false
-	}
-	if !m.delivering && len(m.queue) == 0 {
-		// Nothing ahead of this envelope: hand it to the receiver
-		// directly if the channel has room.  The send happens under m.mu,
-		// so pushes cannot reorder against each other, and the pump only
-		// sends while delivering is set, so it cannot interleave.
-		select {
-		case m.out <- env:
-			m.mu.Unlock()
-			return true
-		default:
-		}
-	}
-	m.queue = append(m.queue, env)
-	m.mu.Unlock()
-	select {
-	case m.wake <- struct{}{}:
-	default:
-	}
-	return true
-}
-
-// pump moves queued envelopes to the out channel, preserving order.
-func (m *mailbox) pump() {
-	defer close(m.out)
-	for {
-		m.mu.Lock()
-		for len(m.queue) == 0 {
-			if m.closed {
-				m.mu.Unlock()
-				return
-			}
-			m.mu.Unlock()
-			<-m.wake
-			m.mu.Lock()
-		}
-		batch := m.queue
-		m.queue = nil
-		m.delivering = true
-		m.mu.Unlock()
-		for _, env := range batch {
-			m.out <- env
-		}
-		m.mu.Lock()
-		m.delivering = false
-		m.mu.Unlock()
-	}
-}
-
-// close marks the mailbox closed and wakes the pump; queued envelopes are
-// still delivered before the out channel closes.
-func (m *mailbox) close() {
-	m.mu.Lock()
-	m.closed = true
-	m.mu.Unlock()
-	select {
-	case m.wake <- struct{}{}:
-	default:
-	}
 }
