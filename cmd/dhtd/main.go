@@ -61,7 +61,7 @@ func main() {
 		balThresh  = flag.Float64("balance-threshold", 0.15, "capacity-normalized per-snode quota deviation that triggers rebalancing")
 		balMoves   = flag.Int("balance-moves", 2, "max enrollment adjustments per balancer round")
 		dataDir    = flag.String("data-dir", "", "root directory for crash-durable snode storage (WAL + snapshots; empty = in-memory only)")
-		fsync      = flag.String("fsync", "batch", "WAL durability of acknowledged writes: off | batch (group-commit fsync) | always")
+		fsync      = flag.String("fsync", "batch", "WAL durability of acknowledged writes: off | batch (group-commit fsync)")
 		snapEvery  = flag.Duration("snapshot-interval", 30*time.Second, "background snapshot + WAL truncation interval (requires -data-dir)")
 		failPing   = flag.Duration("failover-ping", 0, "liveness detector ping interval; a crashed snode is declared dead and its partitions promoted automatically (0 = off; e.g. 500ms; requires -replicas >= 2 to be useful)")
 		failMiss   = flag.Int("failover-misses", 3, "consecutive missed pings before the liveness detector declares an snode crashed")

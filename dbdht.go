@@ -89,15 +89,13 @@ type FsyncMode = wal.FsyncMode
 
 // Fsync modes for DurabilityConfig.Fsync: FsyncOff never syncs (an
 // acknowledged write may die with the process), FsyncBatch group-commits
-// an fsync before every ack, FsyncAlways additionally syncs every append
-// eagerly.
+// an fsync before every ack.
 const (
-	FsyncOff    = wal.FsyncOff
-	FsyncBatch  = wal.FsyncBatch
-	FsyncAlways = wal.FsyncAlways
+	FsyncOff   = wal.FsyncOff
+	FsyncBatch = wal.FsyncBatch
 )
 
-// ParseFsyncMode parses "off", "batch" or "always" (the -fsync flag).
+// ParseFsyncMode parses "off" or "batch" (the -fsync flag).
 func ParseFsyncMode(s string) (FsyncMode, error) { return wal.ParseFsyncMode(s) }
 
 // SnodeID identifies a cluster snode on the message fabric — the id

@@ -139,7 +139,7 @@ type VnodeStatus struct {
 // Durability reports the crash-durability layer's state.
 type Durability struct {
 	Enabled bool   `json:"enabled"`
-	Fsync   string `json:"fsync,omitempty"` // off | batch | always
+	Fsync   string `json:"fsync,omitempty"` // off | batch
 	// WAL counters aggregated over the snodes (live + departed).
 	Appends       int64 `json:"wal_appends,omitempty"`
 	Bytes         int64 `json:"wal_bytes,omitempty"`

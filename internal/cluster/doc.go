@@ -41,8 +41,8 @@
 //     ordinary §3.6 join/leave machinery;
 //   - every protocol message rides a binary frame codec over the TCP
 //     fabric; each message's layout is one fields walk (wire.go) that
-//     both encodes and decodes, and journal and snapshot records
-//     (walrec.go) are walked the same way;
+//     both encodes and decodes, and journal records (walrec.go) are
+//     walked the same way;
 //   - every request/response exchange goes through one endpoint
 //     (endpoint.go), embedded by Snode and Cluster: a call ends with its
 //     reply, its deadline, the owner stopping or its peer leaving the
@@ -53,8 +53,9 @@
 //     (Cluster.RestartSnode) replays snapshot + tail before serving — an
 //     R=1 single-snode restart loses zero acknowledged writes;
 //   - a mutation is a record (walrec.go) — tag, fields walk, applyLocked
-//     — and the live handler, log replay and snapshot load all change
-//     state through that one applyLocked.
+//     — and a snapshot is a file of the same records, so the live
+//     handler, snapshot replay and log replay all change state through
+//     that one applyLocked.
 //
 // See docs/ARCHITECTURE.md for the layer map and lifecycle walkthroughs,
 // and docs/WIRE.md for the wire protocol and journal record formats.

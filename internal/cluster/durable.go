@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -20,9 +18,10 @@ import (
 // writes, migration installs and drops, splits, vnode and LPDR lifecycle
 // — is journaled to a per-snode write-ahead log (internal/wal) before it
 // is acknowledged, and a background pass periodically snapshots the
-// materialized buckets and truncates the log behind them.  A restarted
-// snode (Cluster.RestartSnode, or a dhtd reboot over the same -data-dir)
-// replays snapshot + log tail into its buckets before it starts serving,
+// snode's state and truncates the log behind it.  A snapshot is itself a
+// file of journal records, so a restarted snode (Cluster.RestartSnode, or
+// a dhtd reboot over the same -data-dir) replays snapshot and log tail
+// through the one record apply before it starts serving,
 // so an R=1 single-snode restart loses zero acknowledged writes — the
 // durability the paper's failure-free model never needed, and the
 // foundation under the replication layer's crash story (a whole-cluster
@@ -32,10 +31,8 @@ import (
 //
 //	snode-<id>/
 //	  wal/<firstseq>.seg   CRC-framed record segments (internal/wal)
-//	  snap/MANIFEST        replay cut of the latest complete snapshot
-//	  snap/<cut>/meta.snap           snode metadata (vnodes, tombs, LPDRs, …)
-//	  snap/<cut>/own-<lvl>-<pfx>.snap  one owned bucket's contents
-//	  snap/<cut>/repl-<lvl>-<pfx>.snap one replica bucket's contents
+//	  snapshot             the latest complete snapshot: journal records in
+//	                       the same framing, ending in the replay cut
 //
 // Consistency model: records append under the same fine-grained lock
 // that applies the mutation (the bucket's mutex for data writes, the
@@ -43,7 +40,9 @@ import (
 // BEFORE serializing any state, so every record outside the snapshot has
 // a sequence at or above the cut.  Records are idempotent, which lets a
 // bucket serialized late in the pass — already containing post-cut
-// writes — absorb their replay harmlessly.
+// writes — absorb their replay harmlessly.  The snapshot is trusted only
+// whole: a file that fails its framing, or ends before its closing
+// record, refuses recovery, because the log behind it is truncated.
 //
 // Migration handovers are journaled in two phases (migrate.go): the
 // sender makes a walTagMigIntent record durable before the receiver may
@@ -81,15 +80,13 @@ type DurabilityConfig struct {
 // durable is an snode's durability state (nil when off).
 type durable struct {
 	log      *wal.Log
-	snapRoot string
+	snapPath string
 	interval time.Duration
 
 	// snapMu serializes snapshot passes (the background loop and
-	// SnapshotNow can otherwise interleave two passes whose retire steps
-	// delete each other's directories); lastCut is the cut of the latest
-	// PUBLISHED snapshot — a pass whose cut has not advanced is a no-op,
-	// which also guarantees a fresh pass never writes into (or aborts
-	// away) the directory the manifest currently references.
+	// SnapshotNow would otherwise write the same temporary file at once);
+	// lastCut is the cut of the latest PUBLISHED snapshot — a pass whose
+	// cut has not advanced is a no-op.
 	snapMu  sync.Mutex
 	lastCut uint64 // guarded by snapMu
 
@@ -176,32 +173,42 @@ func snodeDataDir(root string, id transport.NodeID) string {
 	return filepath.Join(root, fmt.Sprintf("snode-%d", id))
 }
 
-// openDurabilityLocked opens the snode's WAL and replays snapshot + tail
-// into its (not yet serving) state.  Called by newSnode, holding s.mu,
-// before the snode joins the fabric.
+// openDurabilityLocked replays the snode's snapshot and then its log
+// tail into its (not yet serving) state, and keeps the log open for
+// appends.  Called by newSnode, holding s.mu, before the snode joins the
+// fabric.
 func (s *Snode) openDurabilityLocked() error {
 	dc := s.cfg.Durability
 	root := snodeDataDir(dc.Dir, s.id)
-	snapRoot := filepath.Join(root, "snap")
-	if err := os.MkdirAll(snapRoot, 0o755); err != nil {
-		return fmt.Errorf("cluster: durability: %w", err)
+	if _, err := os.Stat(filepath.Join(root, "snap", "MANIFEST")); err == nil {
+		// Its log was truncated against a snapshot this node cannot read:
+		// replaying the log alone would silently lose data.
+		return fmt.Errorf("cluster: durability: %s holds a snapshot in the per-bucket layout (snap/MANIFEST) of releases before snapshots became journal records; this release does not read it", root)
 	}
-	cut := uint64(0)
-	manifest := filepath.Join(snapRoot, "MANIFEST")
-	if payload, err := wal.ReadSnapshot(manifest); err == nil {
-		m, derr := decodeSnap("manifest", payload, (*snapManifest).fields)
-		if derr != nil {
-			return fmt.Errorf("cluster: durability: %w", derr)
+	snapPath := filepath.Join(root, "snapshot")
+	var end *walSnapEndRec
+	err := wal.ReadSnapshot(snapPath, func(payload []byte) error {
+		if end != nil {
+			return errors.New("records after the end record")
 		}
-		if err := s.loadSnapshotLocked(filepath.Join(snapRoot, strconv.FormatUint(m.Cut, 10))); err != nil {
+		rec, err := decodeWalRecord(payload)
+		if err != nil {
 			return err
 		}
-		cut = m.Cut
-	} else if !errors.Is(err, os.ErrNotExist) {
-		// The manifest exists but does not verify: the log may have been
-		// truncated against it, so replay-from-zero could silently lose
-		// data.  Refuse to start instead.
-		return fmt.Errorf("cluster: durability: %w", err)
+		rec.applyLocked(s)
+		end, _ = rec.(*walSnapEndRec)
+		return nil
+	})
+	cut := uint64(0)
+	switch {
+	case errors.Is(err, os.ErrNotExist):
+		// Never snapshotted: the log holds everything from sequence 1.
+	case err != nil:
+		return fmt.Errorf("cluster: durability: %s: %w", snapPath, err)
+	case end == nil:
+		return fmt.Errorf("cluster: durability: %s ends before its end record", snapPath)
+	default:
+		cut = end.Cut
 	}
 	log, err := wal.Open(filepath.Join(root, "wal"), wal.Options{
 		Fsync: dc.Fsync, SegmentBytes: dc.SegmentBytes, Logger: s.log,
@@ -214,7 +221,7 @@ func (s *Snode) openDurabilityLocked() error {
 		_ = log.Close()
 		return err
 	}
-	s.dur = &durable{log: log, snapRoot: snapRoot, interval: dc.SnapshotInterval, lastCut: cut}
+	s.dur = &durable{log: log, snapPath: snapPath, interval: dc.SnapshotInterval, lastCut: cut}
 	s.lat.walFsync = log.FsyncLatency()
 	// Freeze every in-doubt partition before the snode starts serving:
 	// whether the crashed handover's receiver committed is unknown, so
@@ -269,100 +276,34 @@ func (s *Snode) ownedRoutes() []routeEntry {
 	return out
 }
 
-// loadSnapshotLocked rebuilds the snode's state from one complete
-// snapshot directory.  Caller holds s.mu (recovery).
-func (s *Snode) loadSnapshotLocked(dir string) error {
-	payload, err := wal.ReadSnapshot(filepath.Join(dir, "meta.snap"))
-	if err != nil {
-		return err
-	}
-	meta, err := decodeSnap("meta", payload, (*snapMeta).fields)
-	if err != nil {
-		return err
-	}
-	s.nextLocal = meta.NextLocal
-	s.hasBoot = meta.HasBoot
-	s.boot = meta.Boot
-	for i := range meta.Vnodes {
-		meta.Vnodes[i].applyLocked(s)
-	}
-	for _, t := range meta.Tombs {
-		s.setTombLocked(t.Partition, t.Ref)
-	}
-	// The LPDR replicas are restored as captured, not applied as syncs: a
-	// sync also binds the member vnodes to its level, and a vnode captured
-	// just after a split is already ahead of the replica captured with it.
-	for i := range meta.Lpdrs {
-		s.replicas[meta.Lpdrs[i].Group] = &meta.Lpdrs[i]
-	}
-	for i := range meta.Intents {
-		meta.Intents[i].applyLocked(s)
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return fmt.Errorf("cluster: durability: %w", err)
-	}
-	for _, e := range ents {
-		name := e.Name()
-		// Only complete bucket files: a crash mid-WriteSnapshot can leave
-		// *.snap.tmp leftovers in the directory, which must not be read.
-		if !strings.HasSuffix(name, ".snap") {
-			continue
-		}
-		isOwn := strings.HasPrefix(name, "own-")
-		isRepl := strings.HasPrefix(name, "repl-")
-		if !isOwn && !isRepl {
-			continue
-		}
-		payload, err := wal.ReadSnapshot(filepath.Join(dir, name))
-		if err != nil {
-			return err
-		}
-		b, err := decodeSnap("bucket", payload, (*snapBucket).fields)
-		if err != nil {
-			return err
-		}
-		if isOwn {
-			if ref, ok := s.owned[b.Partition]; ok {
-				ref.bk.mu.Lock()
-				ref.bk.kv.replaceAll(b.Data)
-				ref.bk.mu.Unlock()
-			}
-			continue
-		}
-		s.setReplicaBucketLocked(b.Partition, &replicaBucket{kv: newStore(b.Data)})
-	}
-	for _, p := range meta.Rprov {
-		if b, ok := s.rparts[p]; ok {
-			b.provisional = true
-		}
-	}
-	return nil
-}
-
 // --- replay ---
 
-// applyWalRecordLocked decodes one journal record and applies it, during
-// recovery: the tag picks the row of walRecords, the row's record walks
-// the bytes and runs the applyLocked the live handler ran.  Caller holds
-// s.mu; no fabric yet.  Records are idempotent, so a record the snapshot
-// already reflects applies harmlessly.
-func (s *Snode) applyWalRecordLocked(seq uint64, payload []byte) error {
+// decodeWalRecord reads one journal record: the tag picks the row of
+// walRecords, and the row's record walks the bytes.
+func decodeWalRecord(payload []byte) (walRecord, error) {
 	w := &walker{r: transport.NewWireReader(payload)}
 	tag := w.r.Uvarint()
 	for _, row := range walRecords {
-		if uint64(row.tag) != tag {
-			continue
+		if uint64(row.tag) == tag {
+			rec := row.new()
+			rec.fields(w)
+			return rec, w.r.Err()
 		}
-		rec := row.new()
-		rec.fields(w)
-		if err := w.r.Err(); err != nil {
-			return fmt.Errorf("cluster: wal record %d: %w", seq, err)
-		}
-		rec.applyLocked(s)
-		return nil
 	}
-	return fmt.Errorf("cluster: wal record %d: unknown tag %d — downgraded binary over a newer log?", seq, tag)
+	return nil, fmt.Errorf("unknown tag %d — downgraded binary over a newer log?", tag)
+}
+
+// applyWalRecordLocked decodes one log record and runs the applyLocked
+// the live handler ran, during recovery.  Caller holds s.mu; no fabric
+// yet.  Records are idempotent, so a record the snapshot already
+// reflects applies harmlessly.
+func (s *Snode) applyWalRecordLocked(seq uint64, payload []byte) error {
+	rec, err := decodeWalRecord(payload)
+	if err != nil {
+		return fmt.Errorf("cluster: wal record %d: %w", seq, err)
+	}
+	rec.applyLocked(s)
+	return nil
 }
 
 // --- snapshots ---
@@ -381,7 +322,7 @@ func (s *Snode) snapshotLoop() {
 	}
 }
 
-// snapshotPass writes one complete snapshot (metadata + every bucket)
+// snapshotPass writes one complete snapshot (the snode's whole state)
 // and truncates the log behind it.  The cut is captured first, so every
 // mutation not yet serialized has a record at or above it; a bucket that
 // DIES mid-pass (migrated or split away) invalidates the pass — its data
@@ -404,11 +345,15 @@ func (s *Snode) snapshotPass() error {
 		}
 	}
 	// Every attempt found a captured bucket dead mid-pass (heavy migration
-	// churn).  Surface it: the manifest cut did not advance, so callers
+	// churn).  Surface it: the published cut did not advance, so callers
 	// relying on a fresh snapshot (POST /v1/snapshot before a backup) must
 	// not be told it exists.
 	return fmt.Errorf("cluster: snode %d: snapshot aborted %d times by concurrent handovers; retry when migration settles", s.id, maxAttempts)
 }
+
+// errBucketMoved aborts a snapshot attempt that found a captured bucket
+// dead: its partition moved or split away mid-pass.
+var errBucketMoved = errors.New("cluster: snapshot: a captured bucket moved mid-pass")
 
 // trySnapshot runs one snapshot attempt against the last published cut;
 // ok=false (with nil error) means a bucket died mid-pass and the caller
@@ -418,135 +363,135 @@ func (s *Snode) snapshotPass() error {
 func (s *Snode) trySnapshot(lastCut uint64) (newCut uint64, ok bool, err error) {
 	cut := s.dur.log.NextSeq()
 	if cut <= lastCut {
-		// No record landed since the published snapshot: it is already
-		// current, and re-running would write into (and, on abort, delete)
-		// the very directory the manifest references.
-		return lastCut, true, nil
+		return lastCut, true, nil // no record landed since the published snapshot
 	}
-	dir := filepath.Join(s.dur.snapRoot, strconv.FormatUint(cut, 10))
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return lastCut, false, fmt.Errorf("cluster: snapshot: %w", err)
+	// Every record below the cut reaches the disk before the snapshot is
+	// published: a crash that lost one would restart the log's numbering
+	// below the cut, and replay from the cut would skip what came after.
+	if err := s.dur.log.Sync(); err != nil {
+		return lastCut, false, err
 	}
-	abort := func() {
-		_ = os.RemoveAll(dir)
+	err = s.dur.log.Stats().WriteSnapshot(s.dur.snapPath, func(add func([]byte) error) error {
+		return s.snapshotRecords(cut, add)
+	})
+	if errors.Is(err, errBucketMoved) {
+		return lastCut, false, nil // retry with a fresh cut
 	}
+	if err != nil {
+		return lastCut, false, err
+	}
+	return cut, true, s.dur.log.TruncateThrough(cut - 1)
+}
 
-	// Capture the metadata and the bucket set under one s.mu pass.
+// snapChunkBytes bounds the keys and values of one owned bucket's tag-32
+// record in a snapshot, far below the log's record limit.
+const snapChunkBytes = 1 << 20
+
+// snapshotRecords hands add the snode's state as journal records, in the
+// order their applyLocked needs on a fresh snode: the boot route; the
+// LPDR states, which find no vnode yet and so are stored as captured;
+// the vnodes with their partitions; the custody tombs, as drops naming no
+// hosted vnode (snode ids start at 1); the open intents, after the tombs
+// whose drops would close them; the owned buckets' contents, as puts;
+// the replica buckets, as full syncs; and last the end record with the
+// cut.  The metadata is captured in one s.mu hold, each bucket under its
+// own guard.
+func (s *Snode) snapshotRecords(cut uint64, add func([]byte) error) error {
 	type ownedSnap struct {
 		p  hashspace.Partition
 		bk *bucket
 	}
 	var (
-		meta   snapMeta
+		meta   [][]byte
 		owned  []ownedSnap
 		rparts []hashspace.Partition
+		end    = walSnapEndRec{Cut: cut}
 	)
 	s.mu.Lock()
-	meta.NextLocal = s.nextLocal
-	meta.HasBoot = s.hasBoot
-	meta.Boot = s.boot
+	if s.hasBoot {
+		meta = append(meta, appendRecord(nil, &bootstrapInfo{Owner: s.boot}))
+	}
+	for _, st := range s.replicas {
+		meta = append(meta, appendRecord(nil, &lpdrSyncMsg{State: *st}))
+	}
 	for name, vs := range s.vnodes {
 		rec := walVnodeRec{Name: name, Group: vs.group, Level: vs.level, Joined: vs.joined}
 		for p, bk := range vs.parts {
 			rec.Parts = append(rec.Parts, p)
 			owned = append(owned, ownedSnap{p: p, bk: bk})
 		}
-		meta.Vnodes = append(meta.Vnodes, rec)
+		meta = append(meta, appendRecord(nil, &rec))
 	}
 	for p, ref := range s.tombs {
-		meta.Tombs = append(meta.Tombs, routeEntry{Partition: p, Ref: ref})
-	}
-	for _, st := range s.replicas {
-		meta.Lpdrs = append(meta.Lpdrs, *st)
+		meta = append(meta, appendRecord(nil, &walBucketDropRec{Partition: p, NewOwner: ref}))
 	}
 	for p, in := range s.inDoubt {
-		// An open intent must survive the truncation of its (pre-cut)
-		// journal record, or a crash before its resolution would replay
-		// without it — reopening the stale-copy window the intent exists
-		// to close.
-		meta.Intents = append(meta.Intents, walMigIntentRec{Vnode: in.vnode, Partition: p, NewOwner: in.newOwner})
+		// An open intent must outlive the truncation of its own record, or
+		// a crash before its resolution would reopen the stale-copy window
+		// the intent exists to close.
+		meta = append(meta, appendRecord(nil, &walMigIntentRec{Vnode: in.vnode, Partition: p, NewOwner: in.newOwner}))
 	}
+	end.NextLocal = s.nextLocal
 	for p, b := range s.rparts {
 		rparts = append(rparts, p)
 		if b.provisional {
-			meta.Rprov = append(meta.Rprov, p)
+			end.Provisional = append(end.Provisional, p)
 		}
 	}
 	s.mu.Unlock()
+	for _, rec := range meta {
+		if err := add(rec); err != nil {
+			return err
+		}
+	}
 
-	stats := s.dur.log.Stats()
-
-	// Serialize each owned bucket under its own lock — post-cut writes it
-	// already absorbed replay idempotently on top.
+	var (
+		buf   []byte
+		items []batchItem
+	)
 	for _, o := range owned {
+		// Only references are taken under the lock: a store adopts its
+		// values and never writes one in place.
 		o.bk.mu.RLock()
 		if o.bk.state == bucketDead {
 			o.bk.mu.RUnlock()
-			abort()
-			return lastCut, false, nil // moved or split away; retry with a fresh cut
+			return errBucketMoved
 		}
-		payload := encodeSnap(&snapBucket{o.p, o.bk.kv.m}, (*snapBucket).fields)
+		items = items[:0]
+		for k, v := range o.bk.kv.m {
+			items = append(items, batchItem{Key: k, Value: v})
+		}
 		o.bk.mu.RUnlock()
-		name := fmt.Sprintf("own-%d-%d.snap", o.p.Level, o.p.Prefix)
-		if err := stats.WriteSnapshot(filepath.Join(dir, name), payload); err != nil {
-			abort()
-			return lastCut, false, err
+		for i := 0; i < len(items); {
+			j, size := i, 0
+			for ; j < len(items) && size < snapChunkBytes; j++ {
+				size += len(items[j].Key) + len(items[j].Value)
+			}
+			buf = appendRecord(buf[:0], &walWriteRec{Kind: opPut, Partition: o.p, Items: items[i:j]})
+			if err := add(buf); err != nil {
+				return err
+			}
+			i = j
 		}
 	}
-	// Replica buckets are guarded by s.mu; serialize one at a time so the
-	// stall is per-bucket, not per-store.  A bucket dropped since the
-	// capture is simply skipped (its drop record is post-cut and replays).
+	// Replica buckets are guarded by s.mu: one at a time, so the stall is
+	// per bucket.  One dropped since the capture is skipped (its drop
+	// record is past the cut).
 	for _, p := range rparts {
 		s.mu.Lock()
 		b, ok := s.rparts[p]
-		var payload []byte
 		if ok {
-			payload = encodeSnap(&snapBucket{p, b.kv.m}, (*snapBucket).fields)
+			buf = appendRecord(buf[:0], &walReplSyncRec{Partition: p, Data: b.kv})
 		}
 		s.mu.Unlock()
 		if !ok {
 			continue
 		}
-		name := fmt.Sprintf("repl-%d-%d.snap", p.Level, p.Prefix)
-		if err := stats.WriteSnapshot(filepath.Join(dir, name), payload); err != nil {
-			abort()
-			return lastCut, false, err
+		if err := add(buf); err != nil {
+			return err
 		}
 	}
-	if err := stats.WriteSnapshot(filepath.Join(dir, "meta.snap"), encodeSnap(&meta, (*snapMeta).fields)); err != nil {
-		abort()
-		return lastCut, false, err
-	}
-	// Publish: fsync the log through the cut (records below it must not
-	// be lost once the segments holding them are truncated), then flip
-	// the manifest and drop what the snapshot covers.
-	if err := s.dur.log.Sync(); err != nil {
-		abort()
-		return lastCut, false, err
-	}
-	if err := stats.WriteSnapshot(filepath.Join(s.dur.snapRoot, "MANIFEST"), encodeSnap(&snapManifest{cut}, (*snapManifest).fields)); err != nil {
-		abort()
-		return lastCut, false, err
-	}
-	if cut > 0 {
-		if err := s.dur.log.TruncateThrough(cut - 1); err != nil {
-			return cut, true, err
-		}
-	}
-	// Retire superseded snapshot directories.
-	ents, err := os.ReadDir(s.dur.snapRoot)
-	if err != nil {
-		return cut, true, nil
-	}
-	for _, e := range ents {
-		if !e.IsDir() || e.Name() == strconv.FormatUint(cut, 10) {
-			continue
-		}
-		if _, perr := strconv.ParseUint(e.Name(), 10, 64); perr == nil {
-			_ = os.RemoveAll(filepath.Join(s.dur.snapRoot, e.Name()))
-		}
-	}
-	return cut, true, nil
+	return add(appendRecord(buf[:0], &end))
 }
 
 // SnapshotNow forces one snapshot+truncate pass on every live snode —

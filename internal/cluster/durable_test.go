@@ -2,6 +2,9 @@ package cluster
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -349,6 +352,81 @@ func TestWholeClusterRestart(t *testing.T) {
 	verifyReadable(t, c2, want)
 	// And it still takes writes.
 	verifyReadable(t, c2, ackedPuts(t, c2, "reborn", 300))
+}
+
+// TestDamagedSnapshotRefusesRecovery: the log behind a snapshot is
+// truncated, so a snapshot is trusted only whole.  A flipped byte, a file
+// cut before its end record and a data directory in the per-bucket
+// snapshot layout of earlier releases each make RestartSnode fail, never
+// bring back an snode serving part of its state.
+func TestDamagedSnapshotRefusesRecovery(t *testing.T) {
+	snapshotFile := func(snodeDir string) string { return filepath.Join(snodeDir, "snapshot") }
+	rewrite := func(t *testing.T, path string, edit func([]byte) []byte) {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, edit(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		damage func(t *testing.T, snodeDir string)
+		want   string
+	}{
+		{"flipped byte", func(t *testing.T, snodeDir string) {
+			rewrite(t, snapshotFile(snodeDir), func(b []byte) []byte {
+				b[len(b)/2] ^= 0x10
+				return b
+			})
+		}, "damaged"},
+		{"cut before its end record", func(t *testing.T, snodeDir string) {
+			var offset, last int
+			if err := wal.ReadSnapshot(snapshotFile(snodeDir), func(payload []byte) error {
+				offset += last
+				last = 8 + len(payload) // length and CRC, then the payload
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			rewrite(t, snapshotFile(snodeDir), func(b []byte) []byte { return b[:offset] })
+		}, "ends before its end record"},
+		{"per-bucket layout", func(t *testing.T, snodeDir string) {
+			if err := os.MkdirAll(filepath.Join(snodeDir, "snap"), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(snodeDir, "snap", "MANIFEST"), []byte{0, 0, 0, 1}, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, "snap/MANIFEST"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			c := durableCluster(t, dir, 1, 2, wal.FsyncBatch, 1)
+			defer c.Close()
+			ackedPuts(t, c, "snap", 500)
+			if err := c.SnapshotNow(); err != nil {
+				t.Fatal(err)
+			}
+			id := c.Snodes()[0]
+			if err := c.KillSnode(id); err != nil {
+				t.Fatal(err)
+			}
+			tc.damage(t, snodeDataDir(dir, id))
+			err := c.RestartSnode(id)
+			if err == nil {
+				t.Fatal("RestartSnode recovered from a damaged snapshot")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("RestartSnode: %v; want an error naming %q", err, tc.want)
+			}
+			if ids := c.Snodes(); len(ids) != 0 {
+				t.Fatalf("snodes %v serve after a refused recovery", ids)
+			}
+		})
+	}
 }
 
 // TestDurableMigrationWriteThrough runs partition migrations (via

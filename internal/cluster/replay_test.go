@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
@@ -85,20 +87,38 @@ func dumpJournaled(s *Snode) journaledState {
 	return st
 }
 
-// journalTags lists which record tags a data directory's log tail holds.
-func journalTags(t *testing.T, walDir string, seen map[uint16]int) {
+// replayedTags counts, by tag, the records recovery of one snode
+// directory replays: the snapshot's, then the log tail's from the cut its
+// end record names.  It returns how many came from the tail.
+func replayedTags(t *testing.T, snodeDir string, seen map[uint16]int) (tail int) {
 	t.Helper()
-	log, err := wal.Open(walDir, wal.Options{})
+	tag := func(payload []byte) uint16 { return uint16(transport.NewWireReader(payload).Uvarint()) }
+	cut := uint64(0)
+	err := wal.ReadSnapshot(filepath.Join(snodeDir, "snapshot"), func(payload []byte) error {
+		seen[tag(payload)]++
+		if rec, err := decodeWalRecord(payload); err != nil {
+			return err
+		} else if end, ok := rec.(*walSnapEndRec); ok {
+			cut = end.Cut
+		}
+		return nil
+	})
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		t.Fatal(err)
+	}
+	log, err := wal.Open(filepath.Join(snodeDir, "wal"), wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer log.Close()
-	if err := log.Replay(0, func(_ uint64, payload []byte) error {
-		seen[uint16(transport.NewWireReader(payload).Uvarint())]++
+	if err := log.Replay(cut, func(_ uint64, payload []byte) error {
+		seen[tag(payload)]++
+		tail++
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
+	return tail
 }
 
 // TestReplayReproducesLiveState holds recovery to the live handlers: after
@@ -106,8 +126,16 @@ func journalTags(t *testing.T, walDir string, seen map[uint16]int) {
 // each surviving snode must equal what a fresh snode rebuilds from that
 // snode's directory alone (snapshot + log tail).  Key read-back, which the
 // other recovery tests check, cannot see a replay that rebuilds the right
-// data under the wrong vnode, group, level or leadership.
+// data under the wrong vnode, group, level or leadership.  The first case
+// snapshots midway, so most of the history replays from the log tail; the
+// second snapshots again after the whole history, so recovery reads the
+// state every step built from the snapshot alone.
 func TestReplayReproducesLiveState(t *testing.T) {
+	t.Run("snapshot midway", func(t *testing.T) { testReplayReproducesLiveState(t, false) })
+	t.Run("snapshot last", func(t *testing.T) { testReplayReproducesLiveState(t, true) })
+}
+
+func testReplayReproducesLiveState(t *testing.T, snapshotLast bool) {
 	dir := t.TempDir()
 	c, err := New(Config{
 		Pmin: 4, Vmin: 2, Seed: 7, Replicas: 2,
@@ -115,7 +143,7 @@ func TestReplayReproducesLiveState(t *testing.T) {
 		AntiEntropyInterval: 20 * time.Millisecond,
 		Durability: DurabilityConfig{
 			Dir: dir, Fsync: wal.FsyncBatch,
-			SnapshotInterval: -1, // one explicit snapshot, midway
+			SnapshotInterval: -1, // explicit snapshots only
 		},
 	}, transport.NewMem())
 	if err != nil {
@@ -189,6 +217,11 @@ func TestReplayReproducesLiveState(t *testing.T) {
 	}
 	verifyReadable(t, c, want)
 	waitConverged(t, c)
+	if snapshotLast {
+		if err := c.SnapshotNow(); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	// Stop gracefully, then read the live side: a stopped snode's state is
 	// what its last journaled record left.
@@ -196,14 +229,22 @@ func TestReplayReproducesLiveState(t *testing.T) {
 	live := c.liveSnodes()
 	c.Close()
 	tags := make(map[uint16]int)
+	tail := 0
 	for _, s := range live {
-		journalTags(t, filepath.Join(snodeDataDir(dir, s.id), "wal"), tags)
+		tail += replayedTags(t, snodeDataDir(dir, s.id), tags)
 	}
-	for _, row := range walRecords {
-		// An aborted handover is the one record this history has no reason
-		// to write; TestMigrationIntentRecovery* covers it.
-		if tags[row.tag] == 0 && row.tag != walTagMigIntentResolved {
-			t.Errorf("no surviving log tail holds a tag-%d record (%T): replay of it went unexercised", row.tag, row.new())
+	if snapshotLast {
+		// Anti-entropy runs until Close and may journal after the last
+		// snapshot (a stale replica bucket swept, say), so the tail is
+		// reported, not required to be empty.
+		t.Logf("%d records replay from the log tails behind the last snapshots", tail)
+	} else {
+		for _, row := range walRecords {
+			// An aborted handover is the one record this history has no
+			// reason to write; TestMigrationIntentRecovery* covers it.
+			if tags[row.tag] == 0 && row.tag != walTagMigIntentResolved {
+				t.Errorf("no surviving snapshot or log tail holds a tag-%d record (%T): replay of it went unexercised", row.tag, row.new())
+			}
 		}
 	}
 

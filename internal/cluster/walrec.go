@@ -1,28 +1,27 @@
 package cluster
 
 import (
-	"fmt"
-
 	"dbdht/internal/cluster/transport"
 	"dbdht/internal/core"
 	"dbdht/internal/hashspace"
 )
 
-// Journal and snapshot records.  Every durable mutation of an snode's
-// local state is one typed record, framed (length + CRC) by internal/wal,
-// and a record is three things, each written once: its tag (walTag), its
-// layout (a fields walk, see the walker in wire.go) and its meaning
-// (applyLocked).  The live handler builds the record and, under s.mu,
-// applies and journals it (Snode.mutate; applyLocked then Snode.journal
-// where more must happen under the same lock); recovery reads a tag,
-// takes that tag's row of walRecords, walks the bytes into a fresh record
-// and calls the same applyLocked, and the records a snapshot embeds load
-// through it too — a restart re-runs the code that ran, not a
-// transcription of it.  A wire message that is journaled as it arrives
-// (replDropMsg, lpdrSyncMsg, bootstrapInfo) is its own record.  Two
-// handlers journal, wait for the record to be durable and only then
-// apply — handleMigCommit and promotePartition, whose installs start
-// serving at once and must not have happened if the wait fails.
+// Journal records.  Every durable mutation of an snode's local state is
+// one typed record, framed (length + CRC) by internal/wal, and a record
+// is three things, each written once: its tag (walTag), its layout (a
+// fields walk, see the walker in wire.go) and its meaning (applyLocked).
+// The live handler builds the record and, under s.mu, applies and
+// journals it (Snode.mutate; applyLocked then Snode.journal where more
+// must happen under the same lock); recovery reads a tag, takes that
+// tag's row of walRecords, walks the bytes into a fresh record and calls
+// the same applyLocked — a restart re-runs the code that ran, not a
+// transcription of it.  A snapshot is a file of these same records
+// (Snode.snapshotRecords), replayed the same way before the log tail.
+// A wire message that is journaled as it arrives (replDropMsg,
+// lpdrSyncMsg, bootstrapInfo) is its own record.  Two handlers journal,
+// wait for the record to be durable and only then apply —
+// handleMigCommit and promotePartition, whose installs start serving at
+// once and must not have happened if the wait fails.
 //
 // Not on this path: handleBatch's share of walTagWrite.  It streams a
 // bucket's items into the journal while it applies them
@@ -38,7 +37,8 @@ import (
 // Replay applies records in sequence order on top of the latest
 // snapshot; every record is idempotent (set/delete semantics, guarded
 // lifecycle transitions), so a record may be replayed even though the
-// snapshot it lands on already reflects it.
+// snapshot it lands on already reflects it.  Only tag 45 is never
+// journaled: it closes a snapshot file.
 
 const (
 	walTagWrite      uint16 = 32 // owned-bucket mutations (one batch's share of one bucket)
@@ -59,6 +59,7 @@ const (
 	// in-doubt.
 	walTagMigIntent         uint16 = 43 // pre-commit handover intent (same payload as tag 38)
 	walTagMigIntentResolved uint16 = 44 // handover aborted or reverted; intent closed
+	walTagSnapEnd           uint16 = 45 // last record of a snapshot file: replay cut and what no other record carries
 )
 
 // walRecord is one journaled mutation.
@@ -90,6 +91,15 @@ var walRecords = []struct {
 	{walTagBoot, func() walRecord { return new(bootstrapInfo) }},
 	{walTagMigIntent, func() walRecord { return new(walMigIntentRec) }},
 	{walTagMigIntentResolved, func() walRecord { return new(walMigIntentResolvedRec) }},
+	{walTagSnapEnd, func() walRecord { return new(walSnapEndRec) }},
+}
+
+// appendRecord appends rec's journal bytes — its tag, then its fields
+// walk — to b.
+func appendRecord(b []byte, rec walRecord) []byte {
+	w := walker{b: transport.AppendUvarint(b, uint64(rec.walTag()))}
+	rec.fields(&w)
+	return w.b
 }
 
 // walWriteRec journals one batch's mutations of one owned bucket.
@@ -180,7 +190,7 @@ func (rec *walReplWriteRec) applyLocked(s *Snode) {
 }
 
 // walVnodeRec journals a vnode allocation, and is how a snapshot keeps a
-// hosted vnode (Parts then lists its partitions).  In the journal Parts is
+// hosted vnode (Parts then lists its partitions).  In the log Parts is
 // non-empty only for the bootstrap vnode, which is born owning the
 // Pmin-way pre-split.
 type walVnodeRec struct {
@@ -364,8 +374,7 @@ func (rec *walBucketDropRec) applyLocked(s *Snode) {
 
 // walMigIntentRec journals phase one of a migration handover.  The
 // payload is exactly a walBucketDropRec — the intent names the same
-// (vnode, partition, new owner) triple the eventual drop will — and a
-// snapshot keeps an unresolved intent in the same shape.
+// (vnode, partition, new owner) triple the eventual drop will.
 type walMigIntentRec walBucketDropRec
 
 func (*walMigIntentRec) walTag() uint16 { return walTagMigIntent }
@@ -387,8 +396,9 @@ func (rec *walMigIntentResolvedRec) fields(w *walker) { w.partition(&rec.Partiti
 func (rec *walMigIntentResolvedRec) applyLocked(s *Snode) { delete(s.inDoubt, rec.Partition) }
 
 // walReplSyncRec journals a replica bucket overwrite (full sync from the
-// primary, or the re-homing push after a transfer).  Its bytes are a
-// snapBucket's; Data is a store for the reason walMigInstallRec's is.
+// primary, or the re-homing push after a transfer), and is how a
+// snapshot keeps a replica bucket.  Data is a store for the reason
+// walMigInstallRec's is.
 type walReplSyncRec struct {
 	Partition hashspace.Partition
 	Data      *kvStore
@@ -464,90 +474,30 @@ func (m *bootstrapInfo) applyLocked(s *Snode) {
 	s.hasBoot = true
 }
 
-// --- snapshot files ---
-
-// snapVersion guards the snapshot encoding; bump on breaking layout
-// changes so an old snapshot fails loudly instead of mis-decoding.
-// Version 2 appended the unresolved migration intents to snapMeta;
-// decoders still accept version-1 files (which simply carry no intents).
-const snapVersion = 2
-
-// snapOldestVersion is the oldest snapshot layout this node still reads.
-const snapOldestVersion = 1
-
-// encodeSnap lays out one snapshot file: the layout version, then v's
-// fields.
-func encodeSnap[T any](v *T, fields func(*T, *walker)) []byte {
-	w := walker{b: transport.AppendUvarint(nil, snapVersion), snapV: snapVersion}
-	fields(v, &w)
-	return w.b
+// walSnapEndRec closes a snapshot file, and only a snapshot file: the
+// state no other record carries, and Cut, the first log sequence the
+// snapshot does not cover.  Recovery refuses a snapshot that lacks it.
+type walSnapEndRec struct {
+	NextLocal   int
+	Provisional []hashspace.Partition // write-created replica buckets
+	Cut         uint64
 }
 
-// decodeSnap reads one snapshot file back, refusing a layout version this
-// node does not speak; what names the file in that error.  The walk sees
-// the file's version as w.snapV.
-func decodeSnap[T any](what string, payload []byte, fields func(*T, *walker)) (v T, err error) {
-	w := walker{r: transport.NewWireReader(payload)}
-	w.snapV = w.r.Uvarint()
-	if w.snapV < snapOldestVersion || w.snapV > snapVersion {
-		return v, fmt.Errorf("cluster: snapshot %s version %d, this node speaks %d–%d", what, w.snapV, snapOldestVersion, snapVersion)
-	}
-	fields(&v, &w)
-	return v, w.r.Err()
+func (*walSnapEndRec) walTag() uint16 { return walTagSnapEnd }
+
+func (rec *walSnapEndRec) fields(w *walker) {
+	w.int(&rec.NextLocal)
+	w.partitions(&rec.Provisional)
+	w.u64(&rec.Cut)
 }
 
-// snapMeta is the snode-level metadata captured by one snapshot pass:
-// everything except the bucket contents, which live in per-bucket files.
-// Vnodes and Intents are journal records, loaded through their
-// applyLocked.
-type snapMeta struct {
-	NextLocal int
-	HasBoot   bool
-	Boot      ownerRef
-	Vnodes    []walVnodeRec // one per hosted vnode, Parts = its partitions
-	Tombs     []routeEntry  // custody pointers (Replicas unused)
-	Lpdrs     []lpdrState
-	Rprov     []hashspace.Partition // provisional (write-created) replica buckets
-	Intents   []walMigIntentRec     // unresolved migration intents (v2+)
-}
-
-func (m *snapMeta) fields(w *walker) {
-	w.int(&m.NextLocal)
-	w.bool(&m.HasBoot)
-	m.Boot.fields(w)
-	for i := range sliceOf(w, &m.Vnodes, 4) {
-		m.Vnodes[i].fields(w)
-	}
-	for i := range sliceOf(w, &m.Tombs, 4) {
-		m.Tombs[i].tombFields(w)
-	}
-	for i := range sliceOf(w, &m.Lpdrs, 4) {
-		m.Lpdrs[i].fields(w)
-	}
-	w.partitions(&m.Rprov)
-	if w.snapV >= 2 {
-		for i := range sliceOf(w, &m.Intents, 4) {
-			m.Intents[i].fields(w)
+// applyLocked restores the local-name counter and marks the replica
+// buckets the snapshot's full syncs restored as provisional again.
+func (rec *walSnapEndRec) applyLocked(s *Snode) {
+	s.nextLocal = max(s.nextLocal, rec.NextLocal)
+	for _, p := range rec.Provisional {
+		if b, ok := s.rparts[p]; ok {
+			b.provisional = true
 		}
 	}
 }
-
-// snapBucket is one partition with its full contents: a snapshot bucket
-// file.
-type snapBucket struct {
-	Partition hashspace.Partition
-	Data      map[string][]byte
-}
-
-func (b *snapBucket) fields(w *walker) {
-	w.partition(&b.Partition)
-	w.kvmap(&b.Data)
-}
-
-// snapManifest is the snapshot manifest: the replay cut (the first WAL
-// sequence NOT covered by the snapshot).
-type snapManifest struct {
-	Cut uint64
-}
-
-func (m *snapManifest) fields(w *walker) { w.u64(&m.Cut) }

@@ -11,14 +11,14 @@ import (
 	"dbdht/internal/hashspace"
 )
 
-// TestDiskFormatGolden pins the bytes of every WAL record, the snapshot
-// meta and bucket files and the manifest: a fixed value must encode to the
+// TestDiskFormatGolden pins the bytes of every journal record — the log
+// and snapshot files hold nothing else: a fixed value must encode to the
 // committed hex and the committed hex must decode back to the value.  The
-// journal and snapshot layouts are a compatibility contract (an old data
-// directory must still recover), so a diff here is a format change that
-// needs a version bump — never a golden update alone.  The journal cases
-// come from walking walRecords, so a row without golden bytes fails.  Maps
-// hold one entry because the kvmap walk writes in map iteration order.
+// record layouts are a compatibility contract (an old data directory must
+// still recover), so a diff here is a format change that needs a new tag —
+// never a golden update alone.  The cases come from walking walRecords,
+// so a row without golden bytes fails.  Maps hold one entry because the
+// kvmap walk writes in map iteration order.
 func TestDiskFormatGolden(t *testing.T) {
 	p := hashspace.Partition{Prefix: 0b1011, Level: 4}
 	g := core.GroupID{Bits: 0b110, Len: 3}
@@ -32,14 +32,6 @@ func TestDiskFormatGolden(t *testing.T) {
 	dissolved := []core.GroupID{{Bits: 0b11, Len: 2}}
 	vnodeRec := walVnodeRec{Name: vn, Group: g, Level: 4, Joined: true, Parts: []hashspace.Partition{p, p.Sibling()}}
 	dropRec := walBucketDropRec{Vnode: vn, Partition: p, NewOwner: owner}
-	meta := snapMeta{
-		NextLocal: 9, HasBoot: true, Boot: owner,
-		Vnodes:  []walVnodeRec{vnodeRec, {Name: VnodeName{Snode: 3, Local: 8}}},
-		Tombs:   []routeEntry{{Partition: p.Sibling(), Ref: owner}},
-		Lpdrs:   []lpdrState{lpdr},
-		Rprov:   []hashspace.Partition{p},
-		Intents: []walMigIntentRec{walMigIntentRec(dropRec)},
-	}
 
 	// One fixed value per journal tag; want is what the bytes decode back
 	// to where the journal keeps less than the value holds (nil: rec).
@@ -71,6 +63,8 @@ func TestDiskFormatGolden(t *testing.T) {
 		walTagBoot:              {rec: &bootstrapInfo{Owner: owner}, golden: "2a0a040a"},
 		walTagMigIntent:         {rec: (*walMigIntentRec)(&dropRec), golden: "2b060e0b040a040a"},
 		walTagMigIntentResolved: {rec: &walMigIntentResolvedRec{Partition: p}, golden: "2c0b04"},
+		walTagSnapEnd: {rec: &walSnapEndRec{NextLocal: 9, Provisional: []hashspace.Partition{p}, Cut: 123456},
+			golden: "2d12010b04c0c407"},
 	}
 
 	type goldenCase struct {
@@ -96,9 +90,7 @@ func TestDiskFormatGolden(t *testing.T) {
 		if g.want == nil {
 			g.want = g.rec
 		}
-		w := walker{b: transport.AppendUvarint(nil, uint64(g.rec.walTag()))}
-		g.rec.fields(&w)
-		cases = append(cases, goldenCase{fmt.Sprintf("tag %d %T", row.tag, g.rec), w.b, g.golden, walRecDecoder(row.tag, row.new), g.want})
+		cases = append(cases, goldenCase{fmt.Sprintf("tag %d %T", row.tag, g.rec), appendRecord(nil, g.rec), g.golden, walRecDecoder(row.tag, row.new), g.want})
 	}
 	if len(records) != len(walRecords) {
 		t.Errorf("golden bytes for %d journal tags, walRecords has %d rows", len(records), len(walRecords))
@@ -116,17 +108,6 @@ func TestDiskFormatGolden(t *testing.T) {
 			"20020b0402026b31027631026b3200",
 			walRecDecoder(walTagWrite, func() walRecord { return new(walWriteRec) }),
 			&walWriteRec{Kind: opPut, Partition: p, Items: items}},
-		goldenCase{"snapMeta", encodeSnap(&meta, (*snapMeta).fields),
-			"0212010a040a02060e06030401020b040a0406100000000000010a040a040a010603040602060e06100a040a12010b0401060e0b040a040a",
-			func(b []byte) (any, error) { return decodeSnap("meta", b, (*snapMeta).fields) }, meta},
-		goldenCase{"snapBucket", encodeSnap(&snapBucket{Partition: p, Data: data}, (*snapBucket).fields),
-			"020b0401036b65790576616c7565",
-			func(b []byte) (any, error) { return decodeSnap("bucket", b, (*snapBucket).fields) },
-			snapBucket{Partition: p, Data: data}},
-		goldenCase{"manifest", encodeSnap(&snapManifest{Cut: 123456}, (*snapManifest).fields),
-			"02c0c407",
-			func(b []byte) (any, error) { return decodeSnap("manifest", b, (*snapManifest).fields) },
-			snapManifest{Cut: 123456}},
 	)
 	for _, tc := range cases {
 		if got := hex.EncodeToString(tc.enc); got != tc.golden {
@@ -143,8 +124,8 @@ func TestDiskFormatGolden(t *testing.T) {
 		} else if !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s decodes to\n  %+v\nwant\n  %+v", tc.name, got, tc.want)
 		}
-		// A torn record or snapshot file is an error, never a panic and
-		// never a value: every strict prefix must be refused.
+		// A torn record is an error, never a panic and never a value:
+		// every strict prefix must be refused.
 		for cut := 0; cut < len(raw); cut++ {
 			if v, err := tc.dec(raw[:cut]); err == nil {
 				t.Errorf("%s: prefix of %d/%d bytes decoded to %+v without error", tc.name, cut, len(raw), v)

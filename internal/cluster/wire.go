@@ -131,12 +131,10 @@ func init() {
 
 // walker carries one encode or decode pass over a value's fields: with r
 // set every primitive reads its field from r, otherwise it appends the
-// field to b.  Decode errors are r's sticky error.  snapV is the layout
-// version of the snapshot file being walked (walrec.go), 0 elsewhere.
+// field to b.  Decode errors are r's sticky error.
 type walker struct {
-	r     *transport.WireReader
-	b     []byte
-	snapV uint64
+	r *transport.WireReader
+	b []byte
 }
 
 // appendWalk appends m's fields to b.  The walk is passed as a method
@@ -328,14 +326,9 @@ func (ref *ownerRef) fields(w *walker) {
 	w.node(&ref.Host)
 }
 
-// tombFields is a custody pointer as a snapshot keeps it: no replicas.
-func (e *routeEntry) tombFields(w *walker) {
+func (e *routeEntry) fields(w *walker) {
 	w.partition(&e.Partition)
 	e.Ref.fields(w)
-}
-
-func (e *routeEntry) fields(w *walker) {
-	e.tombFields(w)
 	w.nodes(&e.Replicas)
 	w.u64(&e.Epoch)
 }

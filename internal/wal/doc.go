@@ -1,6 +1,6 @@
 // Package wal implements the crash-durability primitives under the
 // cluster's snode storage: a segmented, CRC-framed write-ahead log with
-// group-commit fsync, and atomic snapshot files.
+// group-commit fsync, and atomic snapshot files framed the same way.
 //
 // The log is a sequence of records, each assigned a monotonically
 // increasing sequence number starting at 1.  Records live in segment
@@ -26,10 +26,9 @@
 //   - FsyncOff: nothing is awaited; a background flusher moves bytes to
 //     the OS promptly, but an acknowledged write may die with the process.
 //   - FsyncBatch: WaitDurable blocks until a sync covering seq
-//     completed.  Concurrent committers share one sync (group commit),
-//     so the sync rate scales with flush rounds, not with writers.
-//   - FsyncAlways: like FsyncBatch, but the flusher syncs on every round
-//     even when no committer is waiting.
+//     completed.  The flusher syncs every round it writes, and
+//     concurrent committers share that one sync (group commit), so the
+//     sync rate scales with flush rounds, not with writers.
 //
 // Appends never change file-system metadata.  Segments are created ahead
 // of use at their full size, zero-filled and synced by a background step

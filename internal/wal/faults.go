@@ -19,7 +19,7 @@ import (
 // them in order — exactly what a transient EIO exercises.  A slow fsync
 // sleeps in the flush path while holding only the flush lock, so
 // appends continue and only durability waits (and therefore write acks
-// under FsyncBatch/FsyncAlways) stretch.
+// under FsyncBatch) stretch.
 type Faults struct {
 	seed int64
 	// ruled counts installed rules so the per-fsync check is one atomic

@@ -243,7 +243,7 @@ func (l *Log) seal(r retiredSeg) {
 // oversized, cut short or failing its CRC ends the stream cleanly: it is
 // not an error — recovery truncates there.
 func readRecords(f *os.File, fn func(payload []byte) error) (records int, validLen int64, err error) {
-	r := bufio.NewReaderSize(f, 256<<10)
+	r := bufio.NewReaderSize(f, bufferBytes)
 	var hdr [recHeaderLen]byte
 	var payload []byte
 	for {

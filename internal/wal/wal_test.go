@@ -2,9 +2,11 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -293,37 +295,73 @@ func TestAbandonKeepsDurablePrefix(t *testing.T) {
 func TestSnapshotRoundTripAndCorruption(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "state.snap")
-	payload := []byte("some snapshot payload with structure")
+	records := [][]byte{[]byte("first record"), bytes.Repeat([]byte("x"), 300<<10), []byte("last")}
 	var st Stats
-	if err := st.WriteSnapshot(path, payload); err != nil {
+	if err := st.WriteSnapshot(path, func(add func([]byte) error) error {
+		for _, r := range records {
+			if err := add(r); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadSnapshot(path)
+	read := func() ([][]byte, error) {
+		var got [][]byte
+		err := ReadSnapshot(path, func(p []byte) error {
+			got = append(got, bytes.Clone(p))
+			return nil
+		})
+		return got, err
+	}
+	got, err := read()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("round trip mismatch: %q", got)
+	if !reflect.DeepEqual(got, records) {
+		t.Fatalf("round trip: %d records back, want %d", len(got), len(records))
 	}
 	if st.SnapWrites.Load() != 1 {
 		t.Fatalf("SnapWrites = %d", st.SnapWrites.Load())
 	}
-	// Corrupt one payload byte: the read must fail, not mis-decode.
+
+	// A failing fill leaves the published file as it was.
+	boom := errors.New("boom")
+	if err := st.WriteSnapshot(path, func(add func([]byte) error) error {
+		_ = add([]byte("partial"))
+		return boom
+	}); !errors.Is(err, boom) {
+		t.Fatalf("aborted write returned %v", err)
+	}
+	if got, err := read(); err != nil || len(got) != len(records) {
+		t.Fatalf("after an aborted write: %d records, %v", len(got), err)
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("aborted write left its temporary file: %v", err)
+	}
+
+	// A flipped payload byte or a torn tail must fail the read, not end
+	// it: a snapshot has no zero fill to stop at.
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[len(data)-2] ^= 0x40
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadSnapshot(path); err == nil {
-		t.Fatal("corrupt snapshot read succeeded")
+	for name, bad := range map[string][]byte{
+		"flipped byte": append(append([]byte(nil), data[:len(data)-2]...), data[len(data)-2]^0x40, data[len(data)-1]),
+		"torn tail":    data[:len(data)-3],
+	} {
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := read(); err == nil {
+			t.Errorf("%s: damaged snapshot read succeeded", name)
+		}
 	}
 }
 
 func TestFsyncModes(t *testing.T) {
-	for _, mode := range []FsyncMode{FsyncOff, FsyncBatch, FsyncAlways} {
+	for _, mode := range []FsyncMode{FsyncOff, FsyncBatch} {
 		t.Run(mode.String(), func(t *testing.T) {
 			dir := t.TempDir()
 			l, err := Open(dir, Options{Fsync: mode})
@@ -359,13 +397,15 @@ func TestFsyncModes(t *testing.T) {
 }
 
 func TestParseFsyncMode(t *testing.T) {
-	for s, want := range map[string]FsyncMode{"off": FsyncOff, "batch": FsyncBatch, "always": FsyncAlways} {
+	for s, want := range map[string]FsyncMode{"off": FsyncOff, "batch": FsyncBatch} {
 		got, err := ParseFsyncMode(s)
 		if err != nil || got != want {
 			t.Fatalf("ParseFsyncMode(%q) = %v, %v", s, got, err)
 		}
 	}
-	if _, err := ParseFsyncMode("sometimes"); err == nil {
-		t.Fatal("ParseFsyncMode accepted garbage")
+	for _, s := range []string{"sometimes", "always"} {
+		if _, err := ParseFsyncMode(s); err == nil {
+			t.Fatalf("ParseFsyncMode accepted %q", s)
+		}
 	}
 }
