@@ -127,7 +127,7 @@ func (c *Cluster) LoadReport() ([]SnodeLoad, error) {
 		go func(id transport.NodeID) {
 			defer wg.Done()
 			resp, err := ask[loadReportResp](&c.endpoint, id, untraced, func(op uint64) transport.WireMessage {
-				return loadReportReq{Op: op, ReplyTo: clientID}
+				return loadReportReq{Op: op}
 			})
 			if err != nil {
 				return

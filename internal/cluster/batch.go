@@ -25,15 +25,14 @@ type batchItem struct {
 	Value []byte
 }
 
-// batchReq carries a group of same-verb data operations.  Like the single
-// operation messages it is forwarded along custody chains, but grouped:
-// each hop serves what it owns and splits the rest by next hop.
+// batchReq carries a group of same-verb data operations.  It is the one
+// request passed on along custody chains, by call: each hop serves what
+// it owns, splits the rest by next hop and answers its own caller.
 type batchReq struct {
-	Op      uint64
-	Kind    dataOp
-	Items   []batchItem
-	ReplyTo transport.NodeID
-	Hops    int
+	Op    uint64
+	Kind  dataOp
+	Items []batchItem
+	Hops  int
 	// ReadReplica marks a failover read: the receiver serves the keys
 	// straight from its replica store instead of the ownership path.
 	ReadReplica bool
@@ -68,9 +67,9 @@ func (m batchResp) replyErr() string { return "" }
 // handleBatch serves a batch: local keys are applied immediately, the rest
 // are regrouped by next hop and forwarded as sub-batches awaited in
 // parallel.  Runs outside the actor loop (it performs nested RPCs).
-func (s *Snode) handleBatch(m batchReq, tr transport.TraceContext) {
+func (s *Snode) handleBatch(m batchReq, from transport.NodeID, tr transport.TraceContext) {
 	if m.ReadReplica {
-		s.serveReplicaRead(m, tr)
+		s.serveReplicaRead(m, from, tr)
 		return
 	}
 	sp := beginSpan(tr, "batch.serve")
@@ -320,7 +319,7 @@ func (s *Snode) handleBatch(m batchReq, tr transport.TraceContext) {
 			s.stats.Forwards.Add(1)
 			fsp := beginSpan(sp.ctx, "batch.forward")
 			resp, err := ask[batchResp](&s.endpoint, host, fsp.ctx, func(op uint64) transport.WireMessage {
-				return batchReq{Op: op, Kind: m.Kind, Items: sub, ReplyTo: s.id, Hops: m.Hops + 1}
+				return batchReq{Op: op, Kind: m.Kind, Items: sub, Hops: m.Hops + 1}
 			})
 			s.tracer.finishErr(fsp, s.id, err)
 			mergeMu.Lock()
@@ -370,7 +369,7 @@ func (s *Snode) handleBatch(m batchReq, tr transport.TraceContext) {
 	}
 
 	s.tracer.finish(sp, s.id, "")
-	s.send(m.ReplyTo, untraced, batchResp{Op: m.Op, Results: results, Served: dedupRoutes(served)})
+	s.send(from, untraced, batchResp{Op: m.Op, Results: results, Served: dedupRoutes(served)})
 }
 
 // dedupRoutes keeps one entry per partition (the last one wins — deeper
@@ -746,7 +745,7 @@ func (c *Cluster) mbatch(kind dataOp, keys []string, items []batchItem) ([]Batch
 				rsp := beginSpan(root.ctx, "batch.rpc")
 				t0 := time.Now()
 				resp, err := ask[batchResp](&c.endpoint, host, rsp.ctx, func(op uint64) transport.WireMessage {
-					return batchReq{Op: op, Kind: kind, Items: sub, ReplyTo: clientID, Known: known}
+					return batchReq{Op: op, Kind: kind, Items: sub, Known: known}
 				})
 				c.batchRPC.ObserveSince(t0)
 				c.tracer.finishErr(rsp, clientID, err)
@@ -810,7 +809,7 @@ func (c *Cluster) failoverReads(kind dataOp, plan map[transport.NodeID][]int, it
 		rsp := beginSpan(tr, "batch.failover-read")
 		t0 := time.Now()
 		resp, err := ask[batchResp](&c.endpoint, rhost, rsp.ctx, func(op uint64) transport.WireMessage {
-			return batchReq{Op: op, Kind: kind, Items: sub, ReplyTo: clientID, ReadReplica: true}
+			return batchReq{Op: op, Kind: kind, Items: sub, ReadReplica: true}
 		})
 		c.batchRPC.ObserveSince(t0)
 		c.tracer.finishErr(rsp, clientID, err)

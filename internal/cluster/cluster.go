@@ -301,7 +301,7 @@ func (c *Cluster) CreateVnode(at transport.NodeID) (VnodeName, core.GroupID, err
 	}
 	c.mu.Unlock()
 	resp, err := ask[createVnodeResp](&c.endpoint, at, untraced, func(op uint64) transport.WireMessage {
-		return createVnodeReq{Op: op, ReplyTo: clientID, Bootstrap: bootstrap}
+		return createVnodeReq{Op: op, Bootstrap: bootstrap}
 	})
 	if err != nil {
 		if bootstrap {
@@ -329,8 +329,9 @@ func (c *Cluster) CreateVnode(at transport.NodeID) (VnodeName, core.GroupID, err
 func (c *Cluster) RemoveVnode(name VnodeName) error {
 	const maxRetries = 16
 	for attempt := 0; attempt < maxRetries; attempt++ {
-		resp, err := ask[leaveVnodeResp](&c.endpoint, name.Snode, untraced, func(op uint64) transport.WireMessage {
-			return leaveVnodeReq{Op: op, Vnode: name, ReplyTo: clientID}
+		// The vnode's host names its group and redirects to the leader.
+		resp, err := chase(&c.endpoint, 0, leaveVnodeResp{Next: name.Snode}, func(op uint64, via leaveVnodeResp) transport.WireMessage {
+			return leaveVnodeReq{Op: op, Vnode: name, Group: via.Group}
 		})
 		if err != nil {
 			return fmt.Errorf("cluster: remove vnode %v: %w", name, err)
@@ -674,9 +675,7 @@ func (c *Cluster) Lookup(key string) (VnodeName, error) {
 	if err != nil {
 		return VnodeName{}, err
 	}
-	resp, err := ask[lookupResp](&c.endpoint, at, untraced, func(op uint64) transport.WireMessage {
-		return lookupReq{Op: op, R: hashspace.HashString(key), ReplyTo: clientID}
-	})
+	resp, err := c.lookupFrom(at, hashspace.HashString(key), 0)
 	if err != nil {
 		return VnodeName{}, fmt.Errorf("cluster: lookup %q: %w", key, err)
 	}
@@ -697,7 +696,7 @@ func (c *Cluster) Ping() error {
 // ping round-trips one snode's inbox.
 func (c *Cluster) ping(id transport.NodeID) error {
 	_, err := ask[pingResp](&c.endpoint, id, untraced, func(op uint64) transport.WireMessage {
-		return pingReq{Op: op, ReplyTo: clientID}
+		return pingReq{Op: op}
 	})
 	return err
 }

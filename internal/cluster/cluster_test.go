@@ -303,13 +303,13 @@ func TestFullLeaderQueueAnswersRetry(t *testing.T) {
 	s.mu.Unlock()
 
 	join, err := ask[joinGroupResp](&c.endpoint, s.id, untraced, func(op uint64) transport.WireMessage {
-		return joinGroupReq{Op: op, Group: gid, NewVnode: VnodeName{Snode: s.id, Local: 99}, NewHost: s.id, ReplyTo: clientID}
+		return joinGroupReq{Op: op, Group: gid, NewVnode: VnodeName{Snode: s.id, Local: 99}, NewHost: s.id}
 	})
 	if err != nil || !join.Retry {
 		t.Fatalf("join at a full leader queue = %+v, %v; want Retry", join, err)
 	}
 	leave, err := ask[leaveVnodeResp](&c.endpoint, s.id, untraced, func(op uint64) transport.WireMessage {
-		return leaveVnodeReq{Op: op, Vnode: VnodeName{Snode: s.id, Local: 99}, Group: gid, Hops: 1, ReplyTo: clientID}
+		return leaveVnodeReq{Op: op, Vnode: VnodeName{Snode: s.id, Local: 99}, Group: gid}
 	})
 	if err != nil || !leave.Retry {
 		t.Fatalf("leave at a full leader queue = %+v, %v; want Retry", leave, err)

@@ -37,7 +37,7 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 	seeds := map[string]transport.Envelope{
 		// A traced data frame exercises the trace-context header fields.
 		"seed-traced-batch-req": {
-			From: -1, To: 1, Msg: batchReq{Op: 16, Kind: opGet, Items: items, ReplyTo: -1},
+			From: -1, To: 1, Msg: batchReq{Op: 16, Kind: opGet, Items: items},
 			Trace: transport.TraceContext{TraceID: 0xabcdef, SpanID: 2, Sampled: true},
 		},
 	}
@@ -64,7 +64,7 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 	// drop landing mid-burst) would hand the framer.
 	burst, err := transport.AppendFrame(nil, transport.Envelope{
 		From: -1, To: 1, Msg: batchReq{
-			Op: 17, Kind: opPut, ReplyTo: -1,
+			Op: 17, Kind: opPut,
 			Items: []batchItem{
 				{Key: "burst-key-0", Value: []byte("burst-value-0")},
 				{Key: "burst-key-1", Value: []byte("burst-value-1")},

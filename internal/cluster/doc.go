@@ -16,9 +16,10 @@
 //   - vnode creation follows §3.6: draw r ∈ R_h, route a lookup to the
 //     victim vnode, ask the victim group's leader to run the §2.5 algorithm
 //     over its LPDR, splitting the group first when it is full (§3.7);
-//   - lookups route by *custody forwarding*: when a partition leaves a
-//     host, the host keeps a tombstone pointing at the new owner, so any
-//     stale request chases the chain of custody to the current owner.
+//   - lookups route by *custody chains*: when a partition leaves a
+//     host, the host keeps a tombstone pointing at the new owner, and a
+//     stale host redirects its caller along it, so the caller's lookup
+//     chases the chain of custody to the current owner.
 //
 // The runtime has grown well past the paper's failure-free model (§5):
 //

@@ -83,10 +83,11 @@ func (e *endpoint) who() string {
 	return fmt.Sprintf("snode %d", e.id)
 }
 
-// send fires one message; an error means the destination left the fabric,
-// which callers that care learn through their call failing.  The parameter
-// type keeps a message without a wire codec — the other error Send can
-// return — from compiling.
+// send fires a reply or a fire-and-forget message; requests go through
+// call.  An error means the destination left the fabric, which callers
+// that care learn through their call failing.  The parameter type keeps a
+// message without a wire codec — the other error Send can return — from
+// compiling.
 func (e *endpoint) send(to transport.NodeID, tr transport.TraceContext, msg transport.WireMessage) {
 	_ = e.net.Send(transport.Envelope{From: e.id, To: to, Trace: tr, Msg: msg})
 }
@@ -202,6 +203,32 @@ func replyAs[R reply](r reply, err error) (R, error) {
 // timeout, answered by an R.
 func ask[R reply](e *endpoint, to transport.NodeID, tr transport.TraceContext, build func(op uint64) transport.WireMessage) (R, error) {
 	return replyAs[R](e.call(to, tr, 0, nil, build))
+}
+
+// redirect is a reply that may send its caller elsewhere: a non-zero
+// next names the host to ask instead (snode ids start at 1).
+type redirect interface {
+	reply
+	next() transport.NodeID
+}
+
+// chase asks via.next(), then each host a reply redirects to, until a
+// reply that is not a redirect — at most maxHops asks.  Every hop is a
+// call of its own, aimed at the host that answers it, so a departed hop
+// fails that hop at once.  build makes each hop's request from the
+// redirect that aimed it; timeout is call's.
+func chase[R redirect](e *endpoint, timeout time.Duration, via R, build func(op uint64, via R) transport.WireMessage) (R, error) {
+	for hop := 0; hop < maxHops; hop++ {
+		r, err := replyAs[R](e.call(via.next(), untraced, timeout, nil, func(op uint64) transport.WireMessage {
+			return build(op, via)
+		}))
+		if err != nil || r.next() == 0 {
+			return r, err
+		}
+		via = r
+	}
+	var zero R
+	return zero, fmt.Errorf("cluster: %s: no answer within %d hops", e.who(), maxHops)
 }
 
 // askOrdered is ask on the replica plane: build and the send run under

@@ -28,7 +28,7 @@ func fakePeer(t *testing.T, net transport.Network, id transport.NodeID, handle f
 
 func pingTo(e *endpoint, to transport.NodeID, timeout time.Duration) (pingResp, error) {
 	return replyAs[pingResp](e.call(to, untraced, timeout, nil, func(op uint64) transport.WireMessage {
-		return pingReq{Op: op, ReplyTo: e.id}
+		return pingReq{Op: op}
 	}))
 }
 
@@ -73,7 +73,7 @@ func TestCallRejectsReplyOfWrongType(t *testing.T) {
 	const fake = transport.NodeID(99)
 	fakePeer(t, net, fake, func(env transport.Envelope) {
 		m := env.Msg.(pingReq)
-		_ = net.Send(transport.Envelope{From: fake, To: m.ReplyTo, Msg: lookupResp{Op: m.Op}})
+		_ = net.Send(transport.Envelope{From: fake, To: env.From, Msg: lookupResp{Op: m.Op}})
 	})
 	if _, err := pingTo(&c.endpoint, fake, 0); err == nil || !strings.Contains(err.Error(), "unexpected reply") {
 		t.Fatalf("ping answered by a lookupResp = %v, want an unexpected-reply error", err)
@@ -98,7 +98,7 @@ func TestLateReplyIsDropped(t *testing.T) {
 			first = false
 			<-release // answer only after the caller gave up
 		}
-		_ = net.Send(transport.Envelope{From: fake, To: m.ReplyTo, Msg: pingResp{Op: m.Op}})
+		_ = net.Send(transport.Envelope{From: fake, To: env.From, Msg: pingResp{Op: m.Op}})
 	})
 	if _, err := pingTo(&c.endpoint, fake, 20*time.Millisecond); err == nil || !strings.Contains(err.Error(), "timed out") {
 		t.Fatalf("first ping = %v, want a timeout", err)
@@ -202,7 +202,7 @@ func TestCallsToDepartedPeerFailFast(t *testing.T) {
 			}
 			put := func(e *endpoint, to transport.NodeID, key string) error {
 				resp, err := ask[batchResp](e, to, untraced, func(op uint64) transport.WireMessage {
-					return batchReq{Op: op, Kind: opPut, Items: []batchItem{{Key: key, Value: []byte("v")}}, ReplyTo: e.id, Hops: 1}
+					return batchReq{Op: op, Kind: opPut, Items: []batchItem{{Key: key, Value: []byte("v")}}, Hops: 1}
 				})
 				if err == nil && resp.Results[0].Err != "" {
 					err = errors.New(resp.Results[0].Err)
@@ -245,6 +245,86 @@ func TestCallsToDepartedPeerFailFast(t *testing.T) {
 	}
 }
 
+// TestDeadMiddleHopFailsFast: B leads the one group and sits in the
+// middle of the custody chain A → B → C.  B crashes with its departure
+// notice held back, so A and C still point at B.  A lookup from A, a
+// join started at C and the leave of C's vnode each need B; each must end
+// within a second although the RPC timeout is 30 s, because every hop is
+// a call to the peer that answers it.  When hops were forwarded by send,
+// a request lost at the dead hop cost each caller the whole timeout.
+func TestDeadMiddleHopFailsFast(t *testing.T) {
+	for _, fabric := range []string{"mem", "tcp"} {
+		t.Run(fabric, func(t *testing.T) {
+			var net transport.Network = transport.NewMem()
+			if fabric == "tcp" {
+				net = transport.NewTCP("127.0.0.1")
+			}
+			c, err := New(Config{Pmin: 8, Vmin: 4, Seed: 7, RPCTimeout: 30 * time.Second}, net)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			for i := 0; i < 3; i++ {
+				if _, err := c.AddSnode(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ids := c.Snodes()
+			b, cs, a := c.snodes[ids[0]], c.snodes[ids[1]], c.snodes[ids[2]]
+			// B bootstraps the DHT and leads its group; C's join takes
+			// partitions from B, which keeps custody pointers at C.  A
+			// hosts nothing and knows only the boot route, at B.
+			if _, _, err := c.CreateVnode(b.id); err != nil {
+				t.Fatal(err)
+			}
+			cVnode, _, err := c.CreateVnode(cs.id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Ping(); err != nil {
+				t.Fatal(err)
+			}
+			var r uint64
+			cs.mu.Lock()
+			for p := range cs.owned {
+				r = p.Start()
+				break
+			}
+			cs.mu.Unlock()
+			a.mu.Lock()
+			toB, _ := a.forwardTargetLocked(r, true)
+			a.mu.Unlock()
+			b.mu.Lock()
+			toC, _ := b.forwardTargetLocked(r, false)
+			b.mu.Unlock()
+			if toB.Host != b.id || toC.Host != cs.id {
+				t.Fatalf("chain for %#x is %d → %d → %d, want %d → %d → %d", r, a.id, toB.Host, toC.Host, a.id, b.id, cs.id)
+			}
+
+			b.crashed.Store(true)
+			b.stop()
+
+			ops := []struct {
+				name string
+				run  func() error
+			}{
+				{"lookup from A", func() error { _, err := a.resolveOwner(r); return err }},
+				{"join at C", func() error { _, _, err := c.CreateVnode(cs.id); return err }},
+				{"leave of C's vnode", func() error { return c.RemoveVnode(cVnode) }},
+			}
+			done := make([]chan error, len(ops))
+			for i, op := range ops {
+				done[i] = make(chan error, 1)
+				go func() { done[i] <- op.run() }()
+			}
+			for i, op := range ops {
+				err := returnsWithin(t, time.Second, op.name, func() error { return <-done[i] })
+				t.Logf("%s: %v", op.name, err)
+			}
+		})
+	}
+}
+
 // TestCallAllocations pins one in-memory round trip through ask: 10
 // allocations from an snode, 10 from the handle (both sides of the
 // exchange counted, measured with the same loop).  The codec is in the
@@ -264,7 +344,7 @@ func TestCallAllocations(t *testing.T) {
 	} {
 		got := testing.AllocsPerRun(1000, func() {
 			_, err := ask[pingResp](tc.e, ids[1], untraced, func(op uint64) transport.WireMessage {
-				return pingReq{Op: op, ReplyTo: tc.e.id}
+				return pingReq{Op: op}
 			})
 			if err != nil {
 				t.Fatal(err)

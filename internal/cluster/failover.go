@@ -52,7 +52,6 @@ type promoteQueryReq struct {
 	Op        uint64
 	Partition hashspace.Partition
 	Dead      transport.NodeID
-	ReplyTo   transport.NodeID
 }
 
 type promoteQueryResp struct {
@@ -71,7 +70,6 @@ type promoteOrderReq struct {
 	Op        uint64
 	Partition hashspace.Partition
 	Dead      transport.NodeID
-	ReplyTo   transport.NodeID
 }
 
 // overlapQueryReq asks whether the receiver knows — as owner, replica
@@ -84,7 +82,6 @@ type promoteOrderReq struct {
 type overlapQueryReq struct {
 	Op        uint64
 	Partition hashspace.Partition
-	ReplyTo   transport.NodeID
 }
 
 type overlapQueryResp struct {
@@ -189,11 +186,11 @@ func deeperIn[V any](m map[hashspace.Partition]V, p hashspace.Partition) bool {
 
 // handleOverlapQuery answers a stale-geometry probe.  Fast (no nested
 // RPCs) — runs inline in the actor loop.
-func (s *Snode) handleOverlapQuery(m overlapQueryReq) {
+func (s *Snode) handleOverlapQuery(m overlapQueryReq, from transport.NodeID) {
 	s.mu.Lock()
 	deeper := s.deeperOverlapLocked(m.Partition)
 	s.mu.Unlock()
-	s.send(m.ReplyTo, untraced, overlapQueryResp{Op: m.Op, Deeper: deeper})
+	s.send(from, untraced, overlapQueryResp{Op: m.Op, Deeper: deeper})
 }
 
 // staleGeometry asks every live view member whether it knows a partition
@@ -216,7 +213,7 @@ func (s *Snode) staleGeometry(p hashspace.Partition, view []transport.NodeID) bo
 			continue
 		}
 		resp, err := ask[overlapQueryResp](&s.endpoint, id, untraced, func(op uint64) transport.WireMessage {
-			return overlapQueryReq{Op: op, Partition: p, ReplyTo: s.id}
+			return overlapQueryReq{Op: op, Partition: p}
 		})
 		if err == nil && resp.Deeper {
 			return true
@@ -246,7 +243,7 @@ func (s *Snode) electAndPromote(p hashspace.Partition, dead transport.NodeID, ca
 			continue
 		}
 		resp, err := ask[promoteQueryResp](&s.endpoint, id, untraced, func(op uint64) transport.WireMessage {
-			return promoteQueryReq{Op: op, Partition: p, Dead: dead, ReplyTo: s.id}
+			return promoteQueryReq{Op: op, Partition: p, Dead: dead}
 		})
 		if err != nil {
 			continue // unreachable elector: proceed with the quorum we have
@@ -282,7 +279,7 @@ func (s *Snode) electAndPromote(p hashspace.Partition, dead transport.NodeID, ca
 		return
 	}
 	_, err := ask[ackResp](&s.endpoint, win.id, untraced, func(op uint64) transport.WireMessage {
-		return promoteOrderReq{Op: op, Partition: p, Dead: dead, ReplyTo: s.id}
+		return promoteOrderReq{Op: op, Partition: p, Dead: dead}
 	})
 	if err != nil {
 		s.log.Warn("failover: promotion order failed", "partition", p.String(), "winner", int(win.id), "err", err)
@@ -302,21 +299,21 @@ func (s *Snode) promoteCredentials(p hashspace.Partition, dead transport.NodeID)
 
 // handlePromoteQuery answers an election query.  Fast (no nested RPCs) —
 // runs inline in the actor loop.
-func (s *Snode) handlePromoteQuery(m promoteQueryReq) {
+func (s *Snode) handlePromoteQuery(m promoteQueryReq, from transport.NodeID) {
 	resp := s.promoteCredentials(m.Partition, m.Dead)
 	resp.Op = m.Op
-	s.send(m.ReplyTo, untraced, resp)
+	s.send(from, untraced, resp)
 }
 
 // handlePromoteOrder executes a promotion order from the coordinator.
 // Runs in its own goroutine: promotion journals durably and re-homes
 // replicas over the fabric.
-func (s *Snode) handlePromoteOrder(m promoteOrderReq) {
+func (s *Snode) handlePromoteOrder(m promoteOrderReq, from transport.NodeID) {
 	resp := ackResp{Op: m.Op}
 	if err := s.promotePartition(m.Partition, m.Dead); err != nil {
 		resp.Err = err.Error()
 	}
-	s.send(m.ReplyTo, untraced, resp)
+	s.send(from, untraced, resp)
 }
 
 // promotePartition installs this snode's replica bucket for p as the

@@ -9,10 +9,12 @@ import (
 	"dbdht/internal/core"
 )
 
-// groupOp is one serialized balancement event for a led group.
+// groupOp is one serialized balancement event for a led group, and the
+// address its answer goes to.
 type groupOp struct {
 	join  *joinGroupReq
 	leave *leaveVnodeReq
+	from  transport.NodeID
 }
 
 // groupOpsCap bounds a led group's pending balancement events.  A join or
@@ -72,11 +74,11 @@ func (s *Snode) installLeaderLocked(st lpdrState) {
 
 // handleGroupInit accepts leadership of a (child) group after a split or a
 // leadership handoff.
-func (s *Snode) handleGroupInit(m groupInit) {
+func (s *Snode) handleGroupInit(m groupInit, from transport.NodeID) {
 	s.mu.Lock()
 	if _, dup := s.led[m.State.Group]; dup {
 		s.mu.Unlock()
-		s.send(m.ReplyTo, untraced, ackResp{Op: m.Op, Err: fmt.Sprintf("group %v already led at %d", m.State.Group, s.id)})
+		s.send(from, untraced, ackResp{Op: m.Op, Err: fmt.Sprintf("group %v already led at %d", m.State.Group, s.id)})
 		return
 	}
 	st := m.State
@@ -91,7 +93,7 @@ func (s *Snode) handleGroupInit(m groupInit) {
 		dissolved = append(dissolved, parentGroup(st.Group))
 	}
 	s.broadcastSync(st, dissolved)
-	s.send(m.ReplyTo, untraced, ackResp{Op: m.Op})
+	s.send(from, untraced, ackResp{Op: m.Op})
 }
 
 // parentGroup strips the most-significant digit of a child identifier.
@@ -99,59 +101,46 @@ func parentGroup(g core.GroupID) core.GroupID {
 	return core.GroupID{Bits: g.Bits &^ (1 << (g.Len - 1)), Len: g.Len - 1}
 }
 
-// routeJoin steers a join request: process if led here, forward if the
-// leader is known, otherwise ask the initiator to retry.
-func (s *Snode) routeJoin(m joinGroupReq) {
-	s.mu.Lock()
-	if lg, ok := s.led[m.Group]; ok && !lg.dead {
-		select {
-		case lg.ops <- groupOp{join: &m}:
-			s.mu.Unlock()
-		default:
-			s.mu.Unlock()
-			s.send(m.ReplyTo, untraced, joinGroupResp{Op: m.Op, Retry: true})
-		}
-		return
-	}
-	rep, ok := s.replicas[m.Group]
-	s.mu.Unlock()
-	if ok && rep.Leader != s.id && m.Hops < maxHops {
-		m.Hops++
-		s.stats.Forwards.Add(1)
-		s.send(rep.Leader, untraced, m)
-		return
-	}
-	s.send(m.ReplyTo, untraced, joinGroupResp{Op: m.Op, Retry: true})
+// routeJoin steers a join request (routeOp).
+func (s *Snode) routeJoin(m joinGroupReq, from transport.NodeID) {
+	s.routeOp(m.Group, groupOp{join: &m, from: from}, func(next transport.NodeID) transport.WireMessage {
+		return joinGroupResp{Op: m.Op, Group: m.Group, Retry: next == 0, Next: next}
+	})
 }
 
-// routeLeave steers a vnode-leave request analogously.  A request arriving
-// at the vnode's host without group information is annotated first.
-func (s *Snode) routeLeave(m leaveVnodeReq) {
+// routeLeave steers a vnode-leave request (routeOp).  The vnode's host
+// names the group from its own vnode table, so a caller need not know it.
+func (s *Snode) routeLeave(m leaveVnodeReq, from transport.NodeID) {
 	s.mu.Lock()
-	if m.Group == (core.GroupID{}) || m.Hops == 0 {
-		if vs, ok := s.vnodes[m.Vnode]; ok && vs.joined {
-			m.Group = vs.group
-		}
+	if vs, ok := s.vnodes[m.Vnode]; ok && vs.joined {
+		m.Group = vs.group
 	}
-	if lg, ok := s.led[m.Group]; ok && !lg.dead {
-		select {
-		case lg.ops <- groupOp{leave: &m}:
-			s.mu.Unlock()
-		default:
-			s.mu.Unlock()
-			s.send(m.ReplyTo, untraced, leaveVnodeResp{Op: m.Op, Retry: true})
-		}
-		return
-	}
-	rep, ok := s.replicas[m.Group]
 	s.mu.Unlock()
-	if ok && rep.Leader != s.id && m.Hops < maxHops {
-		m.Hops++
+	s.routeOp(m.Group, groupOp{leave: &m, from: from}, func(next transport.NodeID) transport.WireMessage {
+		return leaveVnodeResp{Op: m.Op, Group: m.Group, Retry: next == 0, Next: next}
+	})
+}
+
+// routeOp queues a balancement event if group g is led here.  Otherwise
+// it answers the caller with answer(leader), a redirect to the leader this
+// snode knows of, or answer(0), a Retry, as it does when the queue is
+// full.
+func (s *Snode) routeOp(g core.GroupID, op groupOp, answer func(next transport.NodeID) transport.WireMessage) {
+	var next transport.NodeID
+	s.mu.Lock()
+	if lg, ok := s.led[g]; ok && !lg.dead {
+		select {
+		case lg.ops <- op:
+			s.mu.Unlock()
+			return
+		default:
+		}
+	} else if rep, ok := s.replicas[g]; ok && rep.Leader != s.id {
+		next = rep.Leader
 		s.stats.Forwards.Add(1)
-		s.send(rep.Leader, untraced, m)
-		return
 	}
-	s.send(m.ReplyTo, untraced, leaveVnodeResp{Op: m.Op, Retry: true})
+	s.mu.Unlock()
+	s.send(op.from, untraced, answer(next))
 }
 
 // groupWorker serializes one group's balancement events.  It exits once
@@ -165,18 +154,18 @@ func (s *Snode) groupWorker(lg *ledGroup) {
 			// The group dissolved (split, handoff or stop) while this op
 			// was queued.
 			if op.join != nil {
-				s.send(op.join.ReplyTo, untraced, joinGroupResp{Op: op.join.Op, Retry: true})
+				s.send(op.from, untraced, joinGroupResp{Op: op.join.Op, Retry: true})
 			}
 			if op.leave != nil {
-				s.send(op.leave.ReplyTo, untraced, leaveVnodeResp{Op: op.leave.Op, Retry: true})
+				s.send(op.from, untraced, leaveVnodeResp{Op: op.leave.Op, Retry: true})
 			}
 			continue
 		}
 		switch {
 		case op.join != nil:
-			s.leaderJoin(lg, *op.join)
+			s.leaderJoin(lg, *op.join, op.from)
 		case op.leave != nil:
-			s.leaderLeave(lg, *op.leave)
+			s.leaderLeave(lg, *op.leave, op.from)
 		}
 	}
 }
@@ -223,13 +212,13 @@ func (s *Snode) broadcastSync(st lpdrState, dissolved []core.GroupID) {
 
 // leaderJoin runs the §2.5 creation algorithm for one new vnode inside the
 // led group, splitting the group first if it is full (§3.7).
-func (s *Snode) leaderJoin(lg *ledGroup, m joinGroupReq) {
+func (s *Snode) leaderJoin(lg *ledGroup, m joinGroupReq, from transport.NodeID) {
 	if lg.table.Len() >= s.cfg.vmax() {
-		s.splitLedGroup(lg, m)
+		s.splitLedGroup(lg, m, from)
 		return
 	}
 	fail := func(err string) {
-		s.send(m.ReplyTo, untraced, joinGroupResp{Op: m.Op, Err: err})
+		s.send(from, untraced, joinGroupResp{Op: m.Op, Err: err})
 	}
 	if _, exists := lg.table.Count(m.NewVnode); exists {
 		fail(fmt.Sprintf("vnode %v already in group %v", m.NewVnode, lg.id))
@@ -245,7 +234,7 @@ func (s *Snode) leaderJoin(lg *ledGroup, m joinGroupReq) {
 		lg.level++
 		for _, h := range lg.memberHosts() {
 			_, rerr := ask[ackResp](&s.endpoint, h, untraced, func(op uint64) transport.WireMessage {
-				return splitAllReq{Op: op, Group: lg.id, NewLevel: lg.level, ReplyTo: s.id}
+				return splitAllReq{Op: op, Group: lg.id, NewLevel: lg.level}
 			})
 			if rerr != nil {
 				fail(rerr.Error())
@@ -271,7 +260,7 @@ func (s *Snode) leaderJoin(lg *ledGroup, m joinGroupReq) {
 	}
 	s.stats.JoinsLed.Add(1)
 	s.broadcastSync(lg.state(s.id), nil)
-	s.send(m.ReplyTo, untraced, joinGroupResp{Op: m.Op, Group: lg.id})
+	s.send(from, untraced, joinGroupResp{Op: m.Op, Group: lg.id})
 }
 
 // orderTransfer executes one planned handover: instruct the victim's host,
@@ -286,7 +275,7 @@ func (s *Snode) orderTransfer(lg *ledGroup, from, to VnodeName) error {
 		return fmt.Errorf("cluster: no host for receiver %v", to)
 	}
 	_, err := ask[transferResp](&s.endpoint, fromHost, untraced, func(op uint64) transport.WireMessage {
-		return transferReq{Op: op, Group: lg.id, From: from, To: to, ToHost: toHost, Level: lg.level, ReplyTo: s.id}
+		return transferReq{Op: op, Group: lg.id, From: from, To: to, ToHost: toHost, Level: lg.level}
 	})
 	if err != nil {
 		return fmt.Errorf("cluster: transfer %v→%v: %w", from, to, err)
@@ -295,9 +284,9 @@ func (s *Snode) orderTransfer(lg *ledGroup, from, to VnodeName) error {
 }
 
 // splitLedGroup divides a full group into two random halves of Vmin vnodes
-// (§3.7), hands each child to its leader, then forwards the pending join to
-// a randomly chosen child.
-func (s *Snode) splitLedGroup(lg *ledGroup, m joinGroupReq) {
+// (§3.7), hands each child to its leader, then redirects the pending join
+// to a randomly chosen child.
+func (s *Snode) splitLedGroup(lg *ledGroup, m joinGroupReq, from transport.NodeID) {
 	members := lg.table.Keys()
 	s.mu.Lock()
 	s.rng.Shuffle(len(members), func(i, j int) { members[i], members[j] = members[j], members[i] })
@@ -323,10 +312,10 @@ func (s *Snode) splitLedGroup(lg *ledGroup, m joinGroupReq) {
 		childLeaders[childID] = leader
 		st.Leader = leader
 		_, err := ask[ackResp](&s.endpoint, leader, untraced, func(op uint64) transport.WireMessage {
-			return groupInit{Op: op, State: st, ReplyTo: s.id}
+			return groupInit{Op: op, State: st}
 		})
 		if err != nil {
-			s.send(m.ReplyTo, untraced, joinGroupResp{Op: m.Op, Err: err.Error()})
+			s.send(from, untraced, joinGroupResp{Op: m.Op, Err: err.Error()})
 			return
 		}
 	}
@@ -341,10 +330,7 @@ func (s *Snode) splitLedGroup(lg *ledGroup, m joinGroupReq) {
 	}
 	s.mu.Unlock()
 	s.stats.GroupSplits.Add(1)
-	fwd := m
-	fwd.Group = chosen
-	fwd.Hops++
-	s.send(childLeaders[chosen], untraced, fwd)
+	s.send(from, untraced, joinGroupResp{Op: m.Op, Group: chosen, Next: childLeaders[chosen]})
 }
 
 // leaderLeave dissolves one vnode inside the led group: ship its partitions
@@ -352,9 +338,9 @@ func (s *Snode) splitLedGroup(lg *ledGroup, m joinGroupReq) {
 // skipped — a group scope rarely owns complete sibling pairs (see
 // scope.ErrIncompleteTiling), so G4′'s upper bound is soft here exactly as
 // in package core.
-func (s *Snode) leaderLeave(lg *ledGroup, m leaveVnodeReq) {
+func (s *Snode) leaderLeave(lg *ledGroup, m leaveVnodeReq, from transport.NodeID) {
 	fail := func(err string) {
-		s.send(m.ReplyTo, untraced, leaveVnodeResp{Op: m.Op, Err: err})
+		s.send(from, untraced, leaveVnodeResp{Op: m.Op, Err: err})
 	}
 	if _, ok := lg.table.Count(m.Vnode); !ok {
 		fail(fmt.Sprintf("vnode %v not in group %v", m.Vnode, lg.id))
@@ -375,7 +361,7 @@ func (s *Snode) leaderLeave(lg *ledGroup, m leaveVnodeReq) {
 		refs[i] = ownerRef{Vnode: d, Host: lg.host[d]}
 	}
 	_, err = ask[ackResp](&s.endpoint, vnodeHost, untraced, func(op uint64) transport.WireMessage {
-		return shipVnodeReq{Op: op, Vnode: m.Vnode, Dests: refs, ReplyTo: s.id}
+		return shipVnodeReq{Op: op, Vnode: m.Vnode, Dests: refs}
 	})
 	if err != nil {
 		fail(err.Error())
@@ -390,7 +376,7 @@ func (s *Snode) leaderLeave(lg *ledGroup, m leaveVnodeReq) {
 	}
 	s.stats.LeavesLed.Add(1)
 	s.broadcastSync(lg.state(s.id), nil)
-	s.send(m.ReplyTo, untraced, leaveVnodeResp{Op: m.Op})
+	s.send(from, untraced, leaveVnodeResp{Op: m.Op})
 }
 
 // relinquishLeadership hands every group this snode leads to another member
@@ -427,7 +413,7 @@ func (s *Snode) relinquishLeadership() error {
 		delete(s.led, lg.id)
 		s.mu.Unlock()
 		_, err := ask[ackResp](&s.endpoint, target, untraced, func(op uint64) transport.WireMessage {
-			return groupInit{Op: op, State: st, ReplyTo: s.id}
+			return groupInit{Op: op, State: st}
 		})
 		if err != nil {
 			return fmt.Errorf("cluster: handoff of %v to %d: %w", lg.id, target, err)

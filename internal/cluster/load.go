@@ -87,8 +87,7 @@ func (s *Snode) decayLoads(dt float64) {
 // loadReportReq asks an snode for its rolled-up load report; the cluster
 // handle's balancer (and the metrics scrape) fans it out to every snode.
 type loadReportReq struct {
-	Op      uint64
-	ReplyTo transport.NodeID
+	Op uint64
 }
 
 // loadReportResp is one snode's aggregate: enrollment, stored keys, the
@@ -110,7 +109,7 @@ func (m loadReportResp) replyErr() string { return "" }
 // handleLoadReport rolls the snode's owned buckets up into one report.
 // Runs inline: no nested RPCs, one pass under s.mu with per-bucket read
 // locks (the same nesting order as the batch path).
-func (s *Snode) handleLoadReport(m loadReportReq) {
+func (s *Snode) handleLoadReport(m loadReportReq, from transport.NodeID) {
 	resp := loadReportResp{Op: m.Op}
 	s.mu.Lock()
 	for _, vs := range s.vnodes {
@@ -129,5 +128,5 @@ func (s *Snode) handleLoadReport(m loadReportReq) {
 		}
 	}
 	s.mu.Unlock()
-	s.send(m.ReplyTo, untraced, resp)
+	s.send(from, untraced, resp)
 }

@@ -6,12 +6,12 @@ import (
 	"dbdht/internal/hashspace"
 )
 
-// Protocol messages.  Every request carries Op (the sender's correlation
-// id) and ReplyTo (the endpoint awaiting the matching response); forwarded
-// requests keep both, so whichever snode completes the operation answers
-// the original requester directly.  Every response implements reply (two
-// one-line methods beside the struct), which is how the receive loops
-// hand it to the call awaiting its Op (endpoint.go).
+// Protocol messages.  Every request carries Op, the sender's correlation
+// id, and is answered to the frame's From: no snode passes on a request
+// it did not originate.  A hop that cannot answer a lookup, join or leave
+// redirects its caller instead (Next; chase in endpoint.go).  Every
+// response implements reply (two one-line methods beside the struct),
+// which is how the receive loops hand it to the call awaiting its Op.
 //
 // Every message rides the binary frame codec in wire.go, the fabric's
 // only encoding, on either medium: a new message needs a tag, a
@@ -48,10 +48,8 @@ type lpdrState struct {
 // --- lookup (§3.6: find the vnode holding the partition containing r) ---
 
 type lookupReq struct {
-	Op      uint64
-	R       uint64
-	ReplyTo transport.NodeID
-	Hops    int
+	Op uint64
+	R  uint64
 }
 
 type lookupResp struct {
@@ -61,17 +59,18 @@ type lookupResp struct {
 	Partition hashspace.Partition
 	Group     core.GroupID
 	Leader    transport.NodeID
+	Next      transport.NodeID // not the owner: ask the next custody hop
 	Err       string
 }
 
-func (m lookupResp) replyOp() uint64  { return m.Op }
-func (m lookupResp) replyErr() string { return m.Err }
+func (m lookupResp) replyOp() uint64        { return m.Op }
+func (m lookupResp) replyErr() string       { return m.Err }
+func (m lookupResp) next() transport.NodeID { return m.Next }
 
 // --- vnode creation (§2.5 + §3.6/§3.7) ---
 
 type createVnodeReq struct {
 	Op        uint64
-	ReplyTo   transport.NodeID
 	Bootstrap bool // first vnode of the DHT: creates group 0 locally
 }
 
@@ -91,38 +90,39 @@ type joinGroupReq struct {
 	Group    core.GroupID
 	NewVnode VnodeName
 	NewHost  transport.NodeID
-	ReplyTo  transport.NodeID
-	Hops     int
 }
 
 type joinGroupResp struct {
 	Op    uint64
-	Group core.GroupID // group actually joined (a child after a split)
-	Retry bool         // leadership moved; re-resolve and retry
+	Group core.GroupID     // group joined (a child after a split), or to ask Next about
+	Retry bool             // leadership moved; re-resolve and retry
+	Next  transport.NodeID // not the leader: ask Group's leader
 	Err   string
 }
 
-func (m joinGroupResp) replyOp() uint64  { return m.Op }
-func (m joinGroupResp) replyErr() string { return m.Err }
+func (m joinGroupResp) replyOp() uint64        { return m.Op }
+func (m joinGroupResp) replyErr() string       { return m.Err }
+func (m joinGroupResp) next() transport.NodeID { return m.Next }
 
 // --- vnode removal (dynamic leave; base-model feature (c)) ---
 
 type leaveVnodeReq struct {
-	Op      uint64
-	Vnode   VnodeName
-	Group   core.GroupID
-	ReplyTo transport.NodeID
-	Hops    int
+	Op    uint64
+	Vnode VnodeName
+	Group core.GroupID // the vnode's host fills it in
 }
 
 type leaveVnodeResp struct {
 	Op    uint64
 	Retry bool
+	Group core.GroupID     // the vnode's group, to ask Next about
+	Next  transport.NodeID // not the leader: ask Group's leader
 	Err   string
 }
 
-func (m leaveVnodeResp) replyOp() uint64  { return m.Op }
-func (m leaveVnodeResp) replyErr() string { return m.Err }
+func (m leaveVnodeResp) replyOp() uint64        { return m.Op }
+func (m leaveVnodeResp) replyErr() string       { return m.Err }
+func (m leaveVnodeResp) next() transport.NodeID { return m.Next }
 
 // --- intra-group rebalancement (leader → member hosts) ---
 
@@ -133,19 +133,17 @@ type splitAllReq struct {
 	Op       uint64
 	Group    core.GroupID
 	NewLevel uint8
-	ReplyTo  transport.NodeID
 }
 
 // transferReq orders the host of From to hand one partition (its choice,
 // per §2.5 step 4a) to vnode To hosted at ToHost.
 type transferReq struct {
-	Op      uint64
-	Group   core.GroupID
-	From    VnodeName
-	To      VnodeName
-	ToHost  transport.NodeID
-	Level   uint8
-	ReplyTo transport.NodeID
+	Op     uint64
+	Group  core.GroupID
+	From   VnodeName
+	To     VnodeName
+	ToHost transport.NodeID
+	Level  uint8
 }
 
 type transferResp struct {
@@ -161,10 +159,9 @@ func (m transferResp) replyErr() string { return m.Err }
 // shipVnodeReq orders the host of a leaving vnode to ship each of its
 // partitions (in sorted order) to the planned destinations.
 type shipVnodeReq struct {
-	Op      uint64
-	Vnode   VnodeName
-	Dests   []ownerRef
-	ReplyTo transport.NodeID
+	Op    uint64
+	Vnode VnodeName
+	Dests []ownerRef
 }
 
 // Partition contents travel by chunked live migration — see migrate.go
@@ -175,9 +172,8 @@ type shipVnodeReq struct {
 // groupInit hands a freshly created (child) group's authoritative state to
 // its leader after a group split (§3.7).
 type groupInit struct {
-	Op      uint64
-	State   lpdrState
-	ReplyTo transport.NodeID
+	Op    uint64
+	State lpdrState
 }
 
 // lpdrSyncMsg is the fire-and-forget replica refresh every member host (and
@@ -234,8 +230,7 @@ type snodeRecoveredMsg struct {
 
 // pingReq/pingResp let tests and clients quiesce an snode's inbox.
 type pingReq struct {
-	Op      uint64
-	ReplyTo transport.NodeID
+	Op uint64
 }
 
 type pingResp struct {

@@ -101,7 +101,6 @@ type migBeginReq struct {
 	To        VnodeName
 	Partition hashspace.Partition
 	Level     uint8
-	ReplyTo   transport.NodeID
 }
 
 // migChunkReq carries one bounded slice of the partition's contents (base
@@ -111,7 +110,6 @@ type migChunkReq struct {
 	To        VnodeName
 	Partition hashspace.Partition
 	Items     []migItem
-	ReplyTo   transport.NodeID
 }
 
 // migCommitReq is the final, frozen-window delta: the receiver folds it in
@@ -121,7 +119,6 @@ type migCommitReq struct {
 	To        VnodeName
 	Partition hashspace.Partition
 	Items     []migItem
-	ReplyTo   transport.NodeID
 }
 
 // migAbortMsg discards a staging bucket after a sender-side failure
@@ -157,7 +154,7 @@ func (s *Snode) sendChunk(toHost transport.NodeID, to VnodeName, p hashspace.Par
 	csp := beginSpan(tr, "mig.chunk")
 	t0 := time.Now()
 	_, err := ask[ackResp](&s.endpoint, toHost, csp.ctx, func(op uint64) transport.WireMessage {
-		return migChunkReq{Op: op, To: to, Partition: p, Items: items, ReplyTo: s.id}
+		return migChunkReq{Op: op, To: to, Partition: p, Items: items}
 	})
 	s.lat.migChunk.ObserveSince(t0)
 	s.tracer.finishErr(csp, s.id, err)
@@ -183,7 +180,7 @@ func (s *Snode) migratePartition(g core.GroupID, to VnodeName, toHost transport.
 	// Open the staging bucket before touching local state, so a dead or
 	// refusing receiver costs nothing.
 	_, err := ask[ackResp](&s.endpoint, toHost, root.ctx, func(op uint64) transport.WireMessage {
-		return migBeginReq{Op: op, Group: g, To: to, Partition: p, Level: level, ReplyTo: s.id}
+		return migBeginReq{Op: op, Group: g, To: to, Partition: p, Level: level}
 	})
 	if err != nil {
 		err = fmt.Errorf("cluster: migration begin at %d: %w", toHost, err)
@@ -302,7 +299,7 @@ func (s *Snode) migratePartition(g core.GroupID, to VnodeName, toHost transport.
 
 	csp := beginSpan(root.ctx, "mig.commit")
 	_, err = ask[ackResp](&s.endpoint, toHost, csp.ctx, func(op uint64) transport.WireMessage {
-		return migCommitReq{Op: op, To: to, Partition: p, Items: final, ReplyTo: s.id}
+		return migCommitReq{Op: op, To: to, Partition: p, Items: final}
 	})
 	s.tracer.finishErr(csp, s.id, err)
 	var refused remoteError
@@ -316,7 +313,8 @@ func (s *Snode) migratePartition(g core.GroupID, to VnodeName, toHost transport.
 		// with only its ack lost.  Blindly reverting to live would leave
 		// BOTH snodes serving the partition.  Ask the receiver who owns
 		// the region now and complete the handover if it answers as
-		// owner.  A probe error or a not-yet-owning answer is retried
+		// owner; a redirect is a not-owning answer, and is not followed.
+		// A probe error or a not-yet-owning answer is retried
 		// with a pause: the commit handler runs in its own goroutine, so
 		// a just-dispatched install may still be racing the (inline)
 		// lookup.  Abort only when the receiver repeatedly answers as
@@ -329,7 +327,7 @@ func (s *Snode) migratePartition(g core.GroupID, to VnodeName, toHost transport.
 				time.Sleep(20 * time.Millisecond)
 			}
 			lr, lerr := ask[lookupResp](&s.endpoint, toHost, untraced, func(op uint64) transport.WireMessage {
-				return lookupReq{Op: op, R: p.Start(), ReplyTo: s.id}
+				return lookupReq{Op: op, R: p.Start()}
 			})
 			if lerr == nil && lr.Owner == to && lr.Host == toHost && lr.Partition == p {
 				err = nil
@@ -375,11 +373,11 @@ func applyMigItems(data *kvStore, items []migItem) {
 
 // handleMigBegin opens (or replaces) the staging bucket for a partition.
 // Runs inline: no nested RPCs.
-func (s *Snode) handleMigBegin(m migBeginReq) {
+func (s *Snode) handleMigBegin(m migBeginReq, from transport.NodeID) {
 	s.mu.Lock()
 	if _, ok := s.vnodes[m.To]; !ok {
 		s.mu.Unlock()
-		s.send(m.ReplyTo, untraced, ackResp{Op: m.Op, Err: fmt.Sprintf("vnode %v not allocated at %d", m.To, s.id)})
+		s.send(from, untraced, ackResp{Op: m.Op, Err: fmt.Sprintf("vnode %v not allocated at %d", m.To, s.id)})
 		return
 	}
 	s.migIn[m.Partition] = &migInbound{
@@ -387,21 +385,21 @@ func (s *Snode) handleMigBegin(m migBeginReq) {
 		data: newStore(nil),
 	}
 	s.mu.Unlock()
-	s.send(m.ReplyTo, untraced, ackResp{Op: m.Op})
+	s.send(from, untraced, ackResp{Op: m.Op})
 }
 
 // handleMigChunk folds one chunk into the staging bucket.  Runs inline.
-func (s *Snode) handleMigChunk(m migChunkReq) {
+func (s *Snode) handleMigChunk(m migChunkReq, from transport.NodeID) {
 	s.mu.Lock()
 	st, ok := s.migIn[m.Partition]
 	if !ok || st.to != m.To {
 		s.mu.Unlock()
-		s.send(m.ReplyTo, untraced, ackResp{Op: m.Op, Err: fmt.Sprintf("no migration staged for %v at %d", m.Partition, s.id)})
+		s.send(from, untraced, ackResp{Op: m.Op, Err: fmt.Sprintf("no migration staged for %v at %d", m.Partition, s.id)})
 		return
 	}
 	applyMigItems(st.data, m.Items)
 	s.mu.Unlock()
-	s.send(m.ReplyTo, untraced, ackResp{Op: m.Op})
+	s.send(from, untraced, ackResp{Op: m.Op})
 }
 
 // handleMigCommit applies the final delta and installs the staging bucket
@@ -409,20 +407,20 @@ func (s *Snode) handleMigChunk(m migChunkReq) {
 // whole-bucket install, same bookkeeping: ownership index, level/group
 // adoption, custody cleanup, replica re-homing before the ack.  Runs in
 // its own goroutine (re-homing performs nested RPCs).
-func (s *Snode) handleMigCommit(m migCommitReq, tr transport.TraceContext) {
+func (s *Snode) handleMigCommit(m migCommitReq, from transport.NodeID, tr transport.TraceContext) {
 	sp := beginSpan(tr, "mig.install")
 	defer func() { s.tracer.finish(sp, s.id, "") }()
 	s.mu.Lock()
 	st, ok := s.migIn[m.Partition]
 	if !ok || st.to != m.To {
 		s.mu.Unlock()
-		s.send(m.ReplyTo, untraced, ackResp{Op: m.Op, Err: fmt.Sprintf("no migration staged for %v at %d", m.Partition, s.id)})
+		s.send(from, untraced, ackResp{Op: m.Op, Err: fmt.Sprintf("no migration staged for %v at %d", m.Partition, s.id)})
 		return
 	}
 	if _, ok := s.vnodes[m.To]; !ok {
 		delete(s.migIn, m.Partition)
 		s.mu.Unlock()
-		s.send(m.ReplyTo, untraced, ackResp{Op: m.Op, Err: fmt.Sprintf("vnode %v not allocated at %d", m.To, s.id)})
+		s.send(from, untraced, ackResp{Op: m.Op, Err: fmt.Sprintf("vnode %v not allocated at %d", m.To, s.id)})
 		return
 	}
 	applyMigItems(st.data, m.Items)
@@ -440,19 +438,19 @@ func (s *Snode) handleMigCommit(m migCommitReq, tr transport.TraceContext) {
 		// by the pointer check below.
 		s.mu.Unlock()
 		if !s.awaitDurable(seq) {
-			s.send(m.ReplyTo, untraced, ackResp{Op: m.Op, Err: fmt.Sprintf("snode %d stopping: install not durable", s.id)})
+			s.send(from, untraced, ackResp{Op: m.Op, Err: fmt.Sprintf("snode %d stopping: install not durable", s.id)})
 			return
 		}
 		s.mu.Lock()
 		if cur, ok := s.migIn[m.Partition]; !ok || cur != st {
 			s.mu.Unlock()
-			s.send(m.ReplyTo, untraced, ackResp{Op: m.Op, Err: fmt.Sprintf("migration for %v superseded at %d", m.Partition, s.id)})
+			s.send(from, untraced, ackResp{Op: m.Op, Err: fmt.Sprintf("migration for %v superseded at %d", m.Partition, s.id)})
 			return
 		}
 		if _, ok := s.vnodes[m.To]; !ok {
 			delete(s.migIn, m.Partition)
 			s.mu.Unlock()
-			s.send(m.ReplyTo, untraced, ackResp{Op: m.Op, Err: fmt.Sprintf("vnode %v not allocated at %d", m.To, s.id)})
+			s.send(from, untraced, ackResp{Op: m.Op, Err: fmt.Sprintf("vnode %v not allocated at %d", m.To, s.id)})
 			return
 		}
 	}
@@ -464,7 +462,7 @@ func (s *Snode) handleMigCommit(m migCommitReq, tr transport.TraceContext) {
 	if s.cfg.Replicas > 1 {
 		s.rehomeReplicas(m.Partition)
 	}
-	s.send(m.ReplyTo, untraced, ackResp{Op: m.Op})
+	s.send(from, untraced, ackResp{Op: m.Op})
 }
 
 // handleMigAbort discards a staging bucket.  Runs inline.
@@ -512,8 +510,8 @@ func (s *Snode) resolveIntents() {
 //   - the lookup resolves at another host for this region (the receiver
 //     itself, or a third party after a later handover) ⇒ the commit
 //     landed; finalize the drop exactly like a clean handover;
-//   - the lookup resolves back to THIS snode (the probe was forwarded
-//     around and our own frozen bucket answered) ⇒ the receiver provably
+//   - the lookup resolves back to THIS snode (the receiver's redirects
+//     led here and our own frozen bucket answered) ⇒ the receiver provably
 //     does not own the region, so the commit never landed; revert to
 //     live and tell the receiver to discard any staging leftovers;
 //   - the receiver is unreachable or the lookup fails ⇒ stay frozen and
@@ -534,9 +532,7 @@ func (s *Snode) resolveIntentOnce(p hashspace.Partition) {
 	if s.cfg.RPCTimeout < timeout {
 		timeout = s.cfg.RPCTimeout
 	}
-	lr, err := replyAs[lookupResp](s.call(in.newOwner.Host, untraced, timeout, nil, func(op uint64) transport.WireMessage {
-		return lookupReq{Op: op, R: p.Start(), ReplyTo: s.id}
-	}))
+	lr, err := s.lookupFrom(in.newOwner.Host, p.Start(), timeout)
 	if err != nil {
 		s.log.Debug("intent probe failed, staying in doubt", "partition", p.String(), "err", err)
 		return

@@ -90,10 +90,9 @@ type replWriteSet struct {
 // scales with hosts, not partitions.  Sent by the primary, synchronously,
 // before the writes are acknowledged.
 type replWriteReq struct {
-	Op      uint64
-	Kind    dataOp
-	Sets    []replWriteSet
-	ReplyTo transport.NodeID
+	Op   uint64
+	Kind dataOp
+	Sets []replWriteSet
 }
 
 // partDigest is one partition's (key count, order-independent checksum)
@@ -111,7 +110,6 @@ type partDigest struct {
 type replProbeReq struct {
 	Op      uint64
 	Digests []partDigest
-	ReplyTo transport.NodeID
 }
 
 type replProbeResp struct {
@@ -131,7 +129,6 @@ type replSyncReq struct {
 	Data      map[string][]byte
 	Ver       uint64
 	Group     core.GroupID
-	ReplyTo   transport.NodeID
 }
 
 // replDropMsg tells a host to discard replica buckets it no longer backs
@@ -312,26 +309,26 @@ func (s *Snode) handleViewUpdate(m viewUpdate) {
 	s.mu.Unlock()
 }
 
-func (s *Snode) handleReplWrite(m replWriteReq, tr transport.TraceContext) {
+func (s *Snode) handleReplWrite(m replWriteReq, from transport.NodeID, tr transport.TraceContext) {
 	sp := beginSpan(tr, "repl.write")
 	rec := walReplWriteRec{Kind: m.Kind, Sets: m.Sets}
 	var applied int64
 	s.mu.Lock()
 	rec.applyLocked(s)
 	for _, set := range m.Sets {
-		s.noteReplMetaLocked(set.Partition, set.Ver, set.Group, m.ReplyTo)
+		s.noteReplMetaLocked(set.Partition, set.Ver, set.Group, from)
 		applied += int64(len(set.Items))
 	}
 	seq := s.journal(rec.walTag(), rec.fields)
 	s.mu.Unlock()
 	s.stats.ReplWrites.Add(applied)
-	s.ackDurable(m.ReplyTo, m.Op, seq, "replica write", sp)
+	s.ackDurable(from, m.Op, seq, "replica write", sp)
 }
 
 // handleReplProbe compares the stored digests of the probed partitions
 // with the primary's — a few memory reads per partition under s.mu, no
 // data touched.
-func (s *Snode) handleReplProbe(m replProbeReq) {
+func (s *Snode) handleReplProbe(m replProbeReq, from transport.NodeID) {
 	resp := replProbeResp{Op: m.Op}
 	s.mu.Lock()
 	for _, d := range m.Digests {
@@ -347,20 +344,20 @@ func (s *Snode) handleReplProbe(m replProbeReq) {
 		resp.OutOfSync = append(resp.OutOfSync, d.Partition)
 	}
 	s.mu.Unlock()
-	s.send(m.ReplyTo, untraced, resp)
+	s.send(from, untraced, resp)
 }
 
-func (s *Snode) handleReplSync(m replSyncReq) {
+func (s *Snode) handleReplSync(m replSyncReq, from transport.NodeID) {
 	// The one place anti-entropy hashes data: a repaired bucket arrives
 	// whole and its digest is rebuilt from its contents, before s.mu.
 	rec := walReplSyncRec{Partition: m.Partition, Data: newStore(m.Data)}
 	s.stats.AEKeysHashed.Add(int64(rec.Data.len()))
 	s.mu.Lock()
 	rec.applyLocked(s)
-	s.noteReplMetaLocked(m.Partition, m.Ver, m.Group, m.ReplyTo)
+	s.noteReplMetaLocked(m.Partition, m.Ver, m.Group, from)
 	seq := s.journal(rec.walTag(), rec.fields)
 	s.mu.Unlock()
-	s.ackDurable(m.ReplyTo, m.Op, seq, "replica sync", activeSpan{})
+	s.ackDurable(from, m.Op, seq, "replica sync", activeSpan{})
 }
 
 // serveReplicaRead answers a ReadReplica batch from the replica store —
@@ -374,7 +371,7 @@ func (s *Snode) handleReplSync(m replSyncReq) {
 // replica), so a probe planned against the pre-promotion placement must
 // serve from the promoted bucket — not from whatever stale shallower
 // replica leftover still covers the key.
-func (s *Snode) serveReplicaRead(m batchReq, tr transport.TraceContext) {
+func (s *Snode) serveReplicaRead(m batchReq, from transport.NodeID, tr transport.TraceContext) {
 	sp := beginSpan(tr, "repl.read")
 	results := make([]batchItemResp, len(m.Items))
 	var served int64
@@ -415,7 +412,7 @@ func (s *Snode) serveReplicaRead(m batchReq, tr transport.TraceContext) {
 	s.mu.Unlock()
 	s.stats.FailoverReads.Add(served)
 	s.tracer.finish(sp, s.id, "")
-	s.send(m.ReplyTo, untraced, batchResp{Op: m.Op, Results: results})
+	s.send(from, untraced, batchResp{Op: m.Op, Results: results})
 }
 
 // replicaBucketLocked finds the deepest replica bucket covering h.
@@ -468,7 +465,7 @@ func (s *Snode) replicate(kind dataOp, writes map[hashspace.Partition][]batchIte
 			// not contain (see syncReplica).
 			fsp := beginSpan(tr, "repl.fanout")
 			_, err := askOrdered[ackResp](&s.endpoint, host, fsp.ctx, func(op uint64) transport.WireMessage {
-				return replWriteReq{Op: op, Kind: kind, Sets: sets, ReplyTo: s.id}
+				return replWriteReq{Op: op, Kind: kind, Sets: sets}
 			})
 			s.tracer.finishErr(fsp, s.id, err)
 			errs <- err
@@ -522,7 +519,7 @@ func (s *Snode) syncReplica(p hashspace.Partition, host transport.NodeID) (ok bo
 			return nil
 		}
 		ok = true
-		return replSyncReq{Op: op, Partition: p, Data: copyBucket(bk.kv.m), Ver: bk.ver, Group: g, ReplyTo: s.id}
+		return replSyncReq{Op: op, Partition: p, Data: copyBucket(bk.kv.m), Ver: bk.ver, Group: g}
 	})
 	if !ok {
 		return false, nil
@@ -720,7 +717,7 @@ func (s *Snode) antiEntropyPass() {
 		}
 		s.stats.AEProbeMsgs.Add(1)
 		probe, err := ask[replProbeResp](&s.endpoint, host, untraced, func(op uint64) transport.WireMessage {
-			return replProbeReq{Op: op, Digests: digests, ReplyTo: s.id}
+			return replProbeReq{Op: op, Digests: digests}
 		})
 		if err != nil {
 			s.stats.ReplLagged.Add(1)

@@ -384,7 +384,7 @@ func TestCrashFailoverTCPThreeCopies(t *testing.T) {
 	}
 	c.mu.Unlock()
 	_, err := ask[ackResp](&from.endpoint, owner.Host, untraced, func(op uint64) transport.WireMessage {
-		return promoteOrderReq{Op: op, Partition: owner.Partitions[0], Dead: -2, ReplyTo: from.id}
+		return promoteOrderReq{Op: op, Partition: owner.Partitions[0], Dead: -2}
 	})
 	if err != nil {
 		t.Fatalf("duplicate promotion order: %v", err)

@@ -77,7 +77,8 @@ type Config struct {
 }
 
 const (
-	// maxHops bounds lookup/forwarding chains.
+	// maxHops bounds custody chains: a batch's forwarding depth and the
+	// asks of one chase.
 	maxHops = 512
 	// migrationMaxDeltaRounds bounds how many live delta rounds a
 	// migration spends chasing concurrent writes before freezing for the
@@ -428,33 +429,33 @@ func (s *Snode) loop() {
 		case reply:
 			s.deliver(m)
 		case lookupReq:
-			s.handleLookup(m, env.Trace)
+			s.handleLookup(m, env.From, env.Trace)
 		case batchReq:
-			go s.handleBatch(m, env.Trace)
+			go s.handleBatch(m, env.From, env.Trace)
 		case createVnodeReq:
-			go s.handleCreateVnode(m)
+			go s.handleCreateVnode(m, env.From)
 		case joinGroupReq:
-			s.routeJoin(m)
+			s.routeJoin(m, env.From)
 		case leaveVnodeReq:
-			s.routeLeave(m)
+			s.routeLeave(m, env.From)
 		case splitAllReq:
-			go s.handleSplitAll(m)
+			go s.handleSplitAll(m, env.From)
 		case transferReq:
-			go s.handleTransfer(m)
+			go s.handleTransfer(m, env.From)
 		case shipVnodeReq:
-			go s.handleShipVnode(m)
+			go s.handleShipVnode(m, env.From)
 		case migBeginReq:
-			s.handleMigBegin(m)
+			s.handleMigBegin(m, env.From)
 		case migChunkReq:
-			s.handleMigChunk(m)
+			s.handleMigChunk(m, env.From)
 		case migCommitReq:
-			go s.handleMigCommit(m, env.Trace)
+			go s.handleMigCommit(m, env.From, env.Trace)
 		case migAbortMsg:
 			s.handleMigAbort(m)
 		case loadReportReq:
-			s.handleLoadReport(m)
+			s.handleLoadReport(m, env.From)
 		case groupInit:
-			s.handleGroupInit(m)
+			s.handleGroupInit(m, env.From)
 		case lpdrSyncMsg:
 			// Fire-and-forget, like the sync itself: a lost record only
 			// costs group metadata that the next sync re-delivers.
@@ -468,21 +469,21 @@ func (s *Snode) loop() {
 		case viewUpdate:
 			s.handleViewUpdate(m)
 		case replWriteReq:
-			s.handleReplWrite(m, env.Trace)
+			s.handleReplWrite(m, env.From, env.Trace)
 		case replProbeReq:
-			s.handleReplProbe(m)
+			s.handleReplProbe(m, env.From)
 		case replSyncReq:
-			s.handleReplSync(m)
+			s.handleReplSync(m, env.From)
 		case replDropMsg:
 			s.mutate(&m)
 		case promoteQueryReq:
-			s.handlePromoteQuery(m)
+			s.handlePromoteQuery(m, env.From)
 		case promoteOrderReq:
-			go s.handlePromoteOrder(m)
+			go s.handlePromoteOrder(m, env.From)
 		case overlapQueryReq:
-			s.handleOverlapQuery(m)
+			s.handleOverlapQuery(m, env.From)
 		case pingReq:
-			s.send(m.ReplyTo, untraced, pingResp{Op: m.Op})
+			s.send(env.From, untraced, pingResp{Op: m.Op})
 		}
 	}
 }
@@ -549,20 +550,22 @@ func (s *Snode) ownsLocked(h hashspace.Index) (*vnodeState, hashspace.Partition,
 	return ref.vs, p, ok
 }
 
-// forwardTargetLocked picks the next hop for hash index h: the deepest
-// custody tombstone covering h, falling back to the bootstrap owner.  Only
-// custody pointers are followed on forwarded requests — they advance
-// strictly along the chain of custody, guaranteeing termination; the
-// requester-side cache (useCache) may only seed the first hop.
+// forwardTargetLocked picks the next hop for hash index h — where a batch
+// is forwarded, or a lookup redirected: the deepest custody tombstone
+// covering h, falling back to the bootstrap owner.  Past the first hop
+// only custody pointers are followed — they advance strictly along the
+// chain of custody, guaranteeing termination; the requester-side cache
+// (useCache) may only seed the first hop.
 //
 // A target pointing back at THIS snode is never returned: the caller just
 // failed to classify h here under the same lock, so a self-hop cannot make
 // progress — a stale self-pointer is skipped, and a self-pointing boot
 // fallback means the region is orphaned (its chain died with a crashed
 // snode) and the request must fail fast instead of ping-ponging through
-// the fallback until maxHops.  Before this guard a single crash could
-// leave every lookup of an orphaned region spinning 512 hops through the
-// survivors' inboxes, congesting the data plane for seconds.
+// the fallback until maxHops.  Without this guard a single crash would
+// leave every lookup of an orphaned region spinning through 512 asks of
+// its caller's chase loop, and every batch through 512 forwards,
+// congesting the data plane for seconds.
 func (s *Snode) forwardTargetLocked(h hashspace.Index, useCache bool) (ownerRef, bool) {
 	if ref, ok := probeLevels(h, s.tombs, &s.tombLvls); ok && ref.Host != s.id {
 		return ref, true
@@ -614,11 +617,12 @@ func (s *Snode) setCacheLocked(p hashspace.Partition, ref ownerRef) {
 	s.cache[p] = ref
 }
 
-// handleLookup implements §3.6's owner location with custody forwarding.
-// A traced lookup records one span per snode visited — "lookup.serve" at
-// the owner, "lookup.hop" at every forwarder — so a custody chain is
-// visible end to end.
-func (s *Snode) handleLookup(m lookupReq, tr transport.TraceContext) {
+// handleLookup implements §3.6's owner location, one custody hop per
+// call: a non-owner redirects the caller to the next hop.  A traced lookup
+// records one span per snode asked — "lookup.serve" at the owner,
+// "lookup.hop" at every redirect — so a custody chain is visible end to
+// end.  The route cache seeds only an snode's lookups of itself.
+func (s *Snode) handleLookup(m lookupReq, from transport.NodeID, tr transport.TraceContext) {
 	sp := beginSpan(tr, "lookup.serve")
 	s.mu.Lock()
 	if vs, p, ok := s.ownsLocked(m.R); ok {
@@ -629,37 +633,36 @@ func (s *Snode) handleLookup(m lookupReq, tr transport.TraceContext) {
 		}
 		s.mu.Unlock()
 		s.tracer.finish(sp, s.id, "")
-		s.send(m.ReplyTo, untraced, lookupResp{
+		s.send(from, untraced, lookupResp{
 			Op: m.Op, Owner: vs.name, Host: s.id, Partition: p,
 			Group: group, Leader: leader,
 		})
 		return
 	}
-	if m.Hops >= maxHops {
-		s.mu.Unlock()
-		s.tracer.finish(sp, s.id, "max-hops")
-		s.send(m.ReplyTo, untraced, lookupResp{Op: m.Op, Err: fmt.Sprintf("lookup exceeded %d hops", m.Hops)})
-		return
-	}
-	ref, ok := s.forwardTargetLocked(m.R, m.Hops == 0)
+	ref, ok := s.forwardTargetLocked(m.R, from == s.id)
 	s.mu.Unlock()
 	if !ok {
 		s.tracer.finish(sp, s.id, "no-route")
-		s.send(m.ReplyTo, untraced, lookupResp{Op: m.Op, Err: "no route: empty DHT view"})
+		s.send(from, untraced, lookupResp{Op: m.Op, Err: "no route: empty DHT view"})
 		return
 	}
-	m.Hops++
 	s.stats.Forwards.Add(1)
 	sp.name = "lookup.hop"
 	s.tracer.finish(sp, s.id, "")
-	s.send(ref.Host, sp.ctx, m)
+	s.send(from, untraced, lookupResp{Op: m.Op, Next: ref.Host})
+}
+
+// lookupFrom chases a lookup for hash index r from first, under timeout
+// (0: the RPC timeout).
+func (e *endpoint) lookupFrom(first transport.NodeID, r uint64, timeout time.Duration) (lookupResp, error) {
+	return chase(e, timeout, lookupResp{Next: first}, func(op uint64, _ lookupResp) transport.WireMessage {
+		return lookupReq{Op: op, R: r}
+	})
 }
 
 // resolveOwner runs a lookup for hash index r from this snode.
 func (s *Snode) resolveOwner(r uint64) (lookupResp, error) {
-	resp, err := ask[lookupResp](&s.endpoint, s.id, untraced, func(op uint64) transport.WireMessage {
-		return lookupReq{Op: op, R: r, ReplyTo: s.id}
-	})
+	resp, err := s.lookupFrom(s.id, r, 0)
 	if err != nil {
 		return lookupResp{}, fmt.Errorf("cluster: lookup: %w", err)
 	}
@@ -680,7 +683,7 @@ const (
 // handleSplitAll performs the scope-wide binary split on this host's
 // vnodes of the group (walSplitAllRec: every partition splits in two and
 // stored keys are re-bucketed by their next hash bit).
-func (s *Snode) handleSplitAll(m splitAllReq) {
+func (s *Snode) handleSplitAll(m splitAllReq, from transport.NodeID) {
 	seq := s.mutate((*walSplitAllRec)(&m))
 	s.stats.SplitAlls.Add(1)
 	// Best-effort wait.  A failed wait means the WAL closed or
@@ -690,24 +693,24 @@ func (s *Snode) handleSplitAll(m splitAllReq) {
 	// this record: every post-split write's own durability wait fails on
 	// the same dead WAL and is never acknowledged.
 	s.awaitDurable(seq)
-	s.send(m.ReplyTo, untraced, ackResp{Op: m.Op})
+	s.send(from, untraced, ackResp{Op: m.Op})
 }
 
 // handleTransfer hands one partition of the victim vnode to the new owner
 // by chunked live migration (migrate.go): the bucket keeps serving reads
 // AND writes while its contents stream out, freezing only for the final
 // delta round-trip.
-func (s *Snode) handleTransfer(m transferReq) {
+func (s *Snode) handleTransfer(m transferReq, from transport.NodeID) {
 	s.mu.Lock()
 	vs, ok := s.vnodes[m.From]
 	if !ok {
 		s.mu.Unlock()
-		s.send(m.ReplyTo, untraced, transferResp{Op: m.Op, Err: fmt.Sprintf("vnode %v not hosted at %d", m.From, s.id)})
+		s.send(from, untraced, transferResp{Op: m.Op, Err: fmt.Sprintf("vnode %v not hosted at %d", m.From, s.id)})
 		return
 	}
 	if vs.level != m.Level {
 		s.mu.Unlock()
-		s.send(m.ReplyTo, untraced, transferResp{Op: m.Op, Err: fmt.Sprintf("vnode %v at level %d, leader expects %d", m.From, vs.level, m.Level)})
+		s.send(from, untraced, transferResp{Op: m.Op, Err: fmt.Sprintf("vnode %v at level %d, leader expects %d", m.From, vs.level, m.Level)})
 		return
 	}
 	// Pick the victim partition uniformly among the live ones not already
@@ -725,7 +728,7 @@ func (s *Snode) handleTransfer(m transferReq) {
 	}
 	if len(candidates) == 0 {
 		s.mu.Unlock()
-		s.send(m.ReplyTo, untraced, transferResp{Op: m.Op, Err: fmt.Sprintf("vnode %v has no transferable partition", m.From)})
+		s.send(from, untraced, transferResp{Op: m.Op, Err: fmt.Sprintf("vnode %v has no transferable partition", m.From)})
 		return
 	}
 	sort.Slice(candidates, func(i, j int) bool {
@@ -740,10 +743,10 @@ func (s *Snode) handleTransfer(m transferReq) {
 
 	keys, err := s.migratePartition(m.Group, m.To, m.ToHost, p, m.Level, vs, bk)
 	if err != nil {
-		s.send(m.ReplyTo, untraced, transferResp{Op: m.Op, Err: err.Error()})
+		s.send(from, untraced, transferResp{Op: m.Op, Err: err.Error()})
 		return
 	}
-	s.send(m.ReplyTo, untraced, transferResp{Op: m.Op, Partition: p, Keys: keys})
+	s.send(from, untraced, transferResp{Op: m.Op, Partition: p, Keys: keys})
 }
 
 // copyBucket clones one partition's key/value map; the values are shared,
@@ -760,12 +763,12 @@ func copyBucket(b map[string][]byte) map[string][]byte {
 // leader's planned destinations (sorted partition order ↔ dests order),
 // one chunked live migration at a time — each bucket keeps serving until
 // its own final delta, instead of the whole vnode freezing upfront.
-func (s *Snode) handleShipVnode(m shipVnodeReq) {
+func (s *Snode) handleShipVnode(m shipVnodeReq, from transport.NodeID) {
 	s.mu.Lock()
 	vs, ok := s.vnodes[m.Vnode]
 	if !ok {
 		s.mu.Unlock()
-		s.send(m.ReplyTo, untraced, ackResp{Op: m.Op, Err: fmt.Sprintf("vnode %v not hosted at %d", m.Vnode, s.id)})
+		s.send(from, untraced, ackResp{Op: m.Op, Err: fmt.Sprintf("vnode %v not hosted at %d", m.Vnode, s.id)})
 		return
 	}
 	parts := make([]hashspace.Partition, 0, len(vs.parts))
@@ -775,7 +778,7 @@ func (s *Snode) handleShipVnode(m shipVnodeReq) {
 	sort.Slice(parts, func(i, j int) bool { return parts[i].Prefix < parts[j].Prefix })
 	if len(parts) != len(m.Dests) {
 		s.mu.Unlock()
-		s.send(m.ReplyTo, untraced, ackResp{Op: m.Op, Err: fmt.Sprintf("vnode %v has %d partitions, plan has %d dests", m.Vnode, len(parts), len(m.Dests))})
+		s.send(from, untraced, ackResp{Op: m.Op, Err: fmt.Sprintf("vnode %v has %d partitions, plan has %d dests", m.Vnode, len(parts), len(m.Dests))})
 		return
 	}
 	group, level := vs.group, vs.level
@@ -787,12 +790,12 @@ func (s *Snode) handleShipVnode(m shipVnodeReq) {
 		s.mu.Unlock()
 		dest := m.Dests[i]
 		if _, err := s.migratePartition(group, dest.Vnode, dest.Host, p, level, vs, bk); err != nil {
-			s.send(m.ReplyTo, untraced, ackResp{Op: m.Op, Err: err.Error()})
+			s.send(from, untraced, ackResp{Op: m.Op, Err: err.Error()})
 			return
 		}
 	}
 	s.mutate(&walVnodeGoneRec{Name: m.Vnode})
-	s.send(m.ReplyTo, untraced, ackResp{Op: m.Op})
+	s.send(from, untraced, ackResp{Op: m.Op})
 }
 
 // routingTable snapshots this snode's custody pointers, to be bequeathed to
@@ -863,7 +866,7 @@ func (s *Snode) handleSnodeRecovered(m snodeRecoveredMsg) {
 }
 
 // handleCreateVnode runs the client-facing vnode creation (§3.6).
-func (s *Snode) handleCreateVnode(m createVnodeReq) {
+func (s *Snode) handleCreateVnode(m createVnodeReq, from transport.NodeID) {
 	s.mu.Lock()
 	name := VnodeName{Snode: s.id, Local: s.nextLocal}
 	s.nextLocal++
@@ -871,10 +874,10 @@ func (s *Snode) handleCreateVnode(m createVnodeReq) {
 
 	if m.Bootstrap {
 		if err := s.bootstrapFirstVnode(name); err != nil {
-			s.send(m.ReplyTo, untraced, createVnodeResp{Op: m.Op, Err: err.Error()})
+			s.send(from, untraced, createVnodeResp{Op: m.Op, Err: err.Error()})
 			return
 		}
-		s.send(m.ReplyTo, untraced, createVnodeResp{Op: m.Op, Vnode: name, Group: core.GroupID{}})
+		s.send(from, untraced, createVnodeResp{Op: m.Op, Vnode: name, Group: core.GroupID{}})
 		return
 	}
 
@@ -891,25 +894,31 @@ func (s *Snode) handleCreateVnode(m createVnodeReq) {
 		lr, err := s.resolveOwner(r)
 		if err != nil {
 			s.abandonVnode(name)
-			s.send(m.ReplyTo, untraced, createVnodeResp{Op: m.Op, Err: err.Error()})
+			s.send(from, untraced, createVnodeResp{Op: m.Op, Err: err.Error()})
 			return
 		}
-		resp, err := ask[joinGroupResp](&s.endpoint, lr.Host, untraced, func(op uint64) transport.WireMessage {
-			return joinGroupReq{Op: op, Group: lr.Group, NewVnode: name, NewHost: s.id, ReplyTo: s.id}
+		// Ask the group's leader, as the owner knows it; a stale one
+		// redirects or answers Retry.
+		first := lr.Leader
+		if first == 0 {
+			first = lr.Host
+		}
+		resp, err := chase(&s.endpoint, 0, joinGroupResp{Group: lr.Group, Next: first}, func(op uint64, via joinGroupResp) transport.WireMessage {
+			return joinGroupReq{Op: op, Group: via.Group, NewVnode: name, NewHost: s.id}
 		})
 		if err != nil {
 			s.abandonVnode(name)
-			s.send(m.ReplyTo, untraced, createVnodeResp{Op: m.Op, Err: err.Error()})
+			s.send(from, untraced, createVnodeResp{Op: m.Op, Err: err.Error()})
 			return
 		}
 		if resp.Retry {
 			continue // leadership moved under us; re-resolve
 		}
-		s.send(m.ReplyTo, untraced, createVnodeResp{Op: m.Op, Vnode: name, Group: resp.Group})
+		s.send(from, untraced, createVnodeResp{Op: m.Op, Vnode: name, Group: resp.Group})
 		return
 	}
 	s.abandonVnode(name)
-	s.send(m.ReplyTo, untraced, createVnodeResp{Op: m.Op, Err: "join retries exhausted"})
+	s.send(from, untraced, createVnodeResp{Op: m.Op, Err: "join retries exhausted"})
 }
 
 // abandonVnode discards a never-joined vnode allocation after a failure.

@@ -37,10 +37,13 @@ import (
 // the format byte that used to select between this codec and an
 // encoding/gob fallback: there is one codec, so nothing to select.  v6
 // appended a route epoch to batchReq (tag 3) and to every route entry
-// (tags 4, 77, 78) in place.
+// (tags 4, 77, 78) in place.  v7 took the reply address and the hop count
+// out of the request payloads (a reply goes to the frame's From) and
+// added a redirect to the lookup, join and leave responses (tags 2, 67,
+// 69), all in place.
 
 const (
-	wireVersion byte = 6
+	wireVersion byte = 7
 
 	// Frame flags (v2+).  flagTrace marks a trace context present in the
 	// header; flagSampled carries the head-sampling decision.

@@ -47,8 +47,8 @@ func TestDiskFormatGolden(t *testing.T) {
 			golden: "2104010b0402026b31027631026b3200"},
 		walTagVnode:     {rec: &vnodeRec, golden: "22060e06030401020b040a04"},
 		walTagVnodeGone: {rec: &walVnodeGoneRec{Name: vn}, golden: "23060e"},
-		// Op and ReplyTo belong to the request, not the split: not journaled.
-		walTagSplitAll: {rec: &walSplitAllRec{Op: 9, Group: g, NewLevel: 5, ReplyTo: 2},
+		// Op belongs to the request, not the split: not journaled.
+		walTagSplitAll: {rec: &walSplitAllRec{Op: 9, Group: g, NewLevel: 5},
 			want:   &walSplitAllRec{Group: g, NewLevel: 5},
 			golden: "24060305"},
 		walTagMigInstall: {rec: &walMigInstallRec{To: vn, Group: g, Level: 4, Partition: p, Data: newStore(data)},

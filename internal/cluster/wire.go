@@ -394,8 +394,6 @@ func (m lookupReq) AppendWire(b []byte) []byte { return appendWalk(b, &m, (*look
 func (m *lookupReq) fields(w *walker) {
 	w.u64(&m.Op)
 	w.u64(&m.R)
-	w.node(&m.ReplyTo)
-	w.int(&m.Hops)
 }
 
 func (m lookupResp) WireTag() uint16            { return wireTagLookupResp }
@@ -408,6 +406,7 @@ func (m *lookupResp) fields(w *walker) {
 	w.partition(&m.Partition)
 	w.group(&m.Group)
 	w.node(&m.Leader)
+	w.node(&m.Next)
 	w.str(&m.Err)
 }
 
@@ -422,7 +421,6 @@ func (m *batchReq) fields(w *walker) {
 	for i := range sliceOf(w, &m.Items, 2) {
 		m.Items[i].fields(w)
 	}
-	w.node(&m.ReplyTo)
 	w.int(&m.Hops)
 	w.bool(&m.ReadReplica)
 	w.u64(&m.Known)
@@ -452,7 +450,6 @@ func (m *replWriteReq) fields(w *walker) {
 	for i := range sliceOf(w, &m.Sets, 3) {
 		m.Sets[i].fields(w)
 	}
-	w.node(&m.ReplyTo)
 }
 
 func (m ackResp) WireTag() uint16            { return wireTagReplWriteResp }
@@ -471,7 +468,6 @@ func (m *replProbeReq) fields(w *walker) {
 	for i := range sliceOf(w, &m.Digests, 4) {
 		m.Digests[i].fields(w)
 	}
-	w.node(&m.ReplyTo)
 }
 
 func (m replProbeResp) WireTag() uint16            { return wireTagReplProbeResp }
@@ -489,7 +485,6 @@ func (m pingReq) AppendWire(b []byte) []byte { return appendWalk(b, &m, (*pingRe
 
 func (m *pingReq) fields(w *walker) {
 	w.u64(&m.Op)
-	w.node(&m.ReplyTo)
 }
 
 func (m pingResp) WireTag() uint16            { return wireTagPingResp }
@@ -508,7 +503,6 @@ func (m *migBeginReq) fields(w *walker) {
 	m.To.fields(w)
 	w.partition(&m.Partition)
 	w.level(&m.Level)
-	w.node(&m.ReplyTo)
 }
 
 func (m migChunkReq) WireTag() uint16            { return wireTagMigChunkReq }
@@ -521,7 +515,6 @@ func (m *migChunkReq) fields(w *walker) {
 	for i := range sliceOf(w, &m.Items, 3) {
 		m.Items[i].fields(w)
 	}
-	w.node(&m.ReplyTo)
 }
 
 func (m migCommitReq) WireTag() uint16            { return wireTagMigCommitReq }
@@ -546,7 +539,6 @@ func (m loadReportReq) AppendWire(b []byte) []byte { return appendWalk(b, &m, (*
 
 func (m *loadReportReq) fields(w *walker) {
 	w.u64(&m.Op)
-	w.node(&m.ReplyTo)
 }
 
 func (m loadReportResp) WireTag() uint16 { return wireTagLoadResp }
@@ -573,7 +565,6 @@ func (m createVnodeReq) AppendWire(b []byte) []byte {
 
 func (m *createVnodeReq) fields(w *walker) {
 	w.u64(&m.Op)
-	w.node(&m.ReplyTo)
 	w.bool(&m.Bootstrap)
 }
 
@@ -597,8 +588,6 @@ func (m *joinGroupReq) fields(w *walker) {
 	w.group(&m.Group)
 	m.NewVnode.fields(w)
 	w.node(&m.NewHost)
-	w.node(&m.ReplyTo)
-	w.int(&m.Hops)
 }
 
 func (m joinGroupResp) WireTag() uint16            { return wireTagJoinGroupResp }
@@ -608,6 +597,7 @@ func (m *joinGroupResp) fields(w *walker) {
 	w.u64(&m.Op)
 	w.group(&m.Group)
 	w.bool(&m.Retry)
+	w.node(&m.Next)
 	w.str(&m.Err)
 }
 
@@ -618,8 +608,6 @@ func (m *leaveVnodeReq) fields(w *walker) {
 	w.u64(&m.Op)
 	m.Vnode.fields(w)
 	w.group(&m.Group)
-	w.node(&m.ReplyTo)
-	w.int(&m.Hops)
 }
 
 func (m leaveVnodeResp) WireTag() uint16 { return wireTagLeaveVnodeResp }
@@ -630,6 +618,8 @@ func (m leaveVnodeResp) AppendWire(b []byte) []byte {
 func (m *leaveVnodeResp) fields(w *walker) {
 	w.u64(&m.Op)
 	w.bool(&m.Retry)
+	w.group(&m.Group)
+	w.node(&m.Next)
 	w.str(&m.Err)
 }
 
@@ -642,7 +632,6 @@ func (m splitAllReq) AppendWire(b []byte) []byte { return appendWalk(b, &m, (*sp
 func (m *splitAllReq) fields(w *walker) {
 	w.u64(&m.Op)
 	(*walSplitAllRec)(m).fields(w)
-	w.node(&m.ReplyTo)
 }
 
 func (m transferReq) WireTag() uint16            { return wireTagTransferReq }
@@ -655,7 +644,6 @@ func (m *transferReq) fields(w *walker) {
 	m.To.fields(w)
 	w.node(&m.ToHost)
 	w.level(&m.Level)
-	w.node(&m.ReplyTo)
 }
 
 func (m transferResp) WireTag() uint16            { return wireTagTransferResp }
@@ -677,7 +665,6 @@ func (m *shipVnodeReq) fields(w *walker) {
 	for i := range sliceOf(w, &m.Dests, 3) {
 		m.Dests[i].fields(w)
 	}
-	w.node(&m.ReplyTo)
 }
 
 // --- group management ---
@@ -688,7 +675,6 @@ func (m groupInit) AppendWire(b []byte) []byte { return appendWalk(b, &m, (*grou
 func (m *groupInit) fields(w *walker) {
 	w.u64(&m.Op)
 	m.State.fields(w)
-	w.node(&m.ReplyTo)
 }
 
 func (m lpdrSyncMsg) WireTag() uint16            { return wireTagLpdrSync }
@@ -754,7 +740,6 @@ func (m *replSyncReq) fields(w *walker) {
 	w.kvmap(&m.Data)
 	w.u64(&m.Ver)
 	w.group(&m.Group)
-	w.node(&m.ReplyTo)
 }
 
 func (m replDropMsg) WireTag() uint16            { return wireTagReplDrop }
@@ -774,7 +759,6 @@ func (m *promoteQueryReq) fields(w *walker) {
 	w.u64(&m.Op)
 	w.partition(&m.Partition)
 	w.node(&m.Dead)
-	w.node(&m.ReplyTo)
 }
 
 func (m promoteQueryResp) WireTag() uint16 { return wireTagPromoteQueryResp }
@@ -806,7 +790,6 @@ func (m overlapQueryReq) AppendWire(b []byte) []byte {
 func (m *overlapQueryReq) fields(w *walker) {
 	w.u64(&m.Op)
 	w.partition(&m.Partition)
-	w.node(&m.ReplyTo)
 }
 
 func (m overlapQueryResp) WireTag() uint16 { return wireTagOverlapQueryResp }

@@ -6,6 +6,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -53,13 +54,13 @@ func wireSamples() []transport.WireMessage {
 		{Vnode: owner, Host: 3, Count: 8}, {Vnode: VnodeName{Snode: 5, Local: 2}, Host: 5, Count: 9},
 	}}
 	return []transport.WireMessage{
-		lookupReq{Op: 9, R: 1 << 60, ReplyTo: -1, Hops: 12},
-		lookupResp{Op: 10, Owner: owner, Host: 3, Partition: p, Group: g, Leader: 5, Err: "boom"},
+		lookupReq{Op: 9, R: 1 << 60},
+		lookupResp{Op: 10, Owner: owner, Host: 3, Partition: p, Group: g, Leader: 5, Next: 6, Err: "boom"},
 		lookupResp{Op: 11}, // zero-valued optional fields
 		batchReq{Op: 12, Kind: opPut, Items: []batchItem{
 			{Key: "a", Value: []byte("va")},
 			{Key: "b"}, // nil value (deletes, gets)
-		}, ReplyTo: -1, Hops: 2, ReadReplica: true, Known: 77},
+		}, Hops: 2, ReadReplica: true, Known: 77},
 		batchReq{Op: 13, Kind: opGet}, // empty batch
 		batchResp{Op: 14, Results: []batchItemResp{
 			{Value: []byte("v"), Found: true},
@@ -68,47 +69,47 @@ func wireSamples() []transport.WireMessage {
 		replWriteReq{Op: 15, Kind: opDel, Sets: []replWriteSet{
 			{Partition: p, Items: []batchItem{{Key: "k", Value: []byte("v")}}},
 			{Partition: p.Sibling()},
-		}, ReplyTo: 4},
+		}},
 		ackResp{Op: 16, Err: "lagging"},
 		ackResp{Op: 16},
 		replProbeReq{Op: 17, Digests: []partDigest{
 			{Partition: p, Count: 321, Sum: 1<<63 + 5},
 			{Partition: p.Sibling()}, // empty bucket
-		}, ReplyTo: 2},
-		replProbeReq{Op: 17, ReplyTo: 2}, // nothing placed at the host
+		}},
+		replProbeReq{Op: 17}, // nothing placed at the host
 		replProbeResp{Op: 18, OutOfSync: []hashspace.Partition{p, p.Sibling()}},
 		replProbeResp{Op: 18}, // all in sync
-		pingReq{Op: 19, ReplyTo: -1},
+		pingReq{Op: 19},
 		pingResp{Op: 20},
 		migBeginReq{Op: 21, Group: core.GroupID{Bits: 0b10, Len: 2}, To: owner,
-			Partition: p, Level: 4, ReplyTo: 6},
+			Partition: p, Level: 4},
 		migChunkReq{Op: 23, To: owner, Partition: p, Items: []migItem{
 			{Key: "live", Value: []byte("v1")},
 			{Key: "gone", Del: true},
 			{Key: "empty"}, // nil value, not deleted
-		}, ReplyTo: 6},
+		}},
 		migChunkReq{Op: 24, To: owner, Partition: p}, // empty chunk
 		migCommitReq{Op: 26, To: owner, Partition: p, Items: []migItem{
 			{Key: "final", Value: []byte("vf")},
-		}, ReplyTo: 6},
+		}},
 		migAbortMsg{To: owner, Partition: p},
-		loadReportReq{Op: 28, ReplyTo: -1},
+		loadReportReq{Op: 28},
 		loadReportResp{Op: 29, Vnodes: 4, Keys: 12345, Quota: 0.375,
 			Reads: 1234.5, Writes: 0.25, Bytes: 9.75e6},
 		loadReportResp{Op: 30}, // all-zero floats
-		createVnodeReq{Op: 31, ReplyTo: -1, Bootstrap: true},
+		createVnodeReq{Op: 31, Bootstrap: true},
 		createVnodeResp{Op: 32, Vnode: owner, Group: g, Err: "no group"},
-		joinGroupReq{Op: 33, Group: g, NewVnode: owner, NewHost: 3, ReplyTo: 3, Hops: 2},
-		joinGroupResp{Op: 34, Group: g, Retry: true, Err: "leader moved"},
-		leaveVnodeReq{Op: 35, Vnode: owner, Group: g, ReplyTo: -1, Hops: 1},
-		leaveVnodeResp{Op: 36, Retry: true, Err: "busy"},
-		splitAllReq{Op: 37, Group: g, NewLevel: 5, ReplyTo: 2},
-		transferReq{Op: 38, Group: g, From: owner, To: VnodeName{Snode: 5, Local: 2}, ToHost: 5, Level: 4, ReplyTo: 2},
+		joinGroupReq{Op: 33, Group: g, NewVnode: owner, NewHost: 3},
+		joinGroupResp{Op: 34, Group: g, Retry: true, Next: 5, Err: "leader moved"},
+		leaveVnodeReq{Op: 35, Vnode: owner, Group: g},
+		leaveVnodeResp{Op: 36, Retry: true, Group: g, Next: 5, Err: "busy"},
+		splitAllReq{Op: 37, Group: g, NewLevel: 5},
+		transferReq{Op: 38, Group: g, From: owner, To: VnodeName{Snode: 5, Local: 2}, ToHost: 5, Level: 4},
 		transferResp{Op: 39, Partition: p, Keys: 77},
 		transferResp{Op: 40, Err: "no transferable partition"},
-		shipVnodeReq{Op: 41, Vnode: owner, Dests: []ownerRef{ref, {Vnode: VnodeName{Snode: 5}, Host: 5}}, ReplyTo: 2},
-		shipVnodeReq{Op: 42, Vnode: owner, ReplyTo: 2}, // vnode without partitions
-		groupInit{Op: 43, State: lpdr, ReplyTo: 2},
+		shipVnodeReq{Op: 41, Vnode: owner, Dests: []ownerRef{ref, {Vnode: VnodeName{Snode: 5}, Host: 5}}},
+		shipVnodeReq{Op: 42, Vnode: owner}, // vnode without partitions
+		groupInit{Op: 43, State: lpdr},
 		lpdrSyncMsg{State: lpdr, Dissolved: []core.GroupID{{Bits: 0b11, Len: 2}}},
 		lpdrSyncMsg{State: lpdrState{Group: g}}, // no members, nothing dissolved
 		bootstrapInfo{Owner: ref},
@@ -118,13 +119,13 @@ func wireSamples() []transport.WireMessage {
 		viewUpdate{Epoch: 9, Snodes: []transport.NodeID{1, 2, 3}},
 		viewUpdate{Epoch: 10},
 		replSyncReq{Op: 44, Partition: p, Data: map[string][]byte{"k": []byte("v"), "nil": nil},
-			Ver: 12, Group: g, ReplyTo: 1},
-		replSyncReq{Op: 45, Partition: p, Data: map[string][]byte{}, ReplyTo: 1}, // empty bucket
+			Ver: 12, Group: g},
+		replSyncReq{Op: 45, Partition: p, Data: map[string][]byte{}}, // empty bucket
 		replDropMsg{Partitions: []hashspace.Partition{p, p.Sibling()}},
-		promoteQueryReq{Op: 46, Partition: p, Dead: 4, ReplyTo: 1},
+		promoteQueryReq{Op: 46, Partition: p, Dead: 4},
 		promoteQueryResp{Op: 47, Has: true, Prov: true, Ver: 99},
-		promoteOrderReq{Op: 48, Partition: p, Dead: 4, ReplyTo: 1},
-		overlapQueryReq{Op: 49, Partition: p, ReplyTo: 1},
+		promoteOrderReq{Op: 48, Partition: p, Dead: 4},
+		overlapQueryReq{Op: 49, Partition: p},
 		overlapQueryResp{Op: 50, Deeper: true},
 	}
 }
@@ -270,6 +271,227 @@ func TestTagRegistry(t *testing.T) {
 	}
 }
 
+// TestNoHandlerForwards holds the one routing discipline: a hop that
+// cannot answer a request redirects its caller, so no function passes on
+// a request it did not build.  Request types are the package's structs
+// with an Op field and no replyOp method.  Reading the non-test sources
+// with go/parser, the test fails when a request value other than a
+// composite literal built in the same function — a received request, or
+// a copy of one — is the message of a send or what a build function
+// handed to call, ask, askOrdered or chase returns.
+func TestNoHandlerForwards(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	var parsed []*ast.File
+	structs := make(map[string]*ast.StructType)
+	replies := make(map[string]bool)
+	for _, fn := range files {
+		if strings.HasSuffix(fn, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, fn, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parsed = append(parsed, f)
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeSpec:
+				if st, ok := n.Type.(*ast.StructType); ok {
+					structs[n.Name.Name] = st
+				}
+			case *ast.FuncDecl:
+				if n.Recv != nil && n.Name.Name == "replyOp" {
+					replies[types.ExprString(n.Recv.List[0].Type)] = true
+				}
+			}
+			return true
+		})
+	}
+	fieldType := func(typ, field string) string {
+		if st := structs[strings.TrimPrefix(typ, "*")]; st != nil {
+			for _, f := range st.Fields.List {
+				for _, name := range f.Names {
+					if name.Name == field {
+						return types.ExprString(f.Type)
+					}
+				}
+			}
+		}
+		return ""
+	}
+	isRequest := func(typ string) bool {
+		typ = strings.TrimPrefix(typ, "*")
+		return fieldType(typ, "Op") != "" && !replies[typ]
+	}
+	if !isRequest("joinGroupReq") || isRequest("joinGroupResp") || isRequest("lpdrSyncMsg") {
+		t.Fatal("request types misclassified")
+	}
+	calleeName := func(e ast.Expr) string {
+		for {
+			switch f := e.(type) {
+			case *ast.Ident:
+				return f.Name
+			case *ast.SelectorExpr:
+				return f.Sel.Name
+			case *ast.IndexExpr:
+				e = f.X
+			case *ast.IndexListExpr:
+				e = f.X
+			default:
+				return ""
+			}
+		}
+	}
+
+	checked := 0
+	for _, f := range parsed {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			// A flow-insensitive pass types the function's locals: a name
+			// is tainted once it holds anything but a literal built here.
+			vars := make(map[string]string)
+			tainted := make(map[string]bool)
+			var typeOf func(ast.Expr) string
+			typeOf = func(e ast.Expr) string {
+				switch e := e.(type) {
+				case *ast.Ident:
+					return vars[e.Name]
+				case *ast.ParenExpr:
+					return typeOf(e.X)
+				case *ast.StarExpr:
+					return strings.TrimPrefix(typeOf(e.X), "*")
+				case *ast.UnaryExpr:
+					if t := typeOf(e.X); e.Op == token.AND && t != "" {
+						return "*" + t
+					}
+				case *ast.SelectorExpr:
+					return fieldType(typeOf(e.X), e.Sel.Name)
+				case *ast.CompositeLit:
+					if e.Type != nil {
+						return types.ExprString(e.Type)
+					}
+				}
+				return ""
+			}
+			var built func(ast.Expr) bool
+			built = func(e ast.Expr) bool {
+				switch e := e.(type) {
+				case *ast.CompositeLit:
+					return true
+				case *ast.ParenExpr:
+					return built(e.X)
+				case *ast.UnaryExpr:
+					return e.Op == token.AND && built(e.X)
+				case *ast.Ident:
+					return !tainted[e.Name]
+				}
+				return false
+			}
+			bind := func(id *ast.Ident, typ string, fresh bool) {
+				if typ != "" && id.Name != "_" {
+					vars[id.Name] = typ
+					tainted[id.Name] = tainted[id.Name] || !fresh
+				}
+			}
+			params := func(fl *ast.FieldList) {
+				if fl == nil {
+					return
+				}
+				for _, field := range fl.List {
+					for _, name := range field.Names {
+						bind(name, types.ExprString(field.Type), false)
+					}
+				}
+			}
+			params(fd.Recv)
+			params(fd.Type.Params)
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.FuncLit:
+					params(n.Type.Params)
+				case *ast.AssignStmt:
+					if len(n.Lhs) == len(n.Rhs) {
+						for i, lhs := range n.Lhs {
+							if id, ok := lhs.(*ast.Ident); ok {
+								bind(id, typeOf(n.Rhs[i]), built(n.Rhs[i]))
+							}
+						}
+					}
+				case *ast.ValueSpec:
+					for i, id := range n.Names {
+						switch {
+						case i < len(n.Values):
+							typ := typeOf(n.Values[i])
+							if n.Type != nil {
+								typ = types.ExprString(n.Type)
+							}
+							bind(id, typ, built(n.Values[i]))
+						case n.Type != nil:
+							bind(id, types.ExprString(n.Type), true) // the zero value
+						}
+					}
+				case *ast.RangeStmt:
+					coll := typeOf(n.X)
+					if elem, ok := strings.CutPrefix(coll, "chan "); ok {
+						if id, ok := n.Key.(*ast.Ident); ok {
+							bind(id, elem, false)
+						}
+					} else if elem, ok := strings.CutPrefix(coll, "[]"); ok {
+						if id, ok := n.Value.(*ast.Ident); ok {
+							bind(id, elem, false)
+						}
+					}
+				}
+				return true
+			})
+
+			check := func(e ast.Expr) {
+				checked++
+				if typ := typeOf(e); isRequest(typ) && !built(e) {
+					t.Errorf("%s: %s passes on a %s it did not build; answer the caller with a redirect instead",
+						fset.Position(e.Pos()), fd.Name.Name, strings.TrimPrefix(typ, "*"))
+				}
+			}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				c, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				switch calleeName(c.Fun) {
+				case "send":
+					if len(c.Args) == 3 {
+						check(c.Args[2])
+					}
+				case "call", "ask", "askOrdered", "chase":
+					for _, arg := range c.Args {
+						if fl, ok := arg.(*ast.FuncLit); ok {
+							ast.Inspect(fl.Body, func(n ast.Node) bool {
+								if r, ok := n.(*ast.ReturnStmt); ok {
+									for _, res := range r.Results {
+										check(res)
+									}
+								}
+								return true
+							})
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	if checked == 0 {
+		t.Fatal("found no send or call to check")
+	}
+}
+
 // TestWireRoundTrips round-trips every protocol message through the frame
 // codec and requires an exact value match, and a sample for every row of
 // the message table, so a message cannot ship untested from either end.
@@ -298,7 +520,7 @@ func TestWireTruncatedFrames(t *testing.T) {
 	for i := range items {
 		items[i] = batchItem{Key: fmt.Sprintf("key-%04d", i), Value: []byte("0123456789abcdef")}
 	}
-	msg := batchReq{Op: 77, Kind: opPut, Items: items, ReplyTo: -1}
+	msg := batchReq{Op: 77, Kind: opPut, Items: items}
 	for _, m := range append(wireSamples(), msg) {
 		frame, err := transport.AppendFrame(nil, transport.Envelope{From: 1, To: 2, Msg: m})
 		if err != nil {
@@ -413,13 +635,14 @@ func TestWireRejectsInvalidPartition(t *testing.T) {
 	}
 	// Nor may a length that does not fit its uint8 wrap into range: 259 is
 	// not 3.  A struct cannot hold it, so splice the uvarint in by hand —
-	// a lookupResp ends Group.Len, Leader, Err, here one zero byte each.
+	// a lookupResp ends Group.Len, Leader, Next, Err, here one zero byte
+	// each.
 	frame, err := transport.AppendFrame(nil, transport.Envelope{From: 1, To: 2, Msg: lookupResp{Op: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	body := frame[4:]
-	lenOff := len(body) - 3
+	lenOff := len(body) - 4
 	spliced := append([]byte(nil), body[:lenOff]...)
 	spliced = binary.AppendUvarint(spliced, 259)
 	spliced = append(spliced, body[lenOff+1:]...)
@@ -440,9 +663,9 @@ func codecBenchMessages() []transport.WireMessage {
 	}
 	served := []routeEntry{{Partition: p, Ref: ownerRef{Vnode: VnodeName{Snode: 3, Local: 7}, Host: 3}, Replicas: []transport.NodeID{1, 2}}}
 	return []transport.WireMessage{
-		batchReq{Op: 1, Kind: opPut, Items: items, ReplyTo: -1},
+		batchReq{Op: 1, Kind: opPut, Items: items},
 		batchResp{Op: 1, Results: results, Served: served},
-		replWriteReq{Op: 1, Kind: opPut, Sets: []replWriteSet{{Partition: p, Items: items, Ver: 9, Group: core.GroupID{Bits: 0b110, Len: 3}}}, ReplyTo: 4},
+		replWriteReq{Op: 1, Kind: opPut, Sets: []replWriteSet{{Partition: p, Items: items, Ver: 9, Group: core.GroupID{Bits: 0b110, Len: 3}}}},
 	}
 }
 
