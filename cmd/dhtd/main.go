@@ -44,63 +44,64 @@ import (
 
 func main() {
 	var (
-		listen     = flag.String("listen", ":8080", "HTTP listen address")
-		snodes     = flag.Int("snodes", 4, "snodes to boot")
-		vnodes     = flag.Int("vnodes", 16, "vnodes to enroll at boot (round-robin)")
-		pmin       = flag.Int("pmin", 32, "Pmin (power of two)")
-		vmin       = flag.Int("vmin", 8, "Vmin (power of two)")
-		seed       = flag.Int64("seed", 1, "seed")
-		replicas   = flag.Int("replicas", 1, "copies per partition R (1 = replication off; R>=2 survives snode crashes for reads)")
-		fabric     = flag.String("transport", "mem", "cluster fabric: mem | tcp")
-		host       = flag.String("host", "127.0.0.1", "bind host for the tcp fabric")
-		rpcTimeout = flag.Duration("rpc-timeout", 30*time.Second, "internal RPC timeout")
-		drain      = flag.Duration("drain", 10*time.Second, "graceful shutdown drain window")
-		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this side address (e.g. 127.0.0.1:6060; empty = off)")
-		capacity   = flag.String("capacity", "", "comma-separated per-snode capacity weights, cycled over the boot snodes (e.g. \"1,1,4,4\"; empty = all 1)")
-		balance    = flag.Duration("balance", 0, "autonomous balancer interval (0 = off; e.g. 5s)")
-		balThresh  = flag.Float64("balance-threshold", 0.15, "capacity-normalized per-snode quota deviation that triggers rebalancing")
-		balMoves   = flag.Int("balance-moves", 2, "max enrollment adjustments per balancer round")
-		dataDir    = flag.String("data-dir", "", "root directory for crash-durable snode storage (WAL + snapshots; empty = in-memory only)")
-		fsync      = flag.String("fsync", "batch", "WAL durability of acknowledged writes: off | batch (group-commit fsync)")
-		snapEvery  = flag.Duration("snapshot-interval", 30*time.Second, "background snapshot + WAL truncation interval (requires -data-dir)")
-		failPing   = flag.Duration("failover-ping", 0, "liveness detector ping interval; a crashed snode is declared dead and its partitions promoted automatically (0 = off; e.g. 500ms; requires -replicas >= 2 to be useful)")
-		failMiss   = flag.Int("failover-misses", 3, "consecutive missed pings before the liveness detector declares an snode crashed")
-		logLevel   = flag.String("log-level", "off", "structured log level: debug | info | warn | error | off")
-		traceRate  = flag.Float64("trace-sample", 0, "fraction of client operations to trace in [0, 1] (0 = off; adjustable live via PUT /v1/trace/sampling)")
-		traceBuf   = flag.Int("trace-buffer", 0, "spans retained per snode ring (0 = default 4096)")
-		slowOp     = flag.Duration("slow-op", 0, "log any client batch slower than this with its span breakdown (0 = off)")
+		o dbdht.ClusterOptions
+		d daemon
 	)
+	registerFlags(flag.CommandLine, &o, &d)
 	flag.Parse()
-	logger, err := buildLogger(*logLevel)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dhtd: %v\n", err)
-		os.Exit(2)
-	}
-	caps, err := parseCapacities(*capacity)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dhtd: %v\n", err)
-		os.Exit(2)
-	}
-	bal := dbdht.BalanceConfig{Interval: *balance, QuotaDeviation: *balThresh, MaxMovesPerRound: *balMoves}
-	mode, err := dbdht.ParseFsyncMode(*fsync)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dhtd: %v\n", err)
-		os.Exit(2)
-	}
-	dur := dbdht.DurabilityConfig{Dir: *dataDir, Fsync: mode, SnapshotInterval: *snapEvery}
-	obs := obsOptions{Sample: *traceRate, Buffer: *traceBuf, SlowOp: *slowOp, Logger: logger}
-	if err := run(*listen, *snodes, *vnodes, *pmin, *vmin, *replicas, *seed, *fabric, *host, *rpcTimeout, *drain, *pprofAddr, caps, bal, dur, obs, *failPing, *failMiss); err != nil {
+	if err := run(o, d); err != nil {
 		fmt.Fprintf(os.Stderr, "dhtd: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-// obsOptions bundles the observability flags.
-type obsOptions struct {
-	Sample float64
-	Buffer int
-	SlowOp time.Duration
-	Logger *slog.Logger
+// daemon holds dhtd's own settings: those no ClusterOptions field takes.
+type daemon struct {
+	listen, fabric, host, pprofAddr string
+	snodes, vnodes                  int
+	drain                           time.Duration
+	caps                            []float64
+}
+
+// registerFlags registers every dhtd flag on fs, a cluster setting
+// straight into its field of o.  A flag whose default the cluster owns
+// defaults to 0, which the cluster fills in; its help states the value.
+func registerFlags(fs *flag.FlagSet, o *dbdht.ClusterOptions, d *daemon) {
+	fs.StringVar(&d.listen, "listen", ":8080", "HTTP listen address")
+	fs.IntVar(&d.snodes, "snodes", 4, "snodes to boot")
+	fs.IntVar(&d.vnodes, "vnodes", 16, "vnodes to enroll at boot (round-robin)")
+	fs.IntVar(&o.Pmin, "pmin", 32, "Pmin (power of two)")
+	fs.IntVar(&o.Vmin, "vmin", 8, "Vmin (power of two)")
+	fs.Int64Var(&o.Seed, "seed", 1, "seed")
+	fs.IntVar(&o.Replicas, "replicas", 0, "copies per partition R (0 = 1, replication off; R>=2 survives snode crashes for reads)")
+	fs.StringVar(&d.fabric, "transport", "mem", "cluster fabric: mem | tcp")
+	fs.StringVar(&d.host, "host", "127.0.0.1", "bind host for the tcp fabric")
+	fs.DurationVar(&o.RPCTimeout, "rpc-timeout", 0, "internal RPC timeout (0 = 30s)")
+	fs.DurationVar(&d.drain, "drain", 10*time.Second, "graceful shutdown drain window")
+	fs.StringVar(&d.pprofAddr, "pprof", "", "serve net/http/pprof on this side address (e.g. 127.0.0.1:6060; empty = off)")
+	fs.Func("capacity", "comma-separated per-snode capacity weights, cycled over the boot snodes (e.g. \"1,1,4,4\"; empty = all 1)", func(s string) (err error) {
+		d.caps, err = parseCapacities(s)
+		return err
+	})
+	fs.DurationVar(&o.Balance.Interval, "balance", 0, "autonomous balancer interval (0 = off; e.g. 5s)")
+	fs.Float64Var(&o.Balance.QuotaDeviation, "balance-threshold", 0, "capacity-normalized per-snode quota deviation that triggers rebalancing (0 = 0.15)")
+	fs.IntVar(&o.Balance.MaxMovesPerRound, "balance-moves", 0, "max enrollment adjustments per balancer round (0 = 2)")
+	fs.StringVar(&o.Durability.Dir, "data-dir", "", "root directory for crash-durable snode storage (WAL + snapshots; empty = in-memory only)")
+	o.Durability.Fsync = dbdht.FsyncBatch
+	fs.Func("fsync", "WAL durability of acknowledged writes: off | batch (group-commit fsync; the default)", func(s string) (err error) {
+		o.Durability.Fsync, err = dbdht.ParseFsyncMode(s)
+		return err
+	})
+	fs.DurationVar(&o.Durability.SnapshotInterval, "snapshot-interval", 0, "background snapshot + WAL truncation interval (0 = 30s; requires -data-dir)")
+	fs.DurationVar(&o.FailoverPingInterval, "failover-ping", 0, "liveness detector ping interval; a crashed snode is declared dead and its partitions promoted automatically (0 = off; e.g. 500ms; requires -replicas >= 2 to be useful)")
+	fs.IntVar(&o.FailoverPingMisses, "failover-misses", 0, "consecutive missed pings before the liveness detector declares an snode crashed (0 = 3)")
+	fs.Func("log-level", "structured log level: debug | info | warn | error | off (the default)", func(s string) (err error) {
+		o.Logger, err = buildLogger(s)
+		return err
+	})
+	fs.Float64Var(&o.TraceSample, "trace-sample", 0, "fraction of client operations to trace in [0, 1] (0 = off; adjustable live via PUT /v1/trace/sampling)")
+	fs.IntVar(&o.TraceBuffer, "trace-buffer", 0, "spans retained per snode ring (0 = 4096)")
+	fs.DurationVar(&o.SlowOpThreshold, "slow-op", 0, "log any client batch slower than this with its span breakdown (0 = off)")
 }
 
 // buildLogger maps -log-level to a stderr text logger; "off" (the
@@ -119,7 +120,7 @@ func buildLogger(level string) (*slog.Logger, error) {
 	case "error":
 		lvl = slog.LevelError
 	default:
-		return nil, fmt.Errorf("unknown -log-level %q (want debug, info, warn, error or off)", level)
+		return nil, fmt.Errorf("unknown level %q (want debug, info, warn, error or off)", level)
 	}
 	return slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl})), nil
 }
@@ -134,7 +135,7 @@ func parseCapacities(s string) ([]float64, error) {
 	for _, p := range parts {
 		w, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
 		if err != nil || !(w > 0) || math.IsInf(w, 0) {
-			return nil, fmt.Errorf("-capacity entry %q must be a positive finite number", p)
+			return nil, fmt.Errorf("entry %q must be a positive finite number", p)
 		}
 		out = append(out, w)
 	}
@@ -154,44 +155,34 @@ func pprofHandler() http.Handler {
 	return mux
 }
 
-func run(listen string, snodes, vnodes, pmin, vmin, replicas int, seed int64, fabric, host string, rpcTimeout, drain time.Duration, pprofAddr string, caps []float64, bal dbdht.BalanceConfig, dur dbdht.DurabilityConfig, obs obsOptions, failPing time.Duration, failMiss int) error {
-	if snodes < 1 {
-		return fmt.Errorf("-snodes must be >= 1, got %d", snodes)
+func run(o dbdht.ClusterOptions, d daemon) error {
+	if d.snodes < 1 {
+		return fmt.Errorf("-snodes must be >= 1, got %d", d.snodes)
 	}
-	if vnodes < 0 {
-		return fmt.Errorf("-vnodes must be >= 0, got %d", vnodes)
-	}
-	if obs.Sample < 0 || obs.Sample > 1 {
-		return fmt.Errorf("-trace-sample must be in [0, 1], got %v", obs.Sample)
-	}
-	opts := dbdht.ClusterOptions{
-		Pmin: pmin, Vmin: vmin, Seed: seed, RPCTimeout: rpcTimeout,
-		Replicas: replicas, Balance: bal, Durability: dur,
-		FailoverPingInterval: failPing, FailoverPingMisses: failMiss,
-		TraceSample: obs.Sample, TraceBuffer: obs.Buffer,
-		SlowOpThreshold: obs.SlowOp, Logger: obs.Logger,
+	if d.vnodes < 0 {
+		return fmt.Errorf("-vnodes must be >= 0, got %d", d.vnodes)
 	}
 	var (
 		c   *dbdht.Cluster
 		err error
 	)
-	switch fabric {
+	switch d.fabric {
 	case "mem":
-		c, err = dbdht.NewCluster(opts)
+		c, err = dbdht.NewCluster(o)
 	case "tcp":
-		c, err = dbdht.NewClusterTCP(opts, host)
+		c, err = dbdht.NewClusterTCP(o, d.host)
 	default:
-		return fmt.Errorf("unknown transport %q (want mem or tcp)", fabric)
+		return fmt.Errorf("unknown transport %q (want mem or tcp)", d.fabric)
 	}
 	if err != nil {
 		return err
 	}
 	defer c.Close()
 
-	for i := 0; i < snodes; i++ {
+	for i := 0; i < d.snodes; i++ {
 		w := 1.0
-		if len(caps) > 0 {
-			w = caps[i%len(caps)]
+		if len(d.caps) > 0 {
+			w = d.caps[i%len(d.caps)]
 		}
 		if _, err := c.AddSnodeWithCapacity(w); err != nil {
 			return err
@@ -202,30 +193,30 @@ func run(listen string, snodes, vnodes, pmin, vmin, replicas int, seed int64, fa
 	// would double the DHT.  Recovery wins; -vnodes applies to fresh dirs.
 	recovered := len(c.Snapshot().Vnodes)
 	if recovered > 0 {
-		log.Printf("dhtd: recovered %d vnodes from %s; skipping boot enrollment", recovered, dur.Dir)
+		log.Printf("dhtd: recovered %d vnodes from %s; skipping boot enrollment", recovered, o.Durability.Dir)
 	} else {
 		ids := c.Snodes()
-		for i := 0; i < vnodes; i++ {
+		for i := 0; i < d.vnodes; i++ {
 			if _, _, err := c.CreateVnode(ids[i%len(ids)]); err != nil {
 				return err
 			}
 		}
 	}
 	balanced := "off"
-	if bal.Interval > 0 {
-		balanced = bal.Interval.String()
+	if o.Balance.Interval > 0 {
+		balanced = o.Balance.Interval.String()
 	}
 	durable := "off"
-	if dur.Dir != "" {
+	if dur := o.Durability; dur.Dir != "" {
 		durable = fmt.Sprintf("%s (fsync=%s)", dur.Dir, dur.Fsync)
 	}
 	log.Printf("dhtd: cluster up — %d snodes, %d vnodes (Pmin=%d, Vmin=%d, R=%d, fabric=%s, balance=%s, data=%s)",
-		snodes, len(c.Snapshot().Vnodes), pmin, vmin, replicas, fabric, balanced, durable)
+		d.snodes, len(c.Snapshot().Vnodes), o.Pmin, o.Vmin, c.ReplicationFactor(), d.fabric, balanced, durable)
 
-	if pprofAddr != "" {
-		pprofSrv := &http.Server{Addr: pprofAddr, Handler: pprofHandler()}
+	if d.pprofAddr != "" {
+		pprofSrv := &http.Server{Addr: d.pprofAddr, Handler: pprofHandler()}
 		go func() {
-			log.Printf("dhtd: serving pprof on http://%s/debug/pprof/", pprofAddr)
+			log.Printf("dhtd: serving pprof on http://%s/debug/pprof/", d.pprofAddr)
 			if err := pprofSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				log.Printf("dhtd: pprof server: %v", err)
 			}
@@ -234,7 +225,7 @@ func run(listen string, snodes, vnodes, pmin, vmin, replicas int, seed int64, fa
 	}
 
 	srv := &http.Server{
-		Addr:         listen,
+		Addr:         d.listen,
 		Handler:      server.New(c).Handler(),
 		ReadTimeout:  30 * time.Second,
 		WriteTimeout: 60 * time.Second,
@@ -246,7 +237,7 @@ func run(listen string, snodes, vnodes, pmin, vmin, replicas int, seed int64, fa
 
 	errCh := make(chan error, 1)
 	go func() {
-		log.Printf("dhtd: serving HTTP on %s", listen)
+		log.Printf("dhtd: serving HTTP on %s", d.listen)
 		errCh <- srv.ListenAndServe()
 	}()
 
@@ -258,8 +249,8 @@ func run(listen string, snodes, vnodes, pmin, vmin, replicas int, seed int64, fa
 		return err
 	case <-ctx.Done():
 	}
-	log.Printf("dhtd: shutting down (draining up to %v)", drain)
-	shutCtx, cancel := context.WithTimeout(context.Background(), drain)
+	log.Printf("dhtd: shutting down (draining up to %v)", d.drain)
+	shutCtx, cancel := context.WithTimeout(context.Background(), d.drain)
 	defer cancel()
 	if err := srv.Shutdown(shutCtx); err != nil {
 		return fmt.Errorf("shutdown: %w", err)

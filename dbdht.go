@@ -32,9 +32,7 @@
 package dbdht
 
 import (
-	"log/slog"
 	"math/rand"
-	"time"
 
 	"dbdht/internal/cluster"
 	"dbdht/internal/cluster/transport"
@@ -143,92 +141,21 @@ type Options struct {
 	Seed int64
 }
 
-// ClusterOptions configures a live cluster.
-type ClusterOptions struct {
-	Pmin int
-	Vmin int
-	Seed int64
-	// RPCTimeout bounds internal request/response exchanges (default 30s).
-	RPCTimeout time.Duration
-	// Replicas is R, the number of copies of every partition (primary
-	// included; default 1 = replication off).  With R ≥ 2 an abrupt
-	// single-snode crash loses no acknowledged write: reads fail over to
-	// the partition's replicas.
-	Replicas int
-	// AntiEntropyInterval paces the background replica repair pass
-	// (default 1s; only runs when Replicas > 1).
-	AntiEntropyInterval time.Duration
-	// FailoverPingInterval paces the liveness detector: every interval
-	// each snode is pinged, and one missing FailoverPingMisses
-	// consecutive rounds is declared crashed, triggering automatic
-	// replica promotion (default 0 = detector off; crashes must then be
-	// reported via KillSnode).
-	FailoverPingInterval time.Duration
-	// FailoverPingMisses is how many consecutive missed pings declare an
-	// snode dead (default 3).
-	FailoverPingMisses int
-	// Balance configures the autonomous load-aware balancer.  Zero value:
-	// the background loop is off; Cluster.BalanceNow still runs rounds on
-	// demand.
-	Balance BalanceConfig
-	// LoadInterval paces the per-bucket EWMA load accounting the balancer
-	// observes (default 500ms).
-	LoadInterval time.Duration
-	// Durability configures the per-snode write-ahead log and snapshots
-	// (see internal/cluster/durable.go and docs/OPERATIONS.md).  Zero
-	// value: no disk I/O; a restarted snode comes back empty.
-	Durability DurabilityConfig
-	// TraceSample is the probability in [0, 1] that a client operation is
-	// traced (default 0 = tracing off; adjustable live with
-	// Cluster.SetTraceSampling).
-	TraceSample float64
-	// TraceBuffer sizes each snode's span ring buffer (default 4096).
-	TraceBuffer int
-	// SlowOpThreshold logs any client batch slower than this with its full
-	// span breakdown (default 0 = off).
-	SlowOpThreshold time.Duration
-	// Logger receives structured cluster and WAL events.  Nil discards.
-	Logger *slog.Logger
-	// Faults optionally attaches a nemesis fault plan to the message
-	// fabric (partitions, lossy or slow links); see NewNetFaults.  Disk
-	// faults ride Durability.Faults.  Nil means a healthy fabric.
-	Faults *NetFaults
-}
+// ClusterOptions configures a live cluster; see cluster.Config for
+// every field and its default.
+type ClusterOptions = cluster.Config
 
 // NewLocal returns an empty local-approach DHT.
 func NewLocal(o Options) (*LocalDHT, error) {
 	return core.New(core.Config{Pmin: o.Pmin, Vmin: o.Vmin}, rand.New(rand.NewSource(o.Seed)))
 }
 
-// config spells the options as the cluster package takes them.
-func (o ClusterOptions) config() cluster.Config {
-	return cluster.Config{
-		Pmin: o.Pmin, Vmin: o.Vmin, Seed: o.Seed, RPCTimeout: o.RPCTimeout,
-		Replicas: o.Replicas, AntiEntropyInterval: o.AntiEntropyInterval,
-		FailoverPingInterval: o.FailoverPingInterval, FailoverPingMisses: o.FailoverPingMisses,
-		Balance: o.Balance, LoadInterval: o.LoadInterval,
-		Durability:  o.Durability,
-		TraceSample: o.TraceSample, TraceBufferSize: o.TraceBuffer,
-		SlowOpThreshold: o.SlowOpThreshold, Logger: o.Logger,
-	}
-}
-
 // NewCluster starts a cluster over an in-memory message fabric — the
 // default for experiments and tests.
-func NewCluster(o ClusterOptions) (*Cluster, error) {
-	net := transport.NewMem()
-	if o.Faults != nil {
-		net.SetFaults(o.Faults)
-	}
-	return cluster.New(o.config(), net)
-}
+func NewCluster(o ClusterOptions) (*Cluster, error) { return cluster.New(o, transport.NewMem()) }
 
 // NewClusterTCP starts a cluster whose snodes communicate over real TCP
 // connections bound to the given host (e.g. "127.0.0.1").
 func NewClusterTCP(o ClusterOptions, host string) (*Cluster, error) {
-	net := transport.NewTCP(host)
-	if o.Faults != nil {
-		net.SetFaults(o.Faults)
-	}
-	return cluster.New(o.config(), net)
+	return cluster.New(o, transport.NewTCP(host))
 }

@@ -85,10 +85,8 @@ func BenchmarkParallelJoins(b *testing.B) {
 		b.Run(cfg.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				net := transport.NewMem()
 				faults := transport.NewFaults(int64(i))
-				net.SetFaults(faults)
-				c, err := New(Config{Pmin: 8, Vmin: cfg.vmin, Seed: int64(i), RPCTimeout: 120 * time.Second}, net)
+				c, err := New(Config{Pmin: 8, Vmin: cfg.vmin, Seed: int64(i), RPCTimeout: 120 * time.Second, Faults: faults}, transport.NewMem())
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -111,6 +111,9 @@ func New(cfg Config, net transport.Network) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
+	if cfg.Faults != nil {
+		net.SetFaults(cfg.Faults)
+	}
 	inbox, err := net.Register(clientID)
 	if err != nil {
 		return nil, err
@@ -124,7 +127,7 @@ func New(cfg Config, net transport.Network) (*Cluster, error) {
 		nextID:   1,
 		rng:      rand.New(rand.NewSource(cfg.Seed ^ 0x5DEECE66D)),
 		routes:   make(map[hashspace.Partition]route),
-		tracer:   newTracer(cfg.TraceBufferSize),
+		tracer:   newTracer(cfg.TraceBuffer),
 		batchRPC: metrics.NewLatencyHistogram(),
 		slowOp:   cfg.SlowOpThreshold,
 		log:      cfg.Logger.With("component", "cluster"),

@@ -532,6 +532,34 @@ func TestConfigValidationCluster(t *testing.T) {
 	if _, err := New(Config{Pmin: 4, Vmin: 3}, transport.NewMem()); err == nil {
 		t.Fatal("bad Vmin must fail")
 	}
+	// A negative interval or count would panic a ticker later (a negative
+	// LoadInterval on the first AddSnode); New refuses it instead.
+	for name, cfg := range map[string]Config{
+		"RPCTimeout":          {RPCTimeout: -time.Second},
+		"AntiEntropyInterval": {Replicas: 2, AntiEntropyInterval: -time.Second},
+		"FreezeTimeout":       {FreezeTimeout: -time.Second},
+		"LoadInterval":        {LoadInterval: -time.Second},
+		"MigrationChunkKeys":  {MigrationChunkKeys: -1},
+		"FailoverPingMisses":  {FailoverPingMisses: -1},
+		"TraceBuffer":         {TraceBuffer: -1},
+		"TraceSample>1":       {TraceSample: 1.5},
+		"TraceSample<0":       {TraceSample: -0.1},
+		"TraceSample=NaN":     {TraceSample: math.NaN()},
+	} {
+		cfg.Pmin, cfg.Vmin = 8, 4
+		if c, err := New(cfg, transport.NewMem()); err == nil {
+			c.Close()
+			t.Errorf("%s: New accepted an out-of-range value", name)
+		}
+	}
+	// A negative interval that means "off" stays valid.
+	off := Config{Pmin: 8, Vmin: 4, Balance: BalanceConfig{Interval: -1}, FailoverPingInterval: -1,
+		Durability: DurabilityConfig{SnapshotInterval: -1}}
+	if c, err := New(off, transport.NewMem()); err != nil {
+		t.Errorf("negative off intervals must be accepted: %v", err)
+	} else {
+		c.Close()
+	}
 	c := newTestCluster(t, 8, 4, 1, 13)
 	if _, _, err := c.CreateVnode(42); err == nil {
 		t.Fatal("create at unknown snode must fail")

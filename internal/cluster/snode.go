@@ -17,7 +17,9 @@ import (
 )
 
 // Config parameterizes a cluster DHT.  Pmin and Vmin are the model's two
-// parameters (§4.1); the rest tune the runtime.
+// parameters (§4.1); the rest tune the runtime.  A zero field takes its
+// default, and withDefaults is the only place a default is written:
+// callers (the dbdht facade, dhtd's flags) leave a field zero to get it.
 type Config struct {
 	Pmin int
 	Vmin int
@@ -30,7 +32,8 @@ type Config struct {
 	// Replicas is R, the number of copies of every partition (primary
 	// included).  1 (the default) disables replication, matching the
 	// paper's failure-free model; R ≥ 2 keeps R−1 replica buckets on
-	// other snodes and survives abrupt single-snode crashes for reads.
+	// other snodes, so an abrupt single-snode crash loses no
+	// acknowledged write: reads fail over to the partition's replicas.
 	Replicas int
 	// AntiEntropyInterval paces the background replica reconciliation
 	// pass (default 1s; only runs when Replicas > 1).
@@ -39,18 +42,19 @@ type Config struct {
 	// (mid-transfer) partition to settle before failing per key
 	// (default 5s).
 	FreezeTimeout time.Duration
-	// LoadInterval paces the per-bucket EWMA load accounting tick
-	// (default 500ms; see load.go).
+	// LoadInterval paces the per-bucket EWMA load accounting the
+	// balancer observes (default 500ms; see load.go).
 	LoadInterval time.Duration
 	// MigrationChunkKeys bounds how many keys one chunk of a live
 	// partition migration carries (default 512; see migrate.go).
 	MigrationChunkKeys int
 	// Balance configures the autonomous load-aware balancer at the
 	// cluster handle (see balancer.go).  Zero value: background loop off,
-	// BalanceNow still available with default thresholds.
+	// BalanceNow still runs rounds on demand with default thresholds.
 	Balance BalanceConfig
 	// Durability configures the per-snode write-ahead log and snapshots
-	// (see durable.go).  Zero value: no disk I/O on any path.
+	// (see durable.go and docs/OPERATIONS.md).  Zero value: no disk I/O
+	// on any path; a restarted snode comes back empty.
 	Durability DurabilityConfig
 	// FailoverPingInterval paces the cluster handle's liveness detector:
 	// every interval each snode is pinged, and FailoverPingMisses
@@ -61,12 +65,13 @@ type Config struct {
 	// FailoverPingMisses is how many consecutive missed pings declare an
 	// snode dead (default 3; only meaningful with FailoverPingInterval).
 	FailoverPingMisses int
-	// TraceSample is the head-sampling probability for request tracing
-	// (0, the default, disables tracing; 1 traces every operation).  See
-	// trace.go.  Adjustable at runtime via Cluster.SetTraceSampling.
+	// TraceSample is the head-sampling probability in [0, 1] for request
+	// tracing (0, the default, disables tracing; 1 traces every
+	// operation).  See trace.go.  Adjustable at runtime via
+	// Cluster.SetTraceSampling.
 	TraceSample float64
-	// TraceBufferSize is the per-snode span ring capacity (default 4096).
-	TraceBufferSize int
+	// TraceBuffer is the per-snode span ring capacity (default 4096).
+	TraceBuffer int
 	// SlowOpThreshold, when non-zero, logs a structured breakdown of any
 	// client batch operation slower than this (traced operations include
 	// their full span tree).
@@ -74,6 +79,12 @@ type Config struct {
 	// Logger receives structured logs from the cluster, snodes and WALs.
 	// Nil (the default) discards everything.
 	Logger *slog.Logger
+	// Faults optionally attaches a nemesis fault plan to the message
+	// fabric (partitions, lossy or slow links); see transport.NewFaults
+	// (dbdht.NewNetFaults).  New attaches it before the fabric carries
+	// traffic.  Disk faults ride Durability.Faults.  Nil means a healthy
+	// fabric.
+	Faults *transport.Faults
 }
 
 const (
@@ -92,6 +103,25 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.Vmin < 1 || c.Vmin&(c.Vmin-1) != 0 {
 		return c, fmt.Errorf("cluster: Vmin must be a positive power of two, got %d", c.Vmin)
+	}
+	for _, f := range []struct {
+		name     string
+		negative bool
+	}{
+		{"RPCTimeout", c.RPCTimeout < 0},
+		{"AntiEntropyInterval", c.AntiEntropyInterval < 0},
+		{"FreezeTimeout", c.FreezeTimeout < 0},
+		{"LoadInterval", c.LoadInterval < 0},
+		{"MigrationChunkKeys", c.MigrationChunkKeys < 0},
+		{"FailoverPingMisses", c.FailoverPingMisses < 0},
+		{"TraceBuffer", c.TraceBuffer < 0},
+	} {
+		if f.negative {
+			return c, fmt.Errorf("cluster: %s must not be negative", f.name)
+		}
+	}
+	if !(c.TraceSample >= 0 && c.TraceSample <= 1) { // NaN fails both
+		return c, fmt.Errorf("cluster: TraceSample must be in [0, 1], got %v", c.TraceSample)
 	}
 	if c.RPCTimeout == 0 {
 		c.RPCTimeout = 30 * time.Second
@@ -126,8 +156,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.FailoverPingMisses == 0 {
 		c.FailoverPingMisses = 3
 	}
-	if c.TraceBufferSize == 0 {
-		c.TraceBufferSize = defaultTraceBufferSize
+	if c.TraceBuffer == 0 {
+		c.TraceBuffer = 4096
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.DiscardHandler)
@@ -348,7 +378,7 @@ func newSnode(id transport.NodeID, cfg Config, net transport.Network) (*Snode, e
 		placed:   make(map[hashspace.Partition][]transport.NodeID),
 		inDoubt:  make(map[hashspace.Partition]*migIntent),
 		done:     make(chan struct{}),
-		tracer:   newTracer(cfg.TraceBufferSize),
+		tracer:   newTracer(cfg.TraceBuffer),
 		lat:      newLatencies(),
 		log:      cfg.Logger.With("snode", int(id)),
 

@@ -149,13 +149,7 @@ type tracer struct {
 	n   uint64 // spans recorded over the tracer's lifetime; guarded by mu
 }
 
-// defaultTraceBufferSize is the per-snode span ring capacity.
-const defaultTraceBufferSize = 4096
-
 func newTracer(size int) *tracer {
-	if size <= 0 {
-		size = defaultTraceBufferSize
-	}
 	return &tracer{buf: make([]Span, size)}
 }
 

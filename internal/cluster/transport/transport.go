@@ -50,4 +50,7 @@ type Network interface {
 	Send(env Envelope) error
 	// Close shuts the fabric down, closing every inbox.
 	Close() error
+	// SetFaults attaches a nemesis fault plan (see Faults); nil means a
+	// healthy fabric.
+	SetFaults(f *Faults)
 }
