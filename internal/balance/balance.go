@@ -160,6 +160,13 @@ type Move[K comparable] struct {
 	From, To K
 }
 
+// Revert takes back a planned move that did not happen: the partition
+// stays with From.
+func (t *Table[K]) Revert(m Move[K]) {
+	t.counts[m.From]++
+	t.counts[m.To]--
+}
+
 // movesDecreasesSigma reports whether moving one partition from a vnode with
 // a partitions to one with b decreases σ(P_v, P̄_v).  The mean is unchanged
 // by a move, so comparing variances suffices:
@@ -178,7 +185,9 @@ func moveDecreasesSigma(a, b int) bool { return a-b >= 2 }
 //  2. repeatedly pick the victim vnode (largest count) and hand one
 //     partition to the new vnode while doing so decreases σ(P_v, P̄_v).
 //
-// The returned moves are in execution order.  The table is updated in place.
+// The returned moves are independent — each hands one victim partition to
+// newKey — so a caller may run them all at once.  The table is updated in
+// place as if every move landed; Revert takes back one that did not.
 func (t *Table[K]) PlanCreate(newKey K, pmin int) (split bool, moves []Move[K], err error) {
 	if pmin < 1 {
 		return false, nil, fmt.Errorf("balance: pmin must be ≥ 1, got %d", pmin)

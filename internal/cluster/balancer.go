@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"time"
 
 	"dbdht/internal/balance"
@@ -117,35 +116,29 @@ func (c *Cluster) LoadReport() ([]SnodeLoad, error) {
 	if len(ids) == 0 {
 		return nil, fmt.Errorf("cluster: no snodes")
 	}
-	var (
-		wg sync.WaitGroup
-		mu sync.Mutex
-	)
+	reps := make([]loadReportResp, len(ids))
+	errs := fanOut(len(ids), func(i int) (err error) {
+		reps[i], err = ask[loadReportResp](&c.endpoint, ids[i], untraced, func(op uint64) transport.WireMessage {
+			return loadReportReq{Op: op}
+		})
+		return err
+	})
 	loads := make([]SnodeLoad, 0, len(ids))
-	for _, id := range ids {
-		wg.Add(1)
-		go func(id transport.NodeID) {
-			defer wg.Done()
-			resp, err := ask[loadReportResp](&c.endpoint, id, untraced, func(op uint64) transport.WireMessage {
-				return loadReportReq{Op: op}
-			})
-			if err != nil {
-				return
-			}
-			w := caps[id]
-			if w <= 0 {
-				w = 1
-			}
-			mu.Lock()
-			loads = append(loads, SnodeLoad{
-				Snode: id, Capacity: w,
-				Vnodes: resp.Vnodes, Keys: resp.Keys, Quota: resp.Quota,
-				Reads: resp.Reads, Writes: resp.Writes, Bytes: resp.Bytes,
-			})
-			mu.Unlock()
-		}(id)
+	for i, id := range ids {
+		if errs[i] != nil {
+			continue
+		}
+		w := caps[id]
+		if w <= 0 {
+			w = 1
+		}
+		r := reps[i]
+		loads = append(loads, SnodeLoad{
+			Snode: id, Capacity: w,
+			Vnodes: r.Vnodes, Keys: r.Keys, Quota: r.Quota,
+			Reads: r.Reads, Writes: r.Writes, Bytes: r.Bytes,
+		})
 	}
-	wg.Wait()
 	if len(loads) == 0 {
 		return nil, fmt.Errorf("cluster: no snode answered its load report")
 	}

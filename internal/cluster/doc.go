@@ -12,7 +12,8 @@
 //   - each group of vnodes has a *leader* snode holding the authoritative
 //     LPDR; balancement events within a group are serialized by its leader,
 //     while different groups progress in parallel — the paper's central
-//     parallelism claim;
+//     parallelism claim — and the partition moves of one event's plan run
+//     concurrently, each partition freezing only for its own final delta;
 //   - vnode creation follows §3.6: draw r ∈ R_h, route a lookup to the
 //     victim vnode, ask the victim group's leader to run the §2.5 algorithm
 //     over its LPDR, splitting the group first when it is full (§3.7);

@@ -236,3 +236,29 @@ func chase[R redirect](e *endpoint, timeout time.Duration, via R, build func(op 
 func askOrdered[R reply](e *endpoint, to transport.NodeID, tr transport.TraceContext, build func(op uint64) transport.WireMessage) (R, error) {
 	return replyAs[R](e.call(to, tr, 0, e.ordFor(to), build))
 }
+
+// fanOut runs part(0) … part(n-1) concurrently and returns their errors,
+// in part order, once every part has returned.
+func fanOut(n int, part func(i int) error) []error {
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := range n {
+		go func() {
+			defer wg.Done()
+			errs[i] = part(i)
+		}()
+	}
+	wg.Wait()
+	return errs
+}
+
+// firstErr is the first non-nil error of errs, in order.
+func firstErr(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}

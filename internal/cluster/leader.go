@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 
@@ -211,7 +212,8 @@ func (s *Snode) broadcastSync(st lpdrState, dissolved []core.GroupID) {
 }
 
 // leaderJoin runs the §2.5 creation algorithm for one new vnode inside the
-// led group, splitting the group first if it is full (§3.7).
+// led group, splitting the group first if it is full (§3.7).  The scope
+// split and the planned moves each run on every host at once.
 func (s *Snode) leaderJoin(lg *ledGroup, m joinGroupReq, from transport.NodeID) {
 	if lg.table.Len() >= s.cfg.vmax() {
 		s.splitLedGroup(lg, m, from)
@@ -220,8 +222,10 @@ func (s *Snode) leaderJoin(lg *ledGroup, m joinGroupReq, from transport.NodeID) 
 	fail := func(err string) {
 		s.send(from, untraced, joinGroupResp{Op: m.Op, Err: err})
 	}
-	if _, exists := lg.table.Count(m.NewVnode); exists {
-		fail(fmt.Sprintf("vnode %v already in group %v", m.NewVnode, lg.id))
+	if lg.table.Len() == 0 {
+		// First vnode of a scope is bootstrapped elsewhere; a led group is
+		// never empty, so this cannot happen.
+		fail("internal: join into empty group")
 		return
 	}
 	if err := lg.table.Add(m.NewVnode); err != nil {
@@ -230,37 +234,57 @@ func (s *Snode) leaderJoin(lg *ledGroup, m joinGroupReq, from transport.NodeID) 
 	}
 	lg.host[m.NewVnode] = m.NewHost
 	split, moves, err := lg.table.PlanCreate(m.NewVnode, s.cfg.Pmin)
+	var splitErr error
 	if split {
 		lg.level++
-		for _, h := range lg.memberHosts() {
-			_, rerr := ask[ackResp](&s.endpoint, h, untraced, func(op uint64) transport.WireMessage {
+		hosts := lg.memberHosts()
+		splitErr = firstErr(fanOut(len(hosts), func(i int) error {
+			_, err := ask[ackResp](&s.endpoint, hosts[i], untraced, func(op uint64) transport.WireMessage {
 				return splitAllReq{Op: op, Group: lg.id, NewLevel: lg.level}
 			})
-			if rerr != nil {
-				fail(rerr.Error())
-				return
-			}
+			return err
+		}))
+		err = cmp.Or(err, splitErr)
+	}
+	if err == nil {
+		err = s.runMoves(lg, moves)
+	} else {
+		for _, mv := range moves {
+			lg.table.Revert(mv)
 		}
+	}
+	// The LPDR keeps only what landed.  A new vnode that received nothing
+	// is abandoned by its creator, so it leaves the table too; one that
+	// received part of its plan is a member.  Every host learns the
+	// outcome, unless nothing changed or a host may have missed the split.
+	c, _ := lg.table.Count(m.NewVnode)
+	if c == 0 {
+		_, _ = lg.table.Remove(m.NewVnode)
+		delete(lg.host, m.NewVnode)
+	}
+	if splitErr == nil && (split || c > 0) {
+		s.broadcastSync(lg.state(s.id), nil)
 	}
 	if err != nil {
 		fail(err.Error())
 		return
 	}
-	if lg.table.Len() == 1 {
-		// First vnode of a scope is bootstrapped elsewhere; a led group is
-		// never empty, so this cannot happen.
-		fail("internal: join into empty group")
-		return
-	}
-	for _, mv := range moves {
-		if err := s.orderTransfer(lg, mv.From, mv.To); err != nil {
-			fail(err.Error())
-			return
+	s.stats.JoinsLed.Add(1)
+	s.send(from, untraced, joinGroupResp{Op: m.Op, Group: lg.id})
+}
+
+// runMoves executes a plan's moves concurrently and waits for all of
+// them.  The plan is already in the table; a move that fails is taken
+// back out, so the table ends at the pre-plan counts plus the moves that
+// landed.  It returns the first error.
+func (s *Snode) runMoves(lg *ledGroup, moves []balance.Move[VnodeName]) error {
+	errs := fanOut(len(moves), func(i int) error { return s.orderTransfer(lg, moves[i].From, moves[i].To) })
+	for i, err := range errs {
+		if err != nil {
+			lg.table.Revert(moves[i])
 		}
 	}
-	s.stats.JoinsLed.Add(1)
-	s.broadcastSync(lg.state(s.id), nil)
-	s.send(from, untraced, joinGroupResp{Op: m.Op, Group: lg.id})
+	return firstErr(errs)
 }
 
 // orderTransfer executes one planned handover: instruct the victim's host,
@@ -368,14 +392,13 @@ func (s *Snode) leaderLeave(lg *ledGroup, m leaveVnodeReq, from transport.NodeID
 		return
 	}
 	delete(lg.host, m.Vnode)
-	for _, mv := range lg.table.Flatten(s.cfg.Pmin) {
-		if err := s.orderTransfer(lg, mv.From, mv.To); err != nil {
-			fail(err.Error())
-			return
-		}
+	err = s.runMoves(lg, lg.table.Flatten(s.cfg.Pmin))
+	s.broadcastSync(lg.state(s.id), nil)
+	if err != nil {
+		fail(err.Error())
+		return
 	}
 	s.stats.LeavesLed.Add(1)
-	s.broadcastSync(lg.state(s.id), nil)
 	s.send(from, untraced, leaveVnodeResp{Op: m.Op})
 }
 

@@ -166,9 +166,10 @@ func (s *Snode) sendChunk(toHost transport.NodeID, to VnodeName, p hashspace.Par
 }
 
 // migratePartition streams one owned, live partition to its new owner and
-// returns the number of key entries shipped.  On error the bucket is live
-// again and still owned here; on success it is dead behind a custody
-// tombstone and the receiver owns the partition.
+// returns the number of key entries shipped.  The caller has claimed bk
+// (bucket.claim).  On error the bucket is live again, unclaimed and still
+// owned here; on success it is dead behind a custody tombstone and the
+// receiver owns the partition.
 func (s *Snode) migratePartition(g core.GroupID, to VnodeName, toHost transport.NodeID, p hashspace.Partition, level uint8, vs *vnodeState, bk *bucket) (int, error) {
 	chunk := s.cfg.MigrationChunkKeys
 
@@ -177,49 +178,49 @@ func (s *Snode) migratePartition(g core.GroupID, to VnodeName, toHost transport.
 	// trace ("mig.partition" root, chunk and install children).
 	root := beginSpan(s.sampler.next(), "mig.partition")
 
-	// Open the staging bucket before touching local state, so a dead or
-	// refusing receiver costs nothing.
-	_, err := ask[ackResp](&s.endpoint, toHost, root.ctx, func(op uint64) transport.WireMessage {
-		return migBeginReq{Op: op, Group: g, To: to, Partition: p, Level: level}
-	})
-	if err != nil {
-		err = fmt.Errorf("cluster: migration begin at %d: %w", toHost, err)
-		s.tracer.finishErr(root, s.id, err)
-		return 0, err
-	}
-
-	// Turn on dirty tracking and snapshot the key list in one critical
-	// section: every write from here on either is in the key snapshot or
-	// lands in the dirty set (or both — re-sent values are idempotent).
-	bk.mu.Lock()
-	if bk.state != bucketLive || bk.mig != nil {
-		bk.mu.Unlock()
-		s.send(toHost, untraced, migAbortMsg{To: to, Partition: p})
-		err := fmt.Errorf("cluster: partition %v not live for migration", p)
-		s.tracer.finish(root, s.id, err.Error())
-		return 0, err
-	}
-	bk.mig = &migSender{dirty: make(map[string]struct{})}
-	keys := make([]string, 0, len(bk.kv.m))
-	for k := range bk.kv.m {
-		keys = append(keys, k)
-	}
-	bk.mu.Unlock()
-
 	moved := 0
-	abort := func(err error) (int, error) {
+	release := func() {
 		bk.mu.Lock()
 		bk.mig = nil
 		if bk.state == bucketFrozen {
 			bk.state = bucketLive
 		}
 		bk.mu.Unlock()
+	}
+	abort := func(err error) (int, error) {
+		release()
 		s.send(toHost, untraced, migAbortMsg{To: to, Partition: p})
 		s.stats.MigAborts.Add(1)
 		s.tracer.finish(root, s.id, err.Error())
 		s.log.Warn("migration aborted", "partition", p, "to", int(toHost), "err", err)
 		return moved, err
 	}
+
+	// Open the staging bucket before reading the bucket, so a dead or
+	// refusing receiver costs nothing but the claim.
+	_, err := ask[ackResp](&s.endpoint, toHost, root.ctx, func(op uint64) transport.WireMessage {
+		return migBeginReq{Op: op, Group: g, To: to, Partition: p, Level: level}
+	})
+	if err != nil {
+		release()
+		err = fmt.Errorf("cluster: migration begin at %d: %w", toHost, err)
+		s.tracer.finishErr(root, s.id, err)
+		return 0, err
+	}
+
+	// Snapshot the key list.  Dirty tracking has been on since the claim,
+	// so every write either is in the key snapshot or lands in the dirty
+	// set (or both — re-sent values are idempotent).
+	bk.mu.Lock()
+	if bk.state != bucketLive {
+		bk.mu.Unlock()
+		return abort(fmt.Errorf("cluster: partition %v not live for migration", p))
+	}
+	keys := make([]string, 0, len(bk.kv.m))
+	for k := range bk.kv.m {
+		keys = append(keys, k)
+	}
+	bk.mu.Unlock()
 
 	// Base stream: bounded chunks read under the bucket's read lock, so
 	// concurrent writes proceed between chunks.  A key deleted since the

@@ -454,26 +454,23 @@ func (s *Snode) replicate(kind dataOp, writes map[hashspace.Partition][]batchIte
 			})
 		}
 	}
-	if len(byHost) == 0 {
-		return nil
-	}
-	errs := make(chan error, len(byHost))
-	for host, sets := range byHost {
-		go func(host transport.NodeID, sets []replWriteSet) {
-			// The send (not the wait) is serialized per destination so a
-			// concurrent full sync cannot be overtaken by a write it does
-			// not contain (see syncReplica).
-			fsp := beginSpan(tr, "repl.fanout")
-			_, err := askOrdered[ackResp](&s.endpoint, host, fsp.ctx, func(op uint64) transport.WireMessage {
-				return replWriteReq{Op: op, Kind: kind, Sets: sets}
-			})
-			s.tracer.finishErr(fsp, s.id, err)
-			errs <- err
-		}(host, sets)
+	hosts := make([]transport.NodeID, 0, len(byHost))
+	for host := range byHost {
+		hosts = append(hosts, host)
 	}
 	var stopping error
-	for range byHost {
-		if err := <-errs; err != nil {
+	for _, err := range fanOut(len(hosts), func(i int) error {
+		// The send (not the wait) is serialized per destination so a
+		// concurrent full sync cannot be overtaken by a write it does not
+		// contain (see syncReplica).
+		fsp := beginSpan(tr, "repl.fanout")
+		_, err := askOrdered[ackResp](&s.endpoint, hosts[i], fsp.ctx, func(op uint64) transport.WireMessage {
+			return replWriteReq{Op: op, Kind: kind, Sets: byHost[hosts[i]]}
+		})
+		s.tracer.finishErr(fsp, s.id, err)
+		return err
+	}) {
+		if err != nil {
 			select {
 			case <-s.stopCh:
 				stopping = err
@@ -541,20 +538,13 @@ func (s *Snode) rehomeReplicas(p hashspace.Partition) {
 		s.placed[p] = hosts
 	}
 	s.mu.Unlock()
-	if len(hosts) == 0 {
-		return
-	}
-	done := make(chan struct{}, len(hosts))
-	for _, host := range hosts {
-		go func(host transport.NodeID) {
-			defer func() { done <- struct{}{} }()
-			if _, err := s.syncReplica(p, host); err != nil {
-				s.stats.ReplLagged.Add(1)
-			}
-		}(host)
-	}
-	for range hosts {
-		<-done
+	for _, err := range fanOut(len(hosts), func(i int) error {
+		_, err := s.syncReplica(p, hosts[i])
+		return err
+	}) {
+		if err != nil {
+			s.stats.ReplLagged.Add(1)
+		}
 	}
 }
 

@@ -277,6 +277,19 @@ func (b *bucket) setState(st bucketState) {
 	b.mu.Unlock()
 }
 
+// claim marks a live bucket as streaming out (migratePartition): writes
+// from here on land in its dirty set, and no other transfer may pick it.
+// It reports false if the bucket is not live or is already claimed.
+func (b *bucket) claim() bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.state != bucketLive || b.mig != nil {
+		return false
+	}
+	b.mig = &migSender{dirty: make(map[string]struct{})}
+	return true
+}
+
 // keys returns the bucket's current key count.
 func (b *bucket) keys() int {
 	b.mu.RLock()
@@ -354,6 +367,7 @@ type Snode struct {
 	// protocol: when non-nil and returning an error, migratePartition
 	// bails out silently right before / right after the receiver-commit
 	// RPC, simulating a sender that died at the worst possible moment.
+	// A hook that blocks holds its migration at that point.
 	testCrashBeforeCommit func(hashspace.Partition) error
 	testCrashAfterCommit  func(hashspace.Partition) error
 }
@@ -769,7 +783,14 @@ func (s *Snode) handleTransfer(m transferReq, from transport.NodeID) {
 	})
 	p := candidates[s.rng.Intn(len(candidates))]
 	bk := vs.parts[p]
+	// Claim p before s.mu goes: a concurrent transfer from this vnode
+	// scans under s.mu too, so it can never pick p.
+	claimed := bk.claim()
 	s.mu.Unlock()
+	if !claimed {
+		s.send(from, untraced, transferResp{Op: m.Op, Err: fmt.Sprintf("partition %v of %v not live for migration", p, m.From)})
+		return
+	}
 
 	keys, err := s.migratePartition(m.Group, m.To, m.ToHost, p, m.Level, vs, bk)
 	if err != nil {
@@ -791,8 +812,9 @@ func copyBucket(b map[string][]byte) map[string][]byte {
 
 // handleShipVnode migrates every partition of a leaving vnode to the
 // leader's planned destinations (sorted partition order ↔ dests order),
-// one chunked live migration at a time — each bucket keeps serving until
-// its own final delta, instead of the whole vnode freezing upfront.
+// all partitions at once, each a chunked live migration: a bucket keeps
+// serving until its own final delta, instead of the whole vnode freezing
+// upfront.
 func (s *Snode) handleShipVnode(m shipVnodeReq, from transport.NodeID) {
 	s.mu.Lock()
 	vs, ok := s.vnodes[m.Vnode]
@@ -811,18 +833,24 @@ func (s *Snode) handleShipVnode(m shipVnodeReq, from transport.NodeID) {
 		s.send(from, untraced, ackResp{Op: m.Op, Err: fmt.Sprintf("vnode %v has %d partitions, plan has %d dests", m.Vnode, len(parts), len(m.Dests))})
 		return
 	}
+	bks := make([]*bucket, len(parts))
+	for i, p := range parts {
+		bks[i] = vs.parts[p]
+	}
 	group, level := vs.group, vs.level
 	s.mu.Unlock()
 
-	for i, p := range parts {
-		s.mu.Lock()
-		bk := vs.parts[p]
-		s.mu.Unlock()
-		dest := m.Dests[i]
-		if _, err := s.migratePartition(group, dest.Vnode, dest.Host, p, level, vs, bk); err != nil {
-			s.send(from, untraced, ackResp{Op: m.Op, Err: err.Error()})
-			return
+	err := firstErr(fanOut(len(parts), func(i int) error {
+		if !bks[i].claim() {
+			return fmt.Errorf("cluster: partition %v not live for migration", parts[i])
 		}
+		dest := m.Dests[i]
+		_, err := s.migratePartition(group, dest.Vnode, dest.Host, parts[i], level, vs, bks[i])
+		return err
+	}))
+	if err != nil {
+		s.send(from, untraced, ackResp{Op: m.Op, Err: err.Error()})
+		return
 	}
 	s.mutate(&walVnodeGoneRec{Name: m.Vnode})
 	s.send(from, untraced, ackResp{Op: m.Op})
