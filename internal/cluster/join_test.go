@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"dbdht/internal/cluster/transport"
+	"dbdht/internal/core"
 	"dbdht/internal/hashspace"
 	"dbdht/internal/wal"
 )
@@ -110,67 +111,110 @@ wait:
 	verifyReadable(t, c, acked)
 }
 
+// refuseCommits makes s's first n migration commits (every one for n < 0)
+// fail cleanly: the receiver has lost its staging bucket, so it refuses
+// the commit and s aborts.
+func refuseCommits(s, receiver *Snode, n int32) {
+	var reached atomic.Int32
+	armCommitHook(s, func(p hashspace.Partition) error {
+		if k := reached.Add(1); n < 0 || k <= n {
+			receiver.mu.Lock()
+			delete(receiver.migIn, p)
+			receiver.mu.Unlock()
+		}
+		return nil
+	})
+}
+
+// heldMatchesLeader checks the cluster's invariants and that the root
+// group's leader, on snode leader, counts for each vnode the partitions
+// it holds; it returns those counts.
+func heldMatchesLeader(t *testing.T, c *Cluster, leader *Snode) map[VnodeName]int {
+	t.Helper()
+	held := make(map[VnodeName]int)
+	for _, v := range verifySnapshot(t, c).Vnodes {
+		held[v.Name] = len(v.Partitions)
+	}
+	leader.mu.Lock()
+	lg := leader.led[core.GroupID{}]
+	leader.mu.Unlock()
+	if lg == nil {
+		t.Fatalf("snode %d does not lead the root group", leader.id)
+	}
+	if counts := lg.table.Counts(); !maps.Equal(counts, held) {
+		t.Errorf("leader table %v, vnodes hold %v", counts, held)
+	}
+	return held
+}
+
 // TestFailedJoinMovesLeaveExactLPDR fails moves of a join at their
-// commit — the receiver has lost its staging bucket, so it refuses the
-// commit and the sender aborts cleanly — and requires the leader's table
-// to match what each vnode holds: the moves that landed count, the ones
-// that failed do not, and a new vnode that received nothing is gone.
-// The next join must then succeed.
+// commit.  A join lands whole or not at all: the moves that landed go
+// back to their victims, the new vnode is gone, every vnode holds Pmin to
+// Pmax partitions (G4), and the leader's table matches what each vnode
+// holds.  The next join must then succeed.
 func TestFailedJoinMovesLeaveExactLPDR(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		fail int // moves whose commit is refused; -1 for all
+		name   string
+		vnodes int   // victims: the join splits the scope to vnodes×16
+		fail   int32 // moves whose commit is refused; -1 for all
 	}{
-		{"one-move-fails", 1},
-		{"every-move-fails", -1},
+		{"one-victim/one-move-fails", 1, 1},
+		{"two-victims/one-move-fails", 2, 1},
+		{"two-victims/every-move-fails", 2, -1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			// Two vnodes of 8: the join splits the scope to 2×16 and
-			// plans 10 moves, so one failed move still leaves every
-			// vnode at Pmin or more.
-			c, sender, receiver, acked := senderCluster(t, 2)
-			var reached atomic.Int32
-			armCommitHook(sender, func(p hashspace.Partition) error {
-				if n := reached.Add(1); tc.fail < 0 || n <= int32(tc.fail) {
-					receiver.mu.Lock()
-					delete(receiver.migIn, p)
-					receiver.mu.Unlock()
+			c, sender, receiver, acked := senderCluster(t, tc.vnodes)
+			// checkG4 also requires the group to have want vnodes.
+			checkG4 := func(want int) {
+				t.Helper()
+				held := heldMatchesLeader(t, c, sender)
+				for v, n := range held {
+					if n < c.cfg.Pmin || n > 2*c.cfg.Pmin {
+						t.Errorf("vnode %v holds %d partitions, outside [Pmin, Pmax]", v, n)
+					}
 				}
-				return nil
-			})
+				if len(held) != want {
+					t.Errorf("vnodes %v, want %d", held, want)
+				}
+			}
+			refuseCommits(sender, receiver, tc.fail)
 			if _, _, err := c.CreateVnode(receiver.id); err == nil {
 				t.Fatal("join succeeded although a move's commit was refused")
 			}
 			armCommitHook(sender, nil)
-			landed := 0
-			if tc.fail > 0 {
-				landed = int(reached.Load()) - tc.fail
-			}
-
-			snap := verifySnapshot(t, c)
-			held := make(map[VnodeName]int)
-			for _, v := range snap.Vnodes {
-				held[v.Name] = len(v.Partitions)
-			}
-			newcomer := VnodeName{Snode: receiver.id}
-			if got, member := held[newcomer]; got != landed || member != (landed > 0) {
-				t.Errorf("new vnode holds %d partitions, want %d; vnodes %v", got, landed, held)
-			}
-			sender.mu.Lock()
-			lg := sender.led[snap.Vnodes[0].Group]
-			sender.mu.Unlock()
-			if lg == nil {
-				t.Fatalf("snode %d does not lead group %v", sender.id, snap.Vnodes[0].Group)
-			}
-			if counts := lg.table.Counts(); !maps.Equal(counts, held) {
-				t.Errorf("leader table %v, vnodes hold %v", counts, held)
-			}
-
+			checkG4(tc.vnodes)
 			if _, _, err := c.CreateVnode(receiver.id); err != nil {
 				t.Fatalf("next join: %v", err)
 			}
-			verifySnapshot(t, c)
+			checkG4(tc.vnodes + 1)
 			verifyReadable(t, c, acked)
 		})
 	}
+}
+
+// TestFailedLeaveMoveStaysCounted fails one move of a leave at its
+// commit: the leaving vnode keeps that partition, and the leader's table
+// must say so rather than count it at its planned destination.  The
+// retried leave then moves it and drops the vnode.
+func TestFailedLeaveMoveStaysCounted(t *testing.T) {
+	c, sender, receiver, acked := senderCluster(t, 2)
+	name, _, err := c.CreateVnode(receiver.id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refuseCommits(receiver, sender, 1)
+	if err := c.RemoveVnode(name); err == nil {
+		t.Fatal("leave succeeded although a move's commit was refused")
+	}
+	armCommitHook(receiver, nil)
+	if held := heldMatchesLeader(t, c, sender); held[name] != 1 {
+		t.Errorf("leaving vnode holds %d partitions after one refused move, want 1", held[name])
+	}
+	if err := c.RemoveVnode(name); err != nil {
+		t.Fatalf("retried leave: %v", err)
+	}
+	if held := heldMatchesLeader(t, c, sender); len(held) != 2 {
+		t.Errorf("vnodes %v after the leave, want the two of snode %d", held, sender.id)
+	}
+	verifyReadable(t, c, acked)
 }

@@ -246,17 +246,26 @@ func (s *Snode) leaderJoin(lg *ledGroup, m joinGroupReq, from transport.NodeID) 
 		}))
 		err = cmp.Or(err, splitErr)
 	}
-	if err == nil {
-		err = s.runMoves(lg, moves)
-	} else {
+	if err != nil {
 		for _, mv := range moves {
 			lg.table.Revert(mv)
 		}
+	} else if landed, merr := s.runMoves(lg, moves); merr != nil {
+		// A join lands whole or not at all: a new vnode short of its plan
+		// may hold fewer than Pmin partitions (G4), so what landed goes
+		// back to its victims.
+		err = merr
+		back := make([]balance.Move[VnodeName], len(landed))
+		for i, mv := range landed {
+			lg.table.Revert(mv)
+			back[i] = balance.Move[VnodeName]{From: mv.To, To: mv.From}
+		}
+		_, _ = s.runMoves(lg, back)
 	}
 	// The LPDR keeps only what landed.  A new vnode that received nothing
-	// is abandoned by its creator, so it leaves the table too; one that
-	// received part of its plan is a member.  Every host learns the
-	// outcome, unless nothing changed or a host may have missed the split.
+	// is abandoned by its creator, so it leaves the table too.  Every host
+	// learns the outcome, unless nothing changed or a host may have missed
+	// the split.
 	c, _ := lg.table.Count(m.NewVnode)
 	if c == 0 {
 		_, _ = lg.table.Remove(m.NewVnode)
@@ -276,15 +285,17 @@ func (s *Snode) leaderJoin(lg *ledGroup, m joinGroupReq, from transport.NodeID) 
 // runMoves executes a plan's moves concurrently and waits for all of
 // them.  The plan is already in the table; a move that fails is taken
 // back out, so the table ends at the pre-plan counts plus the moves that
-// landed.  It returns the first error.
-func (s *Snode) runMoves(lg *ledGroup, moves []balance.Move[VnodeName]) error {
+// landed.  It returns the moves that landed and the first error.
+func (s *Snode) runMoves(lg *ledGroup, moves []balance.Move[VnodeName]) (landed []balance.Move[VnodeName], err error) {
 	errs := fanOut(len(moves), func(i int) error { return s.orderTransfer(lg, moves[i].From, moves[i].To) })
-	for i, err := range errs {
-		if err != nil {
+	for i, merr := range errs {
+		if merr != nil {
 			lg.table.Revert(moves[i])
+		} else {
+			landed = append(landed, moves[i])
 		}
 	}
-	return firstErr(errs)
+	return landed, firstErr(errs)
 }
 
 // orderTransfer executes one planned handover: instruct the victim's host,
@@ -357,11 +368,11 @@ func (s *Snode) splitLedGroup(lg *ledGroup, m joinGroupReq, from transport.NodeI
 	s.send(from, untraced, joinGroupResp{Op: m.Op, Group: chosen, Next: childLeaders[chosen]})
 }
 
-// leaderLeave dissolves one vnode inside the led group: ship its partitions
-// to the planned destinations, then flatten.  Merging (halving P_g) is
-// skipped — a group scope rarely owns complete sibling pairs (see
-// scope.ErrIncompleteTiling), so G4′'s upper bound is soft here exactly as
-// in package core.
+// leaderLeave dissolves one vnode inside the led group: move its partitions
+// to the planned destinations, all at once, then drop it and flatten.
+// Merging (halving P_g) is skipped — a group scope rarely owns complete
+// sibling pairs (see scope.ErrIncompleteTiling), so G4′'s upper bound is
+// soft here exactly as in package core.
 func (s *Snode) leaderLeave(lg *ledGroup, m leaveVnodeReq, from transport.NodeID) {
 	fail := func(err string) {
 		s.send(from, untraced, leaveVnodeResp{Op: m.Op, Err: err})
@@ -380,19 +391,26 @@ func (s *Snode) leaderLeave(lg *ledGroup, m leaveVnodeReq, from transport.NodeID
 		fail(err.Error())
 		return
 	}
-	refs := make([]ownerRef, len(dests))
+	// Each partition leaves by its own transfer, so one that fails stays
+	// counted with the vnode: it is back in the table at zero while they
+	// run.
+	_ = lg.table.Add(m.Vnode)
+	moves := make([]balance.Move[VnodeName], len(dests))
 	for i, d := range dests {
-		refs[i] = ownerRef{Vnode: d, Host: lg.host[d]}
+		moves[i] = balance.Move[VnodeName]{From: m.Vnode, To: d}
 	}
-	_, err = ask[ackResp](&s.endpoint, vnodeHost, untraced, func(op uint64) transport.WireMessage {
-		return shipVnodeReq{Op: op, Vnode: m.Vnode, Dests: refs}
-	})
-	if err != nil {
-		fail(err.Error())
-		return
+	if _, err = s.runMoves(lg, moves); err == nil {
+		_, err = ask[ackResp](&s.endpoint, vnodeHost, untraced, func(op uint64) transport.WireMessage {
+			return shipVnodeReq{Op: op, Vnode: m.Vnode}
+		})
 	}
-	delete(lg.host, m.Vnode)
-	err = s.runMoves(lg, lg.table.Flatten(s.cfg.Pmin))
+	if c, _ := lg.table.Count(m.Vnode); c == 0 {
+		_, _ = lg.table.Remove(m.Vnode)
+		delete(lg.host, m.Vnode)
+		if err == nil {
+			_, err = s.runMoves(lg, lg.table.Flatten(s.cfg.Pmin))
+		}
+	}
 	s.broadcastSync(lg.state(s.id), nil)
 	if err != nil {
 		fail(err.Error())

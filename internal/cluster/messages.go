@@ -156,8 +156,9 @@ type transferResp struct {
 func (m transferResp) replyOp() uint64  { return m.Op }
 func (m transferResp) replyErr() string { return m.Err }
 
-// shipVnodeReq orders the host of a leaving vnode to ship each of its
-// partitions (in sorted order) to the planned destinations.
+// shipVnodeReq orders the host of a leaving vnode to drop it, once the
+// leader's transfers have moved every partition away.  Dests is unused
+// and sent empty.
 type shipVnodeReq struct {
 	Op    uint64
 	Vnode VnodeName

@@ -179,16 +179,13 @@ func (s *Snode) migratePartition(g core.GroupID, to VnodeName, toHost transport.
 	root := beginSpan(s.sampler.next(), "mig.partition")
 
 	moved := 0
-	release := func() {
+	abort := func(err error) (int, error) {
 		bk.mu.Lock()
 		bk.mig = nil
 		if bk.state == bucketFrozen {
 			bk.state = bucketLive
 		}
 		bk.mu.Unlock()
-	}
-	abort := func(err error) (int, error) {
-		release()
 		s.send(toHost, untraced, migAbortMsg{To: to, Partition: p})
 		s.stats.MigAborts.Add(1)
 		s.tracer.finish(root, s.id, err.Error())
@@ -197,15 +194,13 @@ func (s *Snode) migratePartition(g core.GroupID, to VnodeName, toHost transport.
 	}
 
 	// Open the staging bucket before reading the bucket, so a dead or
-	// refusing receiver costs nothing but the claim.
+	// refusing receiver costs nothing but the claim.  An abort drops a
+	// staging bucket whose begin ack was lost.
 	_, err := ask[ackResp](&s.endpoint, toHost, root.ctx, func(op uint64) transport.WireMessage {
 		return migBeginReq{Op: op, Group: g, To: to, Partition: p, Level: level}
 	})
 	if err != nil {
-		release()
-		err = fmt.Errorf("cluster: migration begin at %d: %w", toHost, err)
-		s.tracer.finishErr(root, s.id, err)
-		return 0, err
+		return abort(fmt.Errorf("cluster: migration begin at %d: %w", toHost, err))
 	}
 
 	// Snapshot the key list.  Dirty tracking has been on since the claim,

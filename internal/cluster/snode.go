@@ -810,46 +810,15 @@ func copyBucket(b map[string][]byte) map[string][]byte {
 	return out
 }
 
-// handleShipVnode migrates every partition of a leaving vnode to the
-// leader's planned destinations (sorted partition order ↔ dests order),
-// all partitions at once, each a chunked live migration: a bucket keeps
-// serving until its own final delta, instead of the whole vnode freezing
-// upfront.
+// handleShipVnode drops a leaving vnode once the leader's transfers have
+// moved every partition away.
 func (s *Snode) handleShipVnode(m shipVnodeReq, from transport.NodeID) {
 	s.mu.Lock()
 	vs, ok := s.vnodes[m.Vnode]
-	if !ok {
-		s.mu.Unlock()
-		s.send(from, untraced, ackResp{Op: m.Op, Err: fmt.Sprintf("vnode %v not hosted at %d", m.Vnode, s.id)})
-		return
-	}
-	parts := make([]hashspace.Partition, 0, len(vs.parts))
-	for p := range vs.parts {
-		parts = append(parts, p)
-	}
-	sort.Slice(parts, func(i, j int) bool { return parts[i].Prefix < parts[j].Prefix })
-	if len(parts) != len(m.Dests) {
-		s.mu.Unlock()
-		s.send(from, untraced, ackResp{Op: m.Op, Err: fmt.Sprintf("vnode %v has %d partitions, plan has %d dests", m.Vnode, len(parts), len(m.Dests))})
-		return
-	}
-	bks := make([]*bucket, len(parts))
-	for i, p := range parts {
-		bks[i] = vs.parts[p]
-	}
-	group, level := vs.group, vs.level
+	empty := ok && len(vs.parts) == 0
 	s.mu.Unlock()
-
-	err := firstErr(fanOut(len(parts), func(i int) error {
-		if !bks[i].claim() {
-			return fmt.Errorf("cluster: partition %v not live for migration", parts[i])
-		}
-		dest := m.Dests[i]
-		_, err := s.migratePartition(group, dest.Vnode, dest.Host, parts[i], level, vs, bks[i])
-		return err
-	}))
-	if err != nil {
-		s.send(from, untraced, ackResp{Op: m.Op, Err: err.Error()})
+	if !empty {
+		s.send(from, untraced, ackResp{Op: m.Op, Err: fmt.Sprintf("vnode %v not hosted empty at %d", m.Vnode, s.id)})
 		return
 	}
 	s.mutate(&walVnodeGoneRec{Name: m.Vnode})
