@@ -11,13 +11,15 @@ import (
 )
 
 // Batched data plane.  A batch groups same-verb operations and moves them
-// toward their owners in sub-batches: the receiving snode serves the keys
-// it owns locally and forwards one sub-batch per next-hop host, waiting on
-// all of them in parallel.  Because keys owned by different vnodes/groups
-// are handled by different snodes concurrently, a batch exploits exactly
-// the per-group parallelism the local approach is built around (§3.1) —
-// one client round-trip fans out into parallel per-owner work instead of
-// N serial request/response cycles.
+// toward their owners in sub-batches, one per believed owner, all in
+// flight at once.  The receiving snode serves the keys it owns and, like
+// a lookup, redirects the rest: each such item comes back naming its next
+// custody hop (batchItemResp.Next), and the handle asks that hop itself.
+// Because keys owned by different vnodes/groups are handled by different
+// snodes concurrently, a batch exploits exactly the per-group parallelism
+// the local approach is built around (§3.1) — one client operation fans
+// out into parallel per-owner work instead of N serial request/response
+// cycles.
 
 // batchItem is one operation of a batch (Value is used by puts only).
 type batchItem struct {
@@ -25,14 +27,12 @@ type batchItem struct {
 	Value []byte
 }
 
-// batchReq carries a group of same-verb data operations.  It is the one
-// request passed on along custody chains, by call: each hop serves what
-// it owns, splits the rest by next hop and answers its own caller.
+// batchReq carries a group of same-verb data operations to one snode,
+// which answers for every item: served, refused, or redirected.
 type batchReq struct {
 	Op    uint64
 	Kind  dataOp
 	Items []batchItem
-	Hops  int
 	// ReadReplica marks a failover read: the receiver serves the keys
 	// straight from its replica store instead of the ownership path.
 	ReadReplica bool
@@ -44,17 +44,20 @@ type batchReq struct {
 }
 
 // batchItemResp is the per-key outcome inside a batchResp, parallel to the
-// request's Items.
+// request's Items.  A non-zero Next is a redirect: the responder does not
+// own the key and names the next custody hop to ask (snode ids start at 1).
 type batchItemResp struct {
 	Value []byte
 	Found bool
 	Err   string
+	Next  transport.NodeID
 }
 
 // batchResp answers a batchReq.  Served carries the partitions the
-// responder chain resolved, so requesters (the cluster handle included)
-// can aim future batches directly at the owners — all but those the
-// handle named a current route epoch for (batchReq.Known).
+// responder served, one entry each (its ownership index never holds two
+// overlapping partitions), so the handle can aim future batches directly
+// at the owners — all but those it named a current route epoch for
+// (batchReq.Known).
 type batchResp struct {
 	Op      uint64
 	Results []batchItemResp
@@ -64,9 +67,10 @@ type batchResp struct {
 func (m batchResp) replyOp() uint64  { return m.Op }
 func (m batchResp) replyErr() string { return "" }
 
-// handleBatch serves a batch: local keys are applied immediately, the rest
-// are regrouped by next hop and forwarded as sub-batches awaited in
-// parallel.  Runs outside the actor loop (it performs nested RPCs).
+// handleBatch serves a batch: owned keys are applied, the rest are
+// answered with their next custody hop, exactly as handleLookup answers.
+// Its only outbound calls are the replica fan-out of the writes it
+// applied.  Runs outside the actor loop (it waits on replicas and the WAL).
 func (s *Snode) handleBatch(m batchReq, from transport.NodeID, tr transport.TraceContext) {
 	if m.ReadReplica {
 		s.serveReplicaRead(m, from, tr)
@@ -76,7 +80,6 @@ func (s *Snode) handleBatch(m batchReq, from transport.NodeID, tr transport.Trac
 	s.stats.Batches.Add(1)
 	results := make([]batchItemResp, len(m.Items))
 	var served []routeEntry
-	forwards := make(map[transport.NodeID][]int)
 	replicate := s.cfg.Replicas > 1 && m.Kind != opGet
 	var (
 		replWrites map[hashspace.Partition][]batchItem
@@ -118,9 +121,9 @@ func (s *Snode) handleBatch(m batchReq, from transport.NodeID, tr transport.Trac
 	// bucket's lock, so concurrent batches for different partitions on
 	// this snode proceed in parallel.  Items landing on a frozen
 	// partition (mid-transfer) are retried until the transfer settles and
-	// they either apply locally or chase the new custody pointer — but
-	// only within FreezeTimeout: a wedged transfer must surface per-key
-	// errors, not spin this goroutine forever.
+	// they either apply locally or are redirected along the new custody
+	// pointer — but only within FreezeTimeout: a wedged transfer must
+	// surface per-key errors, not spin this goroutine forever.
 	pending := make([]int, len(m.Items))
 	for i := range pending {
 		pending[i] = i
@@ -131,9 +134,9 @@ func (s *Snode) handleBatch(m batchReq, from transport.NodeID, tr transport.Trac
 		work := make(map[*bucket]*bucketWork)
 		s.mu.Lock()
 		// Entries resolved under the epoch the handle named equal the
-		// routes it holds: a reply to it directly leaves them out.
+		// routes it holds: the reply leaves them out.
 		epoch := s.routeEpoch
-		teach := m.Hops > 0 || m.Known != epoch
+		teach := m.Known != epoch
 		for _, i := range pending {
 			h := hashes[i]
 			if ref, p, ok := s.ownedForLocked(h); ok {
@@ -150,16 +153,13 @@ func (s *Snode) handleBatch(m batchReq, from transport.NodeID, tr transport.Trac
 				w.idxs = append(w.idxs, i)
 				continue
 			}
-			if m.Hops >= maxHops {
-				results[i] = batchItemResp{Err: fmt.Sprintf("data op exceeded %d hops", m.Hops)}
-				continue
-			}
-			ref, ok := s.forwardTargetLocked(h, m.Hops == 0)
+			ref, ok := s.forwardTargetLocked(h)
 			if !ok {
 				results[i] = batchItemResp{Err: "no route: empty DHT view"}
 				continue
 			}
-			forwards[ref.Host] = append(forwards[ref.Host], i)
+			s.stats.Forwards.Add(1)
+			results[i] = batchItemResp{Next: ref.Host}
 		}
 		s.mu.Unlock()
 
@@ -283,73 +283,23 @@ func (s *Snode) handleBatch(m batchReq, from transport.NodeID, tr transport.Trac
 		pending = append(frozen, again...)
 	}
 
-	// Fan the sub-batches out in parallel — each next hop resolves its
-	// share concurrently — and scatter the answers back in place.  The
-	// replica fan-out for locally applied writes rides the same wait:
-	// writes are acknowledged only after their replicas answered.
-	var (
-		wg      sync.WaitGroup
-		mergeMu sync.Mutex
-		replErr error
-	)
+	// Writes are acknowledged only after their replicas answered; the
+	// group fsync of their journal records runs meanwhile.
 	if replicate && len(replWrites) > 0 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rsp := beginSpan(sp.ctx, "batch.repl-ack")
-			t0 := time.Now()
-			err := s.replicate(m.Kind, replWrites, replDests, replMeta, rsp.ctx)
-			s.lat.replAck.ObserveSince(t0)
-			s.tracer.finishErr(rsp, s.id, err)
-			if err != nil {
-				mergeMu.Lock()
-				replErr = err
-				mergeMu.Unlock()
+		rsp := beginSpan(sp.ctx, "batch.repl-ack")
+		t0 := time.Now()
+		err := s.replicate(m.Kind, replWrites, replDests, replMeta, rsp.ctx)
+		s.lat.replAck.ObserveSince(t0)
+		s.tracer.finishErr(rsp, s.id, err)
+		if err != nil {
+			// Stopping mid-batch: the local copies die with this snode, so
+			// the affected writes must not be acknowledged as durable.
+			for _, i := range localWrites {
+				results[i] = batchItemResp{Err: "replication aborted: " + err.Error()}
 			}
-		}()
-	}
-	for host, idxs := range forwards {
-		wg.Add(1)
-		go func(host transport.NodeID, idxs []int) {
-			defer wg.Done()
-			sub := make([]batchItem, len(idxs))
-			for j, i := range idxs {
-				sub[j] = m.Items[i]
-			}
-			s.stats.Forwards.Add(1)
-			fsp := beginSpan(sp.ctx, "batch.forward")
-			resp, err := ask[batchResp](&s.endpoint, host, fsp.ctx, func(op uint64) transport.WireMessage {
-				return batchReq{Op: op, Kind: m.Kind, Items: sub, Hops: m.Hops + 1}
-			})
-			s.tracer.finishErr(fsp, s.id, err)
-			mergeMu.Lock()
-			defer mergeMu.Unlock()
-			if err != nil {
-				for _, i := range idxs {
-					results[i] = batchItemResp{Err: err.Error()}
-				}
-				return
-			}
-			for j, i := range idxs {
-				if j < len(resp.Results) {
-					results[i] = resp.Results[j]
-				} else {
-					results[i] = batchItemResp{Err: fmt.Sprintf("short batch response from %d", host)}
-				}
-			}
-			served = append(served, resp.Served...)
-		}(host, idxs)
-	}
-	wg.Wait()
-	if replErr != nil {
-		// Stopping mid-batch: the local copies die with this snode, so
-		// the affected writes must not be acknowledged as durable.
-		for _, i := range localWrites {
-			results[i] = batchItemResp{Err: "replication aborted: " + replErr.Error()}
 		}
 	}
-	// The durability wait rides after the parallel fan-out (the group
-	// fsync overlapped with the network round-trips): a write is
+	// The durability wait rides after the replica fan-out: a write is
 	// acknowledged only once its journal record is on disk per the
 	// configured fsync mode.
 	walOK := !walClosed
@@ -369,27 +319,7 @@ func (s *Snode) handleBatch(m batchReq, from transport.NodeID, tr transport.Trac
 	}
 
 	s.tracer.finish(sp, s.id, "")
-	s.send(from, untraced, batchResp{Op: m.Op, Results: results, Served: dedupRoutes(served)})
-}
-
-// dedupRoutes keeps one entry per partition (the last one wins — deeper
-// in the response merge means closer to the current owner), so Served
-// lists stay proportional to partitions touched, not items served.
-func dedupRoutes(entries []routeEntry) []routeEntry {
-	if len(entries) <= 1 {
-		return entries
-	}
-	seen := make(map[hashspace.Partition]int, len(entries))
-	out := entries[:0]
-	for _, e := range entries {
-		if i, ok := seen[e.Partition]; ok {
-			out[i] = e
-			continue
-		}
-		seen[e.Partition] = len(out)
-		out = append(out, e)
-	}
-	return out
+	s.send(from, untraced, batchResp{Op: m.Op, Results: results, Served: served})
 }
 
 // --- client side (the Cluster handle) ---
@@ -601,17 +531,28 @@ func (c *Cluster) planFailover(failed transport.NodeID, idxs []int, items []batc
 	return plan
 }
 
+// batchRun is one mbatch call in flight: its items, their results, and
+// the sub-batches still carrying some of them on (wg).
+type batchRun struct {
+	c       *Cluster
+	kind    dataOp
+	items   []batchItem
+	hashes  []hashspace.Index
+	results []BatchResult // written under mu
+	tr      transport.TraceContext
+	wg      sync.WaitGroup
+
+	mu      sync.Mutex
+	entries []transport.NodeID        // guarded by mu; retry entry snodes: every snode but those that failed
+	failed  map[transport.NodeID]bool // guarded by mu; hosts that failed this batch (nil: none)
+	retried []bool                    // guarded by mu; per item, its one retry is spent (nil: none is)
+}
+
 // mbatch groups the items by believed owner — cache hits go straight to
 // the owning host, the rest spread across entry snodes by key hash — and
-// issues every sub-batch in parallel.
-//
-// Failure handling: when the RPC to a believed owner errors, its routes
-// are invalidated (invalidateStaleRoutes — routes whose partitions know
-// surviving replicas are deliberately KEPT so later reads keep failing
-// over), reads are failed over to the partition's cached replica hosts,
-// and whatever remains is retried once through the normal lookup path via
-// fresh entry snodes — hosts that just failed are not re-picked — before
-// per-key errors surface.
+// issues every sub-batch in parallel.  Each sub-batch carries its own
+// items on as soon as its reply arrives (batchRun.ask), so an item sent
+// elsewhere never waits behind a slow sibling sub-batch.
 func (c *Cluster) mbatch(kind dataOp, keys []string, items []batchItem) ([]BatchResult, error) {
 	results := make([]BatchResult, len(items))
 	for i, k := range keys {
@@ -634,167 +575,176 @@ func (c *Cluster) mbatch(kind dataOp, keys []string, items []batchItem) ([]Batch
 			c.logSlowOp(batchOpName(kind), len(items), time.Since(start), root)
 		}
 	}()
-	hashes := make([]hashspace.Index, len(items))
+	c.mu.Lock()
+	order := append([]transport.NodeID(nil), c.order...)
+	c.mu.Unlock()
+	if len(order) == 0 {
+		return results, fmt.Errorf("cluster: no snodes")
+	}
+	b := &batchRun{c: c, kind: kind, items: items, hashes: make([]hashspace.Index, len(items)),
+		results: results, tr: root.ctx, entries: order}
 	for i := range items {
-		hashes[i] = hashspace.HashString(items[i].Key)
+		b.hashes[i] = hashspace.HashString(items[i].Key)
 	}
-	pending := make([]int, len(items))
-	for i := range pending {
-		pending[i] = i
-	}
-	failedHosts := make(map[transport.NodeID]bool)
-	for attempt := 0; attempt < 2 && len(pending) > 0; attempt++ {
-		c.mu.Lock()
-		order := append([]transport.NodeID(nil), c.order...)
-		c.mu.Unlock()
-		if len(order) == 0 {
-			return results, fmt.Errorf("cluster: no snodes")
-		}
-		// Entry candidates exclude hosts that already failed this batch
-		// (unless that would leave none).
-		entries := order
-		if len(failedHosts) > 0 {
-			live := make([]transport.NodeID, 0, len(order))
-			for _, id := range order {
-				if !failedHosts[id] {
-					live = append(live, id)
-				}
+	groups := make(map[transport.NodeID][]int)
+	// known[h] is the route epoch shared by every item aimed at h, or 0
+	// when they do not share one (batchReq.Known).
+	known := make(map[transport.NodeID]uint64)
+	var replicaGroups map[transport.NodeID][]int
+	// Probe the owner cache for the whole batch under one lock
+	// acquisition, not one per item.  A dead-primary route (crash with
+	// surviving replicas) sends reads straight to a replica and everything
+	// else back through an entry snode — never a doomed RPC at the dead
+	// host.
+	c.routeMu.Lock()
+	for i, h := range b.hashes {
+		rt, ok := probeLevels(h, c.routes, &c.routeLvls)
+		switch {
+		case ok && !rt.dead:
+			host := rt.ref.Host
+			if e, seen := known[host]; !seen || e == rt.epoch {
+				known[host] = rt.epoch
+			} else {
+				known[host] = 0
 			}
-			if len(live) > 0 {
-				entries = live
+			groups[host] = append(groups[host], i)
+		case ok && kind == opGet && len(rt.replicas) > 0:
+			if replicaGroups == nil {
+				replicaGroups = make(map[transport.NodeID][]int)
 			}
-		}
-		groups := make(map[transport.NodeID][]int)
-		// known[h] is the route epoch shared by every item aimed at h, or
-		// 0 when they do not share one (batchReq.Known).
-		known := make(map[transport.NodeID]uint64)
-		var unrouted []int
-		var replicaGroups map[transport.NodeID][]int
-		if attempt == 0 {
-			// Probe the owner cache for the whole batch under one lock
-			// acquisition, not one per item.  A dead-primary route (crash
-			// with surviving replicas) sends reads straight to a replica
-			// and everything else back through the lookup path — never a
-			// doomed RPC at the dead host.
-			c.routeMu.Lock()
-			for _, i := range pending {
-				rt, ok := probeLevels(hashes[i], c.routes, &c.routeLvls)
-				switch {
-				case !ok:
-					unrouted = append(unrouted, i)
-				case rt.dead:
-					if kind == opGet && len(rt.replicas) > 0 {
-						if replicaGroups == nil {
-							replicaGroups = make(map[transport.NodeID][]int)
-						}
-						replicaGroups[rt.replicas[0]] = append(replicaGroups[rt.replicas[0]], i)
-					} else {
-						unrouted = append(unrouted, i)
-					}
-				default:
-					h := rt.ref.Host
-					if e, seen := known[h]; !seen || e == rt.epoch {
-						known[h] = rt.epoch
-					} else {
-						known[h] = 0
-					}
-					groups[h] = append(groups[h], i)
-				}
-			}
-			c.routeMu.Unlock()
-		} else {
-			unrouted = pending
-		}
-		for _, i := range unrouted {
+			replicaGroups[rt.replicas[0]] = append(replicaGroups[rt.replicas[0]], i)
+		default:
 			// Unknown owner: deterministic spread over entry snodes, so
 			// cold batches still classify in parallel across the cluster.
-			// Retries rotate the entry so a dead first pick isn't re-chosen.
-			entry := entries[(hashes[i]+uint64(attempt))%uint64(len(entries))]
+			entry := order[h%uint64(len(order))]
 			groups[entry] = append(groups[entry], i)
 			known[entry] = 0
 		}
-		var (
-			wg      sync.WaitGroup
-			mergeMu sync.Mutex
-			retry   []int
-		)
-		if len(replicaGroups) > 0 {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				served := c.failoverReads(kind, replicaGroups, items, results, &mergeMu, root.ctx)
-				mergeMu.Lock()
-				for _, idxs := range replicaGroups {
-					for _, i := range idxs {
-						if !served[i] {
-							retry = append(retry, i)
-						}
-					}
-				}
-				mergeMu.Unlock()
-			}()
-		}
-		for host, idxs := range groups {
-			wg.Add(1)
-			go func(host transport.NodeID, idxs []int, known uint64) {
-				defer wg.Done()
-				sub := make([]batchItem, len(idxs))
-				for j, i := range idxs {
-					sub[j] = items[i]
-				}
-				rsp := beginSpan(root.ctx, "batch.rpc")
-				t0 := time.Now()
-				resp, err := ask[batchResp](&c.endpoint, host, rsp.ctx, func(op uint64) transport.WireMessage {
-					return batchReq{Op: op, Kind: kind, Items: sub, Known: known}
-				})
-				c.batchRPC.ObserveSince(t0)
-				c.tracer.finishErr(rsp, clientID, err)
-				if err != nil {
-					// The believed owner stopped answering.  Plan read
-					// failover from the replica sets cached with the
-					// routes, then invalidate the stale routes.
-					c.subFails.Add(1)
-					var plan map[transport.NodeID][]int
-					if kind == opGet {
-						plan = c.planFailover(host, idxs, items)
-					}
-					c.invalidateStaleRoutes(host)
-					served := c.failoverReads(kind, plan, items, results, &mergeMu, root.ctx)
-					mergeMu.Lock()
-					failedHosts[host] = true
-					for _, i := range idxs {
-						if !served[i] {
-							retry = append(retry, i)
-						}
-					}
-					mergeMu.Unlock()
-					return
-				}
-				mergeMu.Lock()
-				defer mergeMu.Unlock()
-				for j, i := range idxs {
-					if j < len(resp.Results) {
-						r := resp.Results[j]
-						results[i].Value = r.Value
-						results[i].Found = r.Found
-						results[i].Err = r.Err
-					} else {
-						results[i].Err = fmt.Sprintf("short batch response from %d", host)
-					}
-				}
-				c.learnRoutes(resp.Served)
-			}(host, idxs, known[host])
-		}
-		wg.Wait()
-		if attempt == 1 {
-			for _, i := range retry {
-				results[i].Err = "cluster: batch sub-request failed after retry"
-			}
-			retry = nil
-		}
-		pending = retry
 	}
+	c.routeMu.Unlock()
+	if len(replicaGroups) > 0 {
+		b.wg.Add(1)
+		go func() {
+			defer b.wg.Done()
+			served := c.failoverReads(kind, replicaGroups, items, results, &b.mu, root.ctx)
+			for _, idxs := range replicaGroups {
+				b.settle(0, idxs, nil, served, 0)
+			}
+		}()
+	}
+	for host, idxs := range groups {
+		b.wg.Add(1)
+		go b.ask(host, idxs, known[host], 0)
+	}
+	b.wg.Wait()
 	return results, nil
+}
+
+// ask sends the items idxs to host as one sub-batch, the hop-th ask of
+// their way to their owners, and settles them with the answer.  When the
+// host fails, its routes are invalidated (invalidateStaleRoutes — routes
+// whose partitions know surviving replicas are deliberately KEPT so later
+// reads keep failing over) and reads are first failed over to the
+// partition's cached replica hosts.
+func (b *batchRun) ask(host transport.NodeID, idxs []int, known uint64, hop int) {
+	defer b.wg.Done()
+	c := b.c
+	sub := make([]batchItem, len(idxs))
+	for j, i := range idxs {
+		sub[j] = b.items[i]
+	}
+	rsp := beginSpan(b.tr, "batch.rpc")
+	t0 := time.Now()
+	resp, err := ask[batchResp](&c.endpoint, host, rsp.ctx, func(op uint64) transport.WireMessage {
+		return batchReq{Op: op, Kind: b.kind, Items: sub, Known: known}
+	})
+	c.batchRPC.ObserveSince(t0)
+	c.tracer.finishErr(rsp, clientID, err)
+	if err == nil {
+		c.learnRoutes(resp.Served)
+		b.settle(host, idxs, &resp, nil, hop)
+		return
+	}
+	c.subFails.Add(1)
+	var plan map[transport.NodeID][]int
+	if b.kind == opGet {
+		plan = c.planFailover(host, idxs, b.items)
+	}
+	c.invalidateStaleRoutes(host)
+	served := c.failoverReads(b.kind, plan, b.items, b.results, &b.mu, b.tr)
+	c.mu.Lock()
+	order := append([]transport.NodeID(nil), c.order...)
+	c.mu.Unlock()
+	b.mu.Lock()
+	if b.failed == nil {
+		b.failed = make(map[transport.NodeID]bool)
+	}
+	b.failed[host] = true
+	// Retry entries exclude hosts that already failed this batch, unless
+	// that would leave none.
+	live := make([]transport.NodeID, 0, len(order))
+	for _, id := range order {
+		if !b.failed[id] {
+			live = append(live, id)
+		}
+	}
+	if len(live) > 0 {
+		b.entries = live
+	}
+	b.mu.Unlock()
+	b.settle(host, idxs, nil, served, hop)
+}
+
+// settle gives each item of a sub-batch its next target, from host's
+// answer resp (nil: host failed, or idxs were failover reads, and served
+// marks the items a replica answered).  An answered item takes its
+// result and ends.  A redirected item goes to the hop its result names,
+// within hopLimit.  An item left unserved by a failure gets one retry at
+// a fresh entry snode, picked like a cold item's but one place on, before
+// a per-key error surfaces.  The items moving on are regrouped by target
+// and asked at once, one sub-batch per target.
+func (b *batchRun) settle(host transport.NodeID, idxs []int, resp *batchResp, served map[int]bool, hop int) {
+	var onward map[transport.NodeID][]int
+	b.mu.Lock()
+	for j, i := range idxs {
+		var next transport.NodeID
+		switch {
+		case resp == nil && served[i]:
+			continue
+		case resp == nil:
+			if b.retried == nil {
+				b.retried = make([]bool, len(b.items))
+			}
+			if b.retried[i] {
+				b.results[i].Err = "cluster: batch sub-request failed after retry"
+				continue
+			}
+			b.retried[i] = true
+			next = b.entries[(b.hashes[i]+1)%uint64(len(b.entries))]
+		case j >= len(resp.Results):
+			b.results[i].Err = fmt.Sprintf("short batch response from %d", host)
+			continue
+		case resp.Results[j].Next == 0:
+			r := resp.Results[j]
+			b.results[i].Value, b.results[i].Found, b.results[i].Err = r.Value, r.Found, r.Err
+			continue
+		default:
+			next = resp.Results[j].Next
+		}
+		if err := hopLimit(hop + 1); err != nil {
+			b.results[i].Err = "cluster: " + err.Error()
+			continue
+		}
+		if onward == nil {
+			onward = make(map[transport.NodeID][]int)
+		}
+		onward[next] = append(onward[next], i)
+	}
+	b.mu.Unlock()
+	for to, ids := range onward {
+		b.wg.Add(1)
+		go b.ask(to, ids, 0, hop+1)
+	}
 }
 
 // failoverReads issues the planned ReadReplica sub-batches and merges the

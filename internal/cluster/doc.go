@@ -17,18 +17,20 @@
 //   - vnode creation follows §3.6: draw r ∈ R_h, route a lookup to the
 //     victim vnode, ask the victim group's leader to run the §2.5 algorithm
 //     over its LPDR, splitting the group first when it is full (§3.7);
-//   - lookups route by *custody chains*: when a partition leaves a
-//     host, the host keeps a tombstone pointing at the new owner, and a
-//     stale host redirects its caller along it, so the caller's lookup
-//     chases the chain of custody to the current owner.
+//   - lookups and batch items route by *custody chains*: when a
+//     partition leaves a host, the host keeps a tombstone pointing at the
+//     new owner, and a stale host redirects its caller along it, so the
+//     caller chases the chain of custody to the current owner.  This is
+//     the one routing discipline: no snode passes a request on.
 //
 // The runtime has grown well past the paper's failure-free model (§5):
 //
 //   - the data plane is batched end to end (batch.go): the handle groups
 //     keys by believed owner via a learned route cache and fans sub-batches
 //     out in parallel, one per owner, single-key operations riding as
-//     one-item batches; an owner whose route epoch the handle still holds
-//     leaves the routes it would re-teach out of its reply;
+//     one-item batches; each sub-batch chases its own redirected items,
+//     and an owner whose route epoch the handle still holds leaves the
+//     routes it would re-teach out of its reply;
 //   - R-way partition replication (replica.go) keeps R−1 replica buckets
 //     per partition on deterministically placed snodes, with synchronous
 //     write fan-out, client-side failover reads, and background

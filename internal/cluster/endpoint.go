@@ -212,13 +212,27 @@ type redirect interface {
 	next() transport.NodeID
 }
 
+// hopLimit is nil while a request that has taken hop asks may be asked
+// again, and the error that ends it once maxHops asks went unanswered.
+// It bounds a chase and each batch item's way to its owner alike.
+func hopLimit(hop int) error {
+	if hop < maxHops {
+		return nil
+	}
+	return fmt.Errorf("no answer within %d hops", maxHops)
+}
+
 // chase asks via.next(), then each host a reply redirects to, until a
 // reply that is not a redirect — at most maxHops asks.  Every hop is a
 // call of its own, aimed at the host that answers it, so a departed hop
 // fails that hop at once.  build makes each hop's request from the
 // redirect that aimed it; timeout is call's.
 func chase[R redirect](e *endpoint, timeout time.Duration, via R, build func(op uint64, via R) transport.WireMessage) (R, error) {
-	for hop := 0; hop < maxHops; hop++ {
+	for hop := 0; ; hop++ {
+		if err := hopLimit(hop); err != nil {
+			var zero R
+			return zero, fmt.Errorf("cluster: %s: %w", e.who(), err)
+		}
 		r, err := replyAs[R](e.call(via.next(), untraced, timeout, nil, func(op uint64) transport.WireMessage {
 			return build(op, via)
 		}))
@@ -227,8 +241,6 @@ func chase[R redirect](e *endpoint, timeout time.Duration, via R, build func(op 
 		}
 		via = r
 	}
-	var zero R
-	return zero, fmt.Errorf("cluster: %s: no answer within %d hops", e.who(), maxHops)
 }
 
 // askOrdered is ask on the replica plane: build and the send run under

@@ -202,7 +202,7 @@ func TestCallsToDepartedPeerFailFast(t *testing.T) {
 			}
 			put := func(e *endpoint, to transport.NodeID, key string) error {
 				resp, err := ask[batchResp](e, to, untraced, func(op uint64) transport.WireMessage {
-					return batchReq{Op: op, Kind: opPut, Items: []batchItem{{Key: key, Value: []byte("v")}}, Hops: 1}
+					return batchReq{Op: op, Kind: opPut, Items: []batchItem{{Key: key, Value: []byte("v")}}}
 				})
 				if err == nil && resp.Results[0].Err != "" {
 					err = errors.New(resp.Results[0].Err)
@@ -248,10 +248,12 @@ func TestCallsToDepartedPeerFailFast(t *testing.T) {
 // TestDeadMiddleHopFailsFast: B leads the one group and sits in the
 // middle of the custody chain A → B → C.  B crashes with its departure
 // notice held back, so A and C still point at B.  A lookup from A, a
-// join started at C and the leave of C's vnode each need B; each must end
-// within a second although the RPC timeout is 30 s, because every hop is
-// a call to the peer that answers it.  When hops were forwarded by send,
-// a request lost at the dead hop cost each caller the whole timeout.
+// join started at C, the leave of C's vnode, and an MGet and an MPut of a
+// key of C's that the handle enters at A with no cached route each need
+// B; each must end within a second although the RPC timeout is 30 s,
+// because every hop is a call to the peer that answers it.  When hops
+// were forwarded by send, a request lost at the dead hop cost each caller
+// the whole timeout.
 func TestDeadMiddleHopFailsFast(t *testing.T) {
 	for _, fabric := range []string{"mem", "tcp"} {
 		t.Run(fabric, func(t *testing.T) {
@@ -291,15 +293,37 @@ func TestDeadMiddleHopFailsFast(t *testing.T) {
 				break
 			}
 			cs.mu.Unlock()
-			a.mu.Lock()
-			toB, _ := a.forwardTargetLocked(r, true)
-			a.mu.Unlock()
-			b.mu.Lock()
-			toC, _ := b.forwardTargetLocked(r, false)
-			b.mu.Unlock()
-			if toB.Host != b.id || toC.Host != cs.id {
+			chain := func(h uint64) (toB, toC ownerRef) {
+				a.mu.Lock()
+				toB, _ = a.forwardTargetLocked(h)
+				a.mu.Unlock()
+				b.mu.Lock()
+				toC, _ = b.forwardTargetLocked(h)
+				b.mu.Unlock()
+				return toB, toC
+			}
+			if toB, toC := chain(r); toB.Host != b.id || toC.Host != cs.id {
 				t.Fatalf("chain for %#x is %d → %d → %d, want %d → %d → %d", r, a.id, toB.Host, toC.Host, a.id, b.id, cs.id)
 			}
+			// A key of C's whose cold batch enters at A: the handle spreads
+			// unrouted keys over its snodes by hash.
+			order := c.Snodes()
+			var key string
+			for i := 0; key == ""; i++ {
+				k := fmt.Sprintf("k%d", i)
+				h := hashspace.HashString(k)
+				cs.mu.Lock()
+				_, _, owned := cs.ownedForLocked(h)
+				cs.mu.Unlock()
+				if toB, toC := chain(h); owned && order[h%uint64(len(order))] == a.id && toB.Host == b.id && toC.Host == cs.id {
+					key = k
+				}
+			}
+			c.routeMu.Lock()
+			if _, cached := probeLevels(hashspace.HashString(key), c.routes, &c.routeLvls); cached {
+				t.Fatalf("the handle has a route for %q", key)
+			}
+			c.routeMu.Unlock()
 
 			b.crashed.Store(true)
 			b.stop()
@@ -311,6 +335,8 @@ func TestDeadMiddleHopFailsFast(t *testing.T) {
 				{"lookup from A", func() error { _, err := a.resolveOwner(r); return err }},
 				{"join at C", func() error { _, _, err := c.CreateVnode(cs.id); return err }},
 				{"leave of C's vnode", func() error { return c.RemoveVnode(cVnode) }},
+				{"MGet entered at A", func() error { return keyErr(c.MGet([]string{key})) }},
+				{"MPut entered at A", func() error { return keyErr(c.MPut([]KV{{Key: key, Value: []byte("v")}})) }},
 			}
 			done := make([]chan error, len(ops))
 			for i, op := range ops {
@@ -323,6 +349,14 @@ func TestDeadMiddleHopFailsFast(t *testing.T) {
 			}
 		})
 	}
+}
+
+// keyErr is a one-key batch's outcome as one error.
+func keyErr(rs []BatchResult, err error) error {
+	if err == nil && !rs[0].OK() {
+		err = errors.New(rs[0].Err)
+	}
+	return err
 }
 
 // TestCallAllocations pins one in-memory round trip through ask: 10

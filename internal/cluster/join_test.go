@@ -192,23 +192,32 @@ func TestFailedJoinMovesLeaveExactLPDR(t *testing.T) {
 	}
 }
 
-// TestFailedLeaveMoveStaysCounted fails one move of a leave at its
-// commit: the leaving vnode keeps that partition, and the leader's table
-// must say so rather than count it at its planned destination.  The
-// retried leave then moves it and drops the vnode.
-func TestFailedLeaveMoveStaysCounted(t *testing.T) {
+// TestFailedLeaveMovesBack fails one move of a leave at its commit.  A
+// leave lands whole or not at all, like a join: the moves that landed go
+// back to the leaving vnode, which ends at its pre-leave count with every
+// vnode inside [Pmin, Pmax] (G4), and the leader's table matches what each
+// vnode holds.  The retried leave then moves everything and drops the
+// vnode.
+func TestFailedLeaveMovesBack(t *testing.T) {
 	c, sender, receiver, acked := senderCluster(t, 2)
 	name, _, err := c.CreateVnode(receiver.id)
 	if err != nil {
 		t.Fatal(err)
 	}
+	before := heldMatchesLeader(t, c, sender)[name]
 	refuseCommits(receiver, sender, 1)
 	if err := c.RemoveVnode(name); err == nil {
 		t.Fatal("leave succeeded although a move's commit was refused")
 	}
 	armCommitHook(receiver, nil)
-	if held := heldMatchesLeader(t, c, sender); held[name] != 1 {
-		t.Errorf("leaving vnode holds %d partitions after one refused move, want 1", held[name])
+	held := heldMatchesLeader(t, c, sender)
+	if held[name] != before {
+		t.Errorf("leaving vnode holds %d partitions after one refused move, want its %d before the leave", held[name], before)
+	}
+	for v, n := range held {
+		if n < c.cfg.Pmin || n > 2*c.cfg.Pmin {
+			t.Errorf("vnode %v holds %d partitions, outside [Pmin, Pmax]", v, n)
+		}
 	}
 	if err := c.RemoveVnode(name); err != nil {
 		t.Fatalf("retried leave: %v", err)

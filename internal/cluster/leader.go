@@ -250,17 +250,8 @@ func (s *Snode) leaderJoin(lg *ledGroup, m joinGroupReq, from transport.NodeID) 
 		for _, mv := range moves {
 			lg.table.Revert(mv)
 		}
-	} else if landed, merr := s.runMoves(lg, moves); merr != nil {
-		// A join lands whole or not at all: a new vnode short of its plan
-		// may hold fewer than Pmin partitions (G4), so what landed goes
-		// back to its victims.
-		err = merr
-		back := make([]balance.Move[VnodeName], len(landed))
-		for i, mv := range landed {
-			lg.table.Revert(mv)
-			back[i] = balance.Move[VnodeName]{From: mv.To, To: mv.From}
-		}
-		_, _ = s.runMoves(lg, back)
+	} else {
+		err = s.runMoves(lg, moves)
 	}
 	// The LPDR keeps only what landed.  A new vnode that received nothing
 	// is abandoned by its creator, so it leaves the table too.  Every host
@@ -283,19 +274,36 @@ func (s *Snode) leaderJoin(lg *ledGroup, m joinGroupReq, from transport.NodeID) 
 }
 
 // runMoves executes a plan's moves concurrently and waits for all of
-// them.  The plan is already in the table; a move that fails is taken
-// back out, so the table ends at the pre-plan counts plus the moves that
-// landed.  It returns the moves that landed and the first error.
-func (s *Snode) runMoves(lg *ledGroup, moves []balance.Move[VnodeName]) (landed []balance.Move[VnodeName], err error) {
-	errs := fanOut(len(moves), func(i int) error { return s.orderTransfer(lg, moves[i].From, moves[i].To) })
+// them.  The plan is already in the table.  A plan lands whole or not at
+// all: a vnode short of its plan may hold fewer than Pmin partitions
+// (G4), so when a move fails every move that landed is moved back.  The
+// table follows the partitions: it ends at the pre-plan counts, except
+// for a move back that failed too, whose partition stays counted where it
+// landed.  It returns the first error.
+func (s *Snode) runMoves(lg *ledGroup, moves []balance.Move[VnodeName]) error {
+	errs := s.transfers(lg, moves)
+	err := firstErr(errs)
+	if err == nil {
+		return nil
+	}
+	var back []balance.Move[VnodeName]
 	for i, merr := range errs {
-		if merr != nil {
-			lg.table.Revert(moves[i])
-		} else {
-			landed = append(landed, moves[i])
+		lg.table.Revert(moves[i])
+		if merr == nil {
+			back = append(back, balance.Move[VnodeName]{From: moves[i].To, To: moves[i].From})
 		}
 	}
-	return landed, firstErr(errs)
+	for i, berr := range s.transfers(lg, back) {
+		if berr != nil {
+			lg.table.Revert(back[i])
+		}
+	}
+	return err
+}
+
+// transfers runs every move at once and returns their errors, in order.
+func (s *Snode) transfers(lg *ledGroup, moves []balance.Move[VnodeName]) []error {
+	return fanOut(len(moves), func(i int) error { return s.orderTransfer(lg, moves[i].From, moves[i].To) })
 }
 
 // orderTransfer executes one planned handover: instruct the victim's host,
@@ -391,15 +399,14 @@ func (s *Snode) leaderLeave(lg *ledGroup, m leaveVnodeReq, from transport.NodeID
 		fail(err.Error())
 		return
 	}
-	// Each partition leaves by its own transfer, so one that fails stays
-	// counted with the vnode: it is back in the table at zero while they
-	// run.
+	// The vnode is back in the table at zero while its partitions move
+	// out, one transfer each, so a failed leave counts them back with it.
 	_ = lg.table.Add(m.Vnode)
 	moves := make([]balance.Move[VnodeName], len(dests))
 	for i, d := range dests {
 		moves[i] = balance.Move[VnodeName]{From: m.Vnode, To: d}
 	}
-	if _, err = s.runMoves(lg, moves); err == nil {
+	if err = s.runMoves(lg, moves); err == nil {
 		_, err = ask[ackResp](&s.endpoint, vnodeHost, untraced, func(op uint64) transport.WireMessage {
 			return shipVnodeReq{Op: op, Vnode: m.Vnode}
 		})
@@ -408,7 +415,7 @@ func (s *Snode) leaderLeave(lg *ledGroup, m leaveVnodeReq, from transport.NodeID
 		_, _ = lg.table.Remove(m.Vnode)
 		delete(lg.host, m.Vnode)
 		if err == nil {
-			_, err = s.runMoves(lg, lg.table.Flatten(s.cfg.Pmin))
+			err = s.runMoves(lg, lg.table.Flatten(s.cfg.Pmin))
 		}
 	}
 	s.broadcastSync(lg.state(s.id), nil)

@@ -157,12 +157,10 @@ func (m transferResp) replyOp() uint64  { return m.Op }
 func (m transferResp) replyErr() string { return m.Err }
 
 // shipVnodeReq orders the host of a leaving vnode to drop it, once the
-// leader's transfers have moved every partition away.  Dests is unused
-// and sent empty.
+// leader's transfers have moved every partition away.
 type shipVnodeReq struct {
 	Op    uint64
 	Vnode VnodeName
-	Dests []ownerRef
 }
 
 // Partition contents travel by chunked live migration — see migrate.go

@@ -206,3 +206,99 @@ func runRouteCacheFollowsOwnership(t *testing.T, net transport.Network) {
 	}
 	firstBatch("crashed snode restarted")
 }
+
+// TestBatchFollowsRedirects: after a join moves partitions away, the
+// handle's routes of the moved keys name their old host, which now
+// answers each such key with its next custody hop.  An MPut and then an
+// MGet of 64 keys, each behind such a join, must land through those
+// redirects, leave the handle routing every key to its owner, and raise
+// Stats.Forwards by exactly the custody hops the stale routes were
+// short of.
+func TestBatchFollowsRedirects(t *testing.T) {
+	c := newTestCluster(t, 8, 4, 2, 5)
+	ids := c.Snodes()
+	for i := 0; i < 2; i++ {
+		if _, _, err := c.CreateVnode(ids[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	keys := make([]string, 64)
+	items := make([]KV, len(keys))
+	for i := range keys {
+		keys[i] = fmt.Sprintf("redirect-%d", i)
+		items[i] = KV{Key: keys[i], Value: []byte("v0")}
+	}
+	if _, err := c.MPut(items); err != nil {
+		t.Fatal(err)
+	}
+	checkRoutesFollowOwners(t, c, keys, "warm-up")
+
+	// staleHops counts, over the keys, the custody hops from the host the
+	// handle routes each key to on to the key's owner.
+	staleHops := func() (hops, stale int) {
+		for _, k := range keys {
+			h := hashspace.HashString(k)
+			c.routeMu.Lock()
+			rt, _ := probeLevels(h, c.routes, &c.routeLvls)
+			c.routeMu.Unlock()
+			at, n := rt.ref.Host, 0
+			for ; ; n++ {
+				c.mu.Lock()
+				s := c.snodes[at]
+				c.mu.Unlock()
+				s.mu.Lock()
+				_, _, owns := s.ownedForLocked(h)
+				next, ok := s.forwardTargetLocked(h)
+				s.mu.Unlock()
+				if owns {
+					break
+				}
+				if !ok || n == maxHops {
+					t.Fatalf("no custody chain for %q from snode %d", k, rt.ref.Host)
+				}
+				at = next.Host
+			}
+			hops += n
+			if n > 0 {
+				stale++
+			}
+		}
+		return hops, stale
+	}
+	for round, op := range []string{"MPut", "MGet"} {
+		sn, err := c.AddSnode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := c.CreateVnode(sn); err != nil {
+			t.Fatal(err)
+		}
+		hops, stale := staleHops()
+		if stale == 0 {
+			t.Fatalf("%s: the join left no route stale", op)
+		}
+		fwd := c.StatsTotal().Forwards
+		var rs []BatchResult
+		if op == "MPut" {
+			for i := range items {
+				items[i].Value = []byte(fmt.Sprintf("v%d", round+1))
+			}
+			rs, err = c.MPut(items)
+		} else {
+			rs, err = c.MGet(keys)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rs {
+			if !r.OK() || (op == "MGet" && string(r.Value) != "v1") {
+				t.Fatalf("%s of %q through a stale route: %+v", op, r.Key, r)
+			}
+		}
+		if got := c.StatsTotal().Forwards - fwd; got != int64(hops) {
+			t.Errorf("%s: Forwards rose by %d, want the %d hops of %d stale routes", op, got, hops, stale)
+		}
+		t.Logf("%s: %d of %d routes stale, %d redirects", op, stale, len(keys), hops)
+		checkRoutesFollowOwners(t, c, keys, op)
+	}
+}

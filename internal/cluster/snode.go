@@ -88,8 +88,8 @@ type Config struct {
 }
 
 const (
-	// maxHops bounds custody chains: a batch's forwarding depth and the
-	// asks of one chase.
+	// maxHops bounds custody chains: the asks of one chase, and of one
+	// batch item on its way to its owner.
 	maxHops = 512
 	// migrationMaxDeltaRounds bounds how many live delta rounds a
 	// migration spends chasing concurrent writes before freezing for the
@@ -326,8 +326,6 @@ type Snode struct {
 	nextLocal int                                        // guarded by mu
 	tombs     map[hashspace.Partition]ownerRef           // guarded by mu; custody forwarding pointers
 	tombLvls  hashspace.LevelSet                         // guarded by mu
-	cache     map[hashspace.Partition]ownerRef           // guarded by mu; requester-side accelerator
-	cacheLvls hashspace.LevelSet                         // guarded by mu
 	boot      ownerRef                                   // guarded by mu
 	hasBoot   bool                                       // guarded by mu
 	replicas  map[core.GroupID]*lpdrState                // guarded by mu
@@ -384,7 +382,6 @@ func newSnode(id transport.NodeID, cfg Config, net transport.Network) (*Snode, e
 		vnodes:   make(map[VnodeName]*vnodeState),
 		owned:    make(map[hashspace.Partition]ownedRef),
 		tombs:    make(map[hashspace.Partition]ownerRef),
-		cache:    make(map[hashspace.Partition]ownerRef),
 		replicas: make(map[core.GroupID]*lpdrState),
 		led:      make(map[core.GroupID]*ledGroup),
 		rparts:   make(map[hashspace.Partition]*replicaBucket),
@@ -594,12 +591,10 @@ func (s *Snode) ownsLocked(h hashspace.Index) (*vnodeState, hashspace.Partition,
 	return ref.vs, p, ok
 }
 
-// forwardTargetLocked picks the next hop for hash index h — where a batch
-// is forwarded, or a lookup redirected: the deepest custody tombstone
-// covering h, falling back to the bootstrap owner.  Past the first hop
-// only custody pointers are followed — they advance strictly along the
-// chain of custody, guaranteeing termination; the requester-side cache
-// (useCache) may only seed the first hop.
+// forwardTargetLocked picks the next hop for hash index h — where a
+// lookup or a batch item is redirected: the deepest custody tombstone
+// covering h, falling back to the bootstrap owner.  Custody pointers
+// advance strictly along the chain of custody, guaranteeing termination.
 //
 // A target pointing back at THIS snode is never returned: the caller just
 // failed to classify h here under the same lock, so a self-hop cannot make
@@ -608,16 +603,11 @@ func (s *Snode) ownsLocked(h hashspace.Index) (*vnodeState, hashspace.Partition,
 // snode) and the request must fail fast instead of ping-ponging through
 // the fallback until maxHops.  Without this guard a single crash would
 // leave every lookup of an orphaned region spinning through 512 asks of
-// its caller's chase loop, and every batch through 512 forwards,
+// its caller's chase loop, and every batch item through 512 redirects,
 // congesting the data plane for seconds.
-func (s *Snode) forwardTargetLocked(h hashspace.Index, useCache bool) (ownerRef, bool) {
+func (s *Snode) forwardTargetLocked(h hashspace.Index) (ownerRef, bool) {
 	if ref, ok := probeLevels(h, s.tombs, &s.tombLvls); ok && ref.Host != s.id {
 		return ref, true
-	}
-	if useCache {
-		if ref, ok := probeLevels(h, s.cache, &s.cacheLvls); ok && ref.Host != s.id {
-			return ref, true
-		}
 	}
 	if s.hasBoot && s.boot.Host != s.id {
 		return s.boot, true
@@ -654,18 +644,11 @@ func (s *Snode) delTombLocked(p hashspace.Partition) {
 	}
 }
 
-func (s *Snode) setCacheLocked(p hashspace.Partition, ref ownerRef) {
-	if _, ok := s.cache[p]; !ok {
-		s.cacheLvls.Add(p.Level)
-	}
-	s.cache[p] = ref
-}
-
 // handleLookup implements §3.6's owner location, one custody hop per
 // call: a non-owner redirects the caller to the next hop.  A traced lookup
 // records one span per snode asked — "lookup.serve" at the owner,
 // "lookup.hop" at every redirect — so a custody chain is visible end to
-// end.  The route cache seeds only an snode's lookups of itself.
+// end.
 func (s *Snode) handleLookup(m lookupReq, from transport.NodeID, tr transport.TraceContext) {
 	sp := beginSpan(tr, "lookup.serve")
 	s.mu.Lock()
@@ -683,7 +666,7 @@ func (s *Snode) handleLookup(m lookupReq, from transport.NodeID, tr transport.Tr
 		})
 		return
 	}
-	ref, ok := s.forwardTargetLocked(m.R, from == s.id)
+	ref, ok := s.forwardTargetLocked(m.R)
 	s.mu.Unlock()
 	if !ok {
 		s.tracer.finish(sp, s.id, "no-route")
@@ -710,9 +693,6 @@ func (s *Snode) resolveOwner(r uint64) (lookupResp, error) {
 	if err != nil {
 		return lookupResp{}, fmt.Errorf("cluster: lookup: %w", err)
 	}
-	s.mu.Lock()
-	s.setCacheLocked(resp.Partition, ownerRef{Vnode: resp.Owner, Host: resp.Host})
-	s.mu.Unlock()
 	return resp, nil
 }
 
@@ -847,12 +827,6 @@ func (s *Snode) handleSnodeLeaving(m snodeLeavingMsg) {
 	for p, ref := range s.tombs {
 		if ref.Host == m.Leaving {
 			s.delTombLocked(p)
-		}
-	}
-	for p, ref := range s.cache {
-		if ref.Host == m.Leaving {
-			delete(s.cache, p)
-			s.cacheLvls.Remove(p.Level)
 		}
 	}
 	for _, r := range m.Routes {

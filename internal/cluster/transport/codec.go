@@ -40,10 +40,12 @@ import (
 // (tags 4, 77, 78) in place.  v7 took the reply address and the hop count
 // out of the request payloads (a reply goes to the frame's From) and
 // added a redirect to the lookup, join and leave responses (tags 2, 67,
-// 69), all in place.
+// 69), all in place.  v8 made batches redirect too: batchReq (tag 3)
+// lost its hop count and every batch item result (inside tag 4) gained a
+// redirect, and shipVnodeReq (tag 73) lost its unused destination list.
 
 const (
-	wireVersion byte = 7
+	wireVersion byte = 8
 
 	// Frame flags (v2+).  flagTrace marks a trace context present in the
 	// header; flagSampled carries the head-sampling decision.

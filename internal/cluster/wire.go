@@ -342,6 +342,7 @@ func (res *batchItemResp) fields(w *walker) {
 	w.bytes(&res.Value)
 	w.bool(&res.Found)
 	w.str(&res.Err)
+	w.node(&res.Next)
 }
 
 // journalFields is what the journal keeps of a replica write set: Ver and
@@ -421,7 +422,6 @@ func (m *batchReq) fields(w *walker) {
 	for i := range sliceOf(w, &m.Items, 2) {
 		m.Items[i].fields(w)
 	}
-	w.int(&m.Hops)
 	w.bool(&m.ReadReplica)
 	w.u64(&m.Known)
 }
@@ -662,9 +662,6 @@ func (m shipVnodeReq) AppendWire(b []byte) []byte { return appendWalk(b, &m, (*s
 func (m *shipVnodeReq) fields(w *walker) {
 	w.u64(&m.Op)
 	m.Vnode.fields(w)
-	for i := range sliceOf(w, &m.Dests, 3) {
-		m.Dests[i].fields(w)
-	}
 }
 
 // --- group management ---

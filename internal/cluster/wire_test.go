@@ -60,11 +60,12 @@ func wireSamples() []transport.WireMessage {
 		batchReq{Op: 12, Kind: opPut, Items: []batchItem{
 			{Key: "a", Value: []byte("va")},
 			{Key: "b"}, // nil value (deletes, gets)
-		}, Hops: 2, ReadReplica: true, Known: 77},
+		}, ReadReplica: true, Known: 77},
 		batchReq{Op: 13, Kind: opGet}, // empty batch
 		batchResp{Op: 14, Results: []batchItemResp{
 			{Value: []byte("v"), Found: true},
 			{Err: "missing"},
+			{Next: 6}, // a redirect
 		}, Served: routes},
 		replWriteReq{Op: 15, Kind: opDel, Sets: []replWriteSet{
 			{Partition: p, Items: []batchItem{{Key: "k", Value: []byte("v")}}},
@@ -107,8 +108,7 @@ func wireSamples() []transport.WireMessage {
 		transferReq{Op: 38, Group: g, From: owner, To: VnodeName{Snode: 5, Local: 2}, ToHost: 5, Level: 4},
 		transferResp{Op: 39, Partition: p, Keys: 77},
 		transferResp{Op: 40, Err: "no transferable partition"},
-		shipVnodeReq{Op: 41, Vnode: owner, Dests: []ownerRef{ref, {Vnode: VnodeName{Snode: 5}, Host: 5}}},
-		shipVnodeReq{Op: 42, Vnode: owner}, // vnode without partitions
+		shipVnodeReq{Op: 41, Vnode: owner},
 		groupInit{Op: 43, State: lpdr},
 		lpdrSyncMsg{State: lpdr, Dissolved: []core.GroupID{{Bits: 0b11, Len: 2}}},
 		lpdrSyncMsg{State: lpdrState{Group: g}}, // no members, nothing dissolved
@@ -273,12 +273,15 @@ func TestTagRegistry(t *testing.T) {
 
 // TestNoHandlerForwards holds the one routing discipline: a hop that
 // cannot answer a request redirects its caller, so no function passes on
-// a request it did not build.  Request types are the package's structs
-// with an Op field and no replyOp method.  Reading the non-test sources
-// with go/parser, the test fails when a request value other than a
-// composite literal built in the same function — a received request, or
-// a copy of one — is the message of a send or what a build function
-// handed to call, ask, askOrdered or chase returns.
+// a request it did not build, and no function that handles a request
+// builds another of its type.  Request types are the package's structs
+// with an Op field and no replyOp method; a function handles the request
+// types of its parameters.  Reading the non-test sources with go/parser,
+// the test fails when the message of a send, or what a build function
+// handed to call, ask, askOrdered or chase returns, is a request value
+// other than a composite literal built in the same function — a received
+// request, or a copy of one — or is a request of a type the function
+// handles.
 func TestNoHandlerForwards(t *testing.T) {
 	files, err := filepath.Glob("*.go")
 	if err != nil {
@@ -412,6 +415,12 @@ func TestNoHandlerForwards(t *testing.T) {
 			}
 			params(fd.Recv)
 			params(fd.Type.Params)
+			handles := make(map[string]bool)
+			for _, field := range fd.Type.Params.List {
+				if typ := strings.TrimPrefix(types.ExprString(field.Type), "*"); isRequest(typ) {
+					handles[typ] = true
+				}
+			}
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.FuncLit:
@@ -454,9 +463,15 @@ func TestNoHandlerForwards(t *testing.T) {
 
 			check := func(e ast.Expr) {
 				checked++
-				if typ := typeOf(e); isRequest(typ) && !built(e) {
+				typ := strings.TrimPrefix(typeOf(e), "*")
+				switch {
+				case !isRequest(typ):
+				case !built(e):
 					t.Errorf("%s: %s passes on a %s it did not build; answer the caller with a redirect instead",
-						fset.Position(e.Pos()), fd.Name.Name, strings.TrimPrefix(typ, "*"))
+						fset.Position(e.Pos()), fd.Name.Name, typ)
+				case handles[typ]:
+					t.Errorf("%s: %s handles a %s and builds another for a peer; answer the caller with a redirect instead",
+						fset.Position(e.Pos()), fd.Name.Name, typ)
 				}
 			}
 			ast.Inspect(fd.Body, func(n ast.Node) bool {

@@ -659,7 +659,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		readsPerSnode,
 		writesPerSnode,
 		counter("dbdht_msgs_total", "protocol messages received", st.Stats.MsgsIn),
-		counter("dbdht_forwards_total", "custody-chain forwards and redirects", st.Stats.Forwards),
+		counter("dbdht_forwards_total", "custody-chain redirects", st.Stats.Forwards),
 		counter("dbdht_partitions_sent_total", "partitions migrated", st.Stats.PartitionsSent),
 		counter("dbdht_keys_moved_total", "keys migrated with partitions", st.Stats.KeysMoved),
 		counter("dbdht_split_alls_total", "scope-wide splits", st.Stats.SplitAlls),
