@@ -73,7 +73,7 @@ func registerFlags(fs *flag.FlagSet, o *dbdht.ClusterOptions, d *daemon) {
 	fs.IntVar(&o.Pmin, "pmin", 32, "Pmin (power of two)")
 	fs.IntVar(&o.Vmin, "vmin", 8, "Vmin (power of two)")
 	fs.Int64Var(&o.Seed, "seed", 1, "seed")
-	fs.IntVar(&o.Replicas, "replicas", 0, "copies per partition R (0 = 1, replication off; R>=2 survives snode crashes for reads)")
+	fs.IntVar(&o.Replicas, "replicas", 0, "copies per partition R (0 = 1, replication off; R>=2 loses no acknowledged write when an snode crashes)")
 	fs.StringVar(&d.fabric, "transport", "mem", "cluster fabric: mem | tcp")
 	fs.StringVar(&d.host, "host", "127.0.0.1", "bind host for the tcp fabric")
 	fs.DurationVar(&o.RPCTimeout, "rpc-timeout", 0, "internal RPC timeout (0 = 30s)")

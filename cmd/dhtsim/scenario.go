@@ -111,6 +111,9 @@ var (
 		func(s cluster.StatsSnapshot) int64 { return s.Elections }, false)
 	noFreezeTimeouts = statCheck("no-freeze-timeouts", "freeze_timeouts",
 		func(s cluster.StatsSnapshot) int64 { return s.FreezeTimeouts }, true)
+	// readsAnswered holds reads to the bound writes meet in failover:
+	// a read of a dead primary's partition waits for its promotion too.
+	readsAnswered = func(e *scnEnv) invariant.Verdict { return e.rec.CheckReadAvailability(2 * time.Second) }
 )
 
 // killRestart crashes snode i (its WAL buffer is abandoned, as in a
@@ -158,9 +161,10 @@ func catalog() []scenario {
 		checks:     []func(*scnEnv) invariant.Verdict{noFreezeTimeouts},
 		staleBound: 2 * time.Second, convergeIn: 20 * time.Second, maxSigma: 20,
 	}, {
-		// crash: one snode dies abruptly under load.  With R=2 reads fail
-		// over to replicas, replicas are promoted, and anti-entropy
-		// re-homes the replica sets on the survivors.
+		// crash: one snode dies abruptly under load.  With R=2 replicas
+		// are promoted, reads and writes of the dead primary's partitions
+		// resume at the promoted primaries within the 2 s read bound, and
+		// anti-entropy re-homes the replica sets on the survivors.
 		name:  "crash",
 		title: "R=2, 8 snodes: one snode killed under zipfian writes",
 		topo: scnTopo{
@@ -171,6 +175,7 @@ func catalog() []scenario {
 		load: scnLoad{workers: 4, ops: 1500, rate: 1500, keys: 2000, zipf: 1.2, ratios: updates(0.8), valueSize: 64},
 		nemesis: []scnEvent{{at: time.Second, desc: "kill snode 3",
 			do: func(e *scnEnv) error { return e.c.KillSnode(e.ids[3]) }}},
+		checks:     []func(*scnEnv) invariant.Verdict{readsAnswered},
 		staleBound: 2 * time.Second, convergeIn: 20 * time.Second, maxSigma: 50,
 	}, {
 		// restart: no replica to fall back on, so the durability layer
@@ -206,7 +211,7 @@ func catalog() []scenario {
 			do: func(e *scnEnv) error { return e.c.KillSnode(e.ids[1]) }}},
 		checks: []func(*scnEnv) invariant.Verdict{
 			func(e *scnEnv) invariant.Verdict { return e.rec.CheckWriteAvailability(2 * time.Second) },
-			promoted, elected,
+			readsAnswered, promoted, elected,
 		},
 		staleBound: 2 * time.Second, convergeIn: 20 * time.Second, maxSigma: 50,
 	}, {
@@ -231,7 +236,7 @@ func catalog() []scenario {
 			{at: 1620 * time.Millisecond, desc: "heal", heal: true,
 				do: func(e *scnEnv) error { e.net.Heal(); return nil }},
 		},
-		checks:     []func(*scnEnv) invariant.Verdict{promoted, elected},
+		checks:     []func(*scnEnv) invariant.Verdict{readsAnswered, promoted, elected},
 		staleBound: 2 * time.Second, convergeIn: 20 * time.Second, maxSigma: 50,
 	}, {
 		// partition: a 2s symmetric partition splits the snodes in half
@@ -577,6 +582,8 @@ func runWorker(c *dbdht.Cluster, rec *invariant.Recorder, pacer *workload.Pacer,
 		for _, r := range res {
 			if r.OK() {
 				rec.RecordRead(r.Key, r.Value, r.Found, start, end)
+			} else {
+				rec.RecordFailedRead(r.Key, start)
 			}
 		}
 		return nil

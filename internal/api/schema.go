@@ -156,7 +156,6 @@ type Stats struct {
 	DataOps, Requeues, Batches                  int64
 	ReplWrites, ReplRepairs, ReplLagged         int64
 	AEProbeMsgs, AEKeysHashed                   int64
-	FailoverReads                               int64
 	ChunksSent, MigAborts, FreezeTimeouts       int64
 	Elections, Promotions                       int64
 	// FailoverDetects counts snodes the cluster handle's liveness

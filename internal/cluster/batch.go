@@ -33,9 +33,6 @@ type batchReq struct {
 	Op    uint64
 	Kind  dataOp
 	Items []batchItem
-	// ReadReplica marks a failover read: the receiver serves the keys
-	// straight from its replica store instead of the ownership path.
-	ReadReplica bool
 	// Known is the receiver's route epoch that tags the handle's route of
 	// every item (0: none, or not one epoch).  While the receiver's epoch
 	// still equals it, the routes it would teach are the ones the handle
@@ -72,10 +69,6 @@ func (m batchResp) replyErr() string { return "" }
 // Its only outbound calls are the replica fan-out of the writes it
 // applied.  Runs outside the actor loop (it waits on replicas and the WAL).
 func (s *Snode) handleBatch(m batchReq, from transport.NodeID, tr transport.TraceContext) {
-	if m.ReadReplica {
-		s.serveReplicaRead(m, from, tr)
-		return
-	}
 	sp := beginSpan(tr, "batch.serve")
 	s.stats.Batches.Add(1)
 	results := make([]batchItemResp, len(m.Items))
@@ -143,11 +136,11 @@ func (s *Snode) handleBatch(m batchReq, from transport.NodeID, tr transport.Trac
 				bk := ref.bk
 				w := work[bk]
 				if w == nil {
-					reps := s.ownedReplicasLocked(p, ref)
+					w = &bucketWork{owner: ownerRef{Vnode: ref.vs.name, Host: s.id}, p: p, group: ref.vs.group}
 					if replicate {
-						replDests[p] = reps
+						w.reps = s.ownedReplicasLocked(p, ref)
+						replDests[p] = w.reps
 					}
-					w = &bucketWork{owner: ownerRef{Vnode: ref.vs.name, Host: s.id}, p: p, group: ref.vs.group, reps: reps}
 					work[bk] = w
 				}
 				w.idxs = append(w.idxs, i)
@@ -259,7 +252,7 @@ func (s *Snode) handleBatch(m batchReq, from transport.NodeID, tr transport.Trac
 				localWrites = append(localWrites, w.idxs...)
 			}
 			if teach {
-				served = append(served, routeEntry{Partition: w.p, Ref: w.owner, Replicas: w.reps, Epoch: epoch})
+				served = append(served, routeEntry{Partition: w.p, Ref: w.owner, Epoch: epoch})
 			}
 		}
 
@@ -375,22 +368,15 @@ func (c *Cluster) MDelete(keys []string) ([]BatchResult, error) {
 	return c.mbatch(opDel, keys, bi)
 }
 
-// route is one cached owner pointer at the handle, together with the
-// partition's replica hosts for read failover.  dead marks a route whose
-// primary crashed but whose replicas survive: reads aim straight at a
-// replica (no doomed RPC to the dead primary first), writes re-resolve.
-// keep marks a route whose replica list was emptied by a crash purge while
-// its primary stayed live: invalidateStaleRoutes treats it like a
-// replica-backed route (retained on transient RPC failure), because a
-// crash can orphan custody chains and leave this cached pointer as the
-// only path to a perfectly healthy partition.  epoch is the owner's route
-// epoch when it taught the route (0: learned from an announcement).
+// route is one cached owner pointer at the handle.  epoch is the owner's
+// route epoch when it taught the route (0: learned from an announcement).
+// A route leaves the cache only when its host departs (purgeRoutesTo) or
+// a newer answer replaces it: a failed RPC proves nothing about the host,
+// and after a crash a cached route can be the only way to a live
+// partition whose custody chain ran through the dead snode.
 type route struct {
-	ref      ownerRef
-	replicas []transport.NodeID
-	dead     bool
-	keep     bool
-	epoch    uint64
+	ref   ownerRef
+	epoch uint64
 }
 
 // learnRoutes folds served-partition info from batch responses into the
@@ -405,130 +391,24 @@ func (c *Cluster) learnRoutes(entries []routeEntry) {
 		if _, ok := c.routes[e.Partition]; !ok {
 			c.routeLvls.Add(e.Partition.Level)
 		}
-		c.routes[e.Partition] = route{ref: e.Ref, replicas: e.Replicas, epoch: e.Epoch}
+		c.routes[e.Partition] = route{ref: e.Ref, epoch: e.Epoch}
 	}
 }
 
-// purgeRoutesTo rewrites the handle's cache when a snode departs, so the
-// first post-departure batch pays no failed round-trip discovering it.
-//
-// Graceful leave: the leaver's partitions all migrated to survivors and
-// its custody table was bequeathed, so every pointer at it — owner routes
-// and replica-set entries alike — is dropped outright; re-resolution
-// through the (intact) custody chains relearns fresh routes.
-//
-// Crash: a route whose primary died but whose replicas survive is kept
-// and marked dead, so the very next read goes straight to a replica
-// instead of burning a failed RPC; a victim route that knows no replicas
-// is dropped (nothing can serve it).  The dead host is also stripped from
-// the replica list of every OTHER route — a failover read must never aim
-// at the crashed replica.  When that strip empties a previously non-empty
-// list the route is marked keep instead of losing its retention signal:
-// a crash can orphan custody chains, leaving cached routes as the only
-// path to perfectly healthy partitions, and invalidateStaleRoutes must
-// not let one transient post-crash timeout evict the irreplaceable route.
-func (c *Cluster) purgeRoutesTo(host transport.NodeID, crashed bool) {
+// purgeRoutesTo drops every cached route aimed at a departed snode, so
+// the first post-departure batch pays no failed round-trip discovering
+// it.  Re-resolution through the custody chains relearns the partitions'
+// owners: survivors after a graceful leave, promoted replicas (announced
+// to the handle) after a crash.
+func (c *Cluster) purgeRoutesTo(host transport.NodeID) {
 	c.routeMu.Lock()
 	defer c.routeMu.Unlock()
 	for p, rt := range c.routes {
-		if n := stripHost(rt.replicas, host); len(n) != len(rt.replicas) {
-			if crashed && len(n) == 0 {
-				rt.keep = true
-			}
-			rt.replicas = n
-			c.routes[p] = rt
-		}
-		if rt.ref.Host != host {
-			continue
-		}
-		if crashed && len(rt.replicas) > 0 {
-			rt.dead = true
-			c.routes[p] = rt
-			continue
-		}
-		delete(c.routes, p)
-		c.routeLvls.Remove(p.Level)
-	}
-}
-
-// stripHost filters one host out of a replica list, returning the input
-// slice unchanged when the host is absent.
-func stripHost(reps []transport.NodeID, host transport.NodeID) []transport.NodeID {
-	found := false
-	for _, r := range reps {
-		if r == host {
-			found = true
-			break
+		if rt.ref.Host == host {
+			delete(c.routes, p)
+			c.routeLvls.Remove(p.Level)
 		}
 	}
-	if !found {
-		return reps
-	}
-	out := make([]transport.NodeID, 0, len(reps)-1)
-	for _, r := range reps {
-		if r != host {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// invalidateStaleRoutes handles a host that stopped answering mid-batch:
-// routes aimed at it with no surviving replica are dropped (stale — the
-// retry re-resolves them via the normal lookup path), while routes that
-// know replica hosts — or carry the keep mark from a crash purge that
-// emptied their list — are retained, so every later read of a dead
-// primary's partition keeps failing over instead of dead-ending in the
-// custody chain.  Kept routes are deliberately NOT marked dead here: an
-// RPC failure may be transient congestion at a live host (e.g. it is
-// stuck forwarding into a crash), and only an authoritative departure
-// (purgeRoutesTo, from RemoveSnode/KillSnode) may divert its traffic
-// permanently.
-func (c *Cluster) invalidateStaleRoutes(host transport.NodeID) {
-	c.routeMu.Lock()
-	defer c.routeMu.Unlock()
-	for p, rt := range c.routes {
-		if rt.ref.Host != host {
-			continue
-		}
-		keep := rt.keep
-		for _, rep := range rt.replicas {
-			if rep != host {
-				keep = true
-				break
-			}
-		}
-		if keep {
-			continue
-		}
-		delete(c.routes, p)
-		c.routeLvls.Remove(p.Level)
-	}
-}
-
-// planFailover maps the items of a failed sub-batch to replica hosts able
-// to serve them, using the replica sets cached alongside the owner routes.
-// Called before the stale routes are dropped.
-func (c *Cluster) planFailover(failed transport.NodeID, idxs []int, items []batchItem) map[transport.NodeID][]int {
-	var plan map[transport.NodeID][]int
-	c.routeMu.Lock()
-	for _, i := range idxs {
-		rt, ok := probeLevels(hashspace.HashString(items[i].Key), c.routes, &c.routeLvls)
-		if !ok {
-			continue
-		}
-		for _, rep := range rt.replicas {
-			if rep != failed {
-				if plan == nil {
-					plan = make(map[transport.NodeID][]int)
-				}
-				plan[rep] = append(plan[rep], i)
-				break
-			}
-		}
-	}
-	c.routeMu.Unlock()
-	return plan
 }
 
 // batchRun is one mbatch call in flight: its items, their results, and
@@ -590,17 +470,11 @@ func (c *Cluster) mbatch(kind dataOp, keys []string, items []batchItem) ([]Batch
 	// known[h] is the route epoch shared by every item aimed at h, or 0
 	// when they do not share one (batchReq.Known).
 	known := make(map[transport.NodeID]uint64)
-	var replicaGroups map[transport.NodeID][]int
 	// Probe the owner cache for the whole batch under one lock
-	// acquisition, not one per item.  A dead-primary route (crash with
-	// surviving replicas) sends reads straight to a replica and everything
-	// else back through an entry snode — never a doomed RPC at the dead
-	// host.
+	// acquisition, not one per item.
 	c.routeMu.Lock()
 	for i, h := range b.hashes {
-		rt, ok := probeLevels(h, c.routes, &c.routeLvls)
-		switch {
-		case ok && !rt.dead:
+		if rt, ok := probeLevels(h, c.routes, &c.routeLvls); ok {
 			host := rt.ref.Host
 			if e, seen := known[host]; !seen || e == rt.epoch {
 				known[host] = rt.epoch
@@ -608,45 +482,30 @@ func (c *Cluster) mbatch(kind dataOp, keys []string, items []batchItem) ([]Batch
 				known[host] = 0
 			}
 			groups[host] = append(groups[host], i)
-		case ok && kind == opGet && len(rt.replicas) > 0:
-			if replicaGroups == nil {
-				replicaGroups = make(map[transport.NodeID][]int)
-			}
-			replicaGroups[rt.replicas[0]] = append(replicaGroups[rt.replicas[0]], i)
-		default:
-			// Unknown owner: deterministic spread over entry snodes, so
-			// cold batches still classify in parallel across the cluster.
-			entry := order[h%uint64(len(order))]
-			groups[entry] = append(groups[entry], i)
-			known[entry] = 0
+			continue
 		}
+		// Unknown owner: deterministic spread over entry snodes, so cold
+		// batches still classify in parallel across the cluster.
+		entry := order[h%uint64(len(order))]
+		groups[entry] = append(groups[entry], i)
+		known[entry] = 0
 	}
 	c.routeMu.Unlock()
-	if len(replicaGroups) > 0 {
-		b.wg.Add(1)
-		go func() {
-			defer b.wg.Done()
-			served := c.failoverReads(kind, replicaGroups, items, results, &b.mu, root.ctx)
-			for _, idxs := range replicaGroups {
-				b.settle(0, idxs, nil, served, 0)
-			}
-		}()
-	}
 	for host, idxs := range groups {
 		b.wg.Add(1)
-		go b.ask(host, idxs, known[host], 0)
+		go b.ask(host, idxs, known[host], 0, 0)
 	}
 	b.wg.Wait()
 	return results, nil
 }
 
 // ask sends the items idxs to host as one sub-batch, the hop-th ask of
-// their way to their owners, and settles them with the answer.  When the
-// host fails, its routes are invalidated (invalidateStaleRoutes — routes
-// whose partitions know surviving replicas are deliberately KEPT so later
-// reads keep failing over) and reads are first failed over to the
-// partition's cached replica hosts.
-func (b *batchRun) ask(host transport.NodeID, idxs []int, known uint64, hop int) {
+// their way to their owners, and settles them with the answer.  via is
+// the host whose redirect named host (0: none); every item of one onward
+// sub-batch came from one settle, so they share it.  A failed host keeps
+// its cached routes (see route) but serves as no retry entry for the rest
+// of this batch.
+func (b *batchRun) ask(host transport.NodeID, idxs []int, known uint64, hop int, via transport.NodeID) {
 	defer b.wg.Done()
 	c := b.c
 	sub := make([]batchItem, len(idxs))
@@ -662,16 +521,10 @@ func (b *batchRun) ask(host transport.NodeID, idxs []int, known uint64, hop int)
 	c.tracer.finishErr(rsp, clientID, err)
 	if err == nil {
 		c.learnRoutes(resp.Served)
-		b.settle(host, idxs, &resp, nil, hop)
+		b.settle(host, idxs, &resp, hop, via)
 		return
 	}
 	c.subFails.Add(1)
-	var plan map[transport.NodeID][]int
-	if b.kind == opGet {
-		plan = c.planFailover(host, idxs, b.items)
-	}
-	c.invalidateStaleRoutes(host)
-	served := c.failoverReads(b.kind, plan, b.items, b.results, &b.mu, b.tr)
 	c.mu.Lock()
 	order := append([]transport.NodeID(nil), c.order...)
 	c.mu.Unlock()
@@ -692,25 +545,23 @@ func (b *batchRun) ask(host transport.NodeID, idxs []int, known uint64, hop int)
 		b.entries = live
 	}
 	b.mu.Unlock()
-	b.settle(host, idxs, nil, served, hop)
+	b.settle(host, idxs, nil, hop, via)
 }
 
 // settle gives each item of a sub-batch its next target, from host's
-// answer resp (nil: host failed, or idxs were failover reads, and served
-// marks the items a replica answered).  An answered item takes its
-// result and ends.  A redirected item goes to the hop its result names,
-// within hopLimit.  An item left unserved by a failure gets one retry at
-// a fresh entry snode, picked like a cold item's but one place on, before
-// a per-key error surfaces.  The items moving on are regrouped by target
+// answer resp (nil: host failed).  An answered item takes its result and
+// ends.  A redirected item goes to the hop its result names, within
+// hopLimit.  An item left unserved by a failure gets one retry at a fresh
+// entry snode, picked like a cold item's but one place on — and one more
+// when that is via, whose stale pointer led to the failed host — before a
+// per-key error surfaces.  The items moving on are regrouped by target
 // and asked at once, one sub-batch per target.
-func (b *batchRun) settle(host transport.NodeID, idxs []int, resp *batchResp, served map[int]bool, hop int) {
+func (b *batchRun) settle(host transport.NodeID, idxs []int, resp *batchResp, hop int, via transport.NodeID) {
 	var onward map[transport.NodeID][]int
 	b.mu.Lock()
 	for j, i := range idxs {
 		var next transport.NodeID
 		switch {
-		case resp == nil && served[i]:
-			continue
 		case resp == nil:
 			if b.retried == nil {
 				b.retried = make([]bool, len(b.items))
@@ -720,7 +571,10 @@ func (b *batchRun) settle(host transport.NodeID, idxs []int, resp *batchResp, se
 				continue
 			}
 			b.retried[i] = true
-			next = b.entries[(b.hashes[i]+1)%uint64(len(b.entries))]
+			n := uint64(len(b.entries))
+			if next = b.entries[(b.hashes[i]+1)%n]; next == via {
+				next = b.entries[(b.hashes[i]+2)%n]
+			}
 		case j >= len(resp.Results):
 			b.results[i].Err = fmt.Sprintf("short batch response from %d", host)
 			continue
@@ -741,44 +595,15 @@ func (b *batchRun) settle(host transport.NodeID, idxs []int, resp *batchResp, se
 		onward[next] = append(onward[next], i)
 	}
 	b.mu.Unlock()
+	// The items of one settle are all redirects (by host) or all retries.
+	from := host
+	if resp == nil {
+		from = 0
+	}
 	for to, ids := range onward {
 		b.wg.Add(1)
-		go b.ask(to, ids, 0, hop+1)
+		go b.ask(to, ids, 0, hop+1, from)
 	}
-}
-
-// failoverReads issues the planned ReadReplica sub-batches and merges the
-// answers, returning the set of item indices actually served.
-func (c *Cluster) failoverReads(kind dataOp, plan map[transport.NodeID][]int, items []batchItem, results []BatchResult, mergeMu *sync.Mutex, tr transport.TraceContext) map[int]bool {
-	served := make(map[int]bool)
-	for rhost, ridxs := range plan {
-		sub := make([]batchItem, len(ridxs))
-		for j, i := range ridxs {
-			sub[j] = items[i]
-		}
-		rsp := beginSpan(tr, "batch.failover-read")
-		t0 := time.Now()
-		resp, err := ask[batchResp](&c.endpoint, rhost, rsp.ctx, func(op uint64) transport.WireMessage {
-			return batchReq{Op: op, Kind: kind, Items: sub, ReadReplica: true}
-		})
-		c.batchRPC.ObserveSince(t0)
-		c.tracer.finishErr(rsp, clientID, err)
-		if err != nil {
-			c.subFails.Add(1)
-			continue
-		}
-		mergeMu.Lock()
-		for j, i := range ridxs {
-			if j < len(resp.Results) && resp.Results[j].Err == "" {
-				results[i].Value = resp.Results[j].Value
-				results[i].Found = resp.Results[j].Found
-				results[i].Err = ""
-				served[i] = true
-			}
-		}
-		mergeMu.Unlock()
-	}
-	return served
 }
 
 // batchOpName names a batch verb for spans and slow-op logs.

@@ -96,7 +96,6 @@ func foldStats(a *StatsSnapshot, b StatsSnapshot) {
 	a.ReplLagged += b.ReplLagged
 	a.AEProbeMsgs += b.AEProbeMsgs
 	a.AEKeysHashed += b.AEKeysHashed
-	a.FailoverReads += b.FailoverReads
 	a.ChunksSent += b.ChunksSent
 	a.MigAborts += b.MigAborts
 	a.FreezeTimeouts += b.FreezeTimeouts
@@ -156,7 +155,7 @@ func (c *Cluster) loop(inbox <-chan transport.Envelope) {
 			// A promoted (failover.go) or restarted primary re-announced
 			// custody of its partitions: fold the fresh owner pointers into
 			// the route cache so the next batch aims straight at the new
-			// primary instead of a route the crash left dead.
+			// primary instead of re-resolving through an entry snode.
 			c.learnRoutes(m.Routes)
 		}
 	}
@@ -399,11 +398,12 @@ func (c *Cluster) RemoveSnode(id transport.NodeID) error {
 
 // KillSnode stops an snode abruptly — no graceful leave, no partition
 // migration — simulating a crash.  Its vnodes' partitions lose their
-// primary: with replication on (R ≥ 2) their data stays readable from the
-// replicas (failover reads) while the surviving replica set elects and
-// promotes a new primary (failover.go), after which writes resume without
-// operator action; with R = 1 the data is lost, exactly the failure the
-// paper's model excludes (§5).  Survivors drop their routing pointers at
+// primary: with replication on (R ≥ 2) the surviving replica set elects
+// and promotes a new primary (failover.go), which announces itself, after
+// which reads and writes of those partitions resume without operator
+// action; until then they fail like any request to a dead owner.  With
+// R = 1 the data is lost, exactly the failure the paper's model excludes
+// (§5).  Survivors drop their routing pointers at
 // the dead snode and learn the shrunken membership view, so anti-entropy
 // re-homes the replica sets that included it.
 func (c *Cluster) KillSnode(id transport.NodeID) error {
@@ -438,13 +438,10 @@ func (c *Cluster) depart(id transport.NodeID, crashed bool) error {
 	needNewBoot := c.firstOwner.Host == id
 	c.mu.Unlock()
 	// Proactive purge, so the first post-departure batch pays no failed
-	// round-trip discovering it.  Graceful: the leaver's partitions all
-	// moved to survivors, so every cached pointer at it — owner routes and
-	// replica sets alike — is stale.  Crash: routes with surviving
-	// replicas are retargeted (marked dead-primary, so the very next read
-	// goes straight to a replica), routes with no surviving copy are
-	// dropped, and the dead host is stripped from every cached replica set.
-	c.purgeRoutesTo(id, crashed)
+	// round-trip discovering it: every cached route at the departed snode
+	// is stale, whether its partitions moved to survivors or await
+	// promotion.
+	c.purgeRoutesTo(id)
 	// A graceful leaver bequeaths its custody table so no routing chain
 	// dangles.  A crash bequeaths nothing: survivors just drop pointers at
 	// the dead snode, and Crashed starts the failover election at every
@@ -543,15 +540,6 @@ func (c *Cluster) RestartSnode(id transport.NodeID) error {
 			}
 		}
 	}
-	// Routes the crash marked dead-primary point at live data again.
-	c.routeMu.Lock()
-	for p, rt := range c.routes {
-		if rt.dead && rt.ref.Host == id {
-			rt.dead = false
-			c.routes[p] = rt
-		}
-	}
-	c.routeMu.Unlock()
 	return nil
 }
 

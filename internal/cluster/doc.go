@@ -33,9 +33,10 @@
 //     routes it would re-teach out of its reply;
 //   - R-way partition replication (replica.go) keeps R−1 replica buckets
 //     per partition on deterministically placed snodes, with synchronous
-//     write fan-out, client-side failover reads, and background
-//     anti-entropy repair — an abrupt snode crash with R ≥ 2 loses no
-//     acknowledged write;
+//     write fan-out and background anti-entropy repair — an abrupt
+//     snode crash with R ≥ 2 loses no acknowledged write; replicas
+//     serve no reads, so reads, like writes, are answered by primaries
+//     only;
 //   - partitions move by chunked live migration (migrate.go): the bucket
 //     keeps serving reads AND writes while its contents stream out in
 //     bounded chunks, freezing only for the final delta round-trip;

@@ -11,9 +11,9 @@ import (
 
 // Automatic primary failover.  When an snode crashes (KillSnode, or the
 // cluster handle's liveness detector declaring it dead), every partition
-// it was primary for still has R−1 replica buckets on survivors — but
-// until this file, those buckets only served failover *reads* and an
-// operator had to re-home the partition by hand before writes resumed.
+// it was primary for still has R−1 replica buckets on survivors, which
+// serve nothing: reads and writes of the partition fail until one of them
+// is promoted here, with no operator action.
 //
 // The protocol, run independently per dead primary:
 //
@@ -37,7 +37,7 @@ import (
 //     fresh joined vnode if it hosts none — journals the install like a
 //     migration commit, re-announces custody to every survivor and the
 //     cluster handle exactly like RestartSnode does, and re-homes fresh
-//     replicas for the partition.  Writes resume with no operator action.
+//     replicas for the partition.  Reads and writes resume.
 //
 // The election is best-effort by design: with R=2 there is one replica,
 // so the "election" degenerates to promoting it; a partition whose every
@@ -379,11 +379,7 @@ func (s *Snode) promotePartition(p hashspace.Partition, dead transport.NodeID) e
 		bk.ver = ver // keep the version climbing across the handover
 		bk.mu.Unlock()
 	}
-	route := routeEntry{
-		Partition: p,
-		Ref:       ownerRef{Vnode: install.To, Host: s.id},
-		Replicas:  s.replicaHostsLocked(p),
-	}
+	route := routeEntry{Partition: p, Ref: ownerRef{Vnode: install.To, Host: s.id}}
 	view := append([]transport.NodeID(nil), s.view...)
 	s.mu.Unlock()
 	s.stats.Promotions.Add(1)

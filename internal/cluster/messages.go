@@ -191,13 +191,10 @@ type bootstrapInfo struct {
 
 // routeEntry is one custody pointer: the partition as it was when it left
 // its host, and where it went.  Entries learned from batch responses also
-// carry the partition's replica hosts, so requesters can fail reads over
-// when the owner stops answering, and the owner's route epoch when it
-// built the entry (0 elsewhere).
+// carry the owner's route epoch when it built the entry (0 elsewhere).
 type routeEntry struct {
 	Partition hashspace.Partition
 	Ref       ownerRef
-	Replicas  []transport.NodeID
 	Epoch     uint64
 }
 

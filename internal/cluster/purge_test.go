@@ -8,15 +8,17 @@ import (
 	"dbdht/internal/cluster/transport"
 )
 
-// loadedCluster boots a cluster, loads keys through the batch plane and
-// returns the keys — every touched partition's route is now cached at the
-// handle.
-func loadedCluster(t *testing.T, r int, seed int64) (*Cluster, []string) {
+// loadedCluster boots a cluster of cfg (its Seed, Replicas, RPCTimeout and
+// Faults; RPCTimeout 0 is 20 s) on Mem, loads keys through the batch plane
+// and returns the keys — every touched partition's route is now cached at
+// the handle.
+func loadedCluster(t *testing.T, cfg Config) (*Cluster, []string) {
 	t.Helper()
-	c, err := New(Config{
-		Pmin: 32, Vmin: 8, Seed: seed, RPCTimeout: 20 * time.Second,
-		Replicas: r, AntiEntropyInterval: 25 * time.Millisecond,
-	}, transport.NewMem())
+	cfg.Pmin, cfg.Vmin, cfg.AntiEntropyInterval = 32, 8, 25*time.Millisecond
+	if cfg.RPCTimeout == 0 {
+		cfg.RPCTimeout = 20 * time.Second
+	}
+	c, err := New(cfg, transport.NewMem())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,26 +60,12 @@ func loadedCluster(t *testing.T, r int, seed int64) (*Cluster, []string) {
 // pointer behind — the first post-removal batch (reads AND writes) takes
 // zero failed round-trips.
 func TestRemoveSnodePurgesRoutes(t *testing.T) {
-	c, keys := loadedCluster(t, 1, 51)
+	c, keys := loadedCluster(t, Config{Seed: 51, Replicas: 1})
 	victim := c.Snodes()[1]
 	if err := c.RemoveSnode(victim); err != nil {
 		t.Fatal(err)
 	}
-	// No cached route may still aim at the leaver, as primary or replica.
-	c.routeMu.Lock()
-	for p, rt := range c.routes {
-		if rt.ref.Host == victim {
-			c.routeMu.Unlock()
-			t.Fatalf("route %v still aims at removed snode %d", p, victim)
-		}
-		for _, rep := range rt.replicas {
-			if rep == victim {
-				c.routeMu.Unlock()
-				t.Fatalf("route %v still lists removed snode %d as a replica", p, victim)
-			}
-		}
-	}
-	c.routeMu.Unlock()
+	checkNoRouteTo(t, c, victim)
 
 	before := c.subFails.Load()
 	res, err := c.MGet(keys)
@@ -107,32 +95,31 @@ func TestRemoveSnodePurgesRoutes(t *testing.T) {
 	}
 }
 
-// TestKillSnodePurgesRoutes: after a crash with R=2, the purge retargets
-// the dead primary's routes at its surviving replicas, so the first
-// post-crash read batch is served entirely from replicas with zero
-// failed round-trips — not by discovering the death one failed RPC at a
-// time.
+// checkNoRouteTo fails t if a cached route still aims at host.
+func checkNoRouteTo(t *testing.T, c *Cluster, host transport.NodeID) {
+	t.Helper()
+	c.routeMu.Lock()
+	defer c.routeMu.Unlock()
+	for p, rt := range c.routes {
+		if rt.ref.Host == host {
+			t.Fatalf("route %v still aims at departed snode %d", p, host)
+		}
+	}
+}
+
+// TestKillSnodePurgesRoutes: a crash drops every cached route at the dead
+// snode, and once the surviving replicas' promotions are announced the
+// first read batch of every key takes zero failed round-trips — the
+// handle learned the new primaries instead of discovering the death one
+// failed RPC at a time.
 func TestKillSnodePurgesRoutes(t *testing.T) {
-	c, keys := loadedCluster(t, 2, 52)
+	c, keys := loadedCluster(t, Config{Seed: 52, Replicas: 2})
 	victim := c.Snodes()[1]
 	if err := c.KillSnode(victim); err != nil {
 		t.Fatal(err)
 	}
-	c.routeMu.Lock()
-	deadRoutes := 0
-	for p, rt := range c.routes {
-		if rt.ref.Host == victim && !rt.dead {
-			c.routeMu.Unlock()
-			t.Fatalf("route %v still aims live traffic at crashed snode %d", p, victim)
-		}
-		if rt.dead {
-			deadRoutes++
-		}
-	}
-	c.routeMu.Unlock()
-	if deadRoutes == 0 {
-		t.Fatal("no route was retargeted at the crashed primary's replicas")
-	}
+	checkNoRouteTo(t, c, victim)
+	awaitRoutesFollowOwners(t, c, keys, "promotions announced")
 
 	before := c.subFails.Load()
 	res, err := c.MGet(keys)
@@ -145,9 +132,49 @@ func TestKillSnodePurgesRoutes(t *testing.T) {
 		}
 	}
 	if fails := c.subFails.Load() - before; fails != 0 {
-		t.Fatalf("first post-crash read batch took %d failed round-trips, want 0", fails)
+		t.Fatalf("first read batch after the promotions took %d failed round-trips, want 0", fails)
 	}
-	if c.StatsTotal().FailoverReads == 0 {
-		t.Fatal("no read was served from a replica — the dead routes were not exercised")
+	if c.StatsTotal().Promotions == 0 {
+		t.Fatal("no replica was promoted after the crash")
 	}
+}
+
+// TestFailedRPCKeepsRoutes: a failed sub-request proves nothing about its
+// host, so the routes aimed at it stay cached; only its departure drops
+// them.  The host here is alive, its replies to the handle held back past
+// RPCTimeout.
+func TestFailedRPCKeepsRoutes(t *testing.T) {
+	faults := transport.NewFaults(53)
+	c, keys := loadedCluster(t, Config{Seed: 53, Replicas: 1, RPCTimeout: 200 * time.Millisecond, Faults: faults})
+	victim := c.Snodes()[1]
+	routesTo := func() (n int) {
+		c.routeMu.Lock()
+		defer c.routeMu.Unlock()
+		for _, rt := range c.routes {
+			if rt.ref.Host == victim {
+				n++
+			}
+		}
+		return n
+	}
+	held := routesTo()
+	if held == 0 {
+		t.Fatalf("no cached route aims at snode %d", victim)
+	}
+	faults.PartitionOneWay([]transport.NodeID{victim}, []transport.NodeID{clientID})
+	fails := c.subFails.Load()
+	if _, err := c.MGet(keys); err != nil {
+		t.Fatal(err)
+	}
+	if c.subFails.Load() == fails {
+		t.Fatal("no sub-request failed while the replies were held")
+	}
+	if n := routesTo(); n != held {
+		t.Fatalf("%d of %d routes at snode %d left the cache after a failed RPC", held-n, held, victim)
+	}
+	faults.Heal()
+	if err := c.KillSnode(victim); err != nil {
+		t.Fatal(err)
+	}
+	checkNoRouteTo(t, c, victim)
 }

@@ -21,10 +21,6 @@ import (
 //     reachable replica applied it (an unreachable replica is recorded in
 //     ReplLagged and repaired by anti-entropy rather than failing the
 //     write — the primary still holds the data).
-//   - Reads fail over: when the client handle's RPC to a believed owner
-//     errors, it re-aims the affected keys at the partition's replicas
-//     (learned alongside owner routes from batch responses) with a
-//     ReadReplica batch, served straight from the replica store.
 //   - Partition transfers re-home replica sets with the primary: the new
 //     owner pushes fresh replica buckets before acknowledging the install,
 //     and the old owner drops the buckets that became orphans.
@@ -45,6 +41,12 @@ import (
 // replica sets whose score order that host perturbed — ~1/n of them —
 // and the anti-entropy pass migrates exactly those deltas.
 //
+// Replicas serve no reads: a read goes where a write goes, to the
+// partition's primary, so the one copy a client can observe is the one
+// every write is applied to first (chain replication's rule, van Renesse
+// & Schneider, OSDI 2004).  A read of a crashed primary's partition fails
+// until a replica is promoted and announced, exactly as a write does.
+//
 // Each replica bucket also carries volatile metadata (replMeta): the
 // primary's write version, the owning vnode's group, and the last primary
 // host.  Failover promotion (failover.go) uses it to elect the
@@ -52,17 +54,14 @@ import (
 // journaled: a restarted replica restarts at version 0 and loses
 // elections to replicas that stayed up with the data in memory.
 //
-// Limitations (documented, by design of this increment): failover reads
-// are eventually consistent if the primary crashed with a replica write
-// still in flight; two *concurrent* writes of the same key may replicate
-// in the opposite order from the primary's apply order (callers racing
-// same-key writes have no ordering guarantee at the primary either —
-// anti-entropy re-converges the replica within one interval); a replica
-// bucket created before this snode learned its metadata (possible only
-// across a version upgrade) cannot be promoted; ancestor buckets
-// stranded at hosts with no deeper local bucket escape the stale sweep
-// and linger as bounded garbage (shadowed on reads once current buckets
-// sync).
+// Limitations (documented, by design of this increment): two
+// *concurrent* writes of the same key may replicate in the opposite order
+// from the primary's apply order (callers racing same-key writes have no
+// ordering guarantee at the primary either — anti-entropy re-converges
+// the replica within one interval); a replica bucket created before this
+// snode learned its metadata (possible only across a version upgrade)
+// cannot be promoted; ancestor buckets stranded at hosts with no deeper
+// local bucket escape the stale sweep and linger as bounded garbage.
 
 // viewUpdate is the cluster handle's membership broadcast: the sorted ids
 // of every live snode, stamped with a monotonically increasing epoch so
@@ -270,29 +269,15 @@ func (s *Snode) noteReplMetaLocked(p hashspace.Partition, ver uint64, g core.Gro
 	b.meta.prim = prim
 }
 
-func (s *Snode) setReplicaBucketLocked(p hashspace.Partition, b *replicaBucket) {
-	if _, ok := s.rparts[p]; !ok {
-		s.rpartLvls.Add(p.Level)
-	}
-	s.rparts[p] = b
-}
-
-func (s *Snode) delReplicaBucketLocked(p hashspace.Partition) {
-	if _, ok := s.rparts[p]; ok {
-		delete(s.rparts, p)
-		s.rpartLvls.Remove(p.Level)
-	}
-}
-
 // dropReplicaWithinLocked discards every replica bucket contained in p
 // (p itself included).  Ancestors are deliberately spared: they may still
 // carry the only failover copy of a *sibling* region's acknowledged keys,
-// they are shadowed by deeper buckets on reads, and their own primary's
+// and their own primary's
 // placement pass retires them once the current-level buckets are synced.
 func (s *Snode) dropReplicaWithinLocked(p hashspace.Partition) {
 	for q := range s.rparts {
 		if q.Level >= p.Level && overlapping(q, p) {
-			s.delReplicaBucketLocked(q)
+			delete(s.rparts, q)
 		}
 	}
 }
@@ -304,7 +289,6 @@ func (s *Snode) handleViewUpdate(m viewUpdate) {
 	if m.Epoch > s.viewEpoch {
 		s.viewEpoch = m.Epoch
 		s.view = m.Snodes
-		s.bumpRouteEpochLocked() // replica placement follows the view
 	}
 	s.mu.Unlock()
 }
@@ -358,73 +342,6 @@ func (s *Snode) handleReplSync(m replSyncReq, from transport.NodeID) {
 	seq := s.journal(rec.walTag(), rec.fields)
 	s.mu.Unlock()
 	s.ackDurable(from, m.Op, seq, "replica sync", activeSpan{})
-}
-
-// serveReplicaRead answers a ReadReplica batch from the replica store —
-// the read-failover path when a primary stopped answering.  Keys this
-// snode holds no replica bucket for get a per-key error (the requester
-// falls back to its normal retry path).
-//
-// Owned buckets take precedence when at least as deep as any replica
-// bucket covering the key: a failover promotion moves the authoritative
-// copy from the replica store into an owned bucket (and drops the
-// replica), so a probe planned against the pre-promotion placement must
-// serve from the promoted bucket — not from whatever stale shallower
-// replica leftover still covers the key.
-func (s *Snode) serveReplicaRead(m batchReq, from transport.NodeID, tr transport.TraceContext) {
-	sp := beginSpan(tr, "repl.read")
-	results := make([]batchItemResp, len(m.Items))
-	var served int64
-	s.mu.Lock()
-	for i, it := range m.Items {
-		if m.Kind != opGet {
-			results[i] = batchItemResp{Err: "replicas serve reads only"}
-			continue
-		}
-		h := hashspace.HashString(it.Key)
-		p, b, ok := s.replicaBucketLocked(h)
-		if ref, po, owned := s.ownedForLocked(h); owned && (!ok || po.Level >= p.Level) {
-			bk := ref.bk
-			bk.mu.RLock()
-			if bk.state != bucketDead {
-				v, found := bk.kv.m[it.Key]
-				results[i] = batchItemResp{Value: v, Found: found}
-				bk.mu.RUnlock()
-				served++
-				continue
-			}
-			bk.mu.RUnlock()
-		}
-		if !ok {
-			results[i] = batchItemResp{Err: fmt.Sprintf("snode %d holds no replica for key %q", s.id, it.Key)}
-			continue
-		}
-		v, found := b.kv.m[it.Key]
-		if !found && b.provisional {
-			// The bucket was write-created and never full-synced: a
-			// missing key is unknown, not authoritatively absent.
-			results[i] = batchItemResp{Err: fmt.Sprintf("snode %d replica for key %q is provisional", s.id, it.Key)}
-			continue
-		}
-		results[i] = batchItemResp{Value: v, Found: found}
-		served++
-	}
-	s.mu.Unlock()
-	s.stats.FailoverReads.Add(served)
-	s.tracer.finish(sp, s.id, "")
-	s.send(from, untraced, batchResp{Op: m.Op, Results: results})
-}
-
-// replicaBucketLocked finds the deepest replica bucket covering h.
-// Caller holds s.mu.
-func (s *Snode) replicaBucketLocked(h hashspace.Index) (hashspace.Partition, *replicaBucket, bool) {
-	for _, l := range s.rpartLvls.Desc {
-		p := hashspace.Containing(h, l)
-		if b, ok := s.rparts[p]; ok {
-			return p, b, true
-		}
-	}
-	return hashspace.Partition{}, nil, false
 }
 
 // --- primary-side fan-out ---

@@ -238,15 +238,12 @@ func TestReplicatedRoundTrip(t *testing.T) {
 		t.Fatal("replicated writes left ReplWrites at zero")
 	}
 	// The deleted keys are gone from the replicas too: kill any snode and
-	// read through whatever path survives.
+	// read once its replicas are promoted.
 	victim := c.Snodes()[2]
 	if err := c.KillSnode(victim); err != nil {
 		t.Fatal(err)
 	}
-	results, err = c.MGet(keys)
-	if err != nil {
-		t.Fatal(err)
-	}
+	results = mgetAcrossPromotion(t, c, keys)
 	for i, r := range results {
 		if !r.OK() {
 			t.Fatalf("MGet %q after crash: %s", r.Key, r.Err)
@@ -258,6 +255,41 @@ func TestReplicatedRoundTrip(t *testing.T) {
 			t.Fatalf("acknowledged key %q lost after crash", r.Key)
 		}
 	}
+}
+
+// mgetAcrossPromotion reads keys right after a crash.  A read of a dead
+// primary's partition fails until a replica is promoted and announced, so
+// the keys whose read failed are read again, for at most 5 s; an answered
+// read is final.
+func mgetAcrossPromotion(t *testing.T, c *Cluster, keys []string) []BatchResult {
+	t.Helper()
+	res, err := c.MGet(keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(20 * time.Millisecond) {
+		var again []int
+		for i, r := range res {
+			if !r.OK() {
+				again = append(again, i)
+			}
+		}
+		if len(again) == 0 {
+			break
+		}
+		retry := make([]string, len(again))
+		for j, i := range again {
+			retry[j] = keys[i]
+		}
+		rs, err := c.MGet(retry)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, i := range again {
+			res[i] = rs[j]
+		}
+	}
+	return res
 }
 
 // runCrashWorkload drives the acceptance scenario on any fabric: with
@@ -324,10 +356,7 @@ func runCrashWorkload(t *testing.T, c *Cluster, vnodes, preload int) {
 	for k := range acked {
 		ackedKeys = append(ackedKeys, k)
 	}
-	res, err := c.MGet(ackedKeys)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mgetAcrossPromotion(t, c, ackedKeys)
 	lost := 0
 	for _, r := range res {
 		if !r.OK() || !r.Found || string(r.Value) != acked[r.Key] {
@@ -340,11 +369,10 @@ func runCrashWorkload(t *testing.T, c *Cluster, vnodes, preload int) {
 	if lost > 0 {
 		t.Fatalf("lost %d of %d acknowledged keys after killing snode %d", lost, len(ackedKeys), victim)
 	}
-	// The crash must have exercised the failover machinery: either reads
-	// were served straight from replicas, or the surviving replica set
-	// already promoted new primaries (which then serve reads normally).
-	if st := c.StatsTotal(); st.FailoverReads == 0 && st.Promotions == 0 {
-		t.Fatal("neither replica reads nor promotions — the crash scenario did not exercise failover")
+	// The crash must have exercised the failover machinery: the surviving
+	// replica set promoted new primaries, which serve the reads.
+	if st := c.StatsTotal(); st.Promotions == 0 {
+		t.Fatal("no promotions — the crash scenario did not exercise failover")
 	}
 }
 
@@ -394,7 +422,7 @@ func TestCrashFailoverTCPThreeCopies(t *testing.T) {
 // TestAntiEntropyRehomesAfterCrash kills a replica-holding snode and
 // expects failover promotion plus the background anti-entropy pass to
 // restore full coverage at R copies on the shrunken view, so a *second*
-// crash (of a primary) still loses no reads.
+// crash (of a primary) still loses no key.
 func TestAntiEntropyRehomesAfterCrash(t *testing.T) {
 	c := newReplicatedCluster(t, transport.NewMem(), 5, 2, 34)
 	growCluster(t, c, 12)
@@ -449,19 +477,12 @@ func TestAntiEntropyRehomesAfterCrash(t *testing.T) {
 		t.Fatal("no replica was promoted after the primary crashed")
 	}
 	// Second crash, this time losing the promoted primaries too: every key
-	// must stay readable — either straight from the re-homed replicas or
-	// from the next round of promotions.  Refresh the handle's replica
-	// routes first (they may predate the first crash).
-	if _, err := c.MGet(keys); err != nil {
-		t.Fatal(err)
-	}
+	// must stay readable from the next round of promotions, which promote
+	// the re-homed replicas.
 	if err := c.KillSnode(c.Snodes()[1]); err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.MGet(keys)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mgetAcrossPromotion(t, c, keys)
 	for i, r := range res {
 		if !r.OK() || !r.Found {
 			t.Fatalf("MGet %q after second crash = %+v", keys[i], r)
@@ -610,9 +631,9 @@ func TestBatchFrozenPartitionDeadline(t *testing.T) {
 }
 
 // TestMBatchRetriesStaleRoutes is the regression test for stale owner
-// routes: a cached owner that left the cluster must be invalidated on the
-// first RPC error and the affected sub-batch re-resolved through the
-// normal lookup path, succeeding without per-key errors.
+// routes: a sub-batch aimed at a cached owner that left the cluster must
+// be re-resolved through an entry snode, succeed without per-key errors,
+// and have the owners' answers replace the stale routes.
 func TestMBatchRetriesStaleRoutes(t *testing.T) {
 	c := newTestCluster(t, 32, 8, 4, 36)
 	growCluster(t, c, 16)
@@ -651,7 +672,7 @@ func TestMBatchRetriesStaleRoutes(t *testing.T) {
 			t.Fatalf("MGet %q through stale route = %+v", keys[i], r)
 		}
 	}
-	// The stale routes were invalidated, not just worked around.
+	// The stale routes were replaced, not just worked around.
 	c.routeMu.Lock()
 	for p, rt := range c.routes {
 		if rt.ref.Host == victim {

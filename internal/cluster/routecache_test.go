@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"slices"
 	"testing"
 	"time"
 
@@ -12,10 +11,18 @@ import (
 )
 
 // checkRoutesFollowOwners fails t unless, for every key, the handle's
-// deepest cached route names the partition, vnode and replica hosts that
-// the route's host itself holds for the key.
+// deepest cached route names the partition and vnode that the route's
+// host itself holds for the key.
 func checkRoutesFollowOwners(t *testing.T, c *Cluster, keys []string, step string) {
 	t.Helper()
+	if err := routesFollowOwners(c, keys); err != nil {
+		t.Fatalf("%s: %v", step, err)
+	}
+}
+
+// routesFollowOwners is checkRoutesFollowOwners' verdict: nil, or the
+// first key whose cached route does not name its owner.
+func routesFollowOwners(c *Cluster, keys []string) error {
 	for _, k := range keys {
 		h := hashspace.HashString(k)
 		var (
@@ -32,31 +39,38 @@ func checkRoutesFollowOwners(t *testing.T, c *Cluster, keys []string, step strin
 		}
 		c.routeMu.Unlock()
 		if !ok {
-			t.Fatalf("%s: no cached route for %q", step, k)
+			return fmt.Errorf("no cached route for %q", k)
 		}
 		c.mu.Lock()
 		s := c.snodes[rt.ref.Host]
 		c.mu.Unlock()
 		if s == nil {
-			t.Fatalf("%s: route %v of %q aims at departed snode %d", step, p, k, rt.ref.Host)
+			return fmt.Errorf("route %v of %q aims at departed snode %d", p, k, rt.ref.Host)
 		}
 		s.mu.Lock()
 		ref, owned, isOwner := s.ownedForLocked(h)
-		var reps []transport.NodeID
-		if isOwner {
-			reps = s.ownedReplicasLocked(owned, ref)
-		}
 		s.mu.Unlock()
 		switch {
 		case !isOwner:
-			t.Fatalf("%s: route %v of %q aims at snode %d, which owns nothing covering it", step, p, k, s.id)
+			return fmt.Errorf("route %v of %q aims at snode %d, which owns nothing covering it", p, k, s.id)
 		case owned != p || ref.vs.name != rt.ref.Vnode:
-			t.Fatalf("%s: handle routes %q to %v of vnode %v, snode %d holds it in %v of vnode %v",
-				step, k, p, rt.ref.Vnode, s.id, owned, ref.vs.name)
-		case !slices.Equal(reps, rt.replicas):
-			t.Fatalf("%s: handle lists replicas %v for %v, snode %d places them on %v",
-				step, rt.replicas, p, s.id, reps)
+			return fmt.Errorf("handle routes %q to %v of vnode %v, snode %d holds it in %v of vnode %v",
+				k, p, rt.ref.Vnode, s.id, owned, ref.vs.name)
 		}
+	}
+	return nil
+}
+
+// awaitRoutesFollowOwners polls routesFollowOwners for up to 5 s: the
+// wait for a crash's promotions to be announced to the handle.
+func awaitRoutesFollowOwners(t *testing.T, c *Cluster, keys []string, step string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for err := routesFollowOwners(c, keys); err != nil; err = routesFollowOwners(c, keys) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: 5s after the crash: %v", step, err)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 
@@ -74,10 +88,10 @@ func awaitPromotionsQuiet(c *Cluster) {
 // TestRouteCacheFollowsOwnership: a batch reply leaves out the routes the
 // handle holds under the owner's current route epoch, so every change to
 // what an owner would teach must move its epoch on.  After partitions move
-// between vnodes of one snode, a new snode re-ranks replica hosts, a group
-// splits and a crashed snode restarts, the first batch must leave every
-// cached route equal to what its owner holds; and a crash must find the
-// replica hosts the handle holds ready to serve reads at once.
+// between vnodes of one snode, a new snode joins, a group splits, the
+// primary of every key crashes and its replicas are promoted, and the
+// crashed snode restarts, the first batch must leave every cached route
+// equal to what its owner holds.
 func TestRouteCacheFollowsOwnership(t *testing.T) {
 	for _, fab := range []struct {
 		name string
@@ -173,8 +187,8 @@ func runRouteCacheFollowsOwnership(t *testing.T, net transport.Network) {
 	}
 	firstBatch("group split")
 
-	// Crash the primary of every key: reads fail over to the replica hosts
-	// the handle holds, with no failed round trip.
+	// Crash the primary of every key: once the promoted replicas have
+	// announced themselves, the first read takes no failed round trip.
 	waitConverged(t, c)
 	c.mu.Lock()
 	victim := c.snodes[home]
@@ -186,9 +200,10 @@ func runRouteCacheFollowsOwnership(t *testing.T, net transport.Network) {
 	if err := c.KillSnode(home); err != nil {
 		t.Fatal(err)
 	}
+	awaitRoutesFollowOwners(t, c, keys, "primary crashed")
 	readAll("primary crashed")
 	if n := c.subFails.Load() - fails; n != 0 {
-		t.Fatalf("the first read after the crash took %d failed round trips, want 0", n)
+		t.Fatalf("the first read after the promotions took %d failed round trips, want 0", n)
 	}
 
 	awaitPromotionsQuiet(c)

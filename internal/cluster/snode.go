@@ -187,7 +187,6 @@ type Stats struct {
 	ReplLagged     atomic.Int64 // replica exchanges that failed (lagging replica)
 	AEProbeMsgs    atomic.Int64 // anti-entropy probe messages sent (one per replica host per pass)
 	AEKeysHashed   atomic.Int64 // keys re-hashed because a whole replica bucket arrived (repair or re-homing)
-	FailoverReads  atomic.Int64 // reads served from the replica store
 	ChunksSent     atomic.Int64 // live-migration chunks streamed
 	MigAborts      atomic.Int64 // live migrations aborted (bucket back to live)
 	FreezeTimeouts atomic.Int64 // writes failed because a frozen partition never settled
@@ -208,7 +207,7 @@ func (s *Stats) snapshot() StatsSnapshot {
 		DataOps: s.DataOps.Load(), Requeues: s.Requeues.Load(),
 		Batches:    s.Batches.Load(),
 		ReplWrites: s.ReplWrites.Load(), ReplRepairs: s.ReplRepairs.Load(),
-		ReplLagged: s.ReplLagged.Load(), FailoverReads: s.FailoverReads.Load(),
+		ReplLagged:  s.ReplLagged.Load(),
 		AEProbeMsgs: s.AEProbeMsgs.Load(), AEKeysHashed: s.AEKeysHashed.Load(),
 		ChunksSent: s.ChunksSent.Load(), MigAborts: s.MigAborts.Load(),
 		FreezeTimeouts: s.FreezeTimeouts.Load(),
@@ -333,7 +332,6 @@ type Snode struct {
 	view      []transport.NodeID                         // guarded by mu; sorted DHT membership (replica placement)
 	viewEpoch uint64                                     // guarded by mu; highest membership epoch seen
 	rparts    map[hashspace.Partition]*replicaBucket     // guarded by mu; replica buckets backed for other primaries
-	rpartLvls hashspace.LevelSet                         // guarded by mu
 	migIn     map[hashspace.Partition]*migInbound        // guarded by mu; staging buckets of inbound live migrations
 	placed    map[hashspace.Partition][]transport.NodeID // guarded by mu; replica hosts last reconciled per owned partition
 	inDoubt   map[hashspace.Partition]*migIntent         // guarded by mu; unresolved journaled migration intents (recovery)
@@ -567,8 +565,8 @@ func (s *Snode) delOwnedLocked(p hashspace.Partition, bk *bucket) {
 var routeEpochs atomic.Uint64
 
 // bumpRouteEpochLocked moves the route epoch on after a change to what a
-// batch reply would teach about this snode's partitions: their set, their
-// vnodes or their replica hosts.  Caller holds s.mu.
+// batch reply would teach about this snode's partitions: their set or
+// their vnodes.  Caller holds s.mu.
 func (s *Snode) bumpRouteEpochLocked() { s.routeEpoch = routeEpochs.Add(1) }
 
 // ownedForLocked returns the ownership-index entry covering hash index h,

@@ -43,9 +43,12 @@ import (
 // 69), all in place.  v8 made batches redirect too: batchReq (tag 3)
 // lost its hop count and every batch item result (inside tag 4) gained a
 // redirect, and shipVnodeReq (tag 73) lost its unused destination list.
+// v9 made reads go to primaries only: batchReq (tag 3) lost its
+// replica-read flag, and the route entries inside tags 4, 77 and 78 lost
+// their replica hosts.
 
 const (
-	wireVersion byte = 8
+	wireVersion byte = 9
 
 	// Frame flags (v2+).  flagTrace marks a trace context present in the
 	// header; flagSampled carries the head-sampling decision.

@@ -168,10 +168,10 @@ func (rec *walReplWriteRec) applyLocked(s *Snode) {
 			// First write at this partition (typically right after a
 			// split): seed the bucket from any stale ancestor's keys in
 			// range — they are acknowledged data that must stay
-			// failover-readable until anti-entropy ships the
-			// authoritative copy.  Until then the bucket is provisional:
-			// present keys are real, absent keys are unknown
-			// (serveReplicaRead refuses to vouch for them).
+			// promotable until anti-entropy ships the authoritative
+			// copy.  Until then the bucket is provisional: present keys
+			// are real, absent keys are unknown (an election ranks it
+			// below a full-synced copy).
 			b = &replicaBucket{kv: newStore(nil), provisional: true}
 			for q, ob := range s.rparts {
 				if q.Level < set.Partition.Level && overlapping(q, set.Partition) {
@@ -183,7 +183,7 @@ func (rec *walReplWriteRec) applyLocked(s *Snode) {
 				}
 			}
 			s.dropReplicaWithinLocked(set.Partition)
-			s.setReplicaBucketLocked(set.Partition, b)
+			s.rparts[set.Partition] = b
 		}
 		b.kv.apply(rec.Kind, set.Items)
 	}
@@ -418,8 +418,7 @@ func (rec *walReplSyncRec) fields(w *walker) {
 // buckets may hold the only failover copy of acknowledged keys the stale
 // sync does not carry.
 func (rec *walReplSyncRec) applyLocked(s *Snode) {
-	s.delReplicaBucketLocked(rec.Partition)
-	s.setReplicaBucketLocked(rec.Partition, &replicaBucket{kv: rec.Data})
+	s.rparts[rec.Partition] = &replicaBucket{kv: rec.Data}
 }
 
 // --- wire messages journaled as they arrive (fields walks in wire.go) ---
@@ -428,7 +427,7 @@ func (*replDropMsg) walTag() uint16 { return walTagReplDrop }
 
 func (m *replDropMsg) applyLocked(s *Snode) {
 	for _, p := range m.Partitions {
-		s.delReplicaBucketLocked(p)
+		delete(s.rparts, p)
 	}
 }
 

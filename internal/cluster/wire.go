@@ -329,7 +329,6 @@ func (ref *ownerRef) fields(w *walker) {
 func (e *routeEntry) fields(w *walker) {
 	w.partition(&e.Partition)
 	e.Ref.fields(w)
-	w.nodes(&e.Replicas)
 	w.u64(&e.Epoch)
 }
 
@@ -422,7 +421,6 @@ func (m *batchReq) fields(w *walker) {
 	for i := range sliceOf(w, &m.Items, 2) {
 		m.Items[i].fields(w)
 	}
-	w.bool(&m.ReadReplica)
 	w.u64(&m.Known)
 }
 

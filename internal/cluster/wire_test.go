@@ -47,7 +47,7 @@ func wireSamples() []transport.WireMessage {
 	owner := VnodeName{Snode: 3, Local: 7}
 	ref := ownerRef{Vnode: owner, Host: 3}
 	routes := []routeEntry{
-		{Partition: p, Ref: ref, Replicas: []transport.NodeID{1, 2}, Epoch: 1 << 40},
+		{Partition: p, Ref: ref, Epoch: 1 << 40},
 		{Partition: hashspace.Partition{}, Ref: ownerRef{Vnode: VnodeName{Snode: 1}, Host: 1}},
 	}
 	lpdr := lpdrState{Group: g, Level: 4, Leader: 3, Members: []memberInfo{
@@ -60,7 +60,7 @@ func wireSamples() []transport.WireMessage {
 		batchReq{Op: 12, Kind: opPut, Items: []batchItem{
 			{Key: "a", Value: []byte("va")},
 			{Key: "b"}, // nil value (deletes, gets)
-		}, ReadReplica: true, Known: 77},
+		}, Known: 77},
 		batchReq{Op: 13, Kind: opGet}, // empty batch
 		batchResp{Op: 14, Results: []batchItemResp{
 			{Value: []byte("v"), Found: true},
@@ -676,7 +676,7 @@ func codecBenchMessages() []transport.WireMessage {
 		items[i] = batchItem{Key: fmt.Sprintf("user%012d", i), Value: make([]byte, 128)}
 		results[i] = batchItemResp{Value: items[i].Value, Found: true}
 	}
-	served := []routeEntry{{Partition: p, Ref: ownerRef{Vnode: VnodeName{Snode: 3, Local: 7}, Host: 3}, Replicas: []transport.NodeID{1, 2}}}
+	served := []routeEntry{{Partition: p, Ref: ownerRef{Vnode: VnodeName{Snode: 3, Local: 7}, Host: 3}}}
 	return []transport.WireMessage{
 		batchReq{Op: 1, Kind: opPut, Items: items},
 		batchResp{Op: 1, Results: results, Served: served},

@@ -6,11 +6,13 @@
 //
 //   - CheckNoAckedLoss: every acknowledged write survives (the
 //     durability contract of R ≥ 2 replication and the WAL);
-//   - CheckBoundedStaleness: a failover read may serve an old value,
-//     but never older than the configured bound, and never a value
-//     nobody wrote (a phantom);
-//   - CheckWriteAvailability: the longest stretch of the history with no
-//     acknowledged write stays within a bound (a failover's blackout);
+//   - CheckBoundedStaleness: a read may serve an old value (one racing
+//     a write, or read from a promoted replica that missed the last
+//     write), but never older than the configured bound, and never a
+//     value nobody wrote (a phantom);
+//   - CheckWriteAvailability and CheckReadAvailability: the longest
+//     stretch of the history with no acknowledged write, or no answered
+//     read, stays within a bound (a failover's blackout);
 //   - CheckConvergence: after Heal the cluster stops repairing and the
 //     balancer's quota deviation settles within the deadline.
 //
@@ -77,9 +79,10 @@ type readEv struct {
 // folded to FNV-64a sums at record time, so holding the history of
 // millions of ops stays cheap.  Safe for concurrent use.
 type Recorder struct {
-	mu    sync.Mutex
-	keys  map[string]*keyHist // guarded by mu
-	reads []readEv            // guarded by mu
+	mu     sync.Mutex
+	keys   map[string]*keyHist // guarded by mu
+	reads  []readEv            // guarded by mu; answered reads
+	failed []readEv            // guarded by mu; reads that got an error (key and start only)
 }
 
 // NewRecorder returns an empty history.
@@ -125,6 +128,14 @@ func (r *Recorder) RecordRead(key string, value []byte, found bool, start, end t
 	r.reads = append(r.reads, ev)
 }
 
+// RecordFailedRead records one read started at start that got an error
+// instead of an answer.  Only CheckReadAvailability judges it.
+func (r *Recorder) RecordFailedRead(key string, start time.Time) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.failed = append(r.failed, readEv{key: key, start: start})
+}
+
 // AckedKeys lists every key with at least one acknowledged write,
 // sorted — the read-back set for CheckNoAckedLoss.
 func (r *Recorder) AckedKeys() []string {
@@ -143,8 +154,8 @@ func (r *Recorder) AckedKeys() []string {
 	return keys
 }
 
-// Counts reports how many writes (total, acked) and reads the history
-// holds.
+// Counts reports how many writes (total, acked) and answered reads the
+// history holds.
 func (r *Recorder) Counts() (writes, acked, reads int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -226,12 +237,13 @@ func (r *Recorder) CheckNoAckedLoss(final map[string]ReadBack) Verdict {
 	return v
 }
 
-// CheckBoundedStaleness verifies every mid-run read was at most bound
-// stale: a read may return an old value (failover reads serve replicas),
-// but only if the value it superseded it by less than bound — i.e. the
-// next acknowledged write's ack was within bound of the read's start.
-// Reads returning a value no write issued before the read ended had
-// produced are phantoms and always fail.
+// CheckBoundedStaleness verifies every answered mid-run read was at most
+// bound stale: a read may return an old value (it raced the write, or a
+// promoted replica missed the write in flight at the crash), but only if
+// the write that superseded it was acknowledged less than bound before
+// the read's start.  Reads returning a value no write issued before the
+// read ended had produced are phantoms and always fail.  Failed reads
+// observed nothing and are not judged here.
 func (r *Recorder) CheckBoundedStaleness(bound time.Duration) Verdict {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -325,12 +337,7 @@ func (r *Recorder) CheckWriteAvailability(maxGap time.Duration) Verdict {
 	var first, last time.Time
 	for _, h := range r.keys {
 		for _, w := range h.writes {
-			if first.IsZero() || w.start.Before(first) {
-				first = w.start
-			}
-			if w.start.After(last) {
-				last = w.start
-			}
+			widen(&first, &last, w.start)
 			if w.acked {
 				acks = append(acks, w.ackedAt)
 			}
@@ -344,20 +351,76 @@ func (r *Recorder) CheckWriteAvailability(maxGap time.Duration) Verdict {
 		v.Detail = "no acknowledged write in the history"
 		return v
 	}
-	sort.Slice(acks, func(i, j int) bool { return acks[i].Before(acks[j]) })
-	var worst time.Duration
-	worstFrom, prev := first, first
-	for _, t := range append(acks, last) {
-		if gap := t.Sub(prev); gap > worst {
-			worst, worstFrom = gap, prev
-		}
-		prev = t
-	}
+	worst, worstFrom := longestGap(first, acks, last)
 	v.Pass = worst <= maxGap
 	v.Metrics["max_gap_ms"] = float64(worst.Milliseconds())
 	v.Detail = fmt.Sprintf("longest gap without an acked write %v, from +%v (bound %v)",
 		worst.Round(time.Millisecond), worstFrom.Sub(first).Round(time.Millisecond), maxGap)
 	return v
+}
+
+// CheckReadAvailability verifies reads kept being answered: the longest
+// stretch of the history with no answered read — from the first read
+// issued (answered or failed) to the first answer, between consecutive
+// answers, and from the last answer to the last read issued — is at most
+// maxGap.  A history without an answered read fails.  The metrics also
+// carry how many reads failed and the window from the first failed read
+// to the last.
+func (r *Recorder) CheckReadAvailability(maxGap time.Duration) Verdict {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var first, last, failFirst, failLast time.Time
+	answers := make([]time.Time, 0, len(r.reads))
+	for _, rd := range r.reads {
+		answers = append(answers, rd.end)
+		widen(&first, &last, rd.start)
+	}
+	for _, rd := range r.failed {
+		widen(&first, &last, rd.start)
+		widen(&failFirst, &failLast, rd.start)
+	}
+	v := Verdict{Name: "read-availability", Metrics: map[string]float64{
+		"answered_reads":   float64(len(answers)),
+		"reads_failed":     float64(len(r.failed)),
+		"failed_window_ms": float64(failLast.Sub(failFirst).Milliseconds()),
+		"bound_ms":         float64(maxGap.Milliseconds()),
+	}}
+	if len(answers) == 0 {
+		v.Detail = "no answered read in the history"
+		return v
+	}
+	worst, worstFrom := longestGap(first, answers, last)
+	v.Pass = worst <= maxGap
+	v.Metrics["max_gap_ms"] = float64(worst.Milliseconds())
+	v.Detail = fmt.Sprintf("longest gap without an answered read %v, from +%v (bound %v; %d failed)",
+		worst.Round(time.Millisecond), worstFrom.Sub(first).Round(time.Millisecond), maxGap, len(r.failed))
+	return v
+}
+
+// widen stretches the span [*lo, *hi] (zero: empty) to cover t.
+func widen(lo, hi *time.Time, t time.Time) {
+	if lo.IsZero() || t.Before(*lo) {
+		*lo = t
+	}
+	if t.After(*hi) {
+		*hi = t
+	}
+}
+
+// longestGap sorts marks and returns the longest stretch from first to
+// the first mark, between consecutive marks, and from the last mark to
+// last, together with where that stretch began.
+func longestGap(first time.Time, marks []time.Time, last time.Time) (time.Duration, time.Time) {
+	sort.Slice(marks, func(i, j int) bool { return marks[i].Before(marks[j]) })
+	var worst time.Duration
+	worstFrom, prev := first, first
+	for _, t := range append(marks, last) {
+		if gap := t.Sub(prev); gap > worst {
+			worst, worstFrom = gap, prev
+		}
+		prev = t
+	}
+	return worst, worstFrom
 }
 
 // ConvergenceProbe samples the cluster's repair progress: repairs is a

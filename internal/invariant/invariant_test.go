@@ -145,6 +145,38 @@ func TestCheckWriteAvailability(t *testing.T) {
 	}
 }
 
+func TestCheckReadAvailability(t *testing.T) {
+	// Reads answered at 1 ms and from 3001 ms on, failing from 500 to
+	// 2500 ms: a 3 s stretch with no answer.
+	r := history("k", nil, []rd{{"v1", 0}, {"v1", 3000}, {"v1", 3100}})
+	for ms := 500; ms <= 2500; ms += 500 {
+		r.failed = append(r.failed, readEv{key: "k", start: at(ms)})
+	}
+	for _, tc := range []struct {
+		bound time.Duration
+		pass  bool
+	}{{2 * time.Second, false}, {4 * time.Second, true}} {
+		v := r.CheckReadAvailability(tc.bound)
+		if v.Pass != tc.pass || v.Name != "read-availability" {
+			t.Errorf("bound %v: %s %v, want pass %v (%s)", tc.bound, v.Name, v.Pass, tc.pass, v.Detail)
+		}
+		for m, want := range map[string]float64{"max_gap_ms": 3000, "reads_failed": 5, "failed_window_ms": 2000} {
+			if got := v.Metrics[m]; got != want {
+				t.Errorf("bound %v: %s = %v, want %v", tc.bound, m, got, want)
+			}
+		}
+	}
+	// Failed reads observe nothing, so staleness does not judge them.
+	if v := r.CheckBoundedStaleness(time.Millisecond); v.Metrics["reads_checked"] != 0 {
+		t.Errorf("bounded-staleness judged %v reads of a key never written", v.Metrics["reads_checked"])
+	}
+	none := NewRecorder()
+	none.RecordFailedRead("k", at(0))
+	if v := none.CheckReadAvailability(time.Hour); v.Pass {
+		t.Errorf("a history with no answered read passes: %s", v.Detail)
+	}
+}
+
 // TestCheckersJudgeEachKeyAlone mixes a broken key into a clean history:
 // the verdict fails, counts one, and names that key and no other.
 func TestCheckersJudgeEachKeyAlone(t *testing.T) {
