@@ -74,24 +74,14 @@ func (s *Snode) handleBatch(m batchReq, from transport.NodeID, tr transport.Trac
 	results := make([]batchItemResp, len(m.Items))
 	var served []routeEntry
 	replicate := s.cfg.Replicas > 1 && m.Kind != opGet
-	var (
-		replWrites map[hashspace.Partition][]batchItem
-		replDests  map[hashspace.Partition][]transport.NodeID
-		replMeta   map[hashspace.Partition]replFanMeta
-	)
-	var localWrites []int // indices applied locally and pending replica acks
+	var shares []replShare // each written bucket's share of the replica fan-out
+	var localWrites []int  // indices applied locally and pending replica acks
 	var (
 		walMax     uint64 // highest WAL sequence journaled for this batch
 		walClosed  bool   // a journal append was refused (snode stopping)
 		durWrites  []int  // indices whose ack awaits WAL durability
 		walScratch []byte // reused record-encoding slab (durability on)
 	)
-	if replicate {
-		replWrites = make(map[hashspace.Partition][]batchItem)
-		replDests = make(map[hashspace.Partition][]transport.NodeID)
-		replMeta = make(map[hashspace.Partition]replFanMeta)
-	}
-
 	// Hash every key before taking any lock.
 	hashes := make([]hashspace.Index, len(m.Items))
 	for i, it := range m.Items {
@@ -105,6 +95,7 @@ func (s *Snode) handleBatch(m batchReq, from transport.NodeID, tr transport.Trac
 		p     hashspace.Partition
 		group core.GroupID
 		reps  []transport.NodeID
+		seed  bool
 		idxs  []int
 	}
 
@@ -138,8 +129,8 @@ func (s *Snode) handleBatch(m batchReq, from transport.NodeID, tr transport.Trac
 				if w == nil {
 					w = &bucketWork{owner: ownerRef{Vnode: ref.vs.name, Host: s.id}, p: p, group: ref.vs.group}
 					if replicate {
-						w.reps = s.ownedReplicasLocked(p, ref)
-						replDests[p] = w.reps
+						w.reps = s.fanoutLocked(p, ref)
+						w.seed = !s.placedLiveLocked(p)
 					}
 					work[bk] = w
 				}
@@ -148,7 +139,7 @@ func (s *Snode) handleBatch(m batchReq, from transport.NodeID, tr transport.Trac
 			}
 			ref, ok := s.forwardTargetLocked(h)
 			if !ok {
-				results[i] = batchItemResp{Err: "no route: empty DHT view"}
+				results[i] = batchItemResp{Err: s.noRoute()}
 				continue
 			}
 			s.stats.Forwards.Add(1)
@@ -245,10 +236,11 @@ func (s *Snode) handleBatch(m batchReq, from transport.NodeID, tr transport.Trac
 			}
 			s.stats.DataOps.Add(int64(len(w.idxs)))
 			if replicate && len(w.reps) > 0 {
+				sh := replShare{hosts: w.reps, seed: w.seed, set: replWriteSet{Partition: w.p, Ver: verAfter, Group: w.group}}
 				for _, i := range w.idxs {
-					replWrites[w.p] = append(replWrites[w.p], m.Items[i])
+					sh.set.Items = append(sh.set.Items, m.Items[i])
 				}
-				replMeta[w.p] = replFanMeta{ver: verAfter, group: w.group}
+				shares = append(shares, sh)
 				localWrites = append(localWrites, w.idxs...)
 			}
 			if teach {
@@ -278,10 +270,10 @@ func (s *Snode) handleBatch(m batchReq, from transport.NodeID, tr transport.Trac
 
 	// Writes are acknowledged only after their replicas answered; the
 	// group fsync of their journal records runs meanwhile.
-	if replicate && len(replWrites) > 0 {
+	if len(localWrites) > 0 {
 		rsp := beginSpan(sp.ctx, "batch.repl-ack")
 		t0 := time.Now()
-		err := s.replicate(m.Kind, replWrites, replDests, replMeta, rsp.ctx)
+		err := s.replicate(m.Kind, shares, rsp.ctx)
 		s.lat.replAck.ObserveSince(t0)
 		s.tracer.finishErr(rsp, s.id, err)
 		if err != nil {
@@ -426,6 +418,7 @@ type batchRun struct {
 	entries []transport.NodeID        // guarded by mu; retry entry snodes: every snode but those that failed
 	failed  map[transport.NodeID]bool // guarded by mu; hosts that failed this batch (nil: none)
 	retried []bool                    // guarded by mu; per item, its one retry is spent (nil: none is)
+	bounced []bool                    // guarded by mu; per item, its one redirect back to via is spent (nil: none is)
 }
 
 // mbatch groups the items by believed owner — cache hits go straight to
@@ -551,11 +544,13 @@ func (b *batchRun) ask(host transport.NodeID, idxs []int, known uint64, hop int,
 // settle gives each item of a sub-batch its next target, from host's
 // answer resp (nil: host failed).  An answered item takes its result and
 // ends.  A redirected item goes to the hop its result names, within
-// hopLimit.  An item left unserved by a failure gets one retry at a fresh
-// entry snode, picked like a cold item's but one place on — and one more
-// when that is via, whose stale pointer led to the failed host — before a
-// per-key error surfaces.  The items moving on are regrouped by target
-// and asked at once, one sub-batch per target.
+// hopLimit; a redirect back to via is followed once, and a second one
+// ends the item with a custody cycle error.  An item left unserved by a
+// failure gets one retry at a fresh entry snode, picked like a cold
+// item's but one place on — and one more when that is via, whose stale
+// pointer led to the failed host — before a per-key error surfaces.  The
+// items moving on are regrouped by target and asked at once, one
+// sub-batch per target.
 func (b *batchRun) settle(host transport.NodeID, idxs []int, resp *batchResp, hop int, via transport.NodeID) {
 	var onward map[transport.NodeID][]int
 	b.mu.Lock()
@@ -584,6 +579,16 @@ func (b *batchRun) settle(host transport.NodeID, idxs []int, resp *batchResp, ho
 			continue
 		default:
 			next = resp.Results[j].Next
+			if next == via {
+				if b.bounced == nil {
+					b.bounced = make([]bool, len(b.items))
+				}
+				if b.bounced[i] {
+					b.results[i].Err = "cluster: " + custodyCycle(via, host)
+					continue
+				}
+				b.bounced[i] = true
+			}
 		}
 		if err := hopLimit(hop + 1); err != nil {
 			b.results[i].Err = "cluster: " + err.Error()

@@ -31,12 +31,13 @@
 //     one-item batches; each sub-batch chases its own redirected items,
 //     and an owner whose route epoch the handle still holds leaves the
 //     routes it would re-teach out of its reply;
-//   - R-way partition replication (replica.go) keeps R−1 replica buckets
-//     per partition on deterministically placed snodes, with synchronous
-//     write fan-out and background anti-entropy repair — an abrupt
-//     snode crash with R ≥ 2 loses no acknowledged write; replicas
-//     serve no reads, so reads, like writes, are answered by primaries
-//     only;
+//   - R-way partition replication (replica.go) keeps R−1 whole replica
+//     copies per partition on deterministically placed snodes, with
+//     synchronous write fan-out and background anti-entropy that hands
+//     a replica set off only once its new hosts are synced — an abrupt
+//     snode crash with R ≥ 2 loses no acknowledged write, and the best
+//     surviving copy promotes itself (failover.go); replicas serve no
+//     reads, so reads, like writes, are answered by primaries only;
 //   - partitions move by chunked live migration (migrate.go): the bucket
 //     keeps serving reads AND writes while its contents stream out in
 //     bounded chunks, freezing only for the final delta round-trip;

@@ -432,11 +432,8 @@ func (s *Snode) snapshotRecords(cut uint64, add func([]byte) error) error {
 		meta = append(meta, appendRecord(nil, &walMigIntentRec{Vnode: in.vnode, Partition: p, NewOwner: in.newOwner}))
 	}
 	end.NextLocal = s.nextLocal
-	for p, b := range s.rparts {
+	for p := range s.rparts {
 		rparts = append(rparts, p)
-		if b.provisional {
-			end.Provisional = append(end.Provisional, p)
-		}
 	}
 	s.mu.Unlock()
 	for _, rec := range meta {

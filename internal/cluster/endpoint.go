@@ -225,22 +225,38 @@ func hopLimit(hop int) error {
 // chase asks via.next(), then each host a reply redirects to, until a
 // reply that is not a redirect — at most maxHops asks.  Every hop is a
 // call of its own, aimed at the host that answers it, so a departed hop
-// fails that hop at once.  build makes each hop's request from the
-// redirect that aimed it; timeout is call's.
+// fails that hop at once.  A redirect back to the host asked just before
+// is followed once (custody may have moved meanwhile); a second such
+// bounce ends the chase with custodyCycle.  build makes each hop's
+// request from the redirect that aimed it; timeout is call's.
 func chase[R redirect](e *endpoint, timeout time.Duration, via R, build func(op uint64, via R) transport.WireMessage) (R, error) {
+	var zero R
+	prev, bounced := transport.NodeID(0), false
 	for hop := 0; ; hop++ {
 		if err := hopLimit(hop); err != nil {
-			var zero R
 			return zero, fmt.Errorf("cluster: %s: %w", e.who(), err)
 		}
-		r, err := replyAs[R](e.call(via.next(), untraced, timeout, nil, func(op uint64) transport.WireMessage {
+		host := via.next()
+		r, err := replyAs[R](e.call(host, untraced, timeout, nil, func(op uint64) transport.WireMessage {
 			return build(op, via)
 		}))
 		if err != nil || r.next() == 0 {
 			return r, err
 		}
-		via = r
+		if r.next() == prev {
+			if bounced {
+				return zero, fmt.Errorf("cluster: %s: %s", e.who(), custodyCycle(prev, host))
+			}
+			bounced = true
+		}
+		prev, via = host, r
 	}
+}
+
+// custodyCycle is the error of a request two snodes keep redirecting to
+// each other.
+func custodyCycle(a, b transport.NodeID) string {
+	return fmt.Sprintf("custody cycle between snodes %d and %d", a, b)
 }
 
 // askOrdered is ask on the replica plane: build and the send run under

@@ -359,6 +359,79 @@ func TestDeadMiddleHopFailsFast(t *testing.T) {
 	}
 }
 
+// TestCustodyCycleEndsFast hand-sets two custody pointers at each other
+// for one key's region.  A lookup and a batch item chasing them follow
+// one bounce back (custody may have moved meanwhile), then end with a
+// custody cycle error after fewer than 4 redirects — not after maxHops.
+func TestCustodyCycleEndsFast(t *testing.T) {
+	c := newTestCluster(t, 8, 4, 3, 1)
+	ids := c.Snodes()
+	a, b := c.snodes[ids[0]], c.snodes[ids[1]]
+	if _, _, err := c.CreateVnode(ids[2]); err != nil {
+		t.Fatal(err)
+	}
+	// A key that a cold batch enters at A; the third snode owns it all.
+	var key string
+	for i := 0; key == ""; i++ {
+		k := fmt.Sprintf("k%d", i)
+		if hashspace.HashString(k)%uint64(len(ids)) == 0 {
+			key = k
+		}
+	}
+	h := hashspace.HashString(key)
+	region := hashspace.Containing(h, 40)
+	for _, tomb := range []struct{ at, to *Snode }{{a, b}, {b, a}} {
+		tomb.at.mu.Lock()
+		tomb.at.setTombLocked(region, ownerRef{Host: tomb.to.id})
+		tomb.at.mu.Unlock()
+	}
+	for _, op := range []struct {
+		name string
+		run  func() error
+	}{
+		{"lookup from A", func() error { _, err := a.lookupFrom(a.id, h, 0); return err }},
+		{"MGet entered at A", func() error { return keyErr(c.MGet([]string{key})) }},
+	} {
+		before := c.StatsTotal().Forwards
+		err := returnsWithin(t, time.Second, op.name, op.run)
+		if err == nil || !strings.Contains(err.Error(), "custody cycle") {
+			t.Errorf("%s: %v, want a custody cycle error", op.name, err)
+		}
+		if n := c.StatsTotal().Forwards - before; n >= 4 {
+			t.Errorf("%s: %d redirects, want fewer than 4", op.name, n)
+		}
+	}
+}
+
+// TestOrphanedRegionNamesNoOwner: at R=1 a crash orphans its snode's
+// partitions, and a lookup there ends at a survivor that says it knows no
+// owner for the region.
+func TestOrphanedRegionNamesNoOwner(t *testing.T) {
+	c := newTestCluster(t, 8, 4, 3, 1)
+	growCluster(t, c, 6)
+	ids := c.Snodes()
+	victim := c.snodes[ids[1]]
+	var key string
+	for i := 0; key == ""; i++ {
+		k := fmt.Sprintf("k%d", i)
+		victim.mu.Lock()
+		if _, _, owned := victim.ownedForLocked(hashspace.HashString(k)); owned {
+			key = k
+		}
+		victim.mu.Unlock()
+	}
+	if err := c.KillSnode(victim.id); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Ping(); err != nil { // the survivors have dropped their pointers at the victim
+		t.Fatal(err)
+	}
+	_, err := c.Lookup(key)
+	if err == nil || !strings.Contains(err.Error(), "no route: snode ") || !strings.Contains(err.Error(), "knows no owner for the region") {
+		t.Fatalf("lookup of an orphaned region: %v, want a snode that knows no owner for the region", err)
+	}
+}
+
 // keyErr is a one-key batch's outcome as one error.
 func keyErr(rs []BatchResult, err error) error {
 	if err == nil && !rs[0].OK() {

@@ -2,7 +2,7 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"dbdht/internal/cluster/transport"
@@ -10,44 +10,35 @@ import (
 )
 
 // Automatic primary failover.  When an snode crashes (KillSnode, or the
-// cluster handle's liveness detector declaring it dead), every partition
-// it was primary for still has R−1 replica buckets on survivors, which
-// serve nothing: reads and writes of the partition fail until one of them
-// is promoted here, with no operator action.
+// cluster handle's liveness detector declaring it dead), the partitions
+// it was primary for fail reads and writes until a surviving whole copy
+// (replica.go) is promoted here, with no operator action.  Every survivor
+// holding a copy last fed by the dead primary runs its election:
 //
-// The protocol, run independently per dead primary:
+//  1. Ask every live snode once (promoteQueryReq) for its copy of the
+//     region from the dead primary and that copy's write version, the
+//     deepest partition level it knows over the region (as owner, copy
+//     holder or custody tomb), and whether it owns the region.
+//  2. Levels only deepen, so a deeper answer proves the dead primary
+//     split the region after this copy was fed: split the copy in place
+//     (walReplSplitRec) and elect each half.
+//  3. Otherwise the best copy — highest version, then lowest id —
+//     promotes itself, unless some snode owns the region already: it
+//     installs the copy on a joined vnode of the partition's group
+//     (allocating one if it hosts none), journaled like a migration
+//     commit, announces custody like RestartSnode does, and syncs its
+//     targets.  Copies of the winning version stay in its fan-out set
+//     until anti-entropy hands them off; the others are dropped.
 //
-//  1. Scan.  Each survivor receives snodeLeavingMsg{Crashed: true} and
-//     scans its replica buckets' metadata for partitions whose primary
-//     was the dead snode.
-//  2. Coordinate.  For each such partition the pre-crash replica set is
-//     recomputed from the placement function (the view plus the dead
-//     snode); the lowest-id live member of that set is the coordinator.
-//     Every survivor derives the same coordinator without messages, so
-//     exactly one election runs per partition.
-//  3. Elect.  The coordinator queries each live replica host
-//     (promoteQueryReq) for its copy's write version and provisional
-//     flag.  The winner is the most-caught-up copy: authoritative
-//     (full-synced) beats provisional, then the highest version wins,
-//     ties broken by the lower node id.  A restarted replica re-joins
-//     with version 0 and so never outranks one that stayed up.
-//  4. Promote.  The winner (ordered via promoteOrderReq, or locally if
-//     the coordinator won) installs the replica bucket as a primary
-//     bucket on a joined vnode of the partition's group — allocating a
-//     fresh joined vnode if it hosts none — journals the install like a
-//     migration commit, re-announces custody to every survivor and the
-//     cluster handle exactly like RestartSnode does, and re-homes fresh
-//     replicas for the partition.  Reads and writes resume.
-//
-// The election is best-effort by design: with R=2 there is one replica,
-// so the "election" degenerates to promoting it; a partition whose every
-// replica host also died is orphaned (reads and writes fail fast) until
-// an operator restarts one of the snodes from its journal.  Promotion is
-// idempotent — a duplicate order finds the partition already owned and
-// succeeds without side effects.
+// Every holder computes the winner from the same answers, so one copy
+// promotes without a coordinator, and a holder asking after the promotion
+// meets the owner.  Best-effort by design: an unreachable snode's answer
+// is skipped, and a partition whose every copy died is orphaned (its
+// reads and writes fail fast) until an operator restarts a holder from
+// its journal.  Promoting a partition the snode already owns is a no-op.
 
-// promoteQueryReq asks a replica host for its copy's election credentials
-// for one partition of a dead primary.
+// promoteQueryReq asks one live snode what it knows of the region of
+// Partition, whose primary Dead died.
 type promoteQueryReq struct {
 	Op        uint64
 	Partition hashspace.Partition
@@ -55,246 +46,175 @@ type promoteQueryReq struct {
 }
 
 type promoteQueryResp struct {
-	Op   uint64
-	Has  bool   // this host backs the partition and its metadata names Dead as primary
-	Prov bool   // the copy is provisional (write-created, never full-synced)
-	Ver  uint64 // highest primary write version folded into the copy
+	Op    uint64
+	Has   bool   // holds a copy covering Partition last fed by Dead
+	Ver   uint64 // that copy's write version
+	Owns  bool   // owns a partition covering Partition: nothing to promote
+	Level uint8  // deepest level of a partition it owns, holds or points at over Partition
 }
 
 func (m promoteQueryResp) replyOp() uint64  { return m.Op }
 func (m promoteQueryResp) replyErr() string { return "" }
 
-// promoteOrderReq tells the election winner to promote its replica bucket
-// to primary.
-type promoteOrderReq struct {
-	Op        uint64
-	Partition hashspace.Partition
-	Dead      transport.NodeID
-}
-
-// overlapQueryReq asks whether the receiver knows — as owner, replica
-// holder, replica metadata or custody tomb — any partition strictly
-// deeper than Partition that overlaps it.  Partition geometry only ever
-// deepens (splits refine, migrations preserve level), so one positive
-// answer proves Partition is stale geometry and must not be promoted:
-// its region was since refined, and the stale replica bucket backing it
-// is bounded garbage, not the current copy.
-type overlapQueryReq struct {
-	Op        uint64
-	Partition hashspace.Partition
-}
-
-type overlapQueryResp struct {
-	Op     uint64
-	Deeper bool
-}
-
-func (m overlapQueryResp) replyOp() uint64  { return m.Op }
-func (m overlapQueryResp) replyErr() string { return "" }
-
-// failoverScan runs on every survivor after a crash notice: find the
-// partitions this snode backs whose primary died, and for those where
-// this snode is the deterministic coordinator, run the election.
+// failoverScan runs on every survivor after a crash notice: it runs the
+// election of every copy this snode holds for the dead primary.
 func (s *Snode) failoverScan(dead transport.NodeID) {
 	s.mu.Lock()
-	view := append([]transport.NodeID(nil), s.view...)
-	live := make(map[transport.NodeID]bool, len(view))
-	for _, id := range view {
-		live[id] = true
-	}
-	// The placement the dead primary replicated with was computed over a
-	// view that still contained it.
-	preCrash := make([]transport.NodeID, 0, len(s.view)+1)
-	preCrash = append(preCrash, s.view...)
-	if !live[dead] {
-		preCrash = append(preCrash, dead)
-	}
-	sort.Slice(preCrash, func(i, j int) bool { return preCrash[i] < preCrash[j] })
-	var targets []hashspace.Partition
+	var held []hashspace.Partition
 	for p, b := range s.rparts {
-		if b.meta != nil && b.meta.prim == dead {
-			targets = append(targets, p)
+		if b.prim == dead {
+			held = append(held, p)
 		}
 	}
-	r := s.cfg.Replicas
 	s.mu.Unlock()
 
-	// Elections for distinct partitions are independent — only the
-	// coordinator-per-partition rule must hold, and that is decided
-	// locally.  Run them concurrently: each election is a chain of small
-	// RPCs (overlap probes, vote queries, the promotion order), so a
-	// crashed primary with hundreds of partitions would otherwise pay the
-	// whole chain's latency per partition and stretch the write blackout
-	// by seconds.  Bounded, so a large custody set cannot stampede the
-	// survivors with hundreds of simultaneous probe fan-outs.
+	// Elections for distinct partitions are independent.  Run them
+	// concurrently: each is a round of small RPCs, so a crashed primary
+	// with hundreds of partitions would otherwise pay the round's latency
+	// per partition and stretch the write blackout by seconds.  Bounded,
+	// so a large copy set cannot stampede the survivors with hundreds of
+	// simultaneous query fan-outs.
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, failoverElectionWorkers)
-	for _, p := range targets {
+	for _, p := range held {
 		select {
 		case <-s.stopCh:
 			wg.Wait()
 			return
 		default:
 		}
-		cands := replicaHostsFor(p, dead, preCrash, r)
-		coord := transport.NodeID(-1)
-		for _, id := range cands {
-			if live[id] && (coord < 0 || id < coord) {
-				coord = id
-			}
-		}
-		if coord != s.id {
-			continue
-		}
 		wg.Add(1)
 		sem <- struct{}{}
-		go func(p hashspace.Partition) {
+		go func() {
 			defer func() { <-sem; wg.Done() }()
-			if s.staleGeometry(p, view) {
-				// A leftover replica of a refined partition: the deeper
-				// descendants hold the current copies and run their own
-				// elections; promoting the ancestor would shadow them with
-				// an empty bucket.
-				s.mutate(&replDropMsg{Partitions: []hashspace.Partition{p}})
-				return
-			}
-			s.electAndPromote(p, dead, cands, live)
-		}(p)
+			s.elect(p, dead)
+		}()
 	}
 	wg.Wait()
 }
 
 // failoverElectionWorkers bounds how many partition elections one
-// coordinator runs concurrently after a crash notice.
+// survivor runs concurrently after a crash notice.
 const failoverElectionWorkers = 8
 
-// deeperOverlapLocked reports whether this snode knows any partition
-// strictly deeper than p overlapping p — as a primary bucket, a replica
-// bucket or a custody tomb.  Caller holds s.mu.
-func (s *Snode) deeperOverlapLocked(p hashspace.Partition) bool {
-	return deeperIn(s.owned, p) || deeperIn(s.rparts, p) || deeperIn(s.tombs, p)
-}
-
-func deeperIn[V any](m map[hashspace.Partition]V, p hashspace.Partition) bool {
-	for q := range m {
-		if q.Level > p.Level && overlapping(q, p) {
-			return true
-		}
-	}
-	return false
-}
-
-// handleOverlapQuery answers a stale-geometry probe.  Fast (no nested
-// RPCs) — runs inline in the actor loop.
-func (s *Snode) handleOverlapQuery(m overlapQueryReq, from transport.NodeID) {
+// elect runs the election of this snode's copies from dead over p (see
+// the file header); it returns at once if there are none.
+func (s *Snode) elect(p hashspace.Partition, dead transport.NodeID) {
 	s.mu.Lock()
-	deeper := s.deeperOverlapLocked(m.Partition)
+	held := false
+	for q, b := range s.rparts {
+		held = held || q.Overlaps(p) && b.prim == dead
+	}
+	view := slices.Clone(s.view)
 	s.mu.Unlock()
-	s.send(from, untraced, overlapQueryResp{Op: m.Op, Deeper: deeper})
-}
-
-// staleGeometry asks every live view member whether it knows a partition
-// strictly deeper than p overlapping it.  Replica buckets survive splits
-// as bounded garbage at their old hosts, so a dead primary's buckets may
-// name partitions the geometry has since refined; promoting one would
-// install an empty ancestor that shadows live deeper partitions.  Levels
-// only grow, so one positive answer anywhere is proof of staleness; an
-// unreachable member is skipped (the check is best-effort, like the
-// election it guards).
-func (s *Snode) staleGeometry(p hashspace.Partition, view []transport.NodeID) bool {
-	s.mu.Lock()
-	local := s.deeperOverlapLocked(p)
-	s.mu.Unlock()
-	if local {
-		return true
-	}
-	for _, id := range view {
-		if id == s.id {
-			continue
-		}
-		resp, err := ask[overlapQueryResp](&s.endpoint, id, untraced, func(op uint64) transport.WireMessage {
-			return overlapQueryReq{Op: op, Partition: p}
-		})
-		if err == nil && resp.Deeper {
-			return true
-		}
-	}
-	return false
-}
-
-// electAndPromote runs one partition's failover election as coordinator
-// and dispatches the promotion order to the winner.
-func (s *Snode) electAndPromote(p hashspace.Partition, dead transport.NodeID, cands []transport.NodeID, live map[transport.NodeID]bool) {
-	s.stats.Elections.Add(1)
-	type vote struct {
-		id   transport.NodeID
-		prov bool
-		ver  uint64
-	}
-	var votes []vote
-	for _, id := range cands {
-		if !live[id] {
-			continue
-		}
-		if id == s.id {
-			if own := s.promoteCredentials(p, dead); own.Has {
-				votes = append(votes, vote{id: id, prov: own.Prov, ver: own.Ver})
-			}
-			continue
-		}
-		resp, err := ask[promoteQueryResp](&s.endpoint, id, untraced, func(op uint64) transport.WireMessage {
-			return promoteQueryReq{Op: op, Partition: p, Dead: dead}
-		})
-		if err != nil {
-			continue // unreachable elector: proceed with the quorum we have
-		}
-		if resp.Has {
-			votes = append(votes, vote{id: id, prov: resp.Prov, ver: resp.Ver})
-		}
-	}
-	if len(votes) == 0 {
-		s.log.Warn("failover: no promotable replica", "partition", p.String(), "dead", int(dead))
+	if !held {
 		return
 	}
-	// Authoritative beats provisional, then highest version, then lowest id.
-	win := votes[0]
-	for _, v := range votes[1:] {
-		switch {
-		case win.prov != v.prov:
-			if win.prov {
-				win = v
-			}
-		case v.ver != win.ver:
-			if v.ver > win.ver {
-				win = v
-			}
-		case v.id < win.id:
-			win = v
+	answers := make([]promoteQueryResp, len(view))
+	errs := fanOut(len(view), func(i int) error {
+		var err error
+		if view[i] == s.id {
+			answers[i] = s.promoteCredentials(p, dead)
+		} else {
+			answers[i], err = ask[promoteQueryResp](&s.endpoint, view[i], untraced, func(op uint64) transport.WireMessage {
+				return promoteQueryReq{Op: op, Partition: p, Dead: dead}
+			})
 		}
-	}
-	if win.id == s.id {
-		if err := s.promotePartition(p, dead); err != nil {
-			s.log.Warn("failover: local promotion failed", "partition", p.String(), "err", err)
-		}
-		return
-	}
-	_, err := ask[ackResp](&s.endpoint, win.id, untraced, func(op uint64) transport.WireMessage {
-		return promoteOrderReq{Op: op, Partition: p, Dead: dead}
+		return err
 	})
-	if err != nil {
-		s.log.Warn("failover: promotion order failed", "partition", p.String(), "winner", int(win.id), "err", err)
+	self := slices.Index(view, s.id)
+	if self < 0 {
+		return
+	}
+	level := p.Level
+	for i, a := range answers {
+		if errs[i] == nil {
+			level = max(level, a.Level)
+		}
+	}
+	if level > p.Level {
+		lo, hi := p.Split()
+		s.mu.Lock()
+		if b, ok := s.rparts[p]; ok && b.prim == dead {
+			split := walReplSplitRec{Partition: lo}
+			split.applyLocked(s)
+			s.journal(split.walTag(), split.fields)
+		}
+		s.mu.Unlock()
+		s.elect(lo, dead)
+		s.elect(hi, dead)
+		return
+	}
+	if !answers[self].Has {
+		return
+	}
+
+	s.stats.Elections.Add(1)
+	win := self
+	for i, a := range answers {
+		switch {
+		case errs[i] != nil:
+			// unreachable: proceed with the answers we have
+		case a.Owns:
+			return // already owned: promoted by another copy, or never orphaned
+		case a.Has && (a.Ver > answers[win].Ver || a.Ver == answers[win].Ver && view[i] < view[win]):
+			win = i
+		}
+	}
+	if win != self {
+		return
+	}
+	// Only copies of the winning version already split down to p (their
+	// holder's deepest level is p's) stay: a holder still at an ancestor
+	// would skip the new primary's writes until its own election splits
+	// it.  The others are dropped.
+	var keep, drop []transport.NodeID
+	for i, a := range answers {
+		if i != self && errs[i] == nil && a.Has {
+			if a.Ver == answers[self].Ver && a.Level == p.Level {
+				keep = append(keep, view[i])
+			} else {
+				drop = append(drop, view[i])
+			}
+		}
+	}
+	if err := s.promotePartition(p, dead, keep); err != nil {
+		s.log.Warn("failover: promotion failed", "partition", p.String(), "err", err)
+		return
+	}
+	for _, h := range drop {
+		s.send(h, untraced, replDropMsg{Partitions: []hashspace.Partition{p}})
 	}
 }
 
-// promoteCredentials reads this snode's election credentials for one
-// partition of a dead primary out of the replica store (Op left zero).
+// promoteCredentials is this snode's answer to an election query about
+// p (Op left zero).
 func (s *Snode) promoteCredentials(p hashspace.Partition, dead transport.NodeID) promoteQueryResp {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if b, ok := s.rparts[p]; ok && b.meta != nil && b.meta.prim == dead {
-		return promoteQueryResp{Has: true, Prov: b.provisional, Ver: b.meta.ver}
+	resp := promoteQueryResp{Level: deepestOver(s.tombs, p, deepestOver(s.rparts, p, deepestOver(s.owned, p, 0)))}
+	if _, q, ok := s.ownedForLocked(p.Start()); ok && q.Level <= p.Level {
+		resp.Owns = true
 	}
-	return promoteQueryResp{}
+	b, ok := s.rparts[p]
+	if !ok {
+		_, b, ok = s.replicaAboveLocked(p)
+	}
+	if ok && b.prim == dead {
+		resp.Has, resp.Ver = true, b.ver
+	}
+	return resp
+}
+
+// deepestOver is the deepest level, at least level, of a partition of m
+// overlapping p.
+func deepestOver[V any](m map[hashspace.Partition]V, p hashspace.Partition, level uint8) uint8 {
+	for q := range m {
+		if q.Level > level && q.Overlaps(p) {
+			level = q.Level
+		}
+	}
+	return level
 }
 
 // handlePromoteQuery answers an election query.  Fast (no nested RPCs) —
@@ -305,40 +225,27 @@ func (s *Snode) handlePromoteQuery(m promoteQueryReq, from transport.NodeID) {
 	s.send(from, untraced, resp)
 }
 
-// handlePromoteOrder executes a promotion order from the coordinator.
-// Runs in its own goroutine: promotion journals durably and re-homes
-// replicas over the fabric.
-func (s *Snode) handlePromoteOrder(m promoteOrderReq, from transport.NodeID) {
-	resp := ackResp{Op: m.Op}
-	if err := s.promotePartition(m.Partition, m.Dead); err != nil {
-		resp.Err = err.Error()
-	}
-	s.send(from, untraced, resp)
-}
-
-// promotePartition installs this snode's replica bucket for p as the
-// partition's new primary bucket.  Idempotent: promoting a partition this
-// snode already owns (any deeper split of it included) is a no-op.
-func (s *Snode) promotePartition(p hashspace.Partition, dead transport.NodeID) error {
+// promotePartition installs this snode's copy of p as the partition's new
+// primary bucket; keep are the other holders of an equally fresh copy,
+// which stay in its fan-out set until anti-entropy hands them off.
+// Idempotent: promoting a partition this snode already owns (any deeper
+// split of it included) is a no-op.
+func (s *Snode) promotePartition(p hashspace.Partition, dead transport.NodeID, keep []transport.NodeID) error {
 	s.mu.Lock()
 	if _, _, owned := s.ownedForLocked(p.Start()); owned {
 		s.mu.Unlock()
-		return nil // duplicate order, or custody already moved here
+		return nil // duplicate, or custody already moved here
 	}
 	b, has := s.rparts[p]
-	if !has || b.meta == nil {
+	if !has || b.prim != dead {
 		s.mu.Unlock()
-		return fmt.Errorf("cluster: snode %d holds no promotable replica of %s", s.id, p.String())
+		return fmt.Errorf("cluster: snode %d holds no replica of %s fed by %d", s.id, p.String(), dead)
 	}
-	if b.meta.prim != dead {
-		s.mu.Unlock()
-		return fmt.Errorf("cluster: snode %d replica of %s names primary %d, not %d", s.id, p.String(), b.meta.prim, dead)
-	}
-	ver := b.meta.ver
+	ver := b.ver
 	// Host the partition on a joined vnode of its group, allocating a
 	// fresh one (journaled, so a restart replays the allocation) when
 	// none lives here.
-	install := walMigInstallRec{Group: b.meta.group, Level: p.Level, Partition: p, Data: b.kv}
+	install := walMigInstallRec{Group: b.group, Level: p.Level, Partition: p, Data: b.kv}
 	hosted := false
 	for _, v := range s.vnodes {
 		if v.joined && v.group == install.Group && v.level == p.Level {
@@ -379,21 +286,35 @@ func (s *Snode) promotePartition(p hashspace.Partition, dead transport.NodeID) e
 		bk.ver = ver // keep the version climbing across the handover
 		bk.mu.Unlock()
 	}
+	s.setPlacedLocked(p, keep)
 	route := routeEntry{Partition: p, Ref: ownerRef{Vnode: install.To, Host: s.id}}
-	view := append([]transport.NodeID(nil), s.view...)
 	s.mu.Unlock()
 	s.stats.Promotions.Add(1)
 	s.log.Info("failover: promoted to primary", "partition", p.String(), "dead", int(dead), "ver", ver)
-	// Re-announce custody exactly like a restart does: survivors adopt
-	// pointers to the new primary, and the cluster handle repairs its
-	// client routes.
-	ann := snodeRecoveredMsg{Recovered: s.id, Routes: []routeEntry{route}}
+	s.announce([]routeEntry{route})
+	s.rehomeReplicas(p)
+	return nil
+}
+
+// announce tells every other live snode and the cluster handle that this
+// snode owns routes, exactly like a restart does: survivors adopt custody
+// pointers to it, and the handle repairs its client routes.  A promotion
+// announces the promoted partition; every survivor of a crash announces
+// all it owns, because the dead snode took its custody pointers with it
+// and chains that ran through it would leave regions it never owned
+// unroutable.
+func (s *Snode) announce(routes []routeEntry) {
+	if len(routes) == 0 {
+		return
+	}
+	s.mu.Lock()
+	view := slices.Clone(s.view)
+	s.mu.Unlock()
+	ann := snodeRecoveredMsg{Recovered: s.id, Routes: routes}
 	for _, id := range view {
 		if id != s.id {
 			s.send(id, untraced, ann)
 		}
 	}
 	s.send(clientID, untraced, ann)
-	s.rehomeReplicas(p)
-	return nil
 }

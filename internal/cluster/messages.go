@@ -20,7 +20,7 @@ import (
 
 // ackResp is the response of every request whose only outcome is success
 // or an error string: splitAllReq, shipVnodeReq, groupInit, the three
-// migration requests, replWriteReq, replSyncReq and promoteOrderReq.
+// migration requests, replWriteReq and replSyncReq.
 type ackResp struct {
 	Op  uint64
 	Err string

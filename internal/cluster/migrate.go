@@ -113,12 +113,14 @@ type migChunkReq struct {
 }
 
 // migCommitReq is the final, frozen-window delta: the receiver folds it in
-// and installs the staging bucket as the live owned partition.
+// and installs the staging bucket as the live owned partition, starting
+// at the sender's write version Ver.
 type migCommitReq struct {
 	Op        uint64
 	To        VnodeName
 	Partition hashspace.Partition
 	Items     []migItem
+	Ver       uint64
 }
 
 // migAbortMsg discards a staging bucket after a sender-side failure
@@ -274,6 +276,7 @@ func (s *Snode) migratePartition(g core.GroupID, to VnodeName, toHost transport.
 	bk.mu.Lock()
 	bk.state = bucketFrozen
 	final := collectDeltaLocked(bk, bk.mig.dirty)
+	ver := bk.ver
 	bk.mu.Unlock()
 	intent.applyLocked(s)
 	intentSeq := s.journal(intent.walTag(), intent.fields)
@@ -295,7 +298,7 @@ func (s *Snode) migratePartition(g core.GroupID, to VnodeName, toHost transport.
 
 	csp := beginSpan(root.ctx, "mig.commit")
 	_, err = ask[ackResp](&s.endpoint, toHost, csp.ctx, func(op uint64) transport.WireMessage {
-		return migCommitReq{Op: op, To: to, Partition: p, Items: final}
+		return migCommitReq{Op: op, To: to, Partition: p, Items: final, Ver: ver}
 	})
 	s.tracer.finishErr(csp, s.id, err)
 	var refused remoteError
@@ -452,12 +455,15 @@ func (s *Snode) handleMigCommit(m migCommitReq, from transport.NodeID, tr transp
 	}
 	delete(s.migIn, m.Partition)
 	install.applyLocked(s)
+	if bk, ok := s.vnodes[m.To].parts[m.Partition]; ok {
+		bk.mu.Lock()
+		bk.ver = m.Ver
+		bk.mu.Unlock()
+	}
 	s.mu.Unlock()
 	// Re-home the replica set with the primary before acknowledging, so
 	// the handover never shrinks the number of copies.
-	if s.cfg.Replicas > 1 {
-		s.rehomeReplicas(m.Partition)
-	}
+	s.rehomeReplicas(m.Partition)
 	s.send(from, untraced, ackResp{Op: m.Op})
 }
 
@@ -533,7 +539,7 @@ func (s *Snode) resolveIntentOnce(p hashspace.Partition) {
 		s.log.Debug("intent probe failed, staying in doubt", "partition", p.String(), "err", err)
 		return
 	}
-	if lr.Host != s.id && lr.Partition.Level >= p.Level && overlapping(lr.Partition, p) {
+	if lr.Host != s.id && lr.Partition.Level >= p.Level && lr.Partition.Overlaps(p) {
 		s.finalizeIntent(p, in)
 		return
 	}

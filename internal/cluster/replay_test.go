@@ -18,10 +18,11 @@ import (
 
 // journaledState is everything an snode journals, in comparable form.
 // Deliberately absent, because nothing journals them: replica election
-// metadata (replMeta), bucket write versions (bucket.ver), load rates, the
-// route cache, the placement record and staging buckets, the membership
-// view, and custody tombs — a drop record journals its tomb, but tombs
-// are also adopted from and pruned by departure and recovery notices.
+// metadata (replicaBucket's ver, group and prim), bucket write versions
+// (bucket.ver), load rates, the route cache, the placement record and
+// staging buckets, the membership view, and custody tombs — a drop record
+// journals its tomb, but tombs are also adopted from and pruned by
+// departure and recovery notices.
 type journaledState struct {
 	NextLocal int
 	HasBoot   bool
@@ -29,7 +30,6 @@ type journaledState struct {
 	Vnodes    map[VnodeName]walVnodeRec // Parts sorted
 	Owned     map[hashspace.Partition]map[string]string
 	Replica   map[hashspace.Partition]map[string]string
-	Prov      map[hashspace.Partition]bool
 	Lpdrs     map[core.GroupID]lpdrState
 	Led       []core.GroupID
 	InDoubt   map[hashspace.Partition]migIntent
@@ -53,7 +53,6 @@ func dumpJournaled(s *Snode) journaledState {
 		Vnodes:  make(map[VnodeName]walVnodeRec),
 		Owned:   make(map[hashspace.Partition]map[string]string),
 		Replica: make(map[hashspace.Partition]map[string]string),
-		Prov:    make(map[hashspace.Partition]bool),
 		Lpdrs:   make(map[core.GroupID]lpdrState),
 		InDoubt: make(map[hashspace.Partition]migIntent),
 	}
@@ -70,7 +69,6 @@ func dumpJournaled(s *Snode) journaledState {
 	}
 	for p, b := range s.rparts {
 		st.Replica[p] = stringValues(b.kv.m)
-		st.Prov[p] = b.provisional
 	}
 	for g, rep := range s.replicas {
 		st.Lpdrs[g] = *rep
@@ -235,7 +233,7 @@ func testReplayReproducesLiveState(t *testing.T, snapshotLast bool) {
 	}
 	if snapshotLast {
 		// Anti-entropy runs until Close and may journal after the last
-		// snapshot (a stale replica bucket swept, say), so the tail is
+		// snapshot (a copy handed off, say), so the tail is
 		// reported, not required to be empty.
 		t.Logf("%d records replay from the log tails behind the last snapshots", tail)
 	} else {
@@ -258,14 +256,6 @@ func testReplayReproducesLiveState(t *testing.T, snapshotLast bool) {
 		}
 		got, wantSt := dumpJournaled(rec), dumpJournaled(s)
 		rec.stop()
-		// A probe whose digest matches vouches for a write-created bucket
-		// without journaling it, so recovery may know a bucket as
-		// provisional that was live-authoritative — never the reverse.
-		for p, prov := range wantSt.Prov {
-			if !prov && got.Prov[p] {
-				got.Prov[p] = false
-			}
-		}
 		gv, wv := reflect.ValueOf(got), reflect.ValueOf(wantSt)
 		for i := 0; i < gv.NumField(); i++ {
 			if d := stateDiff(gv.Field(i), wv.Field(i)); d != "" {

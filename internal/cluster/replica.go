@@ -2,7 +2,7 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"dbdht/internal/cluster/transport"
@@ -12,56 +12,44 @@ import (
 
 // R-way partition replication.  The paper's model is failure-free (§5);
 // this file grows the runtime beyond it: every partition's primary (the
-// owning vnode's host) keeps R−1 *replica buckets* on other snodes chosen
-// deterministically from the DHT view, so an abrupt snode crash loses no
-// acknowledged write.
+// owning vnode's host) keeps R−1 *replica copies* on other snodes, so an
+// abrupt snode crash loses no acknowledged write.  One rule holds the
+// copies together: a copy exists only whole, and a replica set changes
+// only by hand-off.
 //
-//   - Writes are fanned to the replica hosts synchronously, reusing the
-//     batch sub-request machinery: a write is acknowledged only once every
-//     reachable replica applied it (an unreachable replica is recorded in
-//     ReplLagged and repaired by anti-entropy rather than failing the
-//     write — the primary still holds the data).
-//   - Partition transfers re-home replica sets with the primary: the new
-//     owner pushes fresh replica buckets before acknowledging the install,
-//     and the old owner drops the buckets that became orphans.
-//   - A background anti-entropy pass (one probe per replica host carrying
-//     the maintained key count + checksum of every partition placed
-//     there; see store.go) repairs replicas that diverge after a crash or
-//     a missed write, and bootstraps replication for partitions that
-//     predate their replica hosts.
+//   - A copy is born whole: from a full sync of the primary's bucket, or
+//     by splitting in place an ancestor copy fed by the same primary.  A
+//     host acks a write set for a partition it does not hold, and stores
+//     nothing.
+//   - A write is acknowledged once its partition's *fan-out set* answered
+//     (an unreachable host is counted in ReplLagged and left to
+//     anti-entropy): the targets (placement, below) plus `placed`, the
+//     hosts that may hold a copy.  A partition no live host holds a copy
+//     of is full-synced to its targets instead (a seed).  A split gives
+//     each child its parent's `placed`.
+//   - Anti-entropy probes each target with the maintained digests of the
+//     partitions placed there (store.go), full-syncs every missing or
+//     differing copy, and once a partition's targets are all confirmed,
+//     drops the copies at its other hosts: until then they keep being
+//     fed, so a crash at any moment leaves a whole copy.  A transfer
+//     re-homes the set with the primary (the new owner syncs its targets
+//     before acknowledging the install; the old one drops the orphans).
 //
-// Replica placement is a pure function of (partition, primary, view):
-// every snode with the same membership view picks the same replica hosts,
-// so primaries, their successors after a transfer, and the anti-entropy
-// pass all converge on one replica set without coordination.
+// Placement is rendezvous (HRW) hashing over (partition, primary, view):
+// the R−1 highest-scoring non-primary hosts are the targets, so every
+// snode with the same view agrees, and one membership change moves only
+// ~1/n of the sets.  Replicas serve no reads: a read goes where a write
+// goes, to the primary (chain replication's rule, van Renesse &
+// Schneider, OSDI 2004), and fails until a promoted copy is announced.
 //
-// Placement is rendezvous (HRW) hashing: each (partition, host) pair gets
-// a 64-bit score and the R−1 highest-scoring non-primary hosts back the
-// partition.  Adding or removing one host therefore relocates only the
-// replica sets whose score order that host perturbed — ~1/n of them —
-// and the anti-entropy pass migrates exactly those deltas.
-//
-// Replicas serve no reads: a read goes where a write goes, to the
-// partition's primary, so the one copy a client can observe is the one
-// every write is applied to first (chain replication's rule, van Renesse
-// & Schneider, OSDI 2004).  A read of a crashed primary's partition fails
-// until a replica is promoted and announced, exactly as a write does.
-//
-// Each replica bucket also carries volatile metadata (replMeta): the
-// primary's write version, the owning vnode's group, and the last primary
-// host.  Failover promotion (failover.go) uses it to elect the
-// most-caught-up replica deterministically.  It is deliberately not
-// journaled: a restarted replica restarts at version 0 and loses
-// elections to replicas that stayed up with the data in memory.
-//
-// Limitations (documented, by design of this increment): two
+// Each copy carries volatile failover metadata (see replicaBucket) that
+// failover.go elects on.  A partition's write version never goes
+// backwards — split children and a transfer's install start at their
+// source's — so versions compare across the copies of one region.  A
+// restarted replica cannot vote until its primary feeds it again.  Two
 // *concurrent* writes of the same key may replicate in the opposite order
-// from the primary's apply order (callers racing same-key writes have no
-// ordering guarantee at the primary either — anti-entropy re-converges
-// the replica within one interval); a replica bucket created before this
-// snode learned its metadata (possible only across a version upgrade)
-// cannot be promoted; ancestor buckets stranded at hosts with no deeper
-// local bucket escape the stale sweep and linger as bounded garbage.
+// from the primary's apply order (racing callers have no ordering at the
+// primary either); anti-entropy re-converges the copy within one interval.
 
 // viewUpdate is the cluster handle's membership broadcast: the sorted ids
 // of every live snode, stamped with a monotonically increasing epoch so
@@ -136,41 +124,48 @@ type replDropMsg struct {
 	Partitions []hashspace.Partition
 }
 
-// overlapping reports whether two binary-trie partitions intersect, i.e.
-// one is an ancestor of (or equal to) the other.
-func overlapping(a, b hashspace.Partition) bool {
-	if a.Level > b.Level {
-		a, b = b, a
-	}
-	return b.Prefix>>(b.Level-a.Level) == a.Prefix
-}
-
-// replicaHostsLocked picks the R−1 replica hosts for a partition owned at
-// this snode.  The result is shared with the placement cache: callers
-// must not modify it.  Caller holds s.mu.
+// replicaHostsLocked is the placement of a partition owned at this snode:
+// its R−1 targets.  Caller holds s.mu.
 func (s *Snode) replicaHostsLocked(p hashspace.Partition) []transport.NodeID {
-	if ref, ok := s.owned[p]; ok {
-		return s.ownedReplicasLocked(p, ref)
-	}
 	return replicaHostsFor(p, s.id, s.view, s.cfg.Replicas)
 }
 
-// ownedReplicasLocked is replicaHostsLocked for a caller that already
-// holds p's ownership entry — the batch path, once per bucket per batch.
-// Placement is a pure function of (partition, primary, view), so it is
-// computed once per view epoch and cached in the entry, which a refresh
-// writes back; a split or an install makes new entries, which start with
-// an empty cache.  Caller holds s.mu.
-func (s *Snode) ownedReplicasLocked(p hashspace.Partition, ref ownedRef) []transport.NodeID {
+// fanoutLocked is where a write of owned partition p goes: p's targets
+// plus the live hosts of its `placed` set that anti-entropy has not
+// dropped yet.  It runs once per bucket per batch, so it is cached in p's
+// ownership entry per view epoch; setPlacedLocked clears the cache, and a
+// split or an install makes new entries, which start without one.  The
+// result is shared with the cache: callers must not modify it.  Caller
+// holds s.mu.
+func (s *Snode) fanoutLocked(p hashspace.Partition, ref ownedRef) []transport.NodeID {
 	if s.cfg.Replicas <= 1 {
 		return nil
 	}
 	if ref.repsAt != s.viewEpoch+1 {
-		ref.reps = replicaHostsFor(p, s.id, s.view, s.cfg.Replicas)
+		ref.reps = s.replicaHostsLocked(p)
+		for _, h := range s.placed[p] {
+			if slices.Contains(s.view, h) && !slices.Contains(ref.reps, h) {
+				ref.reps = append(ref.reps, h)
+			}
+		}
 		ref.repsAt = s.viewEpoch + 1
 		s.owned[p] = ref
 	}
 	return ref.reps
+}
+
+// setPlacedLocked records hosts (nil: none) as the hosts that may hold a
+// copy of owned partition p.  Caller holds s.mu.
+func (s *Snode) setPlacedLocked(p hashspace.Partition, hosts []transport.NodeID) {
+	if len(hosts) == 0 {
+		delete(s.placed, p)
+	} else {
+		s.placed[p] = hosts
+	}
+	if ref, ok := s.owned[p]; ok {
+		ref.repsAt = 0
+		s.owned[p] = ref
+	}
 }
 
 // replicaHostsFor is the pure placement rule: rendezvous (HRW) hashing.
@@ -230,22 +225,14 @@ func hrwScore(p hashspace.Partition, id transport.NodeID) uint64 {
 
 // --- replica store maintenance (caller holds s.mu) ---
 
-// replicaBucket is one partition this snode backs for another primary.
+// replicaBucket is one partition's whole copy, backed for another
+// primary, with its volatile failover metadata: the highest primary write
+// version seen, the owning vnode's group, and the primary host that last
+// fed it (0 until one did: snode ids start at 1).  The metadata is not
+// journaled — see the file header.  The replica store never holds two
+// overlapping partitions.
 type replicaBucket struct {
-	kv *kvStore
-	// provisional marks a write-created bucket that was never full-synced:
-	// present keys are real, absent keys are unknown.
-	provisional bool
-	// meta is nil until a primary told this bucket its metadata (GroupID's
-	// zero value is the valid group 0, so absence needs its own mark).
-	meta *replMeta
-}
-
-// replMeta is the volatile failover metadata of one replica bucket: the
-// highest primary write version seen, the owning vnode's group, and the
-// primary host that last fed the bucket.  Not journaled, not snapshotted
-// — see the file header.
-type replMeta struct {
+	kv    *kvStore
 	ver   uint64
 	group core.GroupID
 	prim  transport.NodeID
@@ -255,28 +242,68 @@ type replMeta struct {
 // The version only ratchets up, so a reordered stale fan-out cannot
 // regress the election priority.  Caller holds s.mu.
 func (s *Snode) noteReplMetaLocked(p hashspace.Partition, ver uint64, g core.GroupID, prim transport.NodeID) {
-	b, ok := s.rparts[p]
-	if !ok {
-		return
+	if b, ok := s.rparts[p]; ok {
+		b.ver, b.group, b.prim = max(b.ver, ver), g, prim
 	}
-	if b.meta == nil {
-		b.meta = &replMeta{}
-	}
-	if ver > b.meta.ver {
-		b.meta.ver = ver
-	}
-	b.meta.group = g
-	b.meta.prim = prim
 }
 
-// dropReplicaWithinLocked discards every replica bucket contained in p
-// (p itself included).  Ancestors are deliberately spared: they may still
-// carry the only failover copy of a *sibling* region's acknowledged keys,
-// and their own primary's
-// placement pass retires them once the current-level buckets are synced.
-func (s *Snode) dropReplicaWithinLocked(p hashspace.Partition) {
+// replicaAboveLocked returns the held replica bucket strictly covering p,
+// if any.  Caller holds s.mu.
+func (s *Snode) replicaAboveLocked(p hashspace.Partition) (hashspace.Partition, *replicaBucket, bool) {
+	for l := int(p.Level) - 1; l >= 0; l-- {
+		a := hashspace.Containing(p.Start(), uint8(l))
+		if b, ok := s.rparts[a]; ok {
+			return a, b, true
+		}
+	}
+	return hashspace.Partition{}, nil, false
+}
+
+// splitReplicaDownLocked splits the replica bucket covering p from above
+// in place, one level at a time along p's path, until p is a bucket of
+// its own; the halves off the path keep their level.  Each half keeps its
+// parent's metadata, so it votes with the parent's version.  No-op when
+// nothing covers p from above.  Caller holds s.mu.
+func (s *Snode) splitReplicaDownLocked(p hashspace.Partition) {
+	a, b, ok := s.replicaAboveLocked(p)
+	for ok && a.Level < p.Level {
+		lo, hi := a.Split()
+		loB, hiB := *b, *b
+		loB.kv, hiB.kv = splitStore(a, b.kv)
+		delete(s.rparts, a)
+		s.rparts[lo], s.rparts[hi] = &loB, &hiB
+		a = hashspace.Containing(p.Start(), a.Level+1)
+		b = s.rparts[a]
+	}
+}
+
+// holdFedLocked reports whether this snode holds a copy of p for from's
+// writes.  Without p's own bucket, a copy of an ancestor that from fed is
+// split down to p: from split that ancestor itself, so its share of p is
+// p's whole copy.  The split is journaled on its own, because replay
+// cannot see the metadata that decided it.  Caller holds s.mu.
+func (s *Snode) holdFedLocked(p hashspace.Partition, from transport.NodeID) bool {
+	if _, ok := s.rparts[p]; ok {
+		return true
+	}
+	_, b, ok := s.replicaAboveLocked(p)
+	if !ok || b.prim != from {
+		return false
+	}
+	rec := walReplSplitRec{Partition: p}
+	rec.applyLocked(s)
+	s.journal(rec.walTag(), rec.fields)
+	return true
+}
+
+// dropReplicaLocked discards the copy of p — told by a primary, or before
+// a sync or an install of p replaces it: an ancestor copy is split down
+// to p first, so the rest of it survives, and every copy within p goes.
+// Caller holds s.mu.
+func (s *Snode) dropReplicaLocked(p hashspace.Partition) {
+	s.splitReplicaDownLocked(p)
 	for q := range s.rparts {
-		if q.Level >= p.Level && overlapping(q, p) {
+		if q.Level >= p.Level && q.Overlaps(p) {
 			delete(s.rparts, q)
 		}
 	}
@@ -293,13 +320,27 @@ func (s *Snode) handleViewUpdate(m viewUpdate) {
 	s.mu.Unlock()
 }
 
+// handleReplWrite applies the write sets of the copies this snode holds
+// for the sender and journals them; a set whose copy is not here is
+// acknowledged and dropped, since a copy is only ever born whole.
 func (s *Snode) handleReplWrite(m replWriteReq, from transport.NodeID, tr transport.TraceContext) {
 	sp := beginSpan(tr, "repl.write")
-	rec := walReplWriteRec{Kind: m.Kind, Sets: m.Sets}
+	rec := walReplWriteRec{Kind: m.Kind, Sets: m.Sets[:0]}
 	var applied int64
 	s.mu.Lock()
-	rec.applyLocked(s)
 	for _, set := range m.Sets {
+		if s.holdFedLocked(set.Partition, from) {
+			rec.Sets = append(rec.Sets, set)
+		}
+	}
+	if len(rec.Sets) == 0 {
+		s.mu.Unlock()
+		s.tracer.finish(sp, s.id, "")
+		s.send(from, untraced, ackResp{Op: m.Op})
+		return
+	}
+	rec.applyLocked(s)
+	for _, set := range rec.Sets {
 		s.noteReplMetaLocked(set.Partition, set.Ver, set.Group, from)
 		applied += int64(len(set.Items))
 	}
@@ -316,12 +357,8 @@ func (s *Snode) handleReplProbe(m replProbeReq, from transport.NodeID) {
 	resp := replProbeResp{Op: m.Op}
 	s.mu.Lock()
 	for _, d := range m.Digests {
-		if b, ok := s.rparts[d.Partition]; ok {
-			if n, sum := b.kv.digest(); n == d.Count && sum == d.Sum {
-				// Digest equality with the primary proves the bucket
-				// complete: a write-created (provisional) bucket becomes
-				// authoritative here.
-				b.provisional = false
+		if s.holdFedLocked(d.Partition, from) {
+			if n, sum := s.rparts[d.Partition].kv.digest(); n == d.Count && sum == d.Sum {
 				continue
 			}
 		}
@@ -346,47 +383,59 @@ func (s *Snode) handleReplSync(m replSyncReq, from transport.NodeID) {
 
 // --- primary-side fan-out ---
 
-// replFanMeta is the per-partition failover metadata a primary piggybacks
-// on its replica fan-out: the bucket's post-apply write version and the
-// owning vnode's group.
-type replFanMeta struct {
-	ver   uint64
-	group core.GroupID
+// placedLiveLocked reports whether some live host may hold a copy of
+// owned partition p.  Caller holds s.mu.
+func (s *Snode) placedLiveLocked(p hashspace.Partition) bool {
+	return slices.ContainsFunc(s.placed[p], func(h transport.NodeID) bool { return slices.Contains(s.view, h) })
 }
 
-// replicate synchronously applies a write set to its replica hosts, one
-// replWriteReq per destination host (carrying every affected partition's
-// items placed there), all in parallel.  An unreachable replica is
-// recorded and skipped (the primary holds the data and anti-entropy
-// repairs the replica later); an error is returned only when this snode is
-// stopping, in which case the write must NOT be acknowledged — the
-// primary's copy dies with it.
-func (s *Snode) replicate(kind dataOp, writes map[hashspace.Partition][]batchItem, dests map[hashspace.Partition][]transport.NodeID, meta map[hashspace.Partition]replFanMeta, tr transport.TraceContext) error {
+// replShare is one written bucket's share of a batch's replica fan-out:
+// its write set, the hosts of its fan-out set, and whether it is a seed.
+type replShare struct {
+	set   replWriteSet
+	hosts []transport.NodeID
+	seed  bool
+}
+
+// replicate synchronously applies a batch's writes at their fan-out sets:
+// one replWriteReq per destination host (carrying every affected
+// partition's items placed there), and a full sync of every seed — a
+// written partition no live host may hold a copy of (a fresh bootstrap,
+// the first write after a restart or after its last holder died), whose
+// write sets would find no copy to apply to — all in parallel.  An unreachable host is recorded and skipped (the primary
+// holds the data and anti-entropy repairs the copy later); an error is
+// returned only when this snode is stopping, in which case the write must
+// NOT be acknowledged — the primary's copy dies with it.
+func (s *Snode) replicate(kind dataOp, shares []replShare, tr transport.TraceContext) error {
+	var parts []func() error
 	byHost := make(map[transport.NodeID][]replWriteSet)
-	for p, items := range writes {
-		for _, host := range dests[p] {
-			byHost[host] = append(byHost[host], replWriteSet{
-				Partition: p, Items: items,
-				Ver: meta[p].ver, Group: meta[p].group,
-			})
+	for _, sh := range shares {
+		for _, host := range sh.hosts {
+			if sh.seed {
+				parts = append(parts, func() error {
+					_, err := s.syncReplica(sh.set.Partition, host)
+					return err
+				})
+			} else {
+				byHost[host] = append(byHost[host], sh.set)
+			}
 		}
 	}
-	hosts := make([]transport.NodeID, 0, len(byHost))
-	for host := range byHost {
-		hosts = append(hosts, host)
+	for host, sets := range byHost {
+		parts = append(parts, func() error {
+			// The send (not the wait) is serialized per destination so a
+			// concurrent full sync cannot be overtaken by a write it does
+			// not contain (see syncReplica).
+			fsp := beginSpan(tr, "repl.fanout")
+			_, err := askOrdered[ackResp](&s.endpoint, host, fsp.ctx, func(op uint64) transport.WireMessage {
+				return replWriteReq{Op: op, Kind: kind, Sets: sets}
+			})
+			s.tracer.finishErr(fsp, s.id, err)
+			return err
+		})
 	}
 	var stopping error
-	for _, err := range fanOut(len(hosts), func(i int) error {
-		// The send (not the wait) is serialized per destination so a
-		// concurrent full sync cannot be overtaken by a write it does not
-		// contain (see syncReplica).
-		fsp := beginSpan(tr, "repl.fanout")
-		_, err := askOrdered[ackResp](&s.endpoint, hosts[i], fsp.ctx, func(op uint64) transport.WireMessage {
-			return replWriteReq{Op: op, Kind: kind, Sets: byHost[hosts[i]]}
-		})
-		s.tracer.finishErr(fsp, s.id, err)
-		return err
-	}) {
+	for _, err := range fanOut(len(parts), func(i int) error { return parts[i]() }) {
 		if err != nil {
 			select {
 			case <-s.stopCh:
@@ -413,27 +462,29 @@ func (s *Snode) replicate(kind dataOp, writes map[hashspace.Partition][]batchIte
 // placement pass will look for it (at the receiver itself, when the
 // receiver was this partition's replica host).  The new owner re-homes
 // the replicas; an aborted handover thaws and the next pass retries.
+// The host joins p's `placed` set as the sync is sent: from then on it
+// may hold a whole copy, so a split or a transfer of p while the sync is
+// in flight still hands that copy off.
 func (s *Snode) syncReplica(p hashspace.Partition, host transport.NodeID) (ok bool, err error) {
 	_, err = askOrdered[ackResp](&s.endpoint, host, untraced, func(op uint64) transport.WireMessage {
 		s.mu.Lock()
-		vs, p2, owned := s.ownsLocked(p.Start())
-		var bk *bucket
-		var g core.GroupID
-		if owned && p2 == p {
-			bk = vs.parts[p]
-			g = vs.group
+		ref, owned := s.owned[p]
+		if !owned {
+			s.mu.Unlock()
+			return nil
 		}
+		ref.bk.mu.RLock()
+		defer ref.bk.mu.RUnlock()
+		ok = ref.bk.state == bucketLive
+		if ok && !slices.Contains(s.placed[p], host) {
+			s.setPlacedLocked(p, append(slices.Clip(s.placed[p]), host))
+		}
+		g := ref.vs.group
 		s.mu.Unlock()
-		if bk == nil {
+		if !ok {
 			return nil
 		}
-		bk.mu.RLock()
-		defer bk.mu.RUnlock()
-		if bk.state != bucketLive {
-			return nil
-		}
-		ok = true
-		return replSyncReq{Op: op, Partition: p, Data: copyBucket(bk.kv.m), Ver: bk.ver, Group: g}
+		return replSyncReq{Op: op, Partition: p, Data: copyBucket(ref.bk.kv.m), Ver: ref.bk.ver, Group: g}
 	})
 	if !ok {
 		return false, nil
@@ -444,16 +495,13 @@ func (s *Snode) syncReplica(p hashspace.Partition, host transport.NodeID) (ok bo
 	return true, nil
 }
 
-// rehomeReplicas pushes full replica buckets for a freshly installed
-// partition to its (new) replica hosts, before the install is
-// acknowledged, so the transfer never shrinks the number of copies.
-// Best-effort: an unreachable replica host is left to anti-entropy.
+// rehomeReplicas pushes full replica buckets for a freshly installed or
+// promoted partition to its targets, before the install is acknowledged
+// or announced, so the transfer never shrinks the number of copies.
+// Best-effort: an unreachable target is left to anti-entropy.
 func (s *Snode) rehomeReplicas(p hashspace.Partition) {
 	s.mu.Lock()
 	hosts := s.replicaHostsLocked(p)
-	if len(hosts) > 0 {
-		s.placed[p] = hosts
-	}
 	s.mu.Unlock()
 	for _, err := range fanOut(len(hosts), func(i int) error {
 		_, err := s.syncReplica(p, hosts[i])
@@ -465,35 +513,23 @@ func (s *Snode) rehomeReplicas(p hashspace.Partition) {
 	}
 }
 
-// dropOrphanReplicas tells the hosts that replicated p for this (old)
-// primary to discard their buckets, sparing any host the new primary's
+// dropOrphanReplicas tells the hosts of p's fan-out set at this (old)
+// primary to discard their copies, sparing any host the new primary's
 // placement still uses.  Fire-and-forget.
 func (s *Snode) dropOrphanReplicas(p hashspace.Partition, newPrimary transport.NodeID) {
-	if s.cfg.Replicas <= 1 {
-		return
-	}
-	if newPrimary == s.id {
-		// Intra-snode transfer (vnode to vnode on this host): the
-		// placement is a function of (partition, host, view) and the host
-		// did not change, so there is nothing to drop — and the `placed`
-		// record was just refreshed by the receiving vnode's install;
-		// deleting it here would orphan the old replica on the next view
-		// change.
+	if s.cfg.Replicas <= 1 || newPrimary == s.id {
+		// An intra-snode transfer (vnode to vnode on this host) keeps the
+		// host, so the placement and the fan-out set stay as they are.
 		return
 	}
 	s.mu.Lock()
-	old, tracked := s.placed[p]
-	if !tracked {
-		old = s.replicaHostsLocked(p)
-	}
-	delete(s.placed, p)
-	keep := make(map[transport.NodeID]bool)
-	for _, h := range replicaHostsFor(p, newPrimary, s.view, s.cfg.Replicas) {
-		keep[h] = true
-	}
+	old := append(s.replicaHostsLocked(p), s.placed[p]...)
+	s.setPlacedLocked(p, nil)
+	keep := replicaHostsFor(p, newPrimary, s.view, s.cfg.Replicas)
 	s.mu.Unlock()
-	for _, host := range old {
-		if !keep[host] && host != newPrimary {
+	slices.Sort(old)
+	for _, host := range slices.Compact(old) {
+		if !slices.Contains(keep, host) && host != newPrimary {
 			s.send(host, untraced, replDropMsg{Partitions: []hashspace.Partition{p}})
 		}
 	}
@@ -514,89 +550,48 @@ func (s *Snode) antiEntropyLoop() {
 			t0 := time.Now()
 			s.antiEntropyPass()
 			s.lat.aePass.ObserveSince(t0)
-			s.sweepStaleReplicas()
 		}
 	}
 }
 
-// sweepStaleReplicas retires replica buckets whose region has provably
-// moved to a deeper splitlevel.  Candidates are ancestors overlapped by a
-// deeper bucket at this host (the overlap proves the region is live and
-// locally reachable, so the validating lookup resolves fast); the routed
-// lookup makes the verdict exact — a region that still resolves at the
-// candidate's own level, or does not resolve at all (its primary may be
-// dead and this bucket its failover copy), is kept.
-func (s *Snode) sweepStaleReplicas() {
-	s.mu.Lock()
-	var cands []hashspace.Partition
-	for q := range s.rparts {
-		for q2 := range s.rparts {
-			if q2.Level > q.Level && overlapping(q, q2) {
-				cands = append(cands, q)
-				break
-			}
-		}
-	}
-	s.mu.Unlock()
-	for _, q := range cands {
-		select {
-		case <-s.stopCh:
-			return
-		default:
-		}
-		lr, err := s.resolveOwner(q.Start())
-		if err != nil {
-			continue
-		}
-		if lr.Partition.Level > q.Level {
-			s.mutate(&replDropMsg{Partitions: []hashspace.Partition{q}})
-		}
-	}
-}
-
-// antiEntropyPass sends each replica host the digests of the owned
-// partitions placed there and ships a full bucket for every one the host
-// reports out of sync.  Digests are maintained by the stores, so a quiet
-// pass reads O(partitions) words, sends one probe per replica host and
+// antiEntropyPass sends each target the digests of the owned partitions
+// placed there and ships a full bucket for every one the host reports
+// missing or out of sync.  Digests are maintained by the stores, so a
+// quiet pass reads O(partitions) words, sends one probe per target and
 // hashes nothing, whatever the store size; only a repair costs O(bucket).
-// Divergence shows up after crashes (a replica host died and placement
-// moved), membership changes (a new view re-homes replica sets) and
-// partition splits (the children need buckets at the new level).  The
-// pass also reconciles *placement*: hosts that dropped out of a
-// partition's replica set since the last pass are told to discard their
-// now-orphaned buckets.
+// Divergence shows up after crashes (a host died and placement moved),
+// membership changes (a new view moves targets) and splits (the
+// children's targets differ from the parent's).  The pass then completes
+// the hand-off of every partition whose targets are all confirmed: the
+// other hosts of its fan-out set are told to drop their copies.
 func (s *Snode) antiEntropyPass() {
-	// Snapshot the current placement and the live buckets under one s.mu
-	// pass (no bookkeeping mutation yet — placement advances only for
-	// partitions whose replica set is confirmed below).
+	// Snapshot the targets and the live buckets under one s.mu pass.
+	// Frozen (mid-transfer) partitions and partitions of a vnode whose join
+	// has not completed are neither probed nor handed off this pass.
 	s.mu.Lock()
 	cur := make(map[hashspace.Partition][]transport.NodeID)
 	live := make(map[hashspace.Partition]*bucket)
 	for p, ref := range s.owned {
-		// Frozen (mid-transfer) partitions and partitions of a vnode whose
-		// join has not completed stay in the snapshot so their placement
-		// record is not mistaken for a handover (which would delete it and
-		// orphan the old replica's bucket forever), but they are neither
-		// probed nor advanced this pass.
-		cur[p] = s.ownedReplicasLocked(p, ref)
 		ref.bk.mu.RLock()
-		if ref.vs.joined && ref.bk.state == bucketLive && len(cur[p]) > 0 {
-			live[p] = ref.bk
+		if ref.vs.joined && ref.bk.state == bucketLive {
+			if hosts := s.replicaHostsLocked(p); len(hosts) > 0 {
+				cur[p] = hosts
+				live[p] = ref.bk
+			}
 		}
 		ref.bk.mu.RUnlock()
 	}
 	s.mu.Unlock()
 
-	// One probe per replica host.  The digests are read right before each
-	// send, under the buckets' own locks, so a slow repair at one host does
-	// not age what the next host is compared against.  synced[p] ends up
-	// recording that every host of p's placement holds a confirmed
-	// up-to-date bucket.
+	// One probe per target.  The digests are read right before each send,
+	// under the buckets' own locks, so a slow repair at one host does not
+	// age what the next host is compared against.  synced[p] ends up
+	// recording that every target of p holds a confirmed up-to-date copy.
 	byHost := make(map[transport.NodeID][]hashspace.Partition)
 	synced := make(map[hashspace.Partition]bool, len(live))
-	for p := range live {
+	for p, hosts := range cur {
 		synced[p] = true
-		for _, host := range cur[p] {
+		for _, host := range hosts {
 			byHost[host] = append(byHost[host], p)
 		}
 	}
@@ -646,86 +641,30 @@ func (s *Snode) antiEntropyPass() {
 		}
 	}
 
-	// Retire stale buckets only now, and only where the replacement set
-	// is confirmed: dropping before (or despite a failed) sync would open
-	// a window with the old copy gone and the new one not shipped, where
-	// a primary crash violates the R-copy guarantee.  Unconfirmed
-	// partitions keep their old `placed` record, so the move is retried —
-	// and the old copies retained — on the next pass.
+	// Hand off only now, and only where every target is confirmed:
+	// dropping before (or despite a failed) sync would open a window with
+	// the old copy gone and the new one not shipped, where a primary crash
+	// loses acknowledged writes.  An unconfirmed partition keeps its
+	// fan-out set, so its old copies stay fed and the hand-off is retried
+	// next pass.  A partition split or handed over during the pass has
+	// left the ownership index (its bucket is not the snapshot's).
 	drops := make(map[transport.NodeID][]hashspace.Partition)
 	s.mu.Lock()
 	for p, hosts := range cur {
-		if !synced[p] {
+		if ref, owned := s.owned[p]; !synced[p] || !owned || ref.bk != live[p] {
 			continue
 		}
-		inSet := make(map[transport.NodeID]bool, len(hosts))
-		for _, h := range hosts {
-			inSet[h] = true
-		}
 		for _, old := range s.placed[p] {
-			if !inSet[old] {
+			if !slices.Contains(hosts, old) {
 				drops[old] = append(drops[old], p)
 			}
 		}
-		s.placed[p] = hosts
-	}
-	// Partitions that vanished from the owned set since the last pass
-	// split into children (handovers clean up their own bookkeeping in
-	// dropOrphanReplicas): once every child's replica set is confirmed,
-	// the parent-level buckets recorded for the old placement are pure
-	// leftovers and can go.
-	for p, hosts := range s.placed {
-		if _, owned := cur[p]; owned {
-			continue
-		}
-		// cur is a pass-START snapshot and this pass spent real time in
-		// probe/sync RPCs: a partition installed meanwhile is absent from
-		// cur yet owned right now, and its `placed` record — just written
-		// by the install's re-homing — must survive, or its old replica
-		// host is never told to drop.  Re-validate against the live
-		// ownership index before treating the record as a leftover.
-		if _, p2, ok := s.ownedForLocked(p.Start()); ok && p2 == p {
-			continue
-		}
-		covered, hasChild := true, false
-		for q := range cur {
-			if q.Level > p.Level && overlapping(p, q) {
-				hasChild = true
-				if !synced[q] {
-					covered = false
-					break
-				}
-			}
-		}
-		if hasChild && covered {
-			for _, h := range hosts {
-				drops[h] = append(drops[h], p)
-			}
-			delete(s.placed, p)
-		} else if !hasChild {
-			delete(s.placed, p) // handed over; the new primary tracks it now
+		if !slices.Equal(s.placed[p], hosts) {
+			s.setPlacedLocked(p, hosts)
 		}
 	}
 	s.mu.Unlock()
 	for host, ps := range drops {
 		s.send(host, untraced, replDropMsg{Partitions: ps})
 	}
-}
-
-// replicaPartitions lists the partitions this snode currently backs as a
-// replica, sorted — introspection for tests and status.
-func (s *Snode) replicaPartitions() []hashspace.Partition {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]hashspace.Partition, 0, len(s.rparts))
-	for p := range s.rparts {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Level != out[j].Level {
-			return out[i].Level < out[j].Level
-		}
-		return out[i].Prefix < out[j].Prefix
-	})
-	return out
 }

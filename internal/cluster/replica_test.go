@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -386,36 +387,29 @@ func TestCrashFailoverTCP(t *testing.T) {
 	runCrashWorkload(t, c, 8, 128)
 }
 
-// TestCrashFailoverTCPThreeCopies: at R=3 two replicas survive each dead
-// primary, so the election is a real exchange over real sockets — the
-// coordinator queries the other replica host (promoteQueryReq/Resp) and,
-// when that host holds the winning copy, orders it to promote
-// (promoteOrderReq).  At R=2 the lone replica promotes itself without a
-// message.
+// TestCrashFailoverTCPThreeCopies: at R=3 two copies survive each dead
+// primary, so the election is a real exchange over real sockets — each
+// holder queries every live snode (promoteQueryReq/Resp) and only the
+// best copy promotes itself.
 func TestCrashFailoverTCPThreeCopies(t *testing.T) {
 	c := newReplicatedCluster(t, transport.NewTCP("127.0.0.1"), 5, 3, 35)
 	runCrashWorkload(t, c, 10, 128)
 	waitConverged(t, c)
-	if st := c.StatsTotal(); st.Elections == 0 || st.Promotions == 0 {
+	st := c.StatsTotal()
+	if st.Elections == 0 || st.Promotions == 0 {
 		t.Fatalf("elections = %d, promotions = %d; the R=3 crash ran no election", st.Elections, st.Promotions)
 	}
-	// The coordinator usually wins its own election (ties go to the lower
-	// id), so send one order explicitly: a duplicate for a partition its
-	// receiver already owns must succeed without side effects.
+	// A duplicate self-promotion — a copy whose holder already owns the
+	// partition — is a no-op.
 	owner := c.Snapshot().Vnodes[0]
-	var from *Snode
 	c.mu.Lock()
-	for id, s := range c.snodes {
-		if id != owner.Host {
-			from = s
-		}
-	}
+	s := c.snodes[owner.Host]
 	c.mu.Unlock()
-	_, err := ask[ackResp](&from.endpoint, owner.Host, untraced, func(op uint64) transport.WireMessage {
-		return promoteOrderReq{Op: op, Partition: owner.Partitions[0], Dead: -2}
-	})
-	if err != nil {
-		t.Fatalf("duplicate promotion order: %v", err)
+	if err := s.promotePartition(owner.Partitions[0], -2, nil); err != nil {
+		t.Fatalf("duplicate promotion: %v", err)
+	}
+	if got := c.StatsTotal().Promotions; got != st.Promotions {
+		t.Fatalf("duplicate promotion counted: promotions %d → %d", st.Promotions, got)
 	}
 }
 
@@ -492,13 +486,8 @@ func TestAntiEntropyRehomesAfterCrash(t *testing.T) {
 
 // TestAntiEntropyDropsOrphanedReplicas grows the cluster (a membership
 // change shifts nearly every partition's replica placement) and expects
-// the reconciliation machinery to discard the stranded buckets: any
-// live-partition bucket at a host outside the partition's placement
-// (placement drops), and any ancestor bucket shadowed by a deeper bucket
-// at the same host (the stale-replica sweep).  Ancestor leftovers with
-// no local deeper overlap are tolerated — they are bounded garbage the
-// sweep deliberately leaves rather than risk dropping a dead primary's
-// failover copy.
+// the hand-off to discard the stranded copies: after convergence every
+// replica bucket is a live partition at one of its targets.
 func TestAntiEntropyDropsOrphanedReplicas(t *testing.T) {
 	c := newReplicatedCluster(t, transport.NewMem(), 3, 2, 37)
 	growCluster(t, c, 8)
@@ -540,15 +529,8 @@ func TestAntiEntropyDropsOrphanedReplicas(t *testing.T) {
 		for _, s := range snodes {
 			held := s.replicaPartitions()
 			for _, p := range held {
-				if live[p] && !expected[s.id][p] {
-					return false // live partition replicated at a host outside its placement
-				}
-				if !live[p] {
-					for _, q := range held {
-						if q.Level > p.Level && overlapping(p, q) {
-							return false // stale ancestor the sweep should have retired
-						}
-					}
+				if !live[p] || !expected[s.id][p] {
+					return false // a copy of no live partition, or outside its placement
 				}
 			}
 		}
@@ -680,4 +662,22 @@ func TestMBatchRetriesStaleRoutes(t *testing.T) {
 		}
 	}
 	c.routeMu.Unlock()
+}
+
+// replicaPartitions lists the partitions s currently backs as a replica,
+// sorted.
+func (s *Snode) replicaPartitions() []hashspace.Partition {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]hashspace.Partition, 0, len(s.rparts))
+	for p := range s.rparts {
+		out = append(out, p)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Level != out[j].Level {
+			return out[i].Level < out[j].Level
+		}
+		return out[i].Prefix < out[j].Prefix
+	})
+	return out
 }

@@ -190,7 +190,7 @@ type Stats struct {
 	ChunksSent     atomic.Int64 // live-migration chunks streamed
 	MigAborts      atomic.Int64 // live migrations aborted (bucket back to live)
 	FreezeTimeouts atomic.Int64 // writes failed because a frozen partition never settled
-	Elections      atomic.Int64 // failover elections this snode coordinated
+	Elections      atomic.Int64 // failover elections this snode decided for its copies
 	Promotions     atomic.Int64 // replica buckets this snode promoted to primary
 }
 
@@ -242,8 +242,9 @@ type bucket struct {
 	kv    *kvStore    // guarded by mu; nil once the bucket is dead
 	// ver counts write batches applied to this bucket; guarded by mu.
 	// It piggybacks on the replica fan-out so replicas can rank
-	// themselves by recency in a failover election; a promoted bucket
-	// inherits the replica's version so it keeps climbing.
+	// themselves by recency in a failover election.  It never goes
+	// backwards: split children, a transfer's install and a promoted
+	// bucket start at their source's version.
 	ver uint64
 	// mig is non-nil while the bucket streams out in a chunked live
 	// migration (see migrate.go); guarded by mu, as is the dirty set
@@ -333,7 +334,7 @@ type Snode struct {
 	viewEpoch uint64                                     // guarded by mu; highest membership epoch seen
 	rparts    map[hashspace.Partition]*replicaBucket     // guarded by mu; replica buckets backed for other primaries
 	migIn     map[hashspace.Partition]*migInbound        // guarded by mu; staging buckets of inbound live migrations
-	placed    map[hashspace.Partition][]transport.NodeID // guarded by mu; replica hosts last reconciled per owned partition
+	placed    map[hashspace.Partition][]transport.NodeID // guarded by mu; hosts that may hold a copy of an owned partition (fanoutLocked)
 	inDoubt   map[hashspace.Partition]*migIntent         // guarded by mu; unresolved journaled migration intents (recovery)
 
 	// routeEpoch tags the routes this snode's batch replies teach; it
@@ -517,10 +518,6 @@ func (s *Snode) loop() {
 			s.mutate(&m)
 		case promoteQueryReq:
 			s.handlePromoteQuery(m, env.From)
-		case promoteOrderReq:
-			go s.handlePromoteOrder(m, env.From)
-		case overlapQueryReq:
-			s.handleOverlapQuery(m, env.From)
 		case pingReq:
 			s.send(env.From, untraced, pingResp{Op: m.Op})
 		}
@@ -530,8 +527,8 @@ func (s *Snode) loop() {
 // ownedRef binds an owned partition to its hosting vnode and bucket — one
 // entry of the snode-level ownership index behind ownsLocked.  The index
 // mirrors every vs.parts map; the two are mutated together under s.mu.
-// reps caches the partition's replica hosts as computed for view epoch
-// repsAt−1 (0: never computed; see ownedReplicasLocked).
+// reps caches the partition's fan-out set as computed for view epoch
+// repsAt−1 (0: never computed; see fanoutLocked).
 type ownedRef struct {
 	vs     *vnodeState
 	bk     *bucket
@@ -613,6 +610,13 @@ func (s *Snode) forwardTargetLocked(h hashspace.Index) (ownerRef, bool) {
 	return ownerRef{}, false
 }
 
+// noRoute is the answer of an snode that owns no part of a region and
+// finds no hop towards its owner (forwardTargetLocked): an empty DHT, or
+// a region whose custody chain died with a crashed snode.
+func (s *Snode) noRoute() string {
+	return fmt.Sprintf("no route: snode %d knows no owner for the region", s.id)
+}
+
 // probeLevels finds the deepest entry of a partition-keyed map covering h.
 // It runs on every item of every batch, so it is allocation-free: one map
 // lookup per live level, deepest first.
@@ -668,7 +672,7 @@ func (s *Snode) handleLookup(m lookupReq, from transport.NodeID, tr transport.Tr
 	s.mu.Unlock()
 	if !ok {
 		s.tracer.finish(sp, s.id, "no-route")
-		s.send(from, untraced, lookupResp{Op: m.Op, Err: "no route: empty DHT view"})
+		s.send(from, untraced, lookupResp{Op: m.Op, Err: s.noRoute()})
 		return
 	}
 	s.stats.Forwards.Add(1)
@@ -839,10 +843,13 @@ func (s *Snode) handleSnodeLeaving(m snodeLeavingMsg) {
 		s.hasBoot = false // the cluster handle re-seeds shortly after
 	}
 	s.mu.Unlock()
+	if m.Crashed {
+		go s.announce(s.ownedRoutes())
+	}
 	if m.Crashed && s.cfg.Replicas > 1 {
 		// The snode died with its data: partitions it was primary for
-		// need a replica promoted.  Every surviving replica host runs the
-		// scan; the deterministic coordinator rule keeps them from racing
+		// need a replica promoted.  Every survivor holding a copy runs
+		// the election for it, and only the best copy promotes itself
 		// (see failover.go).
 		go s.failoverScan(m.Leaving)
 	}

@@ -45,10 +45,13 @@ import (
 // redirect, and shipVnodeReq (tag 73) lost its unused destination list.
 // v9 made reads go to primaries only: batchReq (tag 3) lost its
 // replica-read flag, and the route entries inside tags 4, 77 and 78 lost
-// their replica hosts.
+// their replica hosts.  v10 made one election round promote a copy:
+// promoteQueryResp (tag 83) lost its write-created-copy flag and gained the
+// owner flag and the deepest known level, tags 84–86 were retired, and
+// migCommitReq (tag 15) gained the bucket's write version.
 
 const (
-	wireVersion byte = 9
+	wireVersion byte = 10
 
 	// Frame flags (v2+).  flagTrace marks a trace context present in the
 	// header; flagSampled carries the head-sampling decision.

@@ -60,6 +60,7 @@ const (
 	walTagMigIntent         uint16 = 43 // pre-commit handover intent (same payload as tag 38)
 	walTagMigIntentResolved uint16 = 44 // handover aborted or reverted; intent closed
 	walTagSnapEnd           uint16 = 45 // last record of a snapshot file: replay cut and what no other record carries
+	walTagReplSplit         uint16 = 46 // replica bucket split in place down to a partition
 )
 
 // walRecord is one journaled mutation.
@@ -92,6 +93,7 @@ var walRecords = []struct {
 	{walTagMigIntent, func() walRecord { return new(walMigIntentRec) }},
 	{walTagMigIntentResolved, func() walRecord { return new(walMigIntentResolvedRec) }},
 	{walTagSnapEnd, func() walRecord { return new(walSnapEndRec) }},
+	{walTagReplSplit, func() walRecord { return new(walReplSplitRec) }},
 }
 
 // appendRecord appends rec's journal bytes — its tag, then its fields
@@ -160,32 +162,13 @@ func (rec *walReplWriteRec) fields(w *walker) {
 	}
 }
 
-// applyLocked folds the write sets into the replica store.
+// applyLocked folds the write sets into the copies held here; a set
+// without one is not stored (see handleReplWrite).
 func (rec *walReplWriteRec) applyLocked(s *Snode) {
 	for _, set := range rec.Sets {
-		b := s.rparts[set.Partition]
-		if b == nil {
-			// First write at this partition (typically right after a
-			// split): seed the bucket from any stale ancestor's keys in
-			// range — they are acknowledged data that must stay
-			// promotable until anti-entropy ships the authoritative
-			// copy.  Until then the bucket is provisional: present keys
-			// are real, absent keys are unknown (an election ranks it
-			// below a full-synced copy).
-			b = &replicaBucket{kv: newStore(nil), provisional: true}
-			for q, ob := range s.rparts {
-				if q.Level < set.Partition.Level && overlapping(q, set.Partition) {
-					for k, v := range ob.kv.m {
-						if set.Partition.Contains(hashspace.HashString(k)) {
-							b.kv.put(k, v)
-						}
-					}
-				}
-			}
-			s.dropReplicaWithinLocked(set.Partition)
-			s.rparts[set.Partition] = b
+		if b, ok := s.rparts[set.Partition]; ok {
+			b.kv.apply(rec.Kind, set.Items)
 		}
-		b.kv.apply(rec.Kind, set.Items)
 	}
 }
 
@@ -263,7 +246,11 @@ func (rec *walSplitAllRec) fields(w *walker) {
 }
 
 // applyLocked splits every joined vnode of the group below NewLevel in
-// two, re-bucketing stored keys by their next hash bit.
+// two, re-bucketing stored keys by their next hash bit.  The children
+// start at their parent's write version and inherit the hosts of its
+// copies (`placed`), so every host holding the parent's copy keeps being
+// fed until anti-entropy hands the children off (the set is volatile:
+// empty at replay).
 func (rec *walSplitAllRec) applyLocked(s *Snode) {
 	for _, vs := range s.vnodes {
 		if !vs.joined || vs.group != rec.Group || vs.level >= rec.NewLevel {
@@ -272,29 +259,42 @@ func (rec *walSplitAllRec) applyLocked(s *Snode) {
 		next := make(map[hashspace.Partition]*bucket, 2*len(vs.parts))
 		for p, bk := range vs.parts {
 			lo, hi := p.Split()
-			loB, hiB := newStore(nil), newStore(nil)
+			held := s.placed[p]
 			bk.mu.Lock()
-			for k, v := range bk.kv.m {
-				if lo.Contains(hashspace.HashString(k)) {
-					loB.put(k, v)
-				} else {
-					hiB.put(k, v)
-				}
-			}
+			loB, hiB := splitStore(p, bk.kv)
+			next[lo] = &bucket{kv: loB, ver: bk.ver}
+			next[hi] = &bucket{kv: hiB, ver: bk.ver}
 			// The parent dies under its own lock: a batch that resolved it
 			// before the split re-classifies against the children.
 			bk.state = bucketDead
 			bk.kv = nil
 			bk.mu.Unlock()
-			next[lo] = newBucket(loB)
-			next[hi] = newBucket(hiB)
 			s.delOwnedLocked(p, bk)
 			s.setOwnedLocked(lo, vs, next[lo])
 			s.setOwnedLocked(hi, vs, next[hi])
+			s.setPlacedLocked(p, nil)
+			s.setPlacedLocked(lo, held)
+			s.setPlacedLocked(hi, held)
 		}
 		vs.parts = next
 		vs.level = rec.NewLevel
 	}
+}
+
+// splitStore re-buckets the keys of partition p's store between p's two
+// halves by their next hash bit — a primary's split and a replica copy's
+// split in place alike.
+func splitStore(p hashspace.Partition, kv *kvStore) (lo, hi *kvStore) {
+	loP, _ := p.Split()
+	lo, hi = newStore(nil), newStore(nil)
+	for k, v := range kv.m {
+		if loP.Contains(hashspace.HashString(k)) {
+			lo.put(k, v)
+		} else {
+			hi.put(k, v)
+		}
+	}
+	return lo, hi
 }
 
 // walMigInstallRec journals a bucket becoming the live owned partition of
@@ -339,9 +339,9 @@ func (rec *walMigInstallRec) applyLocked(s *Snode) {
 	vs.level = rec.Level
 	vs.group = rec.Group
 	// Owning again supersedes any old custody pointer for this region,
-	// and any replica bucket we held for the previous primary.
+	// and any replica copy we held of it for the previous primary.
 	s.delTombLocked(rec.Partition)
-	s.dropReplicaWithinLocked(rec.Partition)
+	s.dropReplicaLocked(rec.Partition)
 }
 
 // walBucketDropRec journals the sender-side retirement after a committed
@@ -411,15 +411,23 @@ func (rec *walReplSyncRec) fields(w *walker) {
 	w.store(&rec.Data)
 }
 
-// applyLocked replaces only this exact bucket, with an authoritative
-// (non-provisional) one.  Strictly deeper buckets are spared: geometry
-// only ever deepens, so a deeper overlapping bucket here can only mean
-// the SENDER's partition is stale (a leftover ancestor), and the deeper
-// buckets may hold the only failover copy of acknowledged keys the stale
-// sync does not carry.
+// applyLocked makes Data the copy of Partition, in place of whatever
+// copy covered or fell within it.
 func (rec *walReplSyncRec) applyLocked(s *Snode) {
+	s.dropReplicaLocked(rec.Partition)
 	s.rparts[rec.Partition] = &replicaBucket{kv: rec.Data}
 }
+
+// walReplSplitRec journals a replica copy split in place down to
+// Partition (Snode.holdFedLocked, or a failover election): the split is a
+// live decision on metadata the journal does not keep.
+type walReplSplitRec struct{ Partition hashspace.Partition }
+
+func (*walReplSplitRec) walTag() uint16 { return walTagReplSplit }
+
+func (rec *walReplSplitRec) fields(w *walker) { w.partition(&rec.Partition) }
+
+func (rec *walReplSplitRec) applyLocked(s *Snode) { s.splitReplicaDownLocked(rec.Partition) }
 
 // --- wire messages journaled as they arrive (fields walks in wire.go) ---
 
@@ -427,7 +435,7 @@ func (*replDropMsg) walTag() uint16 { return walTagReplDrop }
 
 func (m *replDropMsg) applyLocked(s *Snode) {
 	for _, p := range m.Partitions {
-		delete(s.rparts, p)
+		s.dropReplicaLocked(p)
 	}
 }
 
@@ -476,27 +484,27 @@ func (m *bootstrapInfo) applyLocked(s *Snode) {
 // walSnapEndRec closes a snapshot file, and only a snapshot file: the
 // state no other record carries, and Cut, the first log sequence the
 // snapshot does not cover.  Recovery refuses a snapshot that lacks it.
+// Partial is always written empty; a snapshot of an older release listed
+// there the replica buckets that writes had created without a full sync,
+// and recovery discards those, since a partial copy must not vote.
 type walSnapEndRec struct {
-	NextLocal   int
-	Provisional []hashspace.Partition // write-created replica buckets
-	Cut         uint64
+	NextLocal int
+	Partial   []hashspace.Partition
+	Cut       uint64
 }
 
 func (*walSnapEndRec) walTag() uint16 { return walTagSnapEnd }
 
 func (rec *walSnapEndRec) fields(w *walker) {
 	w.int(&rec.NextLocal)
-	w.partitions(&rec.Provisional)
+	w.partitions(&rec.Partial)
 	w.u64(&rec.Cut)
 }
 
-// applyLocked restores the local-name counter and marks the replica
-// buckets the snapshot's full syncs restored as provisional again.
+// applyLocked restores the local-name counter.
 func (rec *walSnapEndRec) applyLocked(s *Snode) {
 	s.nextLocal = max(s.nextLocal, rec.NextLocal)
-	for _, p := range rec.Provisional {
-		if b, ok := s.rparts[p]; ok {
-			b.provisional = true
-		}
+	for _, p := range rec.Partial {
+		delete(s.rparts, p)
 	}
 }

@@ -63,8 +63,9 @@ func TestDiskFormatGolden(t *testing.T) {
 		walTagBoot:              {rec: &bootstrapInfo{Owner: owner}, golden: "2a0a040a"},
 		walTagMigIntent:         {rec: (*walMigIntentRec)(&dropRec), golden: "2b060e0b040a040a"},
 		walTagMigIntentResolved: {rec: &walMigIntentResolvedRec{Partition: p}, golden: "2c0b04"},
-		walTagSnapEnd: {rec: &walSnapEndRec{NextLocal: 9, Provisional: []hashspace.Partition{p}, Cut: 123456},
+		walTagSnapEnd: {rec: &walSnapEndRec{NextLocal: 9, Partial: []hashspace.Partition{p}, Cut: 123456},
 			golden: "2d12010b04c0c407"},
+		walTagReplSplit: {rec: &walReplSplitRec{Partition: p}, golden: "2e0b04"},
 	}
 
 	type goldenCase struct {

@@ -67,9 +67,8 @@ const (
 	wireTagReplDrop         uint16 = 81
 	wireTagPromoteQueryReq  uint16 = 82
 	wireTagPromoteQueryResp uint16 = 83
-	wireTagPromoteOrderReq  uint16 = 84
-	wireTagOverlapQueryReq  uint16 = 85
-	wireTagOverlapQueryResp uint16 = 86
+	// 84–86 are retired: the promotion order and the stale-geometry
+	// probe, which one election round replaced.
 )
 
 // wireMessages is the message table: the decoder of every wire tag,
@@ -116,9 +115,6 @@ var wireMessages = []struct {
 	{wireTagReplDrop, walkDecoder((*replDropMsg).fields)},
 	{wireTagPromoteQueryReq, walkDecoder((*promoteQueryReq).fields)},
 	{wireTagPromoteQueryResp, walkDecoder((*promoteQueryResp).fields)},
-	{wireTagPromoteOrderReq, walkDecoder((*promoteOrderReq).fields)},
-	{wireTagOverlapQueryReq, walkDecoder((*overlapQueryReq).fields)},
-	{wireTagOverlapQueryResp, walkDecoder((*overlapQueryResp).fields)},
 }
 
 func init() {
@@ -518,9 +514,17 @@ func (m *migChunkReq) fields(w *walker) {
 func (m migCommitReq) WireTag() uint16            { return wireTagMigCommitReq }
 func (m migCommitReq) AppendWire(b []byte) []byte { return appendWalk(b, &m, (*migCommitReq).fields) }
 
-// A commit carries a chunk's fields; it differs in what the receiver
-// does with them.
-func (m *migCommitReq) fields(w *walker) { (*migChunkReq)(m).fields(w) }
+// A commit carries a chunk's fields and the bucket's write version, which
+// the receiver's install starts at.
+func (m *migCommitReq) fields(w *walker) {
+	w.u64(&m.Op)
+	m.To.fields(w)
+	w.partition(&m.Partition)
+	for i := range sliceOf(w, &m.Items, 3) {
+		m.Items[i].fields(w)
+	}
+	w.u64(&m.Ver)
+}
 
 func (m migAbortMsg) WireTag() uint16            { return wireTagMigAbort }
 func (m migAbortMsg) AppendWire(b []byte) []byte { return appendWalk(b, &m, (*migAbortMsg).fields) }
@@ -764,35 +768,7 @@ func (m promoteQueryResp) AppendWire(b []byte) []byte {
 func (m *promoteQueryResp) fields(w *walker) {
 	w.u64(&m.Op)
 	w.bool(&m.Has)
-	w.bool(&m.Prov)
 	w.u64(&m.Ver)
-}
-
-func (m promoteOrderReq) WireTag() uint16 { return wireTagPromoteOrderReq }
-func (m promoteOrderReq) AppendWire(b []byte) []byte {
-	return appendWalk(b, &m, (*promoteOrderReq).fields)
-}
-
-// An order carries a query's four fields about one partition of a dead
-// primary; it differs in what it asks for.
-func (m *promoteOrderReq) fields(w *walker) { (*promoteQueryReq)(m).fields(w) }
-
-func (m overlapQueryReq) WireTag() uint16 { return wireTagOverlapQueryReq }
-func (m overlapQueryReq) AppendWire(b []byte) []byte {
-	return appendWalk(b, &m, (*overlapQueryReq).fields)
-}
-
-func (m *overlapQueryReq) fields(w *walker) {
-	w.u64(&m.Op)
-	w.partition(&m.Partition)
-}
-
-func (m overlapQueryResp) WireTag() uint16 { return wireTagOverlapQueryResp }
-func (m overlapQueryResp) AppendWire(b []byte) []byte {
-	return appendWalk(b, &m, (*overlapQueryResp).fields)
-}
-
-func (m *overlapQueryResp) fields(w *walker) {
-	w.u64(&m.Op)
-	w.bool(&m.Deeper)
+	w.bool(&m.Owns)
+	w.level(&m.Level)
 }

@@ -92,7 +92,7 @@ func wireSamples() []transport.WireMessage {
 		migChunkReq{Op: 24, To: owner, Partition: p}, // empty chunk
 		migCommitReq{Op: 26, To: owner, Partition: p, Items: []migItem{
 			{Key: "final", Value: []byte("vf")},
-		}},
+		}, Ver: 41},
 		migAbortMsg{To: owner, Partition: p},
 		loadReportReq{Op: 28},
 		loadReportResp{Op: 29, Vnodes: 4, Keys: 12345, Quota: 0.375,
@@ -123,10 +123,7 @@ func wireSamples() []transport.WireMessage {
 		replSyncReq{Op: 45, Partition: p, Data: map[string][]byte{}}, // empty bucket
 		replDropMsg{Partitions: []hashspace.Partition{p, p.Sibling()}},
 		promoteQueryReq{Op: 46, Partition: p, Dead: 4},
-		promoteQueryResp{Op: 47, Has: true, Prov: true, Ver: 99},
-		promoteOrderReq{Op: 48, Partition: p, Dead: 4},
-		overlapQueryReq{Op: 49, Partition: p},
-		overlapQueryResp{Op: 50, Deeper: true},
+		promoteQueryResp{Op: 47, Has: true, Ver: 99, Owns: true, Level: 9},
 	}
 }
 
@@ -613,8 +610,6 @@ func TestWireRejectsInvalidPartition(t *testing.T) {
 				replSyncReq{Partition: bad.p},
 				replDropMsg{Partitions: []hashspace.Partition{bad.p}},
 				promoteQueryReq{Partition: bad.p},
-				promoteOrderReq{Partition: bad.p},
-				overlapQueryReq{Partition: bad.p},
 			} {
 				if decodes(m) {
 					t.Errorf("%T with partition (prefix=%b, level=%d) decoded without error", m, bad.p.Prefix, bad.p.Level)
@@ -628,6 +623,7 @@ func TestWireRejectsInvalidPartition(t *testing.T) {
 		migBeginReq{Level: 255},
 		groupInit{State: lpdrState{Level: hashspace.MaxLevel + 1}},
 		lpdrSyncMsg{State: lpdrState{Level: 255}},
+		promoteQueryResp{Level: hashspace.MaxLevel + 1},
 	} {
 		if decodes(m) {
 			t.Errorf("%T with an out-of-range splitlevel decoded without error", m)

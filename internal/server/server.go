@@ -677,7 +677,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		counter("dbdht_repl_lagged_total", "failed replica exchanges (replication lag)", st.Stats.ReplLagged),
 		counter("dbdht_antientropy_probe_msgs_total", "anti-entropy probe messages sent (one per replica host per pass)", st.Stats.AEProbeMsgs),
 		counter("dbdht_antientropy_keys_hashed_total", "keys re-hashed because a whole replica bucket arrived (0 while replicas stay in sync)", st.Stats.AEKeysHashed),
-		counter("dbdht_failover_elections_total", "failover elections coordinated after primary crashes", st.Stats.Elections),
+		counter("dbdht_failover_elections_total", "failover elections decided after primary crashes, one per surviving copy", st.Stats.Elections),
 		counter("dbdht_promotions_total", "replica buckets promoted to primary by failover", st.Stats.Promotions),
 		counter("dbdht_failover_detected_total", "snodes declared crashed by the liveness detector", st.Stats.FailoverDetects),
 		httpReqs,
