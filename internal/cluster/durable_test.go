@@ -516,3 +516,89 @@ func TestWALStatsSurface(t *testing.T) {
 		t.Fatalf("no snapshot writes recorded: %+v", st)
 	}
 }
+
+// TestRestartReshipsNoCopies: after a whole-cluster restart every replica
+// target holds a whole copy replayed from its journal, and no primary
+// knows yet where copies are.  The first write to each partition must
+// confirm them by digest instead of shipping every bucket again, and the
+// confirmed copies must hold the writes: a crash right after loses none.
+func TestRestartReshipsNoCopies(t *testing.T) {
+	dir := t.TempDir()
+	boot := func(ae time.Duration) *Cluster {
+		c, err := New(Config{
+			Pmin: 32, Vmin: 8, Seed: 42, Replicas: 2,
+			RPCTimeout:          10 * time.Second,
+			AntiEntropyInterval: ae,
+			Durability:          DurabilityConfig{Dir: dir, Fsync: wal.FsyncBatch, SnapshotInterval: -1},
+		}, transport.NewMem())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			if _, err := c.AddSnode(); err != nil {
+				c.Close()
+				t.Fatal(err)
+			}
+		}
+		return c
+	}
+	c := boot(50 * time.Millisecond)
+	growCluster(t, c, 6)
+	before := ackedPuts(t, c, "before", 2000)
+	waitConverged(t, c)
+	c.Close()
+
+	// Anti-entropy off: only the write path may place copies.
+	c2 := boot(time.Hour)
+	defer c2.Close()
+	// A primary that has not heard of every snode yet places copies on
+	// the hosts it knows: wait for the full view.
+	for deadline := time.Now().Add(5 * time.Second); !viewsComplete(c2); time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the restarted snodes did not learn the full view")
+		}
+	}
+	// Reading every key back teaches the handle every route, so each
+	// partition's first write arrives in one batch: concurrent first
+	// writes race their digests and may ship a bucket.
+	verifyReadable(t, c2, before)
+	hashed := c2.StatsTotal().AEKeysHashed
+	after := ackedPuts(t, c2, "after", 500)
+	if len(after) != 500 {
+		t.Fatalf("%d of 500 puts acknowledged", len(after))
+	}
+	if n := c2.StatsTotal().AEKeysHashed - hashed; n > 0 {
+		t.Errorf("the first writes after the restart shipped %d keys in whole buckets", n)
+	}
+
+	// Only the rewritten partitions are read back: a replayed copy no
+	// write has reached since the restart does not know its primary, so
+	// it cannot stand for it.
+	if err := c2.KillSnode(c2.Snodes()[0]); err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, 0, len(after))
+	for k := range after {
+		keys = append(keys, k)
+	}
+	for _, r := range mgetAcrossPromotion(t, c2, keys) {
+		if !r.OK() || !r.Found || string(r.Value) != string(after[r.Key]) {
+			t.Fatalf("key %q after the crash: ok=%v found=%v err=%q", r.Key, r.OK(), r.Found, r.Err)
+		}
+	}
+}
+
+// viewsComplete reports whether every snode's view lists every snode.
+func viewsComplete(c *Cluster) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, s := range c.snodes {
+		s.mu.Lock()
+		n := len(s.view)
+		s.mu.Unlock()
+		if n != len(c.snodes) {
+			return false
+		}
+	}
+	return true
+}

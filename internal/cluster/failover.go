@@ -3,7 +3,7 @@ package cluster
 import (
 	"fmt"
 	"slices"
-	"sync"
+	"time"
 
 	"dbdht/internal/cluster/transport"
 	"dbdht/internal/hashspace"
@@ -15,10 +15,11 @@ import (
 // (replica.go) is promoted here, with no operator action.  Every survivor
 // holding a copy last fed by the dead primary runs its election:
 //
-//  1. Ask every live snode once (promoteQueryReq) for its copy of the
-//     region from the dead primary and that copy's write version, the
-//     deepest partition level it knows over the region (as owner, copy
-//     holder or custody tomb), and whether it owns the region.
+//  1. Ask every live snode (promoteQueryReq) for its copy of the region
+//     from the dead primary — the partition's own or an ancestor's — and
+//     that copy's write version, the deepest partition level it knows
+//     over the region (as owner, copy holder or custody tomb), and
+//     whether it owns the region.
 //  2. Levels only deepen, so a deeper answer proves the dead primary
 //     split the region after this copy was fed: split the copy in place
 //     (walReplSplitRec) and elect each half.
@@ -27,15 +28,16 @@ import (
 //     installs the copy on a joined vnode of the partition's group
 //     (allocating one if it hosts none), journaled like a migration
 //     commit, announces custody like RestartSnode does, and syncs its
-//     targets.  Copies of the winning version stay in its fan-out set
-//     until anti-entropy hands them off; the others are dropped.
+//     targets.  Copies of the winning version that are the partition's
+//     own stay in its fan-out set until anti-entropy hands them off; the
+//     others are dropped.
 //
-// Every holder computes the winner from the same answers, so one copy
-// promotes without a coordinator, and a holder asking after the promotion
-// meets the owner.  Best-effort by design: an unreachable snode's answer
-// is skipped, and a partition whose every copy died is orphaned (its
-// reads and writes fail fast) until an operator restarts a holder from
-// its journal.  Promoting a partition the snode already owns is a no-op.
+// A holder decides only once every live snode has answered, so every
+// holder computes the winner from the same answers: one copy promotes
+// without a coordinator, and a holder asking after the promotion meets
+// the owner.  A partition whose every copy died is orphaned (its reads
+// and writes fail fast) until an operator restarts a holder from its
+// journal.  Promoting a partition the snode already owns is a no-op.
 
 // promoteQueryReq asks one live snode what it knows of the region of
 // Partition, whose primary Dead died.
@@ -48,6 +50,7 @@ type promoteQueryReq struct {
 type promoteQueryResp struct {
 	Op    uint64
 	Has   bool   // holds a copy covering Partition last fed by Dead
+	Exact bool   // that copy is Partition's own, not an ancestor's
 	Ver   uint64 // that copy's write version
 	Owns  bool   // owns a partition covering Partition: nothing to promote
 	Level uint8  // deepest level of a partition it owns, holds or points at over Partition
@@ -73,24 +76,19 @@ func (s *Snode) failoverScan(dead transport.NodeID) {
 	// with hundreds of partitions would otherwise pay the round's latency
 	// per partition and stretch the write blackout by seconds.  Bounded,
 	// so a large copy set cannot stampede the survivors with hundreds of
-	// simultaneous query fan-outs.
-	var wg sync.WaitGroup
+	// simultaneous query fan-outs.  Nothing waits for the last ones.
 	sem := make(chan struct{}, failoverElectionWorkers)
 	for _, p := range held {
 		select {
 		case <-s.stopCh:
-			wg.Wait()
 			return
-		default:
+		case sem <- struct{}{}:
 		}
-		wg.Add(1)
-		sem <- struct{}{}
 		go func() {
-			defer func() { <-sem; wg.Done() }()
+			defer func() { <-sem }()
 			s.elect(p, dead)
 		}()
 	}
-	wg.Wait()
 }
 
 // failoverElectionWorkers bounds how many partition elections one
@@ -100,46 +98,51 @@ const failoverElectionWorkers = 8
 // elect runs the election of this snode's copies from dead over p (see
 // the file header); it returns at once if there are none.
 func (s *Snode) elect(p hashspace.Partition, dead transport.NodeID) {
-	s.mu.Lock()
-	held := false
-	for q, b := range s.rparts {
-		held = held || q.Overlaps(p) && b.prim == dead
-	}
-	view := slices.Clone(s.view)
-	s.mu.Unlock()
-	if !held {
-		return
-	}
-	answers := make([]promoteQueryResp, len(view))
-	errs := fanOut(len(view), func(i int) error {
-		var err error
-		if view[i] == s.id {
-			answers[i] = s.promoteCredentials(p, dead)
-		} else {
-			answers[i], err = ask[promoteQueryResp](&s.endpoint, view[i], untraced, func(op uint64) transport.WireMessage {
-				return promoteQueryReq{Op: op, Partition: p, Dead: dead}
-			})
+	var view []transport.NodeID
+	var answers []promoteQueryResp
+	self := -1
+	for {
+		s.mu.Lock()
+		held := false
+		for q, b := range s.rparts {
+			held = held || q.Overlaps(p) && b.prim == dead
 		}
-		return err
-	})
-	self := slices.Index(view, s.id)
-	if self < 0 {
-		return
+		view = slices.Clone(s.view)
+		s.mu.Unlock()
+		if self = slices.Index(view, s.id); !held || self < 0 {
+			return
+		}
+		answers = make([]promoteQueryResp, len(view))
+		errs := fanOut(len(view), func(i int) error {
+			var err error
+			if view[i] == s.id {
+				answers[i] = s.promoteCredentials(promoteQueryReq{Partition: p, Dead: dead})
+			} else {
+				answers[i], err = ask[promoteQueryResp](&s.endpoint, view[i], untraced, func(op uint64) transport.WireMessage {
+					return promoteQueryReq{Op: op, Partition: p, Dead: dead}
+				})
+			}
+			return err
+		})
+		if firstErr(errs) == nil {
+			break
+		}
+		// A missing answer may be a fresher copy's, whose holder may decide
+		// too.  Ask again shortly: a crashed snode leaves the view.
+		select {
+		case <-s.stopCh:
+			return
+		case <-time.After(50 * time.Millisecond):
+		}
 	}
 	level := p.Level
-	for i, a := range answers {
-		if errs[i] == nil {
-			level = max(level, a.Level)
-		}
+	for _, a := range answers {
+		level = max(level, a.Level)
 	}
 	if level > p.Level {
 		lo, hi := p.Split()
 		s.mu.Lock()
-		if b, ok := s.rparts[p]; ok && b.prim == dead {
-			split := walReplSplitRec{Partition: lo}
-			split.applyLocked(s)
-			s.journal(split.walTag(), split.fields)
-		}
+		s.holdFedLocked(lo, dead) // splits a copy dead fed down to lo and hi
 		s.mu.Unlock()
 		s.elect(lo, dead)
 		s.elect(hi, dead)
@@ -153,8 +156,6 @@ func (s *Snode) elect(p hashspace.Partition, dead transport.NodeID) {
 	win := self
 	for i, a := range answers {
 		switch {
-		case errs[i] != nil:
-			// unreachable: proceed with the answers we have
 		case a.Owns:
 			return // already owned: promoted by another copy, or never orphaned
 		case a.Has && (a.Ver > answers[win].Ver || a.Ver == answers[win].Ver && view[i] < view[win]):
@@ -164,14 +165,13 @@ func (s *Snode) elect(p hashspace.Partition, dead transport.NodeID) {
 	if win != self {
 		return
 	}
-	// Only copies of the winning version already split down to p (their
-	// holder's deepest level is p's) stay: a holder still at an ancestor
-	// would skip the new primary's writes until its own election splits
-	// it.  The others are dropped.
+	// Only copies of the winning version that are p's own stay: a copy of
+	// an ancestor was fed by the dead primary, so it would skip the new
+	// primary's writes.  The others are dropped.
 	var keep, drop []transport.NodeID
 	for i, a := range answers {
-		if i != self && errs[i] == nil && a.Has {
-			if a.Ver == answers[self].Ver && a.Level == p.Level {
+		if i != self && a.Has {
+			if a.Ver == answers[self].Ver && a.Exact {
 				keep = append(keep, view[i])
 			} else {
 				drop = append(drop, view[i])
@@ -187,21 +187,23 @@ func (s *Snode) elect(p hashspace.Partition, dead transport.NodeID) {
 	}
 }
 
-// promoteCredentials is this snode's answer to an election query about
-// p (Op left zero).
-func (s *Snode) promoteCredentials(p hashspace.Partition, dead transport.NodeID) promoteQueryResp {
+// promoteCredentials is this snode's answer to an election query.  Fast
+// (no nested RPCs): the actor loop answers inline.
+func (s *Snode) promoteCredentials(m promoteQueryReq) promoteQueryResp {
+	p, dead := m.Partition, m.Dead
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	resp := promoteQueryResp{Level: deepestOver(s.tombs, p, deepestOver(s.rparts, p, deepestOver(s.owned, p, 0)))}
+	resp := promoteQueryResp{Op: m.Op, Level: deepestOver(s.tombs, p, deepestOver(s.rparts, p, deepestOver(s.owned, p, 0)))}
 	if _, q, ok := s.ownedForLocked(p.Start()); ok && q.Level <= p.Level {
 		resp.Owns = true
 	}
-	b, ok := s.rparts[p]
+	b, exact := s.rparts[p]
+	ok := exact
 	if !ok {
 		_, b, ok = s.replicaAboveLocked(p)
 	}
 	if ok && b.prim == dead {
-		resp.Has, resp.Ver = true, b.ver
+		resp.Has, resp.Exact, resp.Ver = true, exact, b.ver
 	}
 	return resp
 }
@@ -215,14 +217,6 @@ func deepestOver[V any](m map[hashspace.Partition]V, p hashspace.Partition, leve
 		}
 	}
 	return level
-}
-
-// handlePromoteQuery answers an election query.  Fast (no nested RPCs) —
-// runs inline in the actor loop.
-func (s *Snode) handlePromoteQuery(m promoteQueryReq, from transport.NodeID) {
-	resp := s.promoteCredentials(m.Partition, m.Dead)
-	resp.Op = m.Op
-	s.send(from, untraced, resp)
 }
 
 // promotePartition installs this snode's copy of p as the partition's new

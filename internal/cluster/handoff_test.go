@@ -137,3 +137,70 @@ func TestCrashAfterSplitLosesNothing(t *testing.T) {
 		})
 	}
 }
+
+// TestElectionWaitsForEveryAnswer: at R=3 two survivors hold copies of
+// the dead primary's partitions, and the link from one to the other drops
+// every frame, so neither hears the other's answer.  An election deciding
+// on the answers that arrived would promote both copies; each partition
+// must be promoted exactly once, after the link heals, with no key lost.
+func TestElectionWaitsForEveryAnswer(t *testing.T) {
+	net := transport.NewMem()
+	faults := transport.NewFaults(1)
+	net.SetFaults(faults)
+	c, err := New(Config{Pmin: 32, Vmin: 8, Seed: 7, Replicas: 3, RPCTimeout: 300 * time.Millisecond}, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	for i := 0; i < 4; i++ {
+		if _, err := c.AddSnode(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	growCluster(t, c, 8)
+	want := ackedPuts(t, c, "elect", 1000)
+	if len(want) != 1000 {
+		t.Fatalf("%d of 1000 puts acknowledged", len(want))
+	}
+	waitConverged(t, c)
+
+	ids := c.Snodes()
+	dead, a, b := ids[0], ids[1], ids[2]
+	orphaned := 0
+	for _, v := range c.Snapshot().Vnodes {
+		if v.Host == dead {
+			orphaned += len(v.Partitions)
+		}
+	}
+	faults.PartitionOneWay([]transport.NodeID{a}, []transport.NodeID{b})
+	if err := c.KillSnode(dead); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(time.Second)
+	faults.Heal()
+
+	keys := make([]string, 0, len(want))
+	for k := range want {
+		keys = append(keys, k)
+	}
+	for _, r := range mgetAcrossPromotion(t, c, keys) {
+		if !r.OK() || !r.Found || string(r.Value) != string(want[r.Key]) {
+			t.Fatalf("key %q after the crash: ok=%v found=%v err=%q", r.Key, r.OK(), r.Found, r.Err)
+		}
+	}
+	time.Sleep(200 * time.Millisecond) // let any second promotion land
+	if n := c.StatsTotal().Promotions; n != int64(orphaned) {
+		t.Errorf("%d promotions for %d orphaned partitions", n, orphaned)
+	}
+	var owned []hashspace.Partition
+	for _, v := range c.Snapshot().Vnodes {
+		for _, p := range v.Partitions {
+			for _, q := range owned {
+				if p.Overlaps(q) {
+					t.Errorf("%s and %s are both owned", p.String(), q.String())
+				}
+			}
+			owned = append(owned, p)
+		}
+	}
+}

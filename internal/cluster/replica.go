@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"time"
@@ -399,28 +400,26 @@ type replShare struct {
 
 // replicate synchronously applies a batch's writes at their fan-out sets:
 // one replWriteReq per destination host (carrying every affected
-// partition's items placed there), and a full sync of every seed — a
-// written partition no live host may hold a copy of (a fresh bootstrap,
-// the first write after a restart or after its last holder died), whose
-// write sets would find no copy to apply to — all in parallel.  An unreachable host is recorded and skipped (the primary
-// holds the data and anti-entropy repairs the copy later); an error is
-// returned only when this snode is stopping, in which case the write must
-// NOT be acknowledged — the primary's copy dies with it.
+// partition's items placed there), all in parallel.  A seed — a written
+// partition no live host may hold a copy of (a fresh bootstrap, the first
+// write after a restart) — is then reconciled at each host: a copy
+// replayed from its journal is confirmed, a missing one shipped.  An
+// unreachable host is recorded and skipped (the primary holds the data
+// and anti-entropy repairs the copy later); an error is returned only
+// when this snode is stopping, in which case the write must NOT be
+// acknowledged — the primary's copy dies with it.
 func (s *Snode) replicate(kind dataOp, shares []replShare, tr transport.TraceContext) error {
-	var parts []func() error
 	byHost := make(map[transport.NodeID][]replWriteSet)
+	seeds := make(map[transport.NodeID][]hashspace.Partition)
 	for _, sh := range shares {
 		for _, host := range sh.hosts {
+			byHost[host] = append(byHost[host], sh.set)
 			if sh.seed {
-				parts = append(parts, func() error {
-					_, err := s.syncReplica(sh.set.Partition, host)
-					return err
-				})
-			} else {
-				byHost[host] = append(byHost[host], sh.set)
+				seeds[host] = append(seeds[host], sh.set.Partition)
 			}
 		}
 	}
+	var parts []func() error
 	for host, sets := range byHost {
 		parts = append(parts, func() error {
 			// The send (not the wait) is serialized per destination so a
@@ -431,21 +430,84 @@ func (s *Snode) replicate(kind dataOp, shares []replShare, tr transport.TraceCon
 				return replWriteReq{Op: op, Kind: kind, Sets: sets}
 			})
 			s.tracer.finishErr(fsp, s.id, err)
+			if err != nil || len(seeds[host]) == 0 {
+				return s.lagged(err)
+			}
+			// The probe follows the write set: a copy that matches holds it.
+			_, err = s.reconcile(host, seeds[host])
 			return err
 		})
 	}
-	var stopping error
-	for _, err := range fanOut(len(parts), func(i int) error { return parts[i]() }) {
-		if err != nil {
-			select {
-			case <-s.stopCh:
-				stopping = err
-			default:
-				s.stats.ReplLagged.Add(1)
+	return firstErr(fanOut(len(parts), func(i int) error { return parts[i]() }))
+}
+
+// lagged counts a failed replica exchange (err non-nil) in ReplLagged,
+// unless this snode is stopping: then it returns err, and the write it
+// carried must not be acknowledged.
+func (s *Snode) lagged(err error) error {
+	if err == nil {
+		return nil
+	}
+	select {
+	case <-s.stopCh:
+		return err
+	default:
+		s.stats.ReplLagged.Add(1)
+		return nil
+	}
+}
+
+// reconcile probes host with the digests of the owned partitions ps, in
+// one message, and full-syncs each one it reports missing or different;
+// it returns those confirmed whole at host, which join their `placed`.
+// A partition no longer owned here or not live is skipped.  Errors are
+// as replicate's.
+func (s *Snode) reconcile(host transport.NodeID, ps []hashspace.Partition) ([]hashspace.Partition, error) {
+	digests := make([]partDigest, 0, len(ps))
+	s.mu.Lock()
+	for _, p := range ps {
+		if ref, owned := s.owned[p]; owned {
+			ref.bk.mu.RLock()
+			if ref.bk.state == bucketLive {
+				n, sum := ref.bk.kv.digest()
+				digests = append(digests, partDigest{Partition: p, Count: n, Sum: sum})
 			}
+			ref.bk.mu.RUnlock()
 		}
 	}
-	return stopping
+	s.mu.Unlock()
+	if len(digests) == 0 {
+		return nil, nil
+	}
+	s.stats.AEProbeMsgs.Add(1)
+	probe, err := ask[replProbeResp](&s.endpoint, host, untraced, func(op uint64) transport.WireMessage {
+		return replProbeReq{Op: op, Digests: digests}
+	})
+	if err != nil {
+		return nil, s.lagged(err)
+	}
+	var confirmed []hashspace.Partition
+	for _, d := range digests {
+		if !slices.Contains(probe.OutOfSync, d.Partition) {
+			confirmed = append(confirmed, d.Partition)
+			continue
+		}
+		switch stillOwned, serr := s.syncReplica(d.Partition, host); {
+		case serr != nil:
+			err = cmp.Or(err, s.lagged(serr))
+		case stillOwned:
+			s.stats.ReplRepairs.Add(1)
+			confirmed = append(confirmed, d.Partition)
+		}
+	}
+	s.mu.Lock()
+	for _, p := range confirmed {
+		if _, owned := s.owned[p]; owned && !slices.Contains(s.placed[p], host) {
+			s.setPlacedLocked(p, append(slices.Clip(s.placed[p]), host))
+		}
+	}
+	s.mu.Unlock()
+	return confirmed, err
 }
 
 // syncReplica ships the current bucket of an owned partition to one
@@ -503,14 +565,10 @@ func (s *Snode) rehomeReplicas(p hashspace.Partition) {
 	s.mu.Lock()
 	hosts := s.replicaHostsLocked(p)
 	s.mu.Unlock()
-	for _, err := range fanOut(len(hosts), func(i int) error {
+	fanOut(len(hosts), func(i int) error {
 		_, err := s.syncReplica(p, hosts[i])
-		return err
-	}) {
-		if err != nil {
-			s.stats.ReplLagged.Add(1)
-		}
-	}
+		return s.lagged(err)
+	})
 }
 
 // dropOrphanReplicas tells the hosts of p's fan-out set at this (old)
@@ -583,61 +641,26 @@ func (s *Snode) antiEntropyPass() {
 	}
 	s.mu.Unlock()
 
-	// One probe per target.  The digests are read right before each send,
-	// under the buckets' own locks, so a slow repair at one host does not
-	// age what the next host is compared against.  synced[p] ends up
-	// recording that every target of p holds a confirmed up-to-date copy.
+	// One probe per target.  unconfirmed[p] counts the targets of p not
+	// confirmed to hold an up-to-date copy: unreachable, or p moved, split
+	// or froze since the snapshot.  They are reconciled next pass.
 	byHost := make(map[transport.NodeID][]hashspace.Partition)
-	synced := make(map[hashspace.Partition]bool, len(live))
+	unconfirmed := make(map[hashspace.Partition]int, len(live))
 	for p, hosts := range cur {
-		synced[p] = true
+		unconfirmed[p] = len(hosts)
 		for _, host := range hosts {
 			byHost[host] = append(byHost[host], p)
 		}
 	}
-	for host, parts := range byHost {
+	for host, ps := range byHost {
 		select {
 		case <-s.stopCh:
 			return
 		default:
 		}
-		digests := make([]partDigest, 0, len(parts))
-		for _, p := range parts {
-			bk := live[p]
-			bk.mu.RLock()
-			if bk.state != bucketLive {
-				bk.mu.RUnlock()
-				synced[p] = false // moved, split or frozen since the snapshot; reconciled next pass
-				continue
-			}
-			n, sum := bk.kv.digest()
-			bk.mu.RUnlock()
-			digests = append(digests, partDigest{Partition: p, Count: n, Sum: sum})
-		}
-		if len(digests) == 0 {
-			continue
-		}
-		s.stats.AEProbeMsgs.Add(1)
-		probe, err := ask[replProbeResp](&s.endpoint, host, untraced, func(op uint64) transport.WireMessage {
-			return replProbeReq{Op: op, Digests: digests}
-		})
-		if err != nil {
-			s.stats.ReplLagged.Add(1)
-			for _, p := range parts {
-				synced[p] = false
-			}
-			continue
-		}
-		for _, p := range probe.OutOfSync {
-			switch stillOwned, serr := s.syncReplica(p, host); {
-			case !stillOwned:
-				synced[p] = false
-			case serr != nil:
-				synced[p] = false
-				s.stats.ReplLagged.Add(1)
-			default:
-				s.stats.ReplRepairs.Add(1)
-			}
+		confirmed, _ := s.reconcile(host, ps)
+		for _, p := range confirmed {
+			unconfirmed[p]--
 		}
 	}
 
@@ -651,7 +674,7 @@ func (s *Snode) antiEntropyPass() {
 	drops := make(map[transport.NodeID][]hashspace.Partition)
 	s.mu.Lock()
 	for p, hosts := range cur {
-		if ref, owned := s.owned[p]; !synced[p] || !owned || ref.bk != live[p] {
+		if ref, owned := s.owned[p]; unconfirmed[p] > 0 || !owned || ref.bk != live[p] {
 			continue
 		}
 		for _, old := range s.placed[p] {

@@ -517,7 +517,7 @@ func (s *Snode) loop() {
 		case replDropMsg:
 			s.mutate(&m)
 		case promoteQueryReq:
-			s.handlePromoteQuery(m, env.From)
+			s.send(env.From, untraced, s.promoteCredentials(m))
 		case pingReq:
 			s.send(env.From, untraced, pingResp{Op: m.Op})
 		}

@@ -47,7 +47,7 @@ import (
 // replica-read flag, and the route entries inside tags 4, 77 and 78 lost
 // their replica hosts.  v10 made one election round promote a copy:
 // promoteQueryResp (tag 83) lost its write-created-copy flag and gained the
-// owner flag and the deepest known level, tags 84–86 were retired, and
+// exact-copy flag, the owner flag and the deepest known level, tags 84–86 were retired, and
 // migCommitReq (tag 15) gained the bucket's write version.
 
 const (

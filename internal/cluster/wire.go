@@ -768,6 +768,7 @@ func (m promoteQueryResp) AppendWire(b []byte) []byte {
 func (m *promoteQueryResp) fields(w *walker) {
 	w.u64(&m.Op)
 	w.bool(&m.Has)
+	w.bool(&m.Exact)
 	w.u64(&m.Ver)
 	w.bool(&m.Owns)
 	w.level(&m.Level)

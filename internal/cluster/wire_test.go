@@ -123,7 +123,7 @@ func wireSamples() []transport.WireMessage {
 		replSyncReq{Op: 45, Partition: p, Data: map[string][]byte{}}, // empty bucket
 		replDropMsg{Partitions: []hashspace.Partition{p, p.Sibling()}},
 		promoteQueryReq{Op: 46, Partition: p, Dead: 4},
-		promoteQueryResp{Op: 47, Has: true, Ver: 99, Owns: true, Level: 9},
+		promoteQueryResp{Op: 47, Has: true, Exact: true, Ver: 99, Owns: true, Level: 9},
 	}
 }
 
