@@ -25,8 +25,9 @@ import (
 //   - A write is acknowledged once its partition's *fan-out set* answered
 //     (an unreachable host is counted in ReplLagged and left to
 //     anti-entropy): the targets (placement, below) plus `placed`, the
-//     hosts that may hold a copy.  A partition no live host holds a copy
-//     of is full-synced to its targets instead (a seed).  A split gives
+//     hosts that may hold a copy.  For a partition no live host holds a
+//     copy of (a seed), each target is then probed by digest and sent the
+//     whole bucket if its copy is missing or different.  A split gives
 //     each child its parent's `placed`.
 //   - Anti-entropy probes each target with the maintained digests of the
 //     partitions placed there (store.go), full-syncs every missing or
