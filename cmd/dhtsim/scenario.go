@@ -137,7 +137,7 @@ func catalog() []scenario {
 		// skew: capacities 1:1:4:4 start with equal enrollment, the wrong
 		// shape for them.  Balancer rounds move enrollment toward
 		// capacity-proportional targets — every partition handover a
-		// chunked live migration — under zipfian hot-spot writes, which
+		// live migration — under zipfian hot-spot writes, which
 		// must never stall into a FreezeTimeout.
 		name:  "skew",
 		title: "live balancer, capacities 1:1:4:4 with equal enrollment, under zipfian hot-spot writes",

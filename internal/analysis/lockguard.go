@@ -71,7 +71,7 @@ func runLockGuard(pass *Pass) error {
 			if strings.HasSuffix(fd.Name.Name, "Locked") {
 				// The caller asserts it holds the guards of the receiver —
 				// and of any annotated-struct parameter (free helpers like
-				// collectDeltaLocked(bk, ...) take the locked value as an
+				// collectDeltaLocked(bk) take the locked value as an
 				// argument instead).
 				seed := func(fl *ast.Field) {
 					for _, name := range fl.Names {

@@ -149,7 +149,10 @@ type Durability struct {
 
 // Stats is the cluster's aggregated runtime counters, the stats object of
 // a Status; its JSON keys are the field names.  internal/cluster counts
-// into it directly (cluster.StatsSnapshot).
+// into it directly (cluster.StatsSnapshot).  ChunksSent counts the base
+// copies partition moves shipped, one per move (a move once streamed its
+// base in chunks); those copies land like replica repairs, so their keys
+// count in AEKeysHashed, but not in ReplRepairs or AEProbeMsgs.
 type Stats struct {
 	MsgsIn, Forwards, PartitionsSent, KeysMoved int64
 	SplitAlls, GroupSplits, JoinsLed, LeavesLed int64

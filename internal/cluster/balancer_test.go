@@ -335,8 +335,7 @@ func TestWeightedTargets(t *testing.T) {
 func TestChunkedMigrationUnderWrites(t *testing.T) {
 	c, err := New(Config{
 		Pmin: 8, Vmin: 4, Seed: 46,
-		RPCTimeout:         20 * time.Second,
-		MigrationChunkKeys: 64, // force multi-chunk streams
+		RPCTimeout: 20 * time.Second,
 	}, transport.NewMem())
 	if err != nil {
 		t.Fatal(err)
@@ -429,8 +428,7 @@ func TestChunkedMigrationUnderWrites(t *testing.T) {
 func TestMigrationShipsConcurrentWrites(t *testing.T) {
 	c, err := New(Config{
 		Pmin: 4, Vmin: 4, Seed: 47,
-		RPCTimeout:         20 * time.Second,
-		MigrationChunkKeys: 32,
+		RPCTimeout: 20 * time.Second,
 	}, transport.NewMem())
 	if err != nil {
 		t.Fatal(err)

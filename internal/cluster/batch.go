@@ -208,10 +208,10 @@ func (s *Snode) handleBatch(m batchReq, from transport.NodeID, tr transport.Trac
 						walScratch = transport.AppendString(walScratch, it.Key)
 						walScratch = transport.AppendBytes(walScratch, it.Value)
 					}
-					if bk.mig != nil {
-						// The bucket is streaming out in a live migration:
-						// record the key so a delta round re-ships it.
-						bk.mig.dirty[it.Key] = struct{}{}
+					if bk.dirty != nil {
+						// The bucket is moving out: record the key so the
+						// move's commit ships its value.
+						bk.dirty[it.Key] = struct{}{}
 					}
 				}
 				if s.dur != nil {

@@ -539,7 +539,6 @@ func TestConfigValidationCluster(t *testing.T) {
 		"AntiEntropyInterval": {Replicas: 2, AntiEntropyInterval: -time.Second},
 		"FreezeTimeout":       {FreezeTimeout: -time.Second},
 		"LoadInterval":        {LoadInterval: -time.Second},
-		"MigrationChunkKeys":  {MigrationChunkKeys: -1},
 		"FailoverPingMisses":  {FailoverPingMisses: -1},
 		"TraceBuffer":         {TraceBuffer: -1},
 		"TraceSample>1":       {TraceSample: 1.5},

@@ -13,8 +13,8 @@ import (
 )
 
 // checkClusterDigests asserts incremental == recomputed-from-scratch on
-// every store the cluster holds right now: primary buckets, replica
-// buckets and migration staging.  It returns how many stores it checked.
+// every store the cluster holds right now: primary buckets and replica
+// buckets.  It returns how many stores it checked.
 func checkClusterDigests(t *testing.T, c *Cluster, step string) int {
 	t.Helper()
 	var bad []string
@@ -39,9 +39,6 @@ func checkClusterDigests(t *testing.T, c *Cluster, step string) int {
 		for p, b := range s.rparts {
 			note(s, "replica", p, b.kv)
 		}
-		for p, in := range s.migIn {
-			note(s, "staging", p, in.data)
-		}
 		s.mu.Unlock()
 	}
 	if len(bad) > 0 {
@@ -52,11 +49,11 @@ func checkClusterDigests(t *testing.T, c *Cluster, step string) int {
 
 // TestDigestStaysExact drives a replicated, durable cluster through every
 // path that mutates a bucket — batch puts, overwrites and deletes, replica
-// fan-in, chunked migrations and installs (vnode joins and leaves), splits,
-// anti-entropy full syncs, snapshot + journal replay (crash-restart) and
-// failover promotion — in a seeded random order, and checks after every
-// step that each store's maintained digest equals the reference digest
-// recomputed from its contents.
+// fan-in, migrations' base copies, deltas and installs (vnode joins and
+// leaves), splits, anti-entropy full syncs, snapshot + journal replay
+// (crash-restart) and failover promotion — in a seeded random order, and
+// checks after every step that each store's maintained digest equals the
+// reference digest recomputed from its contents.
 func TestDigestStaysExact(t *testing.T) {
 	for _, fab := range []struct {
 		name  string
@@ -73,7 +70,6 @@ func TestDigestStaysExact(t *testing.T) {
 				Pmin: 8, Vmin: 2, Seed: seed, Replicas: 2,
 				RPCTimeout:          2 * time.Second, // also bounds teardown after the crashes below
 				AntiEntropyInterval: 25 * time.Millisecond,
-				MigrationChunkKeys:  8, // several chunks per migration: staging stores fill incrementally
 				Durability: DurabilityConfig{
 					Dir: t.TempDir(), Fsync: wal.FsyncOff, SnapshotInterval: -1,
 				},
@@ -120,7 +116,7 @@ func TestDigestStaysExact(t *testing.T) {
 						t.Fatal(err)
 					}
 				case r < 8:
-					what = "vnode join (migration chunks, installs, splits)"
+					what = "vnode join (migration syncs, installs, splits)"
 					ids := c.Snodes()
 					name, _, err := c.CreateVnode(ids[rng.Intn(len(ids))])
 					if err != nil {

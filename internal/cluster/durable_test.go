@@ -523,41 +523,7 @@ func TestWALStatsSurface(t *testing.T) {
 // confirm them by digest instead of shipping every bucket again, and the
 // confirmed copies must hold the writes: a crash right after loses none.
 func TestRestartReshipsNoCopies(t *testing.T) {
-	dir := t.TempDir()
-	boot := func(ae time.Duration) *Cluster {
-		c, err := New(Config{
-			Pmin: 32, Vmin: 8, Seed: 42, Replicas: 2,
-			RPCTimeout:          10 * time.Second,
-			AntiEntropyInterval: ae,
-			Durability:          DurabilityConfig{Dir: dir, Fsync: wal.FsyncBatch, SnapshotInterval: -1},
-		}, transport.NewMem())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 3; i++ {
-			if _, err := c.AddSnode(); err != nil {
-				c.Close()
-				t.Fatal(err)
-			}
-		}
-		return c
-	}
-	c := boot(50 * time.Millisecond)
-	growCluster(t, c, 6)
-	before := ackedPuts(t, c, "before", 2000)
-	waitConverged(t, c)
-	c.Close()
-
-	// Anti-entropy off: only the write path may place copies.
-	c2 := boot(time.Hour)
-	defer c2.Close()
-	// A primary that has not heard of every snode yet places copies on
-	// the hosts it knows: wait for the full view.
-	for deadline := time.Now().Add(5 * time.Second); !viewsComplete(c2); time.Sleep(10 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the restarted snodes did not learn the full view")
-		}
-	}
+	before, c2 := restartedCluster(t, "before")
 	// Reading every key back teaches the handle every route, so each
 	// partition's first write arrives in one batch: concurrent first
 	// writes race their digests and may ship a bucket.
@@ -583,6 +549,75 @@ func TestRestartReshipsNoCopies(t *testing.T) {
 	}
 	for _, r := range mgetAcrossPromotion(t, c2, keys) {
 		if !r.OK() || !r.Found || string(r.Value) != string(after[r.Key]) {
+			t.Fatalf("key %q after the crash: ok=%v found=%v err=%q", r.Key, r.OK(), r.Found, r.Err)
+		}
+	}
+}
+
+// restartedCluster boots 3 durable snodes at R=2, grows 6 vnodes, stores
+// 2,000 keys named after prefix and waits for every copy to be placed,
+// then stops the whole cluster and boots it again from its journals with
+// anti-entropy paced at an hour, so only the write path (or a pass the
+// test runs) places copies.  It returns the keys and the rebooted
+// cluster, once every snode's view is complete.
+func restartedCluster(t *testing.T, prefix string) (map[string][]byte, *Cluster) {
+	t.Helper()
+	dir := t.TempDir()
+	boot := func(ae time.Duration) *Cluster {
+		c, err := New(Config{
+			Pmin: 32, Vmin: 8, Seed: 42, Replicas: 2,
+			RPCTimeout:          10 * time.Second,
+			AntiEntropyInterval: ae,
+			Durability:          DurabilityConfig{Dir: dir, Fsync: wal.FsyncBatch, SnapshotInterval: -1},
+		}, transport.NewMem())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			if _, err := c.AddSnode(); err != nil {
+				c.Close()
+				t.Fatal(err)
+			}
+		}
+		return c
+	}
+	c := boot(50 * time.Millisecond)
+	growCluster(t, c, 6)
+	acked := ackedPuts(t, c, prefix, 2000)
+	waitConverged(t, c)
+	c.Close()
+
+	c2 := boot(time.Hour)
+	t.Cleanup(c2.Close)
+	// A primary that has not heard of every snode yet places copies on
+	// the hosts it knows: wait for the full view.
+	for deadline := time.Now().Add(5 * time.Second); !viewsComplete(c2); time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the restarted snodes did not learn the full view")
+		}
+	}
+	return acked, c2
+}
+
+// TestReplayedCopiesVoteAfterProbe: a copy replayed from the journal after
+// a whole-cluster restart knows neither its primary nor its group until
+// an anti-entropy probe confirms it.  After one pass every primary's
+// crash must leave its keys readable through a promoted copy, quiet
+// partitions included.
+func TestReplayedCopiesVoteAfterProbe(t *testing.T) {
+	before, c := restartedCluster(t, "voter")
+	for _, s := range c.liveSnodes() {
+		s.antiEntropyPass()
+	}
+	if err := c.KillSnode(c.Snodes()[0]); err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, 0, len(before))
+	for k := range before {
+		keys = append(keys, k)
+	}
+	for _, r := range mgetAcrossPromotion(t, c, keys) {
+		if !r.OK() || !r.Found || string(r.Value) != string(before[r.Key]) {
 			t.Fatalf("key %q after the crash: ok=%v found=%v err=%q", r.Key, r.OK(), r.Found, r.Err)
 		}
 	}

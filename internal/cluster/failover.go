@@ -223,7 +223,8 @@ func deepestOver[V any](m map[hashspace.Partition]V, p hashspace.Partition, leve
 // primary bucket; keep are the other holders of an equally fresh copy,
 // which stay in its fan-out set until anti-entropy hands them off.
 // Idempotent: promoting a partition this snode already owns (any deeper
-// split of it included) is a no-op.
+// split of it included) is a no-op, and a promotion that finds the copy
+// taken by another fails.
 func (s *Snode) promotePartition(p hashspace.Partition, dead transport.NodeID, keep []transport.NodeID) error {
 	s.mu.Lock()
 	if _, _, owned := s.ownedForLocked(p.Start()); owned {
@@ -235,7 +236,6 @@ func (s *Snode) promotePartition(p hashspace.Partition, dead transport.NodeID, k
 		s.mu.Unlock()
 		return fmt.Errorf("cluster: snode %d holds no replica of %s fed by %d", s.id, p.String(), dead)
 	}
-	ver := b.ver
 	// Host the partition on a joined vnode of its group, allocating a
 	// fresh one (journaled, so a restart replays the allocation) when
 	// none lives here.
@@ -256,33 +256,13 @@ func (s *Snode) promotePartition(p hashspace.Partition, dead transport.NodeID, k
 		s.journal(vnode.walTag(), vnode.fields)
 		install.To = vnode.Name
 	}
-	// Journal the install first — exactly like a migration commit — and
-	// only then flip the in-memory state, so a crash mid-promotion
-	// replays to the same outcome.
-	seq := s.journal(install.walTag(), install.fields)
-	s.mu.Unlock()
-	if !s.awaitDurable(seq) {
-		return fmt.Errorf("cluster: snode %d stopping: promotion not durable", s.id)
+	// The install is journaled before it goes live, exactly like a
+	// move's, so a crash mid-promotion replays to the same outcome.
+	ver := b.ver
+	if err := s.installLocked(install, ver, keep); err != nil {
+		return err
 	}
-	s.mu.Lock()
-	vs, still := s.vnodes[install.To]
-	if !still {
-		s.mu.Unlock()
-		return fmt.Errorf("cluster: snode %d: vnode %v vanished during promotion", s.id, install.To)
-	}
-	if _, _, owned := s.ownedForLocked(p.Start()); owned {
-		s.mu.Unlock()
-		return nil
-	}
-	install.applyLocked(s)
-	if bk, ok := vs.parts[p]; ok {
-		bk.mu.Lock()
-		bk.ver = ver // keep the version climbing across the handover
-		bk.mu.Unlock()
-	}
-	s.setPlacedLocked(p, keep)
 	route := routeEntry{Partition: p, Ref: ownerRef{Vnode: install.To, Host: s.id}}
-	s.mu.Unlock()
 	s.stats.Promotions.Add(1)
 	s.log.Info("failover: promoted to primary", "partition", p.String(), "dead", int(dead), "ver", ver)
 	s.announce([]routeEntry{route})

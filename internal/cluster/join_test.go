@@ -112,14 +112,14 @@ wait:
 }
 
 // refuseCommits makes s's first n migration commits (every one for n < 0)
-// fail cleanly: the receiver has lost its staging bucket, so it refuses
-// the commit and s aborts.
+// fail cleanly: the receiver has lost the copy the move's sync made, so it
+// refuses the commit and s aborts.
 func refuseCommits(s, receiver *Snode, n int32) {
 	var reached atomic.Int32
 	armCommitHook(s, func(p hashspace.Partition) error {
 		if k := reached.Add(1); n < 0 || k <= n {
 			receiver.mu.Lock()
-			delete(receiver.migIn, p)
+			delete(receiver.rparts, p)
 			receiver.mu.Unlock()
 		}
 		return nil

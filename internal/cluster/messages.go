@@ -163,8 +163,8 @@ type shipVnodeReq struct {
 	Vnode VnodeName
 }
 
-// Partition contents travel by chunked live migration — see migrate.go
-// for migBeginReq/migChunkReq/migCommitReq/migAbortMsg.
+// Partition contents travel by a replica sync (replSyncReq) and a commit
+// carrying the delta (migCommitReq) — see migrate.go.
 
 // --- group management ---
 

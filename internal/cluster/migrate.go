@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"dbdht/internal/cluster/transport"
@@ -10,60 +11,48 @@ import (
 	"dbdht/internal/hashspace"
 )
 
-// Chunked live partition migration.  The original transfer path froze the
-// whole bucket for the entire handover — snapshot, ship, ack — so a large
-// partition under sustained writes could hold writers across the full
-// transfer and, with an autonomous balancer migrating frequently, drive
-// them into FreezeTimeout errors.  This file replaces it with an
-// incremental protocol that keeps the bucket LIVE while its contents
-// stream out in bounded chunks and freezes only for the final delta:
+// Live partition migration: a move is a replica sync plus the install a
+// failover promotion performs.  To move partition p from this snode (A)
+// to vnode To on snode B:
 //
-//  1. migBeginReq opens a staging bucket at the receiving snode.
-//  2. The sender snapshots the key list, turns on dirty-key tracking in
-//     the live bucket (writes keep landing locally and are recorded), and
-//     streams the base contents as migChunkReq messages of bounded size.
-//  3. Keys written during the stream are re-sent in delta rounds, still
-//     live, until the dirty set is small or the round budget is spent.
-//  4. Only then does the bucket freeze: migCommitReq carries the last
-//     (small) delta, the receiver folds it into the staging bucket and
-//     installs it as the live owned partition, and the sender retires its
-//     copy behind a custody tombstone.  The freeze window is one small
-//     message round-trip instead of a whole-bucket ship.
+//  1. The transfer claims p (bucket.claim): p stays live, and every key
+//     written from then on lands in p's dirty set.
+//  2. A ships p's base with syncReplica, the frame, handler and journal
+//     record of a replica repair: B holds a whole copy fed by A, and B
+//     joins p's fan-out set, so at R ≥ 2 writes reach the copy as they
+//     reach any replica.
+//  3. A freezes p (writes requeue), journals the migration intent and
+//     sends migCommitReq with the dirty set's current values.  The set
+//     is exact by construction — every write since the claim — and it
+//     keeps the move off the replica plane at R=1.
+//  4. B folds the delta into its copy and installs it (installLocked,
+//     shared with promotePartition): the copy leaves the replica store,
+//     the install is journaled with the full contents and made durable,
+//     then applied at A's write version; B re-homes the replica set and
+//     acknowledges.  A retires p behind a custody tombstone.
 //
-// Any failure aborts: the sender flips its bucket back to live (requeued
-// writes proceed) and the receiver discards the staging bucket, so the
-// partition stays owned by exactly one host.  The one ambiguous case is
-// a commit whose ACK is lost after the receiver installed: the sender
-// then probes the receiver with a lookup and completes the handover if
-// the receiver answers as owner, aborting only when it provably does
-// not own the region — reverting blindly would leave both sides
-// serving.
+// Any failure aborts: A thaws p (requeued writes proceed), and if the
+// sync made B a holder it was not before, B leaves p's fan-out set and
+// drops the copy (replDropMsg), so the partition stays owned by exactly
+// one host and no copy the move added outlives it.  The one ambiguous
+// case is a commit whose ACK is lost after B installed: A then probes B
+// with a lookup and completes the handover if B answers as owner,
+// aborting only when B provably does not own the region — reverting
+// blindly would leave both sides serving.
 //
-// The handover is journaled in two phases (closing the crash window the
-// durable layer used to document as a limitation): right before the
-// commit RPC — while the bucket is frozen — the sender journals a
-// *migration intent* (walTagMigIntent) and waits for it to be durable.
-// On success the existing bucket-drop record doubles as the resolution;
-// an abort journals walTagMigIntentResolved.  A sender that crashes
-// anywhere between the intent and its resolution therefore replays into
-// an *in-doubt* state: the bucket recovers FROZEN (reads serve, writes
-// wait) and a resolver goroutine probes the receiver with a lookup —
-// exactly the lost-ack probe — finalizing the drop if the receiver (or
-// any third party, after a later handover) owns the region, reverting to
-// live if the probe resolves back to this snode, and staying frozen
-// while the receiver is unreachable (it may have durably committed, so a
-// blind revert could resurrect a stale copy — the precise bug this
-// protocol exists to prevent).
-//
-
-// migSender is the outbound side's tracking state, hung off the live
-// bucket: the pointer and the dirty set inside are guarded by the
-// bucket's mutex, exactly like the bucket's data map.
-type migSender struct {
-	// dirty records keys written (put or deleted) since their last chunk
-	// was streamed; each delta round swaps it for a fresh map.
-	dirty map[string]struct{}
-}
+// The handover is journaled in two phases: right before the commit RPC —
+// while the bucket is frozen — A journals a *migration intent*
+// (walTagMigIntent) and waits for it to be durable.  On success the
+// bucket-drop record doubles as the resolution; an abort journals
+// walTagMigIntentResolved.  A sender that crashes anywhere between the
+// intent and its resolution therefore replays into an *in-doubt* state:
+// the bucket recovers FROZEN (reads serve, writes wait) and a resolver
+// goroutine probes the receiver with a lookup — exactly the lost-ack
+// probe — finalizing the drop if the receiver (or any third party, after
+// a later handover) owns the region, reverting to live if the probe
+// resolves back to this snode, and staying frozen while the receiver is
+// unreachable (it may have durably committed, so a blind revert could
+// resurrect a stale copy).
 
 // migIntent is one journaled, not-yet-resolved migration handover: the
 // sending vnode and the destination the frozen bucket was committed
@@ -76,72 +65,39 @@ type migIntent struct {
 	newOwner ownerRef
 }
 
-// migInbound is one staging bucket at the receiving snode: contents
-// accumulate here, invisible to the data plane, until the commit installs
-// them as the live owned partition.
-type migInbound struct {
-	to    VnodeName
-	group core.GroupID
-	level uint8
-	data  *kvStore
-}
-
-// migItem is one key of a migration chunk.  Del marks a deletion observed
-// during the live stream (the staging bucket must forget the key).
+// migItem is one key of a commit's delta.  Del marks a deletion since
+// the claim (the receiver's copy must forget the key).
 type migItem struct {
 	Key   string
 	Value []byte
 	Del   bool
 }
 
-// migBeginReq opens a staging bucket for a partition about to stream in.
-type migBeginReq struct {
-	Op        uint64
-	Group     core.GroupID
-	To        VnodeName
-	Partition hashspace.Partition
-	Level     uint8
-}
-
-// migChunkReq carries one bounded slice of the partition's contents (base
-// snapshot or delta round) into the staging bucket.
-type migChunkReq struct {
-	Op        uint64
-	To        VnodeName
-	Partition hashspace.Partition
-	Items     []migItem
-}
-
-// migCommitReq is the final, frozen-window delta: the receiver folds it in
-// and installs the staging bucket as the live owned partition, starting
-// at the sender's write version Ver.
+// migCommitReq is the frozen-window delta: the receiver folds it into its
+// copy of Partition, fed by the sender's sync, and installs the copy as
+// the live owned partition of vnode To at group Group and level Level,
+// starting at the sender's write version Ver.
 type migCommitReq struct {
 	Op        uint64
 	To        VnodeName
+	Group     core.GroupID
+	Level     uint8
 	Partition hashspace.Partition
 	Items     []migItem
 	Ver       uint64
 }
 
-// migAbortMsg discards a staging bucket after a sender-side failure
-// (fire-and-forget; a missed abort is bounded garbage, not corruption —
-// a later begin for the same partition replaces the staging bucket).
-type migAbortMsg struct {
-	To        VnodeName
-	Partition hashspace.Partition
-}
-
 // --- sender side ---
 
-// collectDeltaLocked turns a dirty-key set into chunk items reflecting the
-// bucket's current contents (absent key ⇒ deletion).  Caller holds the
-// bucket's mutex (read or write).
-func collectDeltaLocked(bk *bucket, dirty map[string]struct{}) []migItem {
-	if len(dirty) == 0 {
+// collectDeltaLocked turns a moving bucket's dirty set into commit items
+// reflecting its current contents (absent key ⇒ deletion).  Caller holds
+// the bucket's mutex (read or write).
+func collectDeltaLocked(bk *bucket) []migItem {
+	if len(bk.dirty) == 0 {
 		return nil
 	}
-	items := make([]migItem, 0, len(dirty))
-	for k := range dirty {
+	items := make([]migItem, 0, len(bk.dirty))
+	for k := range bk.dirty {
 		if v, ok := bk.kv.m[k]; ok {
 			items = append(items, migItem{Key: k, Value: v})
 		} else {
@@ -151,120 +107,57 @@ func collectDeltaLocked(bk *bucket, dirty map[string]struct{}) []migItem {
 	return items
 }
 
-// sendChunk ships one chunk and waits for the ack.
-func (s *Snode) sendChunk(toHost transport.NodeID, to VnodeName, p hashspace.Partition, items []migItem, tr transport.TraceContext) error {
-	csp := beginSpan(tr, "mig.chunk")
-	t0 := time.Now()
-	_, err := ask[ackResp](&s.endpoint, toHost, csp.ctx, func(op uint64) transport.WireMessage {
-		return migChunkReq{Op: op, To: to, Partition: p, Items: items}
-	})
-	s.lat.migChunk.ObserveSince(t0)
-	s.tracer.finishErr(csp, s.id, err)
-	if err != nil {
-		return fmt.Errorf("cluster: migration chunk at %d: %w", toHost, err)
-	}
-	s.stats.ChunksSent.Add(1)
-	return nil
-}
-
-// migratePartition streams one owned, live partition to its new owner and
+// migratePartition moves one owned, live partition to its new owner and
 // returns the number of key entries shipped.  The caller has claimed bk
 // (bucket.claim).  On error the bucket is live again, unclaimed and still
 // owned here; on success it is dead behind a custody tombstone and the
 // receiver owns the partition.
 func (s *Snode) migratePartition(g core.GroupID, to VnodeName, toHost transport.NodeID, p hashspace.Partition, level uint8, vs *vnodeState, bk *bucket) (int, error) {
-	chunk := s.cfg.MigrationChunkKeys
-
 	// Migrations originate at this snode, not at a client, so they draw
 	// their own head-sampling decision; the whole handover becomes one
-	// trace ("mig.partition" root, chunk and install children).
+	// trace ("mig.partition" root, sync, commit and install children).
 	root := beginSpan(s.sampler.next(), "mig.partition")
 
+	// The receiver may hold a copy already, as a target of p or a host of
+	// its fan-out set; an abort drops only a copy this move added.
+	s.mu.Lock()
+	added := !slices.Contains(s.replicaHostsLocked(p), toHost) && !slices.Contains(s.placed[p], toHost)
+	s.mu.Unlock()
 	moved := 0
 	abort := func(err error) (int, error) {
 		bk.mu.Lock()
-		bk.mig = nil
+		bk.dirty = nil
 		if bk.state == bucketFrozen {
 			bk.state = bucketLive
 		}
 		bk.mu.Unlock()
-		s.send(toHost, untraced, migAbortMsg{To: to, Partition: p})
+		if added {
+			s.dropCopy(p, toHost)
+		}
 		s.stats.MigAborts.Add(1)
 		s.tracer.finish(root, s.id, err.Error())
 		s.log.Warn("migration aborted", "partition", p, "to", int(toHost), "err", err)
 		return moved, err
 	}
 
-	// Open the staging bucket before reading the bucket, so a dead or
-	// refusing receiver costs nothing but the claim.  An abort drops a
-	// staging bucket whose begin ack was lost.
-	_, err := ask[ackResp](&s.endpoint, toHost, root.ctx, func(op uint64) transport.WireMessage {
-		return migBeginReq{Op: op, Group: g, To: to, Partition: p, Level: level}
-	})
-	if err != nil {
-		return abort(fmt.Errorf("cluster: migration begin at %d: %w", toHost, err))
-	}
-
-	// Snapshot the key list.  Dirty tracking has been on since the claim,
-	// so every write either is in the key snapshot or lands in the dirty
-	// set (or both — re-sent values are idempotent).
-	bk.mu.Lock()
-	if bk.state != bucketLive {
-		bk.mu.Unlock()
+	// Ship the base.  Dirty tracking has been on since the claim, so every
+	// write is in the copy, in the dirty set, or both (re-sent values are
+	// idempotent).
+	csp := beginSpan(root.ctx, "mig.sync")
+	t0 := time.Now()
+	moved, live, err := s.syncReplica(p, toHost)
+	s.lat.migChunk.ObserveSince(t0)
+	s.tracer.finishErr(csp, s.id, err)
+	switch {
+	case !live:
 		return abort(fmt.Errorf("cluster: partition %v not live for migration", p))
+	case err != nil:
+		return abort(err)
 	}
-	keys := make([]string, 0, len(bk.kv.m))
-	for k := range bk.kv.m {
-		keys = append(keys, k)
-	}
-	bk.mu.Unlock()
+	s.stats.ChunksSent.Add(1)
 
-	// Base stream: bounded chunks read under the bucket's read lock, so
-	// concurrent writes proceed between chunks.  A key deleted since the
-	// snapshot is skipped here — the deletion is in the dirty set.
-	for start := 0; start < len(keys); start += chunk {
-		end := min(start+chunk, len(keys))
-		items := make([]migItem, 0, end-start)
-		bk.mu.RLock()
-		for _, k := range keys[start:end] {
-			if v, ok := bk.kv.m[k]; ok {
-				items = append(items, migItem{Key: k, Value: v})
-			}
-		}
-		bk.mu.RUnlock()
-		if len(items) == 0 {
-			continue
-		}
-		if err := s.sendChunk(toHost, to, p, items, root.ctx); err != nil {
-			return abort(err)
-		}
-		moved += len(items)
-	}
-
-	// Delta rounds, still live: keys written during the stream are re-sent
-	// until the dirty set fits the final frozen delta or the round budget
-	// is spent (a write rate that outruns the stream indefinitely would
-	// otherwise never converge — the final delta then pays a longer freeze,
-	// bounded by the write rate times one round).
-	for round := 0; round < migrationMaxDeltaRounds; round++ {
-		bk.mu.Lock()
-		if len(bk.mig.dirty) <= chunk {
-			bk.mu.Unlock()
-			break
-		}
-		dirty := bk.mig.dirty
-		bk.mig.dirty = make(map[string]struct{})
-		items := collectDeltaLocked(bk, dirty)
-		bk.mu.Unlock()
-		if err := s.sendChunk(toHost, to, p, items, root.ctx); err != nil {
-			return abort(err)
-		}
-		moved += len(items)
-	}
-
-	// Freeze for the final delta only.  Writes arriving now requeue on the
-	// batch path's frozen-deadline loop; the window is one commit
-	// round-trip carrying at most one round of residual writes.
+	// Freeze for the delta.  Writes arriving now requeue on the batch
+	// path's frozen-deadline loop; the window is one commit round-trip.
 	//
 	// Phase one of the two-phase handover: with the bucket frozen (no
 	// write can land between the intent and the commit), journal the
@@ -275,7 +168,7 @@ func (s *Snode) migratePartition(g core.GroupID, to VnodeName, toHost transport.
 	s.mu.Lock()
 	bk.mu.Lock()
 	bk.state = bucketFrozen
-	final := collectDeltaLocked(bk, bk.mig.dirty)
+	final := collectDeltaLocked(bk)
 	ver := bk.ver
 	bk.mu.Unlock()
 	intent.applyLocked(s)
@@ -296,9 +189,9 @@ func (s *Snode) migratePartition(g core.GroupID, to VnodeName, toHost transport.
 		}
 	}
 
-	csp := beginSpan(root.ctx, "mig.commit")
+	csp = beginSpan(root.ctx, "mig.commit")
 	_, err = ask[ackResp](&s.endpoint, toHost, csp.ctx, func(op uint64) transport.WireMessage {
-		return migCommitReq{Op: op, To: to, Partition: p, Items: final, Ver: ver}
+		return migCommitReq{Op: op, To: to, Group: g, Level: level, Partition: p, Items: final, Ver: ver}
 	})
 	s.tracer.finishErr(csp, s.id, err)
 	var refused remoteError
@@ -359,121 +252,78 @@ func (s *Snode) migratePartition(g core.GroupID, to VnodeName, toHost transport.
 
 // --- receiver side ---
 
-// applyMigItems folds chunk items into a staging store.
-func applyMigItems(data *kvStore, items []migItem) {
-	for _, it := range items {
-		if it.Del {
-			data.del(it.Key)
-		} else {
-			data.put(it.Key, it.Value)
-		}
-	}
-}
-
-// handleMigBegin opens (or replaces) the staging bucket for a partition.
-// Runs inline: no nested RPCs.
-func (s *Snode) handleMigBegin(m migBeginReq, from transport.NodeID) {
-	s.mu.Lock()
-	if _, ok := s.vnodes[m.To]; !ok {
-		s.mu.Unlock()
-		s.send(from, untraced, ackResp{Op: m.Op, Err: fmt.Sprintf("vnode %v not allocated at %d", m.To, s.id)})
-		return
-	}
-	s.migIn[m.Partition] = &migInbound{
-		to: m.To, group: m.Group, level: m.Level,
-		data: newStore(nil),
-	}
-	s.mu.Unlock()
-	s.send(from, untraced, ackResp{Op: m.Op})
-}
-
-// handleMigChunk folds one chunk into the staging bucket.  Runs inline.
-func (s *Snode) handleMigChunk(m migChunkReq, from transport.NodeID) {
-	s.mu.Lock()
-	st, ok := s.migIn[m.Partition]
-	if !ok || st.to != m.To {
-		s.mu.Unlock()
-		s.send(from, untraced, ackResp{Op: m.Op, Err: fmt.Sprintf("no migration staged for %v at %d", m.Partition, s.id)})
-		return
-	}
-	applyMigItems(st.data, m.Items)
-	s.mu.Unlock()
-	s.send(from, untraced, ackResp{Op: m.Op})
-}
-
-// handleMigCommit applies the final delta and installs the staging bucket
-// as the live owned partition — the successor of the retired
-// whole-bucket install, same bookkeeping: ownership index, level/group
-// adoption, custody cleanup, replica re-homing before the ack.  Runs in
-// its own goroutine (re-homing performs nested RPCs).
+// handleMigCommit folds the final delta into this snode's copy of the
+// partition, which the sender's sync made, installs it as the live owned
+// partition, re-homes the replica set and acknowledges.  Runs in its own
+// goroutine (re-homing performs nested RPCs).
 func (s *Snode) handleMigCommit(m migCommitReq, from transport.NodeID, tr transport.TraceContext) {
 	sp := beginSpan(tr, "mig.install")
-	defer func() { s.tracer.finish(sp, s.id, "") }()
-	s.mu.Lock()
-	st, ok := s.migIn[m.Partition]
-	if !ok || st.to != m.To {
-		s.mu.Unlock()
-		s.send(from, untraced, ackResp{Op: m.Op, Err: fmt.Sprintf("no migration staged for %v at %d", m.Partition, s.id)})
+	err := s.installMoved(m, from)
+	s.tracer.finishErr(sp, s.id, err)
+	if err != nil {
+		s.send(from, untraced, ackResp{Op: m.Op, Err: err.Error()})
 		return
 	}
-	if _, ok := s.vnodes[m.To]; !ok {
-		delete(s.migIn, m.Partition)
-		s.mu.Unlock()
-		s.send(from, untraced, ackResp{Op: m.Op, Err: fmt.Sprintf("vnode %v not allocated at %d", m.To, s.id)})
-		return
-	}
-	applyMigItems(st.data, m.Items)
-	// Journal the install with the FULL folded contents before it goes
-	// live: the staging chunks were volatile, so the commit record alone
-	// must reconstruct the bucket at replay (see walrec.go).
-	install := walMigInstallRec{To: m.To, Group: st.group, Level: st.level, Partition: m.Partition, Data: st.data}
-	seq := s.journal(install.walTag(), install.fields)
-	if !s.durFastAck() {
-		// The durability wait must come BEFORE the install goes live: an
-		// error reply makes the sender abort back to a live bucket, so
-		// installing first and then failing the wait would leave BOTH
-		// sides serving.  The staging entry stays in place across the
-		// wait (s.mu released) so a racing abort or re-begin is detected
-		// by the pointer check below.
-		s.mu.Unlock()
-		if !s.awaitDurable(seq) {
-			s.send(from, untraced, ackResp{Op: m.Op, Err: fmt.Sprintf("snode %d stopping: install not durable", s.id)})
-			return
-		}
-		s.mu.Lock()
-		if cur, ok := s.migIn[m.Partition]; !ok || cur != st {
-			s.mu.Unlock()
-			s.send(from, untraced, ackResp{Op: m.Op, Err: fmt.Sprintf("migration for %v superseded at %d", m.Partition, s.id)})
-			return
-		}
-		if _, ok := s.vnodes[m.To]; !ok {
-			delete(s.migIn, m.Partition)
-			s.mu.Unlock()
-			s.send(from, untraced, ackResp{Op: m.Op, Err: fmt.Sprintf("vnode %v not allocated at %d", m.To, s.id)})
-			return
-		}
-	}
-	delete(s.migIn, m.Partition)
-	install.applyLocked(s)
-	if bk, ok := s.vnodes[m.To].parts[m.Partition]; ok {
-		bk.mu.Lock()
-		bk.ver = m.Ver
-		bk.mu.Unlock()
-	}
-	s.mu.Unlock()
-	// Re-home the replica set with the primary before acknowledging, so
-	// the handover never shrinks the number of copies.
 	s.rehomeReplicas(m.Partition)
 	s.send(from, untraced, ackResp{Op: m.Op})
 }
 
-// handleMigAbort discards a staging bucket.  Runs inline.
-func (s *Snode) handleMigAbort(m migAbortMsg) {
+// installMoved folds m's delta into the copy from's sync made and
+// installs it (installLocked).
+func (s *Snode) installMoved(m migCommitReq, from transport.NodeID) error {
 	s.mu.Lock()
-	if st, ok := s.migIn[m.Partition]; ok && st.to == m.To {
-		delete(s.migIn, m.Partition)
+	b, ok := s.rparts[m.Partition]
+	if !ok || b.prim != from {
+		s.mu.Unlock()
+		return fmt.Errorf("no copy of %v from %d at %d", m.Partition, from, s.id)
 	}
+	if _, ok := s.vnodes[m.To]; !ok {
+		s.mu.Unlock()
+		return fmt.Errorf("vnode %v not allocated at %d", m.To, s.id)
+	}
+	for _, it := range m.Items {
+		if it.Del {
+			b.kv.del(it.Key)
+		} else {
+			b.kv.put(it.Key, it.Value)
+		}
+	}
+	return s.installLocked(walMigInstallRec{To: m.To, Group: m.Group, Level: m.Level, Partition: m.Partition, Data: b.kv}, m.Ver, nil)
+}
+
+// installLocked makes the replica copy rec.Data the live bucket of vnode
+// rec.To — a move's commit, or a failover promotion.  The copy leaves the
+// replica store as its install is journaled, so no replica write still in
+// flight can change a store the journal holds, and no second install can
+// take the same copy.  The install is made durable BEFORE it goes live: an
+// error reply makes a move's sender abort back to a live bucket, so
+// installing first and then failing the wait would leave both sides
+// serving.  The bucket then starts at write version ver, and keep, if
+// any, becomes p's fan-out set.  Caller holds s.mu; installLocked
+// releases it.
+func (s *Snode) installLocked(rec walMigInstallRec, ver uint64, keep []transport.NodeID) error {
+	p := rec.Partition
+	s.dropReplicaLocked(p)
+	seq := s.journal(rec.walTag(), rec.fields)
 	s.mu.Unlock()
+	if !s.awaitDurable(seq) {
+		return fmt.Errorf("cluster: snode %d stopping: install not durable", s.id)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	vs, ok := s.vnodes[rec.To]
+	if !ok {
+		return fmt.Errorf("cluster: vnode %v vanished at %d during install", rec.To, s.id)
+	}
+	rec.applyLocked(s)
+	bk := vs.parts[p]
+	bk.mu.Lock()
+	bk.ver = ver // keep the version climbing across the handover
+	bk.mu.Unlock()
+	if len(keep) > 0 {
+		s.setPlacedLocked(p, keep)
+	}
+	return nil
 }
 
 // --- in-doubt intent resolution (recovery) ---
@@ -515,7 +365,7 @@ func (s *Snode) resolveIntents() {
 //   - the lookup resolves back to THIS snode (the receiver's redirects
 //     led here and our own frozen bucket answered) ⇒ the receiver provably
 //     does not own the region, so the commit never landed; revert to
-//     live and tell the receiver to discard any staging leftovers;
+//     live and let the receiver drop the copy the move gave it;
 //   - the receiver is unreachable or the lookup fails ⇒ stay frozen and
 //     retry: the receiver may have durably committed and be mid-restart,
 //     and a blind revert would put two live copies on the fabric.
@@ -578,7 +428,8 @@ func (s *Snode) finalizeIntent(p hashspace.Partition, in *migIntent) {
 
 // revertIntent settles a crashed handover whose receiver provably never
 // committed: the frozen bucket goes back to live (requeued writes
-// proceed) and the resolution is journaled.
+// proceed), the resolution is journaled, and the receiver drops the copy
+// the move's sync gave it, unless it holds one as a replica of p.
 func (s *Snode) revertIntent(p hashspace.Partition, in *migIntent) {
 	resolved := walMigIntentResolvedRec{Partition: p}
 	s.mu.Lock()
@@ -594,13 +445,28 @@ func (s *Snode) revertIntent(p hashspace.Partition, in *migIntent) {
 		if bk.state == bucketFrozen {
 			bk.state = bucketLive
 		}
-		bk.mig = nil
+		bk.dirty = nil
 		bk.mu.Unlock()
 	}
 	s.journal(resolved.walTag(), resolved.fields)
+	host := in.newOwner.Host
+	added := !slices.Contains(s.replicaHostsLocked(p), host) && !slices.Contains(s.placed[p], host)
 	s.mu.Unlock()
-	s.send(in.newOwner.Host, untraced, migAbortMsg{To: in.newOwner.Vnode, Partition: p})
+	if added {
+		s.dropCopy(p, host)
+	}
 	s.stats.MigAborts.Add(1)
 	s.log.Info("migration intent reverted: receiver never committed",
 		"partition", p.String(), "to", int(in.newOwner.Host))
+}
+
+// dropCopy undoes a move's sync that made host a holder of owned
+// partition p: host leaves p's fan-out set and drops its copy.
+func (s *Snode) dropCopy(p hashspace.Partition, host transport.NodeID) {
+	s.mu.Lock()
+	if i := slices.Index(s.placed[p], host); i >= 0 {
+		s.setPlacedLocked(p, slices.Delete(slices.Clone(s.placed[p]), i, i+1))
+	}
+	s.mu.Unlock()
+	s.send(host, untraced, replDropMsg{Partitions: []hashspace.Partition{p}})
 }

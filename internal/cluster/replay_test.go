@@ -19,8 +19,8 @@ import (
 // journaledState is everything an snode journals, in comparable form.
 // Deliberately absent, because nothing journals them: replica election
 // metadata (replicaBucket's ver, group and prim), bucket write versions
-// (bucket.ver), load rates, the route cache, the placement record and
-// staging buckets, the membership view, and custody tombs — a drop record
+// (bucket.ver), load rates, the route cache, the placement record, the
+// membership view, and custody tombs — a drop record
 // journals its tomb, but tombs are also adopted from and pruned by
 // departure and recovery notices.
 type journaledState struct {

@@ -85,11 +85,13 @@ type replWriteReq struct {
 }
 
 // partDigest is one partition's (key count, order-independent checksum)
-// as its primary holds it — see kvStore.
+// as its primary holds it — see kvStore — and the owning vnode's group,
+// which a matching copy adopts with the prober as its primary.
 type partDigest struct {
 	Partition hashspace.Partition
 	Count     int
 	Sum       uint64
+	Group     core.GroupID
 }
 
 // replProbeReq is one anti-entropy exchange with one replica host: the
@@ -354,13 +356,16 @@ func (s *Snode) handleReplWrite(m replWriteReq, from transport.NodeID, tr transp
 
 // handleReplProbe compares the stored digests of the probed partitions
 // with the primary's — a few memory reads per partition under s.mu, no
-// data touched.
+// data touched.  A matching copy adopts the prober as its primary and
+// the probe's group: a copy replayed from the journal knows neither, and
+// could not stand for its primary in an election without them.
 func (s *Snode) handleReplProbe(m replProbeReq, from transport.NodeID) {
 	resp := replProbeResp{Op: m.Op}
 	s.mu.Lock()
 	for _, d := range m.Digests {
 		if s.holdFedLocked(d.Partition, from) {
 			if n, sum := s.rparts[d.Partition].kv.digest(); n == d.Count && sum == d.Sum {
+				s.noteReplMetaLocked(d.Partition, 0, d.Group, from)
 				continue
 			}
 		}
@@ -461,7 +466,8 @@ func (s *Snode) lagged(err error) error {
 // reconcile probes host with the digests of the owned partitions ps, in
 // one message, and full-syncs each one it reports missing or different;
 // it returns those confirmed whole at host, which join their `placed`.
-// A partition no longer owned here or not live is skipped.  Errors are
+// A partition no longer owned here, not live or moving out is skipped: a
+// move's receiver holds a copy no probe may repair.  Errors are
 // as replicate's.
 func (s *Snode) reconcile(host transport.NodeID, ps []hashspace.Partition) ([]hashspace.Partition, error) {
 	digests := make([]partDigest, 0, len(ps))
@@ -469,9 +475,9 @@ func (s *Snode) reconcile(host transport.NodeID, ps []hashspace.Partition) ([]ha
 	for _, p := range ps {
 		if ref, owned := s.owned[p]; owned {
 			ref.bk.mu.RLock()
-			if ref.bk.state == bucketLive {
+			if ref.bk.state == bucketLive && ref.bk.dirty == nil {
 				n, sum := ref.bk.kv.digest()
-				digests = append(digests, partDigest{Partition: p, Count: n, Sum: sum})
+				digests = append(digests, partDigest{Partition: p, Count: n, Sum: sum, Group: ref.vs.group})
 			}
 			ref.bk.mu.RUnlock()
 		}
@@ -493,7 +499,7 @@ func (s *Snode) reconcile(host transport.NodeID, ps []hashspace.Partition) ([]ha
 			confirmed = append(confirmed, d.Partition)
 			continue
 		}
-		switch stillOwned, serr := s.syncReplica(d.Partition, host); {
+		switch _, stillOwned, serr := s.syncReplica(d.Partition, host); {
 		case serr != nil:
 			err = cmp.Or(err, s.lagged(serr))
 		case stillOwned:
@@ -512,7 +518,8 @@ func (s *Snode) reconcile(host transport.NodeID, ps []hashspace.Partition) ([]ha
 }
 
 // syncReplica ships the current bucket of an owned partition to one
-// replica host and waits for the ack.  The destination's send mutex is
+// replica host (or a move's receiver) and waits for the ack; it returns
+// the number of keys shipped.  The destination's send mutex is
 // held from before the snapshot copy until after the send, and every
 // replica write to that destination sends under the same mutex: a write
 // applied after the copy is therefore sent after the sync, so FIFO
@@ -525,10 +532,11 @@ func (s *Snode) reconcile(host transport.NodeID, ps []hashspace.Partition) ([]ha
 // placement pass will look for it (at the receiver itself, when the
 // receiver was this partition's replica host).  The new owner re-homes
 // the replicas; an aborted handover thaws and the next pass retries.
-// The host joins p's `placed` set as the sync is sent: from then on it
-// may hold a whole copy, so a split or a transfer of p while the sync is
-// in flight still hands that copy off.
-func (s *Snode) syncReplica(p hashspace.Partition, host transport.NodeID) (ok bool, err error) {
+// The host joins p's `placed` set as the sync is sent (unless it is this
+// snode, the receiver of a move between two of its vnodes): from then on
+// it may hold a whole copy, so a split or a transfer of p while the sync
+// is in flight still hands that copy off.
+func (s *Snode) syncReplica(p hashspace.Partition, host transport.NodeID) (keys int, ok bool, err error) {
 	_, err = askOrdered[ackResp](&s.endpoint, host, untraced, func(op uint64) transport.WireMessage {
 		s.mu.Lock()
 		ref, owned := s.owned[p]
@@ -539,7 +547,7 @@ func (s *Snode) syncReplica(p hashspace.Partition, host transport.NodeID) (ok bo
 		ref.bk.mu.RLock()
 		defer ref.bk.mu.RUnlock()
 		ok = ref.bk.state == bucketLive
-		if ok && !slices.Contains(s.placed[p], host) {
+		if ok && host != s.id && !slices.Contains(s.placed[p], host) {
 			s.setPlacedLocked(p, append(slices.Clip(s.placed[p]), host))
 		}
 		g := ref.vs.group
@@ -547,15 +555,16 @@ func (s *Snode) syncReplica(p hashspace.Partition, host transport.NodeID) (ok bo
 		if !ok {
 			return nil
 		}
+		keys = ref.bk.kv.len()
 		return replSyncReq{Op: op, Partition: p, Data: copyBucket(ref.bk.kv.m), Ver: ref.bk.ver, Group: g}
 	})
 	if !ok {
-		return false, nil
+		return 0, false, nil
 	}
 	if err != nil {
-		return true, fmt.Errorf("cluster: replica sync at %d: %w", host, err)
+		return keys, true, fmt.Errorf("cluster: replica sync at %d: %w", host, err)
 	}
-	return true, nil
+	return keys, true, nil
 }
 
 // rehomeReplicas pushes full replica buckets for a freshly installed or
@@ -567,18 +576,18 @@ func (s *Snode) rehomeReplicas(p hashspace.Partition) {
 	hosts := s.replicaHostsLocked(p)
 	s.mu.Unlock()
 	fanOut(len(hosts), func(i int) error {
-		_, err := s.syncReplica(p, hosts[i])
+		_, _, err := s.syncReplica(p, hosts[i])
 		return s.lagged(err)
 	})
 }
 
-// dropOrphanReplicas tells the hosts of p's fan-out set at this (old)
-// primary to discard their copies, sparing any host the new primary's
-// placement still uses.  Fire-and-forget.
+// dropOrphanReplicas forgets p's fan-out set at this (old) primary and
+// tells its hosts to discard their copies, sparing the new primary and
+// any host its placement still uses.  Fire-and-forget.
 func (s *Snode) dropOrphanReplicas(p hashspace.Partition, newPrimary transport.NodeID) {
-	if s.cfg.Replicas <= 1 || newPrimary == s.id {
-		// An intra-snode transfer (vnode to vnode on this host) keeps the
-		// host, so the placement and the fan-out set stay as they are.
+	if newPrimary == s.id {
+		// An intra-snode transfer (vnode to vnode on this host) keeps p
+		// here, so the placement and the fan-out set stay as they are.
 		return
 	}
 	s.mu.Lock()
@@ -671,11 +680,14 @@ func (s *Snode) antiEntropyPass() {
 	// loses acknowledged writes.  An unconfirmed partition keeps its
 	// fan-out set, so its old copies stay fed and the hand-off is retried
 	// next pass.  A partition split or handed over during the pass has
-	// left the ownership index (its bucket is not the snapshot's).
+	// left the ownership index (its bucket is not the snapshot's).  A
+	// partition moving out (claimed) is not probed, so not confirmed, nor
+	// handed off if a move claimed it after its probe: either would drop
+	// the copy the move's receiver is about to install.
 	drops := make(map[transport.NodeID][]hashspace.Partition)
 	s.mu.Lock()
 	for p, hosts := range cur {
-		if ref, owned := s.owned[p]; unconfirmed[p] > 0 || !owned || ref.bk != live[p] {
+		if ref, owned := s.owned[p]; unconfirmed[p] > 0 || !owned || ref.bk != live[p] || ref.bk.claimed() {
 			continue
 		}
 		for _, old := range s.placed[p] {

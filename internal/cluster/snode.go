@@ -45,9 +45,6 @@ type Config struct {
 	// LoadInterval paces the per-bucket EWMA load accounting the
 	// balancer observes (default 500ms; see load.go).
 	LoadInterval time.Duration
-	// MigrationChunkKeys bounds how many keys one chunk of a live
-	// partition migration carries (default 512; see migrate.go).
-	MigrationChunkKeys int
 	// Balance configures the autonomous load-aware balancer at the
 	// cluster handle (see balancer.go).  Zero value: background loop off,
 	// BalanceNow still runs rounds on demand with default thresholds.
@@ -87,15 +84,9 @@ type Config struct {
 	Faults *transport.Faults
 }
 
-const (
-	// maxHops bounds custody chains: the asks of one chase, and of one
-	// batch item on its way to its owner.
-	maxHops = 512
-	// migrationMaxDeltaRounds bounds how many live delta rounds a
-	// migration spends chasing concurrent writes before freezing for the
-	// final delta.
-	migrationMaxDeltaRounds = 4
-)
+// maxHops bounds custody chains: the asks of one chase, and of one batch
+// item on its way to its owner.
+const maxHops = 512
 
 func (c Config) withDefaults() (Config, error) {
 	if c.Pmin < 1 || c.Pmin&(c.Pmin-1) != 0 {
@@ -112,7 +103,6 @@ func (c Config) withDefaults() (Config, error) {
 		{"AntiEntropyInterval", c.AntiEntropyInterval < 0},
 		{"FreezeTimeout", c.FreezeTimeout < 0},
 		{"LoadInterval", c.LoadInterval < 0},
-		{"MigrationChunkKeys", c.MigrationChunkKeys < 0},
 		{"FailoverPingMisses", c.FailoverPingMisses < 0},
 		{"TraceBuffer", c.TraceBuffer < 0},
 	} {
@@ -140,9 +130,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.LoadInterval == 0 {
 		c.LoadInterval = 500 * time.Millisecond
-	}
-	if c.MigrationChunkKeys == 0 {
-		c.MigrationChunkKeys = 512
 	}
 	if c.Balance.QuotaDeviation == 0 {
 		c.Balance.QuotaDeviation = 0.15
@@ -186,8 +173,8 @@ type Stats struct {
 	ReplRepairs    atomic.Int64 // buckets shipped by anti-entropy repair
 	ReplLagged     atomic.Int64 // replica exchanges that failed (lagging replica)
 	AEProbeMsgs    atomic.Int64 // anti-entropy probe messages sent (one per replica host per pass)
-	AEKeysHashed   atomic.Int64 // keys re-hashed because a whole replica bucket arrived (repair or re-homing)
-	ChunksSent     atomic.Int64 // live-migration chunks streamed
+	AEKeysHashed   atomic.Int64 // keys re-hashed because a whole replica bucket arrived (repair, re-homing or a move's base copy)
+	ChunksSent     atomic.Int64 // base copies shipped by partition moves (one per move)
 	MigAborts      atomic.Int64 // live migrations aborted (bucket back to live)
 	FreezeTimeouts atomic.Int64 // writes failed because a frozen partition never settled
 	Elections      atomic.Int64 // failover elections this snode decided for its copies
@@ -246,10 +233,9 @@ type bucket struct {
 	// backwards: split children, a transfer's install and a promoted
 	// bucket start at their source's version.
 	ver uint64
-	// mig is non-nil while the bucket streams out in a chunked live
-	// migration (see migrate.go); guarded by mu, as is the dirty set
-	// inside it.
-	mig *migSender
+	// dirty is non-nil while the bucket moves out (see migrate.go): the
+	// keys written (put or deleted) since the move's claim.  Guarded by mu.
+	dirty map[string]struct{}
 
 	// Load window counters, bumped atomically on the data path and folded
 	// into the EWMA rates by the snode's load ticker (load.go).
@@ -272,22 +258,29 @@ func (b *bucket) setState(st bucketState) {
 	b.mu.Lock()
 	b.state = st
 	if st == bucketDead {
-		b.kv, b.mig = nil, nil
+		b.kv, b.dirty = nil, nil
 	}
 	b.mu.Unlock()
 }
 
-// claim marks a live bucket as streaming out (migratePartition): writes
+// claim marks a live bucket as moving out (migratePartition): writes
 // from here on land in its dirty set, and no other transfer may pick it.
 // It reports false if the bucket is not live or is already claimed.
 func (b *bucket) claim() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.state != bucketLive || b.mig != nil {
+	if b.state != bucketLive || b.dirty != nil {
 		return false
 	}
-	b.mig = &migSender{dirty: make(map[string]struct{})}
+	b.dirty = make(map[string]struct{})
 	return true
+}
+
+// claimed reports whether the bucket is moving out.
+func (b *bucket) claimed() bool {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	return b.dirty != nil
 }
 
 // keys returns the bucket's current key count.
@@ -333,7 +326,6 @@ type Snode struct {
 	view      []transport.NodeID                         // guarded by mu; sorted DHT membership (replica placement)
 	viewEpoch uint64                                     // guarded by mu; highest membership epoch seen
 	rparts    map[hashspace.Partition]*replicaBucket     // guarded by mu; replica buckets backed for other primaries
-	migIn     map[hashspace.Partition]*migInbound        // guarded by mu; staging buckets of inbound live migrations
 	placed    map[hashspace.Partition][]transport.NodeID // guarded by mu; hosts that may hold a copy of an owned partition (fanoutLocked)
 	inDoubt   map[hashspace.Partition]*migIntent         // guarded by mu; unresolved journaled migration intents (recovery)
 
@@ -384,7 +376,6 @@ func newSnode(id transport.NodeID, cfg Config, net transport.Network) (*Snode, e
 		replicas: make(map[core.GroupID]*lpdrState),
 		led:      make(map[core.GroupID]*ledGroup),
 		rparts:   make(map[hashspace.Partition]*replicaBucket),
-		migIn:    make(map[hashspace.Partition]*migInbound),
 		placed:   make(map[hashspace.Partition][]transport.NodeID),
 		inDoubt:  make(map[hashspace.Partition]*migIntent),
 		done:     make(chan struct{}),
@@ -484,14 +475,8 @@ func (s *Snode) loop() {
 			go s.handleTransfer(m, env.From)
 		case shipVnodeReq:
 			go s.handleShipVnode(m, env.From)
-		case migBeginReq:
-			s.handleMigBegin(m, env.From)
-		case migChunkReq:
-			s.handleMigChunk(m, env.From)
 		case migCommitReq:
 			go s.handleMigCommit(m, env.From, env.Trace)
-		case migAbortMsg:
-			s.handleMigAbort(m)
 		case loadReportReq:
 			s.handleLoadReport(m, env.From)
 		case groupInit:
@@ -723,9 +708,8 @@ func (s *Snode) handleSplitAll(m splitAllReq, from transport.NodeID) {
 }
 
 // handleTransfer hands one partition of the victim vnode to the new owner
-// by chunked live migration (migrate.go): the bucket keeps serving reads
-// AND writes while its contents stream out, freezing only for the final
-// delta round-trip.
+// by live migration (migrate.go): the bucket keeps serving reads AND
+// writes while its base ships, freezing only for the delta round-trip.
 func (s *Snode) handleTransfer(m transferReq, from transport.NodeID) {
 	s.mu.Lock()
 	vs, ok := s.vnodes[m.From]
@@ -740,14 +724,14 @@ func (s *Snode) handleTransfer(m transferReq, from transport.NodeID) {
 		return
 	}
 	// Pick the victim partition uniformly among the live ones not already
-	// streaming out.  §2.5 step 4a says "choose a victim partition"
+	// moving out.  §2.5 step 4a says "choose a victim partition"
 	// without fixing the choice: all partitions in a scope have the same
 	// size, so it is invisible to balancement quality, and random matches
 	// the simulator.
 	var candidates []hashspace.Partition
 	for p, bk := range vs.parts {
 		bk.mu.RLock()
-		if bk.state == bucketLive && bk.mig == nil {
+		if bk.state == bucketLive && bk.dirty == nil {
 			candidates = append(candidates, p)
 		}
 		bk.mu.RUnlock()

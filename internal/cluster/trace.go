@@ -208,7 +208,7 @@ type latencies struct {
 	replAck  *metrics.Histogram // replica-ack wait per batch fan-out
 	walWait  *metrics.Histogram // WAL append → durable wait
 	walFsync *metrics.Histogram // the WAL's sync call alone (the log's own histogram once durability is open)
-	migChunk *metrics.Histogram // one migration chunk round-trip
+	migChunk *metrics.Histogram // one partition move's base-copy round-trip
 	aePass   *metrics.Histogram // one full anti-entropy pass
 }
 
@@ -230,7 +230,7 @@ type LatencySnapshot struct {
 	ReplicaAckWait  metrics.HistogramSnapshot // primary's wait for replica write acks
 	WALDurableWait  metrics.HistogramSnapshot // WAL append → durable (group-commit) wait
 	WALFsync        metrics.HistogramSnapshot // the WAL's sync call alone, without the queueing in front of it
-	MigrationChunk  metrics.HistogramSnapshot // one live-migration chunk round-trip
+	MigrationChunk  metrics.HistogramSnapshot // one partition move's base-copy round-trip
 	AntiEntropyPass metrics.HistogramSnapshot // one full anti-entropy pass
 }
 

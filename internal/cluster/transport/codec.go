@@ -48,10 +48,14 @@ import (
 // their replica hosts.  v10 made one election round promote a copy:
 // promoteQueryResp (tag 83) lost its write-created-copy flag and gained the
 // exact-copy flag, the owner flag and the deepest known level, tags 84–86 were retired, and
-// migCommitReq (tag 15) gained the bucket's write version.
+// migCommitReq (tag 15) gained the bucket's write version.  v11 made a
+// partition move a replica sync plus an install: tags 11, 13 and 17 (the
+// staging bucket's begin, chunk and abort) were retired, migCommitReq
+// (tag 15) gained the group and level the begin carried, and the
+// anti-entropy digest inside replProbeReq (tag 7) gained the group.
 
 const (
-	wireVersion byte = 10
+	wireVersion byte = 11
 
 	// Frame flags (v2+).  flagTrace marks a trace context present in the
 	// header; flagSampled carries the head-sampling decision.

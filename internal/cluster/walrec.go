@@ -297,14 +297,14 @@ func splitStore(p hashspace.Partition, kv *kvStore) (lo, hi *kvStore) {
 	return lo, hi
 }
 
-// walMigInstallRec journals a bucket becoming the live owned partition of
-// vnode To — a live-migration commit at the receiver, or a failover
-// promotion — with the bucket's FULL contents (staging folded with the
-// final delta), so replay never depends on the volatile staging state: a
-// migration whose commit record is durable installs completely; one whose
-// commit never landed leaves the partition with its old owner, which
-// aborts and stays live.  Live, Data is the store the handler already
-// holds, digest and all; recovery hashes the decoded map once.
+// walMigInstallRec journals a replica copy becoming the live owned
+// partition of vnode To — a move's commit at the receiver, or a failover
+// promotion — with the bucket's FULL contents (the copy folded with a
+// move's final delta), so replay never depends on the delta: a move whose
+// commit record is durable installs completely; one whose commit never
+// landed leaves the partition with its old owner, which aborts and stays
+// live.  Live, Data is the store the handler already holds, digest and
+// all; recovery hashes the decoded map once.
 type walMigInstallRec struct {
 	To        VnodeName
 	Group     core.GroupID
@@ -323,9 +323,11 @@ func (rec *walMigInstallRec) fields(w *walker) {
 	w.store(&rec.Data)
 }
 
-// applyLocked makes Data the live bucket: ownership index, level/group
-// adoption, custody cleanup, replica-store cleanup.
+// applyLocked makes Data the live bucket: replica-store cleanup (the copy
+// left it as the record was journaled), ownership index, level/group
+// adoption, custody cleanup.
 func (rec *walMigInstallRec) applyLocked(s *Snode) {
+	s.dropReplicaLocked(rec.Partition)
 	vs, ok := s.vnodes[rec.To]
 	if !ok {
 		return
@@ -338,10 +340,8 @@ func (rec *walMigInstallRec) applyLocked(s *Snode) {
 	s.setOwnedLocked(rec.Partition, vs, bk)
 	vs.level = rec.Level
 	vs.group = rec.Group
-	// Owning again supersedes any old custody pointer for this region,
-	// and any replica copy we held of it for the previous primary.
+	// Owning again supersedes any old custody pointer for this region.
 	s.delTombLocked(rec.Partition)
-	s.dropReplicaLocked(rec.Partition)
 }
 
 // walBucketDropRec journals the sender-side retirement after a committed

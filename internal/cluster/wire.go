@@ -36,15 +36,14 @@ const (
 	// wireTagReplWriteResp carries ackResp, the one {Op, Err} response.
 	// The registry is append-only, so the tag keeps the name of the first
 	// acknowledgement that used it; 12, 14 and 16 are retired.
-	wireTagReplWriteResp    uint16 = 6
-	wireTagReplProbeReq     uint16 = 7
-	wireTagReplProbeResp    uint16 = 8
-	wireTagPingReq          uint16 = 9
-	wireTagPingResp         uint16 = 10
-	wireTagMigBeginReq      uint16 = 11
-	wireTagMigChunkReq      uint16 = 13
+	wireTagReplWriteResp uint16 = 6
+	wireTagReplProbeReq  uint16 = 7
+	wireTagReplProbeResp uint16 = 8
+	wireTagPingReq       uint16 = 9
+	wireTagPingResp      uint16 = 10
+	// 11, 13 and 17 are retired: the staging bucket's begin, chunk and
+	// abort, which a replica sync and a replica drop replaced.
 	wireTagMigCommitReq     uint16 = 15
-	wireTagMigAbort         uint16 = 17
 	wireTagLoadReq          uint16 = 18
 	wireTagLoadResp         uint16 = 19
 	wireTagCreateVnodeReq   uint16 = 64
@@ -89,10 +88,7 @@ var wireMessages = []struct {
 	{wireTagReplProbeResp, walkDecoder((*replProbeResp).fields)},
 	{wireTagPingReq, walkDecoder((*pingReq).fields)},
 	{wireTagPingResp, walkDecoder((*pingResp).fields)},
-	{wireTagMigBeginReq, walkDecoder((*migBeginReq).fields)},
-	{wireTagMigChunkReq, walkDecoder((*migChunkReq).fields)},
 	{wireTagMigCommitReq, walkDecoder((*migCommitReq).fields)},
-	{wireTagMigAbort, walkDecoder((*migAbortMsg).fields)},
 	{wireTagLoadReq, walkDecoder((*loadReportReq).fields)},
 	{wireTagLoadResp, walkDecoder((*loadReportResp).fields)},
 	{wireTagCreateVnodeReq, walkDecoder((*createVnodeReq).fields)},
@@ -359,6 +355,7 @@ func (d *partDigest) fields(w *walker) {
 	w.partition(&d.Partition)
 	w.int(&d.Count)
 	w.u64(&d.Sum)
+	w.group(&d.Group)
 }
 
 func (it *migItem) fields(w *walker) {
@@ -486,52 +483,21 @@ func (m pingResp) AppendWire(b []byte) []byte { return appendWalk(b, &m, (*pingR
 
 func (m *pingResp) fields(w *walker) { w.u64(&m.Op) }
 
-// --- chunked live migration ---
-
-func (m migBeginReq) WireTag() uint16            { return wireTagMigBeginReq }
-func (m migBeginReq) AppendWire(b []byte) []byte { return appendWalk(b, &m, (*migBeginReq).fields) }
-
-func (m *migBeginReq) fields(w *walker) {
-	w.u64(&m.Op)
-	w.group(&m.Group)
-	m.To.fields(w)
-	w.partition(&m.Partition)
-	w.level(&m.Level)
-}
-
-func (m migChunkReq) WireTag() uint16            { return wireTagMigChunkReq }
-func (m migChunkReq) AppendWire(b []byte) []byte { return appendWalk(b, &m, (*migChunkReq).fields) }
-
-func (m *migChunkReq) fields(w *walker) {
-	w.u64(&m.Op)
-	m.To.fields(w)
-	w.partition(&m.Partition)
-	for i := range sliceOf(w, &m.Items, 3) {
-		m.Items[i].fields(w)
-	}
-}
+// --- live migration ---
 
 func (m migCommitReq) WireTag() uint16            { return wireTagMigCommitReq }
 func (m migCommitReq) AppendWire(b []byte) []byte { return appendWalk(b, &m, (*migCommitReq).fields) }
 
-// A commit carries a chunk's fields and the bucket's write version, which
-// the receiver's install starts at.
 func (m *migCommitReq) fields(w *walker) {
 	w.u64(&m.Op)
 	m.To.fields(w)
+	w.group(&m.Group)
+	w.level(&m.Level)
 	w.partition(&m.Partition)
 	for i := range sliceOf(w, &m.Items, 3) {
 		m.Items[i].fields(w)
 	}
 	w.u64(&m.Ver)
-}
-
-func (m migAbortMsg) WireTag() uint16            { return wireTagMigAbort }
-func (m migAbortMsg) AppendWire(b []byte) []byte { return appendWalk(b, &m, (*migAbortMsg).fields) }
-
-func (m *migAbortMsg) fields(w *walker) {
-	m.To.fields(w)
-	w.partition(&m.Partition)
 }
 
 // --- load reports ---

@@ -74,7 +74,7 @@ func wireSamples() []transport.WireMessage {
 		ackResp{Op: 16, Err: "lagging"},
 		ackResp{Op: 16},
 		replProbeReq{Op: 17, Digests: []partDigest{
-			{Partition: p, Count: 321, Sum: 1<<63 + 5},
+			{Partition: p, Count: 321, Sum: 1<<63 + 5, Group: core.GroupID{Bits: 0b10, Len: 2}},
 			{Partition: p.Sibling()}, // empty bucket
 		}},
 		replProbeReq{Op: 17}, // nothing placed at the host
@@ -82,18 +82,13 @@ func wireSamples() []transport.WireMessage {
 		replProbeResp{Op: 18}, // all in sync
 		pingReq{Op: 19},
 		pingResp{Op: 20},
-		migBeginReq{Op: 21, Group: core.GroupID{Bits: 0b10, Len: 2}, To: owner,
-			Partition: p, Level: 4},
-		migChunkReq{Op: 23, To: owner, Partition: p, Items: []migItem{
-			{Key: "live", Value: []byte("v1")},
-			{Key: "gone", Del: true},
-			{Key: "empty"}, // nil value, not deleted
-		}},
-		migChunkReq{Op: 24, To: owner, Partition: p}, // empty chunk
-		migCommitReq{Op: 26, To: owner, Partition: p, Items: []migItem{
-			{Key: "final", Value: []byte("vf")},
-		}, Ver: 41},
-		migAbortMsg{To: owner, Partition: p},
+		migCommitReq{Op: 26, To: owner, Group: core.GroupID{Bits: 0b10, Len: 2}, Level: 4,
+			Partition: p, Items: []migItem{
+				{Key: "live", Value: []byte("v1")},
+				{Key: "gone", Del: true},
+				{Key: "empty"}, // nil value, not deleted
+			}, Ver: 41},
+		migCommitReq{Op: 27, To: owner, Partition: p}, // empty delta
 		loadReportReq{Op: 28},
 		loadReportResp{Op: 29, Vnodes: 4, Keys: 12345, Quota: 0.375,
 			Reads: 1234.5, Writes: 0.25, Bytes: 9.75e6},
@@ -600,10 +595,7 @@ func TestWireRejectsInvalidPartition(t *testing.T) {
 				replWriteReq{Sets: []replWriteSet{{Partition: bad.p}}},
 				replProbeReq{Digests: []partDigest{{Partition: bad.p}}},
 				replProbeResp{OutOfSync: []hashspace.Partition{bad.p}},
-				migBeginReq{Partition: bad.p},
-				migChunkReq{Partition: bad.p},
 				migCommitReq{Partition: bad.p},
-				migAbortMsg{Partition: bad.p},
 				transferResp{Partition: bad.p},
 				snodeLeavingMsg{Routes: []routeEntry{{Partition: bad.p}}},
 				snodeRecoveredMsg{Routes: []routeEntry{{Partition: bad.p}}},
@@ -620,7 +612,7 @@ func TestWireRejectsInvalidPartition(t *testing.T) {
 	for _, m := range []transport.WireMessage{
 		splitAllReq{NewLevel: hashspace.MaxLevel + 1},
 		transferReq{Level: 255},
-		migBeginReq{Level: 255},
+		migCommitReq{Level: 255},
 		groupInit{State: lpdrState{Level: hashspace.MaxLevel + 1}},
 		lpdrSyncMsg{State: lpdrState{Level: 255}},
 		promoteQueryResp{Level: hashspace.MaxLevel + 1},
@@ -635,7 +627,8 @@ func TestWireRejectsInvalidPartition(t *testing.T) {
 		bad := core.GroupID{Len: n}
 		for _, m := range []transport.WireMessage{
 			lookupResp{Group: bad},
-			migBeginReq{Group: bad},
+			migCommitReq{Group: bad},
+			replProbeReq{Digests: []partDigest{{Group: bad}}},
 			createVnodeResp{Group: bad},
 			replSyncReq{Group: bad},
 		} {

@@ -669,7 +669,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		counter("dbdht_data_ops_total", "data operations applied", st.Stats.DataOps),
 		counter("dbdht_requeues_total", "operations requeued on frozen partitions", st.Stats.Requeues),
 		counter("dbdht_batches_total", "batch requests handled", st.Stats.Batches),
-		counter("dbdht_migration_chunks_total", "live-migration chunks streamed", st.Stats.ChunksSent),
+		counter("dbdht_migration_chunks_total", "base copies shipped by partition moves, one per move", st.Stats.ChunksSent),
 		counter("dbdht_migration_aborts_total", "live migrations aborted", st.Stats.MigAborts),
 		counter("dbdht_freeze_timeouts_total", "writes failed on a frozen partition that never settled", st.Stats.FreezeTimeouts),
 		counter("dbdht_repl_writes_total", "writes applied to replica buckets", st.Stats.ReplWrites),
@@ -693,7 +693,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		metrics.HistogramFamily("dbdht_wal_fsync_seconds",
 			"the WAL's sync call alone (device time, without the group-commit queue)", lat.WALFsync),
 		metrics.HistogramFamily("dbdht_migration_chunk_seconds",
-			"one live-migration chunk transfer", lat.MigrationChunk),
+			"one partition move's base copy, shipped and acknowledged", lat.MigrationChunk),
 		metrics.HistogramFamily("dbdht_anti_entropy_pass_seconds",
 			"one anti-entropy repair pass", lat.AntiEntropyPass),
 	)
