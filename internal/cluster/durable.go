@@ -236,6 +236,25 @@ func (s *Snode) openDurabilityLocked() error {
 			delete(s.inDoubt, p)
 		}
 	}
+	// A copy no primary feeds is the leftover of a move cut between its
+	// sync and its commit or abort: at R=1 every copy is one (neither
+	// anti-entropy nor failover will ever drop it), and so is a copy of a
+	// partition this snode owns (a move between two of its vnodes).  The
+	// drop is journaled, so the next replay does not rebuild them.
+	unfed := replDropMsg{}
+	for q := range s.rparts {
+		own := s.cfg.Replicas <= 1
+		for p := range s.owned {
+			own = own || p.Overlaps(q)
+		}
+		if own {
+			unfed.Partitions = append(unfed.Partitions, q)
+		}
+	}
+	if len(unfed.Partitions) > 0 {
+		unfed.applyLocked(s)
+		s.journal(unfed.walTag(), unfed.fields)
+	}
 	// Reinstall leadership for the groups this snode led: the recovered
 	// LPDR states carry the leader, and installLeaderLocked rebuilds the
 	// balance table from the members.

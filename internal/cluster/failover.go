@@ -259,7 +259,7 @@ func (s *Snode) promotePartition(p hashspace.Partition, dead transport.NodeID, k
 	// The install is journaled before it goes live, exactly like a
 	// move's, so a crash mid-promotion replays to the same outcome.
 	ver := b.ver
-	if err := s.installLocked(install, ver, keep); err != nil {
+	if err := s.installLocked(install, ver, keep, 0); err != nil {
 		return err
 	}
 	route := routeEntry{Partition: p, Ref: ownerRef{Vnode: install.To, Host: s.id}}

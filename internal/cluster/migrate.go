@@ -35,10 +35,13 @@ import (
 // sync made B a holder it was not before, B leaves p's fan-out set and
 // drops the copy (replDropMsg), so the partition stays owned by exactly
 // one host and no copy the move added outlives it.  The one ambiguous
-// case is a commit whose ACK is lost after B installed: A then probes B
-// with a lookup and completes the handover if B answers as owner,
-// aborting only when B provably does not own the region — reverting
-// blindly would leave both sides serving.
+// case is a commit whose ACK is lost: B may have installed, or may still
+// be waiting for its install to be durable.  A then probes B with a
+// lookup and completes the handover if B answers as owner.  Its last
+// probe follows a drop of p on the same ordered link: B either went live
+// before the drop, and the probe sees it, or the drop makes B refuse the
+// install when its wait ends (installLocked).  Only then does A abort —
+// reverting blindly would leave both sides serving.
 //
 // The handover is journaled in two phases: right before the commit RPC —
 // while the bucket is frozen — A journals a *migration intent*
@@ -119,10 +122,21 @@ func (s *Snode) migratePartition(g core.GroupID, to VnodeName, toHost transport.
 	root := beginSpan(s.sampler.next(), "mig.partition")
 
 	// The receiver may hold a copy already, as a target of p or a host of
-	// its fan-out set; an abort drops only a copy this move added.
+	// its fan-out set; an abort unplaces it only if this move placed it.
+	// The drop goes once: after a lost commit ACK, before the last probe.
 	s.mu.Lock()
 	added := !slices.Contains(s.replicaHostsLocked(p), toHost) && !slices.Contains(s.placed[p], toHost)
 	s.mu.Unlock()
+	dropped := false
+	drop := func() {
+		dropped = true
+		s.mu.Lock()
+		if i := slices.Index(s.placed[p], toHost); added && i >= 0 {
+			s.setPlacedLocked(p, slices.Delete(slices.Clone(s.placed[p]), i, i+1))
+		}
+		s.mu.Unlock()
+		s.send(toHost, untraced, replDropMsg{Partitions: []hashspace.Partition{p}})
+	}
 	moved := 0
 	abort := func(err error) (int, error) {
 		bk.mu.Lock()
@@ -131,8 +145,8 @@ func (s *Snode) migratePartition(g core.GroupID, to VnodeName, toHost transport.
 			bk.state = bucketLive
 		}
 		bk.mu.Unlock()
-		if added {
-			s.dropCopy(p, toHost)
+		if added && !dropped {
+			drop()
 		}
 		s.stats.MigAborts.Add(1)
 		s.tracer.finish(root, s.id, err.Error())
@@ -199,23 +213,22 @@ func (s *Snode) migratePartition(g core.GroupID, to VnodeName, toHost transport.
 		return abortResolved(fmt.Errorf("cluster: migration commit at %d: %w", toHost, err))
 	}
 	if err != nil {
-		// The commit RPC failing does NOT mean the commit failed: the
-		// receiver installs before acking (and re-homes replicas, which
-		// can outlast the RPC timeout), so the install may have landed
-		// with only its ack lost.  Blindly reverting to live would leave
-		// BOTH snodes serving the partition.  Ask the receiver who owns
-		// the region now and complete the handover if it answers as
-		// owner; a redirect is a not-owning answer, and is not followed.
-		// A probe error or a not-yet-owning answer is retried
-		// with a pause: the commit handler runs in its own goroutine, so
-		// a just-dispatched install may still be racing the (inline)
-		// lookup.  Abort only when the receiver repeatedly answers as
-		// NOT owning, or never answers at all (under the model's
-		// no-partition assumption an unreachable receiver has crashed,
-		// and a crashed receiver serves nobody, so reverting to live
-		// cannot create a second server).
-		for attempt := 0; attempt < 5; attempt++ {
-			if attempt > 0 {
+		// A failed commit RPC is not a failed commit: the install may
+		// have landed with only its ACK lost, or still be in its durable
+		// wait, and reverting blindly would leave BOTH snodes serving.
+		// Ask the receiver; complete the handover if it answers as owner
+		// (a redirect is a not-owning answer).  Probes are retried with a
+		// pause, since the commit handler runs in its own goroutine, and
+		// the last goes out behind a drop of p that the receiver handles
+		// first (one ordered link, both inline): an install not live by
+		// then is refused when its wait ends, so that answer is final.
+		// A receiver that never answers has crashed under the model's
+		// no-partition assumption, and serves nobody.
+		for attempt := 0; attempt < 5 && err != nil; attempt++ {
+			switch {
+			case attempt == 4:
+				drop()
+			case attempt > 0:
 				time.Sleep(20 * time.Millisecond)
 			}
 			lr, lerr := ask[lookupResp](&s.endpoint, toHost, untraced, func(op uint64) transport.WireMessage {
@@ -223,7 +236,6 @@ func (s *Snode) migratePartition(g core.GroupID, to VnodeName, toHost transport.
 			})
 			if lerr == nil && lr.Owner == to && lr.Host == toHost && lr.Partition == p {
 				err = nil
-				break
 			}
 		}
 		if err != nil {
@@ -288,29 +300,48 @@ func (s *Snode) installMoved(m migCommitReq, from transport.NodeID) error {
 			b.kv.put(it.Key, it.Value)
 		}
 	}
-	return s.installLocked(walMigInstallRec{To: m.To, Group: m.Group, Level: m.Level, Partition: m.Partition, Data: b.kv}, m.Ver, nil)
+	return s.installLocked(walMigInstallRec{To: m.To, Group: m.Group, Level: m.Level, Partition: m.Partition, Data: b.kv}, m.Ver, nil, from)
 }
 
 // installLocked makes the replica copy rec.Data the live bucket of vnode
-// rec.To — a move's commit, or a failover promotion.  The copy leaves the
-// replica store as its install is journaled, so no replica write still in
-// flight can change a store the journal holds, and no second install can
-// take the same copy.  The install is made durable BEFORE it goes live: an
-// error reply makes a move's sender abort back to a live bucket, so
-// installing first and then failing the wait would leave both sides
-// serving.  The bucket then starts at write version ver, and keep, if
+// rec.To — a move's commit from snode from, or a failover promotion (from
+// 0).  The copy leaves the replica store as its install is journaled, so
+// no replica write still in flight can change a store the journal holds,
+// and no second install can take the same copy.  The install is made
+// durable BEFORE it goes live: an error reply makes a move's sender abort
+// back to a live bucket, so installing first and then failing the wait
+// would leave both sides serving.  For the same reason a move's install
+// stays in s.installing across the wait: a drop of p meanwhile means the
+// sender gave the move up (its commit ACK was lost), so the install is
+// refused, and journaled back to the sender so a replay does not install
+// it either.  The bucket then starts at write version ver, and keep, if
 // any, becomes p's fan-out set.  Caller holds s.mu; installLocked
 // releases it.
-func (s *Snode) installLocked(rec walMigInstallRec, ver uint64, keep []transport.NodeID) error {
+func (s *Snode) installLocked(rec walMigInstallRec, ver uint64, keep []transport.NodeID, from transport.NodeID) error {
 	p := rec.Partition
 	s.dropReplicaLocked(p)
+	if from != 0 {
+		s.installing[p] = rec.Data
+	}
 	seq := s.journal(rec.walTag(), rec.fields)
 	s.mu.Unlock()
-	if !s.awaitDurable(seq) {
+	durable := s.awaitDurable(seq)
+	s.mu.Lock()
+	if from != 0 && s.installing[p] != rec.Data {
+		back := walBucketDropRec{Vnode: rec.To, Partition: p, NewOwner: ownerRef{Host: from}}
+		back.applyLocked(s)
+		seq := s.journal(back.walTag(), back.fields)
+		s.mu.Unlock()
+		s.awaitDurable(seq)
+		return fmt.Errorf("cluster: move of %v given up by %d during its install at %d", p, from, s.id)
+	}
+	defer s.mu.Unlock()
+	if from != 0 {
+		delete(s.installing, p)
+	}
+	if !durable {
 		return fmt.Errorf("cluster: snode %d stopping: install not durable", s.id)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	vs, ok := s.vnodes[rec.To]
 	if !ok {
 		return fmt.Errorf("cluster: vnode %v vanished at %d during install", rec.To, s.id)
@@ -363,9 +394,12 @@ func (s *Snode) resolveIntents() {
 //     itself, or a third party after a later handover) ⇒ the commit
 //     landed; finalize the drop exactly like a clean handover;
 //   - the lookup resolves back to THIS snode (the receiver's redirects
-//     led here and our own frozen bucket answered) ⇒ the receiver provably
-//     does not own the region, so the commit never landed; revert to
-//     live and let the receiver drop the copy the move gave it;
+//     led here and our own frozen bucket answered) ⇒ the receiver does
+//     not own the region yet.  A drop of p goes to the receiver and the
+//     probe is repeated behind it, as a lost commit ACK's last probe is
+//     (migratePartition): the drop makes an install still in its durable
+//     wait fail, and takes the copy the move gave the receiver.  If the
+//     probe still resolves here, the commit never landed; revert to live;
 //   - the receiver is unreachable or the lookup fails ⇒ stay frozen and
 //     retry: the receiver may have durably committed and be mid-restart,
 //     and a blind revert would put two live copies on the fabric.
@@ -394,7 +428,11 @@ func (s *Snode) resolveIntentOnce(p hashspace.Partition) {
 		return
 	}
 	if lr.Host == s.id && lr.Partition == p {
-		s.revertIntent(p, in)
+		s.send(in.newOwner.Host, untraced, replDropMsg{Partitions: []hashspace.Partition{p}})
+		lr, err = s.lookupFrom(in.newOwner.Host, p.Start(), timeout)
+		if err == nil && lr.Host == s.id && lr.Partition == p {
+			s.revertIntent(p, in)
+		}
 	}
 }
 
@@ -428,8 +466,9 @@ func (s *Snode) finalizeIntent(p hashspace.Partition, in *migIntent) {
 
 // revertIntent settles a crashed handover whose receiver provably never
 // committed: the frozen bucket goes back to live (requeued writes
-// proceed), the resolution is journaled, and the receiver drops the copy
-// the move's sync gave it, unless it holds one as a replica of p.
+// proceed) and the resolution is journaled.  The receiver's copy went
+// with the drop resolveIntentOnce sent, and `placed`, volatile, holds
+// nothing for p since the restart.
 func (s *Snode) revertIntent(p hashspace.Partition, in *migIntent) {
 	resolved := walMigIntentResolvedRec{Partition: p}
 	s.mu.Lock()
@@ -449,24 +488,8 @@ func (s *Snode) revertIntent(p hashspace.Partition, in *migIntent) {
 		bk.mu.Unlock()
 	}
 	s.journal(resolved.walTag(), resolved.fields)
-	host := in.newOwner.Host
-	added := !slices.Contains(s.replicaHostsLocked(p), host) && !slices.Contains(s.placed[p], host)
 	s.mu.Unlock()
-	if added {
-		s.dropCopy(p, host)
-	}
 	s.stats.MigAborts.Add(1)
 	s.log.Info("migration intent reverted: receiver never committed",
 		"partition", p.String(), "to", int(in.newOwner.Host))
-}
-
-// dropCopy undoes a move's sync that made host a holder of owned
-// partition p: host leaves p's fan-out set and drops its copy.
-func (s *Snode) dropCopy(p hashspace.Partition, host transport.NodeID) {
-	s.mu.Lock()
-	if i := slices.Index(s.placed[p], host); i >= 0 {
-		s.setPlacedLocked(p, slices.Delete(slices.Clone(s.placed[p]), i, i+1))
-	}
-	s.mu.Unlock()
-	s.send(host, untraced, replDropMsg{Partitions: []hashspace.Partition{p}})
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -17,14 +18,17 @@ import (
 // alone, an aborted move drops only the copy it made, and `placed` names
 // only hosts of partitions their snode owns.
 
-// moveCluster boots snodes snodes of cfg (its replicas, durability and
-// faults) with anti-entropy paced at an hour (a test runs its passes
-// itself), one vnode on the first snode and 500 acknowledged keys, and
-// places every copy with one pass per snode.
+// moveCluster boots snodes snodes of cfg (its replicas, durability,
+// faults and RPC timeout, 10 s if unset) with anti-entropy paced at an
+// hour (a test runs its passes itself), one vnode on the first snode and
+// 500 acknowledged keys, and places every copy with one pass per snode.
 func moveCluster(t *testing.T, snodes int, cfg Config) (*Cluster, []*Snode, map[string][]byte) {
 	t.Helper()
 	cfg.Pmin, cfg.Vmin, cfg.Seed = 8, 4, 11
-	cfg.RPCTimeout, cfg.AntiEntropyInterval = 10*time.Second, time.Hour
+	cfg.AntiEntropyInterval = time.Hour
+	if cfg.RPCTimeout == 0 {
+		cfg.RPCTimeout = 10 * time.Second
+	}
 	c, err := New(cfg, transport.NewMem())
 	if err != nil {
 		t.Fatal(err)
@@ -151,6 +155,195 @@ func TestMoveInstallFreezesCopy(t *testing.T) {
 		t.Fatalf("join: %v", err)
 	}
 	verifyReadable(t, c, acked)
+}
+
+// owners counts the snodes of ss that own the region of p.
+func owners(ss []*Snode, p hashspace.Partition) int {
+	n := 0
+	for _, s := range ss {
+		s.mu.Lock()
+		if _, _, ok := s.ownedForLocked(p.Start()); ok {
+			n++
+		}
+		s.mu.Unlock()
+	}
+	return n
+}
+
+// TestMoveGivenUpDuringInstallLeavesOneOwner moves a partition to a
+// vnode that stays when the move fails, and holds the install in its
+// durable wait longer than the commit's RPC timeout: the sender sees no
+// ACK, finds the receiver not owning the partition and aborts.  The
+// install must not go live after that, whether the move made the
+// receiver a holder (R=1) or it was a target already (R=2), nor come back
+// when the receiver replays its journal: exactly one snode owns it.
+func TestMoveGivenUpDuringInstallLeavesOneOwner(t *testing.T) {
+	for _, r := range []int{1, 2} {
+		t.Run(fmt.Sprintf("R%d", r), func(t *testing.T) {
+			faults := wal.NewFaults(1)
+			c, ss, acked := moveCluster(t, 2, Config{Replicas: r, RPCTimeout: 500 * time.Millisecond, Durability: DurabilityConfig{
+				Dir: t.TempDir(), Fsync: wal.FsyncBatch, SnapshotInterval: -1, Faults: faults,
+			}})
+			sender, receiver := ss[0], ss[1]
+			to, _, err := c.CreateVnode(receiver.id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			receiver.mu.Lock()
+			rv := receiver.vnodes[to]
+			receiver.mu.Unlock()
+			sender.mu.Lock()
+			var vs *vnodeState
+			var p hashspace.Partition
+			for _, v := range sender.vnodes {
+				for q := range v.parts {
+					vs, p = v, q
+				}
+			}
+			sender.mu.Unlock()
+			if vs == nil || vs.group != rv.group || vs.level != rv.level {
+				t.Fatalf("no partition at the sender in the receiver's group %v, level %d", rv.group, rv.level)
+			}
+			bk := vs.parts[p]
+			if !bk.claim() {
+				t.Fatalf("%v not claimable", p)
+			}
+			armCommitHook(sender, func(hashspace.Partition) error {
+				faults.SetSlowFsync(1500*time.Millisecond, 0)
+				return nil
+			})
+			if _, err := sender.migratePartition(vs.group, to, receiver.id, p, vs.level, vs, bk); err == nil {
+				t.Fatal("the move committed although its install outlasted the commit's timeout")
+			}
+			// The install's wait ends with the receiver owning p, or with
+			// the custody pointer its refusal journals.
+			for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+				receiver.mu.Lock()
+				_, tombed := receiver.tombs[p]
+				_, _, owned := receiver.ownedForLocked(p.Start())
+				receiver.mu.Unlock()
+				if tombed || owned {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("the install of %v never ended", p)
+				}
+			}
+			faults.Heal()
+			if n := owners(ss, p); n != 1 {
+				t.Fatalf("%d snodes own %v after its move was given up", n, p)
+			}
+			if r == 1 {
+				receiver.dur.log.WaitDurable(receiver.dur.log.NextSeq() - 1)
+				if err := c.KillSnode(receiver.id); err != nil {
+					t.Fatal(err)
+				}
+				if err := c.RestartSnode(receiver.id); err != nil {
+					t.Fatal(err)
+				}
+				if n := owners(c.liveSnodes(), p); n != 1 {
+					t.Fatalf("%d snodes own %v after the receiver replayed its journal", n, p)
+				}
+			}
+			verifyReadable(t, c, acked)
+		})
+	}
+}
+
+// TestRecoveryDropsUnfedCopies: a copy that no primary will feed or
+// drop is gone once its snode recovers — a move's receiver that crashed
+// between the sync and the commit at R=1, and a copy of a partition the
+// snode itself owns, as a move between two of its vnodes leaves.
+func TestRecoveryDropsUnfedCopies(t *testing.T) {
+	t.Run("R1/receiver-crashed-before-commit", func(t *testing.T) {
+		c, ss, acked := moveCluster(t, 2, Config{Replicas: 1, Durability: DurabilityConfig{
+			Dir: t.TempDir(), Fsync: wal.FsyncBatch, SnapshotInterval: -1,
+		}})
+		sender, receiver := ss[0], ss[1]
+		reached := make(chan hashspace.Partition, 1)
+		release := make(chan struct{})
+		var first atomic.Bool
+		armCommitHook(sender, func(p hashspace.Partition) error {
+			if first.CompareAndSwap(false, true) {
+				reached <- p
+				<-release
+			}
+			return nil
+		})
+		joined := make(chan struct{})
+		go func() {
+			defer close(joined)
+			_, _, _ = c.CreateVnode(receiver.id)
+		}()
+		var p hashspace.Partition
+		select {
+		case p = <-reached:
+		case <-time.After(10 * time.Second):
+			t.Fatal("no move reached its commit")
+		}
+		receiver.mu.Lock()
+		_, held := receiver.rparts[p]
+		receiver.mu.Unlock()
+		if !held {
+			t.Fatalf("the receiver holds no copy of %v at the commit", p)
+		}
+		if err := c.KillSnode(receiver.id); err != nil {
+			t.Fatal(err)
+		}
+		close(release)
+		<-joined
+		if err := c.RestartSnode(receiver.id); err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range c.liveSnodes() {
+			s.mu.Lock()
+			if len(s.rparts) > 0 {
+				t.Errorf("snode %d keeps %d copies at R=1 after its restart", s.id, len(s.rparts))
+			}
+			s.mu.Unlock()
+		}
+		verifyReadable(t, c, acked)
+	})
+	t.Run("R2/copy-of-own-partition", func(t *testing.T) {
+		dir := t.TempDir()
+		cfg := Config{Replicas: 2, Durability: DurabilityConfig{Dir: dir, Fsync: wal.FsyncBatch, SnapshotInterval: -1}}
+		c, ss, acked := moveCluster(t, 2, cfg)
+		a := ss[0]
+		a.mu.Lock()
+		var p hashspace.Partition
+		for p = range a.owned {
+			break
+		}
+		a.mu.Unlock()
+		if _, _, err := a.syncReplica(p, a.id); err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+		cfg.Pmin, cfg.Vmin, cfg.Seed = 8, 4, 11
+		cfg.RPCTimeout, cfg.AntiEntropyInterval = 10*time.Second, time.Hour
+		c2, err := New(cfg, transport.NewMem())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(c2.Close)
+		for range ss {
+			if _, err := c2.AddSnode(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, s := range c2.liveSnodes() {
+			s.mu.Lock()
+			for q := range s.rparts {
+				for o := range s.owned {
+					if o.Overlaps(q) {
+						t.Errorf("snode %d keeps a copy of %v, which overlaps its own %v", s.id, q, o)
+					}
+				}
+			}
+			s.mu.Unlock()
+		}
+		verifyReadable(t, c2, acked)
+	})
 }
 
 // TestAntiEntropyLeavesClaimedBucketAlone: a pass neither probes nor

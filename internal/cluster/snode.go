@@ -311,23 +311,24 @@ type Snode struct {
 	cfg      Config
 	inbox    <-chan transport.Envelope
 
-	mu        sync.Mutex
-	rng       *rand.Rand                                 // guarded by mu; the snode's own, seeded from Config.Seed
-	vnodes    map[VnodeName]*vnodeState                  // guarded by mu
-	owned     map[hashspace.Partition]ownedRef           // guarded by mu; ownership index over every hosted vnode's partitions
-	ownedLvls hashspace.LevelSet                         // guarded by mu
-	nextLocal int                                        // guarded by mu
-	tombs     map[hashspace.Partition]ownerRef           // guarded by mu; custody forwarding pointers
-	tombLvls  hashspace.LevelSet                         // guarded by mu
-	boot      ownerRef                                   // guarded by mu
-	hasBoot   bool                                       // guarded by mu
-	replicas  map[core.GroupID]*lpdrState                // guarded by mu
-	led       map[core.GroupID]*ledGroup                 // guarded by mu
-	view      []transport.NodeID                         // guarded by mu; sorted DHT membership (replica placement)
-	viewEpoch uint64                                     // guarded by mu; highest membership epoch seen
-	rparts    map[hashspace.Partition]*replicaBucket     // guarded by mu; replica buckets backed for other primaries
-	placed    map[hashspace.Partition][]transport.NodeID // guarded by mu; hosts that may hold a copy of an owned partition (fanoutLocked)
-	inDoubt   map[hashspace.Partition]*migIntent         // guarded by mu; unresolved journaled migration intents (recovery)
+	mu         sync.Mutex
+	rng        *rand.Rand                                 // guarded by mu; the snode's own, seeded from Config.Seed
+	vnodes     map[VnodeName]*vnodeState                  // guarded by mu
+	owned      map[hashspace.Partition]ownedRef           // guarded by mu; ownership index over every hosted vnode's partitions
+	ownedLvls  hashspace.LevelSet                         // guarded by mu
+	nextLocal  int                                        // guarded by mu
+	tombs      map[hashspace.Partition]ownerRef           // guarded by mu; custody forwarding pointers
+	tombLvls   hashspace.LevelSet                         // guarded by mu
+	boot       ownerRef                                   // guarded by mu
+	hasBoot    bool                                       // guarded by mu
+	replicas   map[core.GroupID]*lpdrState                // guarded by mu
+	led        map[core.GroupID]*ledGroup                 // guarded by mu
+	view       []transport.NodeID                         // guarded by mu; sorted DHT membership (replica placement)
+	viewEpoch  uint64                                     // guarded by mu; highest membership epoch seen
+	rparts     map[hashspace.Partition]*replicaBucket     // guarded by mu; replica buckets backed for other primaries
+	placed     map[hashspace.Partition][]transport.NodeID // guarded by mu; hosts that may hold a copy of an owned partition (fanoutLocked)
+	inDoubt    map[hashspace.Partition]*migIntent         // guarded by mu; unresolved journaled migration intents (recovery)
+	installing map[hashspace.Partition]*kvStore           // guarded by mu; copies a move's install holds across its durable wait (installLocked)
 
 	// routeEpoch tags the routes this snode's batch replies teach; it
 	// changes whenever one of them would (bumpRouteEpochLocked).
@@ -367,21 +368,22 @@ type Snode struct {
 // observes a half-recovered store.
 func newSnode(id transport.NodeID, cfg Config, net transport.Network) (*Snode, error) {
 	s := &Snode{
-		endpoint: newEndpoint(id, net, cfg.RPCTimeout),
-		cfg:      cfg,
-		rng:      rand.New(rand.NewSource(cfg.Seed ^ int64(uint64(id)*0x9E3779B97F4A7C15))),
-		vnodes:   make(map[VnodeName]*vnodeState),
-		owned:    make(map[hashspace.Partition]ownedRef),
-		tombs:    make(map[hashspace.Partition]ownerRef),
-		replicas: make(map[core.GroupID]*lpdrState),
-		led:      make(map[core.GroupID]*ledGroup),
-		rparts:   make(map[hashspace.Partition]*replicaBucket),
-		placed:   make(map[hashspace.Partition][]transport.NodeID),
-		inDoubt:  make(map[hashspace.Partition]*migIntent),
-		done:     make(chan struct{}),
-		tracer:   newTracer(cfg.TraceBuffer),
-		lat:      newLatencies(),
-		log:      cfg.Logger.With("snode", int(id)),
+		endpoint:   newEndpoint(id, net, cfg.RPCTimeout),
+		cfg:        cfg,
+		rng:        rand.New(rand.NewSource(cfg.Seed ^ int64(uint64(id)*0x9E3779B97F4A7C15))),
+		vnodes:     make(map[VnodeName]*vnodeState),
+		owned:      make(map[hashspace.Partition]ownedRef),
+		tombs:      make(map[hashspace.Partition]ownerRef),
+		replicas:   make(map[core.GroupID]*lpdrState),
+		led:        make(map[core.GroupID]*ledGroup),
+		rparts:     make(map[hashspace.Partition]*replicaBucket),
+		placed:     make(map[hashspace.Partition][]transport.NodeID),
+		inDoubt:    make(map[hashspace.Partition]*migIntent),
+		installing: make(map[hashspace.Partition]*kvStore),
+		done:       make(chan struct{}),
+		tracer:     newTracer(cfg.TraceBuffer),
+		lat:        newLatencies(),
+		log:        cfg.Logger.With("snode", int(id)),
 
 		// Never 0, the epoch a handle names when it knows none.
 		routeEpoch: routeEpochs.Add(1),

@@ -436,6 +436,7 @@ func (*replDropMsg) walTag() uint16 { return walTagReplDrop }
 func (m *replDropMsg) applyLocked(s *Snode) {
 	for _, p := range m.Partitions {
 		s.dropReplicaLocked(p)
+		delete(s.installing, p) // a move given up: its install is refused
 	}
 }
 
