@@ -3,6 +3,7 @@ package balance
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"sort"
 )
 
@@ -246,30 +247,79 @@ func (t *Table[K]) maxExcluding(skip K) (k K, c int, ok bool) {
 	return k, c, ok
 }
 
-// PlanRemove removes the vnode k and assigns each of its partitions to the
-// vnode with the fewest partitions at that moment (the σ-minimizing greedy
-// placement; the symmetric counterpart of PlanCreate, used for the base
-// model's dynamic leave — feature (c) of §1).  It returns one destination
-// per orphaned partition, in order.  Destinations may exceed Pmax; callers
-// detect that via MergeNeeded and coalesce.
-func (t *Table[K]) PlanRemove(k K) (dests []K, err error) {
-	c, err := t.Remove(k)
-	if err != nil {
-		return nil, err
+// PlanLeave plans the departure of vnode k: each of its partitions goes to
+// the vnode with the fewest partitions at that moment (the σ-minimizing
+// greedy placement; the symmetric counterpart of PlanCreate, used for the
+// base model's dynamic leave — feature (c) of §1).  It returns one move out
+// of k per partition, and refuses to plan the departure of the scope's last
+// member, since dissolving a group is undefined in the model.  The table is
+// updated as if every move landed, with k left at zero; Revert takes back a
+// move that did not, and the caller removes k once it is empty.
+// Destinations may exceed Pmax; callers detect that via MergeNeeded and
+// coalesce.
+func (t *Table[K]) PlanLeave(k K) ([]Move[K], error) {
+	c, ok := t.counts[k]
+	if !ok {
+		return nil, fmt.Errorf("balance: vnode %v not in table", k)
 	}
-	if len(t.counts) == 0 {
-		if c > 0 {
-			return nil, fmt.Errorf("balance: removing last vnode %v orphans %d partitions", k, c)
-		}
-		return nil, nil
+	if len(t.counts) == 1 {
+		return nil, fmt.Errorf("balance: vnode %v is the last member of its group; dissolving a group is undefined in the model", k)
 	}
-	dests = make([]K, 0, c)
+	delete(t.counts, k)
+	moves := make([]Move[K], 0, c)
 	for i := 0; i < c; i++ {
 		dest, _, _ := t.Min()
 		t.counts[dest]++
-		dests = append(dests, dest)
+		moves = append(moves, Move[K]{From: k, To: dest})
 	}
-	return dests, nil
+	t.counts[k] = 0
+	return moves, nil
+}
+
+// Join is a group's decision for one joining vnode (§3.6, §3.7).
+type Join[K comparable] struct {
+	// Halves is nil unless the group is full.  Then the group splits into
+	// these two random halves of Vmin members, and the join goes to
+	// Halves[Child], where it is planned again; nothing else is planned.
+	Halves [][]K
+	Child  int
+	// Otherwise the join lands in this group: ScopeSplit and Moves are
+	// PlanCreate's scope-wide binary split and handovers.
+	ScopeSplit bool
+	Moves      []Move[K]
+}
+
+// PlanJoin decides how newKey joins a group whose size bound is
+// Vmax = 2·vmin (invariant L2; vmin 0 bounds nothing, as in the global
+// approach).  A full group splits (§3.7): its members are shuffled into
+// two halves of vmin and a random child is drawn to take the join, in that
+// order, from rng, the only randomness the plan uses; the table is left as
+// it was.  Otherwise newKey is registered and PlanCreate plans its
+// arrival, updating the table as if every move landed.  On error the table
+// is left as it was.
+func (t *Table[K]) PlanJoin(newKey K, pmin, vmin int, rng *rand.Rand) (Join[K], error) {
+	if vmin > 0 && len(t.counts) >= 2*vmin {
+		members := t.Keys()
+		rng.Shuffle(len(members), func(i, j int) { members[i], members[j] = members[j], members[i] })
+		return Join[K]{Halves: [][]K{members[:vmin], members[vmin:]}, Child: rng.Intn(2)}, nil
+	}
+	if err := t.Add(newKey); err != nil {
+		return Join[K]{}, err
+	}
+	split, moves, err := t.PlanCreate(newKey, pmin)
+	if err != nil {
+		for _, m := range moves {
+			t.Revert(m)
+		}
+		if split {
+			for k := range t.counts {
+				t.counts[k] /= 2
+			}
+		}
+		delete(t.counts, newKey)
+		return Join[K]{}, err
+	}
+	return Join[K]{ScopeSplit: split, Moves: moves}, nil
 }
 
 // MergeNeeded reports whether the scope must halve its partition count after

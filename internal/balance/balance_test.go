@@ -1,6 +1,7 @@
 package balance
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -246,14 +247,19 @@ func TestPlanCreateReachesFlatDistribution(t *testing.T) {
 	}
 }
 
-func TestPlanRemove(t *testing.T) {
+func TestPlanLeave(t *testing.T) {
 	tb := newIntTable(t, map[int]int{0: 10, 1: 12, 2: 14})
-	dests, err := tb.PlanRemove(2)
+	moves, err := tb.PlanLeave(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(dests) != 14 {
-		t.Fatalf("dests = %d, want 14", len(dests))
+	if len(moves) != 14 {
+		t.Fatalf("moves = %d, want 14", len(moves))
+	}
+	for _, m := range moves {
+		if m.From != 2 {
+			t.Fatalf("move %v does not start at the leaving vnode", m)
+		}
 	}
 	c0, _ := tb.Count(0)
 	c1, _ := tb.Count(1)
@@ -264,23 +270,220 @@ func TestPlanRemove(t *testing.T) {
 		t.Fatalf("greedy distribution not flat: %d vs %d", c0, c1)
 	}
 	// First orphan must go to the smallest-count vnode (0 at 10).
-	if dests[0] != 0 {
-		t.Fatalf("first dest = %d, want 0", dests[0])
+	if moves[0].To != 0 {
+		t.Fatalf("first dest = %d, want 0", moves[0].To)
+	}
+	// The leaving vnode stays at zero until its caller removes it, so a
+	// move that did not land can be reverted.
+	if c, ok := tb.Count(2); !ok || c != 0 {
+		t.Fatalf("leaving vnode count = %d,%v, want 0,true", c, ok)
+	}
+	tb.Revert(moves[0])
+	if c, _ := tb.Count(2); c != 1 {
+		t.Fatalf("after revert: leaving vnode count = %d, want 1", c)
 	}
 }
 
-func TestPlanRemoveLastVnode(t *testing.T) {
-	tb := newIntTable(t, map[int]int{7: 4})
-	if _, err := tb.PlanRemove(7); err == nil {
-		t.Fatal("removing last vnode with partitions must error")
+// Property: every move of a leave starts at the leaving vnode and keeps
+// the total, for any distribution.
+func TestPlanLeaveMovesStartAtLeaver(t *testing.T) {
+	f := func(raw []uint8, pick uint8) bool {
+		if len(raw) < 2 {
+			return true
+		}
+		tb := NewTable[int](intLess)
+		for i, c := range raw {
+			_ = tb.Add(i)
+			_ = tb.SetCount(i, int(c%32))
+		}
+		leaver := int(pick) % len(raw)
+		total, want := tb.Total(), raw[leaver]%32
+		moves, err := tb.PlanLeave(leaver)
+		if err != nil || len(moves) != int(want) || tb.Total() != total {
+			return false
+		}
+		for _, m := range moves {
+			if m.From != leaver || m.To == leaver {
+				return false
+			}
+		}
+		return true
 	}
-	tb2 := newIntTable(t, map[int]int{7: 0})
-	if dests, err := tb2.PlanRemove(7); err != nil || len(dests) != 0 {
-		t.Fatalf("removing empty last vnode: %v,%v", dests, err)
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestPlanLeaveRefusesLastMember(t *testing.T) {
+	for _, c := range []int{4, 0} {
+		tb := newIntTable(t, map[int]int{7: c})
+		if _, err := tb.PlanLeave(7); err == nil {
+			t.Fatalf("leave of the last member (%d partitions) must be refused", c)
+		}
+		if got, ok := tb.Count(7); !ok || got != c {
+			t.Fatalf("refused leave changed the table: %d,%v", got, ok)
+		}
 	}
 	tb3 := newIntTable(t, map[int]int{1: 1})
-	if _, err := tb3.PlanRemove(99); err == nil {
+	if _, err := tb3.PlanLeave(99); err == nil {
 		t.Fatal("removing absent vnode must error")
+	}
+}
+
+// fullTable returns a table of n vnodes at count c each.
+func fullTable(t *testing.T, n, c int) *Table[int] {
+	t.Helper()
+	counts := make(map[int]int, n)
+	for k := 0; k < n; k++ {
+		counts[k] = c
+	}
+	return newIntTable(t, counts)
+}
+
+// A full group's join is a split into two disjoint halves of exactly Vmin
+// that together hold every member, and a child of 0 or 1; nothing else is
+// planned and the table does not change.
+func TestPlanJoinSplitsFullGroup(t *testing.T) {
+	const pmin, vmin = 8, 4
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 64; trial++ {
+		tb := fullTable(t, 2*vmin, pmin)
+		before := tb.Counts()
+		plan, err := tb.PlanJoin(100, pmin, vmin, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(plan.Halves) != 2 || plan.ScopeSplit || plan.Moves != nil {
+			t.Fatalf("full group: plan %+v", plan)
+		}
+		if plan.Child != 0 && plan.Child != 1 {
+			t.Fatalf("child = %d", plan.Child)
+		}
+		seen := make(map[int]bool)
+		for _, half := range plan.Halves {
+			if len(half) != vmin {
+				t.Fatalf("half of %d members, want Vmin=%d: %v", len(half), vmin, plan.Halves)
+			}
+			for _, k := range half {
+				if seen[k] {
+					t.Fatalf("member %d in both halves: %v", k, plan.Halves)
+				}
+				seen[k] = true
+			}
+		}
+		if len(seen) != 2*vmin {
+			t.Fatalf("halves cover %d of %d members", len(seen), 2*vmin)
+		}
+		if got := tb.Counts(); len(got) != len(before) {
+			t.Fatalf("split plan changed the table: %v", got)
+		}
+	}
+}
+
+// Below Vmax the join is PlanCreate's, and vmin 0 bounds nothing.
+func TestPlanJoinBelowVmaxIsPlanCreate(t *testing.T) {
+	const pmin = 8
+	for _, vmin := range []int{4, 0} {
+		tb := fullTable(t, 4, pmin)
+		want := fullTable(t, 4, pmin)
+		_ = want.Add(100)
+		wantSplit, wantMoves, _ := want.PlanCreate(100, pmin)
+		plan, err := tb.PlanJoin(100, pmin, vmin, rand.New(rand.NewSource(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.Halves != nil || plan.ScopeSplit != wantSplit || len(plan.Moves) != len(wantMoves) {
+			t.Fatalf("vmin=%d: plan %+v, want split=%v moves=%v", vmin, plan, wantSplit, wantMoves)
+		}
+		for k, c := range want.Counts() {
+			if got, _ := tb.Count(k); got != c {
+				t.Fatalf("vmin=%d: vnode %d at %d, want %d", vmin, k, got, c)
+			}
+		}
+	}
+	// vmin 0 never splits the group, however large.
+	tb := fullTable(t, 64, pmin)
+	if plan, err := tb.PlanJoin(100, pmin, 0, rand.New(rand.NewSource(1))); err != nil || plan.Halves != nil {
+		t.Fatalf("unbounded scope: %+v, %v", plan, err)
+	}
+}
+
+// A join the planner refuses leaves the table as it was: a duplicate key,
+// a bad Pmin, or a table already below G4's floor.
+func TestPlanJoinErrorLeavesTable(t *testing.T) {
+	for _, tc := range []struct {
+		counts map[int]int
+		key    int
+		pmin   int
+	}{
+		{map[int]int{0: 8, 1: 8}, 1, 8},
+		{map[int]int{0: 8, 1: 8}, 2, 0},
+		{map[int]int{0: 4, 1: 4}, 2, 8},
+	} {
+		tb := newIntTable(t, tc.counts)
+		if _, err := tb.PlanJoin(tc.key, tc.pmin, 4, rand.New(rand.NewSource(1))); err == nil {
+			t.Fatalf("%+v: join must be refused", tc)
+		}
+		got := tb.Counts()
+		if len(got) != len(tc.counts) {
+			t.Fatalf("%+v: table now %v", tc, got)
+		}
+		for k, c := range tc.counts {
+			if got[k] != c {
+				t.Fatalf("%+v: table now %v", tc, got)
+			}
+		}
+	}
+}
+
+// The same seed gives the same decision sequence: a group grown by 512
+// joins, splitting whenever full and following the chosen child, plans
+// identically twice, and a different seed plans differently.
+func TestPlanJoinDeterministic(t *testing.T) {
+	const pmin, vmin = 8, 4
+	run := func(seed int64) []string {
+		rng := rand.New(rand.NewSource(seed))
+		tb := NewTable[int](intLess)
+		var out []string
+		for k := 0; k < 512; k++ {
+			plan, err := tb.PlanJoin(k, pmin, vmin, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plan.Halves != nil {
+				// Follow the chosen child, as the callers do.
+				child := NewTable[int](intLess)
+				for _, m := range plan.Halves[plan.Child] {
+					c, _ := tb.Count(m)
+					_ = child.Add(m)
+					_ = child.SetCount(m, c)
+				}
+				tb = child
+				out = append(out, fmt.Sprint("split ", plan.Halves, plan.Child))
+				if plan, err = tb.PlanJoin(k, pmin, vmin, rng); err != nil {
+					t.Fatal(err)
+				}
+			}
+			out = append(out, fmt.Sprint("join ", k, plan.ScopeSplit, plan.Moves))
+		}
+		return out
+	}
+	a, b := run(3), run(3)
+	if len(a) != len(b) {
+		t.Fatalf("decision counts differ: %d vs %d", len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("decision %d differs:\n%s\n%s", i, a[i], b[i])
+		}
+	}
+	c := run(4)
+	same := len(a) == len(c)
+	for i := 0; same && i < len(a); i++ {
+		same = a[i] == c[i]
+	}
+	if same {
+		t.Fatal("seeds 3 and 4 planned the same 512 joins")
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"dbdht/internal/balance"
 	"dbdht/internal/cluster/transport"
 	"dbdht/internal/core"
 	"dbdht/internal/hashspace"
@@ -46,8 +47,10 @@ func growCluster(t *testing.T, c *Cluster, n int) []VnodeName {
 
 // verifySnapshot checks the cluster-wide invariants on a quiescent cluster:
 // the materialized partitions tile R_h (G1′/L1), every group's vnodes share
-// one splitlevel (G3′), group sizes respect L2's upper bound, and LPDR
-// replicas agree with materialized partition counts.
+// one splitlevel (G3′), group sizes respect L2's upper bound, LPDR
+// replicas agree with materialized partition counts, and every leader's
+// LPDR member holds at least Pmin partitions (G4′'s floor; the live leader
+// does not merge, so the upper bound is soft).
 func verifySnapshot(t *testing.T, c *Cluster) Snapshot {
 	t.Helper()
 	if err := c.Ping(); err != nil {
@@ -83,12 +86,23 @@ func verifySnapshot(t *testing.T, c *Cluster) Snapshot {
 	// Leader LPDRs must match materialized state.
 	for host, reps := range snap.Replicas {
 		for _, rep := range reps {
-			if snap.Leaders[rep.Group] == host {
-				for _, m := range rep.Members {
-					if got := counts[m.Vnode]; got != m.Count {
-						t.Fatalf("leader LPDR of %v says %v has %d partitions, materialized %d", rep.Group, m.Vnode, m.Count, got)
-					}
+			if snap.Leaders[rep.Group] != host {
+				continue
+			}
+			lpdr := balance.NewTable[VnodeName](func(a, b VnodeName) bool { return a.Less(b) })
+			for _, m := range rep.Members {
+				if got := counts[m.Vnode]; got != m.Count {
+					t.Fatalf("leader LPDR of %v says %v has %d partitions, materialized %d", rep.Group, m.Vnode, m.Count, got)
 				}
+				if err := lpdr.Add(m.Vnode); err != nil {
+					t.Fatalf("leader LPDR of %v: %v", rep.Group, err)
+				}
+				if err := lpdr.SetCount(m.Vnode, m.Count); err != nil {
+					t.Fatalf("leader LPDR of %v: %v", rep.Group, err)
+				}
+			}
+			if err := lpdr.CheckBounds(c.cfg.Pmin, math.MaxInt); err != nil {
+				t.Fatalf("leader LPDR of %v: G4′ violated: %v", rep.Group, err)
 			}
 		}
 	}

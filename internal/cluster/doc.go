@@ -15,8 +15,10 @@
 //     parallelism claim — and the partition moves of one event's plan run
 //     concurrently, each partition freezing only for its own final delta;
 //   - vnode creation follows §3.6: draw r ∈ R_h, route a lookup to the
-//     victim vnode, ask the victim group's leader to run the §2.5 algorithm
-//     over its LPDR, splitting the group first when it is full (§3.7);
+//     victim vnode, and ask the victim group's leader to apply package
+//     balance's group planner to its LPDR — the same planner the model
+//     (package core) applies — which splits a full group into two random
+//     halves (§3.7) or plans the §2.5 moves; a leave is planned there too;
 //   - lookups and batch items route by *custody chains*: when a
 //     partition leaves a host, the host keeps a tombstone pointing at the
 //     new owner, and a stale host redirects its caller along it, so the
@@ -38,9 +40,10 @@
 //     snode crash with R ≥ 2 loses no acknowledged write, and the best
 //     surviving copy promotes itself (failover.go); replicas serve no
 //     reads, so reads, like writes, are answered by primaries only;
-//   - partitions move by chunked live migration (migrate.go): the bucket
-//     keeps serving reads AND writes while its contents stream out in
-//     bounded chunks, freezing only for the final delta round-trip;
+//   - a partition moves live (migrate.go) as a replica sync of the whole
+//     bucket plus the install a failover promotion uses; the bucket keeps
+//     serving reads AND writes, freezing only for the final delta
+//     round-trip;
 //   - an autonomous load-aware balancer (balancer.go, load.go) watches
 //     per-bucket EWMA traffic rates and capacity-normalized quotas and
 //     moves enrollment toward capacity-proportional targets through the

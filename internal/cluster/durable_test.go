@@ -466,8 +466,7 @@ func TestDurableMigrationWriteThrough(t *testing.T) {
 }
 
 // TestReplicaStoreRecovers: with R=2, a restarted snode recovers its
-// replica buckets too — failover reads keep working when the OTHER
-// snode (a primary) later crashes.
+// replica buckets too, and every acknowledged key stays readable.
 func TestReplicaStoreRecovers(t *testing.T) {
 	dir := t.TempDir()
 	c := durableCluster(t, dir, 3, 6, wal.FsyncBatch, 2)

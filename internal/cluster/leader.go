@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"cmp"
 	"fmt"
 	"sort"
 
@@ -211,31 +210,28 @@ func (s *Snode) broadcastSync(st lpdrState, dissolved []core.GroupID) {
 	}
 }
 
-// leaderJoin runs the §2.5 creation algorithm for one new vnode inside the
-// led group, splitting the group first if it is full (§3.7).  The scope
-// split and the planned moves each run on every host at once.
+// leaderJoin applies balance's group planner to one new vnode of the led
+// group: it either splits the full group (§3.7) or runs the §2.5 creation
+// algorithm inside it, whose scope split and moves each run on every host
+// at once.
 func (s *Snode) leaderJoin(lg *ledGroup, m joinGroupReq, from transport.NodeID) {
-	if lg.table.Len() >= s.cfg.vmax() {
-		s.splitLedGroup(lg, m, from)
-		return
-	}
 	fail := func(err string) {
 		s.send(from, untraced, joinGroupResp{Op: m.Op, Err: err})
 	}
-	if lg.table.Len() == 0 {
-		// First vnode of a scope is bootstrapped elsewhere; a led group is
-		// never empty, so this cannot happen.
-		fail("internal: join into empty group")
-		return
-	}
-	if err := lg.table.Add(m.NewVnode); err != nil {
+	s.mu.Lock()
+	plan, err := lg.table.PlanJoin(m.NewVnode, s.cfg.Pmin, s.cfg.Vmin, s.rng)
+	s.mu.Unlock()
+	if err != nil {
 		fail(err.Error())
 		return
 	}
+	if plan.Halves != nil {
+		s.splitLedGroup(lg, plan, m, from)
+		return
+	}
 	lg.host[m.NewVnode] = m.NewHost
-	split, moves, err := lg.table.PlanCreate(m.NewVnode, s.cfg.Pmin)
 	var splitErr error
-	if split {
+	if plan.ScopeSplit {
 		lg.level++
 		hosts := lg.memberHosts()
 		splitErr = firstErr(fanOut(len(hosts), func(i int) error {
@@ -244,14 +240,13 @@ func (s *Snode) leaderJoin(lg *ledGroup, m joinGroupReq, from transport.NodeID) 
 			})
 			return err
 		}))
-		err = cmp.Or(err, splitErr)
 	}
-	if err != nil {
-		for _, mv := range moves {
+	if err = splitErr; err != nil {
+		for _, mv := range plan.Moves {
 			lg.table.Revert(mv)
 		}
 	} else {
-		err = s.runMoves(lg, moves)
+		err = s.runMoves(lg, plan.Moves)
 	}
 	// The LPDR keeps only what landed.  A new vnode that received nothing
 	// is abandoned by its creator, so it leaves the table too.  Every host
@@ -262,7 +257,7 @@ func (s *Snode) leaderJoin(lg *ledGroup, m joinGroupReq, from transport.NodeID) 
 		_, _ = lg.table.Remove(m.NewVnode)
 		delete(lg.host, m.NewVnode)
 	}
-	if splitErr == nil && (split || c > 0) {
+	if splitErr == nil && (plan.ScopeSplit || c > 0) {
 		s.broadcastSync(lg.state(s.id), nil)
 	}
 	if err != nil {
@@ -326,23 +321,15 @@ func (s *Snode) orderTransfer(lg *ledGroup, from, to VnodeName) error {
 	return nil
 }
 
-// splitLedGroup divides a full group into two random halves of Vmin vnodes
+// splitLedGroup divides a full group into the planner's two halves
 // (§3.7), hands each child to its leader, then redirects the pending join
-// to a randomly chosen child.
-func (s *Snode) splitLedGroup(lg *ledGroup, m joinGroupReq, from transport.NodeID) {
-	members := lg.table.Keys()
-	s.mu.Lock()
-	s.rng.Shuffle(len(members), func(i, j int) { members[i], members[j] = members[j], members[i] })
-	s.mu.Unlock()
-	loID, hiID := lg.id.Split()
-	halves := map[core.GroupID][]VnodeName{
-		loID: members[:s.cfg.Vmin],
-		hiID: members[s.cfg.Vmin:],
-	}
-	childLeaders := make(map[core.GroupID]transport.NodeID, 2)
-	for _, childID := range []core.GroupID{loID, hiID} {
-		half := halves[childID]
-		st := lpdrState{Group: childID, Level: lg.level}
+// to the planner's chosen child.
+func (s *Snode) splitLedGroup(lg *ledGroup, plan balance.Join[VnodeName], m joinGroupReq, from transport.NodeID) {
+	var ids [2]core.GroupID
+	var leaders [2]transport.NodeID
+	ids[0], ids[1] = lg.id.Split()
+	for i, half := range plan.Halves {
+		st := lpdrState{Group: ids[i], Level: lg.level}
 		minName := half[0]
 		for _, v := range half {
 			if v.Less(minName) {
@@ -351,10 +338,9 @@ func (s *Snode) splitLedGroup(lg *ledGroup, m joinGroupReq, from transport.NodeI
 			c, _ := lg.table.Count(v)
 			st.Members = append(st.Members, memberInfo{Vnode: v, Host: lg.host[v], Count: c})
 		}
-		leader := lg.host[minName]
-		childLeaders[childID] = leader
-		st.Leader = leader
-		_, err := ask[ackResp](&s.endpoint, leader, untraced, func(op uint64) transport.WireMessage {
+		leaders[i] = lg.host[minName]
+		st.Leader = leaders[i]
+		_, err := ask[ackResp](&s.endpoint, leaders[i], untraced, func(op uint64) transport.WireMessage {
 			return groupInit{Op: op, State: st}
 		})
 		if err != nil {
@@ -363,48 +349,30 @@ func (s *Snode) splitLedGroup(lg *ledGroup, m joinGroupReq, from transport.NodeI
 		}
 	}
 	// The parent group is gone; retire its worker after the queue drains.
-	// One of the two children, randomly chosen, receives the new vnode.
-	chosen := loID
 	s.mu.Lock()
 	lg.retireLocked()
 	delete(s.led, lg.id)
-	if s.rng.Intn(2) == 1 {
-		chosen = hiID
-	}
 	s.mu.Unlock()
 	s.stats.GroupSplits.Add(1)
-	s.send(from, untraced, joinGroupResp{Op: m.Op, Group: chosen, Next: childLeaders[chosen]})
+	s.send(from, untraced, joinGroupResp{Op: m.Op, Group: ids[plan.Child], Next: leaders[plan.Child]})
 }
 
 // leaderLeave dissolves one vnode inside the led group: move its partitions
-// to the planned destinations, all at once, then drop it and flatten.
+// out along the planner's moves, all at once, then drop it and flatten.
 // Merging (halving P_g) is skipped — a group scope rarely owns complete
 // sibling pairs (see scope.ErrIncompleteTiling), so G4′'s upper bound is
-// soft here exactly as in package core.
+// soft here, as in any group scope of package core.
 func (s *Snode) leaderLeave(lg *ledGroup, m leaveVnodeReq, from transport.NodeID) {
 	fail := func(err string) {
 		s.send(from, untraced, leaveVnodeResp{Op: m.Op, Err: err})
 	}
-	if _, ok := lg.table.Count(m.Vnode); !ok {
-		fail(fmt.Sprintf("vnode %v not in group %v", m.Vnode, lg.id))
-		return
-	}
-	if lg.table.Len() == 1 {
-		fail(fmt.Sprintf("vnode %v is the last member of group %v; group dissolution is undefined in the model", m.Vnode, lg.id))
-		return
-	}
 	vnodeHost := lg.host[m.Vnode]
-	dests, err := lg.table.PlanRemove(m.Vnode)
+	// The vnode stays in the table at zero while its partitions move out,
+	// one transfer each, so a failed leave counts them back with it.
+	moves, err := lg.table.PlanLeave(m.Vnode)
 	if err != nil {
-		fail(err.Error())
+		fail(fmt.Sprintf("group %v: %v", lg.id, err))
 		return
-	}
-	// The vnode is back in the table at zero while its partitions move
-	// out, one transfer each, so a failed leave counts them back with it.
-	_ = lg.table.Add(m.Vnode)
-	moves := make([]balance.Move[VnodeName], len(dests))
-	for i, d := range dests {
-		moves[i] = balance.Move[VnodeName]{From: m.Vnode, To: d}
 	}
 	if err = s.runMoves(lg, moves); err == nil {
 		_, err = ask[ackResp](&s.endpoint, vnodeHost, untraced, func(op uint64) transport.WireMessage {

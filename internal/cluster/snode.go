@@ -33,7 +33,8 @@ type Config struct {
 	// included).  1 (the default) disables replication, matching the
 	// paper's failure-free model; R ≥ 2 keeps R−1 replica buckets on
 	// other snodes, so an abrupt single-snode crash loses no
-	// acknowledged write: reads fail over to the partition's replicas.
+	// acknowledged write: a replica is promoted, and reads, served by
+	// primaries only, fail until it is.
 	Replicas int
 	// AntiEntropyInterval paces the background replica reconciliation
 	// pass (default 1s; only runs when Replicas > 1).
@@ -151,9 +152,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	return c, nil
 }
-
-// vmax returns 2·Vmin (invariant L2).
-func (c Config) vmax() int { return 2 * c.Vmin }
 
 // Stats counts an snode's runtime work; fields are atomic so samplers never
 // contend with the actor.

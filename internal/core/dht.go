@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"dbdht/internal/balance"
 	"dbdht/internal/hashspace"
 	"dbdht/internal/metrics"
 	"dbdht/internal/scope"
@@ -73,12 +74,11 @@ type Stats struct {
 
 // DHT is a local-approach DHT.  It is not safe for concurrent use; the
 // cluster runtime (package cluster) layers real parallelism on top by
-// running one scope per group leader, which is exactly the concurrency
-// model the paper proposes — simultaneous balancement events in different
-// groups, serial within a group (§3.1).
+// running one LPDR per group leader, with the same planner (package
+// balance): simultaneous balancement events in different groups, serial
+// within a group, as the paper proposes (§3.1).
 type DHT struct {
 	cfg        Config
-	vmax       int
 	rng        *rand.Rand
 	groups     map[GroupID]*Group
 	vnodeGroup map[VnodeID]GroupID
@@ -86,8 +86,8 @@ type DHT struct {
 	levels     map[uint8]int // refcount of group splitlevels, for lookups
 	nextID     VnodeID
 	stats      Stats
-	// prevScopeStats remembers per-group scope counters already folded into
-	// stats, so dissolved groups keep their contribution.
+	// folded remembers dissolved groups' scope counters, so they keep
+	// their contribution.
 	folded scope.Stats
 }
 
@@ -130,7 +130,6 @@ func New(cfg Config, rng *rand.Rand) (*DHT, error) {
 	}
 	return &DHT{
 		cfg:        cfg,
-		vmax:       2 * cfg.Vmin,
 		rng:        rng,
 		groups:     make(map[GroupID]*Group),
 		vnodeGroup: make(map[VnodeID]GroupID),
@@ -143,7 +142,7 @@ func New(cfg Config, rng *rand.Rand) (*DHT, error) {
 func (d *DHT) Config() Config { return d.cfg }
 
 // Vmax returns 2·Vmin (invariant L2).
-func (d *DHT) Vmax() int { return d.vmax }
+func (d *DHT) Vmax() int { return 2 * d.cfg.Vmin }
 
 // Vnodes returns the overall number of vnodes V.
 func (d *DHT) Vnodes() int { return len(d.vnodeGroup) }
@@ -182,9 +181,6 @@ func (d *DHT) newGroup(id GroupID) (*Group, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Group scopes own scattered subsets of R_h, so partition coalescing
-	// can be impossible; tolerate transient G4′ upper-bound overshoot.
-	sc.SetSoftUpperBound(true)
 	g := &Group{id: id, sc: sc}
 	d.groups[id] = g
 	d.levels[sc.Level()]++
@@ -242,9 +238,10 @@ func (d *DHT) Stats() Stats {
 
 // AddVnode creates a new vnode following §3.6: draw r ∈ R_h uniformly, look
 // up the vnode owning r (the victim vnode) and its group (the victim
-// group); if the victim group is full, split it per §3.7 and pick one child
-// at random; then run the §2.5 algorithm inside the chosen group.  The id
-// of the new vnode and its group are returned.
+// group), and apply balance's group planner there: it either runs the §2.5
+// algorithm inside the group or, if the group is full, splits it per §3.7
+// and names the random child that takes the join.  The id of the new vnode
+// and its group are returned.
 func (d *DHT) AddVnode() (VnodeID, GroupID, error) {
 	id := d.nextID
 	if len(d.groups) == 0 {
@@ -253,7 +250,7 @@ func (d *DHT) AddVnode() (VnodeID, GroupID, error) {
 		if err != nil {
 			return 0, GroupID{}, err
 		}
-		if err := d.groupOp(g, func() error { return g.sc.AddVnode(id) }); err != nil {
+		if _, err := d.join(g, id); err != nil {
 			return 0, GroupID{}, err
 		}
 		// Bootstrap emits no observer events; seed the DHT index directly.
@@ -269,22 +266,17 @@ func (d *DHT) AddVnode() (VnodeID, GroupID, error) {
 	if !ok {
 		return 0, GroupID{}, fmt.Errorf("core: lookup of r=%d found no owner; index corrupt", r)
 	}
-	gid := d.vnodeGroup[victim]
-	g := d.groups[gid]
-	if g.sc.Len() == d.vmax {
-		// Victim group full ⇒ split (§3.7 case b), then a random child
-		// becomes the container of the new vnode.
-		lo, hi, err := d.splitGroup(g)
-		if err != nil {
-			return 0, GroupID{}, err
-		}
-		if d.rng.Intn(2) == 0 {
-			g = lo
-		} else {
-			g = hi
+	g := d.groups[d.vnodeGroup[victim]]
+	plan, err := d.join(g, id)
+	if err == nil && plan.Halves != nil {
+		// Victim group full ⇒ split (§3.7 case b) into the planned halves.
+		var children [2]*Group
+		if children, err = d.splitGroup(g, plan.Halves); err == nil {
+			g = children[plan.Child]
+			_, err = d.join(g, id)
 		}
 	}
-	if err := d.groupOp(g, func() error { return g.sc.AddVnode(id) }); err != nil {
+	if err != nil {
 		return 0, GroupID{}, err
 	}
 	d.vnodeGroup[id] = g.id
@@ -292,48 +284,47 @@ func (d *DHT) AddVnode() (VnodeID, GroupID, error) {
 	return id, g.id, nil
 }
 
-// splitGroup divides a full group into two groups of Vmin vnodes each,
-// randomly selected from the original (§3.7), both inheriting the parent's
-// splitlevel, with identifiers from the §3.7.1 scheme.
-func (d *DHT) splitGroup(g *Group) (lo, hi *Group, err error) {
-	if g.sc.Len() != d.vmax {
-		return nil, nil, fmt.Errorf("core: splitting group %v with %d vnodes, want Vmax=%d", g.id, g.sc.Len(), d.vmax)
-	}
-	members := g.sc.Vnodes()
-	d.rng.Shuffle(len(members), func(i, j int) { members[i], members[j] = members[j], members[i] })
+// join applies the planner's join of id to g's scope.
+func (d *DHT) join(g *Group, id VnodeID) (plan balance.Join[VnodeID], err error) {
+	err = d.groupOp(g, func() error {
+		plan, err = g.sc.Join(id, d.cfg.Vmin)
+		return err
+	})
+	return plan, err
+}
+
+// splitGroup divides a group into two child groups holding the planner's
+// halves, both inheriting the parent's splitlevel, with identifiers from
+// the §3.7.1 scheme.
+func (d *DHT) splitGroup(g *Group, halves [][]VnodeID) (children [2]*Group, err error) {
 	loID, hiID := g.id.Split()
 	level := g.sc.Level()
-	if lo, err = d.newGroup(loID); err != nil {
-		return nil, nil, err
-	}
-	if hi, err = d.newGroup(hiID); err != nil {
-		return nil, nil, err
-	}
-	for i, v := range members {
-		dst := lo
-		if i >= d.cfg.Vmin {
-			dst = hi
-		}
-		set, err := g.sc.Detach(v)
+	for i, id := range []GroupID{loID, hiID} {
+		child, err := d.newGroup(id)
 		if err != nil {
-			return nil, nil, err
+			return children, err
 		}
-		if err := dst.sc.Attach(v, set, level); err != nil {
-			return nil, nil, err
+		for _, v := range halves[i] {
+			set, err := g.sc.Detach(v)
+			if err != nil {
+				return children, err
+			}
+			if err := child.sc.Attach(v, set, level); err != nil {
+				return children, err
+			}
+			d.vnodeGroup[v] = child.id
 		}
-		d.vnodeGroup[v] = dst.id
-	}
-	// Empty child scopes were registered at level 0 by newGroup; move their
-	// refcounts to the level they adopted on Attach.
-	for _, child := range []*Group{lo, hi} {
+		// newGroup registered the empty child at level 0; move its
+		// refcount to the level it adopted on Attach.
 		if l := child.sc.Level(); l != 0 {
 			d.decLevel(0)
 			d.levels[l]++
 		}
+		children[i] = child
 	}
 	d.dropGroup(g)
 	d.stats.GroupSplits++
-	return lo, hi, nil
+	return children, nil
 }
 
 // RemoveVnode dissolves a vnode inside its group (dynamic leave — an
@@ -342,20 +333,13 @@ func (d *DHT) splitGroup(g *Group) (lo, hi *Group, err error) {
 // partitions, so G2′–G5′ keep holding.  Invariant L2's lower bound is
 // relaxed on shrink: a group may run a membership deficit (V_g < Vmin)
 // until future insertions refill it, mirroring the exception the paper
-// already grants group 0.  Removing a group's last vnode is refused, since
-// group dissolution is undefined in the model.
+// already grants group 0.  The planner refuses to empty a group.
 func (d *DHT) RemoveVnode(v VnodeID) error {
 	gid, ok := d.vnodeGroup[v]
 	if !ok {
 		return fmt.Errorf("core: vnode %d not present", v)
 	}
 	g := d.groups[gid]
-	if g.sc.Len() == 1 {
-		if len(d.groups) == 1 {
-			return fmt.Errorf("core: cannot remove the last vnode of the DHT")
-		}
-		return fmt.Errorf("core: vnode %d is the last member of group %v; group dissolution is undefined in the model", v, gid)
-	}
 	return d.groupOp(g, func() error { return g.sc.RemoveVnode(v) })
 }
 
@@ -444,8 +428,8 @@ func (d *DHT) CheckInvariants() error {
 		if err := g.sc.CheckInvariants(); err != nil {
 			return fmt.Errorf("core: group %v: %w", id, err)
 		}
-		if n := g.sc.Len(); n < 1 || n > d.vmax {
-			return fmt.Errorf("core: L2 violated: group %v has %d vnodes (Vmax=%d)", id, n, d.vmax)
+		if n := g.sc.Len(); n < 1 || n > d.Vmax() {
+			return fmt.Errorf("core: L2 violated: group %v has %d vnodes (Vmax=%d)", id, n, d.Vmax())
 		}
 		levelSeen[g.sc.Level()]++
 		for _, v := range g.sc.Vnodes() {

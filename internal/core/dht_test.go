@@ -449,3 +449,30 @@ func TestIndexConsistencyAfterChurn(t *testing.T) {
 		}
 	}
 }
+
+// The planner's draws are pinned: seed 1 grown to 1024 vnodes gives the
+// figures recorded before the group logic moved into package balance.  A
+// planner that consumed random draws in a different order (the victim
+// r, the split's shuffle, the child, the victim partitions) would change
+// every one of them.
+func TestPlannerDrawOrderPinned(t *testing.T) {
+	for _, tc := range []struct {
+		pmin, vmin              int
+		sigma                   float64
+		groups, splits, handovs int
+	}{
+		{8, 8, 0.17949633173262552, 91, 90, 10648},
+		{32, 8, 0.2193855861272354, 89, 88, 44406},
+	} {
+		d := newDHT(t, tc.pmin, tc.vmin, 1)
+		grow(t, d, 1024)
+		s := d.Stats()
+		if got := d.QualityOfBalancement(); got != tc.sigma {
+			t.Errorf("(%d,%d): σ̄(Qv) = %v, want %v", tc.pmin, tc.vmin, got, tc.sigma)
+		}
+		if d.Groups() != tc.groups || s.GroupSplits != tc.splits || s.Handovers != tc.handovs {
+			t.Errorf("(%d,%d): groups %d, GroupSplits %d, Handovers %d; want %d, %d, %d",
+				tc.pmin, tc.vmin, d.Groups(), s.GroupSplits, s.Handovers, tc.groups, tc.splits, tc.handovs)
+		}
+	}
+}

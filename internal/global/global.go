@@ -62,13 +62,9 @@ func (d *DHT) AddVnode() (VnodeID, error) {
 }
 
 // RemoveVnode dissolves a vnode, reassigning and, if necessary, coalescing
-// partitions (dynamic leave — feature (c) of the base model, §1).
-func (d *DHT) RemoveVnode(v VnodeID) error {
-	if d.sc.Len() == 1 {
-		return fmt.Errorf("global: cannot remove the last vnode of the DHT")
-	}
-	return d.sc.RemoveVnode(v)
-}
+// partitions (dynamic leave — feature (c) of the base model, §1).  The
+// planner refuses to remove the DHT's last vnode.
+func (d *DHT) RemoveVnode(v VnodeID) error { return d.sc.RemoveVnode(v) }
 
 // VnodeIDs returns the live vnode ids in ascending order.
 func (d *DHT) VnodeIDs() []VnodeID { return d.sc.Vnodes() }

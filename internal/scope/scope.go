@@ -3,6 +3,7 @@ package scope
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
 	"sort"
@@ -15,7 +16,8 @@ import (
 // partition lives outside the scope.  A scope that covers all of R_h (the
 // global approach) always owns complete sibling pairs; a *group* scope owns
 // a scattered subset of R_h, so after heavy shrink a merge may be
-// impossible.  Scopes with a soft upper bound treat this as a benign state.
+// impossible.  RemoveVnode treats this as a benign state: G4's upper bound
+// is checked only while a scope covers R_h.
 var ErrIncompleteTiling = errors.New("scope: sibling partition outside scope; cannot coalesce")
 
 // VnodeID identifies a vnode.  IDs are assigned by the embedding DHT and are
@@ -24,9 +26,9 @@ var ErrIncompleteTiling = errors.New("scope: sibling partition outside scope; ca
 type VnodeID int
 
 // Observer receives structural-change events as a scope mutates.  The local
-// approach uses it to maintain a DHT-wide partition→owner index; the cluster
-// runtime uses it to emit partition/data transfer messages.  Implementations
-// must not call back into the scope.  A nil Observer is valid.
+// approach uses it to maintain a DHT-wide partition→owner index.
+// Implementations must not call back into the scope.  A nil Observer is
+// valid.
 type Observer interface {
 	// PartitionMoved fires when partition p changes owner (a handover
 	// scheduled by the balancement algorithm, §2.5 step 4a).
@@ -57,8 +59,7 @@ type Stats struct {
 }
 
 // Scope is one balancement domain.  It is not safe for concurrent use; the
-// cluster runtime serializes access through each group's leader, exactly as
-// the paper serializes vnode creations within a group (§3.6).
+// paper serializes vnode creations within a group (§3.6).
 type Scope struct {
 	pmin, pmax int
 	level      uint8 // common splitlevel of every partition (G3/G3′)
@@ -68,7 +69,6 @@ type Scope struct {
 	rng        *rand.Rand
 	obs        Observer
 	stats      Stats
-	softUpper  bool
 }
 
 // New returns an empty scope.  pmin must be a power of two (invariant G4);
@@ -91,14 +91,6 @@ func New(pmin int, rng *rand.Rand, obs Observer) (*Scope, error) {
 		obs:   obs,
 	}, nil
 }
-
-// SetSoftUpperBound switches invariant G4's upper bound to best-effort:
-// when partition coalescing is impossible because sibling partitions live
-// in other scopes (group scopes of the local approach), vnode counts may
-// transiently exceed Pmax after removals, healing as the scope regrows.
-// The paper defines removal only informally (base-model feature (c)); this
-// relaxation mirrors the one it already grants L2 for group 0.
-func (s *Scope) SetSoftUpperBound(on bool) { s.softUpper = on }
 
 // Pmin returns the scope's Pmin parameter.
 func (s *Scope) Pmin() int { return s.pmin }
@@ -209,82 +201,76 @@ func (s *Scope) Bootstrap(v VnodeID) error {
 	return nil
 }
 
-// AddVnode runs the §2.5 creation algorithm for a new vnode v: registers it
-// with zero partitions, performs the scope-wide binary split if the scope
-// sits at the G5/G5′ floor, then applies the σ-decreasing handovers.
+// AddVnode runs the §2.5 creation algorithm for a new vnode v in a scope
+// with no size bound (the global approach).
 func (s *Scope) AddVnode(v VnodeID) error {
+	_, err := s.Join(v, 0)
+	return err
+}
+
+// Join plans v's arrival with balance's group planner (Table.PlanJoin) in a
+// scope of at most 2·vmin vnodes and applies the plan: the scope-wide
+// binary split if the scope sits at the G5/G5′ floor, then the
+// σ-decreasing handovers.  When the scope is full it changes nothing and
+// returns the planner's halves and child; the caller splits the group.
+func (s *Scope) Join(v VnodeID, vmin int) (balance.Join[VnodeID], error) {
 	if s.table.Len() == 0 {
-		return s.Bootstrap(v)
+		return balance.Join[VnodeID]{}, s.Bootstrap(v)
 	}
-	if _, ok := s.sets[v]; ok {
-		return fmt.Errorf("scope: vnode %d already present", v)
+	plan, err := s.table.PlanJoin(v, s.pmin, vmin, s.rng)
+	if err != nil {
+		return plan, fmt.Errorf("scope: create vnode %d: %w", v, err)
 	}
-	if err := s.table.Add(v); err != nil {
-		return err
+	if plan.Halves != nil {
+		return plan, nil
 	}
 	s.sets[v] = hashspace.NewSet()
-	split, moves, err := s.table.PlanCreate(v, s.pmin)
-	if split {
+	if plan.ScopeSplit {
 		// The plan doubled the PDR counts; materialize on the real sets.
 		s.splitAll()
 	}
-	if err != nil {
-		return fmt.Errorf("scope: create vnode %d: %w", v, err)
-	}
-	for _, m := range moves {
+	for _, m := range plan.Moves {
 		if err := s.moveOne(m.From, m.To); err != nil {
-			return err
+			return plan, err
 		}
 	}
-	return nil
+	return plan, nil
 }
 
-// RemoveVnode reassigns v's partitions greedily to the least-loaded vnodes,
-// coalesces partitions if the departure breaches G4's upper bound, and
-// flattens the result.  Removing the last vnode empties the scope.
+// RemoveVnode reassigns v's partitions greedily to the least-loaded vnodes
+// (Table.PlanLeave, which refuses to empty the scope), coalesces partitions
+// if the departure breaches G4's upper bound, and flattens the result.  A
+// scope that covers only part of R_h may be unable to coalesce; its counts
+// then stay above Pmax until it regrows.
 func (s *Scope) RemoveVnode(v VnodeID) error {
 	set, ok := s.sets[v]
 	if !ok {
 		return fmt.Errorf("scope: vnode %d not present", v)
 	}
-	if s.table.Len() == 1 {
-		// Last vnode: there is nowhere to reassign partitions inside the
-		// scope, so the removal is refused (checked before any mutation);
-		// the embedding DHT must dissolve or merge the scope first.
-		if set.Len() > 0 {
-			return fmt.Errorf("scope: cannot remove last vnode %d: %d partitions would be orphaned", v, set.Len())
-		}
-		if _, err := s.table.Remove(v); err != nil {
-			return err
-		}
-		delete(s.sets, v)
-		if s.obs != nil {
-			s.obs.VnodeRemoved(v)
-		}
-		return nil
-	}
-	dests, err := s.table.PlanRemove(v)
+	moves, err := s.table.PlanLeave(v)
 	if err != nil {
 		return err
 	}
 	parts := set.Partitions()
-	if len(parts) != len(dests) {
-		return fmt.Errorf("scope: plan/set mismatch removing %d: %d parts, %d dests", v, len(parts), len(dests))
+	if len(parts) != len(moves) {
+		return fmt.Errorf("scope: plan/set mismatch removing %d: %d parts, %d moves", v, len(parts), len(moves))
 	}
 	for i, p := range parts {
-		if err := s.transfer(p, v, dests[i]); err != nil {
+		if err := s.transfer(p, v, moves[i].To); err != nil {
 			return err
 		}
+	}
+	if _, err := s.table.Remove(v); err != nil {
+		return err
 	}
 	delete(s.sets, v)
 	if s.obs != nil {
 		s.obs.VnodeRemoved(v)
 	}
 	for s.table.MergeNeeded(s.pmax) {
-		if err := s.mergeAll(); err != nil {
-			if s.softUpper && errors.Is(err, ErrIncompleteTiling) {
-				break // tolerated: counts may exceed Pmax until regrowth
-			}
+		if err := s.mergeAll(); errors.Is(err, ErrIncompleteTiling) {
+			break
+		} else if err != nil {
 			return err
 		}
 	}
@@ -484,10 +470,11 @@ func (s *Scope) CheckInvariants() error {
 		return fmt.Errorf("scope: G2 violated: P=%d not a power of two", p)
 	}
 	upper := s.pmax
-	if s.softUpper {
-		// Counts may exceed Pmax after merges proved impossible; the lower
+	if bits.TrailingZeros(uint(p)) != int(s.level) {
+		// A scope that covers only part of R_h may be unable to coalesce
+		// (ErrIncompleteTiling), so its counts may exceed Pmax; the lower
 		// bound Pmin remains strict.
-		upper = int(^uint(0) >> 1)
+		upper = math.MaxInt
 	}
 	if err := s.table.CheckBounds(s.pmin, upper); err != nil {
 		return fmt.Errorf("scope: G4 violated: %w", err)
@@ -495,8 +482,8 @@ func (s *Scope) CheckInvariants() error {
 	v := s.table.Len()
 	if v&(v-1) == 0 && p == v*s.pmin {
 		// G5 in its canonical growth form: at power-of-two V with the
-		// canonical partition total, every vnode holds exactly Pmin.  (On
-		// soft-upper scopes the total can legitimately be larger.)
+		// canonical partition total, every vnode holds exactly Pmin.  (A
+		// scope that could not coalesce can legitimately hold more.)
 		for _, id := range s.table.Keys() {
 			if c, _ := s.table.Count(id); c != s.pmin {
 				return fmt.Errorf("scope: G5 violated: V=%d power of two but vnode %d has %d ≠ Pmin", v, id, c)

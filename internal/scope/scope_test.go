@@ -375,11 +375,11 @@ func TestQuotaAccessors(t *testing.T) {
 	}
 }
 
-// A soft-upper scope that cannot merge keeps working and self-heals as it
-// regrows: counts come back inside [Pmin, Pmax].
+// A scope that covers only part of R_h cannot always merge; it keeps
+// working and self-heals as it regrows: counts come back inside
+// [Pmin, Pmax].
 func TestSoftUpperHealsOnRegrowth(t *testing.T) {
 	s := newScope(t, 8, 43)
-	s.SetSoftUpperBound(true)
 	for v := VnodeID(0); v < 16; v++ {
 		if err := s.AddVnode(v); err != nil {
 			t.Fatal(err)
@@ -388,7 +388,6 @@ func TestSoftUpperHealsOnRegrowth(t *testing.T) {
 	// Detach half the vnodes WITH their partitions (simulating a group
 	// split), leaving a scope that owns a scattered subset of R_h...
 	other := newScope(t, 8, 44)
-	other.SetSoftUpperBound(true)
 	for v := VnodeID(8); v < 16; v++ {
 		set, err := s.Detach(v)
 		if err != nil {
