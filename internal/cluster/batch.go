@@ -129,7 +129,7 @@ func (s *Snode) handleBatch(m batchReq, from transport.NodeID, tr transport.Trac
 				if w == nil {
 					w = &bucketWork{owner: ownerRef{Vnode: ref.vs.name, Host: s.id}, p: p, group: ref.vs.group}
 					if replicate {
-						w.reps = s.fanoutLocked(p, ref)
+						w.reps = s.fanoutLocked(p)
 						w.seed = !s.placedLiveLocked(p)
 					}
 					work[bk] = w

@@ -340,23 +340,20 @@ func TestAntiEntropyRepairsExactlyTheDivergedPartition(t *testing.T) {
 	checkClusterDigests(t, c, "repair")
 }
 
-// referenceReplicaHosts is the placement rule as first written: score every
-// candidate, sort, take the top R−1.  replicaHostsFor must pick the same
-// hosts in the same order with its single pass.
-func referenceReplicaHosts(p hashspace.Partition, primary transport.NodeID, view []transport.NodeID, r int) []transport.NodeID {
-	var cands []transport.NodeID
+// referenceReplicaHosts is the placement rule spelt out: the other hosts
+// above primary in ascending order, then those below it, the first R−1 of
+// them.  replicaHostsFor must pick the same hosts in the same order.
+func referenceReplicaHosts(primary transport.NodeID, view []transport.NodeID, r int) []transport.NodeID {
+	var above, below []transport.NodeID
 	for _, id := range view {
-		if id != primary {
-			cands = append(cands, id)
+		switch {
+		case id > primary:
+			above = append(above, id)
+		case id < primary:
+			below = append(below, id)
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		wi, wj := hrwScore(p, cands[i]), hrwScore(p, cands[j])
-		if wi != wj {
-			return wi > wj
-		}
-		return cands[i] < cands[j]
-	})
+	cands := append(above, below...)
 	if r < 1 {
 		r = 1
 	}
@@ -374,11 +371,9 @@ func TestReplicaHostsMatchesSortedReference(t *testing.T) {
 		for id := 1; len(view) < n; id += 1 + rng.Intn(3) {
 			view = append(view, transport.NodeID(id))
 		}
-		lvl := uint8(rng.Intn(12))
-		p := hashspace.Partition{Prefix: rng.Uint64() & (1<<lvl - 1), Level: lvl}
-		primary := transport.NodeID(1 + rng.Intn(20))
-		r := rng.Intn(12) // 0 and 1 mean "no replicas"; > len(view) means "all of them"
-		got, want := replicaHostsFor(p, primary, view, r), referenceReplicaHosts(p, primary, view, r)
+		primary := transport.NodeID(1 + rng.Intn(20)) // often absent from the view
+		r := rng.Intn(12)                             // 0 and 1 mean "no replicas"; > len(view) means "all of them"
+		got, want := replicaHostsFor(primary, view, r), referenceReplicaHosts(primary, view, r)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: view %v primary %d r %d: got %v want %v", trial, view, primary, r, got, want)
 		}
@@ -407,8 +402,8 @@ func TestPlacementCacheFollowsView(t *testing.T) {
 		for _, s := range c.liveSnodes() {
 			s.mu.Lock()
 			for p := range s.owned {
-				got := s.replicaHostsLocked(p)
-				want := replicaHostsFor(p, s.id, s.view, s.cfg.Replicas)
+				got := s.fanoutLocked(p)[:len(s.targets)]
+				want := replicaHostsFor(s.id, s.view, s.cfg.Replicas)
 				if fmt.Sprint(got) != fmt.Sprint(want) {
 					s.mu.Unlock()
 					t.Fatalf("%s: snode %d partition %v: cached placement %v, view says %v", when, s.id, p, got, want)

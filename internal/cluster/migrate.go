@@ -125,7 +125,7 @@ func (s *Snode) migratePartition(g core.GroupID, to VnodeName, toHost transport.
 	// its fan-out set; an abort unplaces it only if this move placed it.
 	// The drop goes once: after a lost commit ACK, before the last probe.
 	s.mu.Lock()
-	added := !slices.Contains(s.replicaHostsLocked(p), toHost) && !slices.Contains(s.placed[p], toHost)
+	added := !slices.Contains(s.targets, toHost) && !slices.Contains(s.placed[p], toHost)
 	s.mu.Unlock()
 	dropped := false
 	drop := func() {

@@ -370,7 +370,7 @@ func TestAntiEntropyLeavesClaimedBucketAlone(t *testing.T) {
 		a.mu.Unlock()
 		t.Fatal("snode owns no partition")
 	}
-	tgtID := a.replicaHostsLocked(p)[0]
+	tgtID := a.targets[0]
 	a.mu.Unlock()
 	var tgt, extra *Snode
 	for _, s := range ss {

@@ -3,6 +3,7 @@ package cluster
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"slices"
 	"time"
 
@@ -29,19 +30,23 @@ import (
 //     copy of (a seed), each target is then probed by digest and sent the
 //     whole bucket if its copy is missing or different.  A split gives
 //     each child its parent's `placed`.
-//   - Anti-entropy probes each target with the maintained digests of the
-//     partitions placed there (store.go), full-syncs every missing or
+//   - Anti-entropy probes each target with the maintained digests of
+//     every owned partition (store.go), full-syncs every missing or
 //     differing copy, and once a partition's targets are all confirmed,
 //     drops the copies at its other hosts: until then they keep being
 //     fed, so a crash at any moment leaves a whole copy.  A transfer
 //     re-homes the set with the primary (the new owner syncs its targets
 //     before acknowledging the install; the old one drops the orphans).
 //
-// Placement is rendezvous (HRW) hashing over (partition, primary, view):
-// the R−1 highest-scoring non-primary hosts are the targets, so every
-// snode with the same view agrees, and one membership change moves only
-// ~1/n of the sets.  Replicas serve no reads: a read goes where a write
-// goes, to the primary (chain replication's rule, van Renesse &
+// Placement is the ring of the sorted view: a primary's targets are the
+// R−1 snodes that follow it, wrapping round, whatever the partition, so
+// every snode with the same view agrees, one batch sends one replica
+// write per target, and each snode backs exactly R−1 primaries.  Fixed
+// successors also bound the copysets (Cidon et al., USENIX ATC 2013): at
+// R=2 two crashes orphan partitions only when one snode is the other's
+// successor.  The price is failover: a dead snode's partitions are all
+// promoted on its successor.  Replicas serve no reads: a read goes where
+// a write goes, to the primary (chain replication's rule, van Renesse &
 // Schneider, OSDI 2004), and fails until a promoted copy is announced.
 //
 // Each copy carries volatile failover metadata (see replicaBucket) that
@@ -128,34 +133,18 @@ type replDropMsg struct {
 	Partitions []hashspace.Partition
 }
 
-// replicaHostsLocked is the placement of a partition owned at this snode:
-// its R−1 targets.  Caller holds s.mu.
-func (s *Snode) replicaHostsLocked(p hashspace.Partition) []transport.NodeID {
-	return replicaHostsFor(p, s.id, s.view, s.cfg.Replicas)
-}
-
-// fanoutLocked is where a write of owned partition p goes: p's targets
-// plus the live hosts of its `placed` set that anti-entropy has not
-// dropped yet.  It runs once per bucket per batch, so it is cached in p's
-// ownership entry per view epoch; setPlacedLocked clears the cache, and a
-// split or an install makes new entries, which start without one.  The
-// result is shared with the cache: callers must not modify it.  Caller
-// holds s.mu.
-func (s *Snode) fanoutLocked(p hashspace.Partition, ref ownedRef) []transport.NodeID {
-	if s.cfg.Replicas <= 1 {
-		return nil
-	}
-	if ref.repsAt != s.viewEpoch+1 {
-		ref.reps = s.replicaHostsLocked(p)
-		for _, h := range s.placed[p] {
-			if slices.Contains(s.view, h) && !slices.Contains(ref.reps, h) {
-				ref.reps = append(ref.reps, h)
-			}
+// fanoutLocked is where a write of owned partition p goes: this snode's
+// targets plus the live hosts of p's `placed` set that anti-entropy has
+// not dropped yet.  The result may be s.targets itself: callers must not
+// modify it.  Caller holds s.mu.
+func (s *Snode) fanoutLocked(p hashspace.Partition) []transport.NodeID {
+	hosts := s.targets
+	for _, h := range s.placed[p] {
+		if slices.Contains(s.view, h) && !slices.Contains(hosts, h) {
+			hosts = append(slices.Clip(hosts), h)
 		}
-		ref.repsAt = s.viewEpoch + 1
-		s.owned[p] = ref
 	}
-	return ref.reps
+	return hosts
 }
 
 // setPlacedLocked records hosts (nil: none) as the hosts that may hold a
@@ -166,65 +155,30 @@ func (s *Snode) setPlacedLocked(p hashspace.Partition, hosts []transport.NodeID)
 	} else {
 		s.placed[p] = hosts
 	}
-	if ref, ok := s.owned[p]; ok {
-		ref.repsAt = 0
-		s.owned[p] = ref
-	}
 }
 
-// replicaHostsFor is the pure placement rule: rendezvous (HRW) hashing.
-// Every (partition, host) pair gets a 64-bit score and the R−1
-// highest-scoring non-primary hosts win, ties broken by the lower id.
-// Removing a host only promotes the next-ranked host into the sets the
-// dead host was in, and adding a host only displaces the sets it now
-// out-scores — each membership change moves ~1/n of the replica sets
-// instead of reshuffling most of them (as the old modular-offset rule
-// did).
-func replicaHostsFor(p hashspace.Partition, primary transport.NodeID, view []transport.NodeID, r int) []transport.NodeID {
-	if r <= 1 {
+// replicaHostsFor is the pure placement rule: the targets of primary are
+// the R−1 hosts that follow it in the sorted view, wrapping round (fewer
+// when the view holds fewer other hosts).  A primary absent from the view
+// takes the successors of the place it would sort into.  Adding a host
+// changes only its own targets and those of its R−1 predecessors;
+// removing one changes only the sets that contained it.
+func replicaHostsFor(primary transport.NodeID, view []transport.NodeID, r int) []transport.NodeID {
+	i, found := slices.BinarySearch(view, primary)
+	n := len(view)
+	if found {
+		n--
+	}
+	if n = min(r-1, n); n <= 0 {
 		return nil
 	}
-	// One pass keeping the best R−1 seen so far in rank order: R is a
-	// handful, so the insertion is a few compares — no candidate slice to
-	// build and sort per call.
-	n := r - 1
-	var out []transport.NodeID
-	var wbuf [8]uint64
-	ws := wbuf[:0] // ws[i] is out[i]'s score
-	for _, id := range view {
-		if id == primary {
-			continue
+	out := make([]transport.NodeID, 0, n)
+	for ; len(out) < n; i++ {
+		if h := view[i%len(view)]; h != primary {
+			out = append(out, h)
 		}
-		w := hrwScore(p, id)
-		i := len(out)
-		for i > 0 && (w > ws[i-1] || (w == ws[i-1] && id < out[i-1])) {
-			i--
-		}
-		if i == n {
-			continue
-		}
-		if len(out) < n {
-			out = append(out, 0)
-			ws = append(ws, 0)
-		}
-		copy(out[i+1:], out[i:])
-		copy(ws[i+1:], ws[i:])
-		out[i], ws[i] = id, w
 	}
 	return out
-}
-
-// hrwScore is the rendezvous weight of one (partition, host) pair: a
-// SplitMix64-style finalizer over the partition identity mixed with the
-// host id.  Pure and stable — every snode computes the same ranking.
-func hrwScore(p hashspace.Partition, id transport.NodeID) uint64 {
-	x := p.Prefix*0x9e3779b97f4a7c15 ^ uint64(p.Level)<<56 ^ uint64(id)*0xbf58476d1ce4e5b9
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
 }
 
 // --- replica store maintenance (caller holds s.mu) ---
@@ -320,6 +274,7 @@ func (s *Snode) handleViewUpdate(m viewUpdate) {
 	if m.Epoch > s.viewEpoch {
 		s.viewEpoch = m.Epoch
 		s.view = m.Snodes
+		s.targets = replicaHostsFor(s.id, m.Snodes, s.cfg.Replicas)
 	}
 	s.mu.Unlock()
 }
@@ -568,12 +523,12 @@ func (s *Snode) syncReplica(p hashspace.Partition, host transport.NodeID) (keys 
 }
 
 // rehomeReplicas pushes full replica buckets for a freshly installed or
-// promoted partition to its targets, before the install is acknowledged
-// or announced, so the transfer never shrinks the number of copies.
-// Best-effort: an unreachable target is left to anti-entropy.
+// promoted partition to this snode's targets, before the install is
+// acknowledged or announced, so the transfer never shrinks the number of
+// copies.  Best-effort: an unreachable target is left to anti-entropy.
 func (s *Snode) rehomeReplicas(p hashspace.Partition) {
 	s.mu.Lock()
-	hosts := s.replicaHostsLocked(p)
+	hosts := s.targets
 	s.mu.Unlock()
 	fanOut(len(hosts), func(i int) error {
 		_, _, err := s.syncReplica(p, hosts[i])
@@ -591,9 +546,9 @@ func (s *Snode) dropOrphanReplicas(p hashspace.Partition, newPrimary transport.N
 		return
 	}
 	s.mu.Lock()
-	old := append(s.replicaHostsLocked(p), s.placed[p]...)
+	old := append(slices.Clone(s.targets), s.placed[p]...)
 	s.setPlacedLocked(p, nil)
-	keep := replicaHostsFor(p, newPrimary, s.view, s.cfg.Replicas)
+	keep := replicaHostsFor(newPrimary, s.view, s.cfg.Replicas)
 	s.mu.Unlock()
 	slices.Sort(old)
 	for _, host := range slices.Compact(old) {
@@ -622,47 +577,45 @@ func (s *Snode) antiEntropyLoop() {
 	}
 }
 
-// antiEntropyPass sends each target the digests of the owned partitions
-// placed there and ships a full bucket for every one the host reports
+// antiEntropyPass sends each target the digests of every live owned
+// partition and ships a full bucket for every one the host reports
 // missing or out of sync.  Digests are maintained by the stores, so a
-// quiet pass reads O(partitions) words, sends one probe per target and
-// hashes nothing, whatever the store size; only a repair costs O(bucket).
-// Divergence shows up after crashes (a host died and placement moved),
-// membership changes (a new view moves targets) and splits (the
-// children's targets differ from the parent's).  The pass then completes
-// the hand-off of every partition whose targets are all confirmed: the
-// other hosts of its fan-out set are told to drop their copies.
+// quiet pass reads O(partitions) words, sends exactly one probe per
+// target (R−1) and hashes nothing, whatever the store size; only a repair
+// costs O(bucket).  Divergence shows up after crashes (a host died and the
+// ring moved), membership changes (a new view moves targets), transfers
+// and restarts.  The pass then completes the hand-off of every partition
+// all targets confirmed: the other hosts of its fan-out set are told to
+// drop their copies.
 func (s *Snode) antiEntropyPass() {
 	// Snapshot the targets and the live buckets under one s.mu pass.
 	// Frozen (mid-transfer) partitions and partitions of a vnode whose join
 	// has not completed are neither probed nor handed off this pass.
 	s.mu.Lock()
-	cur := make(map[hashspace.Partition][]transport.NodeID)
+	targets := s.targets
+	if len(targets) == 0 {
+		s.mu.Unlock()
+		return
+	}
 	live := make(map[hashspace.Partition]*bucket)
 	for p, ref := range s.owned {
 		ref.bk.mu.RLock()
 		if ref.vs.joined && ref.bk.state == bucketLive {
-			if hosts := s.replicaHostsLocked(p); len(hosts) > 0 {
-				cur[p] = hosts
-				live[p] = ref.bk
-			}
+			live[p] = ref.bk
 		}
 		ref.bk.mu.RUnlock()
 	}
 	s.mu.Unlock()
 
-	// One probe per target.  unconfirmed[p] counts the targets of p not
-	// confirmed to hold an up-to-date copy: unreachable, or p moved, split
-	// or froze since the snapshot.  They are reconciled next pass.
-	byHost := make(map[transport.NodeID][]hashspace.Partition)
+	// One probe per target.  unconfirmed[p] counts the targets not
+	// confirmed to hold an up-to-date copy of p: unreachable, or p moved,
+	// split or froze since the snapshot.  They are reconciled next pass.
+	ps := slices.Collect(maps.Keys(live))
 	unconfirmed := make(map[hashspace.Partition]int, len(live))
-	for p, hosts := range cur {
-		unconfirmed[p] = len(hosts)
-		for _, host := range hosts {
-			byHost[host] = append(byHost[host], p)
-		}
+	for _, p := range ps {
+		unconfirmed[p] = len(targets)
 	}
-	for host, ps := range byHost {
+	for _, host := range targets {
 		select {
 		case <-s.stopCh:
 			return
@@ -686,17 +639,17 @@ func (s *Snode) antiEntropyPass() {
 	// the copy the move's receiver is about to install.
 	drops := make(map[transport.NodeID][]hashspace.Partition)
 	s.mu.Lock()
-	for p, hosts := range cur {
-		if ref, owned := s.owned[p]; unconfirmed[p] > 0 || !owned || ref.bk != live[p] || ref.bk.claimed() {
+	for p, bk := range live {
+		if ref, owned := s.owned[p]; unconfirmed[p] > 0 || !owned || ref.bk != bk || bk.claimed() {
 			continue
 		}
 		for _, old := range s.placed[p] {
-			if !slices.Contains(hosts, old) {
+			if !slices.Contains(targets, old) {
 				drops[old] = append(drops[old], p)
 			}
 		}
-		if !slices.Equal(s.placed[p], hosts) {
-			s.setPlacedLocked(p, hosts)
+		if !slices.Equal(s.placed[p], targets) {
+			s.setPlacedLocked(p, targets)
 		}
 	}
 	s.mu.Unlock()

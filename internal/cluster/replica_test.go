@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -37,8 +39,7 @@ func newReplicatedCluster(t *testing.T, net transport.Network, snodes, r int, se
 
 func TestReplicaPlacement(t *testing.T) {
 	view := []transport.NodeID{1, 2, 3, 4}
-	p := hashspace.Partition{Prefix: 5, Level: 4}
-	hosts := replicaHostsFor(p, 2, view, 3)
+	hosts := replicaHostsFor(2, view, 3)
 	if len(hosts) != 2 {
 		t.Fatalf("R=3 placement over 4 snodes = %v, want 2 hosts", hosts)
 	}
@@ -53,93 +54,121 @@ func TestReplicaPlacement(t *testing.T) {
 		seen[h] = true
 	}
 	// Deterministic: same inputs, same placement.
-	again := replicaHostsFor(p, 2, view, 3)
+	again := replicaHostsFor(2, view, 3)
 	for i := range hosts {
 		if hosts[i] != again[i] {
 			t.Fatalf("placement not deterministic: %v vs %v", hosts, again)
 		}
 	}
 	// Degraded modes: more replicas than candidates, no candidates, R=1.
-	if got := replicaHostsFor(p, 2, view, 16); len(got) != 3 {
+	if got := replicaHostsFor(2, view, 16); len(got) != 3 {
 		t.Fatalf("oversized R should use every other host, got %v", got)
 	}
-	if got := replicaHostsFor(p, 7, []transport.NodeID{7}, 2); got != nil {
+	if got := replicaHostsFor(7, []transport.NodeID{7}, 2); got != nil {
 		t.Fatalf("single-snode view must place no replicas, got %v", got)
 	}
-	if got := replicaHostsFor(p, 2, view, 1); got != nil {
+	if got := replicaHostsFor(2, view, 1); got != nil {
 		t.Fatalf("R=1 must place no replicas, got %v", got)
 	}
 }
 
-// TestReplicaPlacementHRWRelocation pins the rendezvous-hashing
-// property the placement exists for: one membership change relocates
-// only ~1/n of the replica sets, not all of them (a modular-offset
-// scheme reshuffles nearly everything).
-func TestReplicaPlacementHRWRelocation(t *testing.T) {
-	const (
-		level   = 10 // 1024 partitions — enough for tight statistics
-		r       = 3  // R=3 → 2 replica hosts per partition
-		primary = transport.NodeID(1)
-	)
-	view := make([]transport.NodeID, 12)
-	for i := range view {
-		view[i] = transport.NodeID(i + 1)
+// randomView is a sorted view of n hosts with gaps between their ids, so
+// a primary drawn from [1, 3n+2] is sometimes absent from it.
+func randomView(rng *rand.Rand, n int) []transport.NodeID {
+	view := make([]transport.NodeID, 0, n)
+	for id := 1 + rng.Intn(3); len(view) < n; id += 1 + rng.Intn(3) {
+		view = append(view, transport.NodeID(id))
 	}
-	placement := func(v []transport.NodeID) map[hashspace.Partition][]transport.NodeID {
-		out := make(map[hashspace.Partition][]transport.NodeID)
-		for prefix := uint64(0); prefix < 1<<level; prefix++ {
-			p := hashspace.Partition{Prefix: prefix, Level: level}
-			out[p] = replicaHostsFor(p, primary, v, r)
+	return view
+}
+
+// TestReplicaPlacementRingSuccessors pins the properties ring-successor
+// placement exists for: every host backs exactly R−1 primaries, one
+// membership change touches only the sets next to it on the ring, and at
+// R=2 only n of the n(n−1)/2 host pairs share a copyset.
+func TestReplicaPlacementRingSuccessors(t *testing.T) {
+	// Balance: each host is the target of exactly min(R−1, n−1) primaries.
+	for n := 0; n <= 12; n++ {
+		view := make([]transport.NodeID, n)
+		for i := range view {
+			view[i] = transport.NodeID(2*i + 1)
+		}
+		for r := 0; r <= n+2; r++ {
+			backs := make(map[transport.NodeID]int)
+			for _, primary := range view {
+				for _, h := range replicaHostsFor(primary, view, r) {
+					backs[h]++
+				}
+			}
+			for _, h := range view {
+				if want := max(0, min(r-1, n-1)); backs[h] != want {
+					t.Fatalf("n=%d r=%d: host %d backs %d primaries, want %d", n, r, h, backs[h], want)
+				}
+			}
+		}
+	}
+
+	rng := rand.New(rand.NewSource(11))
+	sets := func(view []transport.NodeID, r int) map[transport.NodeID][]transport.NodeID {
+		out := make(map[transport.NodeID][]transport.NodeID, len(view))
+		for _, primary := range view {
+			out[primary] = replicaHostsFor(primary, view, r)
 		}
 		return out
 	}
-	same := func(a, b []transport.NodeID) bool {
-		if len(a) != len(b) {
-			return false
+	for trial := 0; trial < 2000; trial++ {
+		n := rng.Intn(13)
+		view := randomView(rng, n)
+		r := rng.Intn(n + 3)
+		base := sets(view, r)
+
+		// Adding a host changes only its own set and those of its R−1
+		// ring predecessors.
+		var added transport.NodeID
+		for added == 0 || slices.Contains(view, added) {
+			added = transport.NodeID(1 + rng.Intn(3*n+3))
 		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
+		grown := slices.Sorted(slices.Values(append(slices.Clone(view), added)))
+		at := slices.Index(grown, added)
+		var preds []transport.NodeID
+		for k := 1; k <= min(r-1, len(grown)-1); k++ {
+			preds = append(preds, grown[(at-k+len(grown))%len(grown)])
+		}
+		for primary, hosts := range sets(grown, r) {
+			if primary != added && !slices.Equal(hosts, base[primary]) && !slices.Contains(preds, primary) {
+				t.Fatalf("trial %d: view %v r %d: adding %d moved %d's set %v to %v, though only %v precede it",
+					trial, view, r, added, primary, base[primary], hosts, preds)
 			}
 		}
-		return true
-	}
-	base := placement(view)
 
-	// Adding one host: a set changes only when the newcomer out-scores a
-	// member, which happens with probability (r-1)/candidates — about
-	// 2/12 ≈ 17% here.  Allow generous slack either way, but far below
-	// the near-100% a modular scheme produces.
-	grown := placement(append(append([]transport.NodeID(nil), view...), 13))
-	changed := 0
-	for p, hosts := range base {
-		if !same(hosts, grown[p]) {
-			changed++
+		// Removing a host changes only the sets that contained it.
+		if n == 0 {
+			continue
 		}
-	}
-	frac := float64(changed) / float64(len(base))
-	if frac > 0.35 || frac < 0.05 {
-		t.Errorf("adding 1 of 12 hosts relocated %.1f%% of replica sets, want ≈ %.1f%%",
-			100*frac, 100*float64(r-1)/12)
-	}
-
-	// Removing one host: only the sets that actually contained it may
-	// change; every other set must be byte-identical.
-	removed := view[len(view)-1]
-	shrunk := placement(view[:len(view)-1])
-	for p, hosts := range base {
-		had := false
-		for _, h := range hosts {
-			if h == removed {
-				had = true
+		removed := view[rng.Intn(n)]
+		shrunk := slices.DeleteFunc(slices.Clone(view), func(h transport.NodeID) bool { return h == removed })
+		for primary, hosts := range sets(shrunk, r) {
+			if !slices.Equal(hosts, base[primary]) && !slices.Contains(base[primary], removed) {
+				t.Fatalf("trial %d: view %v r %d: removing %d moved %d's set %v to %v",
+					trial, view, r, removed, primary, base[primary], hosts)
 			}
 		}
-		if !had && !same(hosts, shrunk[p]) {
-			t.Fatalf("partition %v: set %v changed to %v though host %d was not a member",
-				p, hosts, shrunk[p], removed)
+	}
+
+	// Copysets at R=2: a pair of crashed hosts loses data only when it is
+	// a primary and its successor — n pairs of n(n−1)/2.
+	for n := 3; n <= 12; n++ {
+		view := randomView(rng, n)
+		pairs := make(map[[2]transport.NodeID]bool)
+		for i, primary := range view {
+			hosts := replicaHostsFor(primary, view, 2)
+			if len(hosts) != 1 || hosts[0] != view[(i+1)%n] {
+				t.Fatalf("view %v: %d's target is %v, want its successor %d", view, primary, hosts, view[(i+1)%n])
+			}
+			pairs[[2]transport.NodeID{min(primary, hosts[0]), max(primary, hosts[0])}] = true
 		}
-		if had && same(hosts, shrunk[p]) {
-			t.Fatalf("partition %v: set %v still places removed host %d", p, hosts, removed)
+		if len(pairs) != n {
+			t.Fatalf("view %v: %d copysets, want %d of %d pairs", view, len(pairs), n, n*(n-1)/2)
 		}
 	}
 }
@@ -176,7 +205,7 @@ func replicasConverged(c *Cluster) bool {
 				}
 				n, sum := bucketDigest(b.kv.m)
 				b.mu.RUnlock()
-				for _, host := range s.replicaHostsLocked(p) {
+				for _, host := range s.targets {
 					wants = append(wants, want{p, host, n, sum})
 				}
 			}
@@ -484,8 +513,8 @@ func TestAntiEntropyRehomesAfterCrash(t *testing.T) {
 	}
 }
 
-// TestAntiEntropyDropsOrphanedReplicas grows the cluster (a membership
-// change shifts nearly every partition's replica placement) and expects
+// TestAntiEntropyDropsOrphanedReplicas grows the cluster (a vnode join
+// moves partitions, and their copies follow the new primary) and expects
 // the hand-off to discard the stranded copies: after convergence every
 // replica bucket is a live partition at one of its targets.
 func TestAntiEntropyDropsOrphanedReplicas(t *testing.T) {
@@ -516,7 +545,7 @@ func TestAntiEntropyDropsOrphanedReplicas(t *testing.T) {
 				}
 				for p := range vs.parts {
 					live[p] = true
-					for _, host := range s.replicaHostsLocked(p) {
+					for _, host := range s.targets {
 						if expected[host] == nil {
 							expected[host] = make(map[hashspace.Partition]bool)
 						}
@@ -680,4 +709,86 @@ func (s *Snode) replicaPartitions() []hashspace.Partition {
 		return out[i].Prefix < out[j].Prefix
 	})
 	return out
+}
+
+// TestBatchReplicaFanoutCounts pins the replica fan-out as message
+// counts.  At R=2 over 4 snodes, with routes warm and no background
+// traffic, a 64-key batch that reaches all four primaries costs 12
+// snode-received messages: 4 batches, 4 replica writes (one per primary,
+// to its ring successor) and their 4 acks.  A quiet anti-entropy pass
+// sends exactly R−1 probes per snode.
+func TestBatchReplicaFanoutCounts(t *testing.T) {
+	const snodes, r = 4, 2
+	c, err := New(Config{
+		Pmin: 32, Vmin: 8, Seed: 59, Replicas: r,
+		AntiEntropyInterval: time.Hour, // passes run only when called below
+	}, transport.NewMem())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	for i := 0; i < snodes; i++ {
+		if _, err := c.AddSnode(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	growCluster(t, c, 16)
+	_, items := batchKeys(64)
+	ss := c.liveSnodes()
+	primaries := make(map[transport.NodeID]bool)
+	for _, it := range items {
+		h := hashspace.HashString(it.Key)
+		for _, s := range ss {
+			s.mu.Lock()
+			if _, _, ok := s.ownedForLocked(h); ok {
+				primaries[s.id] = true
+			}
+			s.mu.Unlock()
+		}
+	}
+	if len(primaries) != snodes {
+		t.Fatalf("the batch reaches %d primaries, want all %d", len(primaries), snodes)
+	}
+	// Warm the routes and seed every copy, then settle the hand-offs the
+	// vnode joins left, so each partition's fan-out set is its target.
+	if _, err := c.MPut(items); err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		for _, s := range ss {
+			s.antiEntropyPass()
+		}
+	}
+	if err := c.Ping(); err != nil { // drops and syncs in flight have landed
+		t.Fatal(err)
+	}
+
+	msgsIn := func() (n int64) {
+		for _, s := range ss {
+			n += s.stats.MsgsIn.Load()
+		}
+		return n
+	}
+	before := msgsIn()
+	res, err := c.MPut(items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, br := range res {
+		if !br.OK() {
+			t.Fatalf("MPut %q: %s", br.Key, br.Err)
+		}
+	}
+	if d := msgsIn() - before; d != 3*snodes {
+		t.Fatalf("a 64-key batch over %d primaries made the snodes receive %d messages, want %d: a batch, a replica write and an ack per primary",
+			snodes, d, 3*snodes)
+	}
+
+	for _, s := range ss {
+		p0 := s.stats.AEProbeMsgs.Load()
+		s.antiEntropyPass()
+		if d := s.stats.AEProbeMsgs.Load() - p0; d != r-1 {
+			t.Fatalf("snode %d: a quiet anti-entropy pass sent %d probes, want R−1 = %d", s.id, d, r-1)
+		}
+	}
 }

@@ -323,6 +323,7 @@ type Snode struct {
 	led        map[core.GroupID]*ledGroup                 // guarded by mu
 	view       []transport.NodeID                         // guarded by mu; sorted DHT membership (replica placement)
 	viewEpoch  uint64                                     // guarded by mu; highest membership epoch seen
+	targets    []transport.NodeID                         // guarded by mu; replica targets of every owned partition under view (replicaHostsFor); replaced, never modified
 	rparts     map[hashspace.Partition]*replicaBucket     // guarded by mu; replica buckets backed for other primaries
 	placed     map[hashspace.Partition][]transport.NodeID // guarded by mu; hosts that may hold a copy of an owned partition (fanoutLocked)
 	inDoubt    map[hashspace.Partition]*migIntent         // guarded by mu; unresolved journaled migration intents (recovery)
@@ -512,13 +513,9 @@ func (s *Snode) loop() {
 // ownedRef binds an owned partition to its hosting vnode and bucket — one
 // entry of the snode-level ownership index behind ownsLocked.  The index
 // mirrors every vs.parts map; the two are mutated together under s.mu.
-// reps caches the partition's fan-out set as computed for view epoch
-// repsAt−1 (0: never computed; see fanoutLocked).
 type ownedRef struct {
-	vs     *vnodeState
-	bk     *bucket
-	reps   []transport.NodeID
-	repsAt uint64
+	vs *vnodeState
+	bk *bucket
 }
 
 func (s *Snode) setOwnedLocked(p hashspace.Partition, vs *vnodeState, bk *bucket) {
